@@ -6,12 +6,13 @@
 //! Between purges the cache obeys TTLs against the simulation clock, which
 //! is what keeps stale NS records alive after a provider switch.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use remnant_sim::SimTime;
 
 use crate::message::Rcode;
-use crate::name::DomainName;
+use crate::name::{BuildNameHasher, DomainName};
 use crate::record::{empty_record_set, RecordSet, RecordType, ResourceRecord};
 
 /// A cached entry: either records or a cached negative answer.
@@ -33,6 +34,9 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 
 /// A (name, type)-keyed DNS cache with TTL expiry and full purge.
 ///
+/// Keys hash through `BuildNameHasher`: the name's precomputed content
+/// hash and the type fold into one word each, with no SipHash rounds.
+///
 /// # Example
 ///
 /// ```
@@ -49,7 +53,7 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResolverCache {
-    entries: HashMap<(DomainName, RecordType), CacheEntry>,
+    entries: HashMap<(DomainName, RecordType), CacheEntry, BuildNameHasher>,
     hits: u64,
     misses: u64,
     expired: u64,
@@ -91,7 +95,8 @@ impl ResolverCache {
             );
             return;
         }
-        let mut groups: HashMap<(DomainName, RecordType), Vec<ResourceRecord>> = HashMap::new();
+        let mut groups: HashMap<(DomainName, RecordType), Vec<ResourceRecord>, BuildNameHasher> =
+            HashMap::default();
         for rr in records.iter() {
             groups
                 .entry((rr.name.clone(), rr.record_type()))
@@ -159,21 +164,23 @@ impl ResolverCache {
     /// The unexpired entry (positive or negative) for `name`/`rtype`.
     /// Expired entries are evicted on access (and counted as expired).
     /// Does not update hit counters.
+    ///
+    /// One hash probe serves the hit, the miss and the eviction alike.
     pub fn get_entry(
         &mut self,
         now: SimTime,
         name: &DomainName,
         rtype: RecordType,
     ) -> Option<&CacheEntry> {
-        let key = (name.clone(), rtype);
-        if let Some(entry) = self.entries.get(&key) {
-            if entry.expires <= now {
-                self.entries.remove(&key);
+        match self.entries.entry((name.clone(), rtype)) {
+            Entry::Occupied(entry) if entry.get().expires <= now => {
+                entry.remove();
                 self.expired += 1;
-                return None;
+                None
             }
+            Entry::Occupied(entry) => Some(entry.into_mut()),
+            Entry::Vacant(_) => None,
         }
-        self.entries.get(&key)
     }
 
     /// True if a *negative* unexpired entry exists for `name`/`rtype`.

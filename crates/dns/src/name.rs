@@ -10,6 +10,19 @@
 //! uses a precomputed content hash. The interner never evicts — the
 //! simulation's name universe is bounded by the generated world, and a
 //! stable address per name is what makes the pointer fast paths sound.
+//!
+//! Interning a name interns its parent first and links to it, so every
+//! interned name carries the chain of its ancestors down to the TLD.
+//! [`DomainName::parent`], [`DomainName::suffix`], [`DomainName::apex`]
+//! and [`DomainName::suffixes`] walk those links and clone one `Arc`;
+//! they never touch the intern table. [`DomainName::is_child_of`] tests
+//! "is this `<label>.<parent>`" the same way, so answering code can match
+//! derived hosts without building them. Only [`DomainName::parse`] and
+//! [`DomainName::prepend`] probe the table.
+//!
+//! `NameHasher` is the hasher for hot maps keyed by names (the resolver
+//! cache): it mixes the precomputed content hash with one multiply instead
+//! of running SipHash over it.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -33,6 +46,9 @@ struct NameInner {
     label_starts: Box<[u16]>,
     /// FNV-1a hash of `name`, precomputed so `Hash` is O(1).
     hash: u64,
+    /// The name with its leftmost label removed, interned before this
+    /// name; `None` at a TLD.
+    parent: Option<Arc<NameInner>>,
 }
 
 /// FNV-1a over the normalized name bytes. Any stable content hash works;
@@ -104,10 +120,17 @@ impl Interner {
         if let Some(entry) = shard.read().expect("interner lock").get(normalized) {
             return Arc::clone(&entry.0);
         }
+        let label_starts = label_starts_of(normalized);
+        // Intern the parent first (outside this shard's lock) so the link
+        // always points at the parent's unique payload.
+        let parent = label_starts
+            .get(1)
+            .map(|&start| self.intern(&normalized[usize::from(start)..]));
         let inner = Arc::new(NameInner {
             name: normalized.into(),
-            label_starts: label_starts_of(normalized),
+            label_starts,
             hash,
+            parent,
         });
         let mut guard = shard.write().expect("interner lock");
         match guard.get(normalized) {
@@ -193,12 +216,6 @@ impl DomainName {
         Ok(DomainName(inner))
     }
 
-    /// Interns an already-normalized, already-validated substring of an
-    /// existing name (used by [`DomainName::suffix`]).
-    fn from_normalized(normalized: &str) -> DomainName {
-        DomainName(INTERNER.intern(normalized))
-    }
-
     /// Number of distinct names interned process-wide (diagnostics; the
     /// table never evicts).
     pub fn interned_count() -> usize {
@@ -223,15 +240,17 @@ impl DomainName {
     /// The `n` rightmost labels as a name, or `None` if `n` is 0 or exceeds
     /// the label count.
     pub fn suffix(&self, n: usize) -> Option<DomainName> {
-        if n == 0 || n > self.label_count() {
+        if n == 0 {
             return None;
         }
-        if n == self.label_count() {
-            return Some(self.clone());
+        let mut inner = &self.0;
+        for _ in 0..self.label_count().checked_sub(n)? {
+            inner = inner
+                .parent
+                .as_ref()
+                .expect("every non-TLD links its parent");
         }
-        let idx = self.label_count() - n;
-        let start = usize::from(self.0.label_starts[idx]);
-        Some(DomainName::from_normalized(&self.0.name[start..]))
+        Some(DomainName(Arc::clone(inner)))
     }
 
     /// The top-level domain (rightmost label).
@@ -250,7 +269,30 @@ impl DomainName {
 
     /// The name with its leftmost label removed, or `None` at a TLD.
     pub fn parent(&self) -> Option<DomainName> {
-        self.suffix(self.label_count().checked_sub(1)?)
+        self.0.parent.clone().map(DomainName)
+    }
+
+    /// True if `self` is exactly `<label>.<parent>`: the same test as
+    /// `parent.prepend(label).ok() == Some(self)`, without building (or
+    /// interning) the prepended name. `label` compares ASCII
+    /// case-insensitively, as parsing would lowercase it.
+    ///
+    /// ```
+    /// use remnant_dns::DomainName;
+    /// let apex: DomainName = "example.com".parse()?;
+    /// let dev: DomainName = "dev.example.com".parse()?;
+    /// assert!(dev.is_child_of(&apex, "dev"));
+    /// assert!(!dev.is_child_of(&apex, "mail"));
+    /// assert!(!apex.is_child_of(&apex, "dev"));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn is_child_of(&self, parent: &DomainName, label: &str) -> bool {
+        let Some(own_parent) = &self.0.parent else {
+            return false;
+        };
+        let first_end = usize::from(self.0.label_starts[1]) - 1;
+        self.0.name[..first_end].eq_ignore_ascii_case(label)
+            && (Arc::ptr_eq(own_parent, &parent.0) || own_parent.name == parent.0.name)
     }
 
     /// True if `self` is equal to or underneath `other`
@@ -291,9 +333,7 @@ impl DomainName {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn suffixes(&self) -> impl Iterator<Item = DomainName> + '_ {
-        (1..=self.label_count())
-            .rev()
-            .filter_map(move |n| self.suffix(n))
+        std::iter::successors(Some(self.clone()), DomainName::parent)
     }
 
     /// True if any label contains `needle` as a substring. This is the
@@ -376,6 +416,44 @@ impl AsRef<str> for DomainName {
         self.as_str()
     }
 }
+
+/// Multiplier of the Fx hash (rustc's `FxHasher`).
+const FX_SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A [`Hasher`] for keys made of [`DomainName`]s and small integers.
+///
+/// A name already carries a content hash, so hashing one is a single
+/// `write_u64`; this hasher folds each word in with an Fx-style
+/// rotate-xor-multiply instead of running SipHash over it. It offers no
+/// protection against adversarial keys — every name in the simulation is
+/// generated, not supplied by an attacker.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high bits become the low bits the hash
+        // table indexes buckets with.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`NameHasher`]s.
+pub(crate) type BuildNameHasher = std::hash::BuildHasherDefault<NameHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -502,6 +580,30 @@ mod tests {
         let apex = full.suffix(3).unwrap();
         let parsed = name("intern-suffix.example.com");
         assert!(Arc::ptr_eq(&apex.0, &parsed.0));
+
+        // Parent links reach the unique payload of every ancestor.
+        assert!(Arc::ptr_eq(&full.apex().0, &name("example.com").0));
+        assert!(Arc::ptr_eq(&full.parent().unwrap().0, &parsed.0));
+        let chain: Vec<DomainName> = full.suffixes().collect();
+        assert_eq!(chain.len(), full.label_count());
+        for suffix in &chain {
+            assert!(Arc::ptr_eq(&suffix.0, &name(suffix.as_str()).0), "{suffix}");
+        }
+        let tld = chain.last().unwrap();
+        assert_eq!(tld.as_str(), "com");
+        assert_eq!(tld.parent(), None);
+    }
+
+    #[test]
+    fn is_child_of_matches_prepend() {
+        let apex = name("child-of.example.com");
+        let dev = name("dev.child-of.example.com");
+        assert!(dev.is_child_of(&apex, "dev"));
+        assert!(dev.is_child_of(&apex, "DEV"));
+        assert!(!dev.is_child_of(&apex, "mail"));
+        assert!(!dev.is_child_of(&name("example.com"), "dev"));
+        assert!(!name("x.dev.child-of.example.com").is_child_of(&apex, "dev"));
+        assert!(!name("com").is_child_of(&name("com"), "com"));
     }
 
     #[test]

@@ -159,6 +159,21 @@ proptest! {
         let oracle_suffixes: Vec<String> =
             oracle.suffixes().into_iter().map(|s| s.name).collect();
         prop_assert_eq!(our_suffixes, oracle_suffixes);
+        // The walk follows parent links: each step is the previous step's
+        // parent, the same interned payload a fresh parse of its spelling
+        // returns, and `<first label>.<parent>` as `is_child_of` sees it.
+        let walk: Vec<DomainName> = ours.suffixes().collect();
+        for pair in walk.windows(2) {
+            prop_assert_eq!(pair[0].parent().as_ref(), Some(&pair[1]));
+            let label = pair[0].labels().next().expect("names have >= 1 label");
+            prop_assert!(pair[0].is_child_of(&pair[1], label));
+            prop_assert_eq!(pair[1].prepend(label).ok().as_ref(), Some(&pair[0]));
+        }
+        for suffix in &walk {
+            let reparsed = DomainName::parse(suffix.as_str()).expect("suffixes are valid");
+            prop_assert!(std::ptr::eq(suffix.as_str(), reparsed.as_str()), "{}", suffix);
+        }
+        prop_assert_eq!(walk.last().and_then(DomainName::parent), None);
         for n in 0..=ours.label_count() + 1 {
             prop_assert_eq!(
                 ours.suffix(n).map(|s| s.to_string()),

@@ -1015,12 +1015,15 @@ impl DpsProvider {
     /// expired residuals, so concurrent scan workers can all query one
     /// provider. Stats move through atomic counters.
     pub fn answer_shared(&self, now: SimTime, query: &Query) -> Option<Response> {
+        // Names outside the indexes (apex queries for NS-based customers)
+        // index via the `www.<apex>` host, which the apex-keyed account or
+        // residual already holds interned.
         let response = self
             .name_index
             .get(&query.name)
             .or_else(|| {
-                // Apex queries for NS-based customers index via the host.
-                self.name_index.get(&query.name.apex().prepend("www").ok()?)
+                let host = &self.accounts.get(&query.name.apex())?.host;
+                self.name_index.get(host)
             })
             .and_then(|apex| self.accounts.get(apex))
             .and_then(|account| self.answer_for_account(account, query))
@@ -1028,8 +1031,8 @@ impl DpsProvider {
                 self.residual_index
                     .get(&query.name)
                     .or_else(|| {
-                        self.residual_index
-                            .get(&query.name.apex().prepend("www").ok()?)
+                        let host = &self.residuals.get(&query.name.apex())?.account.host;
+                        self.residual_index.get(host)
                     })
                     .and_then(|apex| self.residuals.get(apex))
                     .and_then(|record| self.answer_for_residual(record, now, query))
@@ -1100,6 +1103,53 @@ mod tests {
         // The apex NS query returns the assigned pair.
         let ns = ask(&mut cf, SimTime::EPOCH, "example.com", RecordType::Ns).unwrap();
         assert_eq!(ns.answers.len(), 2);
+    }
+
+    #[test]
+    fn uninformed_termination_keeps_serving_stale_apex_ns() {
+        let mut cf = cloudflare();
+        let enrollment = cf
+            .enroll(
+                SimTime::EPOCH,
+                &name("example.com"),
+                ORIGIN,
+                ServicePlan::Free,
+                ReroutingMethod::Ns,
+            )
+            .unwrap();
+        cf.terminate(SimTime::EPOCH, &name("example.com"), false)
+            .unwrap();
+        assert!(cf.account(&name("example.com")).is_none());
+        // The apex is in no index; the residual's host leads to it.
+        let ns = ask(
+            &mut cf,
+            SimTime::from_days(7),
+            "example.com",
+            RecordType::Ns,
+        )
+        .unwrap();
+        let served: Vec<(DomainName, DomainName)> = ns
+            .answers
+            .iter()
+            .map(|rr| match &rr.data {
+                RecordData::Ns(host) => (rr.name.clone(), host.clone()),
+                other => panic!("expected NS, got {other:?}"),
+            })
+            .collect();
+        let assigned: Vec<(DomainName, DomainName)> = enrollment
+            .nameservers()
+            .iter()
+            .map(|(host, _)| (name("example.com"), host.clone()))
+            .collect();
+        assert_eq!(served, assigned, "the stale NS set is served as assigned");
+        // A non-customer apex is ignored, live or residual alike.
+        assert!(ask(
+            &mut cf,
+            SimTime::from_days(7),
+            "stranger.org",
+            RecordType::Ns
+        )
+        .is_none());
     }
 
     #[test]

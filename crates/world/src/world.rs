@@ -64,11 +64,17 @@ pub struct World {
     edge_owner: HashMap<Ipv4Addr, ProviderId>,
     all_edges: HashSet<Ipv4Addr>,
     hosting_ns: Vec<(DomainName, Ipv4Addr)>,
+    /// Apex of each `hosting_ns` host, in the same order.
+    hosting_apexes: Vec<DomainName>,
     hosting_owner: HashMap<Ipv4Addr, usize>,
     /// Delegations for provider infrastructure domains (incapdns.net, …).
     infra_delegation: HashMap<DomainName, ProviderId>,
     /// Multi-CDN balancer tokens: cedexis hostname -> site.
     cedexis_index: HashMap<DomainName, SiteId>,
+    /// The balancer's domain and its nameserver host, parsed once so the
+    /// answer path never parses.
+    cedexis_apex: DomainName,
+    cedexis_ns: DomainName,
     pub(crate) origin_alloc: IpAllocator,
     pub(crate) events: Vec<BehaviorEvent>,
     pub(crate) resume_schedule: Vec<(SimTime, SiteId, ProviderId)>,
@@ -161,6 +167,7 @@ impl World {
                 (hosting_ns_name(i), addr)
             })
             .collect();
+        let hosting_apexes = hosting_ns.iter().map(|(host, _)| host.apex()).collect();
         let hosting_owner = hosting_ns
             .iter()
             .enumerate()
@@ -186,9 +193,12 @@ impl World {
             edge_owner,
             all_edges,
             hosting_ns,
+            hosting_apexes,
             hosting_owner,
             infra_delegation,
             cedexis_index: HashMap::new(),
+            cedexis_apex: DomainName::parse("cedexis.net").expect("static name"),
+            cedexis_ns: DomainName::parse("ns1.cedexis.net").expect("static name"),
             origin_alloc,
             events: Vec::new(),
             resume_schedule: Vec::new(),
@@ -311,9 +321,12 @@ impl World {
             edge_owner: self.edge_owner.clone(),
             all_edges: self.all_edges.clone(),
             hosting_ns: self.hosting_ns.clone(),
+            hosting_apexes: self.hosting_apexes.clone(),
             hosting_owner: self.hosting_owner.clone(),
             infra_delegation: self.infra_delegation.clone(),
             cedexis_index: self.cedexis_index.clone(),
+            cedexis_apex: self.cedexis_apex.clone(),
+            cedexis_ns: self.cedexis_ns.clone(),
             origin_alloc: self.origin_alloc.clone(),
             events: self.events.clone(),
             resume_schedule: self.resume_schedule.clone(),
@@ -413,13 +426,12 @@ impl World {
             return referral(query, &apex, &nameservers);
         }
         // The multi-CDN balancer's own domain.
-        if apex.as_str() == "cedexis.net" {
-            let host = DomainName::parse("ns1.cedexis.net").expect("static name");
-            return referral(query, &apex, &[(host, CEDEXIS_NS_IP)]);
+        if apex == self.cedexis_apex {
+            return referral(query, &apex, &[(self.cedexis_ns.clone(), CEDEXIS_NS_IP)]);
         }
         // Hosting providers' own domains.
-        for (host, addr) in &self.hosting_ns {
-            if apex == host.apex() {
+        for ((host, addr), host_apex) in self.hosting_ns.iter().zip(&self.hosting_apexes) {
+            if apex == *host_apex {
                 return referral(query, &apex, &[(host.clone(), *addr)]);
             }
         }
@@ -486,8 +498,8 @@ impl World {
 
         let is_www = query.name == site.www;
         let is_apex = query.name == site.apex;
-        let is_dev = site.leaky_subdomain && Some(&query.name) == dev_host(site).as_ref();
-        let is_mail = site.has_mx && Some(&query.name) == mail_host(site).as_ref();
+        let is_dev = site.leaky_subdomain && query.name.is_child_of(&site.apex, DEV_LABEL);
+        let is_mail = site.has_mx && query.name.is_child_of(&site.apex, MAIL_LABEL);
         if !is_www && !is_apex && !is_dev && !is_mail {
             return Response::empty(query.clone(), Rcode::NxDomain);
         }
@@ -629,8 +641,7 @@ impl World {
     /// redirection that makes usage behaviors unidentifiable, Sec IV-B.3).
     fn cedexis_answer(&self, query: &Query) -> Response {
         let Some(site_id) = self.cedexis_index.get(&query.name) else {
-            let cedexis = DomainName::parse("cedexis.net").expect("static name");
-            return if query.name.is_subdomain_of(&cedexis) {
+            return if query.name.is_subdomain_of(&self.cedexis_apex) {
                 Response::empty(query.clone(), Rcode::NxDomain)
             } else {
                 Response::empty(query.clone(), Rcode::Refused)
@@ -849,14 +860,19 @@ fn cedexis_token(apex: &DomainName) -> DomainName {
     DomainName::parse(&format!("b{h:012x}.cdx.cedexis.net")).expect("generated names are valid")
 }
 
+/// Leftmost label of a leaky site's unproxied auxiliary subdomain.
+const DEV_LABEL: &str = "dev";
+/// Leftmost label of a site's mail host.
+const MAIL_LABEL: &str = "mail";
+
 /// The unproxied auxiliary subdomain of a leaky site.
 fn dev_host(site: &Website) -> Option<DomainName> {
-    site.apex.prepend("dev").ok()
+    site.apex.prepend(DEV_LABEL).ok()
 }
 
 /// The mail host of a site with mail.
 fn mail_host(site: &Website) -> Option<DomainName> {
-    site.apex.prepend("mail").ok()
+    site.apex.prepend(MAIL_LABEL).ok()
 }
 
 /// Where a site's auxiliary host actually lives: `dev` always sits on the
