@@ -734,7 +734,7 @@ fn wire_benches(world: &mut World, samples: usize) -> Json {
                 query: query.clone(),
                 rcode: resolution.rcode,
                 authoritative: false,
-                answers: resolution.records.into(),
+                answers: resolution.records,
                 authority: remnant::dns::empty_record_set(),
                 additional: remnant::dns::empty_record_set(),
             };

@@ -13,7 +13,7 @@ use remnant_sim::SimTime;
 
 use crate::message::Rcode;
 use crate::name::{BuildNameHasher, DomainName};
-use crate::record::{empty_record_set, RecordSet, RecordType, ResourceRecord};
+use crate::record::{collect_exact, empty_record_set, RecordSet, RecordType, ResourceRecord};
 
 /// A cached entry: either records or a cached negative answer.
 ///
@@ -69,54 +69,46 @@ impl ResolverCache {
     /// comes from the minimum TTL within the group. Empty input is a no-op.
     ///
     /// A homogeneous input (one owner/type — the common shape of an answer
-    /// section) is stored as-is, sharing the caller's allocation.
+    /// section) is stored as-is, sharing the caller's allocation. A mixed
+    /// section (referral glue for several hosts) is grouped in order of
+    /// first occurrence, one allocation per group. A group whose stored
+    /// entry already holds the same records with the same expiry is left
+    /// in place, since replacing it would change nothing.
     pub fn insert(&mut self, now: SimTime, records: impl Into<RecordSet>) {
         let records: RecordSet = records.into();
-        let Some(first) = records.first() else {
-            return;
-        };
-        let first_key = (first.name.clone(), first.record_type());
-        if records
-            .iter()
-            .all(|rr| rr.record_type() == first_key.1 && rr.name == first_key.0)
-        {
-            let min_ttl = records
-                .iter()
+        // Sections hold a handful of records, so scanning back for a
+        // group's first occurrence is cheaper than building a map.
+        for (i, head) in records.iter().enumerate() {
+            let same_key = |rr: &ResourceRecord| {
+                rr.record_type() == head.record_type() && rr.name == head.name
+            };
+            if records[..i].iter().any(same_key) {
+                continue;
+            }
+            let group = || records[i..].iter().filter(move |rr| same_key(rr));
+            let expires = group()
                 .map(|rr| rr.ttl)
                 .min()
-                .expect("set is non-empty");
-            self.entries.insert(
-                first_key,
-                CacheEntry {
-                    records,
-                    rcode: Rcode::NoError,
-                    expires: min_ttl.expires_at(now),
-                },
-            );
-            return;
-        }
-        let mut groups: HashMap<(DomainName, RecordType), Vec<ResourceRecord>, BuildNameHasher> =
-            HashMap::default();
-        for rr in records.iter() {
-            groups
-                .entry((rr.name.clone(), rr.record_type()))
-                .or_default()
-                .push(rr.clone());
-        }
-        for (key, rrs) in groups {
-            let min_ttl = rrs
-                .iter()
-                .map(|rr| rr.ttl)
-                .min()
-                .expect("group is non-empty by construction");
-            self.entries.insert(
-                key,
-                CacheEntry {
-                    records: rrs.into(),
-                    rcode: Rcode::NoError,
-                    expires: min_ttl.expires_at(now),
-                },
-            );
+                .expect("a group holds its first record")
+                .expires_at(now);
+            let slot = self.entries.entry((head.name.clone(), head.record_type()));
+            if let Entry::Occupied(stored) = &slot {
+                let stored = stored.get();
+                if stored.expires == expires && stored.records.iter().eq(group()) {
+                    continue;
+                }
+            }
+            let len = group().count();
+            let set = if len == records.len() {
+                RecordSet::clone(&records)
+            } else {
+                collect_exact(len, group().cloned())
+            };
+            slot.insert_entry(CacheEntry {
+                records: set,
+                rcode: Rcode::NoError,
+                expires,
+            });
         }
     }
 
@@ -248,6 +240,7 @@ mod tests {
     use super::*;
     use crate::record::{RecordData, Ttl};
     use remnant_sim::SimDuration;
+    use std::sync::Arc;
 
     fn name(s: &str) -> DomainName {
         s.parse().expect("test name")
@@ -402,5 +395,63 @@ mod tests {
         let mut cache = ResolverCache::new();
         cache.insert(SimTime::EPOCH, vec![]);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn mixed_section_keeps_identical_entries_and_replaces_changed_ones() {
+        let glue = |ip: [u8; 4]| {
+            RecordSet::from([
+                a("ns1.host.net", 3600, [10, 0, 0, 1]),
+                a("ns2.host.net", 3600, ip),
+                a("ns1.host.net", 600, [10, 0, 0, 3]),
+            ])
+        };
+        let ns1 = name("ns1.host.net");
+        let ns2 = name("ns2.host.net");
+        let stored = |cache: &mut ResolverCache, host: &DomainName| {
+            let entry = cache
+                .get_entry(SimTime::EPOCH, host, RecordType::A)
+                .expect("glue is cached");
+            (RecordSet::clone(&entry.records), entry.expires)
+        };
+        let mut cache = ResolverCache::new();
+        cache.insert(SimTime::EPOCH, glue([10, 0, 0, 2]));
+        let (first_ns1, ns1_expires) = stored(&mut cache, &ns1);
+        let (first_ns2, _) = stored(&mut cache, &ns2);
+        // Groups follow first occurrence and take their minimum TTL.
+        assert_eq!(
+            &first_ns1[..],
+            &[
+                a("ns1.host.net", 3600, [10, 0, 0, 1]),
+                a("ns1.host.net", 600, [10, 0, 0, 3])
+            ]
+        );
+        assert_eq!(ns1_expires, SimTime::from_secs(600));
+
+        // The same glue at the same instant leaves both entries in place.
+        cache.insert(SimTime::EPOCH, glue([10, 0, 0, 2]));
+        let (again_ns1, again_expires) = stored(&mut cache, &ns1);
+        assert!(Arc::ptr_eq(&first_ns1, &again_ns1));
+        assert_eq!(again_expires, ns1_expires);
+        assert!(Arc::ptr_eq(&first_ns2, &stored(&mut cache, &ns2).0));
+
+        // A changed address replaces only the changed group.
+        cache.insert(SimTime::EPOCH, glue([10, 0, 0, 9]));
+        assert!(Arc::ptr_eq(&first_ns1, &stored(&mut cache, &ns1).0));
+        let (changed_ns2, _) = stored(&mut cache, &ns2);
+        assert_eq!(&changed_ns2[..], &[a("ns2.host.net", 3600, [10, 0, 0, 9])]);
+
+        // A later instant moves the expiry, so every group is replaced.
+        let later = SimTime::from_secs(10);
+        cache.insert(later, glue([10, 0, 0, 9]));
+        let entry = cache.get_entry(later, &ns1, RecordType::A).unwrap();
+        assert!(!Arc::ptr_eq(&first_ns1, &entry.records));
+        assert_eq!(entry.expires, SimTime::from_secs(610));
+        let entry = cache.get_entry(later, &ns2, RecordType::A).unwrap();
+        assert!(!Arc::ptr_eq(&changed_ns2, &entry.records));
+
+        // Inserts never touch the counters.
+        assert_eq!(cache.stats(), (0, 0));
+        assert_eq!(cache.expired_count(), 0);
     }
 }

@@ -58,8 +58,9 @@ impl fmt::Display for Rcode {
 /// A DNS response with the three standard record sections.
 ///
 /// Sections are shared [`RecordSet`]s: a zone answer, a cache insert and a
-/// `Resolution` chain can all reference one allocation. Constructors accept
-/// anything `Into<RecordSet>`, so `vec![rr]` call sites keep working.
+/// `Resolution` can all reference one allocation. Constructors accept
+/// anything `Into<RecordSet>`; pass a set or an array so the section is
+/// allocated once (a `Vec` is copied into a new set).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// The query being answered.
@@ -78,6 +79,10 @@ pub struct Response {
 
 impl Response {
     /// A successful authoritative answer.
+    ///
+    /// `answers` becomes the answer section as-is: a [`RecordSet`] moves in
+    /// without a copy and an array (`[rr]`) is allocated once, so a
+    /// resolver that caches and returns this section shares its records.
     pub fn answer(query: Query, answers: impl Into<RecordSet>) -> Self {
         Response {
             query,

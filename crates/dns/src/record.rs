@@ -10,10 +10,14 @@ use crate::name::DomainName;
 
 /// A shared, immutable set of resource records.
 ///
-/// Cache entries, zone answers and response sections all hand out the same
-/// underlying allocation; a cache hit or answer copy is a refcount bump
-/// instead of a deep `Vec<ResourceRecord>` clone. `Vec<ResourceRecord>`
-/// converts via `.into()`, so `vec![rr]` call sites keep working.
+/// Cache entries, zone answers, response sections and resolutions all hand
+/// out the same underlying allocation; a cache hit or answer copy is a
+/// refcount bump instead of a deep `Vec<ResourceRecord>` clone.
+///
+/// Build a set in one allocation from an array (`RecordSet::from([rr])`)
+/// or by collecting an exact-length iterator such as a slice `map`. A
+/// `Vec<ResourceRecord>` still converts via `.into()`, but that copies the
+/// records into a second allocation.
 pub type RecordSet = Arc<[ResourceRecord]>;
 
 /// The shared empty [`RecordSet`] — one allocation per process, so empty
@@ -22,6 +26,24 @@ pub type RecordSet = Arc<[ResourceRecord]>;
 pub fn empty_record_set() -> RecordSet {
     static EMPTY: std::sync::LazyLock<RecordSet> = std::sync::LazyLock::new(|| Arc::from([]));
     RecordSet::clone(&EMPTY)
+}
+
+/// Collects the `len` records `records` yields into one allocation.
+///
+/// Collecting a filtered iterator into a [`RecordSet`] goes through a
+/// temporary `Vec`, because its length is unknown up front. A counted
+/// range has an exact length, so the set is allocated once.
+///
+/// # Panics
+///
+/// Panics if `records` yields fewer than `len` records.
+pub(crate) fn collect_exact(
+    len: usize,
+    mut records: impl Iterator<Item = ResourceRecord>,
+) -> RecordSet {
+    (0..len)
+        .map(|_| records.next().expect("caller counted the records"))
+        .collect()
 }
 
 /// Record types used in the study.

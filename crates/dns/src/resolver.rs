@@ -26,7 +26,7 @@ use crate::cache::ResolverCache;
 use crate::error::DnsError;
 use crate::message::{Query, Rcode, Response};
 use crate::name::DomainName;
-use crate::record::{RecordType, ResourceRecord};
+use crate::record::{collect_exact, empty_record_set, RecordSet, RecordType, ResourceRecord};
 use crate::transport::DnsTransport;
 
 /// Maximum CNAME chain length before declaring a loop.
@@ -97,10 +97,13 @@ impl ResolverStats {
 ///
 /// `records` holds the full observed chain (CNAMEs plus terminal records),
 /// which is exactly what the paper's record collector stores per domain.
+/// With no alias in the chain it is the cached set or the response's
+/// answer section itself, shared rather than copied; only a CNAME chain
+/// builds a new set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// All records observed along the resolution, in chase order.
-    pub records: Vec<ResourceRecord>,
+    pub records: RecordSet,
     /// Terminal response code (`NoError` with no records means NODATA).
     pub rcode: Rcode,
 }
@@ -154,6 +157,9 @@ pub struct RecursiveResolver {
     region: Region,
     cache: ResolverCache,
     stats: ResolverStats,
+    /// The server set the current iteration asks, refilled at each
+    /// referral; kept across queries so iteration does not allocate.
+    servers: Vec<Ipv4Addr>,
 }
 
 impl RecursiveResolver {
@@ -164,6 +170,7 @@ impl RecursiveResolver {
             region,
             cache: ResolverCache::new(),
             stats: ResolverStats::default(),
+            servers: Vec::new(),
         }
     }
 
@@ -205,17 +212,20 @@ impl RecursiveResolver {
         rtype: RecordType,
     ) -> Result<Resolution, DnsError> {
         self.stats.queries[qtype_index(rtype)] += 1;
+        // CNAME records followed so far, in chase order. A target already
+        // in here (or the queried name itself) means the chain loops.
         let mut chain: Vec<ResourceRecord> = Vec::new();
         let mut current = name.clone();
-        let mut seen = vec![current.clone()];
+        let loops_to = |chain: &[ResourceRecord], target: &DomainName| {
+            target == name || chain.iter().any(|rr| rr.data.as_cname() == Some(target))
+        };
 
         for _ in 0..=MAX_CNAME_DEPTH {
             let now = self.clock.now();
             // Terminal records already cached?
             if let Some(rrs) = self.cache.get(now, &current, rtype) {
-                chain.extend(rrs.iter().cloned());
                 return Ok(Resolution {
-                    records: chain,
+                    records: chased(chain, rrs),
                     rcode: Rcode::NoError,
                 });
             }
@@ -224,7 +234,7 @@ impl RecursiveResolver {
                 if entry.records.is_empty() {
                     let rcode = entry.rcode;
                     return Ok(Resolution {
-                        records: chain,
+                        records: chased(chain, empty_record_set()),
                         rcode,
                     });
                 }
@@ -237,13 +247,12 @@ impl RecursiveResolver {
                         .as_cname()
                         .expect("cname cache entries hold cname data")
                         .clone();
-                    chain.extend(cnames.iter().cloned());
-                    if seen.contains(&target) {
+                    if loops_to(&chain, &target) {
                         return Err(DnsError::CnameChain {
                             name: name.to_string(),
                         });
                     }
-                    seen.push(target.clone());
+                    chain.extend(cnames.iter().cloned());
                     current = target;
                     continue;
                 }
@@ -259,16 +268,20 @@ impl RecursiveResolver {
                     // but expires the instant it is cached.
                     let mut advanced = false;
                     loop {
-                        let direct: Vec<ResourceRecord> = response
-                            .answers
-                            .iter()
-                            .filter(|rr| rr.name == current && rr.record_type() == rtype)
-                            .cloned()
-                            .collect();
-                        if !direct.is_empty() {
-                            chain.extend(direct);
+                        let is_direct =
+                            |rr: &&ResourceRecord| rr.name == current && rr.record_type() == rtype;
+                        let direct = response.answers.iter().filter(is_direct).count();
+                        if direct > 0 {
+                            let terminal = if direct == response.answers.len() {
+                                RecordSet::clone(&response.answers)
+                            } else {
+                                collect_exact(
+                                    direct,
+                                    response.answers.iter().filter(is_direct).cloned(),
+                                )
+                            };
                             return Ok(Resolution {
-                                records: chain,
+                                records: chased(chain, terminal),
                                 rcode: Rcode::NoError,
                             });
                         }
@@ -279,7 +292,6 @@ impl RecursiveResolver {
                             .answers
                             .iter()
                             .find(|rr| rr.name == current && rr.record_type() == RecordType::Cname)
-                            .cloned()
                         else {
                             break;
                         };
@@ -288,13 +300,12 @@ impl RecursiveResolver {
                             .as_cname()
                             .expect("cname records hold cname data")
                             .clone();
-                        chain.push(alias);
-                        if seen.contains(&target) {
+                        if loops_to(&chain, &target) {
                             return Err(DnsError::CnameChain {
                                 name: name.to_string(),
                             });
                         }
-                        seen.push(target.clone());
+                        chain.push(alias.clone());
                         current = target;
                         advanced = true;
                     }
@@ -302,7 +313,7 @@ impl RecursiveResolver {
                         // Records came back, but none for our name/type:
                         // effectively NODATA.
                         return Ok(Resolution {
-                            records: chain,
+                            records: chased(chain, empty_record_set()),
                             rcode: Rcode::NoError,
                         });
                     }
@@ -313,7 +324,7 @@ impl RecursiveResolver {
                     self.cache
                         .insert_negative(now, current.clone(), rtype, Rcode::NoError);
                     return Ok(Resolution {
-                        records: chain,
+                        records: chased(chain, empty_record_set()),
                         rcode: Rcode::NoError,
                     });
                 }
@@ -323,7 +334,7 @@ impl RecursiveResolver {
                             .insert_negative(now, current.clone(), rtype, rcode);
                     }
                     return Ok(Resolution {
-                        records: chain,
+                        records: chased(chain, empty_record_set()),
                         rcode,
                     });
                 }
@@ -378,10 +389,9 @@ impl RecursiveResolver {
                 let now = self.clock.now();
                 for suffix in qname.suffixes() {
                     if self.cache.get(now, &suffix, RecordType::Ns).is_some() {
-                        // Overwrite with nothing by purging just that entry:
-                        // simplest correct form is a negative-free removal,
-                        // achieved by inserting an empty grouping via purge
-                        // of the whole entry.
+                        // Shadow the stale NS set with a negative NS entry,
+                        // so the retry from the root learns the delegation
+                        // again instead of reusing the dead servers.
                         self.cache.insert_negative(
                             now,
                             suffix.clone(),
@@ -390,7 +400,9 @@ impl RecursiveResolver {
                         );
                     }
                 }
-                self.iterate_from(transport, vec![transport.root()], qname, rtype)
+                self.servers.clear();
+                self.servers.push(transport.root());
+                self.iterate(transport, qname, rtype)
             }
         }
     }
@@ -404,42 +416,40 @@ impl RecursiveResolver {
         rtype: RecordType,
     ) -> Result<Response, DnsError> {
         let now = self.clock.now();
-        let mut start: Vec<Ipv4Addr> = Vec::new();
+        self.servers.clear();
         for suffix in qname.suffixes() {
             if let Some(ns_records) = self.cache.get(now, &suffix, RecordType::Ns) {
-                let mut addrs = Vec::new();
                 for rr in ns_records.iter() {
                     if let Some(host) = rr.data.as_ns() {
                         if let Some(a_records) = self.cache.get(now, host, RecordType::A) {
-                            addrs.extend(a_records.iter().filter_map(|r| r.data.as_a()));
+                            self.servers
+                                .extend(a_records.iter().filter_map(|r| r.data.as_a()));
                         }
                     }
                 }
-                if !addrs.is_empty() {
-                    start = addrs;
+                if !self.servers.is_empty() {
                     break;
                 }
             }
         }
-        if start.is_empty() {
-            start.push(transport.root());
+        if self.servers.is_empty() {
+            self.servers.push(transport.root());
         }
-        self.iterate_from(transport, start, qname, rtype)
+        self.iterate(transport, qname, rtype)
     }
 
-    /// Iterates from `servers`, following referrals until an authoritative
-    /// answer (or terminal negative) arrives.
-    fn iterate_from<T: DnsTransport>(
+    /// Iterates from the servers in `self.servers`, following referrals
+    /// until an authoritative answer (or terminal negative) arrives.
+    fn iterate<T: DnsTransport>(
         &mut self,
         transport: &mut T,
-        mut servers: Vec<Ipv4Addr>,
         qname: &DomainName,
         rtype: RecordType,
     ) -> Result<Response, DnsError> {
         let query = Query::new(qname.clone(), rtype);
         for depth in 0..=MAX_REFERRALS {
             let mut answered = None;
-            for server in &servers {
+            for server in &self.servers {
                 let now = self.clock.now();
                 if let Some(response) = transport.query(now, *server, self.region, &query) {
                     answered = Some(response);
@@ -454,12 +464,10 @@ impl RecursiveResolver {
                 // Cache the delegation and its glue.
                 self.cache.insert(now, response.authority.clone());
                 self.cache.insert(now, response.additional.clone());
-                let next: Vec<Ipv4Addr> = response
-                    .additional
-                    .iter()
-                    .filter_map(|rr| rr.data.as_a())
-                    .collect();
-                if next.is_empty() {
+                self.servers.clear();
+                self.servers
+                    .extend(response.additional.iter().filter_map(|rr| rr.data.as_a()));
+                if self.servers.is_empty() {
                     // Glueless delegation: resolve NS hostnames from cache
                     // only (registry and providers always send glue, so this
                     // is a dead end in practice).
@@ -467,7 +475,6 @@ impl RecursiveResolver {
                         name: qname.to_string(),
                     });
                 }
-                servers = next;
                 continue;
             }
             self.stats.delegation_depth[depth] += 1;
@@ -477,6 +484,16 @@ impl RecursiveResolver {
             name: qname.to_string(),
         })
     }
+}
+
+/// The records of a resolution: the CNAMEs followed, then the terminal
+/// records. With no alias the terminal set is returned as-is; a chain is
+/// copied into one new set.
+fn chased(chain: Vec<ResourceRecord>, terminal: RecordSet) -> RecordSet {
+    if chain.is_empty() {
+        return terminal;
+    }
+    chain.iter().chain(terminal.iter()).cloned().collect()
 }
 
 /// The resolver's counters — per-qtype query mix, delegation depth,
@@ -698,6 +715,74 @@ mod tests {
             .resolve(&mut t, &name("a.loopy.com"), RecordType::A)
             .unwrap_err();
         assert!(matches!(err, DnsError::CnameChain { .. }));
+
+        // Both aliases are cached now: the second resolution walks them
+        // without the network and must still see the loop.
+        let sent_before = t.query_stats().sent;
+        let err = r
+            .resolve(&mut t, &name("a.loopy.com"), RecordType::A)
+            .unwrap_err();
+        assert!(matches!(err, DnsError::CnameChain { .. }));
+        assert_eq!(t.query_stats().sent, sent_before, "served from cache");
+    }
+
+    #[test]
+    fn repeated_resolution_shares_the_cached_records() {
+        let (mut t, mut r, _clock) = world();
+        let first = r
+            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .unwrap();
+        let second = r
+            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .unwrap();
+        assert_eq!(second.addresses(), vec![WWW_IP]);
+        assert!(
+            std::sync::Arc::ptr_eq(&first.records, &second.records),
+            "a no-alias resolution hands out the cached set itself"
+        );
+    }
+
+    #[test]
+    fn cname_chain_lists_aliases_before_terminal_records() {
+        let clock = SimClock::new();
+        let mut registry = Registry::new();
+        registry.delegate(name("example.com"), vec![(name("ns1.host.net"), NS_IP)]);
+        registry.delegate(
+            name("incapdns.net"),
+            vec![(name("ns1.incapdns.net"), NS2_IP)],
+        );
+        let www_alias = ResourceRecord::new(
+            name("www.example.com"),
+            Ttl::secs(300),
+            RecordData::Cname(name("cdn.example.com")),
+        );
+        let cdn_alias = ResourceRecord::new(
+            name("cdn.example.com"),
+            Ttl::secs(300),
+            RecordData::Cname(name("x7f3.incapdns.net")),
+        );
+        let terminal = ResourceRecord::new(
+            name("x7f3.incapdns.net"),
+            Ttl::secs(60),
+            RecordData::A(Ipv4Addr::new(199, 83, 128, 7)),
+        );
+        let mut customer = Zone::new(name("example.com"));
+        customer.add(www_alias.clone());
+        customer.add(cdn_alias.clone());
+        let mut provider = Zone::new(name("incapdns.net"));
+        provider.add(terminal.clone());
+        let mut t = StaticTransport::new(registry);
+        t.add_server(NS_IP, ZoneServer::new(vec![customer]));
+        t.add_server(NS2_IP, ZoneServer::new(vec![provider]));
+        let mut r = RecursiveResolver::new(clock, Region::London);
+
+        let expected = [www_alias, cdn_alias, terminal];
+        for pass in ["network", "cache"] {
+            let res = r
+                .resolve(&mut t, &name("www.example.com"), RecordType::A)
+                .unwrap();
+            assert_eq!(&res.records[..], &expected[..], "{pass} pass");
+        }
     }
 
     #[test]

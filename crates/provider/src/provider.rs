@@ -19,7 +19,8 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use remnant_dns::{
-    Authoritative, DomainName, Query, Rcode, RecordData, RecordType, ResourceRecord, Response, Ttl,
+    Authoritative, DomainName, Query, Rcode, RecordData, RecordSet, RecordType, ResourceRecord,
+    Response, Ttl,
 };
 use remnant_http::{HttpRequest, HttpResponse, HttpTransport, ReverseProxy};
 use remnant_net::{AnycastMap, IpAllocator, Ipv4Cidr, Pop, PopId, Region};
@@ -389,6 +390,11 @@ impl DpsProvider {
     /// Nameserver fleet as (hostname, address) pairs.
     pub fn nameservers(&self) -> impl Iterator<Item = (&DomainName, Ipv4Addr)> {
         self.ns_hosts.iter().zip(self.ns_ips.iter().copied())
+    }
+
+    /// The address of the fleet nameserver `host`, if it is one.
+    pub fn ns_address(&self, host: &DomainName) -> Option<Ipv4Addr> {
+        self.ns_glue.get(host).copied()
     }
 
     /// Addresses of the nameserver fleet.
@@ -827,7 +833,7 @@ impl DpsProvider {
                     return Some(match query.rtype {
                         RecordType::A => Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 name.clone(),
                                 CUSTOMER_A_TTL,
                                 RecordData::A(*addr),
@@ -840,7 +846,7 @@ impl DpsProvider {
                     match query.rtype {
                         RecordType::A => Some(Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 query.name.clone(),
                                 CUSTOMER_A_TTL,
                                 RecordData::A(serving),
@@ -858,13 +864,13 @@ impl DpsProvider {
                                         RecordData::Ns(h.clone()),
                                     )
                                 })
-                                .collect::<Vec<_>>(),
+                                .collect::<RecordSet>(),
                         )),
                         RecordType::Mx if query.name == account.domain => {
                             match &account.mx_exchange {
                                 Some(exchange) => Some(Response::answer(
                                     query.clone(),
-                                    vec![ResourceRecord::new(
+                                    [ResourceRecord::new(
                                         account.domain.clone(),
                                         CUSTOMER_NS_TTL,
                                         RecordData::Mx {
@@ -891,7 +897,7 @@ impl DpsProvider {
                     match query.rtype {
                         RecordType::A => Some(Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 token.clone(),
                                 CUSTOMER_A_TTL,
                                 RecordData::A(serving),
@@ -931,7 +937,7 @@ impl DpsProvider {
         match query.rtype {
             RecordType::A => Some(Response::answer(
                 query.clone(),
-                vec![ResourceRecord::new(
+                [ResourceRecord::new(
                     query.name.clone(),
                     CUSTOMER_A_TTL,
                     RecordData::A(record.answer_address()),
@@ -951,7 +957,7 @@ impl DpsProvider {
                             RecordData::Ns(h.clone()),
                         )
                     })
-                    .collect::<Vec<_>>(),
+                    .collect::<RecordSet>(),
             )),
             _ => Some(Response::empty(query.clone(), Rcode::NoError)),
         }
@@ -964,7 +970,7 @@ impl DpsProvider {
             return Some(match query.rtype {
                 RecordType::A => Response::answer(
                     query.clone(),
-                    vec![ResourceRecord::new(
+                    [ResourceRecord::new(
                         query.name.clone(),
                         CUSTOMER_NS_TTL,
                         RecordData::A(*addr),

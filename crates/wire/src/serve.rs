@@ -119,7 +119,7 @@ impl<T: DnsTransport + Send> DnsService for ResolverService<T> {
                 query: query.clone(),
                 rcode: resolution.rcode,
                 authoritative: false,
-                answers: resolution.records.into(),
+                answers: resolution.records,
                 authority: empty_record_set(),
                 additional: empty_record_set(),
             }),

@@ -66,7 +66,7 @@ fn in_process_answer(world: &Arc<World>, query: &Query) -> Response {
             query: query.clone(),
             rcode: resolution.rcode,
             authoritative: false,
-            answers: resolution.records.into(),
+            answers: resolution.records,
             authority: remnant_dns::empty_record_set(),
             additional: remnant_dns::empty_record_set(),
         },

@@ -9,8 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use remnant_dns::transport::ROOT_SERVER;
 use remnant_dns::{
-    DnsTransport, DomainName, Query, QueryStats, Rcode, RecordData, RecordType, ResourceRecord,
-    Response, ShardableTransport, Ttl, ZoneGenerationProbe,
+    DnsTransport, DomainName, Query, QueryStats, Rcode, RecordData, RecordSet, RecordType,
+    ResourceRecord, Response, ShardableTransport, Ttl, ZoneGenerationProbe,
 };
 use remnant_http::{
     FirewallPolicy, HttpRequest, HttpResponse, HttpTransport, OriginServer, PageTemplate,
@@ -66,6 +66,9 @@ pub struct World {
     hosting_ns: Vec<(DomainName, Ipv4Addr)>,
     /// Apex of each `hosting_ns` host, in the same order.
     hosting_apexes: Vec<DomainName>,
+    /// Referral glue for the hosting pair whose primary is each index: the
+    /// same for every site on the pair, so built once.
+    hosting_glue: Vec<RecordSet>,
     hosting_owner: HashMap<Ipv4Addr, usize>,
     /// Delegations for provider infrastructure domains (incapdns.net, …).
     infra_delegation: HashMap<DomainName, ProviderId>,
@@ -168,6 +171,12 @@ impl World {
             })
             .collect();
         let hosting_apexes = hosting_ns.iter().map(|(host, _)| host.apex()).collect();
+        let hosting_glue = (0..HOSTING_SERVERS)
+            .map(|primary| {
+                let (primary, secondary) = hosting_pair(primary as u8);
+                glue(&[hosting_ns[primary].clone(), hosting_ns[secondary].clone()])
+            })
+            .collect();
         let hosting_owner = hosting_ns
             .iter()
             .enumerate()
@@ -194,6 +203,7 @@ impl World {
             all_edges,
             hosting_ns,
             hosting_apexes,
+            hosting_glue,
             hosting_owner,
             infra_delegation,
             cedexis_index: HashMap::new(),
@@ -322,6 +332,7 @@ impl World {
             all_edges: self.all_edges.clone(),
             hosting_ns: self.hosting_ns.clone(),
             hosting_apexes: self.hosting_apexes.clone(),
+            hosting_glue: self.hosting_glue.clone(),
             hosting_owner: self.hosting_owner.clone(),
             infra_delegation: self.infra_delegation.clone(),
             cedexis_index: self.cedexis_index.clone(),
@@ -451,8 +462,7 @@ impl World {
                     let nameservers: Vec<(DomainName, Ipv4Addr)> = account
                         .nameservers
                         .iter()
-                        .filter_map(|h| dps.nameservers().find(|(n, _)| *n == h))
-                        .map(|(h, a)| (h.clone(), a))
+                        .filter_map(|h| Some((h.clone(), dps.ns_address(h)?)))
                         .collect();
                     return referral(query, &apex, &nameservers);
                 }
@@ -465,11 +475,12 @@ impl World {
 
     fn hosting_referral(&self, query: &Query, apex: &DomainName, hosting: u8) -> Response {
         let (primary, secondary) = hosting_pair(hosting);
-        let nameservers = vec![
-            self.hosting_ns[primary].clone(),
-            self.hosting_ns[secondary].clone(),
-        ];
-        referral(query, apex, &nameservers)
+        let authority = [primary, secondary].map(|i| delegation(apex, &self.hosting_ns[i].0));
+        Response::referral(
+            query.clone(),
+            authority,
+            RecordSet::clone(&self.hosting_glue[primary]),
+        )
     }
 
     /// Answers as the `hosting`-th shared hosting-DNS server.
@@ -506,7 +517,7 @@ impl World {
 
         match query.rtype {
             RecordType::Ns if is_apex => {
-                let answers = vec![
+                let answers = [
                     ResourceRecord::new(
                         site.apex.clone(),
                         SELF_NS_TTL,
@@ -524,7 +535,7 @@ impl World {
                 let exchange = mail_host(site).expect("has_mx implies a mail host");
                 Response::answer(
                     query.clone(),
-                    vec![ResourceRecord::new(
+                    [ResourceRecord::new(
                         site.apex.clone(),
                         SELF_NS_TTL,
                         RecordData::Mx {
@@ -536,7 +547,7 @@ impl World {
             }
             RecordType::A if is_dev => Response::answer(
                 query.clone(),
-                vec![ResourceRecord::new(
+                [ResourceRecord::new(
                     query.name.clone(),
                     SELF_A_TTL,
                     RecordData::A(auxiliary_address(site, true)),
@@ -544,7 +555,7 @@ impl World {
             ),
             RecordType::A if is_mail => Response::answer(
                 query.clone(),
-                vec![ResourceRecord::new(
+                [ResourceRecord::new(
                     query.name.clone(),
                     SELF_A_TTL,
                     RecordData::A(auxiliary_address(site, false)),
@@ -563,7 +574,7 @@ impl World {
             SiteState::SelfHosted => match query.rtype {
                 RecordType::A => Response::answer(
                     query.clone(),
-                    vec![ResourceRecord::new(
+                    [ResourceRecord::new(
                         query.name.clone(),
                         SELF_A_TTL,
                         RecordData::A(site.origin),
@@ -574,7 +585,7 @@ impl World {
             SiteState::Dark => match query.rtype {
                 RecordType::A => Response::answer(
                     query.clone(),
-                    vec![ResourceRecord::new(
+                    [ResourceRecord::new(
                         query.name.clone(),
                         SELF_A_TTL,
                         RecordData::A(PARKING_IP),
@@ -593,7 +604,7 @@ impl World {
                     return match query.rtype {
                         RecordType::A | RecordType::Cname => Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 query.name.clone(),
                                 SELF_CNAME_TTL,
                                 RecordData::Cname(cedexis_token(&site.apex)),
@@ -608,7 +619,7 @@ impl World {
                     ReroutingMethod::A => match (query.rtype, account) {
                         (RecordType::A, Some(account)) => Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 query.name.clone(),
                                 SELF_A_TTL,
                                 RecordData::A(account.serving_address()),
@@ -620,7 +631,7 @@ impl World {
                     ReroutingMethod::Cname => match account.and_then(|a| a.cname_token.clone()) {
                         Some(token) => Response::answer(
                             query.clone(),
-                            vec![ResourceRecord::new(
+                            [ResourceRecord::new(
                                 query.name.clone(),
                                 SELF_CNAME_TTL,
                                 RecordData::Cname(token),
@@ -662,7 +673,7 @@ impl World {
         match (query.rtype, token) {
             (RecordType::A | RecordType::Cname, Some(token)) => Response::answer(
                 query.clone(),
-                vec![ResourceRecord::new(
+                [ResourceRecord::new(
                     query.name.clone(),
                     Ttl::secs(60),
                     RecordData::Cname(token),
@@ -841,16 +852,34 @@ impl World {
 
 /// Builds a registry-style referral response.
 fn referral(query: &Query, apex: &DomainName, nameservers: &[(DomainName, Ipv4Addr)]) -> Response {
-    let ttl = remnant_dns::registry::DELEGATION_TTL;
-    let authority = nameservers
+    let authority: RecordSet = nameservers
         .iter()
-        .map(|(host, _)| ResourceRecord::new(apex.clone(), ttl, RecordData::Ns(host.clone())))
-        .collect::<Vec<_>>();
-    let additional = nameservers
+        .map(|(host, _)| delegation(apex, host))
+        .collect();
+    Response::referral(query.clone(), authority, glue(nameservers))
+}
+
+/// The registry's NS record delegating `apex` to `host`.
+fn delegation(apex: &DomainName, host: &DomainName) -> ResourceRecord {
+    ResourceRecord::new(
+        apex.clone(),
+        remnant_dns::registry::DELEGATION_TTL,
+        RecordData::Ns(host.clone()),
+    )
+}
+
+/// The registry's glue A records for `nameservers`.
+fn glue(nameservers: &[(DomainName, Ipv4Addr)]) -> RecordSet {
+    nameservers
         .iter()
-        .map(|(host, addr)| ResourceRecord::new(host.clone(), ttl, RecordData::A(*addr)))
-        .collect::<Vec<_>>();
-    Response::referral(query.clone(), authority, additional)
+        .map(|(host, addr)| {
+            ResourceRecord::new(
+                host.clone(),
+                remnant_dns::registry::DELEGATION_TTL,
+                RecordData::A(*addr),
+            )
+        })
+        .collect()
 }
 
 /// The balancer hostname for a multi-CDN customer, carrying the
