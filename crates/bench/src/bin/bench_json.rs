@@ -6,14 +6,10 @@
 //!            [--spill-dir DIR] [--out PATH] [--seed S]
 //! bench-json --query [--quick] [--population N] [--weeks W]
 //!            [--out PATH] [--seed S]
-//! bench-json --classified [--quick] [--population N] [--weeks W]
-//!            [--out PATH] [--seed S]
 //! bench-json --scheduler [--quick] [--out PATH] [--seed S]
 //! ```
 //!
-//! Runs the allocation-sensitive microbenches (interned names and shared
-//! record sets against their pre-refactor implementations), the residual
-//! pipeline stages (fleet harvest / direct scan / filter pipeline), the
+//! Runs the resolver benches, the residual pipeline stages (fleet harvest / direct scan / filter pipeline), the
 //! engine collection sweep at several worker counts, the observability
 //! overhead suite (obs primitive costs plus an instrumented-vs-plain sweep
 //! A/B), the delta-collection suite (steady-state daily round plus a
@@ -43,21 +39,12 @@
 //! campaign per persistence mode (full, delta), then repeated measured
 //! passes over the resulting `SnapshotStore` — directory open (footer
 //! index scan), full reconstruction scan, a column projection, the shared
-//! analysis fold (`PassesPlan`), the consecutive-round join, and the
-//! generation diff — and writes one JSON document (default
+//! analysis fold (`PassesPlan.execute_with` over a `PlanContext` rebuilt
+//! every sample, the production path), the consecutive-round join, and
+//! the generation diff — and writes one JSON document (default
 //! `BENCH_8.json`). The campaign itself is timed once alongside, so the
 //! document carries the no-pipeline-regression story: collection cost is
 //! unchanged and the query layer's cost is the measured read path.
-//!
-//! `--classified` runs the classification-cache suite instead and writes
-//! `BENCH_10.json`: one spilled campaign per persistence mode (full,
-//! delta), then the shared analysis fold measured uncached
-//! (`PassesPlan.execute`, every round reclassified) and cached
-//! (`PassesPlan.execute_with` over a fresh `PlanContext` — clean delta
-//! shards reuse the classification cache), the residual-scan plan both
-//! ways (the cached side walking the provider posting-list index), and
-//! the context/index build cost alone. The BENCH_8 uncached spill-delta
-//! rate is embedded as the cross-document baseline with its ≥3× target.
 //!
 //! `--scheduler` runs the scheduling suite instead and writes
 //! `BENCH_9.json`: a latency-skewed straggler sweep measured under the
@@ -75,26 +62,23 @@ use remnant::core::residual::{CloudflareScanner, FilterPipeline};
 use remnant::core::study::{CollectionMode, StudyConfig};
 use remnant::core::{StudyService, SCANNER_SOURCE};
 use remnant::dns::{
-    CountingTransport, DnsTransport, DomainName, Query, RecordData, RecordType, RecursiveResolver,
-    ResolverCache, Response, Ttl,
+    CountingTransport, DnsTransport, DomainName, Query, RecordType, RecursiveResolver, Response,
 };
 use remnant::engine::{plan_shards, EngineConfig, ScanEngine, TaskResult};
 use remnant::net::Region;
 use remnant::obs::{EventJournal, Instrumented, MetricsRegistry, Obs, Span};
 use remnant::provider::ProviderId;
-use remnant::query::{
-    PassesPlan, PlanContext, QueryPlan, RecordClass, ResidualScanPlan, SnapshotStore,
-};
+use remnant::query::{PassesPlan, PlanContext, RecordClass, SnapshotStore};
 use remnant::sim::SimTime;
 use remnant::wire::{query_id, Message, ServerCore};
 use remnant::world::{World, WorldConfig};
-use remnant_bench::perf::{legacy, measure, measure_ab, peak_rss_bytes, Json, Measurement};
+use remnant_bench::perf::{measure, measure_ab, peak_rss_bytes, Json, Measurement};
 use remnant_bench::{run_study, ReproConfig};
 
 /// Seed-commit (`0c4c56c`) numbers from the vendored criterion stand-in,
 /// release build, this repository's reference machine, 2026-08-05 — the
 /// "before" side for the pipeline stages. Cross-run wall-clock comparisons
-/// are machine-sensitive; the in-run `micro` section is the portable one.
+/// are machine-sensitive.
 const SEED_BASELINE: &[(&str, f64, u64)] = &[
     ("pipeline/harvest_fleet", 1.48e-3, 2000),
     ("pipeline/direct_scan_2k_sites", 1.35e-3, 2000),
@@ -112,7 +96,6 @@ struct Options {
     campaign: bool,
     campaign_child: Option<String>,
     query: bool,
-    classified: bool,
     scheduler: bool,
     sites: usize,
     weeks: u32,
@@ -130,7 +113,6 @@ impl Default for Options {
             campaign: false,
             campaign_child: None,
             query: false,
-            classified: false,
             scheduler: false,
             sites: 1_000_000,
             weeks: 6,
@@ -146,8 +128,6 @@ fn usage() -> ExitCode {
          \u{20}      bench-json --campaign [--sites N] [--weeks W] [--workers N] \
          [--spill-dir DIR] [--out PATH] [--seed S]\n\
          \u{20}      bench-json --query [--quick] [--population N] [--weeks W] \
-         [--out PATH] [--seed S]\n\
-         \u{20}      bench-json --classified [--quick] [--population N] [--weeks W] \
          [--out PATH] [--seed S]\n\
          \u{20}      bench-json --scheduler [--quick] [--out PATH] [--seed S]"
     );
@@ -167,160 +147,6 @@ fn before_after(before: Measurement, after: Measurement, elements: u64) -> Json 
             }),
         ),
     ])
-}
-
-/// Name-op microbenches: the pre-interning implementation vs the interned
-/// one, same inputs, same run.
-fn micro_name_benches(samples: usize) -> Json {
-    let raw: Vec<String> = (0..1_000u32)
-        .map(|i| format!("www.site-{i}.zone-{}.bench-json.com", i % 7))
-        .collect();
-    let elements = raw.len() as u64;
-    // Warm the interner so "parse" measures steady-state (hit-path) cost —
-    // the sweeps parse the same bounded name universe every round.
-    let interned: Vec<DomainName> = raw.iter().map(|s| s.parse().expect("valid")).collect();
-    let legacy_names: Vec<legacy::LegacyName> = raw
-        .iter()
-        .map(|s| legacy::LegacyName::parse(s).expect("valid"))
-        .collect();
-
-    let parse = before_after(
-        measure(samples, || {
-            for s in &raw {
-                std::hint::black_box(legacy::LegacyName::parse(s).expect("valid"));
-            }
-        }),
-        measure(samples, || {
-            for s in &raw {
-                std::hint::black_box(DomainName::parse(s).expect("valid"));
-            }
-        }),
-        elements,
-    );
-
-    let clone = before_after(
-        measure(samples, || {
-            for n in &legacy_names {
-                std::hint::black_box(n.clone());
-            }
-        }),
-        measure(samples, || {
-            for n in &interned {
-                std::hint::black_box(n.clone());
-            }
-        }),
-        elements,
-    );
-
-    let legacy_twins: Vec<_> = legacy_names
-        .iter()
-        .map(|n| (n.clone(), n.clone()))
-        .collect();
-    let interned_twins: Vec<_> = interned.iter().map(|n| (n.clone(), n.clone())).collect();
-    let eq_hash = before_after(
-        measure(samples, || {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut acc = 0u64;
-            for (a, b) in &legacy_twins {
-                acc ^= u64::from(a == b);
-                let mut h = DefaultHasher::new();
-                a.hash(&mut h);
-                acc ^= h.finish();
-            }
-            std::hint::black_box(acc);
-        }),
-        measure(samples, || {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut acc = 0u64;
-            for (a, b) in &interned_twins {
-                acc ^= u64::from(a == b);
-                let mut h = DefaultHasher::new();
-                a.hash(&mut h);
-                acc ^= h.finish();
-            }
-            std::hint::black_box(acc);
-        }),
-        elements,
-    );
-
-    let suffix_apex = before_after(
-        measure(samples, || {
-            for n in &legacy_names {
-                std::hint::black_box(n.apex());
-            }
-        }),
-        measure(samples, || {
-            for n in &interned {
-                std::hint::black_box(n.apex());
-            }
-        }),
-        elements,
-    );
-
-    Json::obj([
-        ("name_parse", parse),
-        ("name_clone", clone),
-        ("name_eq_hash", eq_hash),
-        ("name_apex", suffix_apex),
-    ])
-}
-
-/// Cache-hit microbench: the old deep-clone-per-hit cache vs the shared
-/// record-set cache, over the same 4-record answer shape.
-fn micro_cache_bench(samples: usize) -> Json {
-    const NAMES: u64 = 256;
-    const RRS_PER_NAME: u32 = 4;
-
-    let mut legacy_cache = legacy::LegacyCache::default();
-    let legacy_keys: Vec<legacy::LegacyName> = (0..NAMES)
-        .map(|i| {
-            let key = legacy::LegacyName::parse(&format!("host-{i}.cache-bench.com")).unwrap();
-            let records = (0..RRS_PER_NAME)
-                .map(|j| legacy::LegacyRecord {
-                    name: key.clone(),
-                    ttl: 300,
-                    addr: std::net::Ipv4Addr::new(10, 0, (i % 250) as u8, j as u8),
-                })
-                .collect();
-            legacy_cache.insert(key.clone(), records);
-            key
-        })
-        .collect();
-
-    let mut cache = ResolverCache::new();
-    let keys: Vec<DomainName> = (0..NAMES)
-        .map(|i| {
-            let key: DomainName = format!("host-{i}.cache-bench.com").parse().unwrap();
-            let records: Vec<_> = (0..RRS_PER_NAME)
-                .map(|j| {
-                    remnant::dns::ResourceRecord::new(
-                        key.clone(),
-                        Ttl::secs(300),
-                        RecordData::A(std::net::Ipv4Addr::new(10, 0, (i % 250) as u8, j as u8)),
-                    )
-                })
-                .collect();
-            cache.insert(SimTime::EPOCH, records);
-            key
-        })
-        .collect();
-
-    let hit = before_after(
-        measure(samples, || {
-            for key in &legacy_keys {
-                std::hint::black_box(legacy_cache.get(key).expect("hit"));
-            }
-        }),
-        measure(samples, || {
-            for key in &keys {
-                std::hint::black_box(cache.get(SimTime::EPOCH, key, RecordType::A).expect("hit"));
-            }
-        }),
-        NAMES,
-    );
-    Json::obj([("cache_hit", hit)])
 }
 
 /// The resolver benches from `benches/resolver.rs`, measured for the
@@ -866,8 +692,11 @@ fn query_mode_benches(
     let project = measure(samples, || {
         std::hint::black_box(store.query().project(RecordClass::Ns).total);
     });
+    // The production path: each sample builds a fresh context, so it
+    // pays the classification sweep plus the shared fold.
     let passes = measure(samples, || {
-        std::hint::black_box(PassesPlan.execute(&store));
+        let ctx = PlanContext::new(&store, 1);
+        std::hint::black_box(PassesPlan.execute_with(&ctx));
     });
     let joined = measure(samples, || {
         std::hint::black_box(store.query().joined().count());
@@ -889,232 +718,6 @@ fn query_mode_benches(
         ("joined_rounds", joined.to_json(rounds.saturating_sub(1))),
         ("generation_diff", diff.to_json(rounds)),
     ]))
-}
-
-/// One persistence mode of the classified suite: run a spilled campaign
-/// once, then measure the classification-cache and provider-index paths
-/// against the uncached reference over the store it left behind.
-///
-/// The cached `passes_plan` side rebuilds the `PlanContext` every sample:
-/// the cache's win is *within* one campaign scan (clean delta shards
-/// chain the same blocks round over round), not across samples, so each
-/// sample pays the honest cost of classifying every distinct block once
-/// plus the shared fold.
-fn classified_mode_benches(
-    mode: CollectionMode,
-    tag: &str,
-    population: usize,
-    weeks: u32,
-    seed: u64,
-    samples: usize,
-) -> Result<Json, String> {
-    let dir = std::env::temp_dir().join(format!("remnant-bench-classified-{tag}-{population}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let config = ReproConfig::builder()
-        .population(population)
-        .weeks(weeks)
-        .seed(seed)
-        .workers(1)
-        .collection_mode(mode)
-        .spill_dir(dir.clone())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let started = std::time::Instant::now();
-    let (world, report) = run_study(&config);
-    let collect_secs = started.elapsed().as_secs_f64();
-    std::hint::black_box((&world, &report));
-
-    let store =
-        SnapshotStore::open(&dir).map_err(|e| format!("opening {}: {e:?}", dir.display()))?;
-    let rounds = store.len() as u64;
-    let site_rounds = rounds * store.sites() as u64;
-    let chained: u64 = store
-        .query()
-        .generation_diff()
-        .iter()
-        .map(|d| d.clean as u64)
-        .sum();
-
-    // The uncached reference: every round reclassified by the fold.
-    let uncached = measure(samples, || {
-        std::hint::black_box(PassesPlan.execute(&store));
-    });
-    // The cold open: context rebuilt per sample, so each sample pays the
-    // dirty-shard classification sweep plus the fold — the cost of the
-    // first plan after a fresh store open.
-    let first_query = measure(samples, || {
-        let ctx = PlanContext::new(&store, 1);
-        std::hint::black_box(PassesPlan.execute_with(&ctx));
-    });
-    // The context build alone: classification sweep plus index marking.
-    let build = measure(samples, || {
-        let ctx = PlanContext::new(&store, 1);
-        std::hint::black_box(ctx.classified().index().bytes());
-    });
-    // The steady-state cached path: every plan after the first folds the
-    // resident classified columns. Re-run the fold itself (not the
-    // PlanContext memo) so each sample does real work.
-    let ctx = PlanContext::new(&store, 1);
-    let cached = measure(samples, || {
-        std::hint::black_box(ctx.classified().aggregates());
-    });
-
-    let plan = ResidualScanPlan::default();
-    let residual_uncached = measure(samples, || {
-        std::hint::black_box(plan.execute(&store));
-    });
-    let residual_cached = measure(samples, || {
-        std::hint::black_box(plan.execute_with(&ctx));
-    });
-
-    let (hits, misses) = ctx.classified().cache_stats();
-    let index = ctx.classified().index();
-    let cache = Json::obj([
-        ("hits", Json::Num(hits as f64)),
-        ("misses", Json::Num(misses as f64)),
-        (
-            "hit_rate",
-            Json::Num(hits as f64 / (hits + misses).max(1) as f64),
-        ),
-        ("index_bytes", Json::Num(index.bytes() as f64)),
-        ("index_sites_any", Json::Num(index.count_any() as f64)),
-        (
-            "index_sites_cloudflare",
-            Json::Num(index.count(ProviderId::Cloudflare) as f64),
-        ),
-    ]);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    Ok(Json::obj([
-        ("rounds", Json::Num(rounds as f64)),
-        ("sites", Json::Num(store.sites() as f64)),
-        ("chained_shard_rounds", Json::Num(chained as f64)),
-        ("collect_secs", Json::Num(collect_secs)),
-        ("cache", cache),
-        ("context_build", build.to_json(site_rounds)),
-        ("first_query", first_query.to_json(site_rounds)),
-        ("passes_plan", before_after(uncached, cached, site_rounds)),
-        (
-            "residual_scan",
-            before_after(residual_uncached, residual_cached, rounds),
-        ),
-    ]))
-}
-
-/// The classified suite: classification cache plus provider index over
-/// both spill persistence modes, assembled into `BENCH_10.json`. The
-/// BENCH_8 uncached `passes_plan` spill-delta rate is embedded as the
-/// cross-document baseline with its ≥3× target.
-fn run_classified(opts: &Options) -> Result<(), String> {
-    /// BENCH_8's `query.spill_delta.passes_plan.elems_per_sec` (uncached),
-    /// reference machine — the rate the cached path must beat 3×.
-    const BENCH8_UNCACHED_SITE_ROUNDS_PER_SEC: f64 = 5.829583e5;
-    const TARGET_SPEEDUP_VS_BENCH8: f64 = 3.0;
-
-    let samples = if opts.quick { 3 } else { 10 };
-    let population = if opts.quick {
-        opts.population.min(400)
-    } else {
-        opts.population
-    };
-    let weeks = if opts.quick { 1 } else { opts.weeks.min(2) };
-    eprintln!(
-        "bench-json: classified suite over {population} sites x {weeks} weeks \
-         (seed {}, samples {samples})",
-        opts.seed
-    );
-
-    let full = classified_mode_benches(
-        CollectionMode::Full,
-        "full",
-        population,
-        weeks,
-        opts.seed,
-        samples,
-    )?;
-    let delta = classified_mode_benches(
-        CollectionMode::Delta,
-        "delta",
-        population,
-        weeks,
-        opts.seed,
-        samples,
-    )?;
-
-    // The headline number: the cached spill-delta rate against BENCH_8's
-    // uncached baseline.
-    let cached_rate = (|| -> Option<f64> {
-        let Json::Obj(delta) = &delta else {
-            return None;
-        };
-        let Json::Obj(passes) = delta.get("passes_plan")? else {
-            return None;
-        };
-        let Json::Obj(after) = passes.get("after")? else {
-            return None;
-        };
-        let Json::Num(rate) = after.get("elems_per_sec")? else {
-            return None;
-        };
-        Some(*rate)
-    })()
-    .ok_or("classified suite produced no cached spill-delta rate")?;
-    let speedup = cached_rate / BENCH8_UNCACHED_SITE_ROUNDS_PER_SEC;
-    let target = Json::obj([
-        (
-            "bench8_uncached_site_rounds_per_sec",
-            Json::Num(BENCH8_UNCACHED_SITE_ROUNDS_PER_SEC),
-        ),
-        (
-            "cached_spill_delta_site_rounds_per_sec",
-            Json::Num(cached_rate),
-        ),
-        ("speedup_vs_bench8", Json::Num(speedup)),
-        ("target_speedup", Json::Num(TARGET_SPEEDUP_VS_BENCH8)),
-        (
-            "meets_target",
-            Json::Bool(speedup >= TARGET_SPEEDUP_VS_BENCH8),
-        ),
-        (
-            "note",
-            Json::Str(
-                "cross-document baseline from BENCH_8.json, reference machine; \
-                 cached rate is the steady-state fold over resident columns \
-                 (every plan after the first in a session); `first_query` and \
-                 `context_build` give the cold-open cost; quick-mode rates \
-                 are not comparable"
-                    .into(),
-            ),
-        ),
-    ]);
-
-    let doc = Json::obj([
-        ("schema", Json::Str("remnant-bench/v1".into())),
-        ("issue", Json::Num(10.0)),
-        (
-            "mode",
-            Json::Str(if opts.quick { "quick" } else { "full" }.into()),
-        ),
-        ("population", Json::Num(population as f64)),
-        ("weeks", Json::Num(f64::from(weeks))),
-        ("seed", Json::Num(opts.seed as f64)),
-        (
-            "classified",
-            Json::obj([
-                ("spill_full", full),
-                ("spill_delta", delta),
-                ("target", target),
-            ]),
-        ),
-    ]);
-    let out = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_10.json".to_owned());
-    std::fs::write(&out, doc.render()).map_err(|e| format!("writing {out}: {e}"))?;
-    eprintln!("bench-json: wrote {out}");
-    Ok(())
 }
 
 /// The query-layer throughput suite: both spill persistence modes,
@@ -1575,14 +1178,6 @@ fn run(opts: &Options) -> Result<(), String> {
         if opts.quick { "quick" } else { "full" }
     );
 
-    // Microbenches (before/after measured side by side in this run).
-    let micro_names = micro_name_benches(samples);
-    let micro_cache = micro_cache_bench(samples);
-    let (Json::Obj(mut micro), Json::Obj(cache_obj)) = (micro_names, micro_cache) else {
-        unreachable!("micro benches build objects");
-    };
-    micro.extend(cache_obj);
-
     // The macro world (same shape as benches/pipeline.rs: warmup builds a
     // residual pool).
     let mut world = World::generate(WorldConfig {
@@ -1677,8 +1272,7 @@ fn run(opts: &Options) -> Result<(), String> {
                     "note",
                     Json::Str(
                         "criterion stand-in means, release build, reference machine, \
-                         2026-08-05; cross-run comparisons are machine-sensitive — \
-                         the micro section is measured before/after in one run"
+                         2026-08-05; cross-run comparisons are machine-sensitive"
                             .into(),
                     ),
                 ),
@@ -1687,7 +1281,6 @@ fn run(opts: &Options) -> Result<(), String> {
         ),
         ("current", Json::obj([("benches", current_benches)])),
         ("comparison_vs_seed", comparison),
-        ("micro", Json::Obj(micro)),
         ("wire", wire),
         ("engine_collect_sweep", engine),
         ("delta_collection", delta),
@@ -1721,7 +1314,6 @@ fn main() -> ExitCode {
             "--quick" => opts.quick = true,
             "--campaign" => opts.campaign = true,
             "--query" => opts.query = true,
-            "--classified" => opts.classified = true,
             "--scheduler" => opts.scheduler = true,
             "--campaign-child" => match args.next() {
                 Some(mode) => opts.campaign_child = Some(mode),
@@ -1771,8 +1363,6 @@ fn main() -> ExitCode {
         run_campaign(&opts)
     } else if opts.query {
         run_query(&opts)
-    } else if opts.classified {
-        run_classified(&opts)
     } else if opts.scheduler {
         run_scheduler(&opts)
     } else {

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [EXPERIMENT] [--sites N | --population N] [--weeks W] [--seed S]
 //!       [--workers N] [--jobs N] [--even-intervals] [--collection full|delta]
-//!       [--spill-dir DIR] [--uncached] [--metrics OUT.json] [--bind ADDR]
+//!       [--spill-dir DIR] [--metrics OUT.json] [--bind ADDR]
 //!       [--duration SECS]
 //!
 //! EXPERIMENT: all (default) | table2 | table5 | table6 |
@@ -45,13 +45,11 @@
 //! residual-scan timeline) from a spill directory left behind by a
 //! previous `--spill-dir` run — no collection, no world: the rounds
 //! reopen as a time-indexed snapshot store and the figures are produced
-//! by query plans over it, byte-identical to the original run's. By
-//! default the plans share one classified scan (each round classified
-//! once, clean delta shards reused from the classification cache, a
-//! per-provider posting-list index built alongside); a reuse/index
-//! summary goes to stderr. `--uncached` runs the reference path — each
-//! plan rescans and reclassifies on its own — with byte-identical
-//! output. A directory with a hole in its round sequence (an interrupted
+//! by query plans over it, byte-identical to the original run's. The
+//! plans share one classified scan (each round classified once, clean
+//! delta shards reused from the classification cache, a per-provider
+//! posting-list index built alongside); a reuse/index summary goes to
+//! stderr. A directory with a hole in its round sequence (an interrupted
 //! campaign) is rejected with the missing round named.
 //!
 //! `study --jobs N` hosts N concurrent campaigns in one process through
@@ -85,7 +83,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [all|table1|table2|table5|table6|fig1..fig9|purge|ablation|funnel|serve|query|study] \
          [--sites N | --population N] [--weeks W] [--seed S] [--workers N] [--jobs N] \
-         [--even-intervals] [--collection full|delta] [--spill-dir DIR] [--uncached] \
+         [--even-intervals] [--collection full|delta] [--spill-dir DIR] \
          [--metrics OUT.json] [--bind ADDR] [--duration SECS]\n\
          \n\
          --workers N shards the sweeps over N threads (output is identical\n\
@@ -102,8 +100,7 @@ fn usage() -> ExitCode {
          'funnel' renders Fig 8 from those counters alone\n\
          'query' re-renders Fig 2-6 plus the residual-scan timeline from\n\
          an existing --spill-dir via the snapshot store, without\n\
-         re-collecting; plans share one classified scan (--uncached runs\n\
-         the per-plan reference path, byte-identical output)\n\
+         re-collecting; plans share one classified scan\n\
          'serve' runs a UDP+TCP DNS daemon over the generated world\n\
          (--bind ADDR, default 127.0.0.1:8053; --duration SECS to stop)"
     );
@@ -240,15 +237,13 @@ fn serve(seed: u64, population: usize, bind: &str, duration: Option<u64>) -> Exi
 /// store and regenerates the snapshot-derivable figures through query
 /// plans, without re-collecting anything.
 ///
-/// By default every plan shares one classified scan through a
+/// Every plan shares one classified scan through a
 /// [`PlanContext`](remnant::query::PlanContext): each round is classified
 /// once (clean delta shards reuse the previous round's cached column) and
 /// Figs 2–6 render from a single `SnapshotAggregates` fold.
-/// `--uncached` runs the reference path instead — each plan rescans and
-/// reclassifies the store on its own — producing byte-identical figures.
-fn query_experiment(config: &ReproConfig, uncached: bool) -> ExitCode {
+fn query_experiment(config: &ReproConfig) -> ExitCode {
     use remnant::query::{
-        PassesPlan, PlanContext, QueryPlan, ResidualScanPlan, RoundKind, SnapshotStore, StoreError,
+        PassesPlan, PlanContext, ResidualScanPlan, RoundKind, SnapshotStore, StoreError,
     };
 
     let Some(dir) = &config.spill_dir else {
@@ -295,38 +290,30 @@ fn query_experiment(config: &ReproConfig, uncached: bool) -> ExitCode {
         population: store.sites(),
         ..config.clone()
     };
-    let residual_plan = ResidualScanPlan::default();
-    let (aggregates, residual) = if uncached {
-        eprintln!("query: uncached reference path (each plan rescans the store)");
-        (PassesPlan.execute(&store), residual_plan.execute(&store))
-    } else {
-        let started = std::time::Instant::now();
-        let ctx = PlanContext::new(&store, config.workers.max(1));
-        let classified = ctx.classified();
-        let (hits, misses) = classified.cache_stats();
-        let index = classified.index();
-        eprintln!(
-            "query: classified {} rounds in {:.2}s: {} shard-rounds reclassified, \
-             {} reused from cache ({:.1}% hit rate)",
-            store.len(),
-            started.elapsed().as_secs_f64(),
-            misses,
-            hits,
-            100.0 * hits as f64 / (hits + misses).max(1) as f64,
-        );
-        eprintln!(
-            "query: provider index: {} of {} sites ever under a provider \
-             ({} posting-list bitsets, {} KiB)",
-            index.count_any(),
-            store.sites(),
-            remnant::provider::ProviderId::ALL.len(),
-            index.bytes() / 1024,
-        );
-        (
-            PassesPlan.execute_with(&ctx),
-            residual_plan.execute_with(&ctx),
-        )
-    };
+    let started = std::time::Instant::now();
+    let ctx = PlanContext::new(&store, config.workers.max(1));
+    let classified = ctx.classified();
+    let (hits, misses) = classified.cache_stats();
+    let index = classified.index();
+    eprintln!(
+        "query: classified {} rounds in {:.2}s: {} shard-rounds reclassified, \
+         {} reused from cache ({:.1}% hit rate)",
+        store.len(),
+        started.elapsed().as_secs_f64(),
+        misses,
+        hits,
+        100.0 * hits as f64 / (hits + misses).max(1) as f64,
+    );
+    eprintln!(
+        "query: provider index: {} of {} sites ever under a provider \
+         ({} posting-list bitsets, {} KiB)",
+        index.count_any(),
+        store.sites(),
+        remnant::provider::ProviderId::ALL.len(),
+        index.bytes() / 1024,
+    );
+    let aggregates = PassesPlan.execute_with(&ctx);
+    let residual = ResidualScanPlan::default().execute_with(&ctx);
     eprintln!(
         "query: residual funnel columns need recorded metrics (none loaded); \
          scan populations are derived from the rounds"
@@ -348,7 +335,6 @@ fn main() -> ExitCode {
     let mut bind = "127.0.0.1:8053".to_owned();
     let mut duration: Option<u64> = None;
     let mut jobs: usize = 2;
-    let mut uncached = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -404,7 +390,6 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             },
             "--even-intervals" => config.even_intervals = true,
-            "--uncached" => uncached = true,
             "--help" | "-h" => {
                 let _ = usage();
                 return ExitCode::SUCCESS;
@@ -423,10 +408,7 @@ fn main() -> ExitCode {
         if metrics_path.is_some() {
             eprintln!("repro: --metrics ignored for 'query' (no study runs)");
         }
-        return query_experiment(&config, uncached);
-    }
-    if uncached {
-        eprintln!("repro: --uncached ignored for '{experiment}' (only 'query' has a cached path)");
+        return query_experiment(&config);
     }
 
     // Experiments that do not need the full study.

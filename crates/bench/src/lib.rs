@@ -4,9 +4,9 @@
 //!
 //! Every figure derivable from a sub-report has a `render_*_<subreport>`
 //! variant taking just that sub-report, so the live study's output and a
-//! query plan's output (an [`AdoptionReport`] from
-//! `remnant::query::AdoptionPlan`, say) render through the identical code
-//! path — the byte-identity the legacy-vs-query differential tests pin.
+//! query plan's output (the [`AdoptionReport`] in
+//! `remnant::query::PassesPlan`'s aggregates, say) render through the
+//! identical code path — the byte-identity the legacy-vs-query differential tests pin.
 //! The `StudyReport`-taking functions delegate to them.
 //!
 //! Counts depend on population size; each rendered count is accompanied by
@@ -327,8 +327,8 @@ pub fn render_table2() -> String {
 }
 
 /// Fig 2 from the adoption sub-report alone — the live study's
-/// [`StudyReport::adoption`] and a query-layer `AdoptionPlan` output
-/// render identically through here.
+/// [`StudyReport::adoption`] and a query-layer `PassesPlan` output's
+/// `adoption` render identically through here.
 pub fn render_fig2_adoption(config: &ReproConfig, adoption: &AdoptionReport) -> String {
     let mut table = TextTable::new(["Provider", "Avg adopted/day", "Scaled to 1M", "Share"]);
     let total: f64 = adoption.avg_by_provider.iter().map(|(_, n)| n).sum();
@@ -363,7 +363,7 @@ pub fn render_fig2(config: &ReproConfig, report: &StudyReport) -> String {
     render_fig2_adoption(config, report.adoption())
 }
 
-/// Fig 3 from the behavior sub-report alone (live study or `BehaviorPlan`).
+/// Fig 3 from the behavior sub-report alone (live study or `PassesPlan`).
 pub fn render_fig3_behaviors(config: &ReproConfig, behaviors: &BehaviorReport) -> String {
     let paper = [
         (BehaviorKind::Join, 195.0),
@@ -397,7 +397,7 @@ pub fn render_fig3(config: &ReproConfig, report: &StudyReport) -> String {
     render_fig3_behaviors(config, report.behaviors())
 }
 
-/// Fig 4 from the behavior sub-report alone (live study or `BehaviorPlan`).
+/// Fig 4 from the behavior sub-report alone (live study or `PassesPlan`).
 pub fn render_fig4_behaviors(behaviors: &BehaviorReport) -> String {
     let mut table = TextTable::new(["From", "Behavior", "To"]);
     for (from, kind, to) in remnant::core::fsm::transition_table() {
@@ -419,7 +419,7 @@ pub fn render_fig4(report: &StudyReport) -> String {
     render_fig4_behaviors(report.behaviors())
 }
 
-/// Fig 5 from the pause sub-report alone (live study or `PausePlan`).
+/// Fig 5 from the pause sub-report alone (live study or `PassesPlan`).
 pub fn render_fig5_pauses(pauses: &PauseReport) -> String {
     FigureBuilder::new()
         .line("FIG 5: CDF of pause periods (paper: <50% resume within a day; ~30% exceed 5 days)")
@@ -439,7 +439,7 @@ pub fn render_fig5(report: &StudyReport) -> String {
     render_fig5_pauses(report.pauses())
 }
 
-/// Fig 6 from the adoption sub-report alone (live study or `AdoptionPlan`).
+/// Fig 6 from the adoption sub-report alone (live study or `PassesPlan`).
 pub fn render_fig6_adoption(adoption: &AdoptionReport) -> String {
     let mut table = TextTable::new(["Rerouting", "Measured", "Paper"]);
     table.row([

@@ -1,7 +1,5 @@
 //! Timing and JSON support for the machine-readable bench emitter
-//! (`bench-json`), plus a faithful copy of the pre-interning name/cache
-//! implementations so before/after microbench numbers come from one run on
-//! one machine instead of cross-commit wall-clock comparisons.
+//! (`bench-json`).
 //!
 //! The vendored criterion stand-in only prints; it returns nothing. This
 //! module is the measuring half the emitter needs: calibrated repeated
@@ -270,114 +268,6 @@ impl Json {
     }
 }
 
-/// The pre-interning `DomainName` and pre-sharing `ResolverCache`
-/// behavior, preserved verbatim as the "before" side of the emitter's
-/// microbenches.
-pub mod legacy {
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
-
-    const MAX_NAME_LEN: usize = 253;
-    const MAX_LABEL_LEN: usize = 63;
-
-    /// The old owned-allocation name: one `String` plus one `Vec<u16>` per
-    /// handle, deep-copied on every clone.
-    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-    pub struct LegacyName {
-        name: String,
-        label_starts: Vec<u16>,
-    }
-
-    impl LegacyName {
-        /// The old parse: validate, lowercase, build label offsets.
-        pub fn parse(s: &str) -> Option<LegacyName> {
-            let trimmed = s.strip_suffix('.').unwrap_or(s);
-            if trimmed.is_empty() || trimmed.len() > MAX_NAME_LEN {
-                return None;
-            }
-            let lowered = trimmed.to_ascii_lowercase();
-            let mut label_starts = Vec::new();
-            let mut start = 0usize;
-            for label in lowered.split('.') {
-                if label.is_empty() || label.len() > MAX_LABEL_LEN {
-                    return None;
-                }
-                if label.starts_with('-') || label.ends_with('-') {
-                    return None;
-                }
-                if !label
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
-                {
-                    return None;
-                }
-                label_starts.push(start as u16);
-                start += label.len() + 1;
-            }
-            Some(LegacyName {
-                name: lowered,
-                label_starts,
-            })
-        }
-
-        /// The old suffix: substring allocation plus remapped offsets.
-        pub fn suffix(&self, n: usize) -> Option<LegacyName> {
-            if n == 0 || n > self.label_starts.len() {
-                return None;
-            }
-            let idx = self.label_starts.len() - n;
-            let start = usize::from(self.label_starts[idx]);
-            Some(LegacyName {
-                name: self.name[start..].to_string(),
-                label_starts: self.label_starts[idx..]
-                    .iter()
-                    .map(|&s| s - start as u16)
-                    .collect(),
-            })
-        }
-
-        /// The old apex.
-        pub fn apex(&self) -> LegacyName {
-            self.suffix(2.min(self.label_starts.len())).expect("valid")
-        }
-
-        /// The presentation form.
-        pub fn as_str(&self) -> &str {
-            &self.name
-        }
-    }
-
-    /// The old record shape: an owned name per record.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct LegacyRecord {
-        /// Owner name (owned `String` allocation, as before interning).
-        pub name: LegacyName,
-        /// TTL seconds.
-        pub ttl: u32,
-        /// IPv4 payload (A records are the hot case).
-        pub addr: Ipv4Addr,
-    }
-
-    /// The old cache-hit behavior: key clone + deep `Vec` clone per get.
-    #[derive(Default)]
-    pub struct LegacyCache {
-        entries: HashMap<LegacyName, Vec<LegacyRecord>>,
-    }
-
-    impl LegacyCache {
-        /// Stores `records` under `name`.
-        pub fn insert(&mut self, name: LegacyName, records: Vec<LegacyRecord>) {
-            self.entries.insert(name, records);
-        }
-
-        /// The old hit path: clone the key to probe, deep-clone the records
-        /// to return.
-        pub fn get(&self, name: &LegacyName) -> Option<Vec<LegacyRecord>> {
-            self.entries.get(name).cloned()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,30 +318,5 @@ mod tests {
         assert_eq!(Json::Arr(Vec::new()).render(), "[]\n");
         assert_eq!(Json::Num(f64::NAN).render(), "null\n");
         assert_eq!(Json::Str("a\nb".into()).render(), "\"a\\nb\"\n");
-    }
-
-    #[test]
-    fn legacy_name_matches_current_semantics() {
-        let legacy = legacy::LegacyName::parse("WWW.Example.COM.").unwrap();
-        assert_eq!(legacy.as_str(), "www.example.com");
-        assert_eq!(legacy.apex().as_str(), "example.com");
-        assert!(legacy::LegacyName::parse("-bad.com").is_none());
-        let current: remnant::dns::DomainName = "WWW.Example.COM.".parse().unwrap();
-        assert_eq!(current.as_str(), legacy.as_str());
-    }
-
-    #[test]
-    fn legacy_cache_round_trips() {
-        let name = legacy::LegacyName::parse("x.example.com").unwrap();
-        let mut cache = legacy::LegacyCache::default();
-        cache.insert(
-            name.clone(),
-            vec![legacy::LegacyRecord {
-                name: name.clone(),
-                ttl: 300,
-                addr: std::net::Ipv4Addr::new(1, 2, 3, 4),
-            }],
-        );
-        assert_eq!(cache.get(&name).unwrap().len(), 1);
     }
 }

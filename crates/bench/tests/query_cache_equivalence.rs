@@ -1,10 +1,15 @@
-//! The classification cache's headline contract (ISSUE 10): every plan's
-//! cached path (`execute_with` over a shared `PlanContext`) is
-//! byte-identical to the uncached reference (`execute` straight over the
-//! store), at workers 1 and 8, whether the store holds resident snapshots
-//! (in-memory campaign) or reopens full/delta spill files — and on delta
-//! spills the cache counters account for exactly the chained (clean) vs
-//! rewritten (dirty) shard-rounds the store metadata reports.
+//! The classification cache's headline contract: every plan's cached
+//! path (`execute_with` over a shared `PlanContext`) is byte-identical to
+//! an uncached reference fold straight over the store's snapshots, at
+//! workers 1 and 8, whether the store holds resident snapshots (in-memory
+//! campaign) or reopens full/delta spill files — and on delta spills the
+//! cache counters account for exactly the chained (clean) vs rewritten
+//! (dirty) shard-rounds the store metadata reports.
+//!
+//! The references are private to this test: they reclassify every round
+//! with `BehaviorDetector::classify_snapshot` and run the raw-snapshot
+//! `SnapshotPasses` fold, sharing nothing with the classification cache
+//! or the provider index.
 //!
 //! Reports that don't implement `PartialEq` are compared through their
 //! `Debug` rendering, which covers every field.
@@ -14,10 +19,14 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use remnant::core::collector::Target;
 use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
-use remnant::core::{DnsSnapshot, SpillConfig};
+use remnant::core::unchanged::{self, UnchangedCandidate};
+use remnant::core::{
+    Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SnapshotPasses,
+    SpillConfig,
+};
 use remnant::query::{
-    AdoptionPlan, BehaviorPlan, PassesPlan, PausePlan, PlanContext, QueryPlan, ResidualScanPlan,
-    SnapshotStore, UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
+    PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
+    ResidualScanWeek, SnapshotStore, UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
 };
 use remnant::world::{World, WorldConfig};
 use remnant_bench::ReproConfig;
@@ -66,8 +75,74 @@ fn campaign_targets(config: &ReproConfig) -> Vec<Target> {
         .collect()
 }
 
+/// Reference for `PassesPlan`: the raw-snapshot fold over every round.
+fn reference_passes(store: &SnapshotStore) -> SnapshotAggregates {
+    let mut passes = SnapshotPasses::new(store.sites());
+    for round in store.query().snapshots() {
+        passes.observe(round.meta.day, &round.snapshot);
+    }
+    passes.finish()
+}
+
+/// Reference for `UnchangedCandidatesPlan`: behaviors diffed from the
+/// raw-snapshot fold, candidates extracted from consecutive snapshots.
+fn reference_unchanged(store: &SnapshotStore, targets: &[Target]) -> Vec<UnchangedCandidate> {
+    let mut passes = SnapshotPasses::new(store.sites());
+    let mut prev: Option<DnsSnapshot> = None;
+    let mut out = Vec::new();
+    for round in store.query().snapshots() {
+        let behaviors = passes.observe(round.meta.day, &round.snapshot);
+        if let Some(prev_snap) = &prev {
+            out.extend(unchanged::candidates(
+                targets,
+                &behaviors,
+                prev_snap,
+                &round.snapshot,
+            ));
+        }
+        prev = Some(round.snapshot);
+    }
+    out
+}
+
+/// Reference for `ResidualScanPlan::default()` (no recorded metrics, so
+/// every funnel column is zero): each scan round reclassified in full,
+/// every site counted.
+fn reference_residual(store: &SnapshotStore) -> ResidualScanReport {
+    let detector = BehaviorDetector::new();
+    let scan_rounds: Vec<(u32, Vec<Adoption>)> = store
+        .query()
+        .snapshots()
+        .filter(|round| round.meta.day % 7 == 0)
+        .map(|round| (round.meta.day, detector.classify_snapshot(&round.snapshot)))
+        .collect();
+    ResidualScanReport {
+        providers: RESIDUAL_PROVIDERS
+            .into_iter()
+            .map(|provider| ProviderResidualScan {
+                provider,
+                weekly: scan_rounds
+                    .iter()
+                    .map(|(day, classes)| ResidualScanWeek {
+                        week: day / 7,
+                        day: *day,
+                        adopted: classes
+                            .iter()
+                            .filter(|c| c.provider == Some(provider) && c.status == DpsStatus::On)
+                            .count(),
+                        retrieved: 0,
+                        after_ip_matching: 0,
+                        hidden: 0,
+                        verified: 0,
+                    })
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
 /// The differential itself: every plan plus the index-accelerated
-/// classified folds, cached vs uncached, byte for byte.
+/// classified folds, cached vs the uncached references, byte for byte.
 fn assert_cached_matches_uncached(
     config: &ReproConfig,
     store: &SnapshotStore,
@@ -76,40 +151,37 @@ fn assert_cached_matches_uncached(
 ) {
     let ctx = PlanContext::new(store, workers);
 
+    let reference = reference_passes(store);
+    let cached = PassesPlan.execute_with(&ctx);
     assert_eq!(
-        format!("{:?}", PassesPlan.execute(store)),
-        format!("{:?}", PassesPlan.execute_with(&ctx)),
-        "{context}: passes"
-    );
-    assert_eq!(
-        format!("{:?}", AdoptionPlan.execute(store)),
-        format!("{:?}", AdoptionPlan.execute_with(&ctx)),
+        format!("{:?}", reference.adoption),
+        format!("{:?}", cached.adoption),
         "{context}: adoption"
     );
     assert_eq!(
-        format!("{:?}", BehaviorPlan.execute(store)),
-        format!("{:?}", BehaviorPlan.execute_with(&ctx)),
+        format!("{:?}", reference.behaviors),
+        format!("{:?}", cached.behaviors),
         "{context}: behavior"
     );
     assert_eq!(
-        format!("{:?}", PausePlan.execute(store)),
-        format!("{:?}", PausePlan.execute_with(&ctx)),
+        format!("{:?}", reference.pauses),
+        format!("{:?}", cached.pauses),
         "{context}: pause"
     );
 
+    let targets = campaign_targets(config);
     let unchanged = UnchangedCandidatesPlan {
-        targets: campaign_targets(config),
+        targets: targets.clone(),
     };
     assert_eq!(
-        unchanged.execute(store),
+        reference_unchanged(store, &targets),
         unchanged.execute_with(&ctx),
         "{context}: unchanged candidates"
     );
 
-    let residual = ResidualScanPlan::default();
     assert_eq!(
-        residual.execute(store),
-        residual.execute_with(&ctx),
+        reference_residual(store),
+        ResidualScanPlan::default().execute_with(&ctx),
         "{context}: residual scan"
     );
 

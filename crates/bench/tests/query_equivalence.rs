@@ -5,8 +5,9 @@
 //!
 //! Both sides of each comparison come from ONE campaign: the legacy side
 //! renders straight from the `StudyReport`, the query side re-derives the
-//! same sub-reports from a `SnapshotStore` (via `PassesPlan` and friends)
-//! and renders through the shared `render_*_<subreport>` functions.
+//! same sub-reports from a `SnapshotStore` (via the plans over one
+//! `PlanContext`) and renders through the shared `render_*_<subreport>`
+//! functions.
 
 use std::path::PathBuf;
 
@@ -15,7 +16,7 @@ use remnant::core::collector::Target;
 use remnant::core::residual::ExposureTracker;
 use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
 use remnant::core::{DnsSnapshot, SpillConfig};
-use remnant::query::{PassesPlan, QueryPlan, SnapshotStore, UnchangedCandidatesPlan};
+use remnant::query::{PassesPlan, PlanContext, SnapshotStore, UnchangedCandidatesPlan};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
     render_fig2, render_fig2_adoption, render_fig3, render_fig3_behaviors, render_fig4,
@@ -76,7 +77,8 @@ fn assert_query_matches_legacy(
     report: &StudyReport,
     context: &str,
 ) {
-    let aggregates = PassesPlan.execute(store);
+    let ctx = PlanContext::new(store, config.workers);
+    let aggregates = PassesPlan.execute_with(&ctx);
     assert_eq!(
         render_fig2_adoption(config, &aggregates.adoption),
         render_fig2(config, report),
@@ -126,7 +128,7 @@ fn assert_query_matches_legacy(
     let plan = UnchangedCandidatesPlan {
         targets: campaign_targets(config),
     };
-    let candidates = plan.execute(store);
+    let candidates = plan.execute_with(&ctx);
     let live_events: u64 = report.unchanged().rows.iter().map(|row| row.1).sum();
     assert_eq!(
         candidates.len() as u64,

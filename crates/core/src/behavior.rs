@@ -109,21 +109,8 @@ impl BehaviorDetector {
 /// True if a site's collected records show a multi-CDN front-end
 /// (Cedexis-style). The paper excludes such sites from behavior
 /// identification because the balancer's dynamic CDN selection makes
-/// usage behaviors unidentifiable (Sec IV-B.3).
-///
-/// The analysis passes walk snapshots column-wise and use
-/// [`is_multi_cdn_view`] directly; this owned-records variant remains as
-/// a shim for callers holding a materialized [`crate::SiteRecords`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use `is_multi_cdn_view` over borrowed columns"
-)]
-pub fn is_multi_cdn(records: &crate::snapshot::SiteRecords) -> bool {
-    is_multi_cdn_view(records.view())
-}
-
-/// `is_multi_cdn` over borrowed snapshot columns: the multi-CDN filter
-/// applied by the shared snapshot fold (Sec IV-B.3).
+/// usage behaviors unidentifiable (Sec IV-B.3); the shared snapshot fold
+/// applies this filter column-wise.
 pub fn is_multi_cdn_view(site: crate::snapshot::SiteView<'_>) -> bool {
     site.cnames
         .iter()
@@ -223,7 +210,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn multi_cdn_fingerprint_detection() {
         use crate::snapshot::SiteRecords;
         let balanced = SiteRecords {
@@ -234,14 +220,14 @@ mod tests {
             ],
             ns: vec!["ns1.webhost1.net".parse().unwrap()],
         };
-        assert!(is_multi_cdn(&balanced));
+        assert!(is_multi_cdn_view(balanced.view()));
         let plain = SiteRecords {
             a: vec!["13.32.0.9".parse().unwrap()],
             cnames: vec!["d123.cloudfront.net".parse().unwrap()],
             ns: vec!["ns1.webhost1.net".parse().unwrap()],
         };
-        assert!(!is_multi_cdn(&plain));
-        assert!(!is_multi_cdn(&SiteRecords::default()));
+        assert!(!is_multi_cdn_view(plain.view()));
+        assert!(!is_multi_cdn_view(SiteRecords::default().view()));
     }
 
     #[test]

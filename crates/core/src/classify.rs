@@ -17,9 +17,10 @@
 //! merge — so the assembled columns are byte-identical at any worker
 //! count. Both the live [`crate::StudySession`] (under delta collection)
 //! and the query layer's `ClassifiedStore` share this cache; each feeds
-//! the columns into [`crate::SnapshotPasses::observe_columns`], so the
-//! cached and uncached paths run the *same* fold arithmetic and differ
-//! only in who computed the columns.
+//! the columns into [`crate::SnapshotPasses::observe_columns`], which
+//! runs the *same* fold arithmetic as [`crate::SnapshotPasses::observe`]
+//! over raw snapshots (full collection's path); the two differ only in
+//! who computed the columns.
 //!
 //! Cache hit/miss counts are deliberately kept out of the byte-compared
 //! study reports (the `CollectionReport` discipline): they depend on the

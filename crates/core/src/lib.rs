@@ -77,7 +77,7 @@ pub use service::StudyService;
 pub use session::{RoundProgress, RoundSummary, StudySession};
 pub use snapshot::{
     BlockKey, BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView,
-    SnapshotDecodeError, SnapshotDecodeErrorKind, DEFAULT_BLOCK_SIZE,
+    DEFAULT_BLOCK_SIZE,
 };
 pub use spill::{SpillConfig, SpillError, SpillFile, SpillMeta, SpillRef};
 pub use study::{CollectionMode, CollectionReport, PaperStudy, StudyConfig, StudyReport};

@@ -262,7 +262,6 @@ impl SnapshotPasses {
             multi_cdn_excluded: self.multi_cdn.iter().filter(|m| **m).count(),
         };
 
-        #[allow(deprecated)]
         let pauses = PauseReport {
             overall: self.pause_tracker.cdf_overall(),
             cloudflare: self.pause_tracker.cdf_for(ProviderId::Cloudflare),

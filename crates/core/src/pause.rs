@@ -128,15 +128,6 @@ impl PauseTracker {
     }
 
     /// The Fig 5 "Overall" CDF: every completed pause period in days.
-    ///
-    /// The pause analysis now runs through the shared snapshot fold
-    /// (`SnapshotPasses`), which assembles the whole Fig 5 report in one
-    /// pass; this per-CDF entry point remains as a shim over
-    /// [`windows`](Self::windows).
-    #[deprecated(
-        since = "0.7.0",
-        note = "take the Fig 5 report from `SnapshotPasses::finish` (or a query `PausePlan`)"
-    )]
     pub fn cdf_overall(&self) -> Ecdf {
         self.windows
             .iter()
@@ -145,12 +136,7 @@ impl PauseTracker {
     }
 
     /// The Fig 5 per-provider CDF: pause periods where PAUSE and RESUME
-    /// happened at `provider` — a shim like
-    /// [`cdf_overall`](Self::cdf_overall).
-    #[deprecated(
-        since = "0.7.0",
-        note = "take the Fig 5 report from `SnapshotPasses::finish` (or a query `PausePlan`)"
-    )]
+    /// happened at `provider`.
     pub fn cdf_for(&self, provider: ProviderId) -> Ecdf {
         self.windows
             .iter()
@@ -162,9 +148,6 @@ impl PauseTracker {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated per-CDF shims stay covered until they are removed.
-    #![allow(deprecated)]
-
     use super::*;
     use remnant_provider::ReroutingMethod;
     use remnant_sim::SimTime;

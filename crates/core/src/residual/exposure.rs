@@ -25,18 +25,13 @@ impl ExposureTracker {
     pub fn fold<'a>(reports: impl IntoIterator<Item = &'a WeeklyScanReport>) -> Self {
         let mut tracker = ExposureTracker::new();
         for report in reports {
-            #[allow(deprecated)]
             tracker.push(report);
         }
         tracker
     }
 
     /// Feeds one weekly report (in week order).
-    #[deprecated(
-        since = "0.7.0",
-        note = "build the tracker in one pass with `ExposureTracker::fold`"
-    )]
-    pub fn push(&mut self, report: &WeeklyScanReport) {
+    fn push(&mut self, report: &WeeklyScanReport) {
         let hidden = report.hidden.iter().map(|h| h.rank).collect();
         let verified = report.verified.iter().copied().collect();
         self.weeks.push((hidden, verified));

@@ -859,7 +859,7 @@ mod tests {
         assert_eq!(back, snap);
         // Canonical: re-encoding is byte-identical.
         assert_eq!(back.encode_binary(), bytes);
-        // And the text codec agrees on content.
+        // And the text dump agrees on content.
         assert_eq!(back.encode(), snap.encode());
     }
 

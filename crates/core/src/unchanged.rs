@@ -108,30 +108,6 @@ impl UnchangedStudy {
         }
     }
 
-    /// Examines one day's observed behaviors against the two snapshots
-    /// that produced them.
-    ///
-    /// This is the pre-query-layer entry point; it is now a thin shim
-    /// over [`candidates`] + [`observe_candidates`](Self::observe_candidates),
-    /// which separate the pure extraction (replayable from a persisted
-    /// `SnapshotStore`) from the transport-dependent verification.
-    #[deprecated(
-        since = "0.7.0",
-        note = "extract with `unchanged::candidates` and verify with `observe_candidates`"
-    )]
-    pub fn observe<T: HttpTransport>(
-        &mut self,
-        transport: &mut T,
-        now: SimTime,
-        targets: &[Target],
-        behaviors: &[ObservedBehavior],
-        prev: &DnsSnapshot,
-        curr: &DnsSnapshot,
-    ) {
-        let candidates = candidates(targets, behaviors, prev, curr);
-        self.observe_candidates(transport, now, &candidates);
-    }
-
     /// Verifies each candidate's pre-action address against its post-action
     /// edge and folds the outcome into the per-provider tallies.
     pub fn observe_candidates<T: HttpTransport>(
@@ -282,18 +258,13 @@ mod tests {
         let behaviors = detector.diff(&prev, &curr);
         let now = w.now();
         let mut study = UnchangedStudy::new(SCANNER_SOURCE);
-        // The deprecated one-shot entry point must keep matching the
-        // extract-then-verify path it delegates to.
-        #[allow(deprecated)]
-        study.observe(&mut w, now, &targets, &behaviors, &snap0, &snap1);
+        let found = candidates(&targets, &behaviors, &snap0, &snap1);
+        study.observe_candidates(&mut w, now, &found);
         // Origin was kept in this variant, so it verifies; the changed-IP
         // path is exercised by the end-to-end study tests where the
         // dynamics engine rotates origins per Table V probabilities.
         assert!(study.total().events >= 1);
-        assert_eq!(
-            study.total().events,
-            candidates(&targets, &behaviors, &snap0, &snap1).len() as u64
-        );
+        assert_eq!(study.total().events, found.len() as u64);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The delta-aware classified view of a [`SnapshotStore`]: every round's
 //! adoption columns computed once, plus per-provider posting lists.
 //!
-//! `PassesPlan` and friends spend almost all their time in provider
+//! The analysis plans spend almost all their time in provider
 //! classification, yet a delta campaign's rounds share most of their
 //! shards structurally (`SpillRef`/`Arc` chains) — so most per-round
 //! classifications are provably identical to the previous round's.
@@ -228,8 +228,9 @@ impl<'a> ClassifiedStore<'a> {
     }
 
     /// Runs the shared snapshot fold over the cached columns, producing
-    /// the same [`SnapshotAggregates`] as `PassesPlan` over the raw
-    /// store — byte-identical, because both feed the identical fold.
+    /// the same [`SnapshotAggregates`] as the live study's passes over
+    /// the raw snapshots — byte-identical, because both feed the
+    /// identical fold.
     pub fn aggregates(&self) -> SnapshotAggregates {
         let mut passes = SnapshotPasses::new(self.store.sites());
         for round in &self.rounds {
@@ -316,7 +317,7 @@ impl Instrumented for ClassifiedStore<'_> {
 
 /// One classified scan shared by every plan of a query run.
 ///
-/// Plans executed through [`execute_with`](crate::plans) pull the store's
+/// Every plan's `execute_with` (see [`crate::plans`]) pulls the store's
 /// rounds from here: the classification happens once (at build), and the
 /// [`SnapshotAggregates`] fold once (memoized on first use), instead of
 /// once per figure.
@@ -333,14 +334,8 @@ impl<'a> PlanContext<'a> {
             EngineConfig::with_workers(workers.max(1), CLASSIFY_SEED)
                 .expect("clamped worker count is always valid"),
         );
-        Self::with_engine(store, &engine)
-    }
-
-    /// Builds a context over `store`, classifying through an existing
-    /// engine (e.g. a pooled one).
-    pub fn with_engine(store: &'a SnapshotStore, engine: &ScanEngine) -> Self {
         PlanContext {
-            classified: ClassifiedStore::build(store, engine),
+            classified: ClassifiedStore::build(store, &engine),
             aggregates: OnceCell::new(),
         }
     }

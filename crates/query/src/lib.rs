@@ -14,14 +14,16 @@
 //!   diff-style analyses.
 //! - **Diff generations**: [`RoundsQuery::generation_diff`] reads each
 //!   round's dirty/clean shard split from metadata alone.
-//! - **Plan**: [`QueryPlan`]s replay the paper's analyses (adoption,
-//!   behavior, pauses, unchanged candidates, the Fig 8 funnel, the
-//!   residual-scan timeline) over the store, byte-identical to the live
-//!   study's reports.
 //! - **Classify once**: [`PlanContext`] / [`ClassifiedStore`] classify
 //!   each round's shards exactly once through the delta-aware
-//!   classification cache and build per-provider posting lists, so every
-//!   plan of a run shares one classified scan — see [`classified`].
+//!   classification cache and build per-provider posting lists — see
+//!   [`classified`].
+//! - **Plan**: [`PassesPlan`], [`UnchangedCandidatesPlan`] and
+//!   [`ResidualScanPlan`] replay the paper's analyses (adoption,
+//!   behavior, pauses, unchanged candidates, the residual-scan timeline)
+//!   over one shared [`PlanContext`], byte-identical to the live study's
+//!   reports; [`funnel_rows`] folds the Fig 8 funnel from recorded
+//!   metrics.
 //!
 //! Determinism: rounds are visited in collection order and sites in rank
 //! order, and the store reconstructs every snapshot byte-identically to
@@ -32,10 +34,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use remnant_query::{PassesPlan, QueryPlan, SnapshotStore};
+//! use remnant_query::{PassesPlan, PlanContext, SnapshotStore};
 //!
 //! let store = SnapshotStore::open("campaign-spill/")?;
-//! let aggregates = PassesPlan.execute(&store);
+//! let ctx = PlanContext::new(&store, 1);
+//! let aggregates = PassesPlan.execute_with(&ctx);
 //! println!("overall adoption {:.2}%", aggregates.adoption.overall_rate * 100.0);
 //! let ns = store.query().week(0).project(remnant_query::RecordClass::Ns);
 //! println!("NS records in week 1: {}", ns.total);
@@ -49,9 +52,8 @@ pub mod store;
 
 pub use classified::{ClassifiedRound, ClassifiedStore, PlanContext, ProviderIndex};
 pub use plans::{
-    funnel_rows, AdoptionPlan, BehaviorPlan, FunnelRow, PassesPlan, PausePlan,
-    ProviderResidualScan, QueryPlan, ResidualScanPlan, ResidualScanReport, ResidualScanWeek,
-    UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
+    funnel_rows, FunnelRow, PassesPlan, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
+    ResidualScanWeek, UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
 };
 pub use query::{
     ClassifiedQuery, GenerationDiff, JoinedRounds, Projection, RecordClass, RoundSnapshot,

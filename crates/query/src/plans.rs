@@ -1,7 +1,7 @@
-//! The paper's analyses expressed as query plans over a [`SnapshotStore`].
+//! The paper's analyses expressed as query plans over a [`PlanContext`].
 //!
-//! A [`QueryPlan`] is a named, deterministic computation from a store to a
-//! report: the same per-day folds the live study driver runs
+//! A plan is a deterministic computation from a classified store
+//! to a report: the same per-day folds the live study driver runs
 //! ([`SnapshotPasses`]), replayed over persisted rounds. Because the store
 //! reconstructs every round byte-identically to what the collector
 //! produced, a plan's output is byte-identical to the corresponding
@@ -10,132 +10,35 @@
 //! Table V candidate list all become queries that need nothing but the
 //! spill directory.
 //!
-//! Plans do not return `Result`: [`SnapshotStore::open`] has already
-//! validated the round sequence, so an I/O failure mid-plan (a spill file
-//! deleted underneath the store) panics, the same contract the live study
-//! has for a snapshot block vanishing mid-pass.
+//! Every plan runs through a [`PlanContext`], so all plans of one query
+//! run share one classified scan of the store.
+//!
+//! Plans do not return `Result`: [`SnapshotStore::open`](crate::SnapshotStore::open)
+//! has already validated the round sequence, so an I/O failure mid-plan
+//! (a spill file deleted underneath the store) panics, the same contract
+//! the live study has for a snapshot block vanishing mid-pass.
 
 use remnant_core::collector::Target;
 use remnant_core::residual::FUNNEL_STAGES;
-use remnant_core::study::{AdoptionReport, BehaviorReport, PauseReport};
 use remnant_core::unchanged::{self, UnchangedCandidate};
-use remnant_core::{BehaviorDetector, DpsStatus, SnapshotAggregates, SnapshotPasses};
+use remnant_core::{DpsStatus, SnapshotAggregates, SnapshotPasses};
 use remnant_obs::ObsReport;
 use remnant_provider::ProviderId;
 
 use crate::classified::PlanContext;
-use crate::store::SnapshotStore;
-
-/// A named, deterministic computation over a snapshot store.
-pub trait QueryPlan {
-    /// What the plan produces.
-    type Output;
-
-    /// Stable plan name (used in logs and bench output).
-    fn name(&self) -> &'static str;
-
-    /// Runs the plan over every round of the store.
-    fn execute(&self, store: &SnapshotStore) -> Self::Output;
-}
 
 /// Runs the per-day snapshot passes over every round: one plan producing
-/// the adoption, behavior, and pause reports together (they share one
-/// scan of the store).
+/// the adoption (Table III / Figs 2, 6), behavior (Table IV / Figs 3, 4)
+/// and pause (Fig 5) reports together, since they share one scan.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PassesPlan;
 
-impl QueryPlan for PassesPlan {
-    type Output = SnapshotAggregates;
-
-    fn name(&self) -> &'static str {
-        "passes"
-    }
-
-    fn execute(&self, store: &SnapshotStore) -> SnapshotAggregates {
-        let mut passes = SnapshotPasses::new(store.sites());
-        for round in store.query().snapshots() {
-            passes.observe(round.meta.day, &round.snapshot);
-        }
-        passes.finish()
-    }
-}
-
 impl PassesPlan {
-    /// The cached path: the context's shared classified scan, folded
-    /// once and memoized. Byte-identical to [`execute`](QueryPlan::execute)
-    /// — both feed the same [`SnapshotPasses`] fold — but clean shards
-    /// cost an `Arc` clone instead of a disk read plus classification.
+    /// The context's shared classified scan, folded once and memoized:
+    /// clean shards cost an `Arc` clone instead of a disk read plus
+    /// classification.
     pub fn execute_with(&self, ctx: &PlanContext<'_>) -> SnapshotAggregates {
         ctx.aggregates().clone()
-    }
-}
-
-/// Table III / Fig 2: the adoption report alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdoptionPlan;
-
-impl QueryPlan for AdoptionPlan {
-    type Output = AdoptionReport;
-
-    fn name(&self) -> &'static str {
-        "adoption"
-    }
-
-    fn execute(&self, store: &SnapshotStore) -> AdoptionReport {
-        PassesPlan.execute(store).adoption
-    }
-}
-
-impl AdoptionPlan {
-    /// The cached path: shares the context's one classified scan.
-    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> AdoptionReport {
-        ctx.aggregates().adoption.clone()
-    }
-}
-
-/// Table IV / Fig 3: the behavior report alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BehaviorPlan;
-
-impl QueryPlan for BehaviorPlan {
-    type Output = BehaviorReport;
-
-    fn name(&self) -> &'static str {
-        "behavior"
-    }
-
-    fn execute(&self, store: &SnapshotStore) -> BehaviorReport {
-        PassesPlan.execute(store).behaviors
-    }
-}
-
-impl BehaviorPlan {
-    /// The cached path: shares the context's one classified scan.
-    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> BehaviorReport {
-        ctx.aggregates().behaviors.clone()
-    }
-}
-
-/// Fig 5: the pause report alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PausePlan;
-
-impl QueryPlan for PausePlan {
-    type Output = PauseReport;
-
-    fn name(&self) -> &'static str {
-        "pause"
-    }
-
-    fn execute(&self, store: &SnapshotStore) -> PauseReport {
-        PassesPlan.execute(store).pauses
-    }
-}
-
-impl PausePlan {
-    /// The cached path: shares the context's one classified scan.
-    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> PauseReport {
-        ctx.aggregates().pauses.clone()
     }
 }
 
@@ -152,37 +55,10 @@ pub struct UnchangedCandidatesPlan {
     pub targets: Vec<Target>,
 }
 
-impl QueryPlan for UnchangedCandidatesPlan {
-    type Output = Vec<UnchangedCandidate>;
-
-    fn name(&self) -> &'static str {
-        "unchanged-candidates"
-    }
-
-    fn execute(&self, store: &SnapshotStore) -> Vec<UnchangedCandidate> {
-        let mut passes = SnapshotPasses::new(store.sites());
-        let mut prev: Option<remnant_core::DnsSnapshot> = None;
-        let mut out = Vec::new();
-        for round in store.query().snapshots() {
-            let behaviors = passes.observe(round.meta.day, &round.snapshot);
-            if let Some(prev_snap) = &prev {
-                out.extend(unchanged::candidates(
-                    &self.targets,
-                    &behaviors,
-                    prev_snap,
-                    &round.snapshot,
-                ));
-            }
-            prev = Some(round.snapshot);
-        }
-        out
-    }
-}
-
 impl UnchangedCandidatesPlan {
-    /// The cached path: behaviors come from the context's classified
-    /// columns (no reclassification); only the record comparison still
-    /// touches the snapshots themselves.
+    /// Behaviors come from the context's classified columns (no
+    /// reclassification); only the record comparison still touches the
+    /// snapshots themselves.
     pub fn execute_with(&self, ctx: &PlanContext<'_>) -> Vec<UnchangedCandidate> {
         let store = ctx.store();
         let mut passes = SnapshotPasses::new(store.sites());
@@ -259,12 +135,10 @@ pub struct ResidualScanReport {
 /// scanned on), the funnel attrition from the recorded `filter.*`
 /// counters. No live `WeeklyScanReport` is needed.
 ///
-/// [`execute`](QueryPlan::execute) is the reference path: it
-/// reclassifies every scan round in full. `execute_with` consults the
-/// context's cached columns through the provider posting lists, skipping
-/// every site the campaign never classified under the provider — the
-/// two are byte-identical because a posting list is a superset of the
-/// provider's ON sites in every round.
+/// Populations are counted over the context's provider posting lists,
+/// skipping every site the campaign never classified under the provider:
+/// a posting list is a superset of the provider's ON sites in every
+/// round, so the count equals a full reclassification's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResidualScanPlan<'o> {
     /// Recorded campaign metrics (e.g. from `repro --metrics`); without
@@ -281,103 +155,50 @@ impl ResidualScanPlan<'_> {
         FUNNEL_STAGES.map(|stage| obs.counter(stage, &labels))
     }
 
-    fn report_from(
-        &self,
-        scan_days: impl Iterator<Item = u32> + Clone,
-        mut adopted: impl FnMut(ProviderId, u32) -> usize,
-    ) -> ResidualScanReport {
+    /// Scan populations counted over the provider posting lists and
+    /// cached columns only.
+    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> ResidualScanReport {
+        let classified = ctx.classified();
+        let scan_rounds: Vec<_> = classified
+            .rounds()
+            .iter()
+            .filter(|r| r.meta().day % 7 == 0)
+            .collect();
         ResidualScanReport {
             providers: RESIDUAL_PROVIDERS
                 .into_iter()
-                .map(|provider| ProviderResidualScan {
-                    provider,
-                    weekly: scan_days
-                        .clone()
-                        .map(|day| {
+                .map(|provider| {
+                    let ranks: Vec<usize> = classified.index().postings(provider).collect();
+                    let weekly = scan_rounds
+                        .iter()
+                        .map(|round| {
+                            let day = round.meta().day;
                             let week = day / 7;
                             let [retrieved, after_ip_matching, hidden, verified] =
                                 self.funnel(provider, week);
+                            let adopted = ranks
+                                .iter()
+                                .filter(|&&rank| {
+                                    let class = round.class_at(rank);
+                                    class.provider == Some(provider)
+                                        && class.status == DpsStatus::On
+                                })
+                                .count();
                             ResidualScanWeek {
                                 week,
                                 day,
-                                adopted: adopted(provider, day),
+                                adopted,
                                 retrieved,
                                 after_ip_matching,
                                 hidden,
                                 verified,
                             }
                         })
-                        .collect(),
+                        .collect();
+                    ProviderResidualScan { provider, weekly }
                 })
                 .collect(),
         }
-    }
-
-    /// The cached path: scan populations counted over the provider
-    /// posting lists and cached columns only.
-    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> ResidualScanReport {
-        let classified = ctx.classified();
-        let scan_days: Vec<u32> = classified
-            .rounds()
-            .iter()
-            .map(|r| r.meta().day)
-            .filter(|day| day % 7 == 0)
-            .collect();
-        let postings: Vec<(ProviderId, Vec<usize>)> = RESIDUAL_PROVIDERS
-            .into_iter()
-            .map(|p| (p, classified.index().postings(p).collect()))
-            .collect();
-        self.report_from(scan_days.iter().copied(), |provider, day| {
-            let round = classified
-                .rounds()
-                .iter()
-                .find(|r| r.meta().day == day)
-                .expect("scan day comes from the round list");
-            let ranks = &postings
-                .iter()
-                .find(|(p, _)| *p == provider)
-                .expect("residual provider indexed")
-                .1;
-            ranks
-                .iter()
-                .filter(|&&rank| {
-                    let class = round.class_at(rank);
-                    class.provider == Some(provider) && class.status == DpsStatus::On
-                })
-                .count()
-        })
-    }
-}
-
-impl QueryPlan for ResidualScanPlan<'_> {
-    type Output = ResidualScanReport;
-
-    fn name(&self) -> &'static str {
-        "residual-scan"
-    }
-
-    /// The uncached reference path: every scan round reclassified in
-    /// full.
-    fn execute(&self, store: &SnapshotStore) -> ResidualScanReport {
-        let detector = BehaviorDetector::new();
-        let scan_rounds: Vec<(u32, Vec<remnant_core::Adoption>)> = store
-            .query()
-            .snapshots()
-            .filter(|round| round.meta.day % 7 == 0)
-            .map(|round| (round.meta.day, detector.classify_snapshot(&round.snapshot)))
-            .collect();
-        let scan_days: Vec<u32> = scan_rounds.iter().map(|(day, _)| *day).collect();
-        self.report_from(scan_days.iter().copied(), |provider, day| {
-            let classes = &scan_rounds
-                .iter()
-                .find(|(d, _)| *d == day)
-                .expect("scan day comes from the scan rounds")
-                .1;
-            classes
-                .iter()
-                .filter(|class| class.provider == Some(provider) && class.status == DpsStatus::On)
-                .count()
-        })
     }
 }
 

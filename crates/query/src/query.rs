@@ -17,7 +17,7 @@
 use std::ops::{Bound, RangeBounds};
 
 use remnant_core::behavior::BehaviorDetector;
-use remnant_core::{Adoption, DnsSnapshot, DpsStatus};
+use remnant_core::{DnsSnapshot, DpsStatus};
 use remnant_provider::ProviderId;
 use remnant_sim::stats::{Ecdf, Series};
 
@@ -314,13 +314,5 @@ impl<'a> RoundsQuery<'a> {
                 clean: shards - meta.dirty_shards.len(),
             })
             .collect()
-    }
-
-    /// Classifies every selected round, yielding `(meta, classes)` —
-    /// the shared substrate of the analysis plans.
-    pub fn classify_rounds(&self) -> impl Iterator<Item = (RoundMeta, Vec<Adoption>)> + '_ {
-        let detector = BehaviorDetector::new();
-        self.snapshots()
-            .map(move |round| (round.meta, detector.classify_snapshot(&round.snapshot)))
     }
 }

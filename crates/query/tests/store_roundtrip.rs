@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use remnant_core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
 use remnant_core::{DnsSnapshot, SpillConfig};
 use remnant_query::{
-    PassesPlan, QueryPlan, RecordClass, RoundKind, SnapshotStore, StoreError,
+    PassesPlan, PlanContext, RecordClass, RoundKind, SnapshotStore, StoreError,
     UnchangedCandidatesPlan,
 };
 use remnant_world::{World, WorldConfig};
@@ -126,7 +126,7 @@ fn passes_plan_reproduces_the_live_reports() {
 
     // From disk.
     let store = SnapshotStore::open(dir.unwrap()).expect("store opens");
-    let aggregates = PassesPlan.execute(&store);
+    let aggregates = PassesPlan.execute_with(&PlanContext::new(&store, 1));
     assert_eq!(&aggregates.adoption, report.adoption());
     assert_eq!(
         format!("{:?}", aggregates.behaviors),
@@ -139,7 +139,7 @@ fn passes_plan_reproduces_the_live_reports() {
 
     // From memory: the same plan over resident snapshots.
     let resident = SnapshotStore::in_memory(snapshots).expect("in-memory store");
-    let from_memory = PassesPlan.execute(&resident);
+    let from_memory = PassesPlan.execute_with(&PlanContext::new(&resident, 1));
     assert_eq!(&from_memory.adoption, report.adoption());
     assert_eq!(
         format!("{:?}", from_memory.behaviors),
@@ -154,7 +154,7 @@ fn unchanged_candidates_plan_matches_the_live_tally() {
     let plan = UnchangedCandidatesPlan {
         targets: campaign_targets(),
     };
-    let candidates = plan.execute(&store);
+    let candidates = plan.execute_with(&PlanContext::new(&store, 1));
     // The live study verified exactly one candidate per event it tallied.
     let live_events: u64 = report.unchanged().rows.iter().map(|row| row.1).sum();
     assert_eq!(candidates.len() as u64, live_events);
