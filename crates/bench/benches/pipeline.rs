@@ -24,7 +24,7 @@ fn bench_pipeline(c: &mut Criterion) {
         .map(|s| (s.apex.clone(), s.www.clone()))
         .collect();
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &targets, 0);
+    let snapshot = collector.collect(&world, &targets, 0);
 
     let mut group = c.benchmark_group("pipeline");
     group.throughput(Throughput::Elements(targets.len() as u64));

@@ -10,7 +10,7 @@ use remnant::net::Region;
 use remnant::world::{World, WorldConfig};
 
 fn bench_scanner(c: &mut Criterion) {
-    let mut world = World::generate(WorldConfig {
+    let world = World::generate(WorldConfig {
         population: 2_000,
         seed: 2,
         warmup_days: 0,
@@ -22,7 +22,7 @@ fn bench_scanner(c: &mut Criterion) {
         .map(|s| (s.apex.clone(), s.www.clone()))
         .collect();
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &targets, 0);
+    let snapshot = collector.collect(&world, &targets, 0);
     let detector = BehaviorDetector::new();
     let classes = detector.classify_snapshot(&snapshot);
     let matcher = ProviderMatcher::new();
@@ -34,7 +34,7 @@ fn bench_scanner(c: &mut Criterion) {
         let mut day = 1;
         b.iter(|| {
             day += 1;
-            collector.collect(&mut world, &targets, day)
+            collector.collect(&world, &targets, day)
         });
     });
 

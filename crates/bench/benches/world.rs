@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use remnant::core::study::{PaperStudy, StudyConfig};
+use remnant::core::study::StudyConfig;
+use remnant::core::StudySession;
 use remnant::world::{World, WorldConfig};
 
 fn config(population: usize) -> WorldConfig {
@@ -38,12 +39,15 @@ fn bench_world(c: &mut Criterion) {
         b.iter_batched(
             || World::generate(config(1_000)),
             |mut world| {
-                PaperStudy::new(StudyConfig {
-                    weeks: 1,
-                    uneven_intervals: false,
-                    ..StudyConfig::default()
-                })
-                .run(&mut world)
+                StudySession::new(
+                    StudyConfig {
+                        weeks: 1,
+                        uneven_intervals: false,
+                        ..StudyConfig::default()
+                    },
+                    &world,
+                )
+                .run(&mut world, &mut |_| {}, None)
             },
             BatchSize::SmallInput,
         );

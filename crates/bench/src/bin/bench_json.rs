@@ -353,6 +353,7 @@ fn obs_sweep_overhead(world: &World, targets: &[Target], samples: usize, seed: u
     });
     let clock = world.clock();
     let elements = targets.len() as u64;
+    let plan = engine.shard_plan(targets.len());
 
     // Alternating samples (`measure_ab`): the overhead ratio is the claim,
     // so drift over the run must hit both sides equally.
@@ -362,6 +363,8 @@ fn obs_sweep_overhead(world: &World, targets: &[Target], samples: usize, seed: u
             let sweep = engine.sweep(
                 world,
                 targets,
+                &plan,
+                None,
                 |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
                 |transport, resolver, scope, _rank, (apex, www)| {
                     let mut counting = CountingTransport::new(transport);
@@ -371,13 +374,16 @@ fn obs_sweep_overhead(world: &World, targets: &[Target], samples: usize, seed: u
                     scope.add_queries(counting.query_stats().sent);
                     TaskResult::Done(())
                 },
+                |_, _| {},
             );
             std::hint::black_box(sweep.outputs.len());
         },
         || {
-            let sweep = engine.sweep_with_finish(
+            let sweep = engine.sweep(
                 world,
                 targets,
+                &plan,
+                None,
                 |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
                 |transport, resolver, scope, _rank, (apex, www)| {
                     let mut counting = CountingTransport::new(transport);
@@ -850,13 +856,17 @@ fn scheduler_straggler_bench(quick: bool, seed: u64) -> Json {
     };
 
     let engine = ScanEngine::new(config.clone());
+    let plan = engine.shard_plan(items.len());
     let claiming_run = || -> Vec<u64> {
         engine
             .sweep(
                 &(),
                 &items,
+                &plan,
+                None,
                 |_| (),
                 |_, _, scope, _, item| TaskResult::Done(task(scope.shard(), *item)),
+                |_, _| {},
             )
             .outputs
     };

@@ -21,10 +21,10 @@ use remnant::core::error::ConfigFieldError;
 use remnant::core::report::{percent, FigureBuilder, TextTable};
 use remnant::core::residual::ExposureTracker;
 use remnant::core::study::{
-    vantage_catchment, AdoptionReport, BehaviorReport, CollectionMode, PaperStudy, PauseReport,
-    ResidualReport, StudyConfig, StudyReport, UnchangedReport,
+    vantage_catchment, AdoptionReport, BehaviorReport, CollectionMode, PauseReport, ResidualReport,
+    StudyConfig, StudyReport, UnchangedReport,
 };
-use remnant::core::{ObsReport, RoundProgress, SpillConfig, StudyService};
+use remnant::core::{ObsReport, RoundProgress, SpillConfig, StudyService, StudySession};
 use remnant::provider::{ProviderId, ReroutingMethod};
 use remnant::query::funnel_rows;
 use remnant::world::{BehaviorKind, World, WorldConfig};
@@ -201,8 +201,8 @@ fn validate_spill_dir(dir: &std::path::Path) -> Result<(), ConfigFieldError> {
 /// Builds the world and runs the full study.
 pub fn run_study(config: &ReproConfig) -> (World, StudyReport) {
     let mut world = World::generate(WorldConfig::new(config.population, config.seed));
-    let report = PaperStudy::new(study_config(config, config.seed, config.spill_dir.clone()))
-        .run(&mut world);
+    let study = study_config(config, config.seed, config.spill_dir.clone());
+    let report = StudySession::new(study, &world).run(&mut world, &mut |_| {}, None);
     (world, report)
 }
 
@@ -818,7 +818,7 @@ pub fn render_table1(config: &ReproConfig) -> String {
     // lets joins/pauses deposit origins into it.
     let mut last = None;
     for day in 0..14 {
-        let snapshot = collector.collect(&mut world, &targets, day);
+        let snapshot = collector.collect(&world, &targets, day);
         history.feed(&snapshot);
         last = Some(snapshot);
         world.step_hours(24);

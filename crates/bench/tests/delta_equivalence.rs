@@ -8,7 +8,8 @@
 //! fixed virtual time, so replaying a clean shard's cached records is
 //! indistinguishable from re-resolving it.
 
-use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
+use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
+use remnant::core::StudySession;
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
     render_fig2, render_fig3, render_fig4, render_fig5, render_fig6, render_fig8, render_fig9,
@@ -31,9 +32,11 @@ fn run(mode: CollectionMode, workers: usize) -> (String, StudyReport) {
         .build()
         .expect("valid study config");
     let mut snapshots = String::new();
-    let report = PaperStudy::new(config).run_with(&mut world, |snapshot| {
-        snapshots.push_str(&snapshot.encode())
-    });
+    let report = StudySession::new(config, &world).run(
+        &mut world,
+        &mut |snapshot| snapshots.push_str(&snapshot.encode()),
+        None,
+    );
     (snapshots, report)
 }
 

@@ -1,11 +1,11 @@
 //! The multi-tenant isolation contract, end to end: N concurrent
 //! same-config sessions hosted by one [`StudyService`] must each produce
-//! a report byte-identical to a solo [`PaperStudy`] run of that config —
+//! a report byte-identical to a solo [`StudySession`] run of that config —
 //! including the full observability snapshot, which is how cross-session
 //! telemetry leakage would first show up — at any worker count.
 
-use remnant::core::study::{PaperStudy, StudyConfig, StudyReport};
-use remnant::core::StudyService;
+use remnant::core::study::{StudyConfig, StudyReport};
+use remnant::core::{StudyService, StudySession};
 use remnant::world::{World, WorldConfig};
 
 const SESSIONS: usize = 3;
@@ -67,7 +67,8 @@ fn concurrent_same_config_sessions_match_a_solo_run() {
         // The solo reference runs on its own fork of the same base world
         // — exactly the timeline every hosted session starts from.
         let mut solo_world = service.fork_world();
-        let solo = PaperStudy::new(config.clone()).run(&mut solo_world);
+        let solo =
+            StudySession::new(config.clone(), &solo_world).run(&mut solo_world, &mut |_| {}, None);
 
         let configs = vec![config; SESSIONS];
         let mut rounds_seen = vec![0u32; SESSIONS];

@@ -18,11 +18,11 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use remnant::core::collector::Target;
-use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
+use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
 use remnant::core::unchanged::{self, UnchangedCandidate};
 use remnant::core::{
     Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SnapshotPasses,
-    SpillConfig,
+    SpillConfig, StudySession,
 };
 use remnant::query::{
     PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
@@ -53,9 +53,13 @@ fn study_config(config: &ReproConfig) -> StudyConfig {
 fn run_captured(config: &ReproConfig) -> (Vec<DnsSnapshot>, StudyReport) {
     let mut world = World::generate(WorldConfig::new(config.population, config.seed));
     let mut snapshots = Vec::new();
-    let report = PaperStudy::new(study_config(config)).run_with(&mut world, |snapshot| {
-        snapshots.push(snapshot.clone());
-    });
+    let report = StudySession::new(study_config(config), &world).run(
+        &mut world,
+        &mut |snapshot| {
+            snapshots.push(snapshot.clone());
+        },
+        None,
+    );
     (snapshots, report)
 }
 

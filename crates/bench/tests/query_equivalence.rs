@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use remnant::core::collector::Target;
 use remnant::core::residual::ExposureTracker;
-use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
-use remnant::core::{DnsSnapshot, SpillConfig};
+use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
+use remnant::core::{DnsSnapshot, SpillConfig, StudySession};
 use remnant::query::{PassesPlan, PlanContext, SnapshotStore, UnchangedCandidatesPlan};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
@@ -47,9 +47,13 @@ fn study_config(config: &ReproConfig) -> StudyConfig {
 fn run_captured(config: &ReproConfig) -> (Vec<DnsSnapshot>, StudyReport) {
     let mut world = World::generate(WorldConfig::new(config.population, config.seed));
     let mut snapshots = Vec::new();
-    let report = PaperStudy::new(study_config(config)).run_with(&mut world, |snapshot| {
-        snapshots.push(snapshot.clone());
-    });
+    let report = StudySession::new(study_config(config), &world).run(
+        &mut world,
+        &mut |snapshot| {
+            snapshots.push(snapshot.clone());
+        },
+        None,
+    );
     (snapshots, report)
 }
 

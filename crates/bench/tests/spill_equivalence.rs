@@ -10,8 +10,8 @@
 //! mode, so where a block physically lives (resident arena or spill
 //! frame) is invisible to everything downstream.
 
-use remnant::core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
-use remnant::core::SpillConfig;
+use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
+use remnant::core::{SpillConfig, StudySession};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
     render_fig2, render_fig3, render_fig4, render_fig5, render_fig6, render_fig8, render_fig9,
@@ -48,10 +48,14 @@ fn run(
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let mut text = String::new();
     let mut binary = Vec::new();
-    let report = PaperStudy::new(config).run_with(&mut world, |snapshot| {
-        text.push_str(&snapshot.encode());
-        binary.extend_from_slice(&snapshot.encode_binary());
-    });
+    let report = StudySession::new(config, &world).run(
+        &mut world,
+        &mut |snapshot| {
+            text.push_str(&snapshot.encode());
+            binary.extend_from_slice(&snapshot.encode_binary());
+        },
+        None,
+    );
     (text, binary, report)
 }
 

@@ -13,14 +13,19 @@
 //!
 //! [`ShardClassCache`] is that memo table. Dirty-shard classification
 //! fans out through the deterministic work-claiming engine
-//! ([`ScanEngine::sweep_shards`]) — one task per block, positional
-//! merge — so the assembled columns are byte-identical at any worker
-//! count. Both the live [`crate::StudySession`] (under delta collection)
-//! and the query layer's `ClassifiedStore` share this cache; each feeds
-//! the columns into [`crate::SnapshotPasses::observe_columns`], which
-//! runs the *same* fold arithmetic as [`crate::SnapshotPasses::observe`]
-//! over raw snapshots (full collection's path); the two differ only in
-//! who computed the columns.
+//! ([`ScanEngine::sweep`] over a unit plan) — one task per block,
+//! positional merge — so the assembled columns are byte-identical at any
+//! worker count. Both the live [`crate::StudySession`] (in either
+//! collection mode; under full collection every lookup misses) and the
+//! query layer's `ClassifiedStore` share this cache; each feeds the
+//! columns into [`crate::SnapshotPasses::observe_columns`], which runs
+//! the *same* fold arithmetic as [`crate::SnapshotPasses::observe`] over
+//! raw snapshots; the two differ only in who computed the columns.
+//!
+//! The cache is bounded by one round: after classifying a round it drops
+//! every entry whose block is not in that round. A clean shard always
+//! replays the *previous* round's block, so older entries could never
+//! hit again — they would only pin their blocks in memory.
 //!
 //! Cache hit/miss counts are deliberately kept out of the byte-compared
 //! study reports (the `CollectionReport` discipline): they depend on the
@@ -29,10 +34,10 @@
 //! [`ShardClassCache::misses`] or export them explicitly with
 //! [`Instrumented::export_into`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use remnant_engine::ScanEngine;
+use remnant_engine::{plan_shards, ScanEngine, TaskResult};
 use remnant_obs::{
     Instrumented, MetricKey, QUERY_CACHE_ENTRIES, QUERY_CACHE_HIT, QUERY_CACHE_MISS,
 };
@@ -125,7 +130,8 @@ impl ShardClassCache {
         self.misses
     }
 
-    /// Distinct classified columns held.
+    /// Classified columns held: at most one per block of the last
+    /// classified round.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -136,11 +142,12 @@ impl ShardClassCache {
     }
 
     /// Classifies one round into per-shard columns, reusing cached
-    /// columns for every block whose backing is unchanged since it was
-    /// last classified. Cache misses are classified through
-    /// [`ScanEngine::sweep_shards`] — one task per missing block, merged
-    /// positionally — so the returned columns are byte-identical at any
-    /// worker count.
+    /// columns for every block whose backing is unchanged since the
+    /// previous round. Cache misses are classified through
+    /// [`ScanEngine::sweep`] over a unit plan — one task per missing
+    /// block, merged positionally — so the returned columns are
+    /// byte-identical at any worker count. Afterwards the cache holds
+    /// this round's blocks only.
     pub fn classify_blocks(
         &mut self,
         engine: &ScanEngine,
@@ -164,13 +171,23 @@ impl ShardClassCache {
             }
         }
         if !missing.is_empty() {
-            let fresh = engine.sweep_shards(&sources, sources.len(), &missing, |sources, _, i| {
-                let (classes, multi_cdn) = detector.classify_block(&sources[i].1.load());
-                ClassColumn {
-                    classes: classes.into(),
-                    multi_cdn: multi_cdn.into(),
-                }
-            });
+            // A unit plan: every block is its own shard, so misses fan out
+            // one task per block.
+            let fresh = engine.sweep(
+                detector,
+                &sources,
+                &plan_shards(sources.len(), 1),
+                Some(&missing),
+                |_| (),
+                |detector, (), _, _, (_, source)| {
+                    let (classes, multi_cdn) = detector.classify_block(&source.load());
+                    TaskResult::Done(ClassColumn {
+                        classes: classes.into(),
+                        multi_cdn: multi_cdn.into(),
+                    })
+                },
+                |(), _| {},
+            );
             // `missing` is built ascending, matching the sweep's
             // ascending-shard-order outputs element for element.
             for (&i, column) in missing.iter().zip(fresh.outputs) {
@@ -185,14 +202,18 @@ impl ShardClassCache {
                 columns[i] = Some(column);
             }
         }
+        // Keep only this round's blocks (see the module docs): older
+        // entries can never hit again, only pin their blocks.
+        let live: HashSet<BlockKey> = sources.iter().map(|(_, source)| source.key()).collect();
+        self.entries.retain(|key, _| live.contains(key));
         columns
             .into_iter()
             .map(|c| c.expect("every block classified or cached"))
             .collect()
     }
 
-    /// Classifies one round and concatenates the columns — the
-    /// convenience used by the live session's delta path.
+    /// Classifies one round and concatenates the columns — the live
+    /// session's path in both collection modes.
     pub fn classify_snapshot(
         &mut self,
         engine: &ScanEngine,
@@ -224,7 +245,7 @@ impl Instrumented for ShardClassCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{DnsSnapshot, SiteRecords};
+    use crate::snapshot::{DnsSnapshot, RecordBlock, SiteRecords};
     use remnant_engine::EngineConfig;
     use remnant_sim::SimTime;
 
@@ -271,6 +292,39 @@ mod tests {
         for (a, b) in first.iter().zip(&fresh) {
             assert_eq!(&a.classes[..], &b.classes[..], "same bytes, same classes");
         }
+    }
+
+    #[test]
+    fn cache_holds_one_round_of_blocks() {
+        // Delta-style rounds: each replays the previous round's blocks
+        // except one, which it rebuilds.
+        let detector = BehaviorDetector::new();
+        let mut cache = ShardClassCache::new();
+        let engine = engine(2);
+        let mut snap = snapshot(0, 40, 8);
+        cache.classify_blocks(&engine, &detector, &snap);
+        let blocks = 5;
+        for day in 1..=6u32 {
+            let mut builder = DnsSnapshot::builder(SimTime::default(), day, 8);
+            for (i, (_, source)) in snap.block_sources().enumerate() {
+                let block = source.load();
+                if i == day as usize % blocks {
+                    let sites = block.sites().map(|site| site.to_records());
+                    builder.push_block(Arc::new(RecordBlock::from_sites(sites)));
+                } else {
+                    builder.push_block(block);
+                }
+            }
+            snap = builder.finish();
+            cache.classify_blocks(&engine, &detector, &snap);
+            assert!(
+                cache.len() <= blocks,
+                "day {day}: {} entries for {blocks} blocks",
+                cache.len()
+            );
+        }
+        // Eviction never costs a hit: every replayed block still hits.
+        assert_eq!((cache.hits(), cache.misses()), (6 * 4, 5 + 6));
     }
 
     #[test]

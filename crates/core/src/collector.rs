@@ -5,26 +5,31 @@
 //! ... we purge the DNS cache of the resolver before performing each
 //! experiment."
 //!
-//! Three collection paths share one per-site task:
+//! One routine collects every round, in four steps:
 //!
-//! - [`RecordCollector::collect`] — sequential, in-memory.
-//! - [`RecordCollector::collect_with`] / [`DeltaCollector::collect_with`] —
-//!   engine-sharded, in-memory; delta mode replays clean shards from the
-//!   previous round by `Arc` block sharing.
-//! - [`RecordCollector::collect_spilled`] /
-//!   [`DeltaCollector::collect_spilled`] — engine-sharded and
-//!   *memory-bounded*: shards execute in batches of at most
-//!   `resident_shards`, each completed shard's block is written to the
-//!   round's spill file and dropped, and the returned snapshot holds
-//!   [`SpillRef`](crate::spill::SpillRef)s instead of resident blocks. Delta mode replays clean
-//!   shards as references into *older* rounds' files — structural sharing
-//!   on disk — so a round's resident working set is the batch, never the
-//!   population.
+//! 1. **Select** the shards of the round's plan that must run.
+//!    [`RecordCollector`] (full collection) selects every shard.
+//!    [`DeltaCollector`] selects only the shards whose zone generations
+//!    changed since the previous round, plus a rotating refresh stratum.
+//! 2. **Sweep** the selected shards through the engine, each on a fresh
+//!    cache-cold resolver. In memory they run as one batch; spilled, in
+//!    batches of at most `resident_shards`, so a round's resident working
+//!    set is the batch, never the population.
+//! 3. **Sink** each finished shard's block: kept resident behind an
+//!    `Arc`, or appended to the round's spill file
+//!    (`full-r<round>.rsnb` / `delta-r<round>.rsnb`) and dropped.
+//! 4. **Splice** executed and replayed shards, in plan order, into the
+//!    round's [`DnsSnapshot`]. A replayed shard is the previous round's
+//!    block — an `Arc` clone, or a [`SpillRef`](crate::spill::SpillRef)
+//!    into the older round file that last wrote it — with its recorded
+//!    [`ShardStats`].
 //!
-//! All paths produce byte-identical snapshots (same block layout = same
-//! shard plan) for any worker count, which is what the in-memory-vs-spill
-//! and full-vs-delta differential tests assert.
+//! [`RecordCollector::collect`] is the same routine on a one-worker
+//! engine. Every mode produces byte-identical snapshots (same block
+//! layout = same shard plan) for any worker count, which is what the
+//! in-memory-vs-spill and full-vs-delta differential tests assert.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,263 +37,25 @@ use remnant_dns::{
     CountingTransport, DnsTransport, DomainName, Instrumented, RecordType, RecursiveResolver,
     ShardableTransport, ZoneGenerationProbe,
 };
-use remnant_engine::{ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats, TaskResult};
+use remnant_engine::{
+    EngineConfig, ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats, TaskResult,
+};
 use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
-use crate::snapshot::{BlockSlot, DnsSnapshot, RecordBlock, SiteRecords, DEFAULT_BLOCK_SIZE};
+use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock, SiteRecords};
 use crate::spill::{SpillConfig, SpillError, SpillMeta, SpillWriter};
 
 /// A collection target: `(apex, www host)`.
 pub type Target = (DomainName, DomainName);
 
-/// The record collector: a cache-purging recursive resolver sweeping the
-/// target list.
-#[derive(Debug)]
-pub struct RecordCollector {
-    clock: SimClock,
-    region: Region,
-    resolver: RecursiveResolver,
-    rounds: u32,
-}
-
-impl RecordCollector {
-    /// Creates a collector resolving from `region` (the paper used
-    /// us-east-1, our [`Region::Ashburn`]).
-    pub fn new(clock: SimClock, region: Region) -> Self {
-        RecordCollector {
-            resolver: RecursiveResolver::new(clock.clone(), region),
-            clock,
-            region,
-            rounds: 0,
-        }
-    }
-
-    /// Number of collection rounds performed.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Collects one snapshot over `targets`, purging the resolver cache
-    /// first so the round is independent of the previous one.
-    ///
-    /// Per-site failures (timeouts, NXDOMAIN) are recorded as empty
-    /// [`SiteRecords`] — one dead site must not abort a million-site sweep.
-    pub fn collect<T: DnsTransport>(
-        &mut self,
-        transport: &mut T,
-        targets: &[Target],
-        day: u32,
-    ) -> DnsSnapshot {
-        self.resolver.purge_cache();
-        self.rounds += 1;
-        let mut builder = DnsSnapshot::builder(self.clock.now(), day, DEFAULT_BLOCK_SIZE);
-        for (apex, www) in targets {
-            let records = self.collect_site(transport, apex, www);
-            builder.push(records);
-        }
-        builder.finish()
-    }
-
-    /// Collects one snapshot over `targets` through `engine`, sharding the
-    /// target list over the engine's workers.
-    ///
-    /// Every shard resolves through its own fresh [`RecursiveResolver`], so
-    /// each is as cold as a freshly purged cache and the snapshot is
-    /// bit-identical for every worker count. Each shard's sites are packed
-    /// into one columnar [`RecordBlock`] (block layout = shard plan). The
-    /// returned [`SweepStats`] carry per-shard query counts and wall times,
-    /// and each shard's resolver exports its full counter surface
-    /// (per-qtype queries, delegation depths, cache hits/misses/
-    /// expirations) into the shard's metrics once at shard end — off the
-    /// per-item hot path.
-    pub fn collect_with<T: ShardableTransport>(
-        &mut self,
-        engine: &ScanEngine,
-        transport: &T,
-        targets: &[Target],
-        day: u32,
-    ) -> (DnsSnapshot, SweepStats) {
-        self.rounds += 1;
-        let clock = self.clock.clone();
-        let region = self.region;
-        let sweep = engine.sweep_with_finish(
-            transport,
-            targets,
-            |_shard| RecursiveResolver::new(clock.clone(), region),
-            site_task,
-            |resolver, scope| resolver.export_into(scope.metrics()),
-        );
-        let plan = engine.shard_plan(targets.len());
-        let mut builder =
-            DnsSnapshot::builder(self.clock.now(), day, engine.config().shard_size.max(1));
-        let mut outputs = sweep.outputs.into_iter();
-        for range in &plan {
-            builder.push_block(Arc::new(RecordBlock::from_sites(
-                outputs.by_ref().take(range.len()),
-            )));
-        }
-        (builder.finish(), sweep.stats)
-    }
-
-    /// [`RecordCollector::collect_with`], memory-bounded: shards execute in
-    /// batches of at most `spill.resident_shards` (clamped up to the worker
-    /// count), each completed batch's blocks are appended to
-    /// `<dir>/full-r<round>.rsnb` and dropped, and the returned snapshot
-    /// references the file instead of holding blocks resident.
-    ///
-    /// Deterministic output is unchanged: shards keep their full-sweep
-    /// identity (RNG stream, stats row, item range) regardless of batch
-    /// boundaries, and blocks land in ascending shard order, so the
-    /// snapshot text/binary encodings are byte-identical to the in-memory
-    /// path at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpillError`] if the spill directory or round file cannot
-    /// be created or written.
-    pub fn collect_spilled<T: ShardableTransport>(
-        &mut self,
-        engine: &ScanEngine,
-        transport: &T,
-        targets: &[Target],
-        day: u32,
-        spill: &SpillConfig,
-    ) -> Result<(DnsSnapshot, SweepStats), SpillError> {
-        let round = self.rounds;
-        self.rounds += 1;
-        let plan = engine.shard_plan(targets.len());
-        let path = spill.dir.join(format!("full-r{round:05}.rsnb"));
-        let mut writer =
-            create_round_file(&path, spill, engine, self.clock.now(), day, targets, &plan)?;
-
-        let clock = self.clock.clone();
-        let region = self.region;
-        let mut stats = SweepStats {
-            workers: normalized_workers(engine, plan.len()),
-            ..SweepStats::default()
-        };
-        let all: Vec<usize> = (0..plan.len()).collect();
-        for batch in all.chunks(resident_batch(engine, spill)) {
-            let sweep = engine.sweep_selected_with_finish(
-                transport,
-                targets,
-                batch,
-                |_shard| RecursiveResolver::new(clock.clone(), region),
-                site_task,
-                |resolver, scope| resolver.export_into(scope.metrics()),
-            );
-            let mut outputs = sweep.outputs.into_iter();
-            for &shard in batch {
-                let block = RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len()));
-                writer.append_block(shard as u32, &block)?;
-            }
-            stats.shards.extend(sweep.stats.shards);
-            stats.timings.extend(sweep.stats.timings);
-            stats.wall += sweep.stats.wall;
-        }
-
-        let (_file, refs) = writer.finish()?;
-        let mut builder =
-            DnsSnapshot::builder(self.clock.now(), day, engine.config().shard_size.max(1));
-        for r in refs {
-            builder.push_spilled(r);
-        }
-        Ok((builder.finish(), stats))
-    }
-
-    /// Collects A + CNAME chain for the www host and NS for the apex.
-    fn collect_site<T: DnsTransport>(
-        &mut self,
-        transport: &mut T,
-        apex: &DomainName,
-        www: &DomainName,
-    ) -> SiteRecords {
-        resolve_site(&mut self.resolver, transport, apex, www)
-    }
-}
-
-/// The per-site record collection both paths share: A + CNAME chain for the
-/// www host, NS for the apex.
-fn resolve_site<T: DnsTransport>(
-    resolver: &mut RecursiveResolver,
-    transport: &mut T,
-    apex: &DomainName,
-    www: &DomainName,
-) -> SiteRecords {
-    let mut records = SiteRecords::default();
-    if let Ok(res) = resolver.resolve(transport, www, RecordType::A) {
-        records.a = res.addresses();
-        records.cnames = res.cnames();
-    }
-    if let Ok(res) = resolver.resolve(transport, apex, RecordType::Ns) {
-        records.ns = res.ns_hosts();
-    }
-    records
-}
-
-/// The engine task shared by every engine-backed collection path —
-/// identical closures are what makes a delta-mode or spill-mode shard's
-/// resolution byte-identical to the full in-memory shard's.
-fn site_task<T: ShardableTransport + ?Sized>(
-    transport: &T,
-    resolver: &mut RecursiveResolver,
-    scope: &mut ShardScope,
-    _rank: usize,
-    (apex, www): &Target,
-) -> TaskResult<SiteRecords> {
-    let mut counting = CountingTransport::new(transport);
-    let (hits_before, misses_before) = resolver.cache().stats();
-    let records = resolve_site(resolver, &mut counting, apex, www);
-    let (hits_after, misses_after) = resolver.cache().stats();
-    scope.add_queries(counting.query_stats().sent);
-    scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
-    TaskResult::Done(records)
-}
-
-/// The worker count a full sweep over `shards` shards would report.
-fn normalized_workers(engine: &ScanEngine, shards: usize) -> usize {
-    engine.config().workers.max(1).min(shards.max(1))
-}
-
-/// Shards resident at once during a streaming collect: the configured
-/// budget, but never fewer than the workers that must be kept busy.
-fn resident_batch(engine: &ScanEngine, spill: &SpillConfig) -> usize {
-    spill.resident_shards.max(engine.config().workers).max(1)
-}
-
-/// Creates the spill directory (if needed) and this round's file.
-fn create_round_file(
-    path: &std::path::Path,
-    spill: &SpillConfig,
-    engine: &ScanEngine,
-    taken_at: remnant_sim::SimTime,
-    day: u32,
-    targets: &[Target],
-    plan: &[std::ops::Range<usize>],
-) -> Result<SpillWriter, SpillError> {
-    std::fs::create_dir_all(&spill.dir).map_err(|e| SpillError::Io {
-        context: "creating spill directory",
-        error: e.to_string(),
-    })?;
-    SpillWriter::create(
-        path,
-        SpillMeta {
-            taken_at,
-            day,
-            sites: targets.len() as u64,
-            block_size: engine.config().shard_size.max(1) as u32,
-            shard_count: plan.len() as u32,
-        },
-    )
-}
-
-/// Default number of refresh strata for [`DeltaCollector`]: each shard is
-/// forcibly re-resolved at least once every this many rounds even if its
+/// Refresh strata of delta collection: each shard is forcibly
+/// re-resolved at least once every this many rounds, even if its
 /// generations never change.
-pub const DEFAULT_REFRESH_STRATA: u64 = 16;
+pub const REFRESH_STRATA: u64 = 16;
 
-/// Per-round accounting of what a [`DeltaCollector`] reused vs re-resolved.
+/// Per-round accounting of what a round reused vs re-resolved. A full
+/// round re-resolves every site.
 ///
 /// Carried in the study's `CollectionReport` and deliberately kept *out* of
 /// the study [`ObsReport`](remnant_obs::ObsReport) counters — full and
@@ -305,43 +72,96 @@ pub struct DeltaRound {
     pub refresh_stratum: u64,
 }
 
-/// State a [`DeltaCollector`] carries between rounds.
+/// The record collector: full collection, a cache-purging recursive
+/// resolver sweeping the whole target list every round.
 #[derive(Debug)]
-struct DeltaCache {
-    /// Shard size the cached layout was computed under; a different engine
-    /// configuration invalidates the cache wholesale.
-    shard_size: usize,
-    /// Per-rank zone generation observed when the rank's shard last ran.
-    generations: Vec<u64>,
-    /// Per-shard blocks from the previous round: resident `Arc`s in
-    /// in-memory mode, [`SpillRef`](crate::spill::SpillRef)s into older rounds' files in spill
-    /// mode. Cloning either is O(1) — sharing, never copying.
-    blocks: Vec<BlockSlot>,
-    /// Per-shard deterministic counters from each shard's last execution.
-    shard_stats: Vec<ShardStats>,
+pub struct RecordCollector {
+    collector: Collector,
 }
 
-/// What [`DeltaCollector::select_shards`] decided for one round.
-struct ShardSelection {
-    /// Shard indices to execute, ascending.
-    selected: Vec<usize>,
-    /// The round's reuse accounting.
-    round: DeltaRound,
-    /// Whether the cache was valid (clean shards may be replayed).
-    cache_valid: bool,
+impl RecordCollector {
+    /// Creates a collector resolving from `region` (the paper used
+    /// us-east-1, our [`Region::Ashburn`]).
+    pub fn new(clock: SimClock, region: Region) -> Self {
+        RecordCollector {
+            collector: Collector::full(clock, region),
+        }
+    }
+
+    /// Number of collection rounds performed.
+    pub fn rounds(&self) -> u32 {
+        self.collector.rounds()
+    }
+
+    /// Collects one snapshot over `targets` on a one-worker engine with
+    /// the default shard size. Each shard starts from a fresh resolver,
+    /// as cold as a purged cache, so the round is independent of the
+    /// previous one.
+    ///
+    /// Per-site failures (timeouts, NXDOMAIN) are recorded as empty
+    /// [`SiteRecords`] — one dead site must not abort a million-site sweep.
+    pub fn collect<T: ShardableTransport>(
+        &mut self,
+        transport: &T,
+        targets: &[Target],
+        day: u32,
+    ) -> DnsSnapshot {
+        let engine = ScanEngine::new(EngineConfig::default());
+        self.collect_with(&engine, transport, targets, day).0
+    }
+
+    /// Collects one snapshot over `targets` through `engine`, sharding the
+    /// target list over the engine's workers.
+    ///
+    /// Every shard resolves through its own fresh [`RecursiveResolver`], so
+    /// the snapshot is bit-identical for every worker count. Each shard's
+    /// sites are packed into one columnar [`RecordBlock`] (block layout =
+    /// shard plan). The returned [`SweepStats`] carry per-shard query
+    /// counts and wall times, and each shard's resolver exports its full
+    /// counter surface (per-qtype queries, delegation depths, cache
+    /// hits/misses/expirations) into the shard's metrics once at shard
+    /// end — off the per-item hot path.
+    pub fn collect_with<T: ShardableTransport>(
+        &mut self,
+        engine: &ScanEngine,
+        transport: &T,
+        targets: &[Target],
+        day: u32,
+    ) -> (DnsSnapshot, SweepStats) {
+        let (snapshot, stats, _) = in_memory(
+            self.collector
+                .round(engine, transport, targets, day, None, None),
+        );
+        (snapshot, stats)
+    }
+
+    /// [`RecordCollector::collect_with`], memory-bounded: shards execute in
+    /// batches of at most `spill.resident_shards` (clamped up to the worker
+    /// count), each completed batch's blocks are appended to
+    /// `<dir>/full-r<round>.rsnb` and dropped, and the returned snapshot
+    /// references the file instead of holding blocks resident. Output is
+    /// byte-identical to the in-memory round at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpillError`] if the spill directory or round file cannot
+    /// be created or written.
+    pub fn collect_spilled<T: ShardableTransport>(
+        &mut self,
+        engine: &ScanEngine,
+        transport: &T,
+        targets: &[Target],
+        day: u32,
+        spill: &SpillConfig,
+    ) -> Result<(DnsSnapshot, SweepStats), SpillError> {
+        let (snapshot, stats, _) =
+            self.collector
+                .round(engine, transport, targets, day, Some(spill), None)?;
+        Ok((snapshot, stats))
+    }
 }
 
-/// The executed (non-replayed) portion of one round, in selected-shard
-/// order, as handed to [`DeltaCollector::splice_round`].
-struct FreshShards {
-    blocks: Vec<BlockSlot>,
-    stats: Vec<ShardStats>,
-    timings: Vec<ShardTiming>,
-    wall: Duration,
-}
-
-/// The incremental record collector: a drop-in alternative to
-/// [`RecordCollector::collect_with`] that re-resolves only what could have
+/// The incremental record collector: re-resolves only what could have
 /// changed since the previous round.
 ///
 /// # How it stays byte-identical to full collection
@@ -353,10 +173,10 @@ struct FreshShards {
 /// at a fixed virtual time (each shard starts from a fresh resolver and a
 /// shard-indexed RNG stream). A shard whose members' zone generations
 /// (via [`ZoneGenerationProbe`]) are all unchanged would therefore produce
-/// exactly what it produced last time, so the collector replays its cached
-/// block (`Arc` clone or [`SpillRef`](crate::spill::SpillRef) clone) and [`ShardStats`].
-/// Everything downstream — snapshot, merged metrics, journal lines — is
-/// byte-identical to a full sweep's.
+/// exactly what it produced last time, so the collector replays its
+/// previous block (`Arc` clone or [`SpillRef`](crate::spill::SpillRef)
+/// clone) and [`ShardStats`]. Everything downstream — snapshot, merged
+/// metrics, journal lines — is byte-identical to a full sweep's.
 ///
 /// # Refresh stratum
 ///
@@ -364,160 +184,27 @@ struct FreshShards {
 /// provider edits through `World::provider_mut`). To bound the staleness
 /// such edits could cause, every round additionally re-resolves one
 /// deterministic, seed-derived stratum of shards: shard `s` is refreshed
-/// in round `r` iff `s ≡ base + r (mod strata)`, so every shard is
-/// force-refreshed at least once every `strata` rounds.
+/// in round `r` iff `s ≡ base + r (mod REFRESH_STRATA)`, so every shard
+/// is force-refreshed at least once every [`REFRESH_STRATA`] rounds.
 #[derive(Debug)]
 pub struct DeltaCollector {
-    clock: SimClock,
-    region: Region,
-    /// Seed-derived base offset of the rotating refresh stratum.
-    stratum_base: u64,
-    strata: u64,
-    rounds: u32,
-    cache: Option<DeltaCache>,
+    collector: Collector,
 }
 
 impl DeltaCollector {
-    /// Creates a delta collector resolving from `region`, with the default
-    /// refresh stratum count ([`DEFAULT_REFRESH_STRATA`]).
+    /// Creates a delta collector resolving from `region`.
     ///
     /// `seed` feeds the stratum schedule; collectors with the same seed
     /// refresh the same shards in the same rounds.
     pub fn new(clock: SimClock, region: Region, seed: u64) -> Self {
-        Self::with_strata(clock, region, seed, DEFAULT_REFRESH_STRATA)
-    }
-
-    /// [`DeltaCollector::new`] with an explicit stratum count (≥ 1). A
-    /// count of 1 refreshes every shard every round — full collection.
-    pub fn with_strata(clock: SimClock, region: Region, seed: u64, strata: u64) -> Self {
-        assert!(strata >= 1, "at least one refresh stratum is required");
         DeltaCollector {
-            clock,
-            region,
-            stratum_base: SeedSeq::new(seed).child("delta").derive("stratum-base"),
-            strata,
-            rounds: 0,
-            cache: None,
+            collector: Collector::delta(clock, region, seed),
         }
     }
 
     /// Number of collection rounds performed.
     pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Decides which shards must execute this round (dirty generations,
-    /// refresh stratum, or everything on a cold/invalid cache).
-    fn select_shards(
-        &self,
-        plan: &[std::ops::Range<usize>],
-        generations: &[u64],
-        shard_size: usize,
-        round_index: u64,
-        total: usize,
-    ) -> ShardSelection {
-        let cache_valid = self.cache.as_ref().is_some_and(|c| {
-            c.shard_size == shard_size
-                && c.generations.len() == total
-                && c.blocks.len() == plan.len()
-        });
-        let stratum_offset = (self.stratum_base + round_index) % self.strata;
-        let mut selected: Vec<usize> = Vec::new();
-        let mut round = DeltaRound::default();
-        if cache_valid {
-            let cache = self.cache.as_ref().expect("cache_valid checked");
-            for (idx, range) in plan.iter().enumerate() {
-                let dirty = range
-                    .clone()
-                    .any(|rank| generations[rank] != cache.generations[rank]);
-                let stratum = (idx as u64) % self.strata == stratum_offset;
-                if dirty || stratum {
-                    selected.push(idx);
-                    round.reresolved += range.len() as u64;
-                    if !dirty {
-                        round.refresh_stratum += range.len() as u64;
-                    }
-                } else {
-                    round.reused += range.len() as u64;
-                }
-            }
-        } else {
-            // Cold cache (first round, or the shard layout changed):
-            // everything is dirty.
-            selected = (0..plan.len()).collect();
-            round.reresolved = total as u64;
-        }
-        ShardSelection {
-            selected,
-            round,
-            cache_valid,
-        }
-    }
-
-    /// Splices executed and replayed shards into the round's full-length
-    /// snapshot + stats, caches the result, and returns it.
-    fn splice_round(
-        &mut self,
-        engine: &ScanEngine,
-        plan: &[std::ops::Range<usize>],
-        generations: Vec<u64>,
-        selected: &[usize],
-        fresh: FreshShards,
-        day: u32,
-    ) -> (DnsSnapshot, SweepStats) {
-        let shard_size = engine.config().shard_size;
-        let wall = fresh.wall;
-        let mut blocks = Vec::with_capacity(plan.len());
-        let mut shard_stats = Vec::with_capacity(plan.len());
-        let mut timings = Vec::with_capacity(plan.len());
-        let mut fresh_blocks = fresh.blocks.into_iter();
-        let mut fresh_stats = fresh.stats.into_iter();
-        let mut fresh_timings = fresh.timings.into_iter();
-        let mut next_selected = selected.iter().copied().peekable();
-        for idx in 0..plan.len() {
-            if next_selected.peek() == Some(&idx) {
-                next_selected.next();
-                blocks.push(fresh_blocks.next().expect("one block per selected shard"));
-                shard_stats.push(
-                    fresh_stats
-                        .next()
-                        .expect("one stats row per selected shard"),
-                );
-                timings.push(fresh_timings.next().expect("one timing per selected shard"));
-            } else {
-                let cache = self.cache.as_ref().expect("unselected shards have a cache");
-                blocks.push(cache.blocks[idx].clone());
-                shard_stats.push(cache.shard_stats[idx].clone());
-                // Replayed shards cost no wall time; timings are
-                // nondeterministic and excluded from all reports anyway.
-                timings.push(ShardTiming {
-                    shard: idx,
-                    wall: Duration::ZERO,
-                });
-            }
-        }
-        let stats = SweepStats {
-            // Report the worker count a full sweep over this plan would
-            // have used, not the (possibly smaller) clamp over the
-            // selected subset.
-            workers: normalized_workers(engine, plan.len()),
-            shards: shard_stats,
-            timings,
-            wall,
-        };
-
-        self.cache = Some(DeltaCache {
-            shard_size,
-            generations,
-            blocks: blocks.clone(),
-            shard_stats: stats.shards.clone(),
-        });
-
-        let mut builder = DnsSnapshot::builder(self.clock.now(), day, shard_size.max(1));
-        for slot in blocks {
-            builder.push_slot(slot);
-        }
-        (builder.finish(), stats)
+        self.collector.rounds()
     }
 
     /// Collects one snapshot over `targets` through `engine`, re-resolving
@@ -535,64 +222,19 @@ impl DeltaCollector {
         targets: &[Target],
         day: u32,
     ) -> (DnsSnapshot, SweepStats, DeltaRound) {
-        let round_index = u64::from(self.rounds);
-        self.rounds += 1;
-        let plan = engine.shard_plan(targets.len());
-        let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
-        let generations = transport.generations_for(&apexes);
-        let sel = self.select_shards(
-            &plan,
-            &generations,
-            engine.config().shard_size,
-            round_index,
-            targets.len(),
-        );
-
-        // Execute the selected shards with their full-sweep identity and
-        // the exact closures of `RecordCollector::collect_with`.
-        let clock = self.clock.clone();
-        let region = self.region;
-        let sweep = engine.sweep_selected_with_finish(
-            transport,
-            targets,
-            &sel.selected,
-            |_shard| RecursiveResolver::new(clock.clone(), region),
-            site_task,
-            |resolver, scope| resolver.export_into(scope.metrics()),
-        );
-        let mut outputs = sweep.outputs.into_iter();
-        let fresh_blocks: Vec<BlockSlot> = sel
-            .selected
-            .iter()
-            .map(|&idx| {
-                BlockSlot::Resident(Arc::new(RecordBlock::from_sites(
-                    outputs.by_ref().take(plan[idx].len()),
-                )))
-            })
-            .collect();
-
-        let (snapshot, stats) = self.splice_round(
-            engine,
-            &plan,
-            generations,
-            &sel.selected,
-            FreshShards {
-                blocks: fresh_blocks,
-                stats: sweep.stats.shards,
-                timings: sweep.stats.timings,
-                wall: sweep.stats.wall,
-            },
-            day,
-        );
-        (snapshot, stats, sel.round)
+        in_memory(
+            self.collector
+                .collect(engine, transport, targets, day, None),
+        )
     }
 
     /// [`DeltaCollector::collect_with`], memory-bounded: dirty shards
     /// execute in batches of at most `spill.resident_shards` and stream to
     /// `<dir>/delta-r<round>.rsnb`; clean shards are replayed as
-    /// [`SpillRef`](crate::spill::SpillRef) clones into the older round files that last wrote them
-    /// — no load, no copy. Older round files must therefore outlive the
-    /// campaign (the spill directory is append-only).
+    /// [`SpillRef`](crate::spill::SpillRef) clones into the older round
+    /// files that last wrote them — no load, no copy. Older round files
+    /// must therefore outlive the campaign (the spill directory is
+    /// append-only).
     ///
     /// # Errors
     ///
@@ -606,34 +248,226 @@ impl DeltaCollector {
         day: u32,
         spill: &SpillConfig,
     ) -> Result<(DnsSnapshot, SweepStats, DeltaRound), SpillError> {
-        let round_index = u64::from(self.rounds);
+        self.collector
+            .collect(engine, transport, targets, day, Some(spill))
+    }
+}
+
+/// The collection routine behind both public collectors and the study
+/// session (see the module docs). Full and delta mode differ only in
+/// `delta`.
+#[derive(Debug)]
+pub(crate) struct Collector {
+    clock: SimClock,
+    region: Region,
+    rounds: u32,
+    /// Delta mode's stratum schedule and replay state; `None` in full
+    /// mode.
+    delta: Option<Delta>,
+}
+
+/// What delta collection carries between rounds.
+#[derive(Debug)]
+struct Delta {
+    /// Seed-derived base offset of the rotating refresh stratum.
+    stratum_base: u64,
+    /// The previous round, once one ran.
+    previous: Option<Previous>,
+}
+
+/// The previous delta round, for replaying clean shards.
+#[derive(Debug)]
+struct Previous {
+    /// Block size the round was planned with; a different layout
+    /// invalidates it wholesale.
+    block_size: usize,
+    /// Per-rank zone generation observed when the round ran.
+    generations: Vec<u64>,
+    /// The round's blocks: resident `Arc`s in memory,
+    /// [`SpillRef`](crate::spill::SpillRef)s into older rounds' files
+    /// when spilled. Cloning either is O(1) — sharing, never copying.
+    blocks: Vec<BlockSource>,
+    /// Per-shard deterministic counters from each shard's last execution.
+    shard_stats: Vec<ShardStats>,
+}
+
+/// Which shards one round runs; the others replay from `replay`.
+struct Selection<'a> {
+    /// Shard indices to execute, ascending.
+    shards: Vec<usize>,
+    /// The round's reuse accounting.
+    round: DeltaRound,
+    /// The previous round, when any shard replays from it.
+    replay: Option<&'a Previous>,
+}
+
+impl Selection<'_> {
+    /// Every shard runs, nothing replays: a full round, or a delta round
+    /// on a cold or invalidated cache.
+    fn every_shard(shards: usize, sites: usize) -> Self {
+        Selection {
+            shards: (0..shards).collect(),
+            round: DeltaRound {
+                reresolved: sites as u64,
+                ..DeltaRound::default()
+            },
+            replay: None,
+        }
+    }
+}
+
+impl Delta {
+    /// Selects the shards with a changed generation or in the round's
+    /// refresh stratum; everything when the previous round is missing or
+    /// was planned differently.
+    fn select(
+        &self,
+        plan: &[Range<usize>],
+        generations: &[u64],
+        block_size: usize,
+        round_index: u64,
+    ) -> Selection<'_> {
+        let previous = self.previous.as_ref().filter(|p| {
+            p.block_size == block_size
+                && p.generations.len() == generations.len()
+                && p.blocks.len() == plan.len()
+        });
+        let Some(previous) = previous else {
+            return Selection::every_shard(plan.len(), generations.len());
+        };
+        let stratum_offset = (self.stratum_base + round_index) % REFRESH_STRATA;
+        let mut shards = Vec::new();
+        let mut round = DeltaRound::default();
+        for (idx, range) in plan.iter().enumerate() {
+            let sites = range.len() as u64;
+            let dirty = range
+                .clone()
+                .any(|rank| generations[rank] != previous.generations[rank]);
+            let stratum = (idx as u64) % REFRESH_STRATA == stratum_offset;
+            if dirty || stratum {
+                shards.push(idx);
+                round.reresolved += sites;
+                if !dirty {
+                    round.refresh_stratum += sites;
+                }
+            } else {
+                round.reused += sites;
+            }
+        }
+        Selection {
+            shards,
+            round,
+            replay: Some(previous),
+        }
+    }
+}
+
+impl Collector {
+    /// A full-mode collector resolving from `region`.
+    pub(crate) fn full(clock: SimClock, region: Region) -> Self {
+        Collector {
+            clock,
+            region,
+            rounds: 0,
+            delta: None,
+        }
+    }
+
+    /// A delta-mode collector resolving from `region`; `seed` feeds the
+    /// stratum schedule.
+    pub(crate) fn delta(clock: SimClock, region: Region, seed: u64) -> Self {
+        Collector {
+            delta: Some(Delta {
+                stratum_base: SeedSeq::new(seed).child("delta").derive("stratum-base"),
+                previous: None,
+            }),
+            ..Collector::full(clock, region)
+        }
+    }
+
+    /// Number of collection rounds performed.
+    pub(crate) fn rounds(&self) -> u32 {
+        self.rounds
+    }
+
+    /// One round: probes zone generations first in delta mode, then runs
+    /// [`Collector::round`]. In memory when `spill` is `None`.
+    pub(crate) fn collect<T: ShardableTransport + ZoneGenerationProbe>(
+        &mut self,
+        engine: &ScanEngine,
+        transport: &T,
+        targets: &[Target],
+        day: u32,
+        spill: Option<&SpillConfig>,
+    ) -> Result<(DnsSnapshot, SweepStats, DeltaRound), SpillError> {
+        let generations = self.delta.is_some().then(|| {
+            let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
+            transport.generations_for(&apexes)
+        });
+        self.round(engine, transport, targets, day, spill, generations)
+    }
+
+    /// The collection routine: select → sweep → sink → splice (see the
+    /// module docs). Shards are selected against `generations` in delta
+    /// mode; without them every shard runs.
+    fn round<T: ShardableTransport>(
+        &mut self,
+        engine: &ScanEngine,
+        transport: &T,
+        targets: &[Target],
+        day: u32,
+        spill: Option<&SpillConfig>,
+        generations: Option<Vec<u64>>,
+    ) -> Result<(DnsSnapshot, SweepStats, DeltaRound), SpillError> {
+        let round_index = self.rounds;
         self.rounds += 1;
         let plan = engine.shard_plan(targets.len());
-        let apexes: Vec<&DomainName> = targets.iter().map(|(apex, _)| apex).collect();
-        let generations = transport.generations_for(&apexes);
-        let sel = self.select_shards(
-            &plan,
-            &generations,
-            engine.config().shard_size,
-            round_index,
-            targets.len(),
-        );
-        debug_assert!(sel.cache_valid || sel.selected.len() == plan.len());
+        // Blocks are cut at the plan's shard size, which is the shard
+        // size divided by `shards_per_worker`.
+        let block_size = engine.config().effective_shard_size();
+        let selection = match (&self.delta, &generations) {
+            (Some(delta), Some(generations)) => {
+                delta.select(&plan, generations, block_size, u64::from(round_index))
+            }
+            _ => Selection::every_shard(plan.len(), targets.len()),
+        };
 
-        let path = spill.dir.join(format!("delta-r{round_index:05}.rsnb"));
-        let mut writer =
-            create_round_file(&path, spill, engine, self.clock.now(), day, targets, &plan)?;
-
-        let clock = self.clock.clone();
-        let region = self.region;
-        let mut fresh_stats = Vec::with_capacity(sel.selected.len());
-        let mut fresh_timings = Vec::with_capacity(sel.selected.len());
-        let mut wall = Duration::ZERO;
-        for batch in sel.selected.chunks(resident_batch(engine, spill)) {
-            let sweep = engine.sweep_selected_with_finish(
+        // Sweep the selected shards batch by batch into the sink.
+        let mut sink = match spill {
+            Some(spill) => {
+                let kind = if self.delta.is_some() {
+                    "delta"
+                } else {
+                    "full"
+                };
+                let meta = SpillMeta {
+                    taken_at: self.clock.now(),
+                    day,
+                    sites: targets.len() as u64,
+                    block_size: block_size as u32,
+                    shard_count: plan.len() as u32,
+                };
+                Sink::Spilled(create_round_file(
+                    spill,
+                    &format!("{kind}-r{round_index:05}.rsnb"),
+                    meta,
+                )?)
+            }
+            None => Sink::Resident(Vec::with_capacity(selection.shards.len())),
+        };
+        // Spilled, at most `resident_shards` blocks are resident at once,
+        // but never fewer than the workers that must be kept busy.
+        let batch = spill.map_or(usize::MAX, |spill| {
+            spill.resident_shards.max(engine.config().workers).max(1)
+        });
+        let (clock, region) = (&self.clock, self.region);
+        let mut fresh = SweepStats::default();
+        for batch in selection.shards.chunks(batch) {
+            let sweep = engine.sweep(
                 transport,
                 targets,
-                batch,
+                &plan,
+                Some(batch),
                 |_shard| RecursiveResolver::new(clock.clone(), region),
                 site_task,
                 |resolver, scope| resolver.export_into(scope.metrics()),
@@ -641,30 +475,135 @@ impl DeltaCollector {
             let mut outputs = sweep.outputs.into_iter();
             for &shard in batch {
                 let block = RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len()));
-                writer.append_block(shard as u32, &block)?;
+                sink.put(shard, block)?;
             }
-            fresh_stats.extend(sweep.stats.shards);
-            fresh_timings.extend(sweep.stats.timings);
-            wall += sweep.stats.wall;
+            fresh.shards.extend(sweep.stats.shards);
+            fresh.timings.extend(sweep.stats.timings);
+            fresh.wall += sweep.stats.wall;
         }
-        let (_file, refs) = writer.finish()?;
-        let fresh_blocks: Vec<BlockSlot> = refs.into_iter().map(BlockSlot::Spilled).collect();
 
-        let (snapshot, stats) = self.splice_round(
-            engine,
-            &plan,
-            generations,
-            &sel.selected,
-            FreshShards {
-                blocks: fresh_blocks,
-                stats: fresh_stats,
-                timings: fresh_timings,
-                wall,
-            },
-            day,
-        );
-        Ok((snapshot, stats, sel.round))
+        // Splice executed and replayed shards in plan order.
+        let mut fresh_shards = sink
+            .finish()?
+            .into_iter()
+            .zip(fresh.shards.into_iter().zip(fresh.timings));
+        let mut builder = DnsSnapshot::builder(self.clock.now(), day, block_size);
+        let mut stats = SweepStats {
+            // The worker count a full sweep over this plan would use, not
+            // the (possibly smaller) clamp over the selected subset.
+            workers: engine.config().workers.max(1).min(plan.len().max(1)),
+            shards: Vec::with_capacity(plan.len()),
+            timings: Vec::with_capacity(plan.len()),
+            wall: fresh.wall,
+        };
+        let mut selected = selection.shards.iter().peekable();
+        for shard in 0..plan.len() {
+            if selected.next_if_eq(&&shard).is_some() {
+                let (slot, (shard_stats, timing)) =
+                    fresh_shards.next().expect("one block per selected shard");
+                builder.push_slot(slot);
+                stats.shards.push(shard_stats);
+                stats.timings.push(timing);
+            } else {
+                let previous = selection
+                    .replay
+                    .expect("unselected shards replay the previous round");
+                builder.push_slot(previous.blocks[shard].clone());
+                stats.shards.push(previous.shard_stats[shard].clone());
+                // Replayed shards cost no wall time; timings are
+                // nondeterministic and excluded from all reports anyway.
+                stats.timings.push(ShardTiming {
+                    shard,
+                    wall: Duration::ZERO,
+                });
+            }
+        }
+        let snapshot = builder.finish();
+        let round = selection.round;
+
+        if let (Some(delta), Some(generations)) = (&mut self.delta, generations) {
+            delta.previous = Some(Previous {
+                block_size,
+                generations,
+                blocks: snapshot.block_sources().map(|(_, block)| block).collect(),
+                shard_stats: stats.shards.clone(),
+            });
+        }
+        Ok((snapshot, stats, round))
     }
+}
+
+/// Where a round's executed blocks go.
+enum Sink {
+    /// In memory: each block stays resident behind an `Arc`.
+    Resident(Vec<BlockSource>),
+    /// Spilled: each block is appended to the round's file and dropped.
+    Spilled(SpillWriter),
+}
+
+impl Sink {
+    fn put(&mut self, shard: usize, block: RecordBlock) -> Result<(), SpillError> {
+        match self {
+            Sink::Resident(slots) => slots.push(BlockSource::Resident(Arc::new(block))),
+            Sink::Spilled(writer) => writer.append_block(shard as u32, &block)?,
+        }
+        Ok(())
+    }
+
+    /// The sunk blocks, in the order they were put.
+    fn finish(self) -> Result<Vec<BlockSource>, SpillError> {
+        Ok(match self {
+            Sink::Resident(slots) => slots,
+            Sink::Spilled(writer) => {
+                let (_file, refs) = writer.finish()?;
+                refs.into_iter().map(BlockSource::Spilled).collect()
+            }
+        })
+    }
+}
+
+/// Unwraps an in-memory round, which writes nothing and so cannot fail.
+fn in_memory<R>(round: Result<R, SpillError>) -> R {
+    round.unwrap_or_else(|e| unreachable!("an in-memory round does no I/O: {e}"))
+}
+
+/// The engine task of every collection round: A + CNAME chain for the
+/// www host, NS for the apex.
+fn site_task<T: ShardableTransport + ?Sized>(
+    transport: &T,
+    resolver: &mut RecursiveResolver,
+    scope: &mut ShardScope,
+    _rank: usize,
+    (apex, www): &Target,
+) -> TaskResult<SiteRecords> {
+    let mut counting = CountingTransport::new(transport);
+    let (hits_before, misses_before) = resolver.cache().stats();
+    let mut records = SiteRecords::default();
+    if let Ok(res) = resolver.resolve(&mut counting, www, RecordType::A) {
+        records.a = res.addresses();
+        records.cnames = res.cnames();
+    }
+    if let Ok(res) = resolver.resolve(&mut counting, apex, RecordType::Ns) {
+        records.ns = res.ns_hosts();
+    }
+    let (hits_after, misses_after) = resolver.cache().stats();
+    scope.add_queries(counting.query_stats().sent);
+    scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
+    TaskResult::Done(records)
+}
+
+/// Creates the spill directory (if needed) and the round file `name` in
+/// it.
+fn create_round_file(
+    spill: &SpillConfig,
+    name: &str,
+    meta: SpillMeta,
+) -> Result<SpillWriter, SpillError> {
+    std::fs::create_dir_all(&spill.dir).map_err(|e| SpillError::Io {
+        context: "creating spill directory",
+        error: e.to_string(),
+    })?;
+    SpillWriter::create(spill.dir.join(name), meta)
 }
 
 #[cfg(test)]
@@ -701,10 +640,10 @@ mod tests {
 
     #[test]
     fn collects_every_site() {
-        let mut world = tiny_world();
+        let world = tiny_world();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut world, &targets, 0);
+        let snapshot = collector.collect(&world, &targets, 0);
         assert_eq!(snapshot.len(), 200);
         assert_eq!(snapshot.resolved_count(), 200, "every site resolves");
         assert_eq!(collector.rounds(), 1);
@@ -712,7 +651,7 @@ mod tests {
 
     #[test]
     fn self_hosted_records_point_at_origin_with_hosting_ns() {
-        let mut world = tiny_world();
+        let world = tiny_world();
         let site = world
             .sites()
             .iter()
@@ -721,7 +660,7 @@ mod tests {
             .clone();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut world, &targets, 0);
+        let snapshot = collector.collect(&world, &targets, 0);
         let records = snapshot.site(site.id.0 as usize).unwrap();
         assert_eq!(records.a, vec![site.origin]);
         assert!(records.cnames.is_empty());
@@ -731,7 +670,7 @@ mod tests {
 
     #[test]
     fn cname_customers_show_their_token_chain() {
-        let mut world = tiny_world();
+        let world = tiny_world();
         let site = world
             .sites()
             .iter()
@@ -749,7 +688,7 @@ mod tests {
             .clone();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut world, &targets, 0);
+        let snapshot = collector.collect(&world, &targets, 0);
         let records = snapshot.site(site.id.0 as usize).unwrap();
         assert_eq!(records.cnames.len(), 1, "CNAME chain captured");
         assert!(!records.a.is_empty());
@@ -759,10 +698,16 @@ mod tests {
     fn sharded_collection_matches_sequential() {
         use remnant_engine::EngineConfig;
 
-        let mut world = tiny_world();
+        let world = tiny_world();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let sequential = collector.collect(&mut world, &targets, 0);
+        let sequential = collector.collect(&world, &targets, 0);
+
+        // `collect` is `collect_with` on a one-worker default engine.
+        let one_worker = ScanEngine::new(EngineConfig::default());
+        let (default_snap, _) = collector.collect_with(&one_worker, &world, &targets, 0);
+        assert_eq!(sequential, default_snap);
+        assert_eq!(sequential.encode(), default_snap.encode());
 
         let engine = |workers| {
             ScanEngine::new(EngineConfig {
@@ -774,7 +719,7 @@ mod tests {
         };
         let (snap1, stats1) = collector.collect_with(&engine(1), &world, &targets, 0);
         let (snap4, stats4) = collector.collect_with(&engine(4), &world, &targets, 0);
-        assert_eq!(sequential, snap1, "engine path sees the same records");
+        assert_eq!(sequential, snap1, "any shard size sees the same records");
         assert_eq!(
             snap1.encode(),
             snap4.encode(),
@@ -785,7 +730,7 @@ mod tests {
             "per-shard counters are worker-invariant"
         );
         assert!(stats1.queries() > 0);
-        assert_eq!(collector.rounds(), 3);
+        assert_eq!(collector.rounds(), 4);
 
         // The finish hook exported each shard's resolver telemetry, and the
         // merged registry is worker-invariant like everything else.
@@ -869,7 +814,11 @@ mod tests {
         }
         // Later rounds replay clean shards as refs into older round files;
         // the reuse counter proves cross-file structural sharing happened.
-        assert!(spilled.cache.as_ref().is_some());
+        assert!(spilled
+            .collector
+            .delta
+            .as_ref()
+            .is_some_and(|delta| delta.previous.is_some()));
         std::fs::remove_dir_all(&spill.dir).ok();
     }
 
@@ -954,12 +903,12 @@ mod tests {
 
     #[test]
     fn rounds_are_independent_after_purge() {
-        let mut world = tiny_world();
+        let world = tiny_world();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let s1 = collector.collect(&mut world, &targets, 0);
+        let s1 = collector.collect(&world, &targets, 0);
         let (q_after_first, _) = world.traffic_stats();
-        let s2 = collector.collect(&mut world, &targets, 1);
+        let s2 = collector.collect(&world, &targets, 1);
         let (q_after_second, _) = world.traffic_stats();
         assert_eq!(
             s1.to_site_records(),

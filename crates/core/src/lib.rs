@@ -26,7 +26,7 @@
 //! origins of Table VI, the exposure timelines of Fig 9, and the
 //! purge-probe self-experiment of Sec V-A.3.
 //!
-//! [`study::PaperStudy`] orchestrates both studies on one timeline and
+//! [`session::StudySession`] drives both studies on one timeline and
 //! returns every table/figure's data; [`report`] renders them as text.
 //! [`vectors`] additionally implements the classic Table I origin-exposure
 //! vectors (IP history, subdomains, MX records) so the new vector can be
@@ -35,12 +35,13 @@
 //! # Example
 //!
 //! ```
-//! use remnant_core::study::{PaperStudy, StudyConfig};
+//! use remnant_core::study::StudyConfig;
+//! use remnant_core::StudySession;
 //! use remnant_world::{World, WorldConfig};
 //!
 //! let mut world = World::generate(WorldConfig::small(7));
-//! let report = PaperStudy::new(StudyConfig { weeks: 1, ..StudyConfig::default() })
-//!     .run(&mut world);
+//! let config = StudyConfig { weeks: 1, ..StudyConfig::default() };
+//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
 //! assert!(report.adoption().total_sites > 0);
 //! ```
 
@@ -68,7 +69,7 @@ pub mod verify;
 pub use adoption::{Adoption, DpsStatus};
 pub use behavior::{BehaviorDetector, ObservedBehavior};
 pub use classify::{concat_columns, ClassColumn, ShardClassCache, SnapshotColumns};
-pub use collector::{DeltaCollector, DeltaRound, RecordCollector, DEFAULT_REFRESH_STRATA};
+pub use collector::{DeltaCollector, DeltaRound, RecordCollector, REFRESH_STRATA};
 pub use error::{ConfigFieldError, CoreError};
 pub use matchers::ProviderMatcher;
 pub use passes::{SnapshotAggregates, SnapshotPasses};
@@ -77,10 +78,9 @@ pub use service::StudyService;
 pub use session::{RoundProgress, RoundSummary, StudySession};
 pub use snapshot::{
     BlockKey, BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView,
-    DEFAULT_BLOCK_SIZE,
 };
 pub use spill::{SpillConfig, SpillError, SpillFile, SpillMeta, SpillRef};
-pub use study::{CollectionMode, CollectionReport, PaperStudy, StudyConfig, StudyReport};
+pub use study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
 pub use unchanged::UnchangedCandidate;
 pub use verify::{HtmlVerifier, VerifyOutcome};
 

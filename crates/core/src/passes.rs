@@ -3,7 +3,7 @@
 //! [`SnapshotPasses`] is the single implementation of every analysis that
 //! depends only on the daily record snapshots: adoption classification
 //! (Fig 2 / Fig 6), behavior diffing (Fig 3), FSM validation (Fig 4), and
-//! pause tracking (Fig 5). [`crate::study::PaperStudy`] feeds it each
+//! pause tracking (Fig 5). [`crate::StudySession`] feeds it each
 //! round as it is collected; the `remnant-query` crate feeds it the same
 //! rounds replayed from a persisted spill directory. Because both paths
 //! run the identical fold over identical snapshots, their reports are

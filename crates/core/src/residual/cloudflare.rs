@@ -144,6 +144,8 @@ impl CloudflareScanner {
         let sweep = engine.sweep(
             transport,
             targets,
+            &engine.shard_plan(targets.len()),
+            None,
             |_shard| (),
             |transport, (), scope, rank, (_apex, www)| {
                 let server = servers[(rank + week as usize) % servers.len()];
@@ -158,6 +160,7 @@ impl CloudflareScanner {
                     });
                 TaskResult::Done(addrs)
             },
+            |(), _| {},
         );
         self.queries_sent += targets.len() as u64;
         self.vantage.note_issued(targets.len() as u64);
@@ -232,7 +235,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
         assert!(
@@ -251,7 +254,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
         let results = scanner.scan(&mut w, &targets, 0);
@@ -272,7 +275,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
         let results = scanner.scan(&mut w, &targets, 0);
@@ -291,7 +294,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
 
@@ -339,7 +342,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
 

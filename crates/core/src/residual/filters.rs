@@ -343,7 +343,7 @@ mod tests {
         let victim = cloudflare_ns_victim(&w, false);
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
         scanner.harvest_fleet(&mut w, &snapshot);
         w.force_switch(

@@ -107,9 +107,11 @@ impl IncapsulaScanner {
             .map(|(rank, token)| (*rank, token.clone()))
             .collect();
         let clock = self.clock.clone();
-        let sweep = engine.sweep_with_finish(
+        let sweep = engine.sweep(
             transport,
             &tokens,
+            &engine.shard_plan(tokens.len()),
+            None,
             |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
             |transport, resolver, scope, _i, (rank, token)| {
                 let mut counting = CountingTransport::new(transport);
@@ -194,10 +196,10 @@ mod tests {
 
     #[test]
     fn harvest_collects_only_matching_tokens() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
         assert!(scanner.harvested_count() > 0);
@@ -214,7 +216,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
         let results = scanner.scan(&mut w);
@@ -230,7 +232,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
 
@@ -258,7 +260,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
 
@@ -293,7 +295,7 @@ mod tests {
         let mut w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let snapshot = collector.collect(&mut w, &targets, 0);
+        let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
 

@@ -18,7 +18,7 @@
 //! (interleaved in completion order — the only nondeterministic surface,
 //! and it carries no report state), and returns the final
 //! [`StudyReport`]s in submission order. Each report is byte-identical
-//! to what a solo [`crate::PaperStudy`] run of the same config would
+//! to what a solo [`StudySession::run`] of the same config would
 //! produce — the multi-tenant differential test pins that down.
 
 use std::collections::BTreeSet;

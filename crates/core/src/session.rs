@@ -1,19 +1,20 @@
-//! One campaign, incrementally: the session that used to be the body of
-//! `PaperStudy::run`.
+//! One campaign, incrementally: the study driver.
 //!
 //! A [`StudySession`] owns everything one campaign needs — its
 //! [`StudyConfig`], collector, passes, scanners, filter pipeline, obs
 //! registry and (optional) spill directory — and exposes the campaign as
 //! a sequence of [`round`](StudySession::round) calls plus a final
-//! [`finish`](StudySession::finish). `PaperStudy` is now a thin driver
-//! over this type, and the multi-tenant [`StudyService`] runs many of
-//! them concurrently, each streaming a [`RoundProgress`] per round over a
-//! bounded channel.
+//! [`finish`](StudySession::finish), or all at once through
+//! [`run`](StudySession::run). The multi-tenant [`StudyService`] runs
+//! many of them concurrently, each streaming a [`RoundProgress`] per
+//! round over a bounded channel.
 //!
-//! The decomposition changes *nothing* about what a campaign computes:
-//! the session executes the same operations in the same order the
-//! monolithic loop did, so reports, snapshots and obs JSON stay
-//! byte-identical — the multi-tenant differential test pins that down.
+//! Every round takes one path whatever the configuration: the collector
+//! (full or delta, chosen once at construction) collects into memory or
+//! the spill directory, and the classification cache feeds the snapshot
+//! passes. Reports, snapshots and obs JSON are byte-identical across
+//! collection modes, spill settings and worker counts — the differential
+//! tests pin that down.
 //!
 //! [`StudyService`]: crate::service::StudyService
 
@@ -29,12 +30,11 @@ use remnant_provider::ProviderId;
 use remnant_world::World;
 
 use crate::classify::ShardClassCache;
-use crate::collector::{DeltaCollector, DeltaRound, RecordCollector, Target};
+use crate::collector::{Collector, Target};
 use crate::passes::SnapshotPasses;
 use crate::residual::{
     CloudflareScanner, ExposureTracker, FilterPipeline, IncapsulaScanner, WeeklyScanReport,
 };
-use crate::spill::SpillConfig;
 use crate::study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
 use crate::unchanged::{self, UnchangedStudy};
 use crate::SCANNER_SOURCE;
@@ -90,7 +90,7 @@ pub struct StudySession {
     days: u32,
     day: u32,
     jitter: StdRng,
-    collector: DailyCollector,
+    collector: Collector,
     passes: SnapshotPasses,
     class_cache: ShardClassCache,
     unchanged: UnchangedStudy,
@@ -145,14 +145,10 @@ impl StudySession {
         let days = config.weeks * 7;
         let jitter = StdRng::seed_from_u64(config.seed);
         let collector = match config.collection_mode {
-            CollectionMode::Full => {
-                DailyCollector::Full(RecordCollector::new(world.clock(), config.collector_region))
+            CollectionMode::Full => Collector::full(world.clock(), config.collector_region),
+            CollectionMode::Delta => {
+                Collector::delta(world.clock(), config.collector_region, config.seed)
             }
-            CollectionMode::Delta => DailyCollector::Delta(DeltaCollector::new(
-                world.clock(),
-                config.collector_region,
-                config.seed,
-            )),
         };
         let passes = SnapshotPasses::new(targets.len());
         let unchanged = UnchangedStudy::new(SCANNER_SOURCE);
@@ -226,14 +222,6 @@ impl StudySession {
         self.day >= self.days
     }
 
-    /// The live classification cache's `(hits, misses)` so far — nonzero
-    /// only under delta collection. Deliberately kept out of the study
-    /// report: the counts are collection-mode-dependent, and
-    /// full-vs-delta reports compare byte-identically.
-    pub fn class_cache_stats(&self) -> (u64, u64) {
-        (self.class_cache.hits(), self.class_cache.misses())
-    }
-
     /// Executes the next daily round against `world`: collection, the
     /// snapshot passes, the unchanged study, harvesting, the weekly
     /// residual scans (on week boundaries), and the 20–30h step to the
@@ -242,6 +230,12 @@ impl StudySession {
     /// `on_snapshot` observes the round's [`crate::DnsSnapshot`] right
     /// after collection (byte-equivalence tests hook here); it must not
     /// mutate study state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spill round's file cannot be written mid-campaign —
+    /// callers validate the spill directory up front, and a disk that
+    /// fills or vanishes afterwards is not a recoverable study state.
     pub fn round(
         &mut self,
         world: &mut World,
@@ -254,20 +248,17 @@ impl StudySession {
         let day_span = Span::enter(&self.obs, "study.day");
         self.obs
             .event("sweep.start", format!("day {day}: daily collection round"));
-        let (snapshot, sweep, delta) = self.collector.collect(
-            &self.engine,
-            world,
-            &self.targets,
-            day,
-            self.config.spill.as_ref(),
-        );
-        match delta {
-            Some(round) => self.report.collection.absorb(&round),
-            None => {
-                self.report.collection.rounds += 1;
-                self.report.collection.reresolved += self.targets.len() as u64;
-            }
-        }
+        let (snapshot, sweep, tally) = self
+            .collector
+            .collect(
+                &self.engine,
+                &*world,
+                &self.targets,
+                day,
+                self.config.spill.as_ref(),
+            )
+            .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
+        self.report.collection.absorb(&tally);
         on_snapshot(&snapshot);
         let round_queries = sweep.queries();
         self.obs.metrics.merge_from(&sweep.merged_metrics());
@@ -284,28 +275,22 @@ impl StudySession {
         // The snapshot-derived passes — adoption (Fig 2 / Fig 6),
         // behaviors (Fig 3), FSM validation (Fig 4), pause windows
         // (Fig 5) — run as one shared fold, the same fold the
-        // remnant-query crate replays over persisted rounds. Under delta
-        // collection, clean shards carry the previous round's block
-        // (same `Arc`/spill frame), so their classification columns come
-        // from the per-shard cache instead of being recomputed; the fold
-        // arithmetic is identical either way, keeping full-vs-delta
-        // reports byte-identical.
-        let behaviors = match self.config.collection_mode {
-            CollectionMode::Full => self.passes.observe(day, &snapshot),
-            CollectionMode::Delta => {
-                let columns = self.class_cache.classify_snapshot(
-                    &self.engine,
-                    self.passes.detector(),
-                    &snapshot,
-                );
-                self.passes.observe_columns(
-                    day,
-                    snapshot.taken_at,
-                    columns.classes,
-                    &columns.multi_cdn_ranks,
-                )
-            }
-        };
+        // remnant-query crate replays over persisted rounds. The columns
+        // come from the per-shard classification cache: under delta
+        // collection a clean shard carries the previous round's block
+        // (same `Arc`/spill frame) and reuses its column; under full
+        // collection every block is new and misses. The fold arithmetic
+        // is identical either way, keeping full-vs-delta reports
+        // byte-identical.
+        let columns =
+            self.class_cache
+                .classify_snapshot(&self.engine, self.passes.detector(), &snapshot);
+        let behaviors = self.passes.observe_columns(
+            day,
+            snapshot.taken_at,
+            columns.classes,
+            &columns.multi_cdn_ranks,
+        );
 
         // The unchanged study (Table V) is the one behavior consumer
         // that needs a live transport: candidate extraction is pure,
@@ -446,63 +431,6 @@ impl StudySession {
     }
 }
 
-/// The session's per-mode collector dispatch: one arm per
-/// [`CollectionMode`], unified behind a `collect` that also reports the
-/// round's reuse counters (`None` in full mode).
-#[derive(Debug)]
-enum DailyCollector {
-    Full(RecordCollector),
-    Delta(DeltaCollector),
-}
-
-impl DailyCollector {
-    /// One daily round, through the in-memory or the streaming spill path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spill round's file cannot be written mid-campaign —
-    /// callers validate the spill directory up front, and a disk that
-    /// fills or vanishes afterwards is not a recoverable study state.
-    fn collect(
-        &mut self,
-        engine: &ScanEngine,
-        world: &World,
-        targets: &[Target],
-        day: u32,
-        spill: Option<&SpillConfig>,
-    ) -> (crate::DnsSnapshot, SweepStats, Option<DeltaRound>) {
-        match (self, spill) {
-            (DailyCollector::Full(collector), None) => {
-                let (snapshot, sweep) = collector.collect_with(engine, world, targets, day);
-                (snapshot, sweep, None)
-            }
-            (DailyCollector::Full(collector), Some(spill)) => {
-                let (snapshot, sweep) = collector
-                    .collect_spilled(engine, world, targets, day, spill)
-                    .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
-                (snapshot, sweep, None)
-            }
-            (DailyCollector::Delta(collector), None) => {
-                let (snapshot, sweep, round) = collector.collect_with(engine, world, targets, day);
-                (snapshot, sweep, Some(round))
-            }
-            (DailyCollector::Delta(collector), Some(spill)) => {
-                let (snapshot, sweep, round) = collector
-                    .collect_spilled(engine, world, targets, day, spill)
-                    .unwrap_or_else(|e| panic!("day {day} spill round failed: {e}"));
-                (snapshot, sweep, Some(round))
-            }
-        }
-    }
-
-    fn rounds(&self) -> u32 {
-        match self {
-            DailyCollector::Full(collector) => collector.rounds(),
-            DailyCollector::Delta(collector) => collector.rounds(),
-        }
-    }
-}
-
 /// Journals one weekly pipeline pass's funnel attrition.
 fn note_filter_verdict(obs: &mut Obs, weekly: &WeeklyScanReport) {
     obs.event(
@@ -544,7 +472,6 @@ fn note_exposure_windows(obs: &mut Obs, weekly: &WeeklyScanReport, exposed: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::PaperStudy;
     use remnant_world::WorldConfig;
 
     fn world(seed: u64) -> World {
@@ -562,15 +489,17 @@ mod tests {
 
     #[test]
     fn incremental_rounds_match_the_monolithic_driver() {
-        // The session API (round-by-round) and PaperStudy (one call)
-        // produce byte-identical reports and snapshot streams.
+        // The session API round by round and `run` (one call) produce
+        // byte-identical reports and snapshot streams.
         let mut w1 = world(17);
         let mut w2 = world(17);
 
         let mut mono_snaps = String::new();
-        let mono = PaperStudy::new(config()).run_with(&mut w1, |s| {
-            mono_snaps.push_str(&s.encode());
-        });
+        let mono = StudySession::new(config(), &w1).run(
+            &mut w1,
+            &mut |s| mono_snaps.push_str(&s.encode()),
+            None,
+        );
 
         let mut session = StudySession::new(config(), &w2);
         let mut inc_snaps = String::new();

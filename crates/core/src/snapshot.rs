@@ -25,11 +25,6 @@ use remnant_sim::SimTime;
 
 use crate::spill::SpillRef;
 
-/// Default sites per block when no engine shard plan dictates the layout
-/// (matches the engine's default shard size, so sequentially collected
-/// snapshots and engine-collected ones agree by default).
-pub const DEFAULT_BLOCK_SIZE: usize = 512;
-
 /// The records collected for one site on one day: the full A/CNAME chain
 /// of its `www` host plus the apex NS set (Sec IV-B.1).
 ///
@@ -188,42 +183,6 @@ impl RecordBlock {
     }
 }
 
-/// One block position in a snapshot: resident, or a frame on disk.
-#[derive(Clone, Debug)]
-pub(crate) enum BlockSlot {
-    /// The block is in memory (shared).
-    Resident(Arc<RecordBlock>),
-    /// The block lives in a spill file; loaded transiently on access.
-    Spilled(SpillRef),
-}
-
-impl BlockSlot {
-    /// Number of sites the slot covers (no I/O).
-    pub(crate) fn sites(&self) -> usize {
-        match self {
-            BlockSlot::Resident(block) => block.len(),
-            BlockSlot::Spilled(r) => r.sites(),
-        }
-    }
-
-    /// Loads the block, reading the spill frame if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spilled frame can no longer be read (the spill file was
-    /// deleted or corrupted mid-campaign) — snapshot consumers have no
-    /// error channel, and a vanished spill file is not a recoverable state.
-    pub(crate) fn load(&self) -> Arc<RecordBlock> {
-        match self {
-            BlockSlot::Resident(block) => Arc::clone(block),
-            BlockSlot::Spilled(r) => Arc::new(
-                r.load()
-                    .unwrap_or_else(|e| panic!("spilled snapshot block unreadable: {e}")),
-            ),
-        }
-    }
-}
-
 /// One loaded block plus the global rank of its first site.
 #[derive(Clone, Debug)]
 pub struct LoadedBlock {
@@ -252,9 +211,10 @@ pub struct BlockKey {
     offset: u64,
 }
 
-/// One block's backing, with its process-local identity exposed: the
-/// owning handle for cache keying (see [`BlockKey`]). Cloning is an
-/// `Arc` clone — no record data is copied or read.
+/// One block position in a snapshot — resident, or a frame on disk —
+/// with its process-local identity exposed for cache keying (see
+/// [`BlockKey`]). Cloning is an `Arc` clone — no record data is copied
+/// or read.
 #[derive(Clone, Debug)]
 pub enum BlockSource {
     /// The block is resident in memory (shared).
@@ -294,8 +254,9 @@ impl BlockSource {
     ///
     /// # Panics
     ///
-    /// Panics if a spilled frame can no longer be read — same contract as
-    /// [`DnsSnapshot::blocks`].
+    /// Panics if a spilled frame can no longer be read (the spill file was
+    /// deleted or corrupted mid-campaign) — snapshot consumers have no
+    /// error channel, and a vanished spill file is not a recoverable state.
     pub fn load(&self) -> Arc<RecordBlock> {
         match self {
             BlockSource::Resident(block) => Arc::clone(block),
@@ -324,7 +285,7 @@ pub struct DnsSnapshot {
     pub day: u32,
     len: usize,
     block_size: usize,
-    blocks: Vec<BlockSlot>,
+    blocks: Vec<BlockSource>,
 }
 
 impl DnsSnapshot {
@@ -380,11 +341,7 @@ impl DnsSnapshot {
     pub fn block_sources(&self) -> impl Iterator<Item = (usize, BlockSource)> + '_ {
         let mut base = 0usize;
         self.blocks.iter().map(move |slot| {
-            let source = match slot {
-                BlockSlot::Resident(block) => BlockSource::Resident(Arc::clone(block)),
-                BlockSlot::Spilled(r) => BlockSource::Spilled(r.clone()),
-            };
-            let entry = (base, source);
+            let entry = (base, slot.clone());
             base += slot.sites();
             entry
         })
@@ -509,7 +466,7 @@ pub struct SnapshotBuilder {
     day: u32,
     block_size: usize,
     len: usize,
-    blocks: Vec<BlockSlot>,
+    blocks: Vec<BlockSource>,
     pending: Vec<SiteRecords>,
 }
 
@@ -529,12 +486,7 @@ impl SnapshotBuilder {
     ///
     /// Panics if called mid-block (sites pushed but not yet flushed).
     pub fn push_block(&mut self, block: Arc<RecordBlock>) {
-        assert!(
-            self.pending.is_empty(),
-            "push_block on a partially filled block"
-        );
-        self.len += block.len();
-        self.blocks.push(BlockSlot::Resident(block));
+        self.push_slot(BlockSource::Resident(block));
     }
 
     /// Appends a spilled block by reference (no load).
@@ -547,23 +499,18 @@ impl SnapshotBuilder {
     ///
     /// Panics if called mid-block, like [`SnapshotBuilder::push_block`].
     pub fn push_spilled(&mut self, spill: SpillRef) {
-        assert!(
-            self.pending.is_empty(),
-            "push_spilled on a partially filled block"
-        );
-        self.len += spill.sites();
-        self.blocks.push(BlockSlot::Spilled(spill));
+        self.push_slot(BlockSource::Spilled(spill));
     }
 
-    /// Appends an existing slot as-is (the delta collector's splice path).
+    /// Appends an existing slot as-is (the collector's splice path).
     ///
     /// # Panics
     ///
     /// Panics if called mid-block, like [`SnapshotBuilder::push_block`].
-    pub(crate) fn push_slot(&mut self, slot: BlockSlot) {
+    pub(crate) fn push_slot(&mut self, slot: BlockSource) {
         assert!(
             self.pending.is_empty(),
-            "push_slot on a partially filled block"
+            "block pushed onto a partially filled block"
         );
         self.len += slot.sites();
         self.blocks.push(slot);
@@ -573,7 +520,9 @@ impl SnapshotBuilder {
         if !self.pending.is_empty() {
             let rows = std::mem::take(&mut self.pending);
             self.blocks
-                .push(BlockSlot::Resident(Arc::new(RecordBlock::from_sites(rows))));
+                .push(BlockSource::Resident(Arc::new(RecordBlock::from_sites(
+                    rows,
+                ))));
         }
     }
 
@@ -644,7 +593,7 @@ mod tests {
                     ..SiteRecords::default()
                 },
             ],
-            DEFAULT_BLOCK_SIZE,
+            512,
         );
         assert!(snap.site(0).unwrap().is_empty());
         assert!(!snap.site(1).unwrap().is_empty());

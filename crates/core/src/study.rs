@@ -1,9 +1,10 @@
-//! The end-to-end study driver: both of the paper's measurement campaigns
-//! on one timeline.
+//! The study's configuration and reports: both of the paper's
+//! measurement campaigns on one timeline.
 //!
-//! [`PaperStudy::run`] reproduces the authors' schedule: daily A/CNAME/NS
-//! collection over the whole target list for N weeks (with the 20–30 hour
-//! uneven intervals of Sec IV-B.3, optionally), adoption classification,
+//! A [`StudySession`](crate::StudySession) driven by a [`StudyConfig`] reproduces the authors'
+//! schedule: daily A/CNAME/NS collection over the whole target list for N
+//! weeks (with the 20–30 hour uneven intervals of Sec IV-B.3,
+//! optionally), adoption classification,
 //! behavior diffing, pause tracking and the unchanged study along the way,
 //! plus a weekly residual-resolution scan of Cloudflare's fleet and the
 //! harvested Incapsula tokens. The returned [`StudyReport`] contains the
@@ -21,7 +22,6 @@ use remnant_world::{BehaviorKind, World};
 use crate::collector::DeltaRound;
 use crate::error::ConfigFieldError;
 use crate::residual::{ExposureTracker, WeeklyScanReport};
-use crate::session::StudySession;
 use crate::spill::SpillConfig;
 use crate::unchanged::UnchangedTally;
 
@@ -427,7 +427,8 @@ pub struct CollectionReport {
 }
 
 impl CollectionReport {
-    /// Folds one delta round's counters into the aggregate.
+    /// Folds one round's counters into the aggregate (a full round
+    /// re-resolves every site).
     pub(crate) fn absorb(&mut self, round: &DeltaRound) {
         self.rounds += 1;
         self.reused += round.reused;
@@ -545,43 +546,6 @@ impl StudyReport {
     }
 }
 
-/// The driver (see module docs).
-#[derive(Clone, Debug)]
-pub struct PaperStudy {
-    config: StudyConfig,
-}
-
-impl PaperStudy {
-    /// Creates a driver with `config`.
-    pub fn new(config: StudyConfig) -> Self {
-        PaperStudy { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
-    /// Runs the full campaign against `world`, advancing its virtual time.
-    pub fn run(&self, world: &mut World) -> StudyReport {
-        self.run_with(world, |_| {})
-    }
-
-    /// Like [`run`](PaperStudy::run), but invokes `on_snapshot` with each
-    /// day's [`crate::DnsSnapshot`] right after collection.
-    ///
-    /// The hook exists so the full-vs-delta equivalence test can compare
-    /// the entire snapshot sequence byte-for-byte, not just the final
-    /// report; it observes and must not mutate study state.
-    pub fn run_with(
-        &self,
-        world: &mut World,
-        mut on_snapshot: impl FnMut(&crate::DnsSnapshot),
-    ) -> StudyReport {
-        StudySession::new(self.config.clone(), world).run(world, &mut on_snapshot, None)
-    }
-}
-
 /// Fig 7: which provider PoP each vantage point lands on when querying the
 /// provider's first fleet nameserver.
 pub fn vantage_catchment(world: &World, provider: ProviderId) -> Vec<(Region, String)> {
@@ -604,6 +568,7 @@ pub fn vantage_catchment(world: &World, provider: ProviderId) -> Vec<(Region, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StudySession;
     use remnant_obs::MetricsRegistry;
     use remnant_world::WorldConfig;
 
@@ -614,11 +579,11 @@ mod tests {
             warmup_days: 10,
             calibration: remnant_world::Calibration::paper(),
         });
-        PaperStudy::new(StudyConfig {
+        let config = StudyConfig {
             weeks,
             ..StudyConfig::default()
-        })
-        .run(&mut world)
+        };
+        StudySession::new(config, &world).run(&mut world, &mut |_| {}, None)
     }
 
     #[test]
@@ -712,9 +677,11 @@ mod tests {
                 .build()
                 .unwrap();
             let mut snapshots = String::new();
-            let report = PaperStudy::new(config).run_with(&mut world, |snapshot| {
-                snapshots.push_str(&snapshot.encode())
-            });
+            let report = StudySession::new(config, &world).run(
+                &mut world,
+                &mut |snapshot| snapshots.push_str(&snapshot.encode()),
+                None,
+            );
             (report, snapshots)
         };
         let (full, full_snaps) = study(CollectionMode::Full);
@@ -805,12 +772,12 @@ mod tests {
             warmup_days: 0,
             calibration: remnant_world::Calibration::paper(),
         });
-        let report = PaperStudy::new(StudyConfig {
+        let config = StudyConfig {
             weeks: 1,
             uneven_intervals: false,
             ..StudyConfig::default()
-        })
-        .run(&mut world);
+        };
+        let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
         assert!(report.behaviors.interval_hours.iter().all(|h| *h == 24));
     }
 

@@ -200,7 +200,7 @@ mod tests {
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let detector = BehaviorDetector::new();
 
-        let snap0 = collector.collect(&mut w, &targets, 0);
+        let snap0 = collector.collect(&w, &targets, 0);
         // The site joins Cloudflare keeping its origin.
         w.force_join(
             site.id,
@@ -209,7 +209,7 @@ mod tests {
             ServicePlan::Free,
         );
         w.step_hours(24);
-        let snap1 = collector.collect(&mut w, &targets, 1);
+        let snap1 = collector.collect(&w, &targets, 1);
 
         let prev = detector.classify_snapshot(&snap0);
         let curr = detector.classify_snapshot(&snap1);
@@ -243,7 +243,7 @@ mod tests {
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let detector = BehaviorDetector::new();
 
-        let snap0 = collector.collect(&mut w, &targets, 0);
+        let snap0 = collector.collect(&w, &targets, 0);
         w.force_join(
             site.id,
             ProviderId::Cloudflare,
@@ -251,7 +251,7 @@ mod tests {
             ServicePlan::Free,
         );
         w.step_hours(24);
-        let snap1 = collector.collect(&mut w, &targets, 1);
+        let snap1 = collector.collect(&w, &targets, 1);
 
         let prev = detector.classify_snapshot(&snap0);
         let curr = detector.classify_snapshot(&snap1);
@@ -288,7 +288,7 @@ mod tests {
             .clone();
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let detector = BehaviorDetector::new();
-        let snap0 = collector.collect(&mut w, &targets, 0);
+        let snap0 = collector.collect(&w, &targets, 0);
         w.force_switch(
             site.id,
             ProviderId::Fastly,
@@ -297,7 +297,7 @@ mod tests {
             true,
         );
         w.step_hours(24);
-        let snap1 = collector.collect(&mut w, &targets, 1);
+        let snap1 = collector.collect(&w, &targets, 1);
         let behaviors = detector.diff(
             &detector.classify_snapshot(&snap0),
             &detector.classify_snapshot(&snap1),

@@ -366,7 +366,7 @@ mod tests {
             })
             .unwrap()
             .clone();
-        history.feed(&collector.collect(&mut w, &targets, 0));
+        history.feed(&collector.collect(&w, &targets, 0));
         assert!(history
             .addresses(site.id.0 as usize)
             .any(|a| a == site.origin));
@@ -406,7 +406,7 @@ mod tests {
             })
             .unwrap()
             .clone();
-        history.feed(&collector.collect(&mut w, &targets, 0));
+        history.feed(&collector.collect(&w, &targets, 0));
 
         w.force_join(
             site.id,
@@ -418,7 +418,7 @@ mod tests {
         w.rotate_origin(site.id);
         w.step_days(1);
 
-        let snapshot = collector.collect(&mut w, &targets, 1);
+        let snapshot = collector.collect(&w, &targets, 1);
         let classes = BehaviorDetector::new().classify_snapshot(&snapshot);
         let mut scanner = VectorScanner::new(w.clock(), Region::Ashburn, SCANNER_SOURCE);
         let report = scanner.scan(&mut w, &targets, &classes, &history);

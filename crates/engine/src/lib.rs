@@ -20,8 +20,8 @@
 //! ([`SweepStats::timings`], [`SweepStats::wall`]) vary. This holds
 //! because shard layout, per-shard RNG seeds and per-shard worker state
 //! are all functions of the shard index — never of the thread that
-//! happens to execute the shard. See [`ScanEngine::sweep`] for the three
-//! invariants.
+//! happens to execute the shard. See [`ScanEngine`] for the three
+//! invariants; [`ScanEngine::sweep`] is the one entry point.
 //!
 //! ## Example
 //!
@@ -33,8 +33,11 @@
 //! let sweep = engine.sweep(
 //!     &(),
 //!     &items,
+//!     &engine.shard_plan(items.len()),
+//!     None, // every shard
 //!     |_shard| (),
 //!     |_ctx, _worker, _scope, _rank, item| TaskResult::Done(item * 2),
+//!     |_worker, _scope| {},
 //! );
 //! assert_eq!(sweep.outputs[7], 14);
 //! assert_eq!(sweep.stats.items(), 10_000);

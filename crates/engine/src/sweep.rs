@@ -66,7 +66,7 @@ impl ShardScope {
     }
 
     /// The shard's metrics sink. Whatever a task (or the per-shard finish
-    /// hook of [`ScanEngine::sweep_with_finish`]) records here lands in
+    /// hook of [`ScanEngine::sweep`]) records here lands in
     /// the shard's [`ShardStats::metrics`] and merges deterministically
     /// into the sweep's aggregate — shard identity, never thread
     /// identity, decides where a metric is accumulated.
@@ -147,179 +147,58 @@ impl ScanEngine {
         self.pool.as_ref()
     }
 
-    /// Runs `task` over every item of `items`, in parallel across shards.
+    /// The shard layout this engine would use for `items` inputs — the
+    /// usual `plan` argument of [`ScanEngine::sweep`].
+    ///
+    /// Depends only on the item count and the layout constants
+    /// ([`shard_size`](EngineConfig::shard_size),
+    /// [`shards_per_worker`](EngineConfig::shards_per_worker)) — callers
+    /// that schedule a subset of shards use it to map item ranks to shard
+    /// indices.
+    pub fn shard_plan(&self, items: usize) -> Vec<std::ops::Range<usize>> {
+        plan_shards(items, self.config.effective_shard_size())
+    }
+
+    /// Runs `task` over the items of `plan`'s shards, in parallel across
+    /// the engine's workers. This is the engine's one sweep.
     ///
     /// * `ctx` — shared read-only context (the world, a scanner, …).
+    /// * `items` — the inputs; `plan` cuts them into contiguous shards,
+    ///   usually [`ScanEngine::shard_plan`]`(items.len())`. A unit plan
+    ///   (`plan_shards(n, 1)`) makes every item its own shard.
+    /// * `selected` — `None` runs every shard; `Some(shards)` runs only
+    ///   those plan positions (any order; duplicates ignored;
+    ///   out-of-range indices panic).
     /// * `make_worker` — builds the per-shard mutable state (for DNS
     ///   sweeps: a fresh [`RecursiveResolver`]); called once per shard
     ///   with the shard index.
     /// * `task` — processes one item; receives the context, the shard's
     ///   worker, the shard scope (RNG + counters), the item's global rank
     ///   and the item itself.
+    /// * `finish` — runs once per shard after its last item, consuming
+    ///   the shard's worker with the shard scope still writable. This is
+    ///   where a worker's accumulated telemetry (e.g. a resolver's
+    ///   counters) is exported into [`ShardScope::metrics`] — once per
+    ///   shard instead of once per item, so instrumentation stays off the
+    ///   per-item hot path while remaining deterministic.
+    ///
+    /// Every shard runs with its **plan identity** — the same RNG stream,
+    /// the same `ShardStats::shard` index and the same item range whether
+    /// it runs alone or with every other shard — so a selected shard's
+    /// outputs and stats are byte-identical to that shard's in a full
+    /// sweep. Outputs are the concatenation of the run shards' outputs in
+    /// ascending shard order; `stats.shards` likewise holds only the run
+    /// shards. Callers that need a full-length result splice the pieces
+    /// back using the plan.
     ///
     /// [`RecursiveResolver`]: https://docs.rs/remnant-dns
-    pub fn sweep<C, I, O, W, MW, T>(
-        &self,
-        ctx: &C,
-        items: &[I],
-        make_worker: MW,
-        task: T,
-    ) -> Sweep<O>
-    where
-        C: Sync + ?Sized,
-        I: Sync,
-        O: Send,
-        MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
-    {
-        self.sweep_with_finish(ctx, items, make_worker, task, |_, _| {})
-    }
-
-    /// [`ScanEngine::sweep`] plus a per-shard finish hook.
-    ///
-    /// `finish` runs once per shard after its last item, consuming the
-    /// shard's worker with the shard scope still writable. This is where
-    /// a worker's accumulated telemetry (e.g. a resolver's counters) is
-    /// exported into [`ShardScope::metrics`] — once per shard instead of
-    /// once per item, so instrumentation stays off the per-item hot path
-    /// while remaining deterministic (the hook depends only on shard
-    /// state).
-    pub fn sweep_with_finish<C, I, O, W, MW, T, F>(
-        &self,
-        ctx: &C,
-        items: &[I],
-        make_worker: MW,
-        task: T,
-        finish: F,
-    ) -> Sweep<O>
-    where
-        C: Sync + ?Sized,
-        I: Sync,
-        O: Send,
-        MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
-        F: Fn(W, &mut ShardScope) + Sync,
-    {
-        let shards = plan_shards(items.len(), self.config.effective_shard_size());
-        let selected: Vec<usize> = (0..shards.len()).collect();
-        self.run_shards(ctx, items, &shards, &selected, make_worker, task, finish)
-    }
-
-    /// The shard layout this engine would use for `items` inputs.
-    ///
-    /// Depends only on the item count and the layout constants
-    /// ([`shard_size`](EngineConfig::shard_size),
-    /// [`shards_per_worker`](EngineConfig::shards_per_worker)) — callers
-    /// that schedule a subset of shards (see
-    /// [`ScanEngine::sweep_selected_with_finish`]) use this to map item
-    /// ranks to shard indices.
-    pub fn shard_plan(&self, items: usize) -> Vec<std::ops::Range<usize>> {
-        plan_shards(items, self.config.effective_shard_size())
-    }
-
-    /// [`ScanEngine::sweep_with_finish`], restricted to a subset of shards.
-    ///
-    /// `selected` names shard indices from [`ScanEngine::shard_plan`] (any
-    /// order; duplicates ignored; out-of-range indices panic). Each selected
-    /// shard runs with its **original identity**: the same RNG stream, the
-    /// same `ShardStats::shard` index, and the same item range as in a full
-    /// sweep — so a selected shard's outputs and stats are byte-identical
-    /// to the corresponding shard of [`ScanEngine::sweep_with_finish`].
-    ///
-    /// The returned outputs are the concatenation of the selected shards'
-    /// outputs in ascending shard order; `stats.shards` likewise holds only
-    /// the selected shards. Callers that need a full-length result splice
-    /// the pieces back using the shard plan.
-    pub fn sweep_selected_with_finish<C, I, O, W, MW, T, F>(
-        &self,
-        ctx: &C,
-        items: &[I],
-        selected: &[usize],
-        make_worker: MW,
-        task: T,
-        finish: F,
-    ) -> Sweep<O>
-    where
-        C: Sync + ?Sized,
-        I: Sync,
-        O: Send,
-        MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
-        F: Fn(W, &mut ShardScope) + Sync,
-    {
-        let shards = plan_shards(items.len(), self.config.effective_shard_size());
-        let mut selected: Vec<usize> = selected.to_vec();
-        selected.sort_unstable();
-        selected.dedup();
-        if let Some(&last) = selected.last() {
-            assert!(
-                last < shards.len(),
-                "selected shard {last} out of range ({} shards)",
-                shards.len()
-            );
-        }
-        self.run_shards(ctx, items, &shards, &selected, make_worker, task, finish)
-    }
-
-    /// One-task-per-shard sweep: runs `task` once for each of the
-    /// `selected` shards out of `shard_count` equally-ranked shards, in
-    /// parallel across the engine's workers.
-    ///
-    /// This is the entry point for sweeps whose natural work unit *is* a
-    /// shard rather than an item within one — e.g. classifying a
-    /// snapshot's record blocks, where each block maps to exactly one
-    /// shard of the collection plan. Every shard keeps its original
-    /// identity (RNG stream seeded by shard index, `ShardStats::shard`),
-    /// and outputs merge positionally in ascending shard order, so the
-    /// result is byte-identical at any worker count and for any subset:
-    /// running shards `{2, 5}` yields exactly the elements a full run
-    /// would have produced at those positions.
-    ///
-    /// `selected` may be unsorted and may contain duplicates (ignored);
-    /// indices at or above `shard_count` panic.
-    pub fn sweep_shards<C, O, T>(
-        &self,
-        ctx: &C,
-        shard_count: usize,
-        selected: &[usize],
-        task: T,
-    ) -> Sweep<O>
-    where
-        C: Sync + ?Sized,
-        O: Send,
-        T: Fn(&C, &mut ShardScope, usize) -> O + Sync,
-    {
-        let shards: Vec<std::ops::Range<usize>> = (0..shard_count).map(|i| i..i + 1).collect();
-        let items: Vec<usize> = (0..shard_count).collect();
-        let mut selected: Vec<usize> = selected.to_vec();
-        selected.sort_unstable();
-        selected.dedup();
-        if let Some(&last) = selected.last() {
-            assert!(
-                last < shard_count,
-                "selected shard {last} out of range ({shard_count} shards)"
-            );
-        }
-        self.run_shards(
-            ctx,
-            &items,
-            &shards,
-            &selected,
-            |_| (),
-            |ctx, (), scope, _, &shard| TaskResult::Done(task(ctx, scope, shard)),
-            |(), _| {},
-        )
-    }
-
-    /// Shared executor: runs the `selected` (sorted, deduped) subset of
-    /// `shards` and merges positionally in ascending shard order.
     #[allow(clippy::too_many_arguments)]
-    fn run_shards<C, I, O, W, MW, T, F>(
+    pub fn sweep<C, I, O, W, MW, T, F>(
         &self,
         ctx: &C,
         items: &[I],
-        shards: &[std::ops::Range<usize>],
-        selected: &[usize],
+        plan: &[std::ops::Range<usize>],
+        selected: Option<&[usize]>,
         make_worker: MW,
         task: T,
         finish: F,
@@ -332,6 +211,17 @@ impl ScanEngine {
         T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
         F: Fn(W, &mut ShardScope) + Sync,
     {
+        let mut selected: Vec<usize> =
+            selected.map_or_else(|| (0..plan.len()).collect(), <[usize]>::to_vec);
+        selected.sort_unstable();
+        selected.dedup();
+        if let Some(&last) = selected.last() {
+            assert!(
+                last < plan.len(),
+                "selected shard {last} out of range ({} shards)",
+                plan.len()
+            );
+        }
         // A pooled engine runs on its grant (≥ 1, ≤ requested); the grant
         // returns the threads to the service budget when the sweep ends.
         let grant = self
@@ -346,12 +236,12 @@ impl ScanEngine {
         let limiter = self.config.rate.map(TokenBucket::new);
         let seeds = SeedSeq::new(self.config.seed).child("engine");
         let max_attempts = self.config.retry.max_attempts.max(1);
-        let queue = ShardQueue::new(selected);
+        let queue = ShardQueue::new(&selected);
         let slots: SlotVec<(Vec<O>, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
         let started = Instant::now();
 
         let run_shard = |shard_idx: usize| {
-            let range = shards[shard_idx].clone();
+            let range = plan[shard_idx].clone();
             let shard_started = Instant::now();
             let mut scope = ShardScope {
                 shard: shard_idx,
@@ -419,7 +309,7 @@ impl ScanEngine {
         });
 
         // Positional merge: plan order, not completion order.
-        let selected_items: usize = selected.iter().map(|&idx| shards[idx].len()).sum();
+        let selected_items: usize = selected.iter().map(|&idx| plan[idx].len()).sum();
         let mut outputs = Vec::with_capacity(selected_items);
         let mut stats = SweepStats {
             workers,
@@ -456,14 +346,18 @@ mod tests {
     #[test]
     fn outputs_preserve_input_order() {
         let items: Vec<usize> = (0..1000).collect();
-        let sweep = engine(4, 64).sweep(
+        let eng = engine(4, 64);
+        let sweep = eng.sweep(
             &(),
             &items,
+            &eng.shard_plan(items.len()),
+            None,
             |_| (),
             |_, _, _, rank, item| {
                 assert_eq!(rank, *item);
                 TaskResult::Done(item * 2)
             },
+            |_, _| {},
         );
         let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
         assert_eq!(sweep.outputs, expected);
@@ -475,9 +369,12 @@ mod tests {
     fn worker_count_does_not_change_outputs_or_counters() {
         let items: Vec<u64> = (0..777).collect();
         let run = |workers: usize| {
-            engine(workers, 50).sweep(
+            let eng = engine(workers, 50);
+            eng.sweep(
                 &(),
                 &items,
+                &eng.shard_plan(items.len()),
+                None,
                 |_| 0u64, // per-shard accumulator
                 |_, acc, scope, _, item| {
                     *acc += 1;
@@ -485,6 +382,7 @@ mod tests {
                     let noise: u64 = scope.rng().gen_range(0..1000);
                     TaskResult::Done(item.wrapping_mul(31) ^ noise ^ *acc)
                 },
+                |_, _| {},
             )
         };
         let one = run(1);
@@ -497,16 +395,18 @@ mod tests {
     #[test]
     fn retry_reruns_until_done() {
         let items = [0u32; 10];
-        let sweep = ScanEngine::new(EngineConfig {
+        let eng = ScanEngine::new(EngineConfig {
             workers: 2,
             shard_size: 4,
             retry: RetryPolicy::attempts(3),
             seed: 1,
             ..EngineConfig::default()
-        })
-        .sweep(
+        });
+        let sweep = eng.sweep(
             &(),
             &items,
+            &eng.shard_plan(items.len()),
+            None,
             |_| 0u32, // attempts seen by this shard's worker
             |_, seen, _, _, _| {
                 *seen += 1;
@@ -517,6 +417,7 @@ mod tests {
                     TaskResult::Retry(false)
                 }
             },
+            |_, _| {},
         );
         assert!(sweep.outputs.iter().all(|&done| done));
         assert_eq!(sweep.stats.attempts(), 20);
@@ -527,18 +428,21 @@ mod tests {
     #[test]
     fn exhausted_items_keep_their_fallback() {
         let items = [(); 5];
-        let sweep = ScanEngine::new(EngineConfig {
+        let eng = ScanEngine::new(EngineConfig {
             workers: 1,
             shard_size: 2,
             retry: RetryPolicy::attempts(3),
             seed: 1,
             ..EngineConfig::default()
-        })
-        .sweep(
+        });
+        let sweep = eng.sweep(
             &(),
             &items,
+            &eng.shard_plan(items.len()),
+            None,
             |_| (),
             |_, _, _, rank, _| TaskResult::<&str>::Retry(if rank == 3 { "boom" } else { "miss" }),
+            |_, _| {},
         );
         assert_eq!(sweep.outputs, ["miss", "miss", "miss", "boom", "miss"]);
         assert_eq!(sweep.stats.attempts(), 15);
@@ -550,14 +454,17 @@ mod tests {
     fn shard_rng_streams_are_stable_and_distinct() {
         let items = [(); 6];
         let draw = |workers: usize| {
-            engine(workers, 3)
-                .sweep(
-                    &(),
-                    &items,
-                    |_| (),
-                    |_, _, scope, _, _| TaskResult::Done(scope.rng().gen_range(0u64..u64::MAX)),
-                )
-                .outputs
+            let eng = engine(workers, 3);
+            eng.sweep(
+                &(),
+                &items,
+                &eng.shard_plan(items.len()),
+                None,
+                |_| (),
+                |_, _, scope, _, _| TaskResult::Done(scope.rng().gen_range(0u64..u64::MAX)),
+                |_, _| {},
+            )
+            .outputs
         };
         let a = draw(1);
         let b = draw(2);
@@ -570,9 +477,12 @@ mod tests {
     fn finish_hook_exports_worker_state_per_shard() {
         let items: Vec<u64> = (0..100).collect();
         let run = |workers: usize| {
-            engine(workers, 16).sweep_with_finish(
+            let eng = engine(workers, 16);
+            eng.sweep(
                 &(),
                 &items,
+                &eng.shard_plan(items.len()),
+                None,
                 |_| 0u64, // worker: per-shard accumulated "queries"
                 |_, acc, _, _, item| {
                     *acc += item % 3;
@@ -611,12 +521,19 @@ mod tests {
         let eng = engine(4, 32);
         let plan = eng.shard_plan(items.len());
         assert_eq!(plan.len(), 8);
-        let full = eng.sweep_with_finish(&(), &items, |_| 0u64, task, finish);
+        let full = eng.sweep(&(), &items, &plan, None, |_| 0u64, task, finish);
 
         // Run a subset (unsorted, with a duplicate) and compare each selected
         // shard's outputs and stats against the full sweep, slot for slot.
-        let partial =
-            eng.sweep_selected_with_finish(&(), &items, &[6, 1, 3, 1], |_| 0u64, task, finish);
+        let partial = eng.sweep(
+            &(),
+            &items,
+            &plan,
+            Some(&[6, 1, 3, 1]),
+            |_| 0u64,
+            task,
+            finish,
+        );
         let chosen = [1usize, 3, 6];
         let expected: Vec<u64> = chosen
             .iter()
@@ -636,9 +553,10 @@ mod tests {
             TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 20))
         };
         let eng = engine(2, 16);
-        let all: Vec<usize> = (0..eng.shard_plan(items.len()).len()).collect();
-        let full = eng.sweep_with_finish(&(), &items, |_| (), task, |_, _| {});
-        let sel = eng.sweep_selected_with_finish(&(), &items, &all, |_| (), task, |_, _| {});
+        let plan = eng.shard_plan(items.len());
+        let all: Vec<usize> = (0..plan.len()).collect();
+        let full = eng.sweep(&(), &items, &plan, None, |_| (), task, |_, _| {});
+        let sel = eng.sweep(&(), &items, &plan, Some(&all), |_| (), task, |_, _| {});
         assert_eq!(full.outputs, sel.outputs);
         assert_eq!(full.stats.shards, sel.stats.shards);
     }
@@ -646,10 +564,12 @@ mod tests {
     #[test]
     fn selecting_no_shards_is_an_empty_sweep() {
         let items: Vec<u64> = (0..50).collect();
-        let sweep = engine(2, 16).sweep_selected_with_finish(
+        let eng = engine(2, 16);
+        let sweep = eng.sweep(
             &(),
             &items,
-            &[],
+            &eng.shard_plan(items.len()),
+            Some(&[]),
             |_| (),
             |_, _, _, _, _| TaskResult::Done(0u64),
             |_, _| {},
@@ -659,9 +579,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "selected shard 4 out of range (4 shards)")]
+    fn selecting_past_the_plan_panics() {
+        let items: Vec<u64> = (0..64).collect();
+        let eng = engine(1, 16);
+        eng.sweep(
+            &(),
+            &items,
+            &eng.shard_plan(items.len()),
+            Some(&[1, 4]),
+            |_| (),
+            |_, _, _, _, _| TaskResult::Done(0u64),
+            |_, _| {},
+        );
+    }
+
+    #[test]
     fn empty_input_yields_empty_sweep() {
         let items: [u8; 0] = [];
-        let sweep = engine(4, 512).sweep(&(), &items, |_| (), |_, _, _, _, _| TaskResult::Done(0));
+        let eng = engine(4, 512);
+        let sweep = eng.sweep(
+            &(),
+            &items,
+            &eng.shard_plan(items.len()),
+            None,
+            |_| (),
+            |_, _, _, _, _| TaskResult::Done(0),
+            |_, _| {},
+        );
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
         assert_eq!(sweep.stats.items(), 0);
@@ -671,21 +616,24 @@ mod tests {
     fn finer_granularity_is_still_worker_count_invariant() {
         let items: Vec<u64> = (0..500).collect();
         let run = |workers: usize| {
-            ScanEngine::new(EngineConfig {
+            let eng = ScanEngine::new(EngineConfig {
                 workers,
                 shard_size: 64,
                 shards_per_worker: 4,
                 seed: 11,
                 ..EngineConfig::default()
-            })
-            .sweep(
+            });
+            eng.sweep(
                 &(),
                 &items,
+                &eng.shard_plan(items.len()),
+                None,
                 |_| (),
                 |_, _, scope, _, item| {
                     let noise: u64 = scope.rng().gen_range(0..1 << 20);
                     TaskResult::Done(item ^ noise)
                 },
+                |_, _| {},
             )
         };
         let one = run(1);
@@ -708,32 +656,48 @@ mod tests {
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
             TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 16))
         };
-        let plain = ScanEngine::new(config.clone()).sweep(&(), &items, |_| (), task);
+        let run = |eng: ScanEngine| {
+            let plan = eng.shard_plan(items.len());
+            eng.sweep(&(), &items, &plan, None, |_| (), task, |_, _| {})
+        };
+        let plain = run(ScanEngine::new(config.clone()));
         // A pool smaller than the configured workers: the sweep shrinks
         // to its grant, output doesn't move.
         let pool = crate::pool::WorkerPool::new(2);
-        let pooled = ScanEngine::with_pool(config, pool.clone()).sweep(&(), &items, |_| (), task);
+        let pooled = run(ScanEngine::with_pool(config, pool.clone()));
         assert_eq!(plain.outputs, pooled.outputs);
         assert_eq!(plain.stats.shards, pooled.stats.shards);
         assert!(pooled.stats.workers <= 2, "sweep ran on the grant");
         assert_eq!(pool.available(), 2, "grant returned on sweep end");
     }
 
+    /// A one-task-per-shard sweep over `shard_count` unit shards, as the
+    /// per-block classification sweep runs it.
+    fn unit_sweep(eng: &ScanEngine, shard_count: usize, selected: &[usize]) -> Vec<(usize, u64)> {
+        let shards: Vec<usize> = (0..shard_count).collect();
+        eng.sweep(
+            &(),
+            &shards,
+            &crate::plan_shards(shard_count, 1),
+            Some(selected),
+            |_| (),
+            |_, (), scope, _, &shard| {
+                assert_eq!(scope.shard(), shard);
+                TaskResult::Done((shard, scope.rng().gen_range(0u64..1 << 32)))
+            },
+            |(), _| {},
+        )
+        .outputs
+    }
+
     #[test]
-    fn sweep_shards_is_worker_count_invariant() {
+    fn unit_plan_sweep_is_worker_count_invariant() {
         // One task per shard, any subset, any worker count: outputs land
         // in ascending shard order with original shard identity.
         let selected = [7usize, 2, 2, 11, 0];
         let runs: Vec<Vec<(usize, u64)>> = [1usize, 3, 8]
             .into_iter()
-            .map(|workers| {
-                engine(workers, 64)
-                    .sweep_shards(&(), 13, &selected, |_, scope, shard| {
-                        assert_eq!(scope.shard(), shard);
-                        (shard, scope.rng().gen_range(0u64..1 << 32))
-                    })
-                    .outputs
-            })
+            .map(|workers| unit_sweep(&engine(workers, 64), 13, &selected))
             .collect();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
@@ -742,15 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_shards_subset_matches_full_run() {
-        let full =
-            engine(4, 64).sweep_shards(&(), 9, &(0..9).collect::<Vec<_>>(), |_, scope, s| {
-                (s, scope.rng().gen_range(0u64..1 << 32))
-            });
-        let subset = engine(4, 64).sweep_shards(&(), 9, &[3, 6], |_, scope, s| {
-            (s, scope.rng().gen_range(0u64..1 << 32))
-        });
-        assert_eq!(subset.outputs, [full.outputs[3], full.outputs[6]]);
+    fn unit_plan_subset_matches_full_run() {
+        let full = unit_sweep(&engine(4, 64), 9, &(0..9).collect::<Vec<_>>());
+        let subset = unit_sweep(&engine(4, 64), 9, &[3, 6]);
+        assert_eq!(subset, [full[3], full[6]]);
     }
 
     #[test]
@@ -758,14 +717,18 @@ mod tests {
         // The per-shard accumulator never sees items from another shard,
         // no matter how shards are scheduled onto threads.
         let items = [(); 12];
-        let sweep = engine(3, 4).sweep(
+        let eng = engine(3, 4);
+        let sweep = eng.sweep(
             &(),
             &items,
+            &eng.shard_plan(items.len()),
+            None,
             |_| 0u32,
             |_, seen, _, _, _| {
                 *seen += 1;
                 TaskResult::Done(*seen)
             },
+            |_, _| {},
         );
         assert_eq!(sweep.outputs, [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4]);
     }

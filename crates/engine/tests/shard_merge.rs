@@ -37,8 +37,11 @@ proptest! {
         let sweep = engine.sweep(
             &(),
             &items,
+            &engine.shard_plan(items.len()),
+            None,
             |_| (),
             |_, _, _, rank, item| TaskResult::Done((rank, *item)),
+            |_, _| {},
         );
         let expected: Vec<(usize, u64)> =
             items.iter().copied().enumerate().collect();
@@ -54,16 +57,18 @@ proptest! {
         seed in proptest::arbitrary::any::<u64>(),
     ) {
         let run = |workers: usize| {
-            ScanEngine::new(EngineConfig {
+            let engine = ScanEngine::new(EngineConfig {
                 workers,
                 shard_size,
                 retry: RetryPolicy::attempts(2),
                 seed,
                 ..EngineConfig::default()
-            })
-            .sweep(
+            });
+            engine.sweep(
                 &(),
                 &items,
+                &engine.shard_plan(items.len()),
+                None,
                 |_| 0u64,
                 |_, acc, scope, rank, item| {
                     *acc = acc.wrapping_add(*item);
@@ -76,6 +81,7 @@ proptest! {
                         TaskResult::Done(item.wrapping_mul(roll) ^ *acc)
                     }
                 },
+                |_, _| {},
             )
         };
         let sequential = run(1);
@@ -92,15 +98,17 @@ proptest! {
         seed in proptest::arbitrary::any::<u64>(),
     ) {
         let run = |workers: usize| {
-            ScanEngine::new(EngineConfig {
+            let engine = ScanEngine::new(EngineConfig {
                 workers,
                 shard_size,
                 seed,
                 ..EngineConfig::default()
-            })
-            .sweep_with_finish(
+            });
+            engine.sweep(
                 &(),
                 &items,
+                &engine.shard_plan(items.len()),
+                None,
                 |_| 0u64,
                 |_, seen, scope, _rank, item| {
                     *seen += 1;

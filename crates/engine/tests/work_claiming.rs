@@ -50,9 +50,12 @@ fn static_plan_reference(items: &[u64], config: &EngineConfig) -> (Vec<u64>, Vec
 /// Runs the engine with per-shard sleeps injected from `skews_us`
 /// (microseconds, indexed by shard modulo the skew table).
 fn claiming_run(items: &[u64], config: &EngineConfig, skews_us: &[u16]) -> (Vec<u64>, Vec<u64>) {
-    let sweep = ScanEngine::new(config.clone()).sweep(
+    let engine = ScanEngine::new(config.clone());
+    let sweep = engine.sweep(
         &(),
         items,
+        &engine.shard_plan(items.len()),
+        None,
         |_| 0u64,
         |_, acc, scope, _, item| {
             *acc += 1;
@@ -66,6 +69,7 @@ fn claiming_run(items: &[u64], config: &EngineConfig, skews_us: &[u16]) -> (Vec<
             let noise: u64 = scope.rng().gen_range(0..1 << 24);
             TaskResult::Done(mix(*item, noise, *acc))
         },
+        |_, _| {},
     );
     let queries = sweep.stats.shards.iter().map(|s| s.queries).collect();
     (sweep.outputs, queries)

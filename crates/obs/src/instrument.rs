@@ -40,8 +40,9 @@ pub const QUERY_CACHE_HIT: &str = "query.cache.hit";
 /// Canonical counter name for classification-cache lookups that had to
 /// classify a block (first sight, or the block's backing changed).
 pub const QUERY_CACHE_MISS: &str = "query.cache.miss";
-/// Canonical counter name for distinct classified columns held by a
-/// classification cache.
+/// Canonical counter name for classified columns held by a
+/// classification cache. The cache keeps one round, so this is at most
+/// the last classified round's block count.
 pub const QUERY_CACHE_ENTRIES: &str = "query.cache.entries";
 /// Canonical counter name for sites a provider posting-list index marks
 /// as ever-adopting (labeled per provider).

@@ -9,7 +9,7 @@
 //! through the shared [`ShardClassCache`]: clean shards reuse the cached
 //! column (an `Arc` clone, no disk read, no classification), dirty
 //! shards fan out through the deterministic work-claiming engine
-//! ([`remnant_engine::ScanEngine::sweep_shards`]) so the merged columns
+//! ([`remnant_engine::ScanEngine::sweep`], one task per block) so the merged columns
 //! are byte-identical at any worker count.
 //!
 //! While classifying, the store builds per-provider posting lists — one
@@ -158,6 +158,8 @@ pub struct ClassifiedStore<'a> {
     index: ProviderIndex,
     cache_hits: u64,
     cache_misses: u64,
+    /// Columns the cache held when the build finished: the last round's
+    /// blocks (the cache keeps one round).
     cache_entries: usize,
 }
 

@@ -6,8 +6,8 @@
 
 use std::path::PathBuf;
 
-use remnant_core::study::{CollectionMode, PaperStudy, StudyConfig, StudyReport};
-use remnant_core::{DnsSnapshot, SpillConfig};
+use remnant_core::study::{CollectionMode, StudyConfig, StudyReport};
+use remnant_core::{DnsSnapshot, SpillConfig, StudySession};
 use remnant_query::{
     PassesPlan, PlanContext, RecordClass, RoundKind, SnapshotStore, StoreError,
     UnchangedCandidatesPlan,
@@ -44,9 +44,13 @@ fn run_campaign(
     let config = config.build().expect("valid study config");
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let mut snapshots = Vec::new();
-    let report = PaperStudy::new(config).run_with(&mut world, |snapshot| {
-        snapshots.push(snapshot.clone());
-    });
+    let report = StudySession::new(config, &world).run(
+        &mut world,
+        &mut |snapshot| {
+            snapshots.push(snapshot.clone());
+        },
+        None,
+    );
     (snapshots, report, dir)
 }
 

@@ -31,7 +31,7 @@ fn main() {
     let mut cf_scanner = CloudflareScanner::new(world.clock(), "cloudflare");
     let mut last_snapshot = None;
     for day in 0..14 {
-        let snapshot = collector.collect(&mut world, &targets, day);
+        let snapshot = collector.collect(&world, &targets, day);
         history.feed(&snapshot);
         cf_scanner.harvest_fleet(&mut world, &snapshot);
         last_snapshot = Some(snapshot);

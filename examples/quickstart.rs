@@ -7,7 +7,8 @@
 //! ```
 
 use remnant::core::report::percent;
-use remnant::core::study::{PaperStudy, StudyConfig};
+use remnant::core::study::StudyConfig;
+use remnant::core::StudySession;
 use remnant::world::{BehaviorKind, World, WorldConfig};
 
 fn main() {
@@ -21,11 +22,11 @@ fn main() {
     );
 
     // Two weeks of daily collection + weekly residual scans.
-    let study = PaperStudy::new(StudyConfig {
+    let config = StudyConfig {
         weeks: 2,
         ..StudyConfig::default()
-    });
-    let report = study.run(&mut world);
+    };
+    let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
 
     println!("\n== DPS adoption (Sec IV-B, Fig 2) ==");
     println!(

@@ -28,7 +28,7 @@ fn main() {
 
     // --- Harvest phase (the attacker's reconnaissance). ---
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &targets, 0);
+    let snapshot = collector.collect(&world, &targets, 0);
     let mut cf = CloudflareScanner::new(world.clock(), "cloudflare");
     cf.harvest_fleet(&mut world, &snapshot);
     let mut inc = IncapsulaScanner::new(world.clock(), "incapdns");

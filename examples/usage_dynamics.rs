@@ -30,7 +30,7 @@ fn main() {
 
     println!("day  ON      OFF   NONE    J    L    P    R    S");
     for day in 0..21 {
-        let snapshot = collector.collect(&mut world, &targets, day);
+        let snapshot = collector.collect(&world, &targets, day);
         passes.observe(day, &snapshot);
         let classes = detector.classify_snapshot(&snapshot);
 

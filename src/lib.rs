@@ -27,13 +27,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use remnant::core::study::{PaperStudy, StudyConfig};
+//! use remnant::core::study::StudyConfig;
+//! use remnant::core::StudySession;
 //! use remnant::world::{World, WorldConfig};
 //!
 //! // A small Internet, one-week study.
 //! let mut world = World::generate(WorldConfig::small(42));
-//! let report = PaperStudy::new(StudyConfig { weeks: 1, ..StudyConfig::default() })
-//!     .run(&mut world);
+//! let config = StudyConfig { weeks: 1, ..StudyConfig::default() };
+//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
 //! println!(
 //!     "adoption {:.2}%, hidden records {}, verified origins {}",
 //!     report.adoption().overall_rate * 100.0,

@@ -5,7 +5,8 @@
 
 use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::residual::{CloudflareScanner, FilterPipeline};
-use remnant::core::study::{PaperStudy, StudyConfig};
+use remnant::core::study::StudyConfig;
+use remnant::core::StudySession;
 use remnant::core::SCANNER_SOURCE;
 use remnant::dns::transport::{StaticTransport, ROOT_SERVER};
 use remnant::dns::{
@@ -88,14 +89,14 @@ fn resolver_survives_flapping_nameservers() {
 fn collector_records_empty_sites_instead_of_failing() {
     // A world where nothing exists for a probed name: the collector must
     // produce empty records, and classification must call it NONE.
-    let mut world = generate(20);
+    let world = generate(20);
     let mut fake_targets = targets(&world);
     fake_targets.push((
         "ghost-domain.org".parse().unwrap(),
         "www.ghost-domain.org".parse().unwrap(),
     ));
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &fake_targets, 0);
+    let snapshot = collector.collect(&world, &fake_targets, 0);
     let ghost = snapshot.site(fake_targets.len() - 1).unwrap();
     assert!(ghost.is_empty());
     let detector = remnant::core::BehaviorDetector::new();
@@ -165,7 +166,7 @@ fn firewalled_and_dynamic_sites_reduce_verification_not_detection() {
 
     let targets = targets(&world);
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &targets, 0);
+    let snapshot = collector.collect(&world, &targets, 0);
     let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
     scanner.harvest_fleet(&mut world, &snapshot);
 
@@ -217,12 +218,15 @@ fn study_survives_a_world_with_zero_adoption() {
         warmup_days: 0,
         calibration,
     });
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 1,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = StudySession::new(
+        StudyConfig {
+            weeks: 1,
+            uneven_intervals: false,
+            ..StudyConfig::default()
+        },
+        &world,
+    )
+    .run(&mut world, &mut |_| {}, None);
     assert_eq!(report.adoption().overall_rate, 0.0);
     assert_eq!(report.residual().fleet_size, 0, "nothing to harvest");
     assert_eq!(report.residual().cloudflare.exposure.total_hidden(), 0);

@@ -2,7 +2,8 @@
 //! (which only sees DNS answers and HTTP bodies, like the authors') must
 //! recover the synthetic world's ground truth.
 
-use remnant::core::study::{PaperStudy, StudyConfig};
+use remnant::core::study::{StudyConfig, StudyReport};
+use remnant::core::StudySession;
 use remnant::provider::ProviderId;
 use remnant::world::{BehaviorKind, World, WorldConfig};
 
@@ -15,6 +16,16 @@ fn generate(population: usize, seed: u64) -> World {
     })
 }
 
+/// A campaign of `weeks` weeks at exact 24h intervals.
+fn study(world: &mut World, weeks: u32) -> StudyReport {
+    let config = StudyConfig {
+        weeks,
+        uneven_intervals: false,
+        ..StudyConfig::default()
+    };
+    StudySession::new(config, world).run(world, &mut |_| {}, None)
+}
+
 #[test]
 fn measured_adoption_matches_ground_truth() {
     let mut world = generate(8_000, 1);
@@ -23,12 +34,7 @@ fn measured_adoption_matches_ground_truth() {
         .iter()
         .filter(|s| s.state.is_enrolled())
         .count();
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 1,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = study(&mut world, 1);
 
     let measured = report.adoption().first_day_rate * 8_000.0;
     let diff = (measured - truth_enrolled as f64).abs();
@@ -46,12 +52,7 @@ fn measured_provider_shares_match_ground_truth() {
         .iter()
         .map(|p| world.provider(*p).customer_count())
         .sum();
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 1,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = study(&mut world, 1);
 
     let measured_cf = report.adoption().avg_by_provider[ProviderId::Cloudflare.index()].1;
     let measured_total: f64 = report
@@ -72,12 +73,7 @@ fn measured_provider_shares_match_ground_truth() {
 fn observed_behaviors_track_ground_truth_events() {
     let mut world = generate(30_000, 3);
     world.clear_events();
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 3,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = study(&mut world, 3);
 
     // Ground truth events during the study window.
     let truth: std::collections::HashMap<BehaviorKind, usize> = BehaviorKind::ALL
@@ -108,12 +104,7 @@ fn observed_behaviors_track_ground_truth_events() {
 #[test]
 fn verified_origins_are_never_false_positives() {
     let mut world = generate(20_000, 4);
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 2,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = study(&mut world, 2);
 
     // Every verified hidden record must point at an address that is (or
     // was) genuinely the site's origin — cross-check against the world.
@@ -142,12 +133,7 @@ fn verified_origins_are_never_false_positives() {
 fn hidden_records_only_come_from_past_cloudflare_customers() {
     let mut world = generate(20_000, 5);
     world.clear_events();
-    let report = PaperStudy::new(StudyConfig {
-        weeks: 2,
-        uneven_intervals: false,
-        ..StudyConfig::default()
-    })
-    .run(&mut world);
+    let report = study(&mut world, 2);
 
     for weekly in &report.residual().cloudflare.weekly {
         for record in &weekly.hidden {
@@ -170,12 +156,7 @@ fn hidden_records_only_come_from_past_cloudflare_customers() {
 fn deterministic_worlds_yield_deterministic_reports() {
     let run = |seed: u64| {
         let mut world = generate(3_000, seed);
-        let report = PaperStudy::new(StudyConfig {
-            weeks: 1,
-            uneven_intervals: false,
-            ..StudyConfig::default()
-        })
-        .run(&mut world);
+        let report = study(&mut world, 1);
         (
             report.adoption().overall_rate,
             report.residual().cloudflare.exposure.total_hidden(),

@@ -193,7 +193,7 @@ fn incapsula_remnant_lifecycle() {
 
     // Harvest the token while the customer is active.
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let snapshot = collector.collect(&mut world, &targets, 0);
+    let snapshot = collector.collect(&world, &targets, 0);
     let mut scanner = IncapsulaScanner::new(world.clock(), "incapdns");
     scanner.harvest(&snapshot);
 
