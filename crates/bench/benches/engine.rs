@@ -10,19 +10,13 @@ use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::world::{World, WorldConfig};
 
-/// Population for the sweep benchmarks. Override with
-/// `ENGINE_BENCH_POPULATION` (e.g. 1000000 for a full-scale measurement).
-fn population() -> usize {
-    std::env::var("ENGINE_BENCH_POPULATION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000)
-}
+/// Population for the sweep benchmarks. A full-scale measurement is
+/// `repro fig2 --sites 1000000`, which reports wall time and peak RSS.
+const POPULATION: usize = 100_000;
 
 fn bench_engine(c: &mut Criterion) {
-    let population = population();
     let world = World::generate(WorldConfig {
-        population,
+        population: POPULATION,
         seed: 7,
         warmup_days: 0,
         calibration: remnant::world::Calibration::paper(),
@@ -41,12 +35,12 @@ fn bench_engine(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(population as u64));
+    group.throughput(Throughput::Elements(POPULATION as u64));
     for workers in worker_counts {
         let engine = ScanEngine::new(
             EngineConfig::with_workers(workers, 7).expect("worker count validated above"),
         );
-        group.bench_function(format!("collect_{population}_workers_{workers}"), |b| {
+        group.bench_function(format!("collect_{POPULATION}_workers_{workers}"), |b| {
             b.iter(|| collector.collect_with(&engine, &world, &targets, 0));
         });
     }

@@ -41,6 +41,11 @@
 //! directory is validated (created, probed for writability) before the
 //! study starts; `--sites` is an alias of `--population`.
 //!
+//! The `study done in …` stderr line ends with `peak_rss_bytes=<n>`, the
+//! kernel's `VmHWM` high-water mark for this process (omitted where
+//! procfs is missing). Like the elapsed time it is wall-clock-side and
+//! never enters `--metrics`.
+//!
 //! `query` re-runs the snapshot-derivable analyses (Fig 2–6 plus the
 //! residual-scan timeline) from a spill directory left behind by a
 //! previous `--spill-dir` run — no collection, no world: the rounds
@@ -71,6 +76,7 @@
 use std::process::ExitCode;
 
 use remnant::core::study::CollectionMode;
+use remnant_bench::perf::peak_rss_bytes;
 use remnant_bench::{
     render_ablation, render_fig1, render_fig2, render_fig2_adoption, render_fig3,
     render_fig3_behaviors, render_fig4, render_fig4_behaviors, render_fig5, render_fig5_pauses,
@@ -487,10 +493,14 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let (world, report) = run_study(&config);
     eprintln!(
-        "study done in {:.1}s ({} DNS queries, {} HTTP requests served)",
+        "study done in {:.1}s ({} DNS queries, {} HTTP requests served){}",
         started.elapsed().as_secs_f64(),
         world.traffic_stats().0,
-        world.traffic_stats().1
+        world.traffic_stats().1,
+        match peak_rss_bytes() {
+            Some(bytes) => format!(" peak_rss_bytes={bytes}"),
+            None => String::new(),
+        }
     );
     if config.collection_mode == CollectionMode::Delta {
         let collection = report.collection();

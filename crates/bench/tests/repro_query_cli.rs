@@ -2,7 +2,8 @@
 //! campaign (`repro fig2 --spill-dir D`), then `repro query --spill-dir D`
 //! must print exactly Figs 2–6 plus the residual-scan timeline as rendered
 //! in-process from a `PlanContext` over the same directory. The removed
-//! `--uncached` flag must be rejected like any other unknown flag.
+//! `--uncached` flag must be rejected like any other unknown flag. A study
+//! run reports its peak RSS on stderr, never in the rendered figures.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -96,4 +97,27 @@ fn uncached_flag_is_gone() {
     assert!(stderr.contains("unknown flag"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no figures on a rejected flag");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn study_reports_peak_rss_on_stderr_only() {
+    let out = repro(&["fig2", "--sites", "200", "--weeks", "1"]);
+    assert!(
+        out.status.success(),
+        "study failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("peak_rss_bytes"), "stdout: {stdout}");
+    if cfg!(target_os = "linux") {
+        let peak: u64 = stderr
+            .lines()
+            .find(|l| l.starts_with("study done in "))
+            .and_then(|l| l.split_once("peak_rss_bytes="))
+            .and_then(|(_, rest)| rest.split_whitespace().next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no peak_rss_bytes=<n> on the study line: {stderr}"));
+        assert!(peak > 0, "stderr: {stderr}");
+    }
 }

@@ -204,13 +204,6 @@ impl<S: DnsService> ServerCore<S> {
         self.handle(frame, None)
     }
 
-    /// Pre-resolves `name`/`rtype` into the encoded-answer cache, so
-    /// benchmarks and tests can separate cold resolution from the serve
-    /// hot path.
-    pub fn warm(&self, query: &Query) {
-        let _ = self.lookup_or_resolve(query.name.as_str(), query.rtype);
-    }
-
     fn handle(&self, packet: &[u8], udp_limit: Option<usize>) -> Option<Vec<u8>> {
         if packet.len() < HEADER_LEN || packet.len() > MAX_REQUEST {
             return self.malformed();
