@@ -90,7 +90,7 @@ fn bench_name_ops(c: &mut Criterion) {
 }
 
 fn bench_cache_hits(c: &mut Criterion) {
-    let mut world = World::generate(WorldConfig {
+    let world = World::generate(WorldConfig {
         population: 500,
         seed: 7,
         warmup_days: 0,
@@ -101,7 +101,7 @@ fn bench_cache_hits(c: &mut Criterion) {
     let mut resolver = RecursiveResolver::new(clock, Region::Ashburn);
     // Warm the cache once; the loop below then measures pure hit cost.
     for name in &names {
-        let _ = resolver.resolve(&mut world, name, RecordType::A);
+        let _ = resolver.resolve(&world, name, RecordType::A);
     }
 
     let mut group = c.benchmark_group("cache");
@@ -111,7 +111,7 @@ fn bench_cache_hits(c: &mut Criterion) {
             for name in &names {
                 black_box(
                     resolver
-                        .resolve(&mut world, name, RecordType::A)
+                        .resolve(&world, name, RecordType::A)
                         .expect("cached"),
                 );
             }

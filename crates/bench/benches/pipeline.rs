@@ -32,23 +32,24 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("harvest_fleet", |b| {
         b.iter(|| {
             let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
-            scanner.harvest_fleet(&mut world, &snapshot);
+            scanner.harvest_fleet(&world, &snapshot);
             scanner.fleet_size()
         });
     });
 
     let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
-    scanner.harvest_fleet(&mut world, &snapshot);
+    scanner.harvest_fleet(&world, &snapshot);
 
+    let one_worker = ScanEngine::new(EngineConfig::default());
     group.bench_function("direct_scan_2k_sites", |b| {
         let mut week = 0;
         b.iter(|| {
             week += 1;
-            scanner.scan(&mut world, &targets, week)
+            scanner.scan_with(&one_worker, &world, &targets, week)
         });
     });
 
-    let raw = scanner.scan(&mut world, &targets, 0);
+    let (raw, _) = scanner.scan_with(&one_worker, &world, &targets, 0);
     group.bench_function("filter_pipeline", |b| {
         let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
         b.iter(|| pipeline.run(&mut world, ProviderId::Cloudflare, 0, &raw, &targets));

@@ -10,7 +10,7 @@ use remnant::provider::ProviderId;
 use remnant::world::{World, WorldConfig};
 
 fn bench_resolution(c: &mut Criterion) {
-    let mut world = World::generate(WorldConfig {
+    let world = World::generate(WorldConfig {
         population: 2_000,
         seed: 1,
         warmup_days: 0,
@@ -29,7 +29,7 @@ fn bench_resolution(c: &mut Criterion) {
             let name = &names[i % names.len()];
             i += 1;
             resolver
-                .resolve(&mut world, name, RecordType::A)
+                .resolve(&world, name, RecordType::A)
                 .expect("world resolves")
         });
     });
@@ -37,10 +37,10 @@ fn bench_resolution(c: &mut Criterion) {
     group.bench_function("recursive_cached", |b| {
         let mut resolver = RecursiveResolver::new(clock.clone(), Region::Ashburn);
         let name = &names[0];
-        let _ = resolver.resolve(&mut world, name, RecordType::A);
+        let _ = resolver.resolve(&world, name, RecordType::A);
         b.iter(|| {
             resolver
-                .resolve(&mut world, name, RecordType::A)
+                .resolve(&world, name, RecordType::A)
                 .expect("cached")
         });
     });

@@ -54,7 +54,7 @@ fn bench_straggler(c: &mut Criterion) {
     // Contiguous chunks of the same plan, statically assigned, merged in
     // plan order.
     let static_run = || -> Vec<u64> {
-        let shards = plan_shards(items.len(), config.effective_shard_size());
+        let shards = plan_shards(items.len(), config.shard_size);
         let chunk = shards.len().div_ceil(WORKERS).max(1);
         let mut slots: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards

@@ -21,7 +21,7 @@ use remnant::world::{Calibration, World, WorldConfig};
 const FIXTURES: usize = 64;
 
 fn bench_wire(c: &mut Criterion) {
-    let mut world = World::generate(WorldConfig {
+    let world = World::generate(WorldConfig {
         population: 2_000,
         seed: 3,
         warmup_days: 14,
@@ -39,7 +39,7 @@ fn bench_wire(c: &mut Criterion) {
         .map(|name| {
             let query = Query::new(name.clone(), RecordType::A);
             let resolution = resolver
-                .resolve(&mut world, name, RecordType::A)
+                .resolve(&world, name, RecordType::A)
                 .expect("world resolves its own portals");
             let response = Response {
                 query: query.clone(),

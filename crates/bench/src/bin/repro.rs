@@ -179,7 +179,7 @@ fn serve(seed: u64, population: usize, bind: &str, duration: Option<u64>) -> Exi
     use remnant::dns::RecursiveResolver;
     use remnant::net::Region;
     use remnant::obs::{Instrumented, MetricsRegistry};
-    use remnant::wire::{ResolverService, ServerCore, SharedTransport, WireServer};
+    use remnant::wire::{ResolverService, ServerCore, WireServer};
     use remnant::world::{Calibration, World, WorldConfig};
 
     eprintln!("serve: generating world ({population} sites, seed {seed})...");
@@ -195,7 +195,7 @@ fn serve(seed: u64, population: usize, bind: &str, duration: Option<u64>) -> Exi
         .map(|s| s.www.to_string())
         .unwrap_or_default();
     let resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-    let service = ResolverService::new(resolver, SharedTransport(Arc::clone(&world)));
+    let service = ResolverService::new(resolver, Arc::clone(&world));
     let core = Arc::new(ServerCore::new(service));
     let server = match WireServer::start(Arc::clone(&core), bind) {
         Ok(server) => server,

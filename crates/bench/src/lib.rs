@@ -6,7 +6,7 @@
 //! variant taking just that sub-report, so the live study's output and a
 //! query plan's output (the [`AdoptionReport`] in
 //! `remnant::query::PassesPlan`'s aggregates, say) render through the
-//! identical code path — the byte-identity the legacy-vs-query differential tests pin.
+//! identical code path — the byte-identity the live-vs-query differential tests pin.
 //! The `StudyReport`-taking functions delegate to them.
 //!
 //! Counts depend on population size; each rendered count is accompanied by
@@ -859,6 +859,7 @@ pub fn render_ablation(config: &ReproConfig) -> String {
     use remnant::core::collector::{RecordCollector, Target};
     use remnant::core::residual::{CloudflareScanner, FilterPipeline};
     use remnant::core::SCANNER_SOURCE;
+    use remnant::engine::{EngineConfig, ScanEngine};
     use remnant::net::Region;
     use remnant::provider::{ProviderId, ResidualPolicy, ServicePlan};
     use remnant::sim::SimDuration;
@@ -876,7 +877,8 @@ pub fn render_ablation(config: &ReproConfig) -> String {
         let snapshot = collector.collect(world, &targets, 0);
         let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
         scanner.harvest_fleet(world, &snapshot);
-        let raw = scanner.scan(world, &targets, 0);
+        let engine = ScanEngine::new(EngineConfig::default());
+        let (raw, _) = scanner.scan_with(&engine, world, &targets, 0);
         let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
         let report = pipeline.run(world, ProviderId::Cloudflare, 0, &raw, &targets);
         (report.hidden.len(), report.verified.len())

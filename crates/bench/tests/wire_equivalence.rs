@@ -5,13 +5,13 @@
 //! ambient nondeterminism on the wire path, shows up here as a diff.
 
 use remnant::core::RecordCollector;
-use remnant::dns::{DomainName, QueryStats, ShardableTransport};
+use remnant::dns::{DnsTransport, DomainName, QueryStats};
 use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::wire::WireTransport;
 use remnant::world::{World, WorldConfig};
 
-fn snapshot_with<T: ShardableTransport>(world: &World, transport: &T, workers: usize) -> String {
+fn snapshot_with<T: DnsTransport + Sync>(world: &World, transport: &T, workers: usize) -> String {
     let engine = ScanEngine::new(EngineConfig {
         workers,
         shard_size: 128,
@@ -67,8 +67,8 @@ fn wire_path_is_byte_identical_to_in_process_at_any_worker_count() {
     );
 
     // Exchange totals match too, at both worker counts.
-    let stats_1 = ShardableTransport::query_stats(&wire_1_transport);
-    let stats_8 = ShardableTransport::query_stats(&wire_8_transport);
+    let stats_1 = wire_1_transport.query_stats();
+    let stats_8 = wire_8_transport.query_stats();
     assert_eq!(stats_1, stats_8);
     assert_ne!(stats_1, QueryStats::default());
 }

@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use remnant_dns::{
     CountingTransport, DnsTransport, DomainName, Instrumented, RecordType, RecursiveResolver,
-    ShardableTransport, ZoneGenerationProbe,
+    ZoneGenerationProbe,
 };
 use remnant_engine::{
     EngineConfig, ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats, TaskResult,
@@ -100,7 +100,7 @@ impl RecordCollector {
     ///
     /// Per-site failures (timeouts, NXDOMAIN) are recorded as empty
     /// [`SiteRecords`] — one dead site must not abort a million-site sweep.
-    pub fn collect<T: ShardableTransport>(
+    pub fn collect<T: DnsTransport + Sync>(
         &mut self,
         transport: &T,
         targets: &[Target],
@@ -121,7 +121,7 @@ impl RecordCollector {
     /// counter surface (per-qtype queries, delegation depths, cache
     /// hits/misses/expirations) into the shard's metrics once at shard
     /// end — off the per-item hot path.
-    pub fn collect_with<T: ShardableTransport>(
+    pub fn collect_with<T: DnsTransport + Sync>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -146,7 +146,7 @@ impl RecordCollector {
     ///
     /// Returns [`SpillError`] if the spill directory or round file cannot
     /// be created or written.
-    pub fn collect_spilled<T: ShardableTransport>(
+    pub fn collect_spilled<T: DnsTransport + Sync>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -215,7 +215,7 @@ impl DeltaCollector {
     /// [`RecordCollector::collect_with`] would — byte-identical, including
     /// per-shard counters; only the (nondeterministic, never-reported)
     /// wall times differ — plus the round's reuse accounting.
-    pub fn collect_with<T: ShardableTransport + ZoneGenerationProbe>(
+    pub fn collect_with<T: DnsTransport + Sync + ZoneGenerationProbe>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -240,7 +240,7 @@ impl DeltaCollector {
     ///
     /// Returns [`SpillError`] if the spill directory or round file cannot
     /// be created or written.
-    pub fn collect_spilled<T: ShardableTransport + ZoneGenerationProbe>(
+    pub fn collect_spilled<T: DnsTransport + Sync + ZoneGenerationProbe>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -392,7 +392,7 @@ impl Collector {
 
     /// One round: probes zone generations first in delta mode, then runs
     /// [`Collector::round`]. In memory when `spill` is `None`.
-    pub(crate) fn collect<T: ShardableTransport + ZoneGenerationProbe>(
+    pub(crate) fn collect<T: DnsTransport + Sync + ZoneGenerationProbe>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -410,7 +410,7 @@ impl Collector {
     /// The collection routine: select → sweep → sink → splice (see the
     /// module docs). Shards are selected against `generations` in delta
     /// mode; without them every shard runs.
-    fn round<T: ShardableTransport>(
+    fn round<T: DnsTransport + Sync>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -422,9 +422,9 @@ impl Collector {
         let round_index = self.rounds;
         self.rounds += 1;
         let plan = engine.shard_plan(targets.len());
-        // Blocks are cut at the plan's shard size, which is the shard
-        // size divided by `shards_per_worker`.
-        let block_size = engine.config().effective_shard_size();
+        // Blocks are cut at the plan's shard size (`plan_shards` clamps
+        // it to at least one site).
+        let block_size = engine.config().shard_size.max(1);
         let selection = match (&self.delta, &generations) {
             (Some(delta), Some(generations)) => {
                 delta.select(&plan, generations, block_size, u64::from(round_index))
@@ -569,21 +569,21 @@ fn in_memory<R>(round: Result<R, SpillError>) -> R {
 
 /// The engine task of every collection round: A + CNAME chain for the
 /// www host, NS for the apex.
-fn site_task<T: ShardableTransport + ?Sized>(
+fn site_task<T: DnsTransport + ?Sized>(
     transport: &T,
     resolver: &mut RecursiveResolver,
     scope: &mut ShardScope,
     _rank: usize,
     (apex, www): &Target,
 ) -> TaskResult<SiteRecords> {
-    let mut counting = CountingTransport::new(transport);
+    let counting = CountingTransport::new(transport);
     let (hits_before, misses_before) = resolver.cache().stats();
     let mut records = SiteRecords::default();
-    if let Ok(res) = resolver.resolve(&mut counting, www, RecordType::A) {
+    if let Ok(res) = resolver.resolve(&counting, www, RecordType::A) {
         records.a = res.addresses();
         records.cnames = res.cnames();
     }
-    if let Ok(res) = resolver.resolve(&mut counting, apex, RecordType::Ns) {
+    if let Ok(res) = resolver.resolve(&counting, apex, RecordType::Ns) {
         records.ns = res.ns_hosts();
     }
     let (hits_after, misses_after) = resolver.cache().stats();

@@ -4,7 +4,11 @@
 //!
 //! Two studies make up the paper, and both are drivable end to end against
 //! any [`remnant_dns::DnsTransport`] + [`remnant_http::HttpTransport`]
-//! (in practice the simulated Internet of `remnant-world`):
+//! (in practice the simulated Internet of `remnant-world`). DNS goes
+//! through one `&self` query path, so the collector and both residual
+//! scanners shard one transport over the [`remnant_engine::ScanEngine`]'s
+//! workers (`T: DnsTransport + Sync`); only HTTP verification needs the
+//! transport exclusively:
 //!
 //! **1. DPS usage dynamics (Sec IV).** A daily [`collector::RecordCollector`]
 //! gathers A/CNAME/NS records for every target site from a cache-purged

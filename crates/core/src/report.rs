@@ -3,9 +3,9 @@
 //!
 //! Every renderable piece — a [`TextTable`], a [`CdfFigure`], a
 //! [`SeriesFigure`] — implements the [`Rendered`] trait, and a
-//! [`FigureBuilder`] composes pieces into one figure string. Legacy
-//! passes and query-layer plans share this single rendering path, which
-//! is what makes their outputs byte-comparable.
+//! [`FigureBuilder`] composes pieces into one figure string. The live
+//! passes and the query-layer plans share this single rendering path,
+//! which is what makes their outputs byte-comparable.
 
 use std::fmt::Write as _;
 

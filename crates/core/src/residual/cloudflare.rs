@@ -4,9 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
-use remnant_dns::{
-    DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver, ShardableTransport,
-};
+use remnant_dns::{DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver};
 use remnant_engine::{ScanEngine, SweepStats, TaskResult};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
@@ -63,7 +61,11 @@ impl CloudflareScanner {
 
     /// Harvests fleet hostnames from one usage-study snapshot, resolving
     /// the addresses of newly seen hosts.
-    pub fn harvest_fleet<T: DnsTransport>(&mut self, transport: &mut T, snapshot: &DnsSnapshot) {
+    pub fn harvest_fleet<T: DnsTransport + ?Sized>(
+        &mut self,
+        transport: &T,
+        snapshot: &DnsSnapshot,
+    ) {
         let mut new_hosts: Vec<DomainName> = Vec::new();
         for loaded in snapshot.blocks() {
             for site in loaded.block.sites() {
@@ -85,50 +87,16 @@ impl CloudflareScanner {
         }
     }
 
-    /// One weekly direct scan: for every target, sends the `www A` query
-    /// straight to one fleet nameserver (rotating servers and vantage
-    /// points). Returns only the sites whose query was *answered with
-    /// records* — the fleet ignores everything else (Sec V-A.2).
-    pub fn scan<T: DnsTransport>(
-        &mut self,
-        transport: &mut T,
-        targets: &[Target],
-        week: u32,
-    ) -> HashMap<usize, Vec<Ipv4Addr>> {
-        let servers: Vec<Ipv4Addr> = self.fleet.values().copied().collect();
-        let mut results = HashMap::new();
-        if servers.is_empty() {
-            return results;
-        }
-        for (rank, (_apex, www)) in targets.iter().enumerate() {
-            // Rotate the fleet (offset by week so reruns spread load
-            // differently) — "randomly-chosen nameservers" in the paper;
-            // any server answers for any customer on an anycast fleet.
-            let server = servers[(rank + week as usize) % servers.len()];
-            let region = self.vantage.region_for(rank as u64);
-            let query = Query::new(www.clone(), RecordType::A);
-            self.queries_sent += 1;
-            self.vantage.note_issued(1);
-            let Some(response) = transport.query(self.clock.now(), server, region, &query) else {
-                continue; // ignored: the server holds no record
-            };
-            self.responses += 1;
-            if response.rcode == Rcode::NoError {
-                let addrs = response.answer_addresses();
-                if !addrs.is_empty() {
-                    results.insert(rank, addrs);
-                }
-            }
-        }
-        results
-    }
-
-    /// [`scan`](Self::scan), sharded over `engine`'s workers.
+    /// One weekly direct scan, sharded over `engine`'s workers: for every
+    /// target, sends the `www A` query straight to one fleet nameserver
+    /// (rotating servers and vantage points). Returns only the sites whose
+    /// query was *answered with records* — the fleet ignores everything
+    /// else (Sec V-A.2).
     ///
     /// Server rotation and vantage assignment are pure functions of the
     /// target's rank, so the result map and every deterministic counter are
-    /// identical to a sequential scan — and to any other worker count.
-    pub fn scan_with<T: ShardableTransport>(
+    /// identical for any worker count.
+    pub fn scan_with<T: DnsTransport + Sync + ?Sized>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -148,12 +116,16 @@ impl CloudflareScanner {
             None,
             |_shard| (),
             |transport, (), scope, rank, (_apex, www)| {
+                // Rotate the fleet (offset by week so reruns spread load
+                // differently) — "randomly-chosen nameservers" in the
+                // paper; any server answers for any customer on an anycast
+                // fleet.
                 let server = servers[(rank + week as usize) % servers.len()];
                 let region = vantage.region_for(rank as u64);
                 let query = Query::new(www.clone(), RecordType::A);
                 scope.add_queries(1);
                 let addrs = transport
-                    .query_shared(now, server, region, &query)
+                    .query(now, server, region, &query)
                     .map(|response| match response.rcode {
                         Rcode::NoError => response.answer_addresses(),
                         _ => Vec::new(),
@@ -194,6 +166,7 @@ impl Instrumented for CloudflareScanner {
 mod tests {
     use super::*;
     use crate::collector::RecordCollector;
+    use remnant_engine::EngineConfig;
     use remnant_provider::{ProviderId, ReroutingMethod, ServicePlan};
     use remnant_world::{SiteState, World, WorldConfig};
 
@@ -214,6 +187,43 @@ mod tests {
             .collect()
     }
 
+    /// One weekly scan on a one-worker engine.
+    fn scan(
+        scanner: &mut CloudflareScanner,
+        w: &World,
+        targets: &[Target],
+        week: u32,
+    ) -> HashMap<usize, Vec<Ipv4Addr>> {
+        let engine = ScanEngine::new(EngineConfig::default());
+        scanner.scan_with(&engine, w, targets, week).0
+    }
+
+    /// The naive sequential scan, as a test oracle: one direct query per
+    /// target in rank order, through the scanner's fleet rotation and
+    /// vantage points, without touching its counters.
+    fn sequential_scan(
+        scanner: &CloudflareScanner,
+        w: &World,
+        targets: &[Target],
+        week: u32,
+    ) -> HashMap<usize, Vec<Ipv4Addr>> {
+        let servers: Vec<Ipv4Addr> = scanner.fleet.values().copied().collect();
+        let mut results = HashMap::new();
+        for (rank, (_apex, www)) in targets.iter().enumerate() {
+            let server = servers[(rank + week as usize) % servers.len()];
+            let region = scanner.vantage.region_for(rank as u64);
+            let query = Query::new(www.clone(), RecordType::A);
+            let Some(response) = w.query(scanner.clock.now(), server, region, &query) else {
+                continue;
+            };
+            let addrs = response.answer_addresses();
+            if response.rcode == Rcode::NoError && !addrs.is_empty() {
+                results.insert(rank, addrs);
+            }
+        }
+        results
+    }
+
     /// `(sent, answered)` read back off the unified counter surface.
     fn scan_counters(scanner: &CloudflareScanner) -> (u64, u64) {
         let counters = scanner.counters();
@@ -232,12 +242,12 @@ mod tests {
 
     #[test]
     fn fleet_harvest_discovers_assigned_nameservers() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
+        scanner.harvest_fleet(&w, &snapshot);
         assert!(
             scanner.fleet_size() > 10,
             "fleet {} too small",
@@ -251,13 +261,13 @@ mod tests {
 
     #[test]
     fn active_customers_answer_with_edge_addresses() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
-        let results = scanner.scan(&mut w, &targets, 0);
+        scanner.harvest_fleet(&w, &snapshot);
+        let results = scan(&mut scanner, &w, &targets, 0);
         assert!(!results.is_empty(), "active customers respond");
         // All answered sites are (or recently were) Cloudflare-involved.
         let cf = w.provider(ProviderId::Cloudflare);
@@ -272,13 +282,13 @@ mod tests {
 
     #[test]
     fn non_customers_are_ignored() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
-        let results = scanner.scan(&mut w, &targets, 0);
+        scanner.harvest_fleet(&w, &snapshot);
+        let results = scan(&mut scanner, &w, &targets, 0);
         let plain_site = w
             .sites()
             .iter()
@@ -296,7 +306,7 @@ mod tests {
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
+        scanner.harvest_fleet(&w, &snapshot);
 
         // A Cloudflare NS customer switches to Fastly, informing Cloudflare.
         let victim = w
@@ -324,7 +334,7 @@ mod tests {
         );
         w.step_days(1);
 
-        let results = scanner.scan(&mut w, &targets, 1);
+        let results = scan(&mut scanner, &w, &targets, 1);
         let revealed = results
             .get(&(victim.id.0 as usize))
             .expect("previous provider still answers");
@@ -337,16 +347,14 @@ mod tests {
 
     #[test]
     fn sharded_scan_matches_sequential() {
-        use remnant_engine::EngineConfig;
-
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
+        scanner.harvest_fleet(&w, &snapshot);
 
-        let sequential = scanner.scan(&mut w, &targets, 0);
+        let sequential = sequential_scan(&scanner, &w, &targets, 0);
         let engine = |workers| {
             ScanEngine::new(EngineConfig {
                 workers,
@@ -365,15 +373,15 @@ mod tests {
         assert_eq!(s1.shards, s8.shards);
         assert_eq!(s1.queries(), targets.len() as u64);
         let (sent, answered) = scan_counters(&scanner);
-        assert_eq!(sent, 3 * targets.len() as u64);
+        assert_eq!(sent, 2 * targets.len() as u64);
         assert!(answered < sent);
     }
 
     #[test]
     fn scan_without_fleet_is_empty() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        assert!(scanner.scan(&mut w, &targets, 0).is_empty());
+        assert!(scan(&mut scanner, &w, &targets, 0).is_empty());
     }
 }

@@ -202,6 +202,7 @@ mod tests {
     use crate::collector::RecordCollector;
     use crate::residual::CloudflareScanner;
     use crate::SCANNER_SOURCE;
+    use remnant_engine::{EngineConfig, ScanEngine};
     use remnant_provider::{ReroutingMethod, ServicePlan};
     use remnant_world::{SiteState, World, WorldConfig};
 
@@ -222,6 +223,16 @@ mod tests {
             .collect()
     }
 
+    /// One weekly Cloudflare scan on a one-worker engine.
+    fn scan(
+        scanner: &mut CloudflareScanner,
+        world: &World,
+        targets: &[Target],
+    ) -> HashMap<usize, Vec<Ipv4Addr>> {
+        let engine = ScanEngine::new(EngineConfig::default());
+        scanner.scan_with(&engine, world, targets, 0).0
+    }
+
     fn pipeline(world: &World) -> FilterPipeline {
         FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE)
     }
@@ -238,7 +249,7 @@ mod tests {
         let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
         scanner.harvest_fleet(world, &snapshot);
         mutate(world);
-        let raw = scanner.scan(world, &targets, 0);
+        let raw = scan(&mut scanner, world, &targets);
         let report = pipeline(world).run(world, ProviderId::Cloudflare, 0, &raw, &targets);
         (report, targets)
     }
@@ -345,7 +356,7 @@ mod tests {
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = CloudflareScanner::new(w.clock(), "cloudflare");
-        scanner.harvest_fleet(&mut w, &snapshot);
+        scanner.harvest_fleet(&w, &snapshot);
         w.force_switch(
             victim.id,
             ProviderId::Fastly,
@@ -354,7 +365,7 @@ mod tests {
             true,
         );
         w.step_days(1);
-        let raw = scanner.scan(&mut w, &targets, 0);
+        let raw = scan(&mut scanner, &w, &targets);
         let mut p = pipeline(&w);
         let report = p.run(&mut w, ProviderId::Cloudflare, 0, &raw, &targets);
 

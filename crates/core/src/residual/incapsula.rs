@@ -4,9 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
-use remnant_dns::{
-    CountingTransport, DnsTransport, DomainName, RecordType, RecursiveResolver, ShardableTransport,
-};
+use remnant_dns::{CountingTransport, DnsTransport, DomainName, RecordType, RecursiveResolver};
 use remnant_engine::{ScanEngine, SweepStats, TaskResult};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
@@ -27,7 +25,6 @@ pub struct IncapsulaScanner {
     cname_substring: String,
     /// Harvested tokens: site rank -> token name.
     harvested: BTreeMap<usize, DomainName>,
-    resolver: RecursiveResolver,
     queries: u64,
     /// Tokens whose resolution still produced addresses.
     answered: u64,
@@ -40,7 +37,6 @@ impl IncapsulaScanner {
         IncapsulaScanner {
             cname_substring: cname_substring.into(),
             harvested: BTreeMap::new(),
-            resolver: RecursiveResolver::new(clock.clone(), Region::Ashburn),
             clock,
             queries: 0,
             answered: 0,
@@ -73,30 +69,14 @@ impl IncapsulaScanner {
         }
     }
 
-    /// One weekly scan: resolves every harvested token's A record. Tokens
-    /// that no longer resolve (rotated or purged) yield nothing.
-    pub fn scan<T: DnsTransport>(&mut self, transport: &mut T) -> HashMap<usize, Vec<Ipv4Addr>> {
-        self.resolver.purge_cache();
-        let mut results = HashMap::new();
-        for (rank, token) in &self.harvested {
-            self.queries += 1;
-            if let Ok(res) = self.resolver.resolve(transport, token, RecordType::A) {
-                let addrs = res.addresses();
-                if !addrs.is_empty() {
-                    self.answered += 1;
-                    results.insert(*rank, addrs);
-                }
-            }
-        }
-        results
-    }
-
-    /// [`scan`](Self::scan), sharded over `engine`'s workers.
+    /// One weekly scan, sharded over `engine`'s workers: resolves every
+    /// harvested token's A record. Tokens that no longer resolve (rotated
+    /// or purged) yield nothing.
     ///
     /// Each shard resolves through its own fresh cache-cold resolver, so
-    /// the result map is identical to a sequential post-purge scan for
-    /// every worker count.
-    pub fn scan_with<T: ShardableTransport>(
+    /// the result map is identical to a sequential scan after a cache
+    /// purge, for every worker count.
+    pub fn scan_with<T: DnsTransport + Sync + ?Sized>(
         &mut self,
         engine: &ScanEngine,
         transport: &T,
@@ -114,10 +94,10 @@ impl IncapsulaScanner {
             None,
             |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
             |transport, resolver, scope, _i, (rank, token)| {
-                let mut counting = CountingTransport::new(transport);
+                let counting = CountingTransport::new(transport);
                 let (hits_before, misses_before) = resolver.cache().stats();
                 let addrs = resolver
-                    .resolve(&mut counting, token, RecordType::A)
+                    .resolve(&counting, token, RecordType::A)
                     .map(|res| res.addresses())
                     .unwrap_or_default();
                 let (hits_after, misses_after) = resolver.cache().stats();
@@ -157,6 +137,7 @@ impl Instrumented for IncapsulaScanner {
 mod tests {
     use super::*;
     use crate::collector::{RecordCollector, Target};
+    use remnant_engine::EngineConfig;
     use remnant_provider::{ProviderId, ReroutingMethod, ServicePlan};
     use remnant_world::{SiteState, World, WorldConfig};
 
@@ -175,6 +156,30 @@ mod tests {
             .iter()
             .map(|s| (s.apex.clone(), s.www.clone()))
             .collect()
+    }
+
+    /// One weekly scan on a one-worker engine.
+    fn scan(scanner: &mut IncapsulaScanner, w: &World) -> HashMap<usize, Vec<Ipv4Addr>> {
+        scanner
+            .scan_with(&ScanEngine::new(EngineConfig::default()), w)
+            .0
+    }
+
+    /// The naive sequential scan, as a test oracle: every harvested token
+    /// through one cache-cold resolver, in rank order, without touching
+    /// the scanner's counters.
+    fn sequential_scan(scanner: &IncapsulaScanner, w: &World) -> HashMap<usize, Vec<Ipv4Addr>> {
+        let mut resolver = RecursiveResolver::new(scanner.clock.clone(), Region::Ashburn);
+        let mut results = HashMap::new();
+        for (rank, token) in scanner.harvested() {
+            if let Ok(res) = resolver.resolve(w, token, RecordType::A) {
+                let addrs = res.addresses();
+                if !addrs.is_empty() {
+                    results.insert(rank, addrs);
+                }
+            }
+        }
+        results
     }
 
     fn incapsula_site(w: &World) -> remnant_world::Website {
@@ -213,13 +218,13 @@ mod tests {
 
     #[test]
     fn active_tokens_resolve_to_edges() {
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
-        let results = scanner.scan(&mut w);
+        let results = scan(&mut scanner, &w);
         assert!(!results.is_empty());
         let incap = w.provider(ProviderId::Incapsula);
         for addrs in results.values() {
@@ -246,7 +251,7 @@ mod tests {
         );
         w.step_days(3);
 
-        let results = scanner.scan(&mut w);
+        let results = scan(&mut scanner, &w);
         let revealed = results
             .get(&(victim.id.0 as usize))
             .expect("stale token still resolves");
@@ -255,16 +260,14 @@ mod tests {
 
     #[test]
     fn sharded_scan_matches_sequential() {
-        use remnant_engine::{EngineConfig, ScanEngine};
-
-        let mut w = world();
+        let w = world();
         let targets = targets(&w);
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
         let snapshot = collector.collect(&w, &targets, 0);
         let mut scanner = IncapsulaScanner::new(w.clock(), "incapdns");
         scanner.harvest(&snapshot);
 
-        let sequential = scanner.scan(&mut w);
+        let sequential = sequential_scan(&scanner, &w);
         let engine = |workers| {
             ScanEngine::new(EngineConfig {
                 workers,
@@ -287,7 +290,7 @@ mod tests {
             .find(|(k, _)| *k == MetricKey::named(remnant_obs::TRANSPORT_SENT))
             .map(|(_, v)| *v)
             .expect("sent counter present");
-        assert_eq!(sent, 3 * scanner.harvested_count() as u64);
+        assert_eq!(sent, 2 * scanner.harvested_count() as u64);
     }
 
     #[test]
@@ -312,7 +315,7 @@ mod tests {
         );
         w.step_days(1);
 
-        let results = scanner.scan(&mut w);
+        let results = scan(&mut scanner, &w);
         assert!(
             !results.contains_key(&(victim.id.0 as usize)),
             "old token must be NXDOMAIN after rotation"

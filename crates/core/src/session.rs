@@ -44,9 +44,8 @@ use crate::SCANNER_SOURCE;
 /// Carries the session's cumulative [`CollectionReport`] and a full
 /// [`ObsReport`] snapshot — the same payloads the final [`StudyReport`]
 /// exposes, taken mid-flight — so a consumer can render live counters
-/// without touching the session. Everything here is deterministic except
-/// nothing: the payload is built purely from session state on virtual
-/// time.
+/// without touching the session. Every field is deterministic: the
+/// payload is built purely from session state on virtual time.
 #[derive(Clone, Debug)]
 pub struct RoundProgress {
     /// The emitting session's id (its index in a service batch; 0 for a

@@ -307,7 +307,7 @@ mod tests {
         let site = w.sites()[0].clone();
         let now = w.now();
         let q = remnant_dns::Query::new(site.www.clone(), RecordType::A);
-        let _ = DnsTransport::query(&mut w, now, Ipv4Addr::new(1, 1, 1, 1), Region::Oregon, &q);
+        let _ = DnsTransport::query(&w, now, Ipv4Addr::new(1, 1, 1, 1), Region::Oregon, &q);
         let mut verifier = HtmlVerifier::new(SCANNER_SOURCE);
         let _ = verifier.verify(&mut w, now, site.www.as_str(), site.origin, site.origin);
     }

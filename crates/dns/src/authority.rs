@@ -16,11 +16,11 @@ use crate::zone::{Zone, ZoneAnswer};
 /// answer *policies* (including the residual-resolution misbehavior).
 pub trait Authoritative {
     /// Answers `query` at virtual time `now`, or ignores it (`None`).
-    fn answer(&mut self, now: SimTime, query: &Query) -> Option<Response>;
+    fn answer(&self, now: SimTime, query: &Query) -> Option<Response>;
 }
 
 impl<T: Authoritative + ?Sized> Authoritative for Box<T> {
-    fn answer(&mut self, now: SimTime, query: &Query) -> Option<Response> {
+    fn answer(&self, now: SimTime, query: &Query) -> Option<Response> {
         (**self).answer(now, query)
     }
 }
@@ -43,7 +43,7 @@ impl<T: Authoritative + ?Sized> Authoritative for Box<T> {
 /// zone.add(ResourceRecord::new(
 ///     apex.prepend("www")?, Ttl::secs(300), RecordData::A("203.0.113.9".parse()?),
 /// ));
-/// let mut server = ZoneServer::new(vec![zone]);
+/// let server = ZoneServer::new(vec![zone]);
 /// let resp = server
 ///     .answer(SimTime::EPOCH, &Query::new(apex.prepend("www")?, RecordType::A))
 ///     .expect("zone servers always respond");
@@ -55,7 +55,6 @@ pub struct ZoneServer {
     /// Zones keyed by origin, so lookup is O(labels) not O(zones) — shared
     /// hosting servers carry many thousands of zones.
     zones: std::collections::HashMap<crate::name::DomainName, Zone>,
-    queries_served: u64,
 }
 
 impl ZoneServer {
@@ -63,7 +62,6 @@ impl ZoneServer {
     pub fn new(zones: Vec<Zone>) -> Self {
         ZoneServer {
             zones: zones.into_iter().map(|z| (z.origin().clone(), z)).collect(),
-            queries_served: 0,
         }
     }
 
@@ -90,11 +88,6 @@ impl ZoneServer {
     /// Number of zones hosted.
     pub fn zone_count(&self) -> usize {
         self.zones.len()
-    }
-
-    /// Number of queries this server has answered or refused.
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served
     }
 
     /// The most specific zone covering `name`.
@@ -133,8 +126,7 @@ impl ZoneServer {
 }
 
 impl Authoritative for ZoneServer {
-    fn answer(&mut self, _now: SimTime, query: &Query) -> Option<Response> {
-        self.queries_served += 1;
+    fn answer(&self, _now: SimTime, query: &Query) -> Option<Response> {
         let response = match self.best_zone(&query.name) {
             Some(zone) => Self::respond(zone, query, zone.lookup(&query.name, query.rtype)),
             None => Response::empty(query.clone(), Rcode::Refused),
@@ -165,7 +157,7 @@ mod tests {
 
     #[test]
     fn answers_known_names() {
-        let mut s = server();
+        let s = server();
         let resp = s
             .answer(
                 SimTime::EPOCH,
@@ -174,12 +166,11 @@ mod tests {
             .unwrap();
         assert_eq!(resp.rcode, Rcode::NoError);
         assert_eq!(resp.answer_addresses().len(), 1);
-        assert_eq!(s.queries_served(), 1);
     }
 
     #[test]
     fn refuses_foreign_names() {
-        let mut s = server();
+        let s = server();
         let resp = s
             .answer(
                 SimTime::EPOCH,
@@ -191,7 +182,7 @@ mod tests {
 
     #[test]
     fn nxdomain_inside_zone() {
-        let mut s = server();
+        let s = server();
         let resp = s
             .answer(
                 SimTime::EPOCH,
@@ -214,7 +205,7 @@ mod tests {
             Ttl::secs(300),
             RecordData::A([1, 2, 3, 4].into()),
         ));
-        let mut s = ZoneServer::new(vec![zone]);
+        let s = ZoneServer::new(vec![zone]);
         let resp = s
             .answer(
                 SimTime::EPOCH,
@@ -242,7 +233,7 @@ mod tests {
             Ttl::secs(60),
             RecordData::A([2, 2, 2, 2].into()),
         ));
-        let mut s = ZoneServer::new(vec![parent, child]);
+        let s = ZoneServer::new(vec![parent, child]);
         let resp = s
             .answer(
                 SimTime::EPOCH,
@@ -268,7 +259,7 @@ mod tests {
             Ttl::days(2),
             RecordData::A([9, 9, 9, 9].into()),
         ));
-        let mut s = ZoneServer::new(vec![zone]);
+        let s = ZoneServer::new(vec![zone]);
         let resp = s
             .answer(
                 SimTime::EPOCH,

@@ -17,7 +17,10 @@
 //!   thing a website administrator edits when delegating to, or leaving,
 //!   an NS-based DPS provider;
 //! * a caching, CNAME-chasing, delegation-following [`RecursiveResolver`]
-//!   over an abstract [`DnsTransport`]. Resolver caches honor TTLs against
+//!   over an abstract [`DnsTransport`] — one `&self` query path, so a
+//!   single transport (the simulated world) serves every scan worker at
+//!   once, and [`CountingTransport`] gives each shard its own query
+//!   counts. Resolver caches honor TTLs against
 //!   the simulation clock and can be purged before each measurement round,
 //!   exactly as the paper's EC2 collector did (Sec IV-B.1). Stale cached NS
 //!   records naturally keep steering queries to a previous provider after a
@@ -53,7 +56,7 @@
 //! transport.add_server(ns_ip, ZoneServer::new(vec![zone]));
 //!
 //! let mut resolver = RecursiveResolver::new(clock, Region::Oregon);
-//! let res = resolver.resolve(&mut transport, &www, RecordType::A)?;
+//! let res = resolver.resolve(&transport, &www, RecordType::A)?;
 //! assert_eq!(res.addresses(), vec!["203.0.113.10".parse::<std::net::Ipv4Addr>()?]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -78,7 +81,5 @@ pub use record::{empty_record_set, RecordData, RecordSet, RecordType, ResourceRe
 pub use registry::{Registry, ZoneGenerationProbe};
 pub use remnant_obs::Instrumented;
 pub use resolver::{RecursiveResolver, Resolution, ResolverStats};
-pub use transport::{
-    CountingTransport, DnsTransport, QueryStats, ShardableTransport, StaticTransport,
-};
+pub use transport::{CountingTransport, DnsTransport, QueryStats, StaticTransport};
 pub use zone::{Zone, ZoneAnswer};

@@ -54,7 +54,6 @@ pub struct Registry {
     /// and kept after removal, so re-registering an apex never repeats an old
     /// generation. Compared only for equality (see [`ZoneGenerationProbe`]).
     generations: BTreeMap<DomainName, u64>,
-    queries_served: u64,
 }
 
 /// A cheap probe for "has this apex's authoritative data changed?".
@@ -140,11 +139,6 @@ impl Registry {
         self.delegations.is_empty()
     }
 
-    /// Number of queries served via [`Authoritative::answer`].
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served
-    }
-
     /// Builds the referral response for `query` against `apex`/`delegation`.
     fn referral_for(query: &Query, apex: &DomainName, delegation: &Delegation) -> Response {
         let authority = delegation
@@ -169,8 +163,7 @@ impl Authoritative for Registry {
     /// Answers like a TLD server: referrals for registered names, NXDOMAIN
     /// for unregistered ones. Never ignores a query — the registry models
     /// well-run TLD infrastructure.
-    fn answer(&mut self, _now: SimTime, query: &Query) -> Option<Response> {
-        self.queries_served += 1;
+    fn answer(&self, _now: SimTime, query: &Query) -> Option<Response> {
         match self.covering_delegation(&query.name) {
             Some((apex, delegation)) => Some(Self::referral_for(query, &apex, delegation)),
             None => Some(Response::empty(query.clone(), Rcode::NxDomain)),
@@ -208,7 +201,7 @@ mod tests {
 
     #[test]
     fn referral_includes_ns_and_glue() {
-        let mut r = registry();
+        let r = registry();
         let resp = r
             .answer(
                 SimTime::EPOCH,
@@ -225,7 +218,7 @@ mod tests {
 
     #[test]
     fn unregistered_is_nxdomain() {
-        let mut r = registry();
+        let r = registry();
         let resp = r
             .answer(
                 SimTime::EPOCH,
@@ -308,8 +301,7 @@ mod tests {
             vec![(name("ns.fast.com"), Ipv4Addr::new(1, 1, 1, 1))],
             Ttl::secs(60),
         );
-        let mut r2 = r.clone();
-        let resp = r2
+        let resp = r
             .answer(SimTime::EPOCH, &Query::new(name("fast.com"), RecordType::A))
             .unwrap();
         assert_eq!(resp.authority[0].ttl, Ttl::secs(60));

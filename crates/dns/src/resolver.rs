@@ -205,9 +205,9 @@ impl RecursiveResolver {
     ///
     /// * [`DnsError::Timeout`] — no nameserver answered after fallback;
     /// * [`DnsError::CnameChain`] — alias chain too long or looping.
-    pub fn resolve<T: DnsTransport>(
+    pub fn resolve<T: DnsTransport + ?Sized>(
         &mut self,
-        transport: &mut T,
+        transport: &T,
         name: &DomainName,
         rtype: RecordType,
     ) -> Result<Resolution, DnsError> {
@@ -351,9 +351,9 @@ impl RecursiveResolver {
     /// # Errors
     ///
     /// Propagates [`RecursiveResolver::resolve`] errors.
-    pub fn resolve_addresses<T: DnsTransport>(
+    pub fn resolve_addresses<T: DnsTransport + ?Sized>(
         &mut self,
-        transport: &mut T,
+        transport: &T,
         name: &DomainName,
     ) -> Result<Vec<Ipv4Addr>, DnsError> {
         Ok(self.resolve(transport, name, RecordType::A)?.addresses())
@@ -363,9 +363,9 @@ impl RecursiveResolver {
     /// recursion. This is the primitive the residual-resolution scanner
     /// uses to interrogate a previous provider's nameservers directly
     /// (Sec V-A.2).
-    pub fn query_direct<T: DnsTransport>(
+    pub fn query_direct<T: DnsTransport + ?Sized>(
         &self,
-        transport: &mut T,
+        transport: &T,
         server: Ipv4Addr,
         query: &Query,
     ) -> Option<Response> {
@@ -374,9 +374,9 @@ impl RecursiveResolver {
 
     /// Queries the authoritative hierarchy for `qname`/`rtype`, following
     /// referrals from the deepest cached delegation (or the root).
-    fn query_authoritative<T: DnsTransport>(
+    fn query_authoritative<T: DnsTransport + ?Sized>(
         &mut self,
-        transport: &mut T,
+        transport: &T,
         qname: &DomainName,
         rtype: RecordType,
     ) -> Result<Response, DnsError> {
@@ -409,9 +409,9 @@ impl RecursiveResolver {
 
     /// Starts iteration from the deepest cached delegation if one exists,
     /// else from the root.
-    fn try_from_cached_delegation<T: DnsTransport>(
+    fn try_from_cached_delegation<T: DnsTransport + ?Sized>(
         &mut self,
-        transport: &mut T,
+        transport: &T,
         qname: &DomainName,
         rtype: RecordType,
     ) -> Result<Response, DnsError> {
@@ -440,9 +440,9 @@ impl RecursiveResolver {
 
     /// Iterates from the servers in `self.servers`, following referrals
     /// until an authoritative answer (or terminal negative) arrives.
-    fn iterate<T: DnsTransport>(
+    fn iterate<T: DnsTransport + ?Sized>(
         &mut self,
-        transport: &mut T,
+        transport: &T,
         qname: &DomainName,
         rtype: RecordType,
     ) -> Result<Response, DnsError> {
@@ -584,9 +584,9 @@ mod tests {
 
     #[test]
     fn resolves_through_referral() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![WWW_IP]);
         assert_eq!(res.rcode, Rcode::NoError);
@@ -594,13 +594,13 @@ mod tests {
 
     #[test]
     fn second_resolution_is_served_from_cache() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         let sent_before = t.query_stats().sent;
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![WWW_IP]);
         assert_eq!(
@@ -612,28 +612,28 @@ mod tests {
 
     #[test]
     fn purge_forces_requery() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         r.purge_cache();
         let sent_before = t.query_stats().sent;
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert!(t.query_stats().sent > sent_before);
     }
 
     #[test]
     fn ttl_expiry_forces_requery_of_answer_only() {
-        let (mut t, mut r, clock) = world();
+        let (t, mut r, clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         clock.advance(SimDuration::secs(301)); // A expired, NS (1d) still live
         let sent_before = t.query_stats().sent;
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![WWW_IP]);
         // Exactly one query: straight to the cached delegation, no root trip.
@@ -642,9 +642,9 @@ mod tests {
 
     #[test]
     fn nxdomain_resolution() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let res = r
-            .resolve(&mut t, &name("gone.example.com"), RecordType::A)
+            .resolve(&t, &name("gone.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
         assert!(res.is_negative());
@@ -652,9 +652,9 @@ mod tests {
 
     #[test]
     fn unregistered_domain_is_nxdomain_from_root() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let res = r
-            .resolve(&mut t, &name("www.nowhere.org"), RecordType::A)
+            .resolve(&t, &name("www.nowhere.org"), RecordType::A)
             .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
     }
@@ -686,7 +686,7 @@ mod tests {
         let mut r = RecursiveResolver::new(clock, Region::London);
 
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.cnames(), vec![name("x7f3.incapdns.net")]);
         assert_eq!(res.addresses(), vec![Ipv4Addr::new(199, 83, 128, 7)]);
@@ -712,7 +712,7 @@ mod tests {
         t.add_server(NS_IP, ZoneServer::new(vec![zone]));
         let mut r = RecursiveResolver::new(clock, Region::Tokyo);
         let err = r
-            .resolve(&mut t, &name("a.loopy.com"), RecordType::A)
+            .resolve(&t, &name("a.loopy.com"), RecordType::A)
             .unwrap_err();
         assert!(matches!(err, DnsError::CnameChain { .. }));
 
@@ -720,7 +720,7 @@ mod tests {
         // without the network and must still see the loop.
         let sent_before = t.query_stats().sent;
         let err = r
-            .resolve(&mut t, &name("a.loopy.com"), RecordType::A)
+            .resolve(&t, &name("a.loopy.com"), RecordType::A)
             .unwrap_err();
         assert!(matches!(err, DnsError::CnameChain { .. }));
         assert_eq!(t.query_stats().sent, sent_before, "served from cache");
@@ -728,12 +728,12 @@ mod tests {
 
     #[test]
     fn repeated_resolution_shares_the_cached_records() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let first = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         let second = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(second.addresses(), vec![WWW_IP]);
         assert!(
@@ -779,7 +779,7 @@ mod tests {
         let expected = [www_alias, cdn_alias, terminal];
         for pass in ["network", "cache"] {
             let res = r
-                .resolve(&mut t, &name("www.example.com"), RecordType::A)
+                .resolve(&t, &name("www.example.com"), RecordType::A)
                 .unwrap();
             assert_eq!(&res.records[..], &expected[..], "{pass} pass");
         }
@@ -791,7 +791,7 @@ mod tests {
         // NS still points at the old server for its TTL.
         let (mut t, mut r, clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
 
         // The website switches to a new provider: registry now points at
@@ -810,7 +810,7 @@ mod tests {
         // server and still sees the old answer.
         clock.advance(SimDuration::secs(301));
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![WWW_IP], "stale NS served old data");
 
@@ -818,7 +818,7 @@ mod tests {
         // delegation TTL 2 days) fully expires, the new provider answers.
         clock.advance(SimDuration::days(3));
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![Ipv4Addr::new(99, 99, 99, 99)]);
     }
@@ -827,7 +827,7 @@ mod tests {
     fn dead_cached_delegation_falls_back_to_root() {
         let (mut t, mut r, clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
 
         // Old server goes dark; registry re-delegates to a live one.
@@ -844,7 +844,7 @@ mod tests {
 
         clock.advance(SimDuration::secs(301));
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![Ipv4Addr::new(99, 99, 99, 99)]);
     }
@@ -855,20 +855,20 @@ mod tests {
         t.set_unreachable(NS_IP);
         t.set_unreachable(crate::transport::ROOT_SERVER);
         let err = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap_err();
         assert!(matches!(err, DnsError::Timeout { .. }));
     }
 
     #[test]
     fn query_direct_bypasses_cache() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         let resp = r
             .query_direct(
-                &mut t,
+                &t,
                 NS_IP,
                 &Query::new(name("www.example.com"), RecordType::A),
             )
@@ -878,26 +878,22 @@ mod tests {
 
     #[test]
     fn ns_lookup_returns_apex_ns() {
-        let (mut t, mut r, _clock) = world();
-        let res = r
-            .resolve(&mut t, &name("example.com"), RecordType::Ns)
-            .unwrap();
+        let (t, mut r, _clock) = world();
+        let res = r.resolve(&t, &name("example.com"), RecordType::Ns).unwrap();
         assert_eq!(res.ns_hosts(), vec![name("ns1.host.net")]);
     }
 
     #[test]
     fn resolver_counters_track_qtype_depth_and_cache() {
-        let (mut t, mut r, clock) = world();
+        let (t, mut r, clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
-        let _ = r
-            .resolve(&mut t, &name("example.com"), RecordType::Ns)
-            .unwrap();
+        let _ = r.resolve(&t, &name("example.com"), RecordType::Ns).unwrap();
         // Expire the A answer so the next resolve records an expired miss.
         clock.advance(SimDuration::secs(301));
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
 
         assert_eq!(r.stats().queries_for(RecordType::A), 2);
@@ -934,7 +930,7 @@ mod tests {
     fn fallback_retry_is_counted() {
         let (mut t, mut r, clock) = world();
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         t.set_unreachable(NS_IP);
         t.registry_mut()
@@ -948,16 +944,16 @@ mod tests {
         t.add_server(NS2_IP, ZoneServer::new(vec![new_zone]));
         clock.advance(SimDuration::secs(301));
         let _ = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::A)
+            .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(r.stats().fallback_retries(), 1);
     }
 
     #[test]
     fn nodata_is_noerror_with_empty_records() {
-        let (mut t, mut r, _clock) = world();
+        let (t, mut r, _clock) = world();
         let res = r
-            .resolve(&mut t, &name("www.example.com"), RecordType::Mx)
+            .resolve(&t, &name("www.example.com"), RecordType::Mx)
             .unwrap();
         assert_eq!(res.rcode, Rcode::NoError);
         assert!(res.is_negative());

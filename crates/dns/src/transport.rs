@@ -7,8 +7,10 @@
 //! authoritative servers). [`StaticTransport`] is a simple implementation
 //! for unit tests and examples, with failure injection.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
@@ -56,6 +58,13 @@ impl Instrumented for QueryStats {
 }
 
 /// Delivers DNS queries to servers by IP address.
+///
+/// Querying takes `&self`: answering must be a logically read-only
+/// operation, so one transport (the simulated world) can serve any number
+/// of scan workers at once. Transports may still count traffic through
+/// interior mutability, but the answer to a query must not depend on what
+/// other queries are in flight. Share a transport across threads by
+/// bounding `T: DnsTransport + Sync`.
 pub trait DnsTransport {
     /// The registry (root) address queries should start from.
     fn root(&self) -> Ipv4Addr {
@@ -65,7 +74,7 @@ pub trait DnsTransport {
     /// Sends `query` to `server`, entering the network at `region`, at
     /// virtual time `now`. `None` models a dropped or ignored query.
     fn query(
-        &mut self,
+        &self,
         now: SimTime,
         server: Ipv4Addr,
         region: Region,
@@ -79,76 +88,26 @@ pub trait DnsTransport {
     }
 }
 
-/// A transport whose query path is safe to share across scan workers.
-///
-/// Answering must be a logically read-only operation: the transport may
-/// update internal counters through interior mutability, but the answer
-/// to a query must not depend on what other queries are in flight. Any
-/// `&T` where `T: ShardableTransport` is itself a [`DnsTransport`], so a
-/// per-worker `RecursiveResolver` can drive a shared transport without
-/// exclusive access.
-pub trait ShardableTransport: Sync {
-    /// The registry (root) address queries should start from.
+/// A borrowed transport is a transport, so adapters generic over
+/// `T: DnsTransport` (e.g. the wire codec's transport wrapper) can borrow
+/// a transport instead of owning it.
+impl<T: DnsTransport + ?Sized> DnsTransport for &T {
     fn root(&self) -> Ipv4Addr {
-        ROOT_SERVER
-    }
-
-    /// Sends `query` through a shared reference; see
-    /// [`DnsTransport::query`] for the semantics of `None`.
-    fn query_shared(
-        &self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response>;
-
-    /// Cumulative query counters (see [`DnsTransport::query_stats`]).
-    fn query_stats(&self) -> QueryStats {
-        QueryStats::default()
-    }
-}
-
-/// A shared reference to a shardable transport is itself shardable, so
-/// adapters generic over `T: ShardableTransport` (e.g. the wire codec's
-/// transport wrapper) can borrow a transport instead of owning it.
-impl<T: ShardableTransport + ?Sized> ShardableTransport for &T {
-    fn root(&self) -> Ipv4Addr {
-        ShardableTransport::root(*self)
-    }
-
-    fn query_shared(
-        &self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        (**self).query_shared(now, server, region, query)
-    }
-
-    fn query_stats(&self) -> QueryStats {
-        ShardableTransport::query_stats(*self)
-    }
-}
-
-impl<T: ShardableTransport + ?Sized> DnsTransport for &T {
-    fn root(&self) -> Ipv4Addr {
-        ShardableTransport::root(*self)
+        (**self).root()
     }
 
     fn query(
-        &mut self,
+        &self,
         now: SimTime,
         server: Ipv4Addr,
         region: Region,
         query: &Query,
     ) -> Option<Response> {
-        self.query_shared(now, server, region, query)
+        (**self).query(now, server, region, query)
     }
 
     fn query_stats(&self) -> QueryStats {
-        ShardableTransport::query_stats(*self)
+        (**self).query_stats()
     }
 }
 
@@ -157,59 +116,59 @@ impl<T: ShardableTransport + ?Sized> DnsTransport for &T {
 ///
 /// Scan workers wrap the shared world in one of these per shard, giving
 /// deterministic per-shard query counts without contending on a global
-/// counter.
+/// counter. The counters are plain [`Cell`]s: a view belongs to one shard.
 #[derive(Debug)]
-pub struct CountingTransport<'a, T: ShardableTransport + ?Sized> {
+pub struct CountingTransport<'a, T: DnsTransport + ?Sized> {
     inner: &'a T,
-    sent: u64,
-    answered: u64,
+    sent: Cell<u64>,
+    answered: Cell<u64>,
 }
 
-impl<'a, T: ShardableTransport + ?Sized> CountingTransport<'a, T> {
+impl<'a, T: DnsTransport + ?Sized> CountingTransport<'a, T> {
     /// Wraps `inner`, starting all counters at zero.
     pub fn new(inner: &'a T) -> Self {
         CountingTransport {
             inner,
-            sent: 0,
-            answered: 0,
+            sent: Cell::new(0),
+            answered: Cell::new(0),
         }
     }
 }
 
-impl<T: ShardableTransport + ?Sized> Instrumented for CountingTransport<'_, T> {
+impl<T: DnsTransport + ?Sized> Instrumented for CountingTransport<'_, T> {
     fn component(&self) -> &'static str {
         "dns.counting_transport"
     }
 
     fn counters(&self) -> Vec<(MetricKey, u64)> {
-        transport_counters(self.sent, self.answered)
+        transport_counters(self.sent.get(), self.answered.get())
     }
 }
 
-impl<T: ShardableTransport + ?Sized> DnsTransport for CountingTransport<'_, T> {
+impl<T: DnsTransport + ?Sized> DnsTransport for CountingTransport<'_, T> {
     fn root(&self) -> Ipv4Addr {
         self.inner.root()
     }
 
     fn query(
-        &mut self,
+        &self,
         now: SimTime,
         server: Ipv4Addr,
         region: Region,
         query: &Query,
     ) -> Option<Response> {
-        self.sent += 1;
-        let response = self.inner.query_shared(now, server, region, query);
+        self.sent.set(self.sent.get() + 1);
+        let response = self.inner.query(now, server, region, query);
         if response.is_some() {
-            self.answered += 1;
+            self.answered.set(self.answered.get() + 1);
         }
         response
     }
 
     fn query_stats(&self) -> QueryStats {
         QueryStats {
-            sent: self.sent,
-            answered: self.answered,
+            sent: self.sent.get(),
+            answered: self.answered.get(),
         }
     }
 }
@@ -218,13 +177,14 @@ impl<T: ShardableTransport + ?Sized> DnsTransport for CountingTransport<'_, T> {
 ///
 /// The registry answers at [`ROOT_SERVER`]; additional authoritative servers
 /// are registered per IP. Addresses can be marked unreachable to inject
-/// failures.
+/// failures. Counters are atomic, so one transport can back a sharded
+/// sweep.
 pub struct StaticTransport {
     registry: Registry,
-    servers: HashMap<Ipv4Addr, Box<dyn Authoritative>>,
+    servers: HashMap<Ipv4Addr, Box<dyn Authoritative + Send + Sync>>,
     unreachable: HashSet<Ipv4Addr>,
-    queries_sent: u64,
-    queries_answered: u64,
+    queries_sent: AtomicU64,
+    queries_answered: AtomicU64,
 }
 
 impl StaticTransport {
@@ -234,13 +194,17 @@ impl StaticTransport {
             registry,
             servers: HashMap::new(),
             unreachable: HashSet::new(),
-            queries_sent: 0,
-            queries_answered: 0,
+            queries_sent: AtomicU64::new(0),
+            queries_answered: AtomicU64::new(0),
         }
     }
 
     /// Registers an authoritative server at `addr`.
-    pub fn add_server(&mut self, addr: Ipv4Addr, server: impl Authoritative + 'static) {
+    pub fn add_server(
+        &mut self,
+        addr: Ipv4Addr,
+        server: impl Authoritative + Send + Sync + 'static,
+    ) {
         self.servers.insert(addr, Box::new(server));
     }
 
@@ -271,7 +235,8 @@ impl Instrumented for StaticTransport {
     }
 
     fn counters(&self) -> Vec<(MetricKey, u64)> {
-        transport_counters(self.queries_sent, self.queries_answered)
+        let stats = self.query_stats();
+        transport_counters(stats.sent, stats.answered)
     }
 }
 
@@ -280,14 +245,14 @@ impl std::fmt::Debug for StaticTransport {
         f.debug_struct("StaticTransport")
             .field("servers", &self.servers.len())
             .field("unreachable", &self.unreachable.len())
-            .field("queries_sent", &self.queries_sent)
+            .field("queries_sent", &self.query_stats().sent)
             .finish()
     }
 }
 
 impl DnsTransport for StaticTransport {
     fn query(
-        &mut self,
+        &self,
         now: SimTime,
         server: Ipv4Addr,
         _region: Region,
@@ -296,22 +261,22 @@ impl DnsTransport for StaticTransport {
         if self.unreachable.contains(&server) {
             return None;
         }
-        self.queries_sent += 1;
+        self.queries_sent.fetch_add(1, Ordering::Relaxed);
         let response = if server == ROOT_SERVER {
             self.registry.answer(now, query)
         } else {
-            self.servers.get_mut(&server)?.answer(now, query)
+            self.servers.get(&server)?.answer(now, query)
         };
         if response.is_some() {
-            self.queries_answered += 1;
+            self.queries_answered.fetch_add(1, Ordering::Relaxed);
         }
         response
     }
 
     fn query_stats(&self) -> QueryStats {
         QueryStats {
-            sent: self.queries_sent,
-            answered: self.queries_answered,
+            sent: self.queries_sent.load(Ordering::Relaxed),
+            answered: self.queries_answered.load(Ordering::Relaxed),
         }
     }
 }
@@ -348,7 +313,7 @@ mod tests {
 
     #[test]
     fn routes_root_to_registry() {
-        let mut t = transport();
+        let t = transport();
         let resp = t
             .query(
                 SimTime::EPOCH,
@@ -362,7 +327,7 @@ mod tests {
 
     #[test]
     fn routes_to_registered_server() {
-        let mut t = transport();
+        let t = transport();
         let resp = t
             .query(
                 SimTime::EPOCH,
@@ -377,7 +342,7 @@ mod tests {
 
     #[test]
     fn unknown_address_drops() {
-        let mut t = transport();
+        let t = transport();
         assert!(t
             .query(
                 SimTime::EPOCH,
@@ -435,11 +400,11 @@ mod tests {
         assert_eq!(t.query_stats().ignored(), 0);
     }
 
-    /// A trivially shardable transport: answers everything at the root.
+    /// A trivial transport: answers everything at the root.
     struct EchoTransport;
 
-    impl ShardableTransport for EchoTransport {
-        fn query_shared(
+    impl DnsTransport for EchoTransport {
+        fn query(
             &self,
             _now: SimTime,
             server: Ipv4Addr,
@@ -453,7 +418,7 @@ mod tests {
     #[test]
     fn shared_reference_is_a_transport() {
         let shared = EchoTransport;
-        let mut view = &shared;
+        let view = &shared;
         let q = Query::new(name("www.example.com"), RecordType::A);
         assert!(view
             .query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &q)
@@ -465,8 +430,8 @@ mod tests {
     fn counting_transport_tracks_per_wrapper_volume() {
         let shared = EchoTransport;
         let q = Query::new(name("www.example.com"), RecordType::A);
-        let mut a = CountingTransport::new(&shared);
-        let mut b = CountingTransport::new(&shared);
+        let a = CountingTransport::new(&shared);
+        let b = CountingTransport::new(&shared);
         let _ = a.query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &q);
         let _ = a.query(
             SimTime::EPOCH,
@@ -490,7 +455,7 @@ mod tests {
     fn transports_export_unified_counters() {
         let shared = EchoTransport;
         let q = Query::new(name("www.example.com"), RecordType::A);
-        let mut counting = CountingTransport::new(&shared);
+        let counting = CountingTransport::new(&shared);
         let _ = counting.query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &q);
         let _ = counting.query(
             SimTime::EPOCH,

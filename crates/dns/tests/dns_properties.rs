@@ -85,16 +85,16 @@ proptest! {
         let clock = SimClock::new();
         let mut resolver = RecursiveResolver::new(clock.clone(), Region::Oregon);
 
-        let res = resolver.resolve(&mut transport, &www, RecordType::A).unwrap();
+        let res = resolver.resolve(&transport, &www, RecordType::A).unwrap();
         prop_assert_eq!(res.addresses(), vec![addr]);
 
         // Cached answer is identical until expiry...
         clock.advance(SimDuration::secs(u64::from(ttl) - 1));
-        let res = resolver.resolve(&mut transport, &www, RecordType::A).unwrap();
+        let res = resolver.resolve(&transport, &www, RecordType::A).unwrap();
         prop_assert_eq!(res.addresses(), vec![addr]);
         // ...and a re-resolution after expiry still agrees with the zone.
         clock.advance(SimDuration::secs(2));
-        let res = resolver.resolve(&mut transport, &www, RecordType::A).unwrap();
+        let res = resolver.resolve(&transport, &www, RecordType::A).unwrap();
         prop_assert_eq!(res.addresses(), vec![addr]);
     }
 
@@ -113,12 +113,12 @@ proptest! {
             })
             .collect();
         registry.delegate(apex.clone(), nameservers.clone());
-        let mut transport = StaticTransport::new(registry);
+        let transport = StaticTransport::new(registry);
         let clock = SimClock::new();
         let resolver = RecursiveResolver::new(clock, Region::London);
         let query = Query::new(apex.prepend("www").unwrap(), RecordType::A);
         let response = resolver
-            .query_direct(&mut transport, ROOT_SERVER, &query)
+            .query_direct(&transport, ROOT_SERVER, &query)
             .unwrap();
         prop_assert!(response.is_referral());
         prop_assert_eq!(response.authority.len(), ns_count);
@@ -133,11 +133,11 @@ proptest! {
     #[test]
     fn unregistered_names_are_nxdomain_everywhere(junk in "[a-z]{3,10}") {
         let registry = Registry::new();
-        let mut transport = StaticTransport::new(registry);
+        let transport = StaticTransport::new(registry);
         let clock = SimClock::new();
         let mut resolver = RecursiveResolver::new(clock, Region::Tokyo);
         let name: DomainName = format!("www.{junk}.com").parse().unwrap();
-        let res = resolver.resolve(&mut transport, &name, RecordType::A).unwrap();
+        let res = resolver.resolve(&transport, &name, RecordType::A).unwrap();
         prop_assert_eq!(res.rcode, Rcode::NxDomain);
         prop_assert!(res.is_negative());
     }
@@ -161,9 +161,9 @@ proptest! {
         let mut resolver = RecursiveResolver::new(clock, Region::Oregon);
         // Two resolutions both succeed; the second must hit the network
         // again (TTL 0 is uncacheable), which we observe via query counts.
-        let _ = resolver.resolve(&mut transport, &www, RecordType::A).unwrap();
+        let _ = resolver.resolve(&transport, &www, RecordType::A).unwrap();
         let before = transport.query_stats().sent;
-        let _ = resolver.resolve(&mut transport, &www, RecordType::A).unwrap();
+        let _ = resolver.resolve(&transport, &www, RecordType::A).unwrap();
         prop_assert!(transport.query_stats().sent > before);
     }
 }

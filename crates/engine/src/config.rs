@@ -65,24 +65,12 @@ pub struct EngineConfig {
     /// Number of worker threads. Any value `>= 1`; the engine never spawns
     /// more workers than shards. Output is identical for every value.
     pub workers: usize,
-    /// Items per *planning unit*. Together with
-    /// [`shards_per_worker`](EngineConfig::shards_per_worker) this fixes
-    /// the shard layout; the layout is a function of the item count and
-    /// these two constants only — never of `workers` — which is what makes
-    /// the merged output independent of parallelism.
+    /// Items per claimable shard. This alone fixes the shard layout: the
+    /// layout is a function of the item count and `shard_size` only —
+    /// never of `workers` — which is what makes the merged output
+    /// independent of parallelism. Smaller shards give the work-claiming
+    /// queue more room to route around a straggler.
     pub shard_size: usize,
-    /// Claim granularity: how many claimable shards each `shard_size`
-    /// planning unit is split into. `1` (the default) reproduces the
-    /// classic layout (one shard per unit); higher values cut the same
-    /// units into finer shards so the work-claiming queue can route around
-    /// a straggling shard instead of stalling everything scheduled behind
-    /// it.
-    ///
-    /// Deliberately **not** tied to the runtime worker count: the
-    /// effective shard size is `ceil(shard_size / shards_per_worker)`, a
-    /// pure layout constant, so two runs that differ only in `workers`
-    /// still plan identical shards and produce byte-identical output.
-    pub shards_per_worker: usize,
     /// Per-item retry policy.
     pub retry: RetryPolicy,
     /// Optional global rate limit (off by default; simulations don't wait).
@@ -118,14 +106,6 @@ impl EngineConfig {
         }
     }
 
-    /// Items per claimable shard:
-    /// `ceil(shard_size / shards_per_worker)`, at least 1. This — not
-    /// `shard_size` alone — is what [`crate::plan_shards`] receives.
-    pub fn effective_shard_size(&self) -> usize {
-        let per = self.shards_per_worker.max(1);
-        self.shard_size.max(1).div_ceil(per)
-    }
-
     /// Validates the configuration, naming the first rejected field.
     pub fn validate(&self) -> Result<(), ConfigFieldError> {
         if self.workers == 0 {
@@ -149,13 +129,6 @@ impl EngineConfig {
                 "shards must hold at least one item",
             ));
         }
-        if self.shards_per_worker == 0 {
-            return Err(ConfigFieldError::new(
-                "shards_per_worker",
-                self.shards_per_worker,
-                "each planning unit must yield at least one claimable shard",
-            ));
-        }
         if self.retry.max_attempts == 0 {
             return Err(ConfigFieldError::new(
                 "retry.max_attempts",
@@ -172,7 +145,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             shard_size: Self::DEFAULT_SHARD_SIZE,
-            shards_per_worker: 1,
             retry: RetryPolicy::default(),
             rate: None,
             seed: 0,
@@ -207,16 +179,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Items per planning unit.
+    /// Items per claimable shard.
     pub fn shard_size(mut self, shard_size: usize) -> Self {
         self.config.shard_size = shard_size;
-        self
-    }
-
-    /// Claimable shards per planning unit (see
-    /// [`EngineConfig::shards_per_worker`]).
-    pub fn shards_per_worker(mut self, shards: usize) -> Self {
-        self.config.shards_per_worker = shards;
         self
     }
 
@@ -265,22 +230,17 @@ mod tests {
         let config = EngineConfig::builder()
             .workers(4)
             .shard_size(128)
-            .shards_per_worker(4)
             .retry(RetryPolicy::attempts(2))
             .seed(9)
             .build()
             .unwrap();
         assert_eq!(config.workers, 4);
-        assert_eq!(config.effective_shard_size(), 32);
+        assert_eq!(config.shard_size, 128);
 
         for (build, field) in [
             (EngineConfig::builder().workers(0).build(), "workers"),
             (EngineConfig::builder().workers(2048).build(), "workers"),
             (EngineConfig::builder().shard_size(0).build(), "shard_size"),
-            (
-                EngineConfig::builder().shards_per_worker(0).build(),
-                "shards_per_worker",
-            ),
             (
                 EngineConfig::builder()
                     .retry(RetryPolicy::attempts(0))
@@ -290,31 +250,6 @@ mod tests {
         ] {
             assert_eq!(build.unwrap_err().field, field);
         }
-    }
-
-    #[test]
-    fn effective_shard_size_refines_without_reading_workers() {
-        let base = EngineConfig::default();
-        assert_eq!(
-            base.effective_shard_size(),
-            EngineConfig::DEFAULT_SHARD_SIZE,
-            "default granularity reproduces the classic layout"
-        );
-        let fine = EngineConfig {
-            shard_size: 100,
-            shards_per_worker: 3,
-            ..EngineConfig::default()
-        };
-        assert_eq!(fine.effective_shard_size(), 34);
-        // Same layout constants, different worker counts: same plan.
-        let more_workers = EngineConfig {
-            workers: 64,
-            ..fine.clone()
-        };
-        assert_eq!(
-            fine.effective_shard_size(),
-            more_workers.effective_shard_size()
-        );
     }
 
     #[test]

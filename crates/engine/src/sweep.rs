@@ -93,10 +93,8 @@ pub struct Sweep<O> {
 /// invariants make the merged result bit-identical for every worker count
 /// and every claim order:
 ///
-/// 1. **Shard layout** depends only on the item count,
-///    [`shard_size`](EngineConfig::shard_size) and
-///    [`shards_per_worker`](EngineConfig::shards_per_worker), never on
-///    `workers`.
+/// 1. **Shard layout** depends only on the item count and
+///    [`shard_size`](EngineConfig::shard_size), never on `workers`.
 /// 2. **Per-shard state is fresh**: each shard gets its own worker value
 ///    (`make_worker(shard)`) and its own RNG stream
 ///    (`seed → child("engine") → derive_indexed("shard", shard)`), so no
@@ -150,13 +148,11 @@ impl ScanEngine {
     /// The shard layout this engine would use for `items` inputs — the
     /// usual `plan` argument of [`ScanEngine::sweep`].
     ///
-    /// Depends only on the item count and the layout constants
-    /// ([`shard_size`](EngineConfig::shard_size),
-    /// [`shards_per_worker`](EngineConfig::shards_per_worker)) — callers
-    /// that schedule a subset of shards use it to map item ranks to shard
-    /// indices.
+    /// Depends only on the item count and
+    /// [`shard_size`](EngineConfig::shard_size) — callers that schedule a
+    /// subset of shards use it to map item ranks to shard indices.
     pub fn shard_plan(&self, items: usize) -> Vec<std::ops::Range<usize>> {
-        plan_shards(items, self.config.effective_shard_size())
+        plan_shards(items, self.config.shard_size)
     }
 
     /// Runs `task` over the items of `plan`'s shards, in parallel across
@@ -610,38 +606,6 @@ mod tests {
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
         assert_eq!(sweep.stats.items(), 0);
-    }
-
-    #[test]
-    fn finer_granularity_is_still_worker_count_invariant() {
-        let items: Vec<u64> = (0..500).collect();
-        let run = |workers: usize| {
-            let eng = ScanEngine::new(EngineConfig {
-                workers,
-                shard_size: 64,
-                shards_per_worker: 4,
-                seed: 11,
-                ..EngineConfig::default()
-            });
-            eng.sweep(
-                &(),
-                &items,
-                &eng.shard_plan(items.len()),
-                None,
-                |_| (),
-                |_, _, scope, _, item| {
-                    let noise: u64 = scope.rng().gen_range(0..1 << 20);
-                    TaskResult::Done(item ^ noise)
-                },
-                |_, _| {},
-            )
-        };
-        let one = run(1);
-        let eight = run(8);
-        assert_eq!(one.outputs, eight.outputs);
-        assert_eq!(one.stats.shards, eight.stats.shards);
-        // ceil(64 / 4) = 16 items per claimable shard.
-        assert_eq!(one.stats.shards.len(), 500usize.div_ceil(16));
     }
 
     #[test]

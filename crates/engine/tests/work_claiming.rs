@@ -29,7 +29,7 @@ fn mix(item: u64, noise: u64, acc: u64) -> u64 {
 /// The legacy static-plan oracle: sequential, in plan order, no threads.
 fn static_plan_reference(items: &[u64], config: &EngineConfig) -> (Vec<u64>, Vec<u64>) {
     let seeds = SeedSeq::new(config.seed).child("engine");
-    let shards = plan_shards(items.len(), config.effective_shard_size());
+    let shards = plan_shards(items.len(), config.shard_size);
     let mut outputs = Vec::with_capacity(items.len());
     let mut queries = Vec::with_capacity(shards.len());
     for (idx, range) in shards.iter().enumerate() {
@@ -86,7 +86,6 @@ proptest! {
     fn claiming_matches_static_plan_under_straggler_skew(
         items in proptest::collection::vec(0u64..1 << 40, 0..400),
         shard_size in 1usize..48,
-        shards_per_worker in 1usize..4,
         workers in 1usize..7,
         seed in proptest::arbitrary::any::<u64>(),
         skews_us in proptest::collection::vec(0u16..400, 1..6),
@@ -94,7 +93,6 @@ proptest! {
         let config = EngineConfig {
             workers,
             shard_size,
-            shards_per_worker,
             seed,
             ..EngineConfig::default()
         };

@@ -995,32 +995,12 @@ impl Authoritative for DpsProvider {
     /// The provider's nameserver answer policy. Unknown names are silently
     /// ignored — the behavior the paper observed from Cloudflare's fleet
     /// (Sec V-A.2).
-    fn answer(&mut self, now: SimTime, query: &Query) -> Option<Response> {
-        // Lazy structural purge of the queried residual, if expired. The
-        // shared path below never answers from an expired record either
-        // (`is_live` checks `purge_at`), so skipping this drop does not
-        // change any response — it only compacts the residual maps.
-        if let Some(apex) = self.residual_index.get(&query.name).cloned() {
-            let expired = self
-                .residuals
-                .get(&apex)
-                .is_some_and(|r| r.purge_at.is_some_and(|p| now >= p));
-            if expired {
-                self.drop_residual(&apex);
-                // Purge also retires any lingering uninformed edge route.
-                // (Informed terminations unrouted at termination time.)
-            }
-        }
-        self.answer_shared(now, query)
-    }
-}
-
-impl DpsProvider {
-    /// Answers a query through a shared reference: the same policy as
-    /// [`Authoritative::answer`], but without the structural purge of
-    /// expired residuals, so concurrent scan workers can all query one
-    /// provider. Stats move through atomic counters.
-    pub fn answer_shared(&self, now: SimTime, query: &Query) -> Option<Response> {
+    ///
+    /// Answering is read-only, so concurrent scan workers can all query
+    /// one provider: an expired residual is treated as absent
+    /// ([`ResidualRecord::is_live`]) but stays in the maps until the
+    /// domain re-enrolls. Stats move through atomic counters.
+    fn answer(&self, now: SimTime, query: &Query) -> Option<Response> {
         // Names outside the indexes (apex queries for NS-based customers)
         // index via the `www.<apex>` host, which the apex-keyed account or
         // residual already holds interned.
@@ -1076,7 +1056,7 @@ mod tests {
         DpsProvider::build(ProviderId::Incapsula, 42)
     }
 
-    fn ask(p: &mut DpsProvider, now: SimTime, qname: &str, rtype: RecordType) -> Option<Response> {
+    fn ask(p: &DpsProvider, now: SimTime, qname: &str, rtype: RecordType) -> Option<Response> {
         p.answer(now, &Query::new(name(qname), rtype))
     }
 
@@ -1102,12 +1082,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(enrollment.nameservers().len(), 2);
-        let resp = ask(&mut cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
+        let resp = ask(&cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
         let addr = resp.answer_addresses()[0];
         assert!(cf.is_edge_address(addr));
         assert_ne!(addr, ORIGIN);
         // The apex NS query returns the assigned pair.
-        let ns = ask(&mut cf, SimTime::EPOCH, "example.com", RecordType::Ns).unwrap();
+        let ns = ask(&cf, SimTime::EPOCH, "example.com", RecordType::Ns).unwrap();
         assert_eq!(ns.answers.len(), 2);
     }
 
@@ -1127,13 +1107,7 @@ mod tests {
             .unwrap();
         assert!(cf.account(&name("example.com")).is_none());
         // The apex is in no index; the residual's host leads to it.
-        let ns = ask(
-            &mut cf,
-            SimTime::from_days(7),
-            "example.com",
-            RecordType::Ns,
-        )
-        .unwrap();
+        let ns = ask(&cf, SimTime::from_days(7), "example.com", RecordType::Ns).unwrap();
         let served: Vec<(DomainName, DomainName)> = ns
             .answers
             .iter()
@@ -1149,13 +1123,7 @@ mod tests {
             .collect();
         assert_eq!(served, assigned, "the stale NS set is served as assigned");
         // A non-customer apex is ignored, live or residual alike.
-        assert!(ask(
-            &mut cf,
-            SimTime::from_days(7),
-            "stranger.org",
-            RecordType::Ns
-        )
-        .is_none());
+        assert!(ask(&cf, SimTime::from_days(7), "stranger.org", RecordType::Ns).is_none());
     }
 
     #[test]
@@ -1172,7 +1140,7 @@ mod tests {
             .unwrap();
         let token = enrollment.cname_token().unwrap().clone();
         assert!(token.contains_label_substring("incapdns"));
-        let resp = ask(&mut inc, SimTime::EPOCH, token.as_str(), RecordType::A).unwrap();
+        let resp = ask(&inc, SimTime::EPOCH, token.as_str(), RecordType::A).unwrap();
         assert!(inc.is_edge_address(resp.answer_addresses()[0]));
     }
 
@@ -1269,14 +1237,14 @@ mod tests {
         )
         .unwrap();
         cf.pause(&name("example.com")).unwrap();
-        let resp = ask(&mut cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
+        let resp = ask(&cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
         assert_eq!(
             resp.answer_addresses(),
             vec![ORIGIN],
             "pause leaks the origin"
         );
         cf.resume(&name("example.com")).unwrap();
-        let resp = ask(&mut cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
+        let resp = ask(&cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
         assert!(cf.is_edge_address(resp.answer_addresses()[0]));
     }
 
@@ -1296,7 +1264,7 @@ mod tests {
         assert_eq!(cf.customer_count(), 0);
         assert_eq!(cf.residual_count(), 1);
         let resp = ask(
-            &mut cf,
+            &cf,
             SimTime::from_days(11),
             "www.example.com",
             RecordType::A,
@@ -1320,7 +1288,7 @@ mod tests {
             .unwrap();
         // Week 3: still answering.
         assert!(ask(
-            &mut cf,
+            &cf,
             SimTime::from_days(27),
             "www.example.com",
             RecordType::A
@@ -1328,13 +1296,18 @@ mod tests {
         .is_some());
         // Week 4+: purged, queries are ignored.
         assert!(ask(
-            &mut cf,
+            &cf,
             SimTime::from_days(28),
             "www.example.com",
             RecordType::A
         )
         .is_none());
-        assert_eq!(cf.residual_count(), 0, "purge removes the record");
+        assert!(
+            !cf.residual(&name("example.com"))
+                .unwrap()
+                .is_live(SimTime::from_days(28)),
+            "the purged record is dead until the domain re-enrolls"
+        );
     }
 
     #[test]
@@ -1351,7 +1324,7 @@ mod tests {
         cf.terminate(SimTime::EPOCH, &name("example.com"), true)
             .unwrap();
         assert!(ask(
-            &mut cf,
+            &cf,
             SimTime::from_days(365),
             "www.example.com",
             RecordType::A
@@ -1372,13 +1345,7 @@ mod tests {
         .unwrap();
         cf.terminate(SimTime::EPOCH, &name("example.com"), false)
             .unwrap();
-        let resp = ask(
-            &mut cf,
-            SimTime::from_days(7),
-            "www.example.com",
-            RecordType::A,
-        )
-        .unwrap();
+        let resp = ask(&cf, SimTime::from_days(7), "www.example.com", RecordType::A).unwrap();
         let addr = resp.answer_addresses()[0];
         assert!(
             cf.is_edge_address(addr),
@@ -1386,7 +1353,7 @@ mod tests {
         );
         // After the grace window the provider notices and purges.
         assert!(ask(
-            &mut cf,
+            &cf,
             SimTime::from_days(36),
             "www.example.com",
             RecordType::A
@@ -1411,7 +1378,7 @@ mod tests {
             .terminate(SimTime::EPOCH, &name("example.com"), true)
             .unwrap();
         let resp = ask(
-            &mut fastly,
+            &fastly,
             SimTime::from_days(1),
             token.as_str(),
             RecordType::A,
@@ -1437,13 +1404,7 @@ mod tests {
         let token = e.cname_token().unwrap().clone();
         inc.terminate(SimTime::from_days(5), &name("example.com"), true)
             .unwrap();
-        let resp = ask(
-            &mut inc,
-            SimTime::from_days(20),
-            token.as_str(),
-            RecordType::A,
-        )
-        .unwrap();
+        let resp = ask(&inc, SimTime::from_days(20), token.as_str(), RecordType::A).unwrap();
         assert_eq!(resp.answer_addresses(), vec![ORIGIN]);
     }
 
@@ -1475,7 +1436,7 @@ mod tests {
         assert_ne!(t1, t2);
         assert_eq!(inc.residual_count(), 0);
         // The old token is dead (NXDOMAIN within infra apex).
-        let resp = ask(&mut inc, SimTime::from_days(3), t1.as_str(), RecordType::A).unwrap();
+        let resp = ask(&inc, SimTime::from_days(3), t1.as_str(), RecordType::A).unwrap();
         assert_eq!(resp.rcode, Rcode::NxDomain);
     }
 
@@ -1493,7 +1454,7 @@ mod tests {
         let new_origin = Ipv4Addr::new(198, 51, 100, 77);
         cf.update_origin(&name("example.com"), new_origin).unwrap();
         cf.pause(&name("example.com")).unwrap();
-        let resp = ask(&mut cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
+        let resp = ask(&cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
         assert_eq!(resp.answer_addresses(), vec![new_origin]);
     }
 
@@ -1518,13 +1479,7 @@ mod tests {
         // Public DNS now points at a *different* provider's edge.
         cf.revalidate_residuals(|_| vec![Ipv4Addr::new(151, 101, 4, 4)]);
         assert!(
-            ask(
-                &mut cf,
-                SimTime::from_days(1),
-                "www.example.com",
-                RecordType::A
-            )
-            .is_none(),
+            ask(&cf, SimTime::from_days(1), "www.example.com", RecordType::A).is_none(),
             "mismatch disables the stale answer"
         );
     }
@@ -1549,31 +1504,25 @@ mod tests {
             .unwrap();
         // The site now self-hosts on the same origin: continuity is safe.
         cf.revalidate_residuals(|_| vec![ORIGIN]);
-        assert!(ask(
-            &mut cf,
-            SimTime::from_days(1),
-            "www.example.com",
-            RecordType::A
-        )
-        .is_some());
+        assert!(ask(&cf, SimTime::from_days(1), "www.example.com", RecordType::A).is_some());
     }
 
     #[test]
     fn unknown_names_are_ignored_silently() {
-        let mut cf = cloudflare();
-        assert!(ask(&mut cf, SimTime::EPOCH, "www.stranger.org", RecordType::A).is_none());
+        let cf = cloudflare();
+        assert!(ask(&cf, SimTime::EPOCH, "www.stranger.org", RecordType::A).is_none());
         let (_, ignored) = cf.query_stats();
         assert_eq!(ignored, 1);
     }
 
     #[test]
     fn ns_host_glue_is_answerable() {
-        let mut cf = cloudflare();
+        let cf = cloudflare();
         let (host, addr) = {
             let (h, a) = cf.nameservers().next().unwrap();
             (h.clone(), a)
         };
-        let resp = ask(&mut cf, SimTime::EPOCH, host.as_str(), RecordType::A).unwrap();
+        let resp = ask(&cf, SimTime::EPOCH, host.as_str(), RecordType::A).unwrap();
         assert_eq!(resp.answer_addresses(), vec![addr]);
     }
 
@@ -1612,10 +1561,10 @@ mod tests {
         cf.add_dns_only_record(&name("example.com"), name("dev.example.com"), ORIGIN)
             .unwrap();
         // The proxied host answers with an edge...
-        let www = ask(&mut cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
+        let www = ask(&cf, SimTime::EPOCH, "www.example.com", RecordType::A).unwrap();
         assert!(cf.is_edge_address(www.answer_addresses()[0]));
         // ...but the gray record answers with the origin itself.
-        let dev = ask(&mut cf, SimTime::EPOCH, "dev.example.com", RecordType::A).unwrap();
+        let dev = ask(&cf, SimTime::EPOCH, "dev.example.com", RecordType::A).unwrap();
         assert_eq!(dev.answer_addresses(), vec![ORIGIN]);
     }
 
@@ -1634,12 +1583,12 @@ mod tests {
             .unwrap();
         cf.add_dns_only_record(&name("example.com"), name("mail.example.com"), ORIGIN)
             .unwrap();
-        let mx = ask(&mut cf, SimTime::EPOCH, "example.com", RecordType::Mx).unwrap();
+        let mx = ask(&cf, SimTime::EPOCH, "example.com", RecordType::Mx).unwrap();
         let exchange = mx.answers[0].data.clone();
         assert!(
             matches!(exchange, RecordData::Mx { exchange, .. } if exchange == name("mail.example.com"))
         );
-        let mail = ask(&mut cf, SimTime::EPOCH, "mail.example.com", RecordType::A).unwrap();
+        let mail = ask(&cf, SimTime::EPOCH, "mail.example.com", RecordType::A).unwrap();
         assert_eq!(mail.answer_addresses(), vec![ORIGIN]);
     }
 
@@ -1680,13 +1629,13 @@ mod tests {
             .unwrap();
         let new_origin = Ipv4Addr::new(198, 51, 100, 99);
         cf.update_origin(&name("example.com"), new_origin).unwrap();
-        let dev = ask(&mut cf, SimTime::EPOCH, "dev.example.com", RecordType::A).unwrap();
+        let dev = ask(&cf, SimTime::EPOCH, "dev.example.com", RecordType::A).unwrap();
         assert_eq!(
             dev.answer_addresses(),
             vec![new_origin],
             "co-located record moved"
         );
-        let mail = ask(&mut cf, SimTime::EPOCH, "mail.example.com", RecordType::A).unwrap();
+        let mail = ask(&cf, SimTime::EPOCH, "mail.example.com", RecordType::A).unwrap();
         assert_eq!(
             mail.answer_addresses(),
             vec![elsewhere],
@@ -1710,19 +1659,8 @@ mod tests {
         cf.terminate(SimTime::EPOCH, &name("example.com"), true)
             .unwrap();
         // The remnant answers for www, but the gray subdomain is gone.
-        assert!(ask(
-            &mut cf,
-            SimTime::from_days(1),
-            "www.example.com",
-            RecordType::A
-        )
-        .is_some());
-        let dev = ask(
-            &mut cf,
-            SimTime::from_days(1),
-            "dev.example.com",
-            RecordType::A,
-        );
+        assert!(ask(&cf, SimTime::from_days(1), "www.example.com", RecordType::A).is_some());
+        let dev = ask(&cf, SimTime::from_days(1), "dev.example.com", RecordType::A);
         assert!(
             dev.is_none(),
             "gray subdomain queries are ignored after termination"

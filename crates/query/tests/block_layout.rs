@@ -1,10 +1,9 @@
 //! A round's recorded block size is the size its blocks were cut at.
 //!
-//! With `shards_per_worker > 1` the engine cuts each `shard_size` shard
-//! into smaller claimable shards, and the collector packs one block per
-//! claimable shard. The snapshot and its round file must record that
-//! smaller size: the classified view locates a rank's column by dividing
-//! by it.
+//! The collector packs one block per engine shard, so a non-default
+//! `shard_size` cuts non-default blocks. The snapshot and its round file
+//! must record that size: the classified view locates a rank's column by
+//! dividing by it.
 
 use remnant_core::collector::{RecordCollector, Target};
 use remnant_core::{BehaviorDetector, SpillConfig};
@@ -21,11 +20,10 @@ fn spilled_block_size_follows_the_shard_plan() {
         .iter()
         .map(|s| (s.apex.clone(), s.www.clone()))
         .collect();
-    // 64-site shards, two claimable shards each: 32-site blocks.
+    // 32-site shards: 32-site blocks.
     let engine = ScanEngine::new(EngineConfig {
         workers: 2,
-        shard_size: 64,
-        shards_per_worker: 2,
+        shard_size: 32,
         seed: 23,
         ..EngineConfig::default()
     });

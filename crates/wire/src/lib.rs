@@ -36,7 +36,7 @@ pub mod types;
 pub use error::WireError;
 pub use message::{patch_id, Message};
 pub use name::{decode_name, decode_name_into, NameScratch, MAX_POINTER_JUMPS, MAX_PRESENTATION};
-pub use serve::{DnsService, ResolverService, ServerCore, SharedTransport, WireServer};
+pub use serve::{DnsService, ResolverService, ServerCore, WireServer};
 pub use transport::{
     query_id, WireTransport, WIRE_CODEC_ERRORS, WIRE_FRAMES_DECODED, WIRE_FRAMES_ENCODED,
 };

@@ -35,11 +35,9 @@ use std::time::Duration;
 
 use remnant_dns::{
     empty_record_set, DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver,
-    Response, ShardableTransport,
+    Response,
 };
-use remnant_net::Region;
 use remnant_obs::{Instrumented, MetricKey};
-use remnant_sim::SimTime;
 
 use crate::message::{patch_id, Message};
 use crate::name::{decode_name_into, NameScratch};
@@ -69,52 +67,34 @@ impl<F: Fn(&Query) -> Option<Response> + Send + Sync> DnsService for F {
     }
 }
 
-/// A [`DnsTransport`] over a shared [`ShardableTransport`], so an
-/// `Arc<World>` can back a long-running daemon without borrowing.
-#[derive(Clone, Debug)]
-pub struct SharedTransport<T>(pub Arc<T>);
-
-impl<T: ShardableTransport> DnsTransport for SharedTransport<T> {
-    fn root(&self) -> std::net::Ipv4Addr {
-        self.0.root()
-    }
-
-    fn query(
-        &mut self,
-        now: SimTime,
-        server: std::net::Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        self.0.query_shared(now, server, region, query)
-    }
-}
-
 /// A [`DnsService`] that runs the recursive resolver over a transport.
 ///
-/// The resolver and transport sit behind one mutex: the server's cache
-/// absorbs the high-volume path, so the service lock is only taken on
-/// cold names. The resolver carries its own virtual clock — the daemon
-/// serves whatever instant that clock reads, matching what an
-/// in-process `resolve()` at the same instant returns.
+/// The resolver sits behind a mutex, because its cache changes on every
+/// lookup; the transport is shared outside it (an `Arc<World>` backs a
+/// long-running daemon without borrowing). The server's cache absorbs the
+/// high-volume path, so the lock is only taken on cold names. The
+/// resolver carries its own virtual clock — the daemon serves whatever
+/// instant that clock reads, matching what an in-process `resolve()` at
+/// the same instant returns.
 pub struct ResolverService<T> {
-    inner: Mutex<(RecursiveResolver, T)>,
+    resolver: Mutex<RecursiveResolver>,
+    transport: Arc<T>,
 }
 
-impl<T: DnsTransport + Send> ResolverService<T> {
+impl<T: DnsTransport + Send + Sync> ResolverService<T> {
     /// Serves answers resolved through `resolver` over `transport`.
-    pub fn new(resolver: RecursiveResolver, transport: T) -> Self {
+    pub fn new(resolver: RecursiveResolver, transport: Arc<T>) -> Self {
         ResolverService {
-            inner: Mutex::new((resolver, transport)),
+            resolver: Mutex::new(resolver),
+            transport,
         }
     }
 }
 
-impl<T: DnsTransport + Send> DnsService for ResolverService<T> {
+impl<T: DnsTransport + Send + Sync> DnsService for ResolverService<T> {
     fn answer(&self, query: &Query) -> Option<Response> {
-        let mut guard = self.inner.lock().expect("resolver service lock");
-        let (resolver, transport) = &mut *guard;
-        match resolver.resolve(transport, &query.name, query.rtype) {
+        let mut resolver = self.resolver.lock().expect("resolver service lock");
+        match resolver.resolve(&*self.transport, &query.name, query.rtype) {
             Ok(resolution) => Some(Response {
                 query: query.clone(),
                 rcode: resolution.rcode,

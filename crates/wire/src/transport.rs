@@ -17,7 +17,7 @@
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use remnant_dns::{DnsTransport, Query, QueryStats, Response, ShardableTransport};
+use remnant_dns::{DnsTransport, Query, QueryStats, Response};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimTime;
@@ -43,13 +43,12 @@ pub fn query_id(query: &Query) -> u16 {
     (hash ^ (hash >> 32) ^ (hash >> 16)) as u16
 }
 
-/// A [`DnsTransport`] / [`ShardableTransport`] that serializes every
-/// query and response through the RFC 1035 codec before and after the
-/// inner transport.
+/// A [`DnsTransport`] that serializes every query and response through
+/// the RFC 1035 codec before and after the inner transport.
 ///
-/// Counters use interior mutability so the shared (`query_shared`) path
-/// stays `&self`; totals are deterministic because the set of exchanges
-/// is, even though per-worker interleaving is not.
+/// Counters are atomic so one adapter can serve every scan worker; totals
+/// are deterministic because the set of exchanges is, even though
+/// per-worker interleaving is not.
 #[derive(Debug)]
 pub struct WireTransport<T> {
     inner: T,
@@ -146,8 +145,12 @@ impl<T> WireTransport<T> {
     }
 }
 
-impl<T: ShardableTransport> WireTransport<T> {
-    fn exchange_shared(
+impl<T: DnsTransport> DnsTransport for WireTransport<T> {
+    fn root(&self) -> Ipv4Addr {
+        self.inner.root()
+    }
+
+    fn query(
         &self,
         now: SimTime,
         server: Ipv4Addr,
@@ -156,46 +159,10 @@ impl<T: ShardableTransport> WireTransport<T> {
     ) -> Option<Response> {
         self.sent.fetch_add(1, Ordering::Relaxed);
         let parsed = self.through_wire_query(query)?;
-        let response = self.inner.query_shared(now, server, region, &parsed)?;
+        let response = self.inner.query(now, server, region, &parsed)?;
         let delivered = self.through_wire_response(query_id(query), &response)?;
         self.answered.fetch_add(1, Ordering::Relaxed);
         Some(delivered)
-    }
-}
-
-impl<T: ShardableTransport> ShardableTransport for WireTransport<T> {
-    fn root(&self) -> Ipv4Addr {
-        self.inner.root()
-    }
-
-    fn query_shared(
-        &self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        self.exchange_shared(now, server, region, query)
-    }
-
-    fn query_stats(&self) -> QueryStats {
-        self.stats()
-    }
-}
-
-impl<T: ShardableTransport> DnsTransport for WireTransport<T> {
-    fn root(&self) -> Ipv4Addr {
-        self.inner.root()
-    }
-
-    fn query(
-        &mut self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        self.exchange_shared(now, server, region, query)
     }
 
     fn query_stats(&self) -> QueryStats {
@@ -233,8 +200,8 @@ mod tests {
     /// Answers every query at the root with an empty NOERROR.
     struct EchoTransport;
 
-    impl ShardableTransport for EchoTransport {
-        fn query_shared(
+    impl DnsTransport for EchoTransport {
+        fn query(
             &self,
             _now: SimTime,
             server: Ipv4Addr,
@@ -250,7 +217,7 @@ mod tests {
         let transport = WireTransport::new(EchoTransport);
         let query = Query::new(name("www.example.com"), RecordType::A);
         let response = transport
-            .query_shared(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query)
+            .query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query)
             .expect("answered");
         assert_eq!(response, Response::empty(query, Rcode::NoError));
     }
@@ -261,11 +228,11 @@ mod tests {
         let query = Query::new(name("www.example.com"), RecordType::A);
         let off_root = Ipv4Addr::new(9, 9, 9, 9);
         assert!(transport
-            .query_shared(SimTime::EPOCH, off_root, Region::Oregon, &query)
+            .query(SimTime::EPOCH, off_root, Region::Oregon, &query)
             .is_none());
-        let _ = transport.query_shared(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query);
+        let _ = transport.query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query);
         assert_eq!(
-            ShardableTransport::query_stats(&transport),
+            transport.query_stats(),
             QueryStats {
                 sent: 2,
                 answered: 1
@@ -290,7 +257,7 @@ mod tests {
     fn exports_wire_counters() {
         let transport = WireTransport::new(EchoTransport);
         let query = Query::new(name("www.example.com"), RecordType::A);
-        let _ = transport.query_shared(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query);
+        let _ = transport.query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query);
         let mut registry = remnant_obs::MetricsRegistry::new();
         transport.export_into(&mut registry);
         let label = [("component", "wire.transport")];
@@ -308,7 +275,7 @@ mod tests {
         let view: &WireTransport<&EchoTransport> = &transport;
         let query = Query::new(name("www.example.com"), RecordType::A);
         assert!(view
-            .query_shared(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query)
+            .query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &query)
             .is_some());
     }
 }

@@ -12,8 +12,7 @@ use remnant_dns::{
 };
 use remnant_net::Region;
 use remnant_wire::{
-    query_id, Message, ResolverService, ServerCore, SharedTransport, WireServer, HEADER_LEN,
-    MAX_UDP_PAYLOAD,
+    query_id, Message, ResolverService, ServerCore, WireServer, HEADER_LEN, MAX_UDP_PAYLOAD,
 };
 use remnant_world::{World, WorldConfig};
 
@@ -60,8 +59,7 @@ fn encoded_query(query: &Query) -> Vec<u8> {
 /// resolution, mapped exactly the way `ResolverService` maps it.
 fn in_process_answer(world: &Arc<World>, query: &Query) -> Response {
     let mut resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-    let mut transport = SharedTransport(Arc::clone(world));
-    match resolver.resolve(&mut transport, &query.name, query.rtype) {
+    match resolver.resolve(world.as_ref(), &query.name, query.rtype) {
         Ok(resolution) => Response {
             query: query.clone(),
             rcode: resolution.rcode,
@@ -78,7 +76,7 @@ fn in_process_answer(world: &Arc<World>, query: &Query) -> Response {
 fn daemon_matches_in_process_resolution_over_udp_and_tcp() {
     let world = Arc::new(World::generate(WorldConfig::small(11)));
     let resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-    let service = ResolverService::new(resolver, SharedTransport(Arc::clone(&world)));
+    let service = ResolverService::new(resolver, Arc::clone(&world));
     let core = Arc::new(ServerCore::new(service));
     let server = WireServer::start(core, "127.0.0.1:0").expect("daemon binds");
 
@@ -114,7 +112,7 @@ fn daemon_matches_in_process_resolution_over_udp_and_tcp() {
 fn nxdomain_travels_the_wire() {
     let world = Arc::new(World::generate(WorldConfig::small(23)));
     let resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-    let service = ResolverService::new(resolver, SharedTransport(Arc::clone(&world)));
+    let service = ResolverService::new(resolver, Arc::clone(&world));
     let core = Arc::new(ServerCore::new(service));
     let server = WireServer::start(core, "127.0.0.1:0").expect("daemon binds");
 

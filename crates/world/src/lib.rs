@@ -18,7 +18,9 @@
 //!   [`remnant_dns::DnsTransport`] and [`remnant_http::HttpTransport`], so
 //!   the toolkit in `remnant-core` interrogates it exactly as the authors'
 //!   scanners interrogated the Internet — recursive resolution, direct
-//!   nameserver queries, and landing-page fetches.
+//!   nameserver queries, and landing-page fetches. DNS answering takes
+//!   `&self`, so one world serves every scan worker at once; HTTP takes
+//!   `&mut self`, because edges and origins change state on a fetch.
 //!
 //! Every event applied by the dynamics engine is recorded in a ground-truth
 //! log ([`BehaviorEvent`]), which integration tests compare against what

@@ -9,8 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use remnant_dns::transport::ROOT_SERVER;
 use remnant_dns::{
-    DnsTransport, DomainName, Query, QueryStats, Rcode, RecordData, RecordSet, RecordType,
-    ResourceRecord, Response, ShardableTransport, Ttl, ZoneGenerationProbe,
+    Authoritative, DnsTransport, DomainName, Query, QueryStats, Rcode, RecordData, RecordSet,
+    RecordType, ResourceRecord, Response, Ttl, ZoneGenerationProbe,
 };
 use remnant_http::{
     FirewallPolicy, HttpRequest, HttpResponse, HttpTransport, OriginServer, PageTemplate,
@@ -920,12 +920,12 @@ fn hosting_pair(hosting: u8) -> (usize, usize) {
     (primary, primary ^ 1)
 }
 
-impl ShardableTransport for World {
+impl DnsTransport for World {
     /// The shared-read DNS fabric. Answering is a pure function of world
     /// state (counters aside), so any number of scan workers may query
-    /// concurrently; providers answer through [`DpsProvider::answer_shared`],
-    /// which treats expired residuals as absent without compacting them.
-    fn query_shared(
+    /// concurrently; providers treat expired residuals as absent without
+    /// compacting them.
+    fn query(
         &self,
         now: SimTime,
         server: Ipv4Addr,
@@ -938,7 +938,7 @@ impl ShardableTransport for World {
         } else if let Some(provider_id) = self.ns_owner.get(&server).copied() {
             (
                 ServerClass::Provider,
-                self.providers[provider_id.index()].answer_shared(now, query),
+                self.providers[provider_id.index()].answer(now, query),
             )
         } else if let Some(hosting) = self.hosting_owner.get(&server).copied() {
             (
@@ -962,22 +962,6 @@ impl ShardableTransport for World {
             sent: self.dns_queries.load(Ordering::Relaxed),
             answered: self.dns_answered.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl DnsTransport for World {
-    fn query(
-        &mut self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        self.query_shared(now, server, region, query)
-    }
-
-    fn query_stats(&self) -> QueryStats {
-        ShardableTransport::query_stats(self)
     }
 }
 
@@ -1099,7 +1083,7 @@ impl Instrumented for World {
     /// distinguished by a `proto` label, plus per-server-class DNS answer
     /// counts.
     fn counters(&self) -> Vec<(MetricKey, u64)> {
-        let dns = ShardableTransport::query_stats(self);
+        let dns = DnsTransport::query_stats(self);
         let mut counters: Vec<(MetricKey, u64)> = transport_counters(dns.sent, dns.answered)
             .into_iter()
             .map(|(key, value)| (key.with_label("proto", "dns"), value))
@@ -1247,7 +1231,7 @@ mod tests {
 
     #[test]
     fn self_hosted_sites_resolve_to_their_origin() {
-        let mut world = small_world();
+        let world = small_world();
         let site = world
             .sites()
             .iter()
@@ -1255,13 +1239,13 @@ mod tests {
             .expect("most sites are self-hosted")
             .clone();
         let mut r = resolver(&world);
-        let res = r.resolve(&mut world, &site.www, RecordType::A).unwrap();
+        let res = r.resolve(&world, &site.www, RecordType::A).unwrap();
         assert_eq!(res.addresses(), vec![site.origin]);
     }
 
     #[test]
     fn ns_based_dps_sites_resolve_to_provider_edges() {
-        let mut world = small_world();
+        let world = small_world();
         let site = world
             .sites()
             .iter()
@@ -1279,11 +1263,11 @@ mod tests {
             .clone();
         let provider = site.state.provider().unwrap();
         let mut r = resolver(&world);
-        let res = r.resolve(&mut world, &site.www, RecordType::A).unwrap();
+        let res = r.resolve(&world, &site.www, RecordType::A).unwrap();
         let addr = res.addresses()[0];
         assert!(world.provider(provider).is_edge_address(addr));
         // And the public NS records carry the provider's fingerprint.
-        let ns = r.resolve(&mut world, &site.apex, RecordType::Ns).unwrap();
+        let ns = r.resolve(&world, &site.apex, RecordType::Ns).unwrap();
         assert!(ns
             .ns_hosts()
             .iter()
@@ -1292,7 +1276,7 @@ mod tests {
 
     #[test]
     fn cname_based_dps_sites_resolve_through_their_token() {
-        let mut world = small_world();
+        let world = small_world();
         let site = world
             .sites()
             .iter()
@@ -1310,7 +1294,7 @@ mod tests {
             .clone();
         let provider = site.state.provider().unwrap();
         let mut r = resolver(&world);
-        let res = r.resolve(&mut world, &site.www, RecordType::A).unwrap();
+        let res = r.resolve(&world, &site.www, RecordType::A).unwrap();
         let cnames = res.cnames();
         assert_eq!(cnames.len(), 1, "www CNAME token chain");
         let addr = *res.addresses().last().unwrap();
@@ -1328,7 +1312,7 @@ mod tests {
             .clone();
         let mut r = resolver(&world);
         let now = world.now();
-        let res = r.resolve(&mut world, &site.www, RecordType::A).unwrap();
+        let res = r.resolve(&world, &site.www, RecordType::A).unwrap();
         let edge = *res.addresses().last().unwrap();
         let client = Ipv4Addr::new(192, 0, 2, 200);
         let via_edge = HttpTransport::get(
@@ -1400,7 +1384,7 @@ mod tests {
         .is_none());
         let q = Query::new("www.x.com".parse().unwrap(), RecordType::A);
         assert!(DnsTransport::query(
-            &mut world,
+            &world,
             now,
             Ipv4Addr::new(203, 0, 113, 99),
             Region::Oregon,
@@ -1428,9 +1412,7 @@ mod tests {
         let (first, second) = site.multi_cdn.unwrap();
 
         let mut resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-        let res = resolver
-            .resolve(&mut world, &site.www, RecordType::A)
-            .unwrap();
+        let res = resolver.resolve(&world, &site.www, RecordType::A).unwrap();
         // The chain shows the balancer fingerprint plus a provider token.
         assert!(
             res.cnames()
@@ -1443,9 +1425,7 @@ mod tests {
 
         world.step_days(1);
         resolver.purge_cache();
-        let res = resolver
-            .resolve(&mut world, &site.www, RecordType::A)
-            .unwrap();
+        let res = resolver.resolve(&world, &site.www, RecordType::A).unwrap();
         let addr_day1 = *res.addresses().last().unwrap();
 
         let owner = |addr: Ipv4Addr, w: &World| {
@@ -1508,10 +1488,7 @@ mod tests {
         let mut w = small_world();
         let site = w.sites()[0].clone();
         let mut r = resolver(&w);
-        let addr = r
-            .resolve(&mut w, &site.www, RecordType::A)
-            .unwrap()
-            .addresses()[0];
+        let addr = r.resolve(&w, &site.www, RecordType::A).unwrap().addresses()[0];
         let now = w.now();
         let _ = HttpTransport::get(
             &mut w,
@@ -1557,7 +1534,7 @@ mod tests {
             .sum();
         assert_eq!(
             answered,
-            ShardableTransport::query_stats(&w).answered,
+            DnsTransport::query_stats(&w).answered,
             "per-class answers partition the total"
         );
     }

@@ -14,6 +14,7 @@ use remnant::core::report::TextTable;
 use remnant::core::residual::{CloudflareScanner, FilterPipeline};
 use remnant::core::SCANNER_SOURCE;
 use remnant::dns::{RecordType, RecursiveResolver};
+use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::provider::{ProviderId, ResidualPolicy};
 use remnant::world::{World, WorldConfig};
@@ -68,7 +69,8 @@ fn scan_once(world: &mut World) -> (usize, usize) {
                 .unwrap_or_default()
         });
 
-    let raw = scanner.scan(world, &targets, 1);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = scanner.scan_with(&engine, world, &targets, 1);
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let report = pipeline.run(world, ProviderId::Cloudflare, 1, &raw, &targets);
     (report.hidden.len(), report.verified.len())

@@ -12,6 +12,7 @@ use remnant::core::report::{percent, TextTable};
 use remnant::core::residual::{CloudflareScanner, FilterPipeline};
 use remnant::core::vectors::{ExposureVector, PassiveDnsDb, VectorScanner};
 use remnant::core::{BehaviorDetector, SCANNER_SOURCE};
+use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::provider::ProviderId;
 use remnant::world::{World, WorldConfig};
@@ -33,7 +34,7 @@ fn main() {
     for day in 0..14 {
         let snapshot = collector.collect(&world, &targets, day);
         history.feed(&snapshot);
-        cf_scanner.harvest_fleet(&mut world, &snapshot);
+        cf_scanner.harvest_fleet(&world, &snapshot);
         last_snapshot = Some(snapshot);
         world.step_hours(24);
     }
@@ -45,7 +46,8 @@ fn main() {
     let vector_report = scanner.scan(&mut world, &targets, &classes, &history);
 
     // Residual resolution against the previous provider.
-    let raw = cf_scanner.scan(&mut world, &targets, 2);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = cf_scanner.scan_with(&engine, &world, &targets, 2);
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let residual = pipeline.run(&mut world, ProviderId::Cloudflare, 2, &raw, &targets);
 

@@ -13,6 +13,7 @@ use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::report::{percent, TextTable};
 use remnant::core::residual::{CloudflareScanner, FilterPipeline, IncapsulaScanner};
 use remnant::core::SCANNER_SOURCE;
+use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::obs::{Instrumented, TRANSPORT_ANSWERED, TRANSPORT_SENT};
 use remnant::provider::ProviderId;
@@ -30,7 +31,7 @@ fn main() {
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
     let snapshot = collector.collect(&world, &targets, 0);
     let mut cf = CloudflareScanner::new(world.clock(), "cloudflare");
-    cf.harvest_fleet(&mut world, &snapshot);
+    cf.harvest_fleet(&world, &snapshot);
     let mut inc = IncapsulaScanner::new(world.clock(), "incapdns");
     inc.harvest(&snapshot);
     println!(
@@ -45,9 +46,10 @@ fn main() {
     // --- Direct scans + the Fig 8 pipeline. ---
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
 
-    let raw = cf.scan(&mut world, &targets, 1);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = cf.scan_with(&engine, &world, &targets, 1);
     let cf_report = pipeline.run(&mut world, ProviderId::Cloudflare, 1, &raw, &targets);
-    let raw = inc.scan(&mut world);
+    let (raw, _) = inc.scan_with(&engine, &world);
     let inc_report = pipeline.run(&mut world, ProviderId::Incapsula, 1, &raw, &targets);
 
     println!("\n== Fig 8 funnel ==");

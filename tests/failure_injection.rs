@@ -10,9 +10,10 @@ use remnant::core::StudySession;
 use remnant::core::SCANNER_SOURCE;
 use remnant::dns::transport::{StaticTransport, ROOT_SERVER};
 use remnant::dns::{
-    DnsError, DomainName, RecordData, RecordType, RecursiveResolver, Registry, ResourceRecord, Ttl,
-    Zone, ZoneServer,
+    DnsError, DnsTransport, DomainName, RecordData, RecordType, RecursiveResolver, Registry,
+    ResourceRecord, Ttl, Zone, ZoneServer,
 };
+use remnant::engine::{EngineConfig, ScanEngine, TaskResult};
 use remnant::net::Region;
 use remnant::provider::{ProviderId, ReroutingMethod, ServicePlan};
 use remnant::sim::SimClock;
@@ -64,25 +65,121 @@ fn resolver_survives_flapping_nameservers() {
     let mut resolver = RecursiveResolver::new(clock, Region::Oregon);
     // Primary dead: the resolver fails over to the secondary.
     transport.set_unreachable(ns1);
-    let res = resolver
-        .resolve(&mut transport, &www, RecordType::A)
-        .unwrap();
+    let res = resolver.resolve(&transport, &www, RecordType::A).unwrap();
     assert_eq!(res.addresses(), vec![Ipv4Addr::new(203, 0, 113, 5)]);
 
     // Both dead: a clean timeout error, not a hang or panic.
     transport.set_unreachable(ns2);
     resolver.purge_cache();
     let err = resolver
-        .resolve(&mut transport, &www, RecordType::A)
+        .resolve(&transport, &www, RecordType::A)
         .unwrap_err();
     assert!(matches!(err, DnsError::Timeout { .. }));
 
     // Root dead too.
     transport.set_unreachable(ROOT_SERVER);
     let err = resolver
-        .resolve(&mut transport, &www, RecordType::A)
+        .resolve(&transport, &www, RecordType::A)
         .unwrap_err();
     assert!(matches!(err, DnsError::Timeout { .. }));
+}
+
+/// A static fabric with one dead nameserver: `site<i>.com` zones are
+/// served by a dead primary and a live secondary, `orphan<i>.com` only by
+/// the dead primary, and `ghost<i>.com` is not registered at all.
+fn half_dead_transport() -> (StaticTransport, Vec<DomainName>) {
+    let dead = Ipv4Addr::new(10, 0, 1, 1);
+    let live = Ipv4Addr::new(10, 0, 1, 2);
+    let mut registry = Registry::new();
+    let mut zones = Vec::new();
+    let mut names = Vec::new();
+    for i in 0..24u8 {
+        let (label, nameservers) = match i % 3 {
+            0 => ("site", vec![("ns1.dns.net", dead), ("ns2.dns.net", live)]),
+            1 => ("orphan", vec![("ns1.dns.net", dead)]),
+            _ => ("ghost", Vec::new()),
+        };
+        let apex: DomainName = format!("{label}{i}.com").parse().unwrap();
+        let www = apex.prepend("www").unwrap();
+        if !nameservers.is_empty() {
+            registry.delegate(
+                apex.clone(),
+                nameservers
+                    .into_iter()
+                    .map(|(host, addr)| (host.parse().unwrap(), addr))
+                    .collect(),
+            );
+            let mut zone = Zone::new(apex);
+            zone.add(ResourceRecord::new(
+                www.clone(),
+                Ttl::secs(300),
+                RecordData::A(Ipv4Addr::new(203, 0, 113, i)),
+            ));
+            zones.push(zone);
+        }
+        names.push(www);
+    }
+    let mut transport = StaticTransport::new(registry);
+    transport.add_server(dead, ZoneServer::new(zones.clone()));
+    transport.add_server(live, ZoneServer::new(zones));
+    transport.set_unreachable(dead);
+    (transport, names)
+}
+
+#[test]
+fn failing_static_transport_sweeps_like_a_sequential_resolver() {
+    type Answer = Result<Vec<Ipv4Addr>, DnsError>;
+    let clock = SimClock::new();
+
+    let (transport, names) = half_dead_transport();
+    let mut resolver = RecursiveResolver::new(clock.clone(), Region::Oregon);
+    let sequential: Vec<Answer> = names
+        .iter()
+        .map(|name| resolver.resolve_addresses(&transport, name))
+        .collect();
+    assert!(sequential
+        .iter()
+        .any(|a| a.as_ref().is_ok_and(|v| !v.is_empty())));
+    assert!(sequential.iter().any(|a| a.is_err()), "orphans time out");
+
+    let sweep = |workers: usize| {
+        let (transport, names) = half_dead_transport();
+        let engine = ScanEngine::new(EngineConfig {
+            workers,
+            shard_size: 5,
+            seed: 4,
+            ..EngineConfig::default()
+        });
+        let answers: Vec<Answer> = engine
+            .sweep(
+                &transport,
+                &names,
+                &engine.shard_plan(names.len()),
+                None,
+                |_shard| RecursiveResolver::new(clock.clone(), Region::Oregon),
+                |transport, resolver, _scope, _rank, name| {
+                    TaskResult::Done(resolver.resolve_addresses(transport, name))
+                },
+                |_resolver, _scope| {},
+            )
+            .outputs;
+        (answers, transport.query_stats())
+    };
+    let (answers_1, stats_1) = sweep(1);
+    let (answers_4, stats_4) = sweep(4);
+    assert_eq!(
+        answers_1, sequential,
+        "sharded answers match the sequential resolver"
+    );
+    assert_eq!(
+        answers_4, sequential,
+        "worker count never changes the answers"
+    );
+    assert_eq!(
+        stats_1.sent, stats_4.sent,
+        "query volume is worker-count invariant"
+    );
+    assert!(stats_1.sent > 0);
 }
 
 #[test]
@@ -168,7 +265,7 @@ fn firewalled_and_dynamic_sites_reduce_verification_not_detection() {
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
     let snapshot = collector.collect(&world, &targets, 0);
     let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
-    scanner.harvest_fleet(&mut world, &snapshot);
+    scanner.harvest_fleet(&world, &snapshot);
 
     let mut expectations = Vec::new();
     for (site, should_verify) in [(clean, true), (firewalled, false), (dynamic, false)] {
@@ -185,7 +282,8 @@ fn firewalled_and_dynamic_sites_reduce_verification_not_detection() {
     assert!(!expectations.is_empty());
     world.step_days(1);
 
-    let raw = scanner.scan(&mut world, &targets, 0);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = scanner.scan_with(&engine, &world, &targets, 0);
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let report = pipeline.run(&mut world, ProviderId::Cloudflare, 0, &raw, &targets);
     for (rank, should_verify) in expectations {
@@ -265,9 +363,7 @@ fn dark_sites_resolve_to_parking_and_never_verify() {
         .cloned();
     let Some(dark) = dark else { return };
     let mut resolver = RecursiveResolver::new(world.clock(), Region::London);
-    let res = resolver
-        .resolve(&mut world, &dark.www, RecordType::A)
-        .unwrap();
+    let res = resolver.resolve(&world, &dark.www, RecordType::A).unwrap();
     assert_eq!(
         res.addresses(),
         vec![remnant::world::world::PARKING_IP],

@@ -5,6 +5,7 @@ use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::residual::{CloudflareScanner, FilterPipeline, IncapsulaScanner};
 use remnant::core::SCANNER_SOURCE;
 use remnant::dns::{DnsTransport, DomainName, Query, RecordType, RecursiveResolver};
+use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::provider::{ProviderId, ReroutingMethod, ServicePlan};
 use remnant::world::{SiteState, Website, World, WorldConfig};
@@ -56,7 +57,8 @@ fn scan_cloudflare(world: &mut World, targets: &[Target]) -> (Vec<usize>, Vec<us
     let snapshot = collector.collect(world, targets, 0);
     let mut scanner = CloudflareScanner::new(world.clock(), "cloudflare");
     scanner.harvest_fleet(world, &snapshot);
-    let raw = scanner.scan(world, targets, 0);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = scanner.scan_with(&engine, world, targets, 0);
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let report = pipeline.run(world, ProviderId::Cloudflare, 0, &raw, targets);
     (
@@ -73,9 +75,7 @@ fn pause_exposes_origin_through_public_resolution() {
     world.step_hours(1);
 
     let mut resolver = RecursiveResolver::new(world.clock(), Region::London);
-    let res = resolver
-        .resolve(&mut world, &site.www, RecordType::A)
-        .unwrap();
+    let res = resolver.resolve(&world, &site.www, RecordType::A).unwrap();
     assert_eq!(
         res.addresses(),
         vec![site.origin],
@@ -84,9 +84,7 @@ fn pause_exposes_origin_through_public_resolution() {
 
     world.force_resume(site.id);
     resolver.purge_cache();
-    let res = resolver
-        .resolve(&mut world, &site.www, RecordType::A)
-        .unwrap();
+    let res = resolver.resolve(&world, &site.www, RecordType::A).unwrap();
     assert_ne!(res.addresses(), vec![site.origin], "resume hides it again");
 }
 
@@ -207,7 +205,8 @@ fn incapsula_remnant_lifecycle() {
     );
     world.step_days(2);
 
-    let raw = scanner.scan(&mut world);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let (raw, _) = scanner.scan_with(&engine, &world);
     let mut pipeline = FilterPipeline::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let report = pipeline.run(&mut world, ProviderId::Incapsula, 0, &raw, &targets);
     let rank = site.id.0 as usize;
@@ -232,7 +231,7 @@ fn direct_query_to_previous_provider_reveals_what_public_dns_hides() {
     // Public resolution: the new provider's edge.
     let mut resolver = RecursiveResolver::new(world.clock(), Region::Tokyo);
     let public = resolver
-        .resolve(&mut world, &site.www, RecordType::A)
+        .resolve(&world, &site.www, RecordType::A)
         .unwrap()
         .addresses();
     assert!(!public.contains(&site.origin));
