@@ -51,9 +51,9 @@
 //! previous `--spill-dir` run — no collection, no world: the rounds
 //! reopen as a time-indexed snapshot store and the figures are produced
 //! by query plans over it, byte-identical to the original run's. The
-//! plans share one classified scan (each round classified once, clean
-//! delta shards reused from the classification cache, a per-provider
-//! posting-list index built alongside); a reuse/index summary goes to
+//! plans share one pass over the derived columns each block carries in
+//! its round file (no record frame is decoded; a per-provider
+//! posting-list index is built alongside); a reuse/index summary goes to
 //! stderr. A directory with a hole in its round sequence (an interrupted
 //! campaign) is rejected with the missing round named.
 //!
@@ -243,10 +243,9 @@ fn serve(seed: u64, population: usize, bind: &str, duration: Option<u64>) -> Exi
 /// store and regenerates the snapshot-derivable figures through query
 /// plans, without re-collecting anything.
 ///
-/// Every plan shares one classified scan through a
-/// [`PlanContext`](remnant::query::PlanContext): each round is classified
-/// once (clean delta shards reuse the previous round's cached column) and
-/// Figs 2–6 render from a single `SnapshotAggregates` fold.
+/// Every plan shares one pass over the stored derived columns through a
+/// [`PlanContext`](remnant::query::PlanContext), and Figs 2–6 render from
+/// a single `SnapshotAggregates` fold.
 fn query_experiment(config: &ReproConfig) -> ExitCode {
     use remnant::query::{
         PassesPlan, PlanContext, ResidualScanPlan, RoundKind, SnapshotStore, StoreError,
@@ -302,8 +301,8 @@ fn query_experiment(config: &ReproConfig) -> ExitCode {
     let (hits, misses) = classified.cache_stats();
     let index = classified.index();
     eprintln!(
-        "query: classified {} rounds in {:.2}s: {} shard-rounds reclassified, \
-         {} reused from cache ({:.1}% hit rate)",
+        "query: assembled {} rounds in {:.2}s: {} shard-rounds written, \
+         {} chained from the previous round ({:.1}% reuse)",
         store.len(),
         started.elapsed().as_secs_f64(),
         misses,

@@ -120,6 +120,87 @@ fn infer_rerouting(provider: ProviderId, matches: &RecordMatches) -> ReroutingMe
     }
 }
 
+/// An [`Adoption`] packed into one byte — a third of its size — the form
+/// derived columns hold classes in and the spill format stores as is.
+///
+/// Bits 0–3 hold the provider (0 for none, else 1 + its
+/// [`ProviderId::ALL`] index), bits 4–5 the status (ON, OFF, NONE) and
+/// bits 6–7 the rerouting method (none, A, CNAME, NS).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PackedAdoption(u8);
+
+impl PackedAdoption {
+    /// Packs a class.
+    pub fn pack(class: &Adoption) -> Self {
+        let provider = class.provider.map_or(0, |p| p.index() as u8 + 1);
+        let status = match class.status {
+            DpsStatus::On => 0,
+            DpsStatus::Off => 1,
+            DpsStatus::None => 2,
+        };
+        let rerouting = match class.rerouting {
+            None => 0,
+            Some(ReroutingMethod::A) => 1,
+            Some(ReroutingMethod::Cname) => 2,
+            Some(ReroutingMethod::Ns) => 3,
+        };
+        PackedAdoption(provider | status << 4 | rerouting << 6)
+    }
+
+    /// The packed byte.
+    pub(crate) fn byte(self) -> u8 {
+        self.0
+    }
+
+    /// Validates a packed byte: `None` if its provider or status field
+    /// names nothing.
+    pub(crate) fn from_byte(byte: u8) -> Option<Self> {
+        let provider_ok = (byte & 0x0F) as usize <= ProviderId::ALL.len();
+        let status_ok = byte >> 4 & 0x03 != 3;
+        (provider_ok && status_ok).then_some(PackedAdoption(byte))
+    }
+
+    /// The class's provider.
+    pub fn provider(self) -> Option<ProviderId> {
+        self.unpack().provider
+    }
+
+    /// Unpacks the class (a table lookup).
+    pub fn unpack(self) -> Adoption {
+        UNPACKED[self.0 as usize]
+    }
+}
+
+/// Every byte's unpacked class, so unpacking a column is a lookup per
+/// site. Bytes [`PackedAdoption::from_byte`] rejects never occur.
+const UNPACKED: [Adoption; 256] = {
+    let mut table = [Adoption::NONE; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let provider = match byte & 0x0F {
+            0 => None,
+            code if code <= ProviderId::ALL.len() => Some(ProviderId::ALL[code - 1]),
+            _ => None,
+        };
+        table[byte] = Adoption {
+            provider,
+            status: match byte >> 4 & 0x03 {
+                0 => DpsStatus::On,
+                1 => DpsStatus::Off,
+                _ => DpsStatus::None,
+            },
+            rerouting: match byte >> 6 {
+                0 => None,
+                1 => Some(ReroutingMethod::A),
+                2 => Some(ReroutingMethod::Cname),
+                _ => Some(ReroutingMethod::Ns),
+            },
+        };
+        byte += 1;
+    }
+    table
+};
+
 impl fmt::Display for Adoption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (self.provider, self.rerouting) {
@@ -134,6 +215,34 @@ impl fmt::Display for Adoption {
 mod tests {
     use super::*;
     use remnant_dns::DomainName;
+
+    #[test]
+    fn packing_round_trips_every_class() {
+        let providers = std::iter::once(None).chain(ProviderId::ALL.map(Some));
+        for provider in providers {
+            for status in [DpsStatus::On, DpsStatus::Off, DpsStatus::None] {
+                for rerouting in [
+                    None,
+                    Some(ReroutingMethod::A),
+                    Some(ReroutingMethod::Cname),
+                    Some(ReroutingMethod::Ns),
+                ] {
+                    let class = Adoption {
+                        provider,
+                        status,
+                        rerouting,
+                    };
+                    let packed = PackedAdoption::pack(&class);
+                    assert_eq!(packed.unpack(), class);
+                    assert_eq!(PackedAdoption::from_byte(packed.byte()), Some(packed));
+                }
+            }
+        }
+        let valid = (0..=u8::MAX)
+            .filter(|&b| PackedAdoption::from_byte(b).is_some())
+            .count();
+        assert_eq!(valid, (ProviderId::ALL.len() + 1) * 3 * 4);
+    }
 
     fn name(s: &str) -> DomainName {
         s.parse().expect("test name")

@@ -2,6 +2,7 @@
 //! Table IV).
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use remnant_provider::ProviderId;
 use remnant_world::BehaviorKind;
@@ -46,6 +47,15 @@ impl BehaviorDetector {
         }
     }
 
+    /// The process-wide detector over the standard catalog, which every
+    /// [`DerivedColumn`](crate::classify::DerivedColumn) is derived with.
+    /// Detectors over the standard catalog are interchangeable; sharing
+    /// one shares its matcher memo.
+    pub(crate) fn standard() -> &'static BehaviorDetector {
+        static STANDARD: OnceLock<BehaviorDetector> = OnceLock::new();
+        STANDARD.get_or_init(BehaviorDetector::new)
+    }
+
     /// The matcher in use.
     pub fn matcher(&self) -> &ProviderMatcher {
         &self.matcher
@@ -66,8 +76,8 @@ impl BehaviorDetector {
     /// per-site adoption column together with the block-local indices of
     /// sites whose records show a multi-CDN front-end (the Sec IV-B.3
     /// exclusion). Classification is a pure function of the block's
-    /// bytes, which is what lets the per-shard classification cache
-    /// memoize this call under a [`crate::snapshot::BlockKey`].
+    /// bytes, which is what lets the collector derive it once per block
+    /// ([`crate::classify::DerivedColumn::derive`]).
     pub fn classify_block(
         &self,
         block: &crate::snapshot::RecordBlock,

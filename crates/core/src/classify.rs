@@ -1,61 +1,117 @@
-//! The per-shard classification cache: memoizing adoption columns across
-//! delta rounds.
+//! Derived columns: what the pipeline reads from a block's records,
+//! computed once when the block is collected.
 //!
-//! Provider classification — not I/O — is the analysis bottleneck
-//! (BENCH_8: a raw store scan runs ~16× faster than the classifying
-//! fold), and delta campaigns replay most shards untouched: a clean
-//! shard's block is the *same* `Arc<RecordBlock>` (resident rounds) or
-//! the *same* spill frame (`SpillRef` chain) as the previous round's.
-//! Classification is a pure function of a block's bytes, so its result
-//! can be memoized under the block's process-local identity
-//! ([`BlockKey`]): clean shards become an `Arc` clone, and only dirty
-//! shards reclassify.
+//! The paper reduces each daily round to an adoption class per site
+//! (Sec IV) and, for the residual scans, the Cloudflare fleet NS hosts
+//! and the Incapsula CNAME tokens (Sec V-A.1, V-B). All of it is a pure
+//! function of a block's records, so the collector derives it once per
+//! block — `derive_columns`, one engine task per block, merged
+//! positionally so the columns are byte-identical at any worker count —
+//! and the block's [`BlockSource`] carries the resulting
+//! [`DerivedColumn`] wherever the block goes: replayed by a delta round,
+//! spilled beside the block's record frame, reopened by a snapshot store.
+//! Snapshots assembled site by site ([`crate::snapshot::SnapshotBuilder`])
+//! derive through the same function.
 //!
-//! [`ShardClassCache`] is that memo table. Dirty-shard classification
-//! fans out through the deterministic work-claiming engine
-//! ([`ScanEngine::sweep`] over a unit plan) — one task per block,
-//! positional merge — so the assembled columns are byte-identical at any
-//! worker count. Both the live [`crate::StudySession`] (in either
-//! collection mode; under full collection every lookup misses) and the
-//! query layer's `ClassifiedStore` share this cache; each feeds the
-//! columns into [`crate::SnapshotPasses::observe_columns`], which runs
-//! the *same* fold arithmetic as [`crate::SnapshotPasses::observe`] over
-//! raw snapshots; the two differ only in who computed the columns.
+//! The snapshot passes, both residual harvests and the query layer's
+//! `ClassifiedStore` therefore read columns only; record frames are
+//! decoded only by code that needs records (the Table V candidates and
+//! [`DnsSnapshot`] consumers).
 //!
-//! The cache is bounded by one round: after classifying a round it drops
-//! every entry whose block is not in that round. A clean shard always
-//! replays the *previous* round's block, so older entries could never
-//! hit again — they would only pin their blocks in memory.
-//!
-//! Cache hit/miss counts are deliberately kept out of the byte-compared
-//! study reports (the `CollectionReport` discipline): they depend on the
-//! collection mode, and full-vs-delta equivalence tests compare reports
-//! byte-for-byte. Read them via [`ShardClassCache::hits`]/
+//! [`ShardClassCache`] keeps the reuse accounting: a block whose source
+//! key ([`crate::snapshot::BlockKey`]) equals the previous round's at the
+//! same position is a hit — a clean shard chained unchanged — and every
+//! other block a miss. Its counts are deliberately kept out of the
+//! byte-compared study reports (the `CollectionReport` discipline): they
+//! depend on the collection mode, and full-vs-delta equivalence tests
+//! compare reports byte-for-byte. Read them via [`ShardClassCache::hits`]/
 //! [`ShardClassCache::misses`] or export them explicitly with
 //! [`Instrumented::export_into`].
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use remnant_dns::DomainName;
 use remnant_engine::{plan_shards, ScanEngine, TaskResult};
-use remnant_obs::{
-    Instrumented, MetricKey, QUERY_CACHE_ENTRIES, QUERY_CACHE_HIT, QUERY_CACHE_MISS,
-};
+use remnant_obs::{Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS};
 
-use crate::adoption::Adoption;
+use crate::adoption::{Adoption, PackedAdoption};
 use crate::behavior::BehaviorDetector;
-use crate::snapshot::{BlockKey, BlockSource, DnsSnapshot};
+use crate::residual::cloudflare::fleet_candidates;
+use crate::residual::incapsula::token_candidates;
+use crate::residual::{CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT};
+use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock};
 
-/// One shard's classification column: the per-site adoption classes of
-/// one block, plus the block-local indices of multi-CDN front-ends
-/// (Sec IV-B.3 exclusion). Shared by `Arc`, so a clean shard's column is
-/// reused across rounds without copying.
-#[derive(Clone, Debug)]
-pub struct ClassColumn {
+/// One block's derived column (see the module docs). Shared by `Arc`, so
+/// a replayed block's column is reused across rounds without copying.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DerivedColumn {
     /// Per-site adoption classes, in block-local site order.
-    pub classes: Arc<[Adoption]>,
-    /// Block-local indices of sites flagged as multi-CDN front-ends.
-    pub multi_cdn: Arc<[u32]>,
+    pub classes: Vec<PackedAdoption>,
+    /// Block-local indices of sites flagged as multi-CDN front-ends
+    /// (Sec IV-B.3 exclusion), ascending.
+    pub multi_cdn: Vec<u32>,
+    /// Cloudflare fleet candidates' block-local sites, parallel to
+    /// [`fleet_ns`](Self::fleet_ns).
+    pub fleet_sites: Vec<u32>,
+    /// Cloudflare fleet candidates: every NS host whose labels contain
+    /// [`CLOUDFLARE_NS_FINGERPRINT`], in site order with repeats kept.
+    /// (Two parallel columns rather than pairs: a third less memory.)
+    pub fleet_ns: Vec<DomainName>,
+    /// Incapsula tokens: `(block-local site, first CNAME whose labels
+    /// contain [`INCAPSULA_CNAME_FINGERPRINT`])`, in site order.
+    pub incap_tokens: Vec<(u32, DomainName)>,
+}
+
+impl DerivedColumn {
+    /// Derives a block's column: the standard detector's
+    /// [`BehaviorDetector::classify_block`] plus the two residual
+    /// fingerprints' candidates. The one derivation every path uses.
+    pub fn derive(block: &RecordBlock) -> Self {
+        let (classes, mut multi_cdn) = BehaviorDetector::standard().classify_block(block);
+        let classes = classes.iter().map(PackedAdoption::pack).collect();
+        let (fleet_sites, fleet_ns) = fleet_candidates(block, CLOUDFLARE_NS_FINGERPRINT)
+            .into_iter()
+            .unzip();
+        let mut incap_tokens = token_candidates(block, INCAPSULA_CNAME_FINGERPRINT);
+        // Columns outlive their round (the spill chain, a store), so
+        // they keep no growth slack.
+        multi_cdn.shrink_to_fit();
+        incap_tokens.shrink_to_fit();
+        DerivedColumn {
+            classes,
+            multi_cdn,
+            fleet_sites,
+            fleet_ns,
+            incap_tokens,
+        }
+    }
+
+    /// Number of sites the column covers.
+    pub fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// True if the column covers no sites.
+    pub fn is_empty(&self) -> bool {
+        self.classes.is_empty()
+    }
+}
+
+/// Derives every block's column through [`ScanEngine::sweep`] over a unit
+/// plan — one task per block, merged positionally — so the columns are
+/// byte-identical at any worker count.
+pub(crate) fn derive_columns(engine: &ScanEngine, blocks: &[RecordBlock]) -> Vec<DerivedColumn> {
+    engine
+        .sweep(
+            &(),
+            blocks,
+            &plan_shards(blocks.len(), 1),
+            None,
+            |_| (),
+            |(), (), _, _, block| TaskResult::Done(DerivedColumn::derive(block)),
+            |(), _| {},
+        )
+        .outputs
 }
 
 /// A full round's columns, concatenated in rank order — the shape
@@ -68,160 +124,85 @@ pub struct SnapshotColumns {
     pub multi_cdn_ranks: Vec<usize>,
 }
 
-/// Concatenates per-shard columns (in shard order) into one round's
-/// full-length columns. Cheap relative to classification: a memcpy of
-/// `Copy` classes plus rank arithmetic.
-pub fn concat_columns(shards: &[ClassColumn]) -> SnapshotColumns {
-    let total: usize = shards.iter().map(|c| c.classes.len()).sum();
+/// Concatenates per-block columns (in block order) into one round's
+/// full-length columns, unpacking the classes.
+pub fn concat_columns<'a>(
+    blocks: impl IntoIterator<Item = &'a DerivedColumn> + Clone,
+) -> SnapshotColumns {
+    let total: usize = blocks.clone().into_iter().map(DerivedColumn::len).sum();
     let mut columns = SnapshotColumns {
         classes: Vec::with_capacity(total),
         multi_cdn_ranks: Vec::new(),
     };
-    let mut base = 0usize;
-    for shard in shards {
+    for block in blocks {
+        let base = columns.classes.len();
         columns
             .multi_cdn_ranks
-            .extend(shard.multi_cdn.iter().map(|&i| base + i as usize));
-        columns.classes.extend_from_slice(&shard.classes);
-        base += shard.classes.len();
+            .extend(block.multi_cdn.iter().map(|&i| base + i as usize));
+        columns
+            .classes
+            .extend(block.classes.iter().map(|class| class.unpack()));
     }
     columns
 }
 
-struct CacheEntry {
-    /// Owner of the block's backing. The key is an address; holding the
-    /// source pins the allocation so a dropped-and-reused address can
-    /// never alias a stale entry (the ABA hazard).
-    _witness: BlockSource,
-    column: ClassColumn,
-}
-
-/// The per-shard classification memo table — see the module docs.
-#[derive(Default)]
+/// The reuse accounting over carried columns — see the module docs.
+#[derive(Debug, Default)]
 pub struct ShardClassCache {
-    entries: HashMap<BlockKey, CacheEntry>,
+    /// The previous round's blocks. Held so their keys (allocation
+    /// addresses) cannot be reused by a new block while compared.
+    previous: Vec<BlockSource>,
     hits: u64,
     misses: u64,
 }
 
-impl std::fmt::Debug for ShardClassCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardClassCache")
-            .field("entries", &self.entries.len())
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
-
 impl ShardClassCache {
-    /// Creates an empty cache.
+    /// Creates a cache that has seen no round.
     pub fn new() -> Self {
         ShardClassCache::default()
     }
 
-    /// Lookups answered from a cached column.
+    /// Blocks whose source was the previous round's at the same position.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lookups that classified a block.
+    /// Blocks seen for the first time at their position.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Classified columns held: at most one per block of the last
-    /// classified round.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been classified yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Classifies one round into per-shard columns, reusing cached
-    /// columns for every block whose backing is unchanged since the
-    /// previous round. Cache misses are classified through
-    /// [`ScanEngine::sweep`] over a unit plan — one task per missing
-    /// block, merged positionally — so the returned columns are
-    /// byte-identical at any worker count. Afterwards the cache holds
-    /// this round's blocks only.
-    pub fn classify_blocks(
-        &mut self,
-        engine: &ScanEngine,
-        detector: &BehaviorDetector,
-        snapshot: &DnsSnapshot,
-    ) -> Vec<ClassColumn> {
-        let sources: Vec<(usize, BlockSource)> = snapshot.block_sources().collect();
-        let mut columns: Vec<Option<ClassColumn>> = Vec::with_capacity(sources.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, (_, source)) in sources.iter().enumerate() {
-            match self.entries.get(&source.key()) {
-                Some(entry) => {
-                    self.hits += 1;
-                    columns.push(Some(entry.column.clone()));
-                }
-                None => {
-                    self.misses += 1;
-                    columns.push(None);
-                    missing.push(i);
-                }
+    /// One round's carried columns, in block order, counting each block
+    /// as a hit or a miss against the previous round.
+    pub fn shard_columns(&mut self, snapshot: &DnsSnapshot) -> Vec<Arc<DerivedColumn>> {
+        let sources: Vec<BlockSource> = snapshot.block_sources().map(|(_, s)| s).collect();
+        for (i, source) in sources.iter().enumerate() {
+            if self
+                .previous
+                .get(i)
+                .is_some_and(|p| p.key() == source.key())
+            {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
             }
         }
-        if !missing.is_empty() {
-            // A unit plan: every block is its own shard, so misses fan out
-            // one task per block.
-            let fresh = engine.sweep(
-                detector,
-                &sources,
-                &plan_shards(sources.len(), 1),
-                Some(&missing),
-                |_| (),
-                |detector, (), _, _, (_, source)| {
-                    let (classes, multi_cdn) = detector.classify_block(&source.load());
-                    TaskResult::Done(ClassColumn {
-                        classes: classes.into(),
-                        multi_cdn: multi_cdn.into(),
-                    })
-                },
-                |(), _| {},
-            );
-            // `missing` is built ascending, matching the sweep's
-            // ascending-shard-order outputs element for element.
-            for (&i, column) in missing.iter().zip(fresh.outputs) {
-                let source = &sources[i].1;
-                self.entries.insert(
-                    source.key(),
-                    CacheEntry {
-                        _witness: source.clone(),
-                        column: column.clone(),
-                    },
-                );
-                columns[i] = Some(column);
-            }
-        }
-        // Keep only this round's blocks (see the module docs): older
-        // entries can never hit again, only pin their blocks.
-        let live: HashSet<BlockKey> = sources.iter().map(|(_, source)| source.key()).collect();
-        self.entries.retain(|key, _| live.contains(key));
+        let columns = sources.iter().map(|s| Arc::clone(s.derived())).collect();
+        self.previous = sources;
         columns
-            .into_iter()
-            .map(|c| c.expect("every block classified or cached"))
-            .collect()
     }
 
-    /// Classifies one round and concatenates the columns — the live
-    /// session's path in both collection modes.
+    /// One round's carried columns, concatenated — the live session's
+    /// path in both collection modes. Columns are derived at collection,
+    /// so `engine` and `detector` are not consulted.
     pub fn classify_snapshot(
         &mut self,
-        engine: &ScanEngine,
-        detector: &BehaviorDetector,
+        _engine: &ScanEngine,
+        _detector: &BehaviorDetector,
         snapshot: &DnsSnapshot,
     ) -> SnapshotColumns {
-        let shards = self.classify_blocks(engine, detector, snapshot);
-        concat_columns(&shards)
+        let shards = self.shard_columns(snapshot);
+        concat_columns(shards.iter().map(Arc::as_ref))
     }
 }
 
@@ -234,10 +215,6 @@ impl Instrumented for ShardClassCache {
         vec![
             (MetricKey::named(QUERY_CACHE_HIT), self.hits),
             (MetricKey::named(QUERY_CACHE_MISS), self.misses),
-            (
-                MetricKey::named(QUERY_CACHE_ENTRIES),
-                self.entries.len() as u64,
-            ),
         ]
     }
 }
@@ -245,7 +222,7 @@ impl Instrumented for ShardClassCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{DnsSnapshot, RecordBlock, SiteRecords};
+    use crate::snapshot::SiteRecords;
     use remnant_engine::EngineConfig;
     use remnant_sim::SimTime;
 
@@ -254,10 +231,19 @@ mod tests {
     }
 
     fn site(i: usize) -> SiteRecords {
+        let ns = if i.is_multiple_of(3) {
+            format!("ns{}.ns.cloudflare.com", i % 2)
+        } else {
+            format!("ns{i}.example.net")
+        };
         SiteRecords {
             a: vec![std::net::Ipv4Addr::new(203, 0, 113, (i % 250) as u8 + 1)],
-            cnames: Vec::new(),
-            ns: vec![format!("ns{i}.example.net").parse().expect("valid name")],
+            cnames: if i.is_multiple_of(5) {
+                vec![format!("x{i}.incapdns.net").parse().expect("valid name")]
+            } else {
+                Vec::new()
+            },
+            ns: vec![ns.parse().expect("valid name")],
         }
     }
 
@@ -270,82 +256,81 @@ mod tests {
     }
 
     #[test]
-    fn identical_arcs_hit_rebuilt_blocks_miss() {
-        let detector = BehaviorDetector::new();
+    fn replayed_sources_hit_rebuilt_blocks_miss() {
         let mut cache = ShardClassCache::new();
-        let engine = engine(2);
         let snap = snapshot(0, 40, 8);
-        let first = cache.classify_blocks(&engine, &detector, &snap);
+        let first = cache.shard_columns(&snap);
         assert_eq!((cache.hits(), cache.misses()), (0, 5));
 
-        // The same snapshot (same Arcs) is all hits...
-        let again = cache.classify_blocks(&engine, &detector, &snap.clone());
+        // The same snapshot (same sources) is all hits, sharing columns...
+        let again = cache.shard_columns(&snap.clone());
         assert_eq!((cache.hits(), cache.misses()), (5, 5));
         for (a, b) in first.iter().zip(&again) {
-            assert!(Arc::ptr_eq(&a.classes, &b.classes), "columns are shared");
+            assert!(Arc::ptr_eq(a, b), "columns are shared");
         }
 
         // ...while a byte-identical rebuild (fresh allocations) misses.
         let rebuilt = snapshot(1, 40, 8);
-        let fresh = cache.classify_blocks(&engine, &detector, &rebuilt);
+        let fresh = cache.shard_columns(&rebuilt);
         assert_eq!((cache.hits(), cache.misses()), (5, 10));
-        for (a, b) in first.iter().zip(&fresh) {
-            assert_eq!(&a.classes[..], &b.classes[..], "same bytes, same classes");
-        }
+        assert_eq!(first, fresh, "same bytes, same columns");
     }
 
     #[test]
-    fn cache_holds_one_round_of_blocks() {
-        // Delta-style rounds: each replays the previous round's blocks
-        // except one, which it rebuilds.
+    fn derived_columns_match_the_record_walks_at_any_worker_count() {
+        let snap = snapshot(0, 100, 16);
+        let blocks: Vec<RecordBlock> = snap
+            .blocks()
+            .map(|loaded| loaded.block.as_ref().clone())
+            .collect();
         let detector = BehaviorDetector::new();
-        let mut cache = ShardClassCache::new();
-        let engine = engine(2);
-        let mut snap = snapshot(0, 40, 8);
-        cache.classify_blocks(&engine, &detector, &snap);
-        let blocks = 5;
-        for day in 1..=6u32 {
-            let mut builder = DnsSnapshot::builder(SimTime::default(), day, 8);
-            for (i, (_, source)) in snap.block_sources().enumerate() {
-                let block = source.load();
-                if i == day as usize % blocks {
-                    let sites = block.sites().map(|site| site.to_records());
-                    builder.push_block(Arc::new(RecordBlock::from_sites(sites)));
-                } else {
-                    builder.push_block(block);
-                }
+        for workers in [1usize, 4] {
+            let columns = derive_columns(&engine(workers), &blocks);
+            for ((block, column), (_, source)) in
+                blocks.iter().zip(&columns).zip(snap.block_sources())
+            {
+                let (classes, multi_cdn) = detector.classify_block(block);
+                let unpacked: Vec<Adoption> = column.classes.iter().map(|c| c.unpack()).collect();
+                assert_eq!(unpacked, classes, "workers={workers}");
+                assert_eq!(column.multi_cdn, multi_cdn);
+                let fleet: Vec<(u32, DomainName)> = column
+                    .fleet_sites
+                    .iter()
+                    .copied()
+                    .zip(column.fleet_ns.iter().cloned())
+                    .collect();
+                assert_eq!(fleet, fleet_candidates(block, "Cloudflare"));
+                assert_eq!(column.incap_tokens, token_candidates(block, "INCAPDNS"));
+                assert_eq!(column, source.derived().as_ref(), "builder derives alike");
             }
-            snap = builder.finish();
-            cache.classify_blocks(&engine, &detector, &snap);
-            assert!(
-                cache.len() <= blocks,
-                "day {day}: {} entries for {blocks} blocks",
-                cache.len()
-            );
         }
-        // Eviction never costs a hit: every replayed block still hits.
-        assert_eq!((cache.hits(), cache.misses()), (6 * 4, 5 + 6));
+        let fleet: usize = columns_of(&snap).map(|c| c.fleet_ns.len()).sum();
+        let tokens: usize = columns_of(&snap).map(|c| c.incap_tokens.len()).sum();
+        assert_eq!((fleet, tokens), (34, 20));
+    }
+
+    fn columns_of(snap: &DnsSnapshot) -> impl Iterator<Item = Arc<DerivedColumn>> + '_ {
+        snap.block_sources().map(|(_, s)| Arc::clone(s.derived()))
     }
 
     #[test]
-    fn cached_columns_match_classify_snapshot_at_any_worker_count() {
+    fn classify_snapshot_matches_the_detector() {
         let detector = BehaviorDetector::new();
         let snap = snapshot(0, 100, 16);
-        let reference = detector.classify_snapshot(&snap);
-        for workers in [1usize, 8] {
-            let mut cache = ShardClassCache::new();
-            let columns = cache.classify_snapshot(&engine(workers), &detector, &snap);
-            assert_eq!(columns.classes, reference, "workers={workers}");
-        }
+        let mut cache = ShardClassCache::new();
+        let columns = cache.classify_snapshot(&engine(1), &detector, &snap);
+        assert_eq!(columns.classes, detector.classify_snapshot(&snap));
     }
 
     #[test]
     fn concat_rebases_multi_cdn_ranks() {
-        let col = |n: usize, flagged: Vec<u32>| ClassColumn {
-            classes: vec![Adoption::NONE; n].into(),
-            multi_cdn: flagged.into(),
+        let col = |n: usize, flagged: Vec<u32>| DerivedColumn {
+            classes: vec![PackedAdoption::pack(&Adoption::NONE); n],
+            multi_cdn: flagged,
+            ..DerivedColumn::default()
         };
-        let columns = concat_columns(&[col(4, vec![1, 3]), col(3, vec![0])]);
+        let blocks = [col(4, vec![1, 3]), col(3, vec![0])];
+        let columns = concat_columns(&blocks);
         assert_eq!(columns.classes.len(), 7);
         assert_eq!(columns.multi_cdn_ranks, [1, 3, 4]);
     }

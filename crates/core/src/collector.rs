@@ -15,14 +15,17 @@
 //!    cache-cold resolver. In memory they run as one batch; spilled, in
 //!    batches of at most `resident_shards`, so a round's resident working
 //!    set is the batch, never the population.
-//! 3. **Sink** each finished shard's block: kept resident behind an
-//!    `Arc`, or appended to the round's spill file
-//!    (`full-r<round>.rsnb` / `delta-r<round>.rsnb`) and dropped.
+//! 3. **Derive and sink** each finished shard's block: its
+//!    [`DerivedColumn`] (adoption classes, multi-CDN sites, residual
+//!    harvest candidates) is computed once, one engine task per block,
+//!    and the block is kept resident behind an `Arc` or appended with its
+//!    column to the round's spill file (`full-r<round>.rsnb` /
+//!    `delta-r<round>.rsnb`) and dropped.
 //! 4. **Splice** executed and replayed shards, in plan order, into the
 //!    round's [`DnsSnapshot`]. A replayed shard is the previous round's
 //!    block — an `Arc` clone, or a [`SpillRef`](crate::spill::SpillRef)
-//!    into the older round file that last wrote it — with its recorded
-//!    [`ShardStats`].
+//!    into the older round file that last wrote it, column included —
+//!    with its recorded [`ShardStats`].
 //!
 //! [`RecordCollector::collect`] is the same routine on a one-worker
 //! engine. Every mode produces byte-identical snapshots (same block
@@ -43,6 +46,7 @@ use remnant_engine::{
 use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
+use crate::classify::{derive_columns, DerivedColumn};
 use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock, SiteRecords};
 use crate::spill::{SpillConfig, SpillError, SpillMeta, SpillWriter};
 
@@ -473,9 +477,15 @@ impl Collector {
                 |resolver, scope| resolver.export_into(scope.metrics()),
             );
             let mut outputs = sweep.outputs.into_iter();
-            for &shard in batch {
-                let block = RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len()));
-                sink.put(shard, block)?;
+            let blocks: Vec<RecordBlock> = batch
+                .iter()
+                .map(|&shard| RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len())))
+                .collect();
+            // Each fresh block's derived column is computed once, here,
+            // and travels with the block from now on.
+            let columns = derive_columns(engine, &blocks);
+            for ((&shard, block), column) in batch.iter().zip(blocks).zip(columns) {
+                sink.put(shard, block, Arc::new(column))?;
             }
             fresh.shards.extend(sweep.stats.shards);
             fresh.timings.extend(sweep.stats.timings);
@@ -501,14 +511,14 @@ impl Collector {
             if selected.next_if_eq(&&shard).is_some() {
                 let (slot, (shard_stats, timing)) =
                     fresh_shards.next().expect("one block per selected shard");
-                builder.push_slot(slot);
+                builder.push_source(slot);
                 stats.shards.push(shard_stats);
                 stats.timings.push(timing);
             } else {
                 let previous = selection
                     .replay
                     .expect("unselected shards replay the previous round");
-                builder.push_slot(previous.blocks[shard].clone());
+                builder.push_source(previous.blocks[shard].clone());
                 stats.shards.push(previous.shard_stats[shard].clone());
                 // Replayed shards cost no wall time; timings are
                 // nondeterministic and excluded from all reports anyway.
@@ -542,10 +552,17 @@ enum Sink {
 }
 
 impl Sink {
-    fn put(&mut self, shard: usize, block: RecordBlock) -> Result<(), SpillError> {
+    fn put(
+        &mut self,
+        shard: usize,
+        block: RecordBlock,
+        derived: Arc<DerivedColumn>,
+    ) -> Result<(), SpillError> {
         match self {
-            Sink::Resident(slots) => slots.push(BlockSource::Resident(Arc::new(block))),
-            Sink::Spilled(writer) => writer.append_block(shard as u32, &block)?,
+            Sink::Resident(slots) => {
+                slots.push(BlockSource::resident_with(Arc::new(block), derived));
+            }
+            Sink::Spilled(writer) => writer.append_block(shard as u32, &block, derived)?,
         }
         Ok(())
     }
@@ -554,10 +571,7 @@ impl Sink {
     fn finish(self) -> Result<Vec<BlockSource>, SpillError> {
         Ok(match self {
             Sink::Resident(slots) => slots,
-            Sink::Spilled(writer) => {
-                let (_file, refs) = writer.finish()?;
-                refs.into_iter().map(BlockSource::Spilled).collect()
-            }
+            Sink::Spilled(writer) => writer.finish()?.1,
         })
     }
 }

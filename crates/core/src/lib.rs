@@ -70,9 +70,9 @@ pub mod vantage;
 pub mod vectors;
 pub mod verify;
 
-pub use adoption::{Adoption, DpsStatus};
+pub use adoption::{Adoption, DpsStatus, PackedAdoption};
 pub use behavior::{BehaviorDetector, ObservedBehavior};
-pub use classify::{concat_columns, ClassColumn, ShardClassCache, SnapshotColumns};
+pub use classify::{concat_columns, DerivedColumn, ShardClassCache, SnapshotColumns};
 pub use collector::{DeltaCollector, DeltaRound, RecordCollector, REFRESH_STRATA};
 pub use error::{ConfigFieldError, CoreError};
 pub use matchers::ProviderMatcher;

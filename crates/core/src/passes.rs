@@ -22,6 +22,7 @@ use remnant_world::BehaviorKind;
 
 use crate::adoption::{Adoption, DpsStatus};
 use crate::behavior::{BehaviorDetector, ObservedBehavior};
+use crate::classify::concat_columns;
 use crate::fsm::{self, DpsState};
 use crate::pause::PauseTracker;
 use crate::snapshot::DnsSnapshot;
@@ -44,7 +45,6 @@ pub struct SnapshotAggregates {
 /// take the reports with [`finish`](SnapshotPasses::finish).
 #[derive(Clone, Debug)]
 pub struct SnapshotPasses {
-    detector: BehaviorDetector,
     pause_tracker: PauseTracker,
     total_sites: usize,
     top_band: usize,
@@ -69,7 +69,6 @@ impl SnapshotPasses {
     /// Creates a fold over a campaign of `total_sites` ranked targets.
     pub fn new(total_sites: usize) -> Self {
         SnapshotPasses {
-            detector: BehaviorDetector::new(),
             pause_tracker: PauseTracker::new(),
             total_sites,
             top_band: (total_sites / 100).max(1),
@@ -99,11 +98,10 @@ impl SnapshotPasses {
         self.rounds
     }
 
-    /// The detector the fold classifies with (fresh detectors over the
-    /// standard catalog are interchangeable, so a classification cache
-    /// can classify with this one or its own).
+    /// The detector every column is derived with. Classes arrive
+    /// derived at collection, so the fold itself classifies nothing.
     pub fn detector(&self) -> &BehaviorDetector {
-        &self.detector
+        BehaviorDetector::standard()
     }
 
     /// Folds in one daily snapshot and returns the day's observed
@@ -119,25 +117,23 @@ impl SnapshotPasses {
             self.total_sites,
             "snapshot covers the configured targets"
         );
-        // One pass per block: classification and the multi-CDN filter
-        // read the same records, so a spilled block is loaded once.
-        let mut classes = Vec::with_capacity(snapshot.len());
-        let mut multi_cdn_ranks = Vec::new();
-        for loaded in snapshot.blocks() {
-            let (block_classes, flagged) = self.detector.classify_block(&loaded.block);
-            multi_cdn_ranks.extend(flagged.iter().map(|&i| loaded.base_rank + i as usize));
-            classes.extend(block_classes);
-        }
-        self.observe_columns(day, snapshot.taken_at, classes, &multi_cdn_ranks)
+        // Every block carries its classes and multi-CDN sites from
+        // collection; no record is read.
+        let columns = concat_columns(snapshot.derived_columns());
+        self.observe_columns(
+            day,
+            snapshot.taken_at,
+            columns.classes,
+            &columns.multi_cdn_ranks,
+        )
     }
 
-    /// [`observe`](SnapshotPasses::observe) over pre-classified columns:
+    /// [`observe`](SnapshotPasses::observe) over concatenated columns:
     /// the per-site adoption column for the round plus the global ranks
-    /// flagged as multi-CDN front-ends (Sec IV-B.3). This is the entry
-    /// point for the per-shard classification cache — both the live
-    /// delta-collection path and the query layer's `ClassifiedStore`
-    /// feed cached columns through here, so the fold's arithmetic (and
-    /// therefore every derived report) is shared, not re-implemented.
+    /// flagged as multi-CDN front-ends (Sec IV-B.3). The live session and
+    /// the query layer's `ClassifiedStore` feed carried columns through
+    /// here, so the fold's arithmetic (and therefore every derived
+    /// report) is shared, not re-implemented.
     ///
     /// # Panics
     ///
@@ -204,7 +200,7 @@ impl SnapshotPasses {
         // Behaviors (Fig 3) + FSM validation (Fig 4).
         let mut behaviors = Vec::new();
         if let Some(prev) = &self.prev_classes {
-            behaviors = self.detector.diff(prev, &classes);
+            behaviors = BehaviorDetector::standard().diff(prev, &classes);
             behaviors.retain(|b| !self.multi_cdn[b.rank]);
             for (kind, series) in &mut self.series {
                 let count = behaviors.iter().filter(|b| b.kind == *kind).count();

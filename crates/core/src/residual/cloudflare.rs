@@ -11,8 +11,27 @@ use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
 
 use crate::collector::Target;
-use crate::snapshot::DnsSnapshot;
+use crate::residual::CLOUDFLARE_NS_FINGERPRINT;
+use crate::snapshot::{DnsSnapshot, RecordBlock};
 use crate::vantage::VantagePoints;
+
+/// A block's fleet candidates: `(block-local site, NS host)` for every NS
+/// host whose labels contain `ns_substring`, in site order with repeats
+/// kept. This is the record walk behind both
+/// [`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns)
+/// and a [`CloudflareScanner`] built with another substring.
+pub fn fleet_candidates(block: &RecordBlock, ns_substring: &str) -> Vec<(u32, DomainName)> {
+    let mut candidates = Vec::new();
+    for (i, site) in block.sites().enumerate() {
+        candidates.extend(
+            site.ns
+                .iter()
+                .filter(|host| host.contains_label_substring(ns_substring))
+                .map(|host| (i as u32, host.clone())),
+        );
+    }
+    candidates
+}
 
 /// Scanner for NS-based residual resolution.
 ///
@@ -61,22 +80,38 @@ impl CloudflareScanner {
 
     /// Harvests fleet hostnames from one usage-study snapshot, resolving
     /// the addresses of newly seen hosts.
+    ///
+    /// Every round folds every block's fleet candidates, in rank order
+    /// with repeats kept, so the resolve sequence is the record walk's:
+    /// a host whose A lookup failed stays out of the fleet and is tried
+    /// again the next round. With the standard fingerprint
+    /// ([`CLOUDFLARE_NS_FINGERPRINT`]) the candidates are the ones each
+    /// block carries from collection
+    /// ([`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns))
+    /// and no record is read; any other substring walks the records.
     pub fn harvest_fleet<T: DnsTransport + ?Sized>(
         &mut self,
         transport: &T,
         snapshot: &DnsSnapshot,
     ) {
         let mut new_hosts: Vec<DomainName> = Vec::new();
-        for loaded in snapshot.blocks() {
-            for site in loaded.block.sites() {
-                new_hosts.extend(
-                    site.ns
-                        .iter()
-                        .filter(|h| h.contains_label_substring(&self.ns_substring))
-                        .filter(|h| !self.fleet.contains_key(*h))
-                        .cloned(),
-                );
-            }
+        for (_, source) in snapshot.block_sources() {
+            let walked: Vec<DomainName>;
+            let hosts = if self.ns_substring == CLOUDFLARE_NS_FINGERPRINT {
+                &source.derived().fleet_ns
+            } else {
+                walked = fleet_candidates(&source.load(), &self.ns_substring)
+                    .into_iter()
+                    .map(|(_, host)| host)
+                    .collect();
+                &walked
+            };
+            new_hosts.extend(
+                hosts
+                    .iter()
+                    .filter(|host| !self.fleet.contains_key(*host))
+                    .cloned(),
+            );
         }
         for host in new_hosts {
             if let Ok(res) = self.resolver.resolve(transport, &host, RecordType::A) {

@@ -10,7 +10,26 @@ use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
 
-use crate::snapshot::DnsSnapshot;
+use crate::residual::INCAPSULA_CNAME_FINGERPRINT;
+use crate::snapshot::{DnsSnapshot, RecordBlock};
+
+/// A block's customer tokens: `(block-local site, first CNAME whose labels
+/// contain `cname_substring`)`, in site order. This is the record walk
+/// behind both
+/// [`DerivedColumn::incap_tokens`](crate::classify::DerivedColumn::incap_tokens)
+/// and an [`IncapsulaScanner`] built with another substring.
+pub fn token_candidates(block: &RecordBlock, cname_substring: &str) -> Vec<(u32, DomainName)> {
+    block
+        .sites()
+        .enumerate()
+        .filter_map(|(i, site)| {
+            site.cnames
+                .iter()
+                .find(|cname| cname.contains_label_substring(cname_substring))
+                .map(|token| (i as u32, token.clone()))
+        })
+        .collect()
+}
 
 /// Scanner for CNAME-based residual resolution.
 ///
@@ -55,16 +74,24 @@ impl IncapsulaScanner {
 
     /// Harvests tokens from one usage-study snapshot. A newer token for the
     /// same site replaces the old one (re-enrollments rotate tokens).
+    ///
+    /// With the standard fingerprint ([`INCAPSULA_CNAME_FINGERPRINT`])
+    /// every block's carried tokens
+    /// ([`DerivedColumn::incap_tokens`](crate::classify::DerivedColumn::incap_tokens))
+    /// are folded and no record is read; any other substring walks the
+    /// records.
     pub fn harvest(&mut self, snapshot: &DnsSnapshot) {
-        for loaded in snapshot.blocks() {
-            for (i, site) in loaded.block.sites().enumerate() {
-                if let Some(token) = site
-                    .cnames
-                    .iter()
-                    .find(|c| c.contains_label_substring(&self.cname_substring))
-                {
-                    self.harvested.insert(loaded.base_rank + i, token.clone());
-                }
+        for (base_rank, source) in snapshot.block_sources() {
+            let walked;
+            let tokens = if self.cname_substring == INCAPSULA_CNAME_FINGERPRINT {
+                &source.derived().incap_tokens
+            } else {
+                walked = token_candidates(&source.load(), &self.cname_substring);
+                &walked
+            };
+            for (i, token) in tokens {
+                self.harvested
+                    .insert(base_rank + *i as usize, token.clone());
             }
         }
     }

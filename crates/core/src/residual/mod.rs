@@ -33,6 +33,14 @@ pub use filters::{FilterPipeline, WeeklyScanReport, FUNNEL_STAGES};
 pub use incapsula::IncapsulaScanner;
 pub use purge_probe::{PurgeProbe, PurgeProbeResult};
 
+/// The substring whose presence in an NS host's labels marks it as a
+/// Cloudflare fleet nameserver (Sec V-A.1: `*.ns.cloudflare.com`).
+pub const CLOUDFLARE_NS_FINGERPRINT: &str = "cloudflare";
+
+/// The substring whose presence in a CNAME's labels marks it as an
+/// Incapsula customer token (Sec V-B: `*.incapdns.net`).
+pub const INCAPSULA_CNAME_FINGERPRINT: &str = "incapdns";
+
 /// A hidden record: an address retrievable *only* from the previous DPS
 /// provider's nameservers, invisible to normal resolution (Sec V-A.2).
 #[derive(Clone, Debug, PartialEq, Eq)]

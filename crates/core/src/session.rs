@@ -34,6 +34,7 @@ use crate::collector::{Collector, Target};
 use crate::passes::SnapshotPasses;
 use crate::residual::{
     CloudflareScanner, ExposureTracker, FilterPipeline, IncapsulaScanner, WeeklyScanReport,
+    CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT,
 };
 use crate::study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
 use crate::unchanged::{self, UnchangedStudy};
@@ -151,8 +152,8 @@ impl StudySession {
         };
         let passes = SnapshotPasses::new(targets.len());
         let unchanged = UnchangedStudy::new(SCANNER_SOURCE);
-        let cf_scanner = CloudflareScanner::new(world.clock(), "cloudflare");
-        let inc_scanner = IncapsulaScanner::new(world.clock(), "incapdns");
+        let cf_scanner = CloudflareScanner::new(world.clock(), CLOUDFLARE_NS_FINGERPRINT);
+        let inc_scanner = IncapsulaScanner::new(world.clock(), INCAPSULA_CNAME_FINGERPRINT);
         let pipeline = FilterPipeline::new(world.clock(), config.collector_region, SCANNER_SOURCE);
 
         let mut obs = Obs::new(world.clock());
@@ -274,13 +275,10 @@ impl StudySession {
         // The snapshot-derived passes — adoption (Fig 2 / Fig 6),
         // behaviors (Fig 3), FSM validation (Fig 4), pause windows
         // (Fig 5) — run as one shared fold, the same fold the
-        // remnant-query crate replays over persisted rounds. The columns
-        // come from the per-shard classification cache: under delta
-        // collection a clean shard carries the previous round's block
-        // (same `Arc`/spill frame) and reuses its column; under full
-        // collection every block is new and misses. The fold arithmetic
-        // is identical either way, keeping full-vs-delta reports
-        // byte-identical.
+        // remnant-query crate replays over persisted rounds. Its columns
+        // were derived when each block was collected and ride along with
+        // the block; the class cache only counts which blocks a delta
+        // round replayed (under full collection every block is new).
         let columns =
             self.class_cache
                 .classify_snapshot(&self.engine, self.passes.detector(), &snapshot);
@@ -300,7 +298,8 @@ impl StudySession {
             self.unchanged.observe_candidates(world, now, &candidates);
         }
 
-        // Residual-resolution harvesting runs daily, scans weekly.
+        // Residual-resolution harvesting runs daily, scans weekly; the
+        // harvests fold the blocks' carried candidates.
         self.cf_scanner.harvest_fleet(world, &snapshot);
         self.inc_scanner.harvest(&snapshot);
         let scanned_week = day.is_multiple_of(7).then(|| {

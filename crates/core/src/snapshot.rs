@@ -23,6 +23,7 @@ use std::sync::Arc;
 use remnant_dns::DomainName;
 use remnant_sim::SimTime;
 
+use crate::classify::DerivedColumn;
 use crate::spill::SpillRef;
 
 /// The records collected for one site on one day: the full A/CNAME chain
@@ -197,45 +198,88 @@ pub struct LoadedBlock {
 /// Two equal keys alias the same bytes: a resident block is keyed by the
 /// address of its shared `Arc<RecordBlock>`, a spilled block by its
 /// [`SpillRef::frame_key`]. Delta rounds chain clean shards by cloning
-/// the previous round's `Arc`/ref, so an unchanged shard carries the
-/// same key from round to round — which is what makes classification
-/// results memoizable per block. The key is conservative: a reloaded or
-/// rebuilt block gets a fresh allocation and therefore a fresh key,
-/// never a false match.
+/// the previous round's source, so an unchanged shard carries the same
+/// key from round to round — which is how reuse is counted
+/// ([`crate::classify::ShardClassCache`]). The key is conservative: a
+/// reloaded or rebuilt block gets a fresh allocation and therefore a
+/// fresh key, never a false match.
 ///
 /// An address is only unique while its allocation lives; hold the
-/// originating [`BlockSource`] alongside any cache entry keyed on it.
+/// originating [`BlockSource`] while comparing keys across rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockKey {
     ptr: usize,
     offset: u64,
 }
 
-/// One block position in a snapshot — resident, or a frame on disk —
-/// with its process-local identity exposed for cache keying (see
-/// [`BlockKey`]). Cloning is an `Arc` clone — no record data is copied
-/// or read.
+/// Where a block's records live.
 #[derive(Clone, Debug)]
-pub enum BlockSource {
-    /// The block is resident in memory (shared).
+enum Backing {
+    /// Resident in memory (shared).
     Resident(Arc<RecordBlock>),
-    /// The block lives in a spill file frame.
+    /// A frame in a spill file.
     Spilled(SpillRef),
 }
 
+/// One block position in a snapshot — resident, or a frame on disk —
+/// together with the block's [`DerivedColumn`], derived once when the
+/// block was built and carried wherever the block goes. Cloning is two
+/// `Arc` clones — no record data is copied or read.
+#[derive(Clone, Debug)]
+pub struct BlockSource {
+    backing: Backing,
+    derived: Arc<DerivedColumn>,
+}
+
 impl BlockSource {
-    /// The block's cache key. Stable for as long as this source (or any
-    /// clone of its backing) is alive.
+    /// A resident block, deriving its column.
+    pub(crate) fn resident(block: Arc<RecordBlock>) -> Self {
+        let derived = Arc::new(DerivedColumn::derive(&block));
+        BlockSource::resident_with(block, derived)
+    }
+
+    /// A resident block with its already derived column.
+    pub(crate) fn resident_with(block: Arc<RecordBlock>, derived: Arc<DerivedColumn>) -> Self {
+        BlockSource {
+            backing: Backing::Resident(block),
+            derived,
+        }
+    }
+
+    /// A spilled block with the column read back from (or written to)
+    /// its spill file.
+    pub(crate) fn spilled(spill: SpillRef, derived: Arc<DerivedColumn>) -> Self {
+        BlockSource {
+            backing: Backing::Spilled(spill),
+            derived,
+        }
+    }
+
+    /// The block's derived column (no I/O).
+    pub fn derived(&self) -> &Arc<DerivedColumn> {
+        &self.derived
+    }
+
+    /// The spill frame holding the block, if it is spilled.
+    pub fn spill_ref(&self) -> Option<&SpillRef> {
+        match &self.backing {
+            Backing::Resident(_) => None,
+            Backing::Spilled(r) => Some(r),
+        }
+    }
+
+    /// The block's identity key. Stable for as long as this source (or
+    /// any clone of its backing) is alive.
     pub fn key(&self) -> BlockKey {
-        match self {
-            BlockSource::Resident(block) => BlockKey {
+        match &self.backing {
+            Backing::Resident(block) => BlockKey {
                 ptr: Arc::as_ptr(block) as usize,
                 // Resident blocks have no frame offset; u64::MAX keeps
                 // them disjoint from any real spill offset under an
                 // (admittedly impossible) address collision.
                 offset: u64::MAX,
             },
-            BlockSource::Spilled(r) => {
+            Backing::Spilled(r) => {
                 let (ptr, offset) = r.frame_key();
                 BlockKey { ptr, offset }
             }
@@ -244,10 +288,7 @@ impl BlockSource {
 
     /// Number of sites the block covers (no I/O).
     pub fn sites(&self) -> usize {
-        match self {
-            BlockSource::Resident(block) => block.len(),
-            BlockSource::Spilled(r) => r.sites(),
-        }
+        self.derived.len()
     }
 
     /// Loads the block, reading the spill frame if needed.
@@ -258,9 +299,9 @@ impl BlockSource {
     /// deleted or corrupted mid-campaign) — snapshot consumers have no
     /// error channel, and a vanished spill file is not a recoverable state.
     pub fn load(&self) -> Arc<RecordBlock> {
-        match self {
-            BlockSource::Resident(block) => Arc::clone(block),
-            BlockSource::Spilled(r) => Arc::new(
+        match &self.backing {
+            Backing::Resident(block) => Arc::clone(block),
+            Backing::Spilled(r) => Arc::new(
                 r.load()
                     .unwrap_or_else(|e| panic!("spilled snapshot block unreadable: {e}")),
             ),
@@ -336,8 +377,8 @@ impl DnsSnapshot {
     /// The snapshot's blocks as identity-bearing sources, in rank order,
     /// with the global rank of each block's first site. Unlike
     /// [`blocks`](DnsSnapshot::blocks) this performs no I/O: it hands out
-    /// the backing handles themselves, so callers can consult a cache by
-    /// [`BlockSource::key`] before deciding to [`BlockSource::load`].
+    /// the backing handles themselves, whose [`BlockSource::derived`]
+    /// columns answer most questions without a [`BlockSource::load`].
     pub fn block_sources(&self) -> impl Iterator<Item = (usize, BlockSource)> + '_ {
         let mut base = 0usize;
         self.blocks.iter().map(move |slot| {
@@ -347,22 +388,42 @@ impl DnsSnapshot {
         })
     }
 
+    /// Every block's derived column, in rank order (no I/O).
+    pub fn derived_columns(&self) -> impl Iterator<Item = &DerivedColumn> + Clone + '_ {
+        self.blocks.iter().map(|slot| slot.derived().as_ref())
+    }
+
     /// The records for site `rank`, if collected. Loads the containing
     /// block if it is spilled; for bulk access prefer
     /// [`DnsSnapshot::blocks`].
     pub fn site(&self, rank: usize) -> Option<SiteRecords> {
-        if rank >= self.len {
-            return None;
-        }
+        self.map_sites(&[rank], |site| site.to_records()).pop()?
+    }
+
+    /// Maps the sites at `ranks` (any order, repeats allowed) through `f`,
+    /// loading each block that holds one of them exactly once. The result
+    /// is parallel to `ranks`; a rank past the end maps to `None`.
+    pub(crate) fn map_sites<T>(
+        &self,
+        ranks: &[usize],
+        mut f: impl FnMut(SiteView<'_>) -> T,
+    ) -> Vec<Option<T>> {
+        let mut out: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
+        let mut order: Vec<usize> = (0..ranks.len()).collect();
+        order.sort_by_key(|&i| ranks[i]);
+        let mut order = order.into_iter().peekable();
         let mut base = 0usize;
         for slot in &self.blocks {
-            let n = slot.sites();
-            if rank < base + n {
-                return Some(slot.load().site(rank - base).to_records());
+            let end = base + slot.sites();
+            if order.peek().is_some_and(|&i| ranks[i] < end) {
+                let block = slot.load();
+                while let Some(i) = order.next_if(|&i| ranks[i] < end) {
+                    out[i] = Some(f(block.site(ranks[i] - base)));
+                }
             }
-            base += n;
+            base = end;
         }
-        None
+        out
     }
 
     /// Number of sites with at least one record.
@@ -457,9 +518,10 @@ fn encode_site_line(out: &mut String, rank: usize, site: SiteView<'_>) {
 ///
 /// Push owned records site by site ([`SnapshotBuilder::push`], packed into
 /// `block_size` blocks), whole shared blocks
-/// ([`SnapshotBuilder::push_block`]), or on-disk frames
-/// ([`SnapshotBuilder::push_spilled`]). Mixing is allowed as long as each
-/// block push happens on a block boundary.
+/// ([`SnapshotBuilder::push_block`]), or existing sources, on-disk frames
+/// included ([`SnapshotBuilder::push_source`]). Mixing is allowed as long
+/// as each block push happens on a block boundary. Blocks built here
+/// derive their [`DerivedColumn`]s as they are packed.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     taken_at: SimTime,
@@ -480,34 +542,26 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Appends a whole block (structural sharing: no copy).
+    /// Appends a whole block (structural sharing: no copy), deriving its
+    /// column.
     ///
     /// # Panics
     ///
     /// Panics if called mid-block (sites pushed but not yet flushed).
     pub fn push_block(&mut self, block: Arc<RecordBlock>) {
-        self.push_slot(BlockSource::Resident(block));
+        self.push_source(BlockSource::resident(block));
     }
 
-    /// Appends a spilled block by reference (no load).
-    ///
-    /// This is how a snapshot is rebuilt from persisted spill files: one
-    /// [`SpillRef`] per shard, in shard order, reproduces the collector's
-    /// block layout exactly (and therefore the byte-identical encodings).
+    /// Appends an existing block source as-is, column included — the
+    /// collector's splice path, and how a snapshot is rebuilt from
+    /// persisted spill files: one source per shard, in shard order,
+    /// reproduces the collector's block layout exactly (and therefore the
+    /// byte-identical encodings).
     ///
     /// # Panics
     ///
     /// Panics if called mid-block, like [`SnapshotBuilder::push_block`].
-    pub fn push_spilled(&mut self, spill: SpillRef) {
-        self.push_slot(BlockSource::Spilled(spill));
-    }
-
-    /// Appends an existing slot as-is (the collector's splice path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-block, like [`SnapshotBuilder::push_block`].
-    pub(crate) fn push_slot(&mut self, slot: BlockSource) {
+    pub fn push_source(&mut self, slot: BlockSource) {
         assert!(
             self.pending.is_empty(),
             "block pushed onto a partially filled block"
@@ -520,7 +574,7 @@ impl SnapshotBuilder {
         if !self.pending.is_empty() {
             let rows = std::mem::take(&mut self.pending);
             self.blocks
-                .push(BlockSource::Resident(Arc::new(RecordBlock::from_sites(
+                .push(BlockSource::resident(Arc::new(RecordBlock::from_sites(
                     rows,
                 ))));
         }

@@ -1,35 +1,55 @@
 //! The versioned binary snapshot codec and the on-disk spill files that
 //! let collection rounds run memory-bounded.
 //!
-//! # Format (`v1`)
+//! # Format (`v2`)
 //!
-//! One spill file holds one collection round, framed per shard so a single
-//! block can be reloaded without touching the rest:
+//! One spill file holds one collection round. Each shard is written as
+//! two self-contained frames — its records, then the block's
+//! [`DerivedColumn`] — so a reader can load either without touching the
+//! other or the rest of the file:
 //!
 //! ```text
 //! header   "RSNP" u16=version u16=0  u64=taken_at_secs u32=day
 //!          u32=block_size u64=sites u32=shard_count
-//! frame*   u32=frame_len  (bytes after this field)
+//! (frame column)*
+//! frame    u32=frame_len  (bytes after this field)
 //!          u32=shard  u32=n_sites
 //!          u32=name_count  (u16=len bytes)*            interned-name table
 //!          u32=a_count     (4 bytes)*                  A column
 //!          u32=cname_count (u32=name_id)*              CNAME column
 //!          u32=ns_count    (u32=name_id)*              NS column
 //!          (u32=a_end u32=cname_end u32=ns_end)*       per-site ends
-//! footer   "RSNX" u32=entry_count (u32=shard u64=offset u32=len)*
+//! column   u32=column_len (bytes after this field)
+//!          u32=shard  u32=n_sites
+//!          u32=name_count  (u16=len bytes)*            interned-name table
+//!          (u8=class)*                                 one per site
+//!          u32=multi_cdn_count (u32=site)*             multi-CDN sites
+//!          u32=fleet_count (u32=site u32=name_id)*     Cloudflare fleet NS
+//!          u32=token_count (u32=site u32=name_id)*     Incapsula tokens
+//! footer   "RSNX" u32=entry_count
+//!          (u32=shard u64=frame_offset u32=frame_len
+//!           u64=column_offset u32=column_len)*
 //!          u64=footer_offset "RSNZ"
 //! ```
+//!
+//! A class byte is a [`PackedAdoption`]. Site indices are block-local:
+//! multi-CDN sites and tokens ascend strictly, fleet candidates ascend
+//! with repeats.
 //!
 //! Each frame carries its own name table (names deduplicated within the
 //! frame; process-wide deduplication happens anyway when decoded names
 //! re-enter the interner), so frames are self-contained: streaming writers
 //! append them one at a time, and readers load any frame from its footer
-//! index entry alone. Delta rounds write only their dirty shards — clean
-//! shards stay as [`SpillRef`]s into *previous* rounds' files, which is
-//! the PR 4 structural-sharing idea moved onto disk.
+//! index entry alone. Reopening a round reads only the column frames
+//! ([`SpillFile::sources`]); a block's records are read only when
+//! something loads it ([`SpillRef::load`]). Delta rounds write only their
+//! dirty shards — clean shards stay as [`SpillRef`]s into *previous*
+//! rounds' files: the delta collector's structural sharing, moved onto
+//! disk.
 //!
-//! All decode paths return typed [`SpillError`]s; malformed input never
-//! panics.
+//! All decode paths, column frames included, return typed
+//! [`SpillError`]s; malformed input never panics. A file of another
+//! version is rejected with [`SpillError::UnsupportedVersion`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -42,14 +62,20 @@ use std::sync::{Arc, Mutex};
 use remnant_dns::DomainName;
 use remnant_sim::SimTime;
 
-use crate::snapshot::{DnsSnapshot, RecordBlock};
+use crate::adoption::PackedAdoption;
+use crate::classify::DerivedColumn;
+use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock};
 
 const FILE_MAGIC: &[u8; 4] = b"RSNP";
 const FOOTER_MAGIC: &[u8; 4] = b"RSNX";
 const TRAILER_MAGIC: &[u8; 4] = b"RSNZ";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 4 + 2 + 2 + 8 + 4 + 4 + 8 + 4;
+/// Trailer length in bytes: `u64=footer_offset "RSNZ"`.
+const TRAILER_LEN: u64 = 8 + 4;
+/// Leading words every frame starts with: `frame_len shard n_sites`.
+const PREAMBLE_LEN: u32 = 12;
 
 /// Where spilled rounds go and how much stays resident while collecting.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -248,42 +274,93 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 // Frame codec
 // ---------------------------------------------------------------------------
 
+/// A per-frame interned-name table: each distinct name once, in first
+/// occurrence order (deterministic — no hashing in the layout).
+#[derive(Default)]
+struct NameTable<'b> {
+    names: Vec<&'b DomainName>,
+    ids: HashMap<&'b DomainName, u32>,
+}
+
+impl<'b> NameTable<'b> {
+    fn id(&mut self, name: &'b DomainName) -> u32 {
+        *self.ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            (self.names.len() - 1) as u32
+        })
+    }
+
+    fn encode(&self, body: &mut Vec<u8>) {
+        put_u32(body, self.names.len() as u32);
+        for name in &self.names {
+            let s = name.as_str().as_bytes();
+            put_u16(body, s.len() as u16);
+            body.extend_from_slice(s);
+        }
+    }
+}
+
+/// Reads a frame's name table.
+fn decode_name_table(r: &mut Reader<'_>) -> Result<Vec<DomainName>, SpillError> {
+    let name_count = r.u32("name table count")?;
+    let mut table: Vec<DomainName> = Vec::new();
+    for _ in 0..name_count {
+        let len = r.u16("name table entry length")? as usize;
+        let raw = r.take(len, "name table entry")?;
+        let s = std::str::from_utf8(raw)
+            .map_err(|_| SpillError::BadName(format!("{raw:?} (not UTF-8)")))?;
+        let name: DomainName = s.parse().map_err(|_| SpillError::BadName(s.to_string()))?;
+        table.push(name);
+    }
+    Ok(table)
+}
+
+/// Resolves a name id against its frame's table.
+fn lookup_name(table: &[DomainName], id: u32) -> Result<DomainName, SpillError> {
+    table
+        .get(id as usize)
+        .cloned()
+        .ok_or(SpillError::BadNameIndex {
+            index: id,
+            table: table.len() as u32,
+        })
+}
+
+/// Prefixes a frame body with its `frame_len` word.
+fn seal(body: Vec<u8>) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + body.len());
+    put_u32(&mut frame, body.len() as u32);
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Splits a frame (including its leading length word) into a reader over
+/// its body, after the `shard` and `n_sites` words it returns.
+fn open_frame<'a>(
+    bytes: &'a [u8],
+    section: &'static str,
+) -> Result<(Reader<'a>, u32, usize), SpillError> {
+    let mut r = Reader::new(bytes);
+    let frame_len = r.u32(section)? as usize;
+    let body = r.take(frame_len, section)?;
+    let mut r = Reader::new(body);
+    let shard = r.u32(section)?;
+    let n_sites = r.u32(section)? as usize;
+    Ok((r, shard, n_sites))
+}
+
 /// Encodes one shard's block as a self-contained frame (including the
 /// leading `frame_len` word).
 fn encode_frame(shard: u32, block: &RecordBlock) -> Vec<u8> {
     let (a, cnames, ns) = block.columns();
-
-    // Per-frame interned-name table: each distinct name once, in first
-    // occurrence order (deterministic — no hashing in the layout).
-    fn intern_ids<'b>(
-        names: &'b [DomainName],
-        table: &mut Vec<&'b DomainName>,
-        ids: &mut HashMap<&'b DomainName, u32>,
-    ) -> Vec<u32> {
-        names
-            .iter()
-            .map(|n| {
-                *ids.entry(n).or_insert_with(|| {
-                    table.push(n);
-                    (table.len() - 1) as u32
-                })
-            })
-            .collect()
-    }
-    let mut table: Vec<&DomainName> = Vec::new();
-    let mut ids: HashMap<&DomainName, u32> = HashMap::new();
-    let cname_ids = intern_ids(cnames, &mut table, &mut ids);
-    let ns_ids = intern_ids(ns, &mut table, &mut ids);
+    let mut table = NameTable::default();
+    let cname_ids: Vec<u32> = cnames.iter().map(|n| table.id(n)).collect();
+    let ns_ids: Vec<u32> = ns.iter().map(|n| table.id(n)).collect();
 
     let mut body = Vec::new();
     put_u32(&mut body, shard);
     put_u32(&mut body, block.len() as u32);
-    put_u32(&mut body, table.len() as u32);
-    for name in &table {
-        let s = name.as_str().as_bytes();
-        put_u16(&mut body, s.len() as u16);
-        body.extend_from_slice(s);
-    }
+    table.encode(&mut body);
     put_u32(&mut body, a.len() as u32);
     for addr in a {
         body.extend_from_slice(&addr.octets());
@@ -301,34 +378,15 @@ fn encode_frame(shard: u32, block: &RecordBlock) -> Vec<u8> {
         put_u32(&mut body, ends[1]);
         put_u32(&mut body, ends[2]);
     }
-
-    let mut frame = Vec::with_capacity(4 + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
+    seal(body)
 }
 
 /// Decodes one frame (including its leading `frame_len` word) back into
 /// `(shard, block)`.
 fn decode_frame(bytes: &[u8]) -> Result<(u32, RecordBlock), SpillError> {
-    let mut r = Reader::new(bytes);
-    let frame_len = r.u32("frame length")? as usize;
-    let body = r.take(frame_len, "frame body")?;
-    let mut r = Reader::new(body);
-
-    let shard = r.u32("frame shard index")?;
-    let n_sites = r.u32("frame site count")? as usize;
-
-    let name_count = r.u32("name table count")?;
-    let mut table: Vec<DomainName> = Vec::new();
-    for _ in 0..name_count {
-        let len = r.u16("name table entry length")? as usize;
-        let raw = r.take(len, "name table entry")?;
-        let s = std::str::from_utf8(raw)
-            .map_err(|_| SpillError::BadName(format!("{raw:?} (not UTF-8)")))?;
-        let name: DomainName = s.parse().map_err(|_| SpillError::BadName(s.to_string()))?;
-        table.push(name);
-    }
+    let (mut r, shard, n_sites) = open_frame(bytes, "frame preamble")?;
+    let body_len = bytes.len();
+    let table = decode_name_table(&mut r)?;
 
     let a_count = r.u32("A column count")? as usize;
     let a_bytes = r.take(
@@ -351,22 +409,13 @@ fn decode_frame(bytes: &[u8]) -> Result<(u32, RecordBlock), SpillError> {
             label,
         )?;
         ids.chunks_exact(4)
-            .map(|c| {
-                let id = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-                table
-                    .get(id as usize)
-                    .cloned()
-                    .ok_or(SpillError::BadNameIndex {
-                        index: id,
-                        table: table.len() as u32,
-                    })
-            })
+            .map(|c| lookup_name(&table, u32::from_le_bytes(c.try_into().expect("4 bytes"))))
             .collect()
     };
     let cnames = name_column("CNAME column")?;
     let ns = name_column("NS column")?;
 
-    let mut ends = Vec::with_capacity(n_sites.min(body.len() / 12 + 1));
+    let mut ends = Vec::with_capacity(n_sites.min(body_len / 12 + 1));
     let mut prev = [0u32; 3];
     for _ in 0..n_sites {
         let e = [
@@ -392,6 +441,115 @@ fn decode_frame(bytes: &[u8]) -> Result<(u32, RecordBlock), SpillError> {
         });
     }
     Ok((shard, RecordBlock::from_columns(ends, a, cnames, ns)))
+}
+
+/// Encodes one shard's derived column as a self-contained frame
+/// (including the leading `column_len` word).
+fn encode_column(shard: u32, column: &DerivedColumn) -> Vec<u8> {
+    let mut table = NameTable::default();
+    let fleet: Vec<(u32, u32)> = column
+        .fleet_sites
+        .iter()
+        .zip(&column.fleet_ns)
+        .map(|(site, host)| (*site, table.id(host)))
+        .collect();
+    let tokens: Vec<(u32, u32)> = column
+        .incap_tokens
+        .iter()
+        .map(|(site, token)| (*site, table.id(token)))
+        .collect();
+
+    let mut body = Vec::new();
+    put_u32(&mut body, shard);
+    put_u32(&mut body, column.len() as u32);
+    table.encode(&mut body);
+    body.extend(column.classes.iter().map(|class| class.byte()));
+    put_u32(&mut body, column.multi_cdn.len() as u32);
+    for site in &column.multi_cdn {
+        put_u32(&mut body, *site);
+    }
+    for pairs in [&fleet, &tokens] {
+        put_u32(&mut body, pairs.len() as u32);
+        for (site, id) in pairs {
+            put_u32(&mut body, *site);
+            put_u32(&mut body, *id);
+        }
+    }
+    seal(body)
+}
+
+/// Reads a count-prefixed list of block-local site indices, each below
+/// `n_sites` and ascending (strictly unless `repeats`), pairing each with
+/// what `item` reads after it.
+fn decode_sites<T>(
+    r: &mut Reader<'_>,
+    n_sites: usize,
+    repeats: bool,
+    section: &'static str,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, SpillError>,
+) -> Result<Vec<(u32, T)>, SpillError> {
+    let count = r.u32(section)? as usize;
+    // Every entry takes at least its 4-byte site word, so a count the
+    // remaining bytes cannot hold never over-allocates.
+    let mut out = Vec::with_capacity(count.min((r.bytes.len() - r.pos) / 4));
+    let mut prev: Option<u32> = None;
+    for _ in 0..count {
+        let site = r.u32(section)?;
+        if site as usize >= n_sites {
+            return Err(SpillError::CorruptFrame {
+                reason: "column site index out of range",
+            });
+        }
+        if prev.is_some_and(|p| site < p || (site == p && !repeats)) {
+            return Err(SpillError::CorruptFrame {
+                reason: "column site indices out of order",
+            });
+        }
+        prev = Some(site);
+        out.push((site, item(r)?));
+    }
+    Ok(out)
+}
+
+/// Decodes one column frame (including its leading `column_len` word)
+/// back into `(shard, column)`.
+fn decode_column(bytes: &[u8]) -> Result<(u32, DerivedColumn), SpillError> {
+    let (mut r, shard, n_sites) = open_frame(bytes, "column preamble")?;
+    let table = decode_name_table(&mut r)?;
+    let mut classes = Vec::with_capacity(n_sites);
+    for &byte in r.take(n_sites, "class column")? {
+        classes.push(
+            PackedAdoption::from_byte(byte).ok_or(SpillError::CorruptFrame {
+                reason: "invalid adoption class",
+            })?,
+        );
+    }
+    let multi_cdn = decode_sites(&mut r, n_sites, false, "multi-CDN column", |_| Ok(()))?
+        .into_iter()
+        .map(|(site, ())| site)
+        .collect();
+    let mut named = |repeats: bool, section: &'static str| {
+        decode_sites(&mut r, n_sites, repeats, section, |r| {
+            lookup_name(&table, r.u32(section)?)
+        })
+    };
+    let (fleet_sites, fleet_ns) = named(true, "fleet column")?.into_iter().unzip();
+    let incap_tokens = named(false, "token column")?;
+    if r.pos != r.bytes.len() {
+        return Err(SpillError::CorruptFrame {
+            reason: "column frame has trailing bytes",
+        });
+    }
+    Ok((
+        shard,
+        DerivedColumn {
+            classes,
+            multi_cdn,
+            fleet_sites,
+            fleet_ns,
+            incap_tokens,
+        },
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -433,34 +591,50 @@ fn decode_header(bytes: &[u8]) -> Result<SpillMeta, SpillError> {
     })
 }
 
-fn encode_footer(out: &mut Vec<u8>, index: &[(u32, u64, u32)]) {
-    let footer_offset = out.len() as u64;
+/// Where one shard's two frames sit in a file: `(offset, len)` each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ShardExtents {
+    frame: (u64, u32),
+    column: (u64, u32),
+}
+
+/// Appends the footer index and trailer; `base` is the file offset `out`
+/// starts at.
+fn encode_footer(out: &mut Vec<u8>, base: u64, index: &[(u32, ShardExtents)]) {
+    let footer_offset = base + out.len() as u64;
     out.extend_from_slice(FOOTER_MAGIC);
     put_u32(out, index.len() as u32);
-    for (shard, offset, len) in index {
+    for (shard, extents) in index {
         put_u32(out, *shard);
-        put_u64(out, *offset);
-        put_u32(out, *len);
+        put_u64(out, extents.frame.0);
+        put_u32(out, extents.frame.1);
+        put_u64(out, extents.column.0);
+        put_u32(out, extents.column.1);
     }
     put_u64(out, footer_offset);
     out.extend_from_slice(TRAILER_MAGIC);
 }
 
-/// Parses the footer of a complete document; returns `shard -> (offset,
-/// frame_len)`.
-fn decode_footer(bytes: &[u8]) -> Result<BTreeMap<u32, (u64, u32)>, SpillError> {
-    if bytes.len() < HEADER_LEN as usize + 12 {
+/// Validates the trailer of a `len`-byte document; returns the footer
+/// offset.
+fn decode_trailer(trailer: &[u8], len: u64) -> Result<u64, SpillError> {
+    if len < HEADER_LEN + TRAILER_LEN || trailer.len() as u64 != TRAILER_LEN {
         return Err(SpillError::Truncated { section: "trailer" });
     }
-    let trailer = &bytes[bytes.len() - 12..];
     if &trailer[8..] != TRAILER_MAGIC {
         return Err(SpillError::BadMagic);
     }
-    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes")) as usize;
-    if footer_offset >= bytes.len() {
+    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+    if footer_offset > len - TRAILER_LEN {
         return Err(SpillError::Truncated { section: "footer" });
     }
-    let mut r = Reader::new(&bytes[footer_offset..bytes.len() - 12]);
+    Ok(footer_offset)
+}
+
+/// Parses a footer (magic through the last index entry); returns
+/// `shard -> extents`.
+fn decode_footer(bytes: &[u8]) -> Result<BTreeMap<u32, ShardExtents>, SpillError> {
+    let mut r = Reader::new(bytes);
     if r.take(4, "footer magic")? != FOOTER_MAGIC {
         return Err(SpillError::BadMagic);
     }
@@ -468,22 +642,38 @@ fn decode_footer(bytes: &[u8]) -> Result<BTreeMap<u32, (u64, u32)>, SpillError> 
     let mut index = BTreeMap::new();
     for _ in 0..count {
         let shard = r.u32("footer entry")?;
-        let offset = r.u64("footer entry")?;
-        let len = r.u32("footer entry")?;
-        if index.insert(shard, (offset, len)).is_some() {
+        let extents = ShardExtents {
+            frame: (r.u64("footer entry")?, r.u32("footer entry")?),
+            column: (r.u64("footer entry")?, r.u32("footer entry")?),
+        };
+        if index.insert(shard, extents).is_some() {
             return Err(SpillError::DuplicateShardFrame { shard });
         }
     }
     Ok(index)
 }
 
+/// The `(offset, len)` extent of `bytes`, or a typed truncation error.
+fn extent<'a>(
+    bytes: &'a [u8],
+    (offset, len): (u64, u32),
+    section: &'static str,
+) -> Result<&'a [u8], SpillError> {
+    let start = usize::try_from(offset).map_err(|_| SpillError::Truncated { section })?;
+    let end = start
+        .checked_add(len as usize)
+        .filter(|&e| e <= bytes.len())
+        .ok_or(SpillError::Truncated { section })?;
+    Ok(&bytes[start..end])
+}
+
 impl DnsSnapshot {
     /// Serializes the snapshot to the versioned binary format (header,
-    /// one frame per block, footer index). Spilled blocks are loaded
-    /// transiently; the result is self-contained.
+    /// record and column frames per block, footer index). Spilled blocks
+    /// are loaded transiently; the result is self-contained.
     pub fn encode_binary(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let blocks: Vec<_> = self.blocks().collect();
+        let sources: Vec<BlockSource> = self.block_sources().map(|(_, s)| s).collect();
         encode_header(
             &mut out,
             &SpillMeta {
@@ -491,49 +681,70 @@ impl DnsSnapshot {
                 day: self.day,
                 sites: self.len() as u64,
                 block_size: self.block_size() as u32,
-                shard_count: blocks.len() as u32,
+                shard_count: sources.len() as u32,
             },
         );
-        let mut index = Vec::with_capacity(blocks.len());
-        for (shard, loaded) in blocks.iter().enumerate() {
-            let frame = encode_frame(shard as u32, &loaded.block);
-            index.push((shard as u32, out.len() as u64, frame.len() as u32));
+        let mut index = Vec::with_capacity(sources.len());
+        for (shard, source) in sources.iter().enumerate() {
+            let shard = shard as u32;
+            let frame = encode_frame(shard, &source.load());
+            let column = encode_column(shard, source.derived());
+            let frame_at = out.len() as u64;
+            let column_at = frame_at + frame.len() as u64;
+            index.push((
+                shard,
+                ShardExtents {
+                    frame: (frame_at, frame.len() as u32),
+                    column: (column_at, column.len() as u32),
+                },
+            ));
             out.extend_from_slice(&frame);
+            out.extend_from_slice(&column);
         }
-        encode_footer(&mut out, &index);
+        encode_footer(&mut out, 0, &index);
         out
     }
 
     /// Parses a complete binary snapshot document (every shard present).
+    /// Each block carries the column read from its column frame.
     ///
     /// # Errors
     ///
     /// Returns a typed [`SpillError`] on truncation at any section
-    /// boundary, bad magic or version, bad name-table indices, duplicate
-    /// or missing shard frames, or count mismatches. Never panics on
-    /// malformed input.
+    /// boundary, bad magic or version, bad name-table indices, invalid
+    /// column contents, duplicate or missing shard frames, or count
+    /// mismatches. Never panics on malformed input.
     pub fn decode_binary(bytes: &[u8]) -> Result<Self, SpillError> {
         let meta = decode_header(bytes)?;
-        let index = decode_footer(bytes)?;
+        let len = bytes.len() as u64;
+        let trailer_at = bytes.len().saturating_sub(TRAILER_LEN as usize);
+        let footer_offset = decode_trailer(&bytes[trailer_at..], len)?;
+        let index = decode_footer(&bytes[footer_offset as usize..trailer_at])?;
         let mut builder =
             DnsSnapshot::builder(meta.taken_at, meta.day, meta.block_size.max(1) as usize);
         let mut found = 0u64;
         for shard in 0..meta.shard_count {
-            let (offset, len) = *index
+            let extents = index
                 .get(&shard)
                 .ok_or(SpillError::MissingShardFrame { shard })?;
-            let end = (offset as usize)
-                .checked_add(len as usize)
-                .filter(|&e| e <= bytes.len())
-                .ok_or(SpillError::Truncated { section: "frame" })?;
-            let (frame_shard, block) = decode_frame(&bytes[offset as usize..end])?;
-            if frame_shard != shard {
+            let (frame_shard, block) = decode_frame(extent(bytes, extents.frame, "frame")?)?;
+            let (column_shard, column) =
+                decode_column(extent(bytes, extents.column, "column frame")?)?;
+            if frame_shard != shard || column_shard != shard {
                 return Err(SpillError::CorruptFrame {
                     reason: "frame shard disagrees with index",
                 });
             }
+            if column.len() != block.len() {
+                return Err(SpillError::CorruptFrame {
+                    reason: "column site count disagrees with frame",
+                });
+            }
             found += block.len() as u64;
-            builder.push_block(Arc::new(block));
+            builder.push_source(BlockSource::resident_with(
+                Arc::new(block),
+                Arc::new(column),
+            ));
         }
         if found != meta.sites {
             return Err(SpillError::CountMismatch {
@@ -541,8 +752,7 @@ impl DnsSnapshot {
                 found,
             });
         }
-        if index.keys().any(|&s| s >= meta.shard_count) {
-            let shard = *index.keys().find(|&&s| s >= meta.shard_count).expect("any");
+        if let Some(&shard) = index.keys().find(|&&s| s >= meta.shard_count) {
             return Err(SpillError::ShardOutOfRange {
                 shard,
                 count: meta.shard_count,
@@ -574,7 +784,7 @@ impl fmt::Debug for SpillFile {
 }
 
 impl SpillFile {
-    /// Opens a finished spill file and validates its header and trailer.
+    /// Opens a finished spill file and validates its header.
     pub fn open(path: impl AsRef<Path>) -> Result<Arc<SpillFile>, SpillError> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path).map_err(io_err("opening spill file"))?;
@@ -599,14 +809,25 @@ impl SpillFile {
         &self.path
     }
 
-    /// The shards present in the file, from its footer index.
-    pub fn index(&self) -> Result<BTreeMap<u32, (u64, u32)>, SpillError> {
+    /// The shards present in the file, from its footer index. Reads the
+    /// trailer and the footer only.
+    fn index(&self) -> Result<BTreeMap<u32, ShardExtents>, SpillError> {
         let mut file = self.file.lock().expect("spill file lock");
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))
-            .and_then(|_| file.read_to_end(&mut bytes))
+        let len = file
+            .seek(SeekFrom::End(0))
+            .map_err(io_err("seeking spill trailer"))?;
+        let mut trailer = [0u8; TRAILER_LEN as usize];
+        if len >= TRAILER_LEN {
+            file.seek(SeekFrom::Start(len - TRAILER_LEN))
+                .and_then(|_| file.read_exact(&mut trailer))
+                .map_err(io_err("reading spill trailer"))?;
+        }
+        let footer_offset = decode_trailer(&trailer, len)?;
+        let mut footer = vec![0u8; (len - TRAILER_LEN - footer_offset) as usize];
+        file.seek(SeekFrom::Start(footer_offset))
+            .and_then(|_| file.read_exact(&mut footer))
             .map_err(io_err("reading spill footer"))?;
-        decode_footer(&bytes)
+        decode_footer(&footer)
     }
 
     fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
@@ -618,51 +839,52 @@ impl SpillFile {
         Ok(buf)
     }
 
-    /// One [`SpillRef`] per frame in the file, in ascending shard order.
+    /// One [`BlockSource`] per shard in the file, with its shard index, in
+    /// ascending shard order.
     ///
-    /// Only each frame's preamble (shard index and site count) is read;
-    /// the record columns stay on disk until [`SpillRef::load`]. This is
-    /// how a reader (e.g. a snapshot store) re-chains a directory of
-    /// rounds without pulling whole files into memory.
-    pub fn refs(self: &Arc<Self>) -> Result<Vec<SpillRef>, SpillError> {
+    /// Only the footer and each shard's column frame are read: the
+    /// sources carry their derived columns, and the record frames stay
+    /// on disk until [`SpillRef::load`]. This is how a reader (e.g. a
+    /// snapshot store) re-chains a directory of rounds without pulling
+    /// whole files into memory.
+    pub fn sources(self: &Arc<Self>) -> Result<Vec<(u32, BlockSource)>, SpillError> {
         let index = self.index()?;
-        let mut refs = Vec::with_capacity(index.len());
-        for (shard, (offset, len)) in index {
+        let mut sources = Vec::with_capacity(index.len());
+        for (shard, extents) in index {
             if shard >= self.meta.shard_count {
                 return Err(SpillError::ShardOutOfRange {
                     shard,
                     count: self.meta.shard_count,
                 });
             }
-            if len < 12 {
+            if extents.frame.1 < PREAMBLE_LEN {
                 return Err(SpillError::Truncated {
                     section: "frame preamble",
                 });
             }
-            let preamble = self.read_at(offset, 12)?;
-            let mut reader = Reader::new(&preamble);
-            let _frame_len = reader.u32("frame length")?;
-            let frame_shard = reader.u32("frame shard index")?;
-            let sites = reader.u32("frame site count")?;
-            if frame_shard != shard {
+            let bytes = self.read_at(extents.column.0, extents.column.1 as usize)?;
+            let (column_shard, column) = decode_column(&bytes)?;
+            if column_shard != shard {
                 return Err(SpillError::CorruptFrame {
                     reason: "frame shard disagrees with index",
                 });
             }
-            refs.push(SpillRef {
+            let spill = SpillRef {
                 file: Arc::clone(self),
                 shard,
-                offset,
-                len,
-                sites,
-            });
+                offset: extents.frame.0,
+                len: extents.frame.1,
+                sites: column.len() as u32,
+            };
+            sources.push((shard, BlockSource::spilled(spill, Arc::new(column))));
         }
-        Ok(refs)
+        Ok(sources)
     }
 }
 
-/// A reference to one shard's frame inside a [`SpillFile`]: everything a
-/// snapshot needs to reload the block on demand, and nothing more.
+/// A reference to one shard's record frame inside a [`SpillFile`]:
+/// everything a snapshot needs to reload the block on demand, and nothing
+/// more.
 #[derive(Clone)]
 pub struct SpillRef {
     file: Arc<SpillFile>,
@@ -705,20 +927,19 @@ impl SpillRef {
     /// Process-local identity of the referenced frame: `(file identity,
     /// frame offset)`, where the file identity is the address of the
     /// shared [`SpillFile`] handle. Two refs with equal keys alias the
-    /// same bytes of the same open file, so any pure function of the
-    /// decoded block may be memoized under this key — delta rounds chain
-    /// clean shards as clones of earlier refs, which is what makes the
-    /// key hit. The key is only conservative: reopening a file yields a
-    /// new handle and therefore a fresh key, never a false match.
+    /// same bytes of the same open file — delta rounds chain clean shards
+    /// as clones of earlier refs, which is what makes the key repeat. The
+    /// key is only conservative: reopening a file yields a new handle and
+    /// therefore a fresh key, never a false match.
     ///
     /// The address is only unique while the handle is alive; callers
-    /// keying a cache on it must keep a clone of the ref (or another
-    /// owner of the handle) alive alongside the entry.
+    /// comparing keys must keep a clone of the ref (or another owner of
+    /// the handle) alive alongside them.
     pub fn frame_key(&self) -> (usize, u64) {
         (Arc::as_ptr(&self.file) as usize, self.offset)
     }
 
-    /// Reads and decodes the referenced frame.
+    /// Reads and decodes the referenced record frame (and nothing else).
     pub fn load(&self) -> Result<RecordBlock, SpillError> {
         let bytes = self.file.read_at(self.offset, self.len as usize)?;
         let (shard, block) = decode_frame(&bytes)?;
@@ -736,6 +957,14 @@ impl SpillRef {
     }
 }
 
+/// One appended shard, awaiting [`SpillWriter::finish`].
+#[derive(Debug)]
+struct Pending {
+    shard: u32,
+    extents: ShardExtents,
+    derived: Arc<DerivedColumn>,
+}
+
 /// Streams one round's frames to disk, then finalizes the footer and
 /// reopens the file for reads.
 #[derive(Debug)]
@@ -743,8 +972,7 @@ pub struct SpillWriter {
     path: PathBuf,
     file: File,
     offset: u64,
-    index: Vec<(u32, u64, u32)>,
-    pending_refs: Vec<(u32, u64, u32, u32)>,
+    pending: Vec<Pending>,
     meta: SpillMeta,
 }
 
@@ -761,91 +989,125 @@ impl SpillWriter {
             path,
             file,
             offset: header.len() as u64,
-            index: Vec::new(),
-            pending_refs: Vec::new(),
+            pending: Vec::new(),
             meta,
         })
     }
 
-    /// Appends one shard's frame. Returns nothing; the matching
-    /// [`SpillRef`]s come out of [`SpillWriter::finish`].
+    /// Appends one shard's record frame followed by its column frame.
+    /// Returns nothing; the matching [`BlockSource`]s come out of
+    /// [`SpillWriter::finish`].
     ///
     /// # Errors
     ///
     /// [`SpillError::DuplicateShardFrame`] if the shard was already
-    /// appended, [`SpillError::ShardOutOfRange`] if it exceeds the plan.
-    pub fn append_block(&mut self, shard: u32, block: &RecordBlock) -> Result<(), SpillError> {
+    /// appended, [`SpillError::ShardOutOfRange`] if it exceeds the plan,
+    /// [`SpillError::CorruptFrame`] if the column does not cover the
+    /// block.
+    pub fn append_block(
+        &mut self,
+        shard: u32,
+        block: &RecordBlock,
+        derived: Arc<DerivedColumn>,
+    ) -> Result<(), SpillError> {
         if shard >= self.meta.shard_count {
             return Err(SpillError::ShardOutOfRange {
                 shard,
                 count: self.meta.shard_count,
             });
         }
-        if self.index.iter().any(|(s, ..)| *s == shard) {
+        if self.pending.iter().any(|p| p.shard == shard) {
             return Err(SpillError::DuplicateShardFrame { shard });
         }
-        let frame = encode_frame(shard, block);
+        if derived.len() != block.len() {
+            return Err(SpillError::CorruptFrame {
+                reason: "column site count disagrees with frame",
+            });
+        }
+        let mut frames = encode_frame(shard, block);
+        let frame = (self.offset, frames.len() as u32);
+        let column = encode_column(shard, &derived);
+        let column_extent = (self.offset + frames.len() as u64, column.len() as u32);
+        frames.extend_from_slice(&column);
         self.file
-            .write_all(&frame)
+            .write_all(&frames)
             .map_err(io_err("writing spill frame"))?;
-        self.index.push((shard, self.offset, frame.len() as u32));
-        self.pending_refs
-            .push((shard, self.offset, frame.len() as u32, block.len() as u32));
-        self.offset += frame.len() as u64;
+        self.offset += frames.len() as u64;
+        self.pending.push(Pending {
+            shard,
+            extents: ShardExtents {
+                frame,
+                column: column_extent,
+            },
+            derived,
+        });
         Ok(())
     }
 
     /// Writes the footer, flushes, and reopens the file read-only.
-    /// Returns the shared read handle plus one [`SpillRef`] per appended
-    /// frame, in append order.
-    pub fn finish(mut self) -> Result<(Arc<SpillFile>, Vec<SpillRef>), SpillError> {
+    /// Returns the shared read handle plus one [`BlockSource`] per
+    /// appended shard, in append order.
+    pub fn finish(mut self) -> Result<(Arc<SpillFile>, Vec<BlockSource>), SpillError> {
+        let index: Vec<(u32, ShardExtents)> =
+            self.pending.iter().map(|p| (p.shard, p.extents)).collect();
         let mut footer = Vec::new();
-        let footer_at = self.offset;
-        encode_footer(&mut footer, &self.index);
-        // encode_footer computed footer_offset relative to an empty buffer;
-        // patch in the real file offset.
-        let patch_at = footer.len() - 12;
-        footer[patch_at..patch_at + 8].copy_from_slice(&footer_at.to_le_bytes());
+        encode_footer(&mut footer, self.offset, &index);
         self.file
             .write_all(&footer)
             .map_err(io_err("writing spill footer"))?;
         self.file.flush().map_err(io_err("flushing spill file"))?;
         drop(self.file);
         let file = SpillFile::open(&self.path)?;
-        let refs = self
-            .pending_refs
-            .iter()
-            .map(|&(shard, offset, len, sites)| SpillRef {
-                file: Arc::clone(&file),
-                shard,
-                offset,
-                len,
-                sites,
+        let sources = self
+            .pending
+            .into_iter()
+            .map(|p| {
+                let spill = SpillRef {
+                    file: Arc::clone(&file),
+                    shard: p.shard,
+                    offset: p.extents.frame.0,
+                    len: p.extents.frame.1,
+                    sites: p.derived.len() as u32,
+                };
+                BlockSource::spilled(spill, p.derived)
             })
             .collect();
-        Ok((file, refs))
+        Ok((file, sources))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adoption::{Adoption, DpsStatus};
     use crate::snapshot::SiteRecords;
+    use remnant_provider::{ProviderId, ReroutingMethod};
 
     fn sample_snapshot(block_size: usize) -> DnsSnapshot {
         let mut b = DnsSnapshot::builder(SimTime::from_secs(1234), 7, block_size);
         for i in 0..10u8 {
+            let (cname, ns) = match i % 3 {
+                0 => (
+                    "edge.cdn.example.net",
+                    ["ns1.webhost1.net", "ns2.webhost1.net"],
+                ),
+                1 => (
+                    "x7f3.incapdns.net",
+                    ["ns1.webhost1.net", "ns2.webhost1.net"],
+                ),
+                _ => (
+                    "d123.cloudfront.net",
+                    ["kate.ns.cloudflare.com", "rob.ns.cloudflare.com"],
+                ),
+            };
             b.push(SiteRecords {
                 a: vec![Ipv4Addr::new(10, 0, 0, i)],
                 cnames: if i % 2 == 0 {
-                    vec!["edge.cdn.example.net".parse().unwrap()]
+                    vec![cname.parse().unwrap()]
                 } else {
                     vec![]
                 },
-                ns: vec![
-                    "ns1.webhost1.net".parse().unwrap(),
-                    "ns2.webhost1.net".parse().unwrap(),
-                ],
+                ns: ns.iter().map(|n| n.parse().unwrap()).collect(),
             });
         }
         b.finish()
@@ -871,6 +1133,87 @@ mod tests {
             // Typed error, not a panic; exact kind depends on the cut.
             let _ = err.to_string();
         }
+        // Every column frame cut short at every byte, on its own and
+        // with its length word claiming the cut.
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        let footer_offset = decode_trailer(&bytes[trailer_at..], bytes.len() as u64).unwrap();
+        let index = decode_footer(&bytes[footer_offset as usize..trailer_at]).unwrap();
+        for extents in index.values() {
+            let column = extent(&bytes, extents.column, "column frame").unwrap();
+            assert!(decode_column(column).is_ok());
+            for cut in 0..column.len() {
+                assert!(decode_column(&column[..cut]).is_err(), "cut at {cut}");
+                let mut short = column[..cut].to_vec();
+                if cut >= 4 {
+                    short[..4].copy_from_slice(&(cut as u32 - 4).to_le_bytes());
+                }
+                assert!(decode_column(&short).is_err(), "relabelled cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn column_frames_round_trip_and_reject_bad_contents() {
+        let classes = [
+            Adoption::NONE,
+            Adoption {
+                provider: Some(ProviderId::Cloudflare),
+                status: DpsStatus::On,
+                rerouting: Some(ReroutingMethod::Ns),
+            },
+            Adoption {
+                provider: Some(ProviderId::Stackpath),
+                status: DpsStatus::Off,
+                rerouting: Some(ReroutingMethod::Cname),
+            },
+        ];
+        let column = DerivedColumn {
+            classes: classes.iter().map(PackedAdoption::pack).collect(),
+            multi_cdn: vec![0, 2],
+            fleet_sites: vec![1, 1],
+            fleet_ns: vec![
+                "kate.ns.cloudflare.com".parse().unwrap(),
+                "rob.ns.cloudflare.com".parse().unwrap(),
+            ],
+            incap_tokens: vec![(2, "x7f3.incapdns.net".parse().unwrap())],
+        };
+        let bytes = encode_column(9, &column);
+        assert_eq!(decode_column(&bytes).unwrap(), (9, column.clone()));
+
+        // The first class byte sits after the preamble and the name
+        // table (count word plus three length-prefixed names).
+        let names: usize = ["kate.ns.cloudflare.com", "rob.ns.cloudflare.com"]
+            .iter()
+            .chain(&["x7f3.incapdns.net"])
+            .map(|n| 2 + n.len())
+            .sum();
+        let class_at = 12 + 4 + names;
+        let mut bad = bytes.clone();
+        bad[class_at] = 0x0F; // provider code 15: no such provider
+        assert_eq!(
+            decode_column(&bad).unwrap_err(),
+            SpillError::CorruptFrame {
+                reason: "invalid adoption class"
+            }
+        );
+        // The multi-CDN list follows the classes: point it past the block.
+        let mut bad = bytes.clone();
+        bad[class_at + 3 + 4..class_at + 3 + 8].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(
+            decode_column(&bad).unwrap_err(),
+            SpillError::CorruptFrame { .. }
+        ));
+        // A trailing byte the length word covers is rejected.
+        let mut long = bytes.clone();
+        long.push(0);
+        let len = long.len() as u32 - 4;
+        long[..4].copy_from_slice(&len.to_le_bytes());
+        assert_eq!(
+            decode_column(&long).unwrap_err(),
+            SpillError::CorruptFrame {
+                reason: "column frame has trailing bytes"
+            }
+        );
     }
 
     #[test]
@@ -888,6 +1231,11 @@ mod tests {
             DnsSnapshot::decode_binary(&bytes).unwrap_err(),
             SpillError::UnsupportedVersion(_)
         ));
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            DnsSnapshot::decode_binary(&bytes).unwrap_err(),
+            SpillError::UnsupportedVersion(1)
+        );
     }
 
     #[test]
@@ -908,20 +1256,28 @@ mod tests {
             },
         )
         .unwrap();
-        for (i, loaded) in blocks.iter().enumerate() {
-            writer.append_block(i as u32, &loaded.block).unwrap();
+        for ((i, loaded), (_, source)) in blocks.iter().enumerate().zip(snap.block_sources()) {
+            let derived = Arc::clone(source.derived());
+            writer
+                .append_block(i as u32, &loaded.block, derived)
+                .unwrap();
         }
-        let (file, refs) = writer.finish().unwrap();
+        let (file, written) = writer.finish().unwrap();
         assert_eq!(file.meta().sites, snap.len() as u64);
-        assert_eq!(refs.len(), blocks.len());
-        for (r, loaded) in refs.iter().zip(&blocks) {
-            let block = r.load().unwrap();
+        assert_eq!(written.len(), blocks.len());
+        let reopened = SpillFile::open(&path).unwrap().sources().unwrap();
+        for ((source, (shard, reread)), loaded) in written.iter().zip(&reopened).zip(&blocks) {
+            let block = source.spill_ref().unwrap().load().unwrap();
             assert_eq!(&block, loaded.block.as_ref());
+            assert_eq!(reread.spill_ref().unwrap().shard(), *shard as usize);
+            assert_eq!(reread.derived(), source.derived(), "column read back");
+            assert_eq!(reread.load().as_ref(), loaded.block.as_ref());
         }
-        // A snapshot assembled purely from spill refs equals the original.
+        // A snapshot assembled purely from spilled sources equals the
+        // original.
         let mut b = DnsSnapshot::builder(snap.taken_at, snap.day, snap.block_size());
-        for r in refs {
-            b.push_spilled(r);
+        for source in written {
+            b.push_source(source);
         }
         assert_eq!(b.finish(), snap);
         std::fs::remove_dir_all(&dir).ok();
@@ -933,7 +1289,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("remnant-spill-dup-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dup.rsnb");
-        let block = snap.blocks().next().unwrap().block;
+        let (_, source) = snap.block_sources().next().unwrap();
+        let (block, derived) = (source.load(), source.derived());
         let mut writer = SpillWriter::create(
             &path,
             SpillMeta {
@@ -945,13 +1302,17 @@ mod tests {
             },
         )
         .unwrap();
-        writer.append_block(0, &block).unwrap();
+        writer.append_block(0, &block, Arc::clone(derived)).unwrap();
         assert_eq!(
-            writer.append_block(0, &block).unwrap_err(),
+            writer
+                .append_block(0, &block, Arc::clone(derived))
+                .unwrap_err(),
             SpillError::DuplicateShardFrame { shard: 0 }
         );
         assert_eq!(
-            writer.append_block(9, &block).unwrap_err(),
+            writer
+                .append_block(9, &block, Arc::clone(derived))
+                .unwrap_err(),
             SpillError::ShardOutOfRange { shard: 9, count: 2 }
         );
         std::fs::remove_dir_all(&dir).ok();

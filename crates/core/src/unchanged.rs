@@ -49,28 +49,30 @@ pub struct UnchangedCandidate {
 /// SWITCH is deliberately excluded (Sec IV-C.3: switching does not
 /// require an address change but is covered by the residual study), as
 /// are events without a target provider or without addresses on both
-/// sides.
+/// sides. Each snapshot loads every block holding an event at most once.
 pub fn candidates(
     targets: &[Target],
     behaviors: &[ObservedBehavior],
     prev: &DnsSnapshot,
     curr: &DnsSnapshot,
 ) -> Vec<UnchangedCandidate> {
-    behaviors
+    let events: Vec<&ObservedBehavior> = behaviors
         .iter()
         .filter(|b| matches!(b.kind, BehaviorKind::Join | BehaviorKind::Resume))
-        .filter_map(|behavior| {
-            let provider = behavior.to?;
-            let ip1 = prev
-                .site(behavior.rank)
-                .and_then(|r| r.a.first().copied())?;
-            let ip2 = curr.site(behavior.rank).and_then(|r| r.a.last().copied())?;
+        .collect();
+    let ranks: Vec<usize> = events.iter().map(|b| b.rank).collect();
+    let ip1s = prev.map_sites(&ranks, |site| site.a.first().copied());
+    let ip2s = curr.map_sites(&ranks, |site| site.a.last().copied());
+    events
+        .into_iter()
+        .zip(ip1s.into_iter().zip(ip2s))
+        .filter_map(|(behavior, (ip1, ip2))| {
             Some(UnchangedCandidate {
                 rank: behavior.rank,
-                provider,
+                provider: behavior.to?,
                 host: targets[behavior.rank].1.clone(),
-                ip1,
-                ip2,
+                ip1: ip1.flatten()?,
+                ip2: ip2.flatten()?,
             })
         })
         .collect()

@@ -34,16 +34,12 @@ pub const COLLECT_RERESOLVED: &str = "collect.reresolved";
 /// fell into the round's deterministic refresh stratum.
 pub const COLLECT_REFRESH_STRATUM: &str = "collect.refresh_stratum";
 
-/// Canonical counter name for classification-cache lookups answered from
-/// a cached per-shard column (an unchanged block reused across rounds).
+/// Canonical counter name for blocks a round chained unchanged from the
+/// previous round, reusing their carried column.
 pub const QUERY_CACHE_HIT: &str = "query.cache.hit";
-/// Canonical counter name for classification-cache lookups that had to
-/// classify a block (first sight, or the block's backing changed).
+/// Canonical counter name for blocks a round did not chain from the
+/// previous round (first sight, or the block was rewritten).
 pub const QUERY_CACHE_MISS: &str = "query.cache.miss";
-/// Canonical counter name for classified columns held by a
-/// classification cache. The cache keeps one round, so this is at most
-/// the last classified round's block count.
-pub const QUERY_CACHE_ENTRIES: &str = "query.cache.entries";
 /// Canonical counter name for sites a provider posting-list index marks
 /// as ever-adopting (labeled per provider).
 pub const QUERY_INDEX_SITES: &str = "query.index.sites";

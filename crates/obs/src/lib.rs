@@ -45,8 +45,8 @@ mod span;
 
 pub use instrument::{
     transport_counters, Instrumented, COLLECT_REFRESH_STRATUM, COLLECT_RERESOLVED, COLLECT_REUSED,
-    QUERY_CACHE_ENTRIES, QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES, QUERY_INDEX_SITES,
-    TRANSPORT_ANSWERED, TRANSPORT_IGNORED, TRANSPORT_SENT,
+    QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES, QUERY_INDEX_SITES, TRANSPORT_ANSWERED,
+    TRANSPORT_IGNORED, TRANSPORT_SENT,
 };
 pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, DEFAULT_BOUNDS};

@@ -1,18 +1,15 @@
-//! The delta-aware classified view of a [`SnapshotStore`]: every round's
-//! adoption columns computed once, plus per-provider posting lists.
+//! The classified view of a [`SnapshotStore`]: every round's adoption
+//! columns, plus per-provider posting lists.
 //!
-//! The analysis plans spend almost all their time in provider
-//! classification, yet a delta campaign's rounds share most of their
-//! shards structurally (`SpillRef`/`Arc` chains) — so most per-round
-//! classifications are provably identical to the previous round's.
-//! [`ClassifiedStore`] classifies each distinct block exactly once
-//! through the shared [`ShardClassCache`]: clean shards reuse the cached
-//! column (an `Arc` clone, no disk read, no classification), dirty
-//! shards fan out through the deterministic work-claiming engine
-//! ([`remnant_engine::ScanEngine::sweep`], one task per block) so the merged columns
-//! are byte-identical at any worker count.
+//! Every block carries its [`DerivedColumn`] from collection — a spilled
+//! block's is read from its column frame when the store opens — so
+//! [`ClassifiedStore`] classifies nothing and decodes no record frame: it
+//! assembles each round from the carried columns (`Arc` clones shared
+//! with every other round that chains the same block) and counts,
+//! through the [`ShardClassCache`], which blocks a round chained
+//! unchanged from the previous one.
 //!
-//! While classifying, the store builds per-provider posting lists — one
+//! While assembling, the store builds per-provider posting lists — one
 //! bitset per provider marking every site the campaign *ever* classified
 //! under that provider. Provider-filtered folds and the residual-scan
 //! plan then iterate only those sites: for realistic adoption rates this
@@ -20,17 +17,16 @@
 //!
 //! [`PlanContext`] wraps the classified store with a memoized
 //! [`SnapshotAggregates`] fold so every plan of a `repro query` run
-//! shares one classified scan — see [`crate::plans`].
+//! shares one pass over the columns — see [`crate::plans`].
 
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use remnant_core::classify::{concat_columns, ClassColumn, ShardClassCache, SnapshotColumns};
-use remnant_core::{Adoption, BehaviorDetector, DpsStatus, SnapshotAggregates, SnapshotPasses};
-use remnant_engine::{EngineConfig, ScanEngine};
+use remnant_core::classify::{concat_columns, DerivedColumn, ShardClassCache, SnapshotColumns};
+use remnant_core::{Adoption, DpsStatus, SnapshotAggregates, SnapshotPasses};
 use remnant_obs::{
-    Instrumented, MetricKey, QUERY_CACHE_ENTRIES, QUERY_CACHE_HIT, QUERY_CACHE_MISS,
-    QUERY_INDEX_BYTES, QUERY_INDEX_SITES,
+    Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES,
+    QUERY_INDEX_SITES,
 };
 use remnant_provider::ProviderId;
 use remnant_sim::stats::Series;
@@ -38,18 +34,13 @@ use remnant_sim::stats::Series;
 use crate::query::ClassifiedQuery;
 use crate::store::{RoundMeta, SnapshotStore};
 
-/// Seed for the classification sweep engine. Classification never draws
-/// from the per-shard RNG, so the value is immaterial to outputs; it only
-/// names the stream.
-const CLASSIFY_SEED: u64 = 0xC1A55;
-
-/// One round, classified: timeline metadata plus the per-shard adoption
+/// One round, classified: timeline metadata plus the per-shard derived
 /// columns (`Arc`-shared with every other round that chains the same
 /// blocks).
 #[derive(Clone, Debug)]
 pub struct ClassifiedRound {
     meta: RoundMeta,
-    shards: Vec<ClassColumn>,
+    shards: Vec<Arc<DerivedColumn>>,
     block_size: usize,
 }
 
@@ -60,14 +51,14 @@ impl ClassifiedRound {
     }
 
     /// The per-shard columns, in shard order.
-    pub fn shards(&self) -> &[ClassColumn] {
+    pub fn shards(&self) -> &[Arc<DerivedColumn>] {
         &self.shards
     }
 
     /// Concatenates the shard columns into the round's full-length
     /// columns (the shape [`SnapshotPasses::observe_columns`] takes).
     pub fn columns(&self) -> SnapshotColumns {
-        concat_columns(&self.shards)
+        concat_columns(self.shards.iter().map(Arc::as_ref))
     }
 
     /// The classification of site `rank` in this round.
@@ -77,7 +68,7 @@ impl ClassifiedRound {
     /// Panics if `rank` is outside the campaign's site count.
     pub fn class_at(&self, rank: usize) -> Adoption {
         let shard = rank / self.block_size;
-        self.shards[shard].classes[rank % self.block_size]
+        self.shards[shard].classes[rank % self.block_size].unpack()
     }
 }
 
@@ -149,8 +140,8 @@ impl ProviderIndex {
     }
 }
 
-/// A [`SnapshotStore`] with every round classified once — see the module
-/// docs.
+/// A [`SnapshotStore`] with every round's columns assembled once — see
+/// the module docs.
 #[derive(Debug)]
 pub struct ClassifiedStore<'a> {
     store: &'a SnapshotStore,
@@ -158,16 +149,12 @@ pub struct ClassifiedStore<'a> {
     index: ProviderIndex,
     cache_hits: u64,
     cache_misses: u64,
-    /// Columns the cache held when the build finished: the last round's
-    /// blocks (the cache keeps one round).
-    cache_entries: usize,
 }
 
 impl<'a> ClassifiedStore<'a> {
-    /// Classifies every round of `store` (dirty shards through `engine`,
-    /// clean shards from cache) and builds the provider index.
-    pub fn build(store: &'a SnapshotStore, engine: &ScanEngine) -> Self {
-        let detector = BehaviorDetector::new();
+    /// Assembles every round of `store` from its blocks' carried columns
+    /// and builds the provider index. Reads no record frame.
+    pub fn build(store: &'a SnapshotStore) -> Self {
         let mut cache = ShardClassCache::new();
         let mut rounds = Vec::with_capacity(store.len());
         let mut index = ProviderIndex::new(store.sites());
@@ -177,14 +164,14 @@ impl<'a> ClassifiedStore<'a> {
         let mut indexed: Vec<usize> = vec![0; store.shard_count() as usize];
         for i in 0..store.len() {
             let snapshot = store.snapshot(i);
-            let shards = cache.classify_blocks(engine, &detector, &snapshot);
+            let shards = cache.shard_columns(&snapshot);
             let mut base = 0usize;
             for (shard, column) in shards.iter().enumerate() {
-                let ptr = Arc::as_ptr(&column.classes) as *const u8 as usize;
+                let ptr = Arc::as_ptr(column) as usize;
                 if indexed[shard] != ptr {
                     indexed[shard] = ptr;
                     for (i, class) in column.classes.iter().enumerate() {
-                        if let Some(provider) = class.provider {
+                        if let Some(provider) = class.provider() {
                             index.mark(provider, base + i);
                         }
                     }
@@ -203,7 +190,6 @@ impl<'a> ClassifiedStore<'a> {
             index,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            cache_entries: cache.len(),
         }
     }
 
@@ -223,8 +209,8 @@ impl<'a> ClassifiedStore<'a> {
     }
 
     /// Classification-cache `(hits, misses)` from the build: hits are
-    /// shard-rounds reused from an earlier round's identical block,
-    /// misses are shard-rounds actually classified.
+    /// shard-rounds chained unchanged from the previous round, misses
+    /// are shard-rounds whose block the round (re)wrote.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
@@ -299,10 +285,6 @@ impl Instrumented for ClassifiedStore<'_> {
             (MetricKey::named(QUERY_CACHE_HIT), self.cache_hits),
             (MetricKey::named(QUERY_CACHE_MISS), self.cache_misses),
             (
-                MetricKey::named(QUERY_CACHE_ENTRIES),
-                self.cache_entries as u64,
-            ),
-            (
                 MetricKey::named(QUERY_INDEX_BYTES),
                 self.index.bytes() as u64,
             ),
@@ -317,10 +299,10 @@ impl Instrumented for ClassifiedStore<'_> {
     }
 }
 
-/// One classified scan shared by every plan of a query run.
+/// One classified pass shared by every plan of a query run.
 ///
 /// Every plan's `execute_with` (see [`crate::plans`]) pulls the store's
-/// rounds from here: the classification happens once (at build), and the
+/// rounds from here: the columns are assembled once (at build), and the
 /// [`SnapshotAggregates`] fold once (memoized on first use), instead of
 /// once per figure.
 #[derive(Debug)]
@@ -330,14 +312,12 @@ pub struct PlanContext<'a> {
 }
 
 impl<'a> PlanContext<'a> {
-    /// Builds a context over `store`, classifying with `workers` threads.
-    pub fn new(store: &'a SnapshotStore, workers: usize) -> Self {
-        let engine = ScanEngine::new(
-            EngineConfig::with_workers(workers.max(1), CLASSIFY_SEED)
-                .expect("clamped worker count is always valid"),
-        );
+    /// Builds a context over `store`. The columns were derived at
+    /// collection, so building is a single-threaded pass whatever
+    /// `workers` asks for.
+    pub fn new(store: &'a SnapshotStore, _workers: usize) -> Self {
         PlanContext {
-            classified: ClassifiedStore::build(store, &engine),
+            classified: ClassifiedStore::build(store),
             aggregates: OnceCell::new(),
         }
     }

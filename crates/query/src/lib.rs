@@ -1,8 +1,9 @@
 //! Time-indexed snapshot store and columnar query layer over persisted
 //! collection rounds.
 //!
-//! A spill-mode campaign leaves its full history on disk: one RSNP v1
-//! file per round, full or delta. This crate reopens that directory as a
+//! A spill-mode campaign leaves its full history on disk: one RSNP v2
+//! file per round, full or delta, each shard stored as a record frame
+//! plus the block's derived column. This crate reopens that directory as a
 //! [`SnapshotStore`] — a generation-aware, lazily-loaded sequence of
 //! rounds — and layers a small query API on top:
 //!
@@ -14,10 +15,10 @@
 //!   diff-style analyses.
 //! - **Diff generations**: [`RoundsQuery::generation_diff`] reads each
 //!   round's dirty/clean shard split from metadata alone.
-//! - **Classify once**: [`PlanContext`] / [`ClassifiedStore`] classify
-//!   each round's shards exactly once through the delta-aware
-//!   classification cache and build per-provider posting lists — see
-//!   [`classified`].
+//! - **Classified view**: [`PlanContext`] / [`ClassifiedStore`] assemble
+//!   each round from the derived columns its blocks carry (read from the
+//!   column frames; no record frame is decoded) and build per-provider
+//!   posting lists — see [`classified`].
 //! - **Plan**: [`PassesPlan`], [`UnchangedCandidatesPlan`] and
 //!   [`ResidualScanPlan`] replay the paper's analyses (adoption,
 //!   behavior, pauses, unchanged candidates, the residual-scan timeline)

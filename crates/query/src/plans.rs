@@ -34,9 +34,8 @@ use crate::classified::PlanContext;
 pub struct PassesPlan;
 
 impl PassesPlan {
-    /// The context's shared classified scan, folded once and memoized:
-    /// clean shards cost an `Arc` clone instead of a disk read plus
-    /// classification.
+    /// The context's shared columns, folded once and memoized: no
+    /// record frame is read.
     pub fn execute_with(&self, ctx: &PlanContext<'_>) -> SnapshotAggregates {
         ctx.aggregates().clone()
     }
@@ -56,9 +55,9 @@ pub struct UnchangedCandidatesPlan {
 }
 
 impl UnchangedCandidatesPlan {
-    /// Behaviors come from the context's classified columns (no
-    /// reclassification); only the record comparison still touches the
-    /// snapshots themselves.
+    /// Behaviors come from the context's carried columns; only the
+    /// record comparison reads record frames, each block holding an
+    /// event at most once per round.
     pub fn execute_with(&self, ctx: &PlanContext<'_>) -> Vec<UnchangedCandidate> {
         let store = ctx.store();
         let mut passes = SnapshotPasses::new(store.sites());

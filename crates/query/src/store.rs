@@ -1,24 +1,26 @@
 //! The time-indexed snapshot store: a spill directory reopened as a
 //! queryable sequence of collection rounds.
 //!
-//! A campaign that runs with `--spill-dir` leaves one RSNP v1 file per
+//! A campaign that runs with `--spill-dir` leaves one RSNP v2 file per
 //! round behind: `full-r*.rsnb` files carry every shard, `delta-r*.rsnb`
 //! files carry only the shards whose zone generations changed.
 //! [`SnapshotStore::open`] re-chains that directory without loading any
-//! record data: each file contributes its frames' [`SpillRef`]s (read
-//! from the RSNX footer index), and a round's snapshot is the latest ref
-//! per shard at that point in the sequence — the same `Arc`-shared
-//! structural sharing the delta collector used when writing. Record
-//! columns are only read from disk when a query actually touches a
-//! block, and are dropped again after the block goes out of scope.
+//! record data: each file contributes one [`BlockSource`] per shard it
+//! wrote — a [`SpillRef`](remnant_core::SpillRef) to the record frame
+//! plus the block's derived column, read from its column frame — and a
+//! round's snapshot is the latest source per shard at that point in the
+//! sequence: the same `Arc`-shared structural sharing the delta collector
+//! used when writing. Record frames are only read from disk when a query
+//! actually touches a block's records, and are dropped again after the
+//! block goes out of scope.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use remnant_core::spill::{SpillError, SpillFile, SpillRef};
-use remnant_core::DnsSnapshot;
+use remnant_core::spill::{SpillError, SpillFile};
+use remnant_core::{BlockSource, DnsSnapshot};
 use remnant_sim::SimTime;
 
 use crate::query::RoundsQuery;
@@ -127,9 +129,9 @@ pub struct RoundMeta {
 }
 
 enum RoundBacking {
-    /// One ref per shard, ascending — the latest frame for each shard as
-    /// of this round.
-    Spilled(Vec<SpillRef>),
+    /// One source per shard, ascending — the latest frame for each shard
+    /// as of this round.
+    Spilled(Vec<BlockSource>),
     /// A resident snapshot (the in-memory campaign path).
     Resident(DnsSnapshot),
 }
@@ -196,7 +198,8 @@ impl SnapshotStore {
     /// gap — e.g. from an interrupted run that mixed `full-r*` and
     /// `delta-r*` files — is a typed [`StoreError::MissingRound`]), that
     /// every file agrees on the collection plan, and that the first round
-    /// covers every shard. Only headers and footer indexes are read.
+    /// covers every shard. Only headers, footer indexes and column frames
+    /// are read; record frames stay on disk.
     pub fn open(dir: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
         let dir = dir.as_ref();
         let io = |context: &'static str| {
@@ -237,7 +240,7 @@ impl SnapshotStore {
         let mut rounds: Vec<RoundEntry> = Vec::with_capacity(files.len());
         let mut plan: Option<(u64, u32, u32)> = None; // sites, block_size, shards
         let mut prev_day: Option<u32> = None;
-        let mut latest: Vec<Option<SpillRef>> = Vec::new();
+        let mut latest: Vec<Option<BlockSource>> = Vec::new();
         for (round, kind, path) in files {
             let file = SpillFile::open(&path)?;
             let meta = file.meta();
@@ -269,13 +272,12 @@ impl SnapshotStore {
             }
             prev_day = Some(meta.day);
 
-            let refs = file.refs()?;
-            let dirty_shards: Vec<u32> = refs.iter().map(|r| r.shard() as u32).collect();
-            for r in refs {
-                let shard = r.shard();
-                latest[shard] = Some(r);
+            let sources = file.sources()?;
+            let dirty_shards: Vec<u32> = sources.iter().map(|(shard, _)| *shard).collect();
+            for (shard, source) in sources {
+                latest[shard as usize] = Some(source);
             }
-            let chained: Vec<SpillRef> = latest
+            let chained: Vec<BlockSource> = latest
                 .iter()
                 .enumerate()
                 .map(|(shard, slot)| {
@@ -402,19 +404,20 @@ impl SnapshotStore {
 
     /// Reconstructs one round's snapshot (0-based store index).
     ///
-    /// For spilled rounds this chains the latest per-shard frame refs in
+    /// For spilled rounds this chains the latest per-shard sources in
     /// shard order — the same structural sharing the collector used — so
     /// the result is byte-identical to the snapshot the campaign
-    /// produced, and no record data is read until a block is touched.
+    /// produced, carries the columns read at open, and reads no record
+    /// data until a block is touched.
     pub fn snapshot(&self, index: usize) -> DnsSnapshot {
         let entry = &self.rounds[index];
         match &entry.backing {
             RoundBacking::Resident(snapshot) => snapshot.clone(),
-            RoundBacking::Spilled(refs) => {
+            RoundBacking::Spilled(sources) => {
                 let mut builder =
                     DnsSnapshot::builder(entry.meta.taken_at, entry.meta.day, self.block_size);
-                for r in refs {
-                    builder.push_spilled(r.clone());
+                for source in sources {
+                    builder.push_source(source.clone());
                 }
                 builder.finish()
             }
@@ -426,9 +429,9 @@ impl SnapshotStore {
     pub fn chain_depth(&self, index: usize) -> usize {
         match &self.rounds[index].backing {
             RoundBacking::Resident(_) => 0,
-            RoundBacking::Spilled(refs) => refs
+            RoundBacking::Spilled(sources) => sources
                 .iter()
-                .map(|r| r.file_path())
+                .filter_map(|s| s.spill_ref().map(|r| r.file_path()))
                 .collect::<BTreeSet<_>>()
                 .len(),
         }

@@ -35,7 +35,7 @@ fn spilled_block_size_follows_the_shard_plan() {
         .expect("spill round succeeds");
 
     let store = SnapshotStore::open(&dir).expect("store opens");
-    let classified = ClassifiedStore::build(&store, &engine);
+    let classified = ClassifiedStore::build(&store);
     let round = &classified.rounds()[0];
     let raw = BehaviorDetector::new().classify_snapshot(&snapshot);
     // The second block, where a wrong size first goes astray, then all.

@@ -3,15 +3,15 @@
 //! origins firewalled to DPS-only traffic, dynamic pages, dead hosts —
 //! and the resolver substrate must survive unreachable infrastructure.
 
-use remnant::core::collector::{RecordCollector, Target};
-use remnant::core::residual::{CloudflareScanner, FilterPipeline};
+use remnant::core::collector::{DeltaCollector, RecordCollector, Target};
+use remnant::core::residual::{CloudflareScanner, FilterPipeline, CLOUDFLARE_NS_FINGERPRINT};
 use remnant::core::study::StudyConfig;
-use remnant::core::StudySession;
 use remnant::core::SCANNER_SOURCE;
+use remnant::core::{DnsSnapshot, Instrumented, StudySession};
 use remnant::dns::transport::{StaticTransport, ROOT_SERVER};
 use remnant::dns::{
-    DnsError, DnsTransport, DomainName, RecordData, RecordType, RecursiveResolver, Registry,
-    ResourceRecord, Ttl, Zone, ZoneServer,
+    CountingTransport, DnsError, DnsTransport, DomainName, Query, RecordData, RecordType,
+    RecursiveResolver, Registry, ResourceRecord, Response, Ttl, Zone, ZoneServer,
 };
 use remnant::engine::{EngineConfig, ScanEngine, TaskResult};
 use remnant::net::Region;
@@ -370,4 +370,70 @@ fn dark_sites_resolve_to_parking_and_never_verify() {
         "dark sites point at the parking service"
     );
     let _ = targets;
+}
+
+/// The world's DNS, except that every query for `dark` goes unanswered.
+struct DarkHost<'a> {
+    world: &'a World,
+    dark: Option<DomainName>,
+}
+
+impl DnsTransport for DarkHost<'_> {
+    fn query(
+        &self,
+        now: remnant::sim::SimTime,
+        server: Ipv4Addr,
+        region: Region,
+        query: &Query,
+    ) -> Option<Response> {
+        if self.dark.as_ref() == Some(&query.name) {
+            return None;
+        }
+        self.world.query(now, server, region, query)
+    }
+}
+
+#[test]
+fn a_failed_fleet_lookup_is_retried_while_its_block_replays() {
+    let world = generate(29);
+    let targets = targets(&world);
+    let engine = ScanEngine::new(EngineConfig::default());
+    let mut collector = DeltaCollector::new(world.clock(), Region::Ashburn, 29);
+    // The world stands still, so round 1 replays every block outside its
+    // refresh stratum.
+    let rounds: Vec<DnsSnapshot> = (0..3)
+        .map(|day| collector.collect_with(&engine, &world, &targets, day).0)
+        .collect();
+    let host = rounds[0]
+        .block_sources()
+        .zip(rounds[1].block_sources())
+        .filter(|((_, r0), (_, r1))| r0.key() == r1.key())
+        .find_map(|((_, r0), _)| r0.derived().fleet_ns.first().cloned())
+        .expect("a replayed block names a fleet host");
+
+    // The host is unreachable in round 0 and reachable from round 1 on.
+    let harvest = |substring: &str| {
+        let mut scanner = CloudflareScanner::new(world.clock(), substring);
+        let mut stats = Vec::new();
+        for (day, snapshot) in rounds.iter().enumerate() {
+            let dark = DarkHost {
+                world: &world,
+                dark: (day == 0).then(|| host.clone()),
+            };
+            let counting = CountingTransport::new(&dark);
+            scanner.harvest_fleet(&counting, snapshot);
+            stats.push(counting.query_stats());
+            let found = scanner.fleet().any(|(h, _)| *h == host);
+            assert_eq!(found, day > 0, "{substring} day {day}: host in fleet");
+        }
+        let fleet: Vec<(DomainName, Ipv4Addr)> =
+            scanner.fleet().map(|(h, a)| (h.clone(), a)).collect();
+        (fleet, scanner.counters(), stats)
+    };
+    let carried = harvest(CLOUDFLARE_NS_FINGERPRINT);
+    // A differently spelled fingerprint matches the same hosts (label
+    // matching is case-insensitive) but walks the records: the oracle.
+    let walked = harvest("Cloudflare");
+    assert_eq!(carried, walked);
+    assert!(carried.2[0].ignored() > 0, "round 0 lookups went dark");
 }

@@ -2,9 +2,10 @@
 //! spill format round-trips every snapshot exactly, and the canonical
 //! text dump of the decoded value is byte-identical to the original's —
 //! the dump the differential tests compare. Plus a malformed-binary
-//! corpus: truncation at every byte boundary, corrupted magic/version,
-//! out-of-range name indices, and duplicated shard frames must all come
-//! back as typed [`SpillError`]s, never a panic.
+//! corpus: truncation at every byte boundary (of the document, and of
+//! every column frame on its own), corrupted magic/version, out-of-range
+//! name indices, and duplicated shard frames must all come back as typed
+//! [`SpillError`]s, never a panic.
 
 use std::net::Ipv4Addr;
 
@@ -22,6 +23,33 @@ fn label() -> impl Strategy<Value = String> {
 /// Strategy for 2–4 label domain names.
 fn domain_name() -> impl Strategy<Value = String> {
     prop::collection::vec(label(), 2..=4).prop_map(|labels| labels.join("."))
+}
+
+/// Domain names that sometimes carry a residual-scan fingerprint, so
+/// column frames hold fleet hosts and tokens.
+fn fingerprinted_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        domain_name(),
+        label().prop_map(|l| format!("{l}.ns.cloudflare.com")),
+        label().prop_map(|l| format!("{l}.incapdns.net")),
+    ]
+}
+
+/// Every column frame's `(offset, len)`, read from a document's footer
+/// index (`u32 shard, u64 frame_offset, u32 frame_len, u64
+/// column_offset, u32 column_len` per entry).
+fn column_extents(binary: &[u8]) -> Vec<(usize, usize)> {
+    let trailer = binary.len() - 12;
+    let footer = u64::from_le_bytes(binary[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let entries = u32::from_le_bytes(binary[footer + 4..footer + 8].try_into().unwrap()) as usize;
+    (0..entries)
+        .map(|i| {
+            let entry = footer + 8 + i * 28;
+            let offset = u64::from_le_bytes(binary[entry + 16..entry + 24].try_into().unwrap());
+            let len = u32::from_le_bytes(binary[entry + 24..entry + 28].try_into().unwrap());
+            (offset as usize, len as usize)
+        })
+        .collect()
 }
 
 type SiteSpec = (Vec<u32>, Vec<String>, Vec<String>);
@@ -87,6 +115,30 @@ proptest! {
     }
 
     #[test]
+    fn column_frame_cut_at_every_byte_is_a_typed_error(
+        sites in prop::collection::vec(
+            (
+                prop::collection::vec(any::<u32>(), 0..3),
+                prop::collection::vec(fingerprinted_name(), 0..3),
+                prop::collection::vec(fingerprinted_name(), 0..3),
+            ),
+            1..6,
+        ),
+    ) {
+        let binary = build(7, 2, &sites).encode_binary();
+        for (offset, len) in column_extents(&binary) {
+            for cut in 0..len - 4 {
+                // The column frame's length word claims only `cut` body
+                // bytes: the frame ends early while the document around
+                // it stays intact.
+                let mut short = binary.clone();
+                short[offset..offset + 4].copy_from_slice(&(cut as u32).to_le_bytes());
+                prop_assert!(DnsSnapshot::decode_binary(&short).is_err(), "cut at {}", cut);
+            }
+        }
+    }
+
+    #[test]
     fn bitflipped_binary_never_panics(
         sites in prop::collection::vec(
             (
@@ -129,12 +181,20 @@ fn bad_magic_and_version_are_named() {
         Err(SpillError::BadMagic)
     ));
 
-    let mut bad = good;
+    let mut bad = good.clone();
     bad[4] = 0xFF; // version word
     assert!(matches!(
         DnsSnapshot::decode_binary(&bad),
         Err(SpillError::UnsupportedVersion(_))
     ));
+
+    // A v1 document (no column frames) is named as such.
+    let mut old = good;
+    old[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(
+        DnsSnapshot::decode_binary(&old).unwrap_err(),
+        SpillError::UnsupportedVersion(1)
+    );
 }
 
 #[test]
