@@ -803,7 +803,7 @@ pub fn render_fig1(seed: u64) -> String {
 pub fn render_table1(config: &ReproConfig) -> String {
     use remnant::core::collector::{RecordCollector, Target};
     use remnant::core::vectors::{ExposureVector, PassiveDnsDb, VectorScanner};
-    use remnant::core::{BehaviorDetector, SCANNER_SOURCE};
+    use remnant::core::{concat_columns, SCANNER_SOURCE};
     use remnant::net::Region;
 
     let mut world = World::generate(WorldConfig::new(config.population.min(20_000), config.seed));
@@ -823,7 +823,8 @@ pub fn render_table1(config: &ReproConfig) -> String {
         last = Some(snapshot);
         world.step_hours(24);
     }
-    let classes = BehaviorDetector::new().classify_snapshot(&last.expect("at least one round ran"));
+    let last = last.expect("at least one round ran");
+    let classes = concat_columns(last.derived_columns()).classes;
     let mut scanner = VectorScanner::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);
     let report = scanner.scan(&mut world, &targets, &classes, &history);
 

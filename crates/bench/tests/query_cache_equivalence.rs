@@ -24,10 +24,13 @@ use remnant::core::{
     Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SnapshotPasses,
     SpillConfig, StudySession,
 };
+use remnant::provider::ProviderId;
 use remnant::query::{
-    PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
-    ResidualScanWeek, SnapshotStore, UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
+    ClassifiedQuery, PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan,
+    ResidualScanReport, ResidualScanWeek, SnapshotStore, UnchangedCandidatesPlan,
+    RESIDUAL_PROVIDERS,
 };
+use remnant::sim::stats::Series;
 use remnant::world::{World, WorldConfig};
 use remnant_bench::ReproConfig;
 
@@ -145,6 +148,31 @@ fn reference_residual(store: &SnapshotStore) -> ResidualScanReport {
     }
 }
 
+/// Reference for `ClassifiedStore::{classified, provider}`: every round
+/// reclassified in full, every site counted.
+fn reference_classified(store: &SnapshotStore, provider: Option<ProviderId>) -> ClassifiedQuery {
+    let detector = BehaviorDetector::new();
+    let label = match provider {
+        Some(p) => format!("adopted.{p}"),
+        None => "adopted".to_owned(),
+    };
+    let mut adopted_series = Series::new(label);
+    let mut adopted_final = 0;
+    for round in store.query().snapshots() {
+        adopted_final = detector
+            .classify_snapshot(&round.snapshot)
+            .iter()
+            .filter(|c| c.status == DpsStatus::On && provider.is_none_or(|p| c.provider == Some(p)))
+            .count();
+        adopted_series.push(f64::from(round.meta.day), adopted_final as f64);
+    }
+    ClassifiedQuery {
+        provider,
+        adopted_final,
+        adopted_series,
+    }
+}
+
 /// The differential itself: every plan plus the index-accelerated
 /// classified folds, cached vs the uncached references, byte for byte.
 fn assert_cached_matches_uncached(
@@ -189,16 +217,15 @@ fn assert_cached_matches_uncached(
         "{context}: residual scan"
     );
 
-    // The index-accelerated classified folds vs their full-scan
-    // `RoundsQuery` twins.
+    // The index-accelerated classified folds vs the full-scan reference.
     assert_eq!(
-        format!("{:?}", store.query().classified()),
+        format!("{:?}", reference_classified(store, None)),
         format!("{:?}", ctx.classified().classified()),
         "{context}: classified fold"
     );
     for provider in RESIDUAL_PROVIDERS {
         assert_eq!(
-            format!("{:?}", store.query().provider(provider)),
+            format!("{:?}", reference_classified(store, Some(provider))),
             format!("{:?}", ctx.classified().provider(provider)),
             "{context}: provider fold {provider:?}"
         );

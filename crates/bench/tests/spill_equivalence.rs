@@ -1,9 +1,9 @@
 //! The spill-mode equivalence contract, end to end: a multi-week study
 //! run with `--spill-dir` (records streaming to binary snapshot files,
 //! bounded working set) must produce output byte-identical to the fully
-//! in-memory run — every daily `DnsSnapshot` in BOTH codecs, the rendered
-//! report, and the observability JSON — at any worker count, and in both
-//! full and delta collection modes.
+//! in-memory run — every daily `DnsSnapshot`'s text dump and derived
+//! columns, the rendered report, and the observability JSON — at any
+//! worker count, and in both full and delta collection modes.
 //!
 //! This is the differential test backing the memory-bounded collect
 //! path's guarantee: block layout equals the engine shard plan in every
@@ -11,7 +11,7 @@
 //! frame) is invisible to everything downstream.
 
 use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
-use remnant::core::{SpillConfig, StudySession};
+use remnant::core::{DerivedColumn, SpillConfig, StudySession};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
     render_fig2, render_fig3, render_fig4, render_fig5, render_fig6, render_fig8, render_fig9,
@@ -22,14 +22,14 @@ const POPULATION: usize = 2_500;
 const WEEKS: u32 = 3;
 const SEED: u64 = 17;
 
-/// One full study: the concatenated text and binary encodings of all
+/// One full study: the concatenated text dumps and derived columns of all
 /// daily snapshots, plus the report. `spill` gets a distinct temp dir per
 /// invocation so runs never share files.
 fn run(
     mode: CollectionMode,
     workers: usize,
     spill: Option<&str>,
-) -> (String, Vec<u8>, StudyReport) {
+) -> (String, Vec<DerivedColumn>, StudyReport) {
     let mut config = StudyConfig::builder()
         .weeks(WEEKS)
         .seed(SEED)
@@ -47,16 +47,16 @@ fn run(
     let config = config.build().expect("valid study config");
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let mut text = String::new();
-    let mut binary = Vec::new();
+    let mut columns = Vec::new();
     let report = StudySession::new(config, &world).run(
         &mut world,
         &mut |snapshot| {
             text.push_str(&snapshot.encode());
-            binary.extend_from_slice(&snapshot.encode_binary());
+            columns.extend(snapshot.derived_columns().cloned());
         },
         None,
     );
-    (text, binary, report)
+    (text, columns, report)
 }
 
 /// Everything `repro` prints from the study report, in `repro all` order.
@@ -82,17 +82,17 @@ fn rendered_output(report: &StudyReport) -> String {
 }
 
 fn assert_equivalent(mode: CollectionMode, workers: usize, tag: &str) {
-    let (mem_text, mem_binary, mem) = run(mode, workers, None);
-    let (spill_text, spill_binary, spilled) = run(mode, workers, Some(tag));
+    let (mem_text, mem_columns, mem) = run(mode, workers, None);
+    let (spill_text, spill_columns, spilled) = run(mode, workers, Some(tag));
 
-    // Every daily snapshot, byte for byte, in both codecs.
+    // Every daily snapshot, byte for byte, and its derived columns.
     assert_eq!(
         mem_text, spill_text,
         "daily text snapshots must be byte-identical in-memory vs spill"
     );
     assert_eq!(
-        mem_binary, spill_binary,
-        "daily binary snapshots must be byte-identical in-memory vs spill"
+        mem_columns, spill_columns,
+        "daily derived columns must be identical in-memory vs spill"
     );
     // The rendered evaluation, byte for byte.
     assert_eq!(

@@ -18,15 +18,17 @@
 //! decoded only by code that needs records (the Table V candidates and
 //! [`DnsSnapshot`] consumers).
 //!
-//! [`ShardClassCache`] keeps the reuse accounting: a block whose source
-//! key ([`crate::snapshot::BlockKey`]) equals the previous round's at the
-//! same position is a hit — a clean shard chained unchanged — and every
-//! other block a miss. Its counts are deliberately kept out of the
-//! byte-compared study reports (the `CollectionReport` discipline): they
-//! depend on the collection mode, and full-vs-delta equivalence tests
-//! compare reports byte-for-byte. Read them via [`ShardClassCache::hits`]/
+//! [`ShardClassCache`] keeps the reuse accounting: a block whose column
+//! is the previous round's at the same position (`Arc::ptr_eq`: the
+//! block's identity, see [`BlockSource`]) is a hit — a clean shard
+//! chained unchanged — and every other block a miss. Its counts are
+//! deliberately kept out of the byte-compared study reports (the
+//! `CollectionReport` discipline): they depend on the collection mode,
+//! and full-vs-delta equivalence tests compare reports byte-for-byte. Read them via [`ShardClassCache::hits`]/
 //! [`ShardClassCache::misses`] or export them explicitly with
 //! [`Instrumented::export_into`].
+//!
+//! [`BlockSource`]: crate::snapshot::BlockSource
 
 use std::sync::Arc;
 
@@ -39,7 +41,7 @@ use crate::behavior::BehaviorDetector;
 use crate::residual::cloudflare::fleet_candidates;
 use crate::residual::incapsula::token_candidates;
 use crate::residual::{CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT};
-use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock};
+use crate::snapshot::{DnsSnapshot, RecordBlock};
 
 /// One block's derived column (see the module docs). Shared by `Arc`, so
 /// a replayed block's column is reused across rounds without copying.
@@ -149,9 +151,9 @@ pub fn concat_columns<'a>(
 /// The reuse accounting over carried columns — see the module docs.
 #[derive(Debug, Default)]
 pub struct ShardClassCache {
-    /// The previous round's blocks. Held so their keys (allocation
-    /// addresses) cannot be reused by a new block while compared.
-    previous: Vec<BlockSource>,
+    /// The previous round's columns. Held so their allocations cannot be
+    /// reused by a new block's column while compared.
+    previous: Vec<Arc<DerivedColumn>>,
     hits: u64,
     misses: u64,
 }
@@ -162,7 +164,7 @@ impl ShardClassCache {
         ShardClassCache::default()
     }
 
-    /// Blocks whose source was the previous round's at the same position.
+    /// Blocks whose column was the previous round's at the same position.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -172,24 +174,29 @@ impl ShardClassCache {
         self.misses
     }
 
-    /// One round's carried columns, in block order, counting each block
-    /// as a hit or a miss against the previous round.
-    pub fn shard_columns(&mut self, snapshot: &DnsSnapshot) -> Vec<Arc<DerivedColumn>> {
-        let sources: Vec<BlockSource> = snapshot.block_sources().map(|(_, s)| s).collect();
-        for (i, source) in sources.iter().enumerate() {
-            if self
-                .previous
-                .get(i)
-                .is_some_and(|p| p.key() == source.key())
-            {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-        }
-        let columns = sources.iter().map(|s| Arc::clone(s.derived())).collect();
-        self.previous = sources;
-        columns
+    /// One round's carried columns, in block order, each paired with its
+    /// verdict: `true` (a hit) if it is the previous round's column at the
+    /// same position, `false` (a miss) otherwise.
+    pub fn shard_columns(&mut self, snapshot: &DnsSnapshot) -> Vec<(Arc<DerivedColumn>, bool)> {
+        let columns: Vec<Arc<DerivedColumn>> = snapshot
+            .block_sources()
+            .map(|(_, source)| Arc::clone(source.derived()))
+            .collect();
+        let shards = columns
+            .iter()
+            .enumerate()
+            .map(|(i, column)| {
+                let hit = self.previous.get(i).is_some_and(|p| Arc::ptr_eq(p, column));
+                if hit {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
+                (Arc::clone(column), hit)
+            })
+            .collect();
+        self.previous = columns;
+        shards
     }
 
     /// One round's carried columns, concatenated — the live session's
@@ -202,7 +209,7 @@ impl ShardClassCache {
         snapshot: &DnsSnapshot,
     ) -> SnapshotColumns {
         let shards = self.shard_columns(snapshot);
-        concat_columns(shards.iter().map(Arc::as_ref))
+        concat_columns(shards.iter().map(|(column, _)| column.as_ref()))
     }
 }
 
@@ -261,19 +268,22 @@ mod tests {
         let snap = snapshot(0, 40, 8);
         let first = cache.shard_columns(&snap);
         assert_eq!((cache.hits(), cache.misses()), (0, 5));
+        assert!(first.iter().all(|(_, hit)| !hit));
 
         // The same snapshot (same sources) is all hits, sharing columns...
         let again = cache.shard_columns(&snap.clone());
         assert_eq!((cache.hits(), cache.misses()), (5, 5));
-        for (a, b) in first.iter().zip(&again) {
-            assert!(Arc::ptr_eq(a, b), "columns are shared");
+        for ((a, _), (b, hit)) in first.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b) && *hit, "columns are shared");
         }
 
         // ...while a byte-identical rebuild (fresh allocations) misses.
         let rebuilt = snapshot(1, 40, 8);
         let fresh = cache.shard_columns(&rebuilt);
         assert_eq!((cache.hits(), cache.misses()), (5, 10));
-        assert_eq!(first, fresh, "same bytes, same columns");
+        for ((a, _), (b, hit)) in first.iter().zip(&fresh) {
+            assert!(a == b && !hit, "same bytes, same columns, fresh identity");
+        }
     }
 
     #[test]

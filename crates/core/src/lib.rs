@@ -80,9 +80,7 @@ pub use passes::{SnapshotAggregates, SnapshotPasses};
 pub use remnant_obs::{Instrumented, MetricsRegistry, Obs, ObsReport};
 pub use service::StudyService;
 pub use session::{RoundProgress, RoundSummary, StudySession};
-pub use snapshot::{
-    BlockKey, BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView,
-};
+pub use snapshot::{BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView};
 pub use spill::{SpillConfig, SpillError, SpillFile, SpillMeta, SpillRef};
 pub use study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
 pub use unchanged::UnchangedCandidate;

@@ -153,12 +153,12 @@ impl RecordBlock {
         self.ends.is_empty()
     }
 
-    /// The raw column ends (for the binary codec).
+    /// The raw column ends (for the round-file frame codec).
     pub(crate) fn ends(&self) -> &[[u32; 3]] {
         &self.ends
     }
 
-    /// The raw columns (for the binary codec).
+    /// The raw columns (for the round-file frame codec).
     pub(crate) fn columns(&self) -> (&[Ipv4Addr], &[DomainName], &[DomainName]) {
         (&self.a, &self.cnames, &self.ns)
     }
@@ -193,25 +193,6 @@ pub struct LoadedBlock {
     pub block: Arc<RecordBlock>,
 }
 
-/// Process-local identity of a block's backing storage.
-///
-/// Two equal keys alias the same bytes: a resident block is keyed by the
-/// address of its shared `Arc<RecordBlock>`, a spilled block by its
-/// [`SpillRef::frame_key`]. Delta rounds chain clean shards by cloning
-/// the previous round's source, so an unchanged shard carries the same
-/// key from round to round — which is how reuse is counted
-/// ([`crate::classify::ShardClassCache`]). The key is conservative: a
-/// reloaded or rebuilt block gets a fresh allocation and therefore a
-/// fresh key, never a false match.
-///
-/// An address is only unique while its allocation lives; hold the
-/// originating [`BlockSource`] while comparing keys across rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockKey {
-    ptr: usize,
-    offset: u64,
-}
-
 /// Where a block's records live.
 #[derive(Clone, Debug)]
 enum Backing {
@@ -225,6 +206,11 @@ enum Backing {
 /// together with the block's [`DerivedColumn`], derived once when the
 /// block was built and carried wherever the block goes. Cloning is two
 /// `Arc` clones — no record data is copied or read.
+///
+/// The column's `Arc` is the block's identity: a replayed block clones
+/// its source from the previous round and so shares that round's column
+/// allocation, while a rebuilt or reread block gets a fresh one
+/// ([`crate::classify::ShardClassCache`] counts reuse this way).
 #[derive(Clone, Debug)]
 pub struct BlockSource {
     backing: Backing,
@@ -232,14 +218,8 @@ pub struct BlockSource {
 }
 
 impl BlockSource {
-    /// A resident block, deriving its column.
-    pub(crate) fn resident(block: Arc<RecordBlock>) -> Self {
-        let derived = Arc::new(DerivedColumn::derive(&block));
-        BlockSource::resident_with(block, derived)
-    }
-
     /// A resident block with its already derived column.
-    pub(crate) fn resident_with(block: Arc<RecordBlock>, derived: Arc<DerivedColumn>) -> Self {
+    pub(crate) fn resident(block: Arc<RecordBlock>, derived: Arc<DerivedColumn>) -> Self {
         BlockSource {
             backing: Backing::Resident(block),
             derived,
@@ -265,24 +245,6 @@ impl BlockSource {
         match &self.backing {
             Backing::Resident(_) => None,
             Backing::Spilled(r) => Some(r),
-        }
-    }
-
-    /// The block's identity key. Stable for as long as this source (or
-    /// any clone of its backing) is alive.
-    pub fn key(&self) -> BlockKey {
-        match &self.backing {
-            Backing::Resident(block) => BlockKey {
-                ptr: Arc::as_ptr(block) as usize,
-                // Resident blocks have no frame offset; u64::MAX keeps
-                // them disjoint from any real spill offset under an
-                // (admittedly impossible) address collision.
-                offset: u64::MAX,
-            },
-            Backing::Spilled(r) => {
-                let (ptr, offset) = r.frame_key();
-                BlockKey { ptr, offset }
-            }
         }
     }
 
@@ -448,9 +410,9 @@ impl DnsSnapshot {
     /// The encoding is line-based and versioned; equal snapshots *with the
     /// same block layout* produce byte-identical text, which is what the
     /// full-vs-delta and in-memory-vs-spill equivalence tests compare.
-    /// It is a dump, not a storage format: snapshots persist and reload
-    /// through the binary RSNP codec
-    /// ([`DnsSnapshot::encode_binary`] / [`DnsSnapshot::decode_binary`]).
+    /// It is a dump, not a storage format: rounds persist through
+    /// [`crate::spill::SpillWriter`] and reload through
+    /// [`crate::spill::SpillFile`] (see [`crate::spill`]).
     ///
     /// ```text
     /// remnant-snapshot v2
@@ -517,11 +479,10 @@ fn encode_site_line(out: &mut String, rank: usize, site: SiteView<'_>) {
 /// Incrementally assembles a [`DnsSnapshot`].
 ///
 /// Push owned records site by site ([`SnapshotBuilder::push`], packed into
-/// `block_size` blocks), whole shared blocks
-/// ([`SnapshotBuilder::push_block`]), or existing sources, on-disk frames
-/// included ([`SnapshotBuilder::push_source`]). Mixing is allowed as long
-/// as each block push happens on a block boundary. Blocks built here
-/// derive their [`DerivedColumn`]s as they are packed.
+/// `block_size` blocks) or existing sources, on-disk frames included
+/// ([`SnapshotBuilder::push_source`]). Mixing is allowed as long as each
+/// source is pushed on a block boundary. Blocks packed here derive their
+/// [`DerivedColumn`]s as they are packed.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     taken_at: SimTime,
@@ -542,16 +503,6 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Appends a whole block (structural sharing: no copy), deriving its
-    /// column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-block (sites pushed but not yet flushed).
-    pub fn push_block(&mut self, block: Arc<RecordBlock>) {
-        self.push_source(BlockSource::resident(block));
-    }
-
     /// Appends an existing block source as-is, column included — the
     /// collector's splice path, and how a snapshot is rebuilt from
     /// persisted spill files: one source per shard, in shard order,
@@ -560,7 +511,7 @@ impl SnapshotBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if called mid-block, like [`SnapshotBuilder::push_block`].
+    /// Panics if called mid-block (sites pushed but not yet flushed).
     pub fn push_source(&mut self, slot: BlockSource) {
         assert!(
             self.pending.is_empty(),
@@ -572,11 +523,10 @@ impl SnapshotBuilder {
 
     fn flush(&mut self) {
         if !self.pending.is_empty() {
-            let rows = std::mem::take(&mut self.pending);
+            let block = RecordBlock::from_sites(std::mem::take(&mut self.pending));
+            let derived = Arc::new(DerivedColumn::derive(&block));
             self.blocks
-                .push(BlockSource::resident(Arc::new(RecordBlock::from_sites(
-                    rows,
-                ))));
+                .push(BlockSource::resident(Arc::new(block), derived));
         }
     }
 
@@ -698,9 +648,5 @@ mod tests {
              shard 1 len=1\n\
              2 a= cname= ns=ns1.webhost1.net\n"
         );
-        // The binary codec round-trips to the same dump.
-        let back = DnsSnapshot::decode_binary(&snap.encode_binary()).expect("own binary parses");
-        assert_eq!(back, snap);
-        assert_eq!(back.encode(), text);
     }
 }

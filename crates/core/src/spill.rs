@@ -1,5 +1,6 @@
-//! The versioned binary snapshot codec and the on-disk spill files that
-//! let collection rounds run memory-bounded.
+//! The on-disk round files that let collection rounds run
+//! memory-bounded: one writer ([`SpillWriter`]) and one reader
+//! ([`SpillFile::open`] → [`SpillFile::sources`] → [`SpillRef::load`]).
 //!
 //! # Format (`v2`)
 //!
@@ -47,9 +48,10 @@
 //! rounds' files: the delta collector's structural sharing, moved onto
 //! disk.
 //!
-//! All decode paths, column frames included, return typed
-//! [`SpillError`]s; malformed input never panics. A file of another
-//! version is rejected with [`SpillError::UnsupportedVersion`].
+//! Every read, column frames included, returns a typed [`SpillError`]
+//! on malformed input and never panics; nothing is sized from a declared
+//! count the bytes present cannot back. A file of another version is
+//! rejected with [`SpillError::UnsupportedVersion`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -64,7 +66,7 @@ use remnant_sim::SimTime;
 
 use crate::adoption::PackedAdoption;
 use crate::classify::DerivedColumn;
-use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock};
+use crate::snapshot::{BlockSource, RecordBlock};
 
 const FILE_MAGIC: &[u8; 4] = b"RSNP";
 const FOOTER_MAGIC: &[u8; 4] = b"RSNX";
@@ -117,7 +119,7 @@ pub struct SpillMeta {
     pub shard_count: u32,
 }
 
-/// Why a binary snapshot or spill operation failed.
+/// Why a round-file write or read failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SpillError {
@@ -151,11 +153,6 @@ pub enum SpillError {
         /// The repeated shard index.
         shard: u32,
     },
-    /// A referenced shard is not present in the file.
-    MissingShardFrame {
-        /// The absent shard index.
-        shard: u32,
-    },
     /// A shard index is outside the plan recorded in the header.
     ShardOutOfRange {
         /// The offending shard index.
@@ -169,13 +166,6 @@ pub enum SpillError {
     CorruptFrame {
         /// Which check failed.
         reason: &'static str,
-    },
-    /// The decoded site total disagrees with the header.
-    CountMismatch {
-        /// Sites the header declared.
-        expected: u64,
-        /// Sites the frames actually held.
-        found: u64,
     },
 }
 
@@ -193,14 +183,10 @@ impl fmt::Display for SpillError {
             Self::DuplicateShardFrame { shard } => {
                 write!(f, "duplicate frame for shard {shard}")
             }
-            Self::MissingShardFrame { shard } => write!(f, "no frame for shard {shard}"),
             Self::ShardOutOfRange { shard, count } => {
                 write!(f, "shard {shard} out of range for plan of {count}")
             }
             Self::CorruptFrame { reason } => write!(f, "corrupt frame: {reason}"),
-            Self::CountMismatch { expected, found } => {
-                write!(f, "header says {expected} sites but frames hold {found}")
-            }
         }
     }
 }
@@ -516,14 +502,16 @@ fn decode_sites<T>(
 fn decode_column(bytes: &[u8]) -> Result<(u32, DerivedColumn), SpillError> {
     let (mut r, shard, n_sites) = open_frame(bytes, "column preamble")?;
     let table = decode_name_table(&mut r)?;
-    let mut classes = Vec::with_capacity(n_sites);
-    for &byte in r.take(n_sites, "class column")? {
-        classes.push(
+    // Sized by the bytes present, never by the declared count alone.
+    let classes = r
+        .take(n_sites, "class column")?
+        .iter()
+        .map(|&byte| {
             PackedAdoption::from_byte(byte).ok_or(SpillError::CorruptFrame {
                 reason: "invalid adoption class",
-            })?,
-        );
-    }
+            })
+        })
+        .collect::<Result<_, _>>()?;
     let multi_cdn = decode_sites(&mut r, n_sites, false, "multi-CDN column", |_| Ok(()))?
         .into_iter()
         .map(|(site, ())| site)
@@ -553,7 +541,7 @@ fn decode_column(bytes: &[u8]) -> Result<(u32, DerivedColumn), SpillError> {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-document binary codec
+// File header and footer index
 // ---------------------------------------------------------------------------
 
 fn encode_header(out: &mut Vec<u8>, meta: &SpillMeta) {
@@ -653,115 +641,6 @@ fn decode_footer(bytes: &[u8]) -> Result<BTreeMap<u32, ShardExtents>, SpillError
     Ok(index)
 }
 
-/// The `(offset, len)` extent of `bytes`, or a typed truncation error.
-fn extent<'a>(
-    bytes: &'a [u8],
-    (offset, len): (u64, u32),
-    section: &'static str,
-) -> Result<&'a [u8], SpillError> {
-    let start = usize::try_from(offset).map_err(|_| SpillError::Truncated { section })?;
-    let end = start
-        .checked_add(len as usize)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(SpillError::Truncated { section })?;
-    Ok(&bytes[start..end])
-}
-
-impl DnsSnapshot {
-    /// Serializes the snapshot to the versioned binary format (header,
-    /// record and column frames per block, footer index). Spilled blocks
-    /// are loaded transiently; the result is self-contained.
-    pub fn encode_binary(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let sources: Vec<BlockSource> = self.block_sources().map(|(_, s)| s).collect();
-        encode_header(
-            &mut out,
-            &SpillMeta {
-                taken_at: self.taken_at,
-                day: self.day,
-                sites: self.len() as u64,
-                block_size: self.block_size() as u32,
-                shard_count: sources.len() as u32,
-            },
-        );
-        let mut index = Vec::with_capacity(sources.len());
-        for (shard, source) in sources.iter().enumerate() {
-            let shard = shard as u32;
-            let frame = encode_frame(shard, &source.load());
-            let column = encode_column(shard, source.derived());
-            let frame_at = out.len() as u64;
-            let column_at = frame_at + frame.len() as u64;
-            index.push((
-                shard,
-                ShardExtents {
-                    frame: (frame_at, frame.len() as u32),
-                    column: (column_at, column.len() as u32),
-                },
-            ));
-            out.extend_from_slice(&frame);
-            out.extend_from_slice(&column);
-        }
-        encode_footer(&mut out, 0, &index);
-        out
-    }
-
-    /// Parses a complete binary snapshot document (every shard present).
-    /// Each block carries the column read from its column frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`SpillError`] on truncation at any section
-    /// boundary, bad magic or version, bad name-table indices, invalid
-    /// column contents, duplicate or missing shard frames, or count
-    /// mismatches. Never panics on malformed input.
-    pub fn decode_binary(bytes: &[u8]) -> Result<Self, SpillError> {
-        let meta = decode_header(bytes)?;
-        let len = bytes.len() as u64;
-        let trailer_at = bytes.len().saturating_sub(TRAILER_LEN as usize);
-        let footer_offset = decode_trailer(&bytes[trailer_at..], len)?;
-        let index = decode_footer(&bytes[footer_offset as usize..trailer_at])?;
-        let mut builder =
-            DnsSnapshot::builder(meta.taken_at, meta.day, meta.block_size.max(1) as usize);
-        let mut found = 0u64;
-        for shard in 0..meta.shard_count {
-            let extents = index
-                .get(&shard)
-                .ok_or(SpillError::MissingShardFrame { shard })?;
-            let (frame_shard, block) = decode_frame(extent(bytes, extents.frame, "frame")?)?;
-            let (column_shard, column) =
-                decode_column(extent(bytes, extents.column, "column frame")?)?;
-            if frame_shard != shard || column_shard != shard {
-                return Err(SpillError::CorruptFrame {
-                    reason: "frame shard disagrees with index",
-                });
-            }
-            if column.len() != block.len() {
-                return Err(SpillError::CorruptFrame {
-                    reason: "column site count disagrees with frame",
-                });
-            }
-            found += block.len() as u64;
-            builder.push_source(BlockSource::resident_with(
-                Arc::new(block),
-                Arc::new(column),
-            ));
-        }
-        if found != meta.sites {
-            return Err(SpillError::CountMismatch {
-                expected: meta.sites,
-                found,
-            });
-        }
-        if let Some(&shard) = index.keys().find(|&&s| s >= meta.shard_count) {
-            return Err(SpillError::ShardOutOfRange {
-                shard,
-                count: meta.shard_count,
-            });
-        }
-        Ok(builder.finish())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Spill files
 // ---------------------------------------------------------------------------
@@ -771,6 +650,8 @@ impl DnsSnapshot {
 pub struct SpillFile {
     path: PathBuf,
     file: Mutex<File>,
+    /// File length in bytes, taken at open.
+    len: u64,
     meta: SpillMeta,
 }
 
@@ -792,9 +673,14 @@ impl SpillFile {
         file.read_exact(&mut header)
             .map_err(io_err("reading spill header"))?;
         let meta = decode_header(&header)?;
+        let len = file
+            .metadata()
+            .map_err(io_err("reading spill file length"))?
+            .len();
         Ok(Arc::new(SpillFile {
             path,
             file: Mutex::new(file),
+            len,
             meta,
         }))
     }
@@ -812,25 +698,31 @@ impl SpillFile {
     /// The shards present in the file, from its footer index. Reads the
     /// trailer and the footer only.
     fn index(&self) -> Result<BTreeMap<u32, ShardExtents>, SpillError> {
-        let mut file = self.file.lock().expect("spill file lock");
-        let len = file
-            .seek(SeekFrom::End(0))
-            .map_err(io_err("seeking spill trailer"))?;
-        let mut trailer = [0u8; TRAILER_LEN as usize];
-        if len >= TRAILER_LEN {
-            file.seek(SeekFrom::Start(len - TRAILER_LEN))
-                .and_then(|_| file.read_exact(&mut trailer))
-                .map_err(io_err("reading spill trailer"))?;
-        }
-        let footer_offset = decode_trailer(&trailer, len)?;
-        let mut footer = vec![0u8; (len - TRAILER_LEN - footer_offset) as usize];
-        file.seek(SeekFrom::Start(footer_offset))
-            .and_then(|_| file.read_exact(&mut footer))
-            .map_err(io_err("reading spill footer"))?;
+        let trailer_at = self.len.saturating_sub(TRAILER_LEN);
+        let trailer = self.read_at(trailer_at, (self.len - trailer_at) as usize, "trailer")?;
+        let footer_offset = decode_trailer(&trailer, self.len)?;
+        let footer = self.read_at(
+            footer_offset,
+            (trailer_at - footer_offset) as usize,
+            "footer",
+        )?;
         decode_footer(&footer)
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, SpillError> {
+    /// Reads `len` bytes at `offset`. A range past the end of the file is
+    /// a typed truncation, checked before any buffer is sized from it.
+    fn read_at(
+        &self,
+        offset: u64,
+        len: usize,
+        section: &'static str,
+    ) -> Result<Vec<u8>, SpillError> {
+        if offset
+            .checked_add(len as u64)
+            .is_none_or(|end| end > self.len)
+        {
+            return Err(SpillError::Truncated { section });
+        }
         let mut buf = vec![0u8; len];
         let mut file = self.file.lock().expect("spill file lock");
         file.seek(SeekFrom::Start(offset))
@@ -862,7 +754,8 @@ impl SpillFile {
                     section: "frame preamble",
                 });
             }
-            let bytes = self.read_at(extents.column.0, extents.column.1 as usize)?;
+            let bytes =
+                self.read_at(extents.column.0, extents.column.1 as usize, "column frame")?;
             let (column_shard, column) = decode_column(&bytes)?;
             if column_shard != shard {
                 return Err(SpillError::CorruptFrame {
@@ -924,24 +817,9 @@ impl SpillRef {
         &self.file.path
     }
 
-    /// Process-local identity of the referenced frame: `(file identity,
-    /// frame offset)`, where the file identity is the address of the
-    /// shared [`SpillFile`] handle. Two refs with equal keys alias the
-    /// same bytes of the same open file — delta rounds chain clean shards
-    /// as clones of earlier refs, which is what makes the key repeat. The
-    /// key is only conservative: reopening a file yields a new handle and
-    /// therefore a fresh key, never a false match.
-    ///
-    /// The address is only unique while the handle is alive; callers
-    /// comparing keys must keep a clone of the ref (or another owner of
-    /// the handle) alive alongside them.
-    pub fn frame_key(&self) -> (usize, u64) {
-        (Arc::as_ptr(&self.file) as usize, self.offset)
-    }
-
     /// Reads and decodes the referenced record frame (and nothing else).
     pub fn load(&self) -> Result<RecordBlock, SpillError> {
-        let bytes = self.file.read_at(self.offset, self.len as usize)?;
+        let bytes = self.file.read_at(self.offset, self.len as usize, "frame")?;
         let (shard, block) = decode_frame(&bytes)?;
         if shard != self.shard {
             return Err(SpillError::CorruptFrame {
@@ -1080,7 +958,7 @@ impl SpillWriter {
 mod tests {
     use super::*;
     use crate::adoption::{Adoption, DpsStatus};
-    use crate::snapshot::SiteRecords;
+    use crate::snapshot::{DnsSnapshot, SiteRecords};
     use remnant_provider::{ProviderId, ReroutingMethod};
 
     fn sample_snapshot(block_size: usize) -> DnsSnapshot {
@@ -1113,43 +991,135 @@ mod tests {
         b.finish()
     }
 
+    /// A fresh scratch directory for one test.
+    fn temp_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("remnant-spill-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes `snap` through [`SpillWriter`] as one round file, one shard
+    /// per block, and returns the file's bytes.
+    fn write_round(path: &Path, snap: &DnsSnapshot) -> Vec<u8> {
+        let sources: Vec<BlockSource> = snap.block_sources().map(|(_, s)| s).collect();
+        let mut writer = SpillWriter::create(
+            path,
+            SpillMeta {
+                taken_at: snap.taken_at,
+                day: snap.day,
+                sites: snap.len() as u64,
+                block_size: snap.block_size() as u32,
+                shard_count: sources.len() as u32,
+            },
+        )
+        .unwrap();
+        for (shard, source) in sources.iter().enumerate() {
+            writer
+                .append_block(shard as u32, &source.load(), Arc::clone(source.derived()))
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    /// Reads a round file the production way — open, sources, then every
+    /// record frame through [`SpillRef::load`] — into a snapshot.
+    fn read_round(path: &Path) -> Result<DnsSnapshot, SpillError> {
+        let file = SpillFile::open(path)?;
+        let meta = file.meta();
+        let mut b = DnsSnapshot::builder(meta.taken_at, meta.day, meta.block_size as usize);
+        for (_, source) in file.sources()? {
+            source
+                .spill_ref()
+                .expect("a read source is spilled")
+                .load()?;
+            b.push_source(source);
+        }
+        Ok(b.finish())
+    }
+
+    /// Writes `bytes` to `path` and reads it back through [`read_round`].
+    fn read_bytes(path: &Path, bytes: &[u8]) -> Result<DnsSnapshot, SpillError> {
+        std::fs::write(path, bytes).unwrap();
+        read_round(path)
+    }
+
+    /// The footer index of a round file's bytes, with the byte offset of
+    /// each entry (entries are 28 bytes, after the 8-byte footer head).
+    fn footer_entries(bytes: &[u8]) -> Vec<(usize, ShardExtents)> {
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        let footer_offset = decode_trailer(&bytes[trailer_at..], bytes.len() as u64).unwrap();
+        let index = decode_footer(&bytes[footer_offset as usize..trailer_at]).unwrap();
+        index
+            .into_values()
+            .enumerate()
+            .map(|(i, extents)| (footer_offset as usize + 8 + i * 28, extents))
+            .collect()
+    }
+
+    fn put_u32_at(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     #[test]
-    fn binary_round_trips() {
+    fn round_file_round_trips() {
+        let dir = temp_dir("round-trip");
         let snap = sample_snapshot(4);
-        let bytes = snap.encode_binary();
-        let back = DnsSnapshot::decode_binary(&bytes).expect("own bytes decode");
+        let bytes = write_round(&dir.join("a.rsnb"), &snap);
+        let back = read_round(&dir.join("a.rsnb")).expect("own file reads back");
         assert_eq!(back, snap);
-        // Canonical: re-encoding is byte-identical.
-        assert_eq!(back.encode_binary(), bytes);
-        // And the text dump agrees on content.
-        assert_eq!(back.encode(), snap.encode());
+        assert_eq!(
+            back.encode(),
+            snap.encode(),
+            "text dump, block layout included"
+        );
+        assert!(back.derived_columns().eq(snap.derived_columns()));
+        // Canonical: writing the read-back round again is byte-identical.
+        assert_eq!(write_round(&dir.join("b.rsnb"), &back), bytes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncation_never_panics() {
-        let bytes = sample_snapshot(4).encode_binary();
+        let dir = temp_dir("truncation");
+        let path = dir.join("round.rsnb");
+        let bytes = write_round(&path, &sample_snapshot(4));
         for cut in 0..bytes.len() {
-            let err = DnsSnapshot::decode_binary(&bytes[..cut]).unwrap_err();
             // Typed error, not a panic; exact kind depends on the cut.
+            let err = read_bytes(&path, &bytes[..cut]).unwrap_err();
             let _ = err.to_string();
         }
-        // Every column frame cut short at every byte, on its own and
-        // with its length word claiming the cut.
-        let trailer_at = bytes.len() - TRAILER_LEN as usize;
-        let footer_offset = decode_trailer(&bytes[trailer_at..], bytes.len() as u64).unwrap();
-        let index = decode_footer(&bytes[footer_offset as usize..trailer_at]).unwrap();
-        for extents in index.values() {
-            let column = extent(&bytes, extents.column, "column frame").unwrap();
-            assert!(decode_column(column).is_ok());
-            for cut in 0..column.len() {
-                assert!(decode_column(&column[..cut]).is_err(), "cut at {cut}");
-                let mut short = column[..cut].to_vec();
+        // Every column frame cut short at every byte: the footer's extent
+        // claiming the cut, and the frame's length word claiming it.
+        for (entry, extents) in footer_entries(&bytes) {
+            let (offset, len) = (extents.column.0 as usize, extents.column.1);
+            for cut in 0..len {
+                let mut short = bytes.clone();
+                put_u32_at(&mut short, entry + 24, cut);
+                assert!(read_bytes(&path, &short).is_err(), "extent cut at {cut}");
                 if cut >= 4 {
-                    short[..4].copy_from_slice(&(cut as u32 - 4).to_le_bytes());
+                    let mut short = bytes.clone();
+                    put_u32_at(&mut short, offset, cut - 4);
+                    assert!(
+                        read_bytes(&path, &short).is_err(),
+                        "relabelled cut at {cut}"
+                    );
                 }
-                assert!(decode_column(&short).is_err(), "relabelled cut at {cut}");
             }
         }
+        // An extent past the end of the file is a truncation, caught
+        // before a buffer of its length is allocated.
+        let (entry, _) = footer_entries(&bytes)[0];
+        for (at, section) in [(entry + 12, "frame"), (entry + 24, "column frame")] {
+            let mut long = bytes.clone();
+            put_u32_at(&mut long, at, u32::MAX);
+            assert_eq!(
+                read_bytes(&path, &long).unwrap_err(),
+                SpillError::Truncated { section }
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1177,72 +1147,105 @@ mod tests {
             ],
             incap_tokens: vec![(2, "x7f3.incapdns.net".parse().unwrap())],
         };
-        let bytes = encode_column(9, &column);
-        assert_eq!(decode_column(&bytes).unwrap(), (9, column.clone()));
+        // One three-site block carrying the column above as shard 0.
+        let dir = temp_dir("columns");
+        let path = dir.join("round.rsnb");
+        let block = RecordBlock::from_sites(vec![SiteRecords::default(); 3]);
+        let mut writer = SpillWriter::create(
+            &path,
+            SpillMeta {
+                taken_at: SimTime::from_secs(1),
+                day: 0,
+                sites: 3,
+                block_size: 3,
+                shard_count: 1,
+            },
+        )
+        .unwrap();
+        writer
+            .append_block(0, &block, Arc::new(column.clone()))
+            .unwrap();
+        writer.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let sources = SpillFile::open(&path).unwrap().sources().unwrap();
+        assert_eq!(sources[0].1.derived().as_ref(), &column);
+        let read_columns = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            SpillFile::open(&path).unwrap().sources().map(|_| ())
+        };
 
         // The first class byte sits after the preamble and the name
         // table (count word plus three length-prefixed names).
+        let (entry, extents) = footer_entries(&bytes)[0];
+        let column_at = extents.column.0 as usize;
         let names: usize = ["kate.ns.cloudflare.com", "rob.ns.cloudflare.com"]
             .iter()
             .chain(&["x7f3.incapdns.net"])
             .map(|n| 2 + n.len())
             .sum();
-        let class_at = 12 + 4 + names;
+        let class_at = column_at + 12 + 4 + names;
         let mut bad = bytes.clone();
         bad[class_at] = 0x0F; // provider code 15: no such provider
         assert_eq!(
-            decode_column(&bad).unwrap_err(),
+            read_columns(&bad).unwrap_err(),
             SpillError::CorruptFrame {
                 reason: "invalid adoption class"
             }
         );
         // The multi-CDN list follows the classes: point it past the block.
         let mut bad = bytes.clone();
-        bad[class_at + 3 + 4..class_at + 3 + 8].copy_from_slice(&5u32.to_le_bytes());
+        put_u32_at(&mut bad, class_at + 3 + 4, 5);
         assert!(matches!(
-            decode_column(&bad).unwrap_err(),
+            read_columns(&bad).unwrap_err(),
             SpillError::CorruptFrame { .. }
         ));
-        // A trailing byte the length word covers is rejected.
+        // A trailing byte the length word and the extent both cover is
+        // rejected: insert it after the frame and shift the footer.
+        let column_end = column_at + extents.column.1 as usize;
         let mut long = bytes.clone();
-        long.push(0);
-        let len = long.len() as u32 - 4;
-        long[..4].copy_from_slice(&len.to_le_bytes());
+        long.insert(column_end, 0);
+        put_u32_at(&mut long, column_at, extents.column.1 - 4 + 1);
+        put_u32_at(&mut long, entry + 1 + 24, extents.column.1 + 1);
+        let trailer_at = long.len() - TRAILER_LEN as usize;
+        let footer_offset =
+            u64::from_le_bytes(long[trailer_at..trailer_at + 8].try_into().unwrap());
+        long[trailer_at..trailer_at + 8].copy_from_slice(&(footer_offset + 1).to_le_bytes());
         assert_eq!(
-            decode_column(&long).unwrap_err(),
+            read_columns(&long).unwrap_err(),
             SpillError::CorruptFrame {
                 reason: "column frame has trailing bytes"
             }
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bad_magic_and_version_are_named() {
-        let mut bytes = sample_snapshot(4).encode_binary();
-        let orig = bytes[0];
+        let dir = temp_dir("magic");
+        let path = dir.join("round.rsnb");
+        let good = write_round(&path, &sample_snapshot(4));
+        let mut bytes = good.clone();
         bytes[0] = b'X';
-        assert_eq!(
-            DnsSnapshot::decode_binary(&bytes).unwrap_err(),
-            SpillError::BadMagic
-        );
-        bytes[0] = orig;
+        assert_eq!(read_bytes(&path, &bytes).unwrap_err(), SpillError::BadMagic);
+        let mut bytes = good.clone();
         bytes[4] = 0xFF;
         assert!(matches!(
-            DnsSnapshot::decode_binary(&bytes).unwrap_err(),
+            read_bytes(&path, &bytes).unwrap_err(),
             SpillError::UnsupportedVersion(_)
         ));
+        let mut bytes = good;
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            DnsSnapshot::decode_binary(&bytes).unwrap_err(),
+            read_bytes(&path, &bytes).unwrap_err(),
             SpillError::UnsupportedVersion(1)
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn spill_file_round_trips_per_shard() {
         let snap = sample_snapshot(3);
-        let dir = std::env::temp_dir().join(format!("remnant-spill-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("per-shard");
         let path = dir.join("round.rsnb");
         let blocks: Vec<_> = snap.blocks().collect();
         let mut writer = SpillWriter::create(
@@ -1286,8 +1289,7 @@ mod tests {
     #[test]
     fn writer_rejects_duplicate_and_out_of_range_shards() {
         let snap = sample_snapshot(5);
-        let dir = std::env::temp_dir().join(format!("remnant-spill-dup-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("dup");
         let path = dir.join("dup.rsnb");
         let (_, source) = snap.block_sources().next().unwrap();
         let (block, derived) = (source.load(), source.derived());

@@ -31,7 +31,6 @@ use remnant_obs::{
 use remnant_provider::ProviderId;
 use remnant_sim::stats::Series;
 
-use crate::query::ClassifiedQuery;
 use crate::store::{RoundMeta, SnapshotStore};
 
 /// One round, classified: timeline metadata plus the per-shard derived
@@ -140,6 +139,18 @@ impl ProviderIndex {
     }
 }
 
+/// Per-provider adoption counts folded over every round of a
+/// [`ClassifiedStore`].
+#[derive(Clone, Debug)]
+pub struct ClassifiedQuery {
+    /// Which provider the fold was restricted to (None = any provider).
+    pub provider: Option<ProviderId>,
+    /// Sites with DPS status ON in the *last* round.
+    pub adopted_final: usize,
+    /// ON-site count per round, keyed by day.
+    pub adopted_series: Series,
+}
+
 /// A [`SnapshotStore`] with every round's columns assembled once — see
 /// the module docs.
 #[derive(Debug)]
@@ -158,25 +169,22 @@ impl<'a> ClassifiedStore<'a> {
         let mut cache = ShardClassCache::new();
         let mut rounds = Vec::with_capacity(store.len());
         let mut index = ProviderIndex::new(store.sites());
-        // A column chained unchanged from the previous round contributes
-        // the same marks, so the index only scans columns it has not
-        // seen at this shard position before.
-        let mut indexed: Vec<usize> = vec![0; store.shard_count() as usize];
         for i in 0..store.len() {
-            let snapshot = store.snapshot(i);
-            let shards = cache.shard_columns(&snapshot);
+            let mut shards = Vec::with_capacity(store.shard_count() as usize);
             let mut base = 0usize;
-            for (shard, column) in shards.iter().enumerate() {
-                let ptr = Arc::as_ptr(column) as usize;
-                if indexed[shard] != ptr {
-                    indexed[shard] = ptr;
+            for (column, hit) in cache.shard_columns(&store.snapshot(i)) {
+                // A column chained unchanged from the previous round (a
+                // cache hit) contributes the same marks again, so the
+                // index scans only the misses.
+                if !hit {
                     for (i, class) in column.classes.iter().enumerate() {
                         if let Some(provider) = class.provider() {
                             index.mark(provider, base + i);
                         }
                     }
                 }
-                base += column.classes.len();
+                base += column.len();
+                shards.push(column);
             }
             rounds.push(ClassifiedRound {
                 meta: store.meta(i).clone(),
@@ -233,13 +241,15 @@ impl<'a> ClassifiedStore<'a> {
         passes.finish()
     }
 
-    /// Index-accelerated twin of [`crate::RoundsQuery::classified`]:
-    /// only sites in the any-provider posting list are consulted.
+    /// Adoption fold across all providers: the ON-site count per round
+    /// (Table III rules). Only sites in the any-provider posting list are
+    /// consulted.
     pub fn classified(&self) -> ClassifiedQuery {
         self.classified_inner(None)
     }
 
-    /// Index-accelerated twin of [`crate::RoundsQuery::provider`].
+    /// Adoption fold restricted to one provider; only that provider's
+    /// posting list is consulted.
     pub fn provider(&self, provider: ProviderId) -> ClassifiedQuery {
         self.classified_inner(Some(provider))
     }

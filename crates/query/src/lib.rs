@@ -51,14 +51,15 @@ pub mod plans;
 pub mod query;
 pub mod store;
 
-pub use classified::{ClassifiedRound, ClassifiedStore, PlanContext, ProviderIndex};
+pub use classified::{
+    ClassifiedQuery, ClassifiedRound, ClassifiedStore, PlanContext, ProviderIndex,
+};
 pub use plans::{
     funnel_rows, FunnelRow, PassesPlan, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
     ResidualScanWeek, UnchangedCandidatesPlan, RESIDUAL_PROVIDERS,
 };
 pub use query::{
-    ClassifiedQuery, GenerationDiff, JoinedRounds, Projection, RecordClass, RoundSnapshot,
-    RoundsQuery,
+    GenerationDiff, JoinedRounds, Projection, RecordClass, RoundSnapshot, RoundsQuery,
 };
 // The exposure timeline (Fig 9) is already a fold over journaled weekly
 // reports; re-export it so query-side consumers need only this crate.

@@ -16,9 +16,7 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use remnant_core::behavior::BehaviorDetector;
-use remnant_core::{DnsSnapshot, DpsStatus};
-use remnant_provider::ProviderId;
+use remnant_core::DnsSnapshot;
 use remnant_sim::stats::{Ecdf, Series};
 
 use crate::store::{RoundKind, RoundMeta, SnapshotStore};
@@ -73,17 +71,6 @@ pub struct Projection {
     pub per_round: Series,
     /// ECDF of per-site record counts across all selected rounds.
     pub per_site: Ecdf,
-}
-
-/// Per-provider adoption counts folded over every selected round.
-#[derive(Clone, Debug)]
-pub struct ClassifiedQuery {
-    /// Which provider the fold was restricted to (None = any provider).
-    pub provider: Option<ProviderId>,
-    /// Sites with DPS status ON in the *last* selected round.
-    pub adopted_final: usize,
-    /// ON-site count per round, keyed by day.
-    pub adopted_series: Series,
 }
 
 /// One round's generation delta, read from the store's metadata alone.
@@ -261,44 +248,6 @@ impl<'a> RoundsQuery<'a> {
             per_round,
             per_site,
         }
-    }
-
-    /// Classifies every selected round (Table III rules) and folds the
-    /// ON-site counts, optionally restricted to one provider.
-    fn classified_inner(&self, provider: Option<ProviderId>) -> ClassifiedQuery {
-        let detector = BehaviorDetector::new();
-        let label = match provider {
-            Some(p) => format!("adopted.{p}"),
-            None => "adopted".to_owned(),
-        };
-        let mut adopted_series = Series::new(label);
-        let mut adopted_final = 0usize;
-        for round in self.snapshots() {
-            let classes = detector.classify_snapshot(&round.snapshot);
-            let adopted = classes
-                .iter()
-                .filter(|c| {
-                    c.status == DpsStatus::On && provider.is_none_or(|p| c.provider == Some(p))
-                })
-                .count();
-            adopted_series.push(f64::from(round.meta.day), adopted as f64);
-            adopted_final = adopted;
-        }
-        ClassifiedQuery {
-            provider,
-            adopted_final,
-            adopted_series,
-        }
-    }
-
-    /// Adoption fold across all providers.
-    pub fn classified(&self) -> ClassifiedQuery {
-        self.classified_inner(None)
-    }
-
-    /// Adoption fold restricted to one provider.
-    pub fn provider(&self, provider: ProviderId) -> ClassifiedQuery {
-        self.classified_inner(Some(provider))
     }
 
     /// Each selected round's generation delta — dirty vs chained-clean

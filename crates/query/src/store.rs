@@ -47,12 +47,15 @@ pub enum StoreError {
         /// The contested round number.
         round: u64,
     },
-    /// A file disagrees with the rest of the campaign about the
-    /// collection plan.
+    /// A round disagrees with the collection plan: the first round's plan
+    /// is not self-consistent (`shard_count` ≠ ⌈`sites` / `block_size`⌉),
+    /// a later round's differs from it or does not follow its day, or a
+    /// round's shards do not cover the plan exactly (one per planned
+    /// shard, each holding `block_size` sites, the last the remainder).
     PlanMismatch {
         /// The offending round.
         round: u64,
-        /// Which plan field differed (`"sites"`, `"block_size"`,
+        /// Which plan field is wrong (`"sites"`, `"block_size"`,
         /// `"shard_count"`, `"day"`).
         field: &'static str,
     },
@@ -128,17 +131,21 @@ pub struct RoundMeta {
     pub dirty_shards: Vec<u32>,
 }
 
-enum RoundBacking {
-    /// One source per shard, ascending — the latest frame for each shard
-    /// as of this round.
-    Spilled(Vec<BlockSource>),
-    /// A resident snapshot (the in-memory campaign path).
-    Resident(DnsSnapshot),
+/// One round: its timeline metadata and one source per shard, ascending
+/// — the latest block for each shard as of this round, resident or on
+/// disk.
+struct RoundEntry {
+    meta: RoundMeta,
+    sources: Vec<BlockSource>,
 }
 
-pub(crate) struct RoundEntry {
-    pub(crate) meta: RoundMeta,
-    backing: RoundBacking,
+/// The collection plan every round of a store shares: a round file's
+/// header fields, or a resident snapshot's shape.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Plan {
+    sites: usize,
+    block_size: usize,
+    shard_count: usize,
 }
 
 /// A spill directory (or snapshot sequence) opened as a time-indexed,
@@ -159,18 +166,16 @@ pub(crate) struct RoundEntry {
 /// ```
 pub struct SnapshotStore {
     rounds: Vec<RoundEntry>,
-    sites: usize,
-    block_size: usize,
-    shard_count: u32,
+    plan: Plan,
 }
 
 impl fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotStore")
             .field("rounds", &self.rounds.len())
-            .field("sites", &self.sites)
-            .field("block_size", &self.block_size)
-            .field("shard_count", &self.shard_count)
+            .field("sites", &self.plan.sites)
+            .field("block_size", &self.plan.block_size)
+            .field("shard_count", &self.plan.shard_count)
             .finish()
     }
 }
@@ -196,10 +201,12 @@ impl SnapshotStore {
     ///
     /// Validates that the round numbers form a contiguous sequence (a
     /// gap — e.g. from an interrupted run that mixed `full-r*` and
-    /// `delta-r*` files — is a typed [`StoreError::MissingRound`]), that
-    /// every file agrees on the collection plan, and that the first round
-    /// covers every shard. Only headers, footer indexes and column frames
-    /// are read; record frames stay on disk.
+    /// `delta-r*` files — is a typed [`StoreError::MissingRound`]), and
+    /// that every round agrees on one self-consistent collection plan and
+    /// chains exactly its shards ([`StoreError::PlanMismatch`]). Only
+    /// headers, footer indexes and column frames are read; record frames
+    /// stay on disk, and nothing is sized from a header before the
+    /// frames present confirm it.
     pub fn open(dir: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
         let dir = dir.as_ref();
         let io = |context: &'static str| {
@@ -237,133 +244,135 @@ impl SnapshotStore {
             }
         }
 
-        let mut rounds: Vec<RoundEntry> = Vec::with_capacity(files.len());
-        let mut plan: Option<(u64, u32, u32)> = None; // sites, block_size, shards
-        let mut prev_day: Option<u32> = None;
-        let mut latest: Vec<Option<BlockSource>> = Vec::new();
+        let mut store = SnapshotStore::empty();
+        let mut chained: Vec<BlockSource> = Vec::new();
         for (round, kind, path) in files {
             let file = SpillFile::open(&path)?;
             let meta = file.meta();
-            match plan {
-                None => {
-                    plan = Some((meta.sites, meta.block_size, meta.shard_count));
-                    latest = vec![None; meta.shard_count as usize];
-                }
-                Some((sites, block_size, shard_count)) => {
-                    let field = if meta.sites != sites {
-                        Some("sites")
-                    } else if meta.block_size != block_size {
-                        Some("block_size")
-                    } else if meta.shard_count != shard_count {
-                        Some("shard_count")
-                    } else {
-                        None
-                    };
-                    if let Some(field) = field {
-                        return Err(StoreError::PlanMismatch { round, field });
+            // The footer lists only the frames present, so nothing here is
+            // sized from the header; `push_round` checks the header after.
+            let sources = file.sources()?;
+            let dirty_shards = sources.iter().map(|(shard, _)| *shard).collect();
+            if store.rounds.is_empty() {
+                chained = sources.into_iter().map(|(_, source)| source).collect();
+            } else {
+                for (shard, source) in sources {
+                    // A shard past the plan fails the plan check below.
+                    if let Some(slot) = chained.get_mut(shard as usize) {
+                        *slot = source;
                     }
                 }
             }
-            if prev_day.is_some_and(|prev| meta.day <= prev) {
-                return Err(StoreError::PlanMismatch {
-                    round,
-                    field: "day",
-                });
-            }
-            prev_day = Some(meta.day);
-
-            let sources = file.sources()?;
-            let dirty_shards: Vec<u32> = sources.iter().map(|(shard, _)| *shard).collect();
-            for (shard, source) in sources {
-                latest[shard as usize] = Some(source);
-            }
-            let chained: Vec<BlockSource> = latest
-                .iter()
-                .enumerate()
-                .map(|(shard, slot)| {
-                    slot.clone()
-                        .ok_or(StoreError::Spill(SpillError::MissingShardFrame {
-                            shard: shard as u32,
-                        }))
-                })
-                .collect::<Result<_, _>>()?;
-            rounds.push(RoundEntry {
-                meta: RoundMeta {
+            store.push_round(
+                RoundMeta {
                     round,
                     day: meta.day,
                     taken_at: meta.taken_at,
                     kind,
                     dirty_shards,
                 },
-                backing: RoundBacking::Spilled(chained),
-            });
+                Plan {
+                    sites: meta.sites as usize,
+                    block_size: meta.block_size as usize,
+                    shard_count: meta.shard_count as usize,
+                },
+                chained.clone(),
+            )?;
         }
-        let (sites, block_size, shard_count) = plan.expect("at least one round");
-        Ok(SnapshotStore {
-            rounds,
-            sites: sites as usize,
-            block_size: block_size as usize,
-            shard_count,
-        })
+        Ok(store)
     }
 
     /// Builds a store over resident snapshots — the in-memory campaign
     /// path, so queries run identically whether or not a campaign
-    /// spilled. Snapshots must be given in round order and agree on site
-    /// count and block size.
+    /// spilled. Snapshots must be given in round order and share one
+    /// collection plan, exactly as [`open`](Self::open) requires of files.
     pub fn in_memory(
         snapshots: impl IntoIterator<Item = DnsSnapshot>,
     ) -> Result<SnapshotStore, StoreError> {
-        let mut rounds: Vec<RoundEntry> = Vec::new();
-        let mut plan: Option<(usize, usize)> = None;
-        let mut prev_day: Option<u32> = None;
-        for (i, snapshot) in snapshots.into_iter().enumerate() {
-            let round = i as u64;
-            match plan {
-                None => plan = Some((snapshot.len(), snapshot.block_size())),
-                Some((sites, block_size)) => {
-                    let field = if snapshot.len() != sites {
-                        Some("sites")
-                    } else if snapshot.block_size() != block_size {
-                        Some("block_size")
-                    } else {
-                        None
-                    };
-                    if let Some(field) = field {
-                        return Err(StoreError::PlanMismatch { round, field });
-                    }
-                }
-            }
-            if prev_day.is_some_and(|prev| snapshot.day <= prev) {
-                return Err(StoreError::PlanMismatch {
-                    round,
-                    field: "day",
-                });
-            }
-            prev_day = Some(snapshot.day);
-            let shards = snapshot.blocks().count() as u32;
-            rounds.push(RoundEntry {
-                meta: RoundMeta {
-                    round,
+        let mut store = SnapshotStore::empty();
+        for (round, snapshot) in snapshots.into_iter().enumerate() {
+            let sources: Vec<BlockSource> =
+                snapshot.block_sources().map(|(_, source)| source).collect();
+            store.push_round(
+                RoundMeta {
+                    round: round as u64,
                     day: snapshot.day,
                     taken_at: snapshot.taken_at,
                     kind: RoundKind::Resident,
-                    dirty_shards: (0..shards).collect(),
+                    dirty_shards: (0..sources.len() as u32).collect(),
                 },
-                backing: RoundBacking::Resident(snapshot),
-            });
+                Plan {
+                    sites: snapshot.len(),
+                    block_size: snapshot.block_size(),
+                    shard_count: sources.len(),
+                },
+                sources,
+            )?;
         }
-        if rounds.is_empty() {
+        if store.rounds.is_empty() {
             return Err(StoreError::NoRounds);
         }
-        let (sites, block_size) = plan.expect("at least one round");
-        let shard_count = rounds[0].meta.dirty_shards.len() as u32;
-        Ok(SnapshotStore {
-            rounds,
-            sites,
-            block_size,
-            shard_count,
-        })
+        Ok(store)
+    }
+
+    /// A store with no rounds; the first [`push_round`](Self::push_round)
+    /// fixes its plan.
+    fn empty() -> Self {
+        SnapshotStore {
+            rounds: Vec::new(),
+            plan: Plan::default(),
+        }
+    }
+
+    /// Appends one round after validating it — the one check behind both
+    /// constructors. The first round fixes the plan, which must be
+    /// self-consistent; every later round must repeat it on a strictly
+    /// later day. `sources` (the round's chained sources) must hold one
+    /// source per planned shard, each covering exactly its planned sites.
+    /// A failure is a typed [`StoreError::PlanMismatch`], so no plan ever
+    /// sees a round that disagrees with the site count it was sized for.
+    fn push_round(
+        &mut self,
+        meta: RoundMeta,
+        plan: Plan,
+        sources: Vec<BlockSource>,
+    ) -> Result<(), StoreError> {
+        let mismatch = |field| StoreError::PlanMismatch {
+            round: meta.round,
+            field,
+        };
+        match self.rounds.last() {
+            None if plan.block_size == 0 => return Err(mismatch("block_size")),
+            None if plan.shard_count != plan.sites.div_ceil(plan.block_size) => {
+                return Err(mismatch("shard_count"))
+            }
+            None => self.plan = plan,
+            Some(prev) => {
+                if plan.sites != self.plan.sites {
+                    return Err(mismatch("sites"));
+                }
+                if plan.block_size != self.plan.block_size {
+                    return Err(mismatch("block_size"));
+                }
+                if plan.shard_count != self.plan.shard_count {
+                    return Err(mismatch("shard_count"));
+                }
+                if meta.day <= prev.meta.day {
+                    return Err(mismatch("day"));
+                }
+            }
+        }
+        if sources.len() != plan.shard_count {
+            return Err(mismatch("shard_count"));
+        }
+        for (shard, source) in sources.iter().enumerate() {
+            let start = shard * plan.block_size;
+            if source.sites() != plan.block_size.min(plan.sites - start) {
+                return Err(mismatch("sites"));
+            }
+        }
+        self.rounds.push(RoundEntry { meta, sources });
+        Ok(())
     }
 
     /// Rounds in the store.
@@ -379,17 +388,17 @@ impl SnapshotStore {
 
     /// Sites per round.
     pub fn sites(&self) -> usize {
-        self.sites
+        self.plan.sites
     }
 
     /// The collection plan's block (shard) size.
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.plan.block_size
     }
 
     /// Shards per round.
     pub fn shard_count(&self) -> u32 {
-        self.shard_count
+        self.plan.shard_count as u32
     }
 
     /// The rounds' timeline metadata, in round order.
@@ -404,37 +413,31 @@ impl SnapshotStore {
 
     /// Reconstructs one round's snapshot (0-based store index).
     ///
-    /// For spilled rounds this chains the latest per-shard sources in
-    /// shard order — the same structural sharing the collector used — so
-    /// the result is byte-identical to the snapshot the campaign
-    /// produced, carries the columns read at open, and reads no record
-    /// data until a block is touched.
+    /// This chains the round's per-shard sources in shard order — the
+    /// same structural sharing the collector used — so the result is
+    /// byte-identical to the snapshot the campaign produced, carries the
+    /// columns read at open, and reads no record data until a block is
+    /// touched.
     pub fn snapshot(&self, index: usize) -> DnsSnapshot {
         let entry = &self.rounds[index];
-        match &entry.backing {
-            RoundBacking::Resident(snapshot) => snapshot.clone(),
-            RoundBacking::Spilled(sources) => {
-                let mut builder =
-                    DnsSnapshot::builder(entry.meta.taken_at, entry.meta.day, self.block_size);
-                for source in sources {
-                    builder.push_source(source.clone());
-                }
-                builder.finish()
-            }
+        let mut builder =
+            DnsSnapshot::builder(entry.meta.taken_at, entry.meta.day, self.plan.block_size);
+        for source in &entry.sources {
+            builder.push_source(source.clone());
         }
+        builder.finish()
     }
 
     /// Distinct backing files referenced by round `index`'s chain — 1 for
-    /// a full round, 1 + the live chain depth for a delta round.
+    /// a full round, 1 + the live chain depth for a delta round, 0 for a
+    /// resident one.
     pub fn chain_depth(&self, index: usize) -> usize {
-        match &self.rounds[index].backing {
-            RoundBacking::Resident(_) => 0,
-            RoundBacking::Spilled(sources) => sources
-                .iter()
-                .filter_map(|s| s.spill_ref().map(|r| r.file_path()))
-                .collect::<BTreeSet<_>>()
-                .len(),
-        }
+        self.rounds[index]
+            .sources
+            .iter()
+            .filter_map(|s| s.spill_ref().map(|r| r.file_path()))
+            .collect::<BTreeSet<_>>()
+            .len()
     }
 
     /// Starts a query over every round.
@@ -470,11 +473,40 @@ mod tests {
         }
     }
 
+    fn snapshot(day: u32, sites: usize, block_size: usize) -> DnsSnapshot {
+        let mut builder = DnsSnapshot::builder(SimTime::EPOCH, day, block_size);
+        for _ in 0..sites {
+            builder.push(remnant_core::SiteRecords::default());
+        }
+        builder.finish()
+    }
+
     #[test]
     fn in_memory_rejects_inconsistent_sequences() {
         assert!(matches!(
             SnapshotStore::in_memory(std::iter::empty()),
             Err(StoreError::NoRounds)
         ));
+        let mismatch = |snapshots: Vec<DnsSnapshot>| match SnapshotStore::in_memory(snapshots) {
+            Err(StoreError::PlanMismatch { round, field }) => (round, field),
+            other => panic!("expected PlanMismatch, got {other:?}"),
+        };
+        assert_eq!(
+            mismatch(vec![snapshot(0, 10, 4), snapshot(1, 11, 4)]),
+            (1, "sites")
+        );
+        assert_eq!(
+            mismatch(vec![snapshot(0, 10, 4), snapshot(1, 10, 5)]),
+            (1, "block_size")
+        );
+        assert_eq!(
+            mismatch(vec![snapshot(3, 10, 4), snapshot(3, 10, 4)]),
+            (1, "day")
+        );
+        let store = SnapshotStore::in_memory(vec![snapshot(0, 10, 4), snapshot(1, 10, 4)])
+            .expect("a consistent sequence");
+        assert_eq!((store.len(), store.shard_count()), (2, 3));
+        assert_eq!(store.snapshot(1), snapshot(1, 10, 4));
+        assert_eq!(store.chain_depth(1), 0);
     }
 }

@@ -1,17 +1,23 @@
 //! The store's core contract, end to end: a spill directory left behind
 //! by a campaign reopens into the exact snapshot sequence the campaign
-//! produced (byte-identical in the binary codec), query plans over the
-//! store reproduce the live study's reports, and a damaged directory
-//! fails with a typed error naming the missing round.
+//! produced (byte-identical text dumps, identical derived columns), query
+//! plans over the store reproduce the live study's reports, and a damaged
+//! directory — a missing or duplicated round, a header whose plan the
+//! frames present do not back — fails with a typed error instead of
+//! allocating from the header or panicking in a plan.
 
-use std::path::PathBuf;
+use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use remnant_core::spill::SpillWriter;
 use remnant_core::study::{CollectionMode, StudyConfig, StudyReport};
-use remnant_core::{DnsSnapshot, SpillConfig, StudySession};
+use remnant_core::{BlockSource, DnsSnapshot, SiteRecords, SpillConfig, SpillMeta, StudySession};
 use remnant_query::{
     PassesPlan, PlanContext, RecordClass, RoundKind, SnapshotStore, StoreError,
     UnchangedCandidatesPlan,
 };
+use remnant_sim::SimTime;
 use remnant_world::{World, WorldConfig};
 
 const POPULATION: usize = 1_200;
@@ -54,6 +60,20 @@ fn run_campaign(
     (snapshots, report, dir)
 }
 
+/// A reopened round equals the live one: text dump (records and block
+/// layout) byte for byte, and every block's derived column.
+fn assert_reopens_identically(reopened: &DnsSnapshot, live: &DnsSnapshot, round: usize) {
+    assert_eq!(
+        reopened.encode(),
+        live.encode(),
+        "round {round} must reopen byte-identically"
+    );
+    assert!(
+        reopened.derived_columns().eq(live.derived_columns()),
+        "round {round} must reopen with identical derived columns"
+    );
+}
+
 fn campaign_targets() -> Vec<remnant_core::collector::Target> {
     let world = World::generate(WorldConfig::new(POPULATION, SEED));
     world
@@ -78,11 +98,7 @@ fn full_spill_campaign_reopens_byte_identically() {
         assert_eq!(meta.kind, RoundKind::Full);
         assert_eq!(meta.taken_at, live.taken_at);
         // Every reconstructed round, byte for byte.
-        assert_eq!(
-            store.snapshot(i).encode_binary(),
-            live.encode_binary(),
-            "round {i} must reopen byte-identically"
-        );
+        assert_reopens_identically(&store.snapshot(i), live, i);
         // A full round's chain points at exactly its own file.
         assert_eq!(store.chain_depth(i), 1);
     }
@@ -97,11 +113,7 @@ fn delta_spill_campaign_reopens_byte_identically_and_shares_structure() {
     assert_eq!(store.len(), snapshots.len());
     for (i, live) in snapshots.iter().enumerate() {
         assert_eq!(store.meta(i).kind, RoundKind::Delta);
-        assert_eq!(
-            store.snapshot(i).encode_binary(),
-            live.encode_binary(),
-            "round {i} must reopen byte-identically"
-        );
+        assert_reopens_identically(&store.snapshot(i), live, i);
     }
 
     // Generation diffs: the first round is all-dirty (nothing to chain
@@ -191,10 +203,11 @@ fn filters_and_projections_are_consistent() {
     assert_eq!(store.query().joined().count(), 13);
 
     // Adoption folds: the all-provider count dominates any single one.
-    let classified = store.query().classified();
+    let ctx = PlanContext::new(&store, 1);
+    let classified = ctx.classified().classified();
     assert!(classified.adopted_final > 0);
-    let cf = store
-        .query()
+    let cf = ctx
+        .classified()
         .provider(remnant_provider::ProviderId::Cloudflare);
     assert!(cf.adopted_final <= classified.adopted_final);
 }
@@ -249,4 +262,96 @@ fn unrelated_files_are_ignored_and_empty_dirs_are_typed() {
         SnapshotStore::open(&empty),
         Err(StoreError::NoRounds)
     ));
+}
+
+/// A fresh, empty directory for one test.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("remnant-query-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// `sites` one-address sites packed into blocks of `block_size`.
+fn blocks(sites: u8, block_size: usize) -> Vec<BlockSource> {
+    let mut builder = DnsSnapshot::builder(SimTime::EPOCH, 0, block_size);
+    for i in 0..sites {
+        builder.push(SiteRecords {
+            a: vec![Ipv4Addr::new(10, 0, 0, i)],
+            ..SiteRecords::default()
+        });
+    }
+    builder.finish().block_sources().map(|(_, s)| s).collect()
+}
+
+/// Writes `full-r00000.rsnb` into `dir` under `meta`, holding `blocks` as
+/// shards 0, 1, …, and returns its path.
+fn write_first_round(dir: &Path, meta: SpillMeta, blocks: &[BlockSource]) -> PathBuf {
+    let path = dir.join("full-r00000.rsnb");
+    let mut writer = SpillWriter::create(&path, meta).expect("round file created");
+    for (shard, block) in blocks.iter().enumerate() {
+        writer
+            .append_block(shard as u32, &block.load(), Arc::clone(block.derived()))
+            .expect("block appended");
+    }
+    writer.finish().expect("round file finished");
+    path
+}
+
+#[test]
+fn header_shard_count_is_checked_before_anything_is_sized_from_it() {
+    let dir = fresh_dir("huge-shard-count");
+    let meta = SpillMeta {
+        taken_at: SimTime::EPOCH,
+        day: 0,
+        sites: 20,
+        block_size: 10,
+        shard_count: 2,
+    };
+    let path = write_first_round(&dir, meta, &blocks(20, 10));
+    let good = std::fs::read(&path).expect("round file readable");
+    SnapshotStore::open(&dir).expect("the intact file opens");
+
+    // Header bytes 32..36 hold `shard_count`: claim u32::MAX shards.
+    let mut bad = good.clone();
+    bad[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &bad).expect("patched file");
+    match SnapshotStore::open(&dir) {
+        Err(StoreError::PlanMismatch { round, field }) => {
+            assert_eq!((round, field), (0, "shard_count"));
+        }
+        other => panic!("expected PlanMismatch, got {other:?}"),
+    }
+
+    // Make the header self-consistent (bytes 24..32 hold `sites`): the
+    // footer still lists two shards, so the round is rejected all the same.
+    bad[24..32].copy_from_slice(&(u64::from(u32::MAX) * 10).to_le_bytes());
+    std::fs::write(&path, &bad).expect("patched file");
+    match SnapshotStore::open(&dir) {
+        Err(StoreError::PlanMismatch { round, field }) => {
+            assert_eq!((round, field), (0, "shard_count"));
+        }
+        other => panic!("expected PlanMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn shards_must_hold_the_header_site_count() {
+    // Two 10-site shards under a header planning 100 sites in two blocks
+    // of 50: a plan sized from the header would index past the columns.
+    let dir = fresh_dir("short-shards");
+    let meta = SpillMeta {
+        taken_at: SimTime::EPOCH,
+        day: 0,
+        sites: 100,
+        block_size: 50,
+        shard_count: 2,
+    };
+    write_first_round(&dir, meta, &blocks(20, 10));
+    match SnapshotStore::open(&dir) {
+        Err(StoreError::PlanMismatch { round, field }) => {
+            assert_eq!((round, field), (0, "sites"));
+        }
+        other => panic!("expected PlanMismatch, got {other:?}"),
+    }
 }

@@ -11,7 +11,7 @@ use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::report::{percent, TextTable};
 use remnant::core::residual::{CloudflareScanner, FilterPipeline};
 use remnant::core::vectors::{ExposureVector, PassiveDnsDb, VectorScanner};
-use remnant::core::{BehaviorDetector, SCANNER_SOURCE};
+use remnant::core::{concat_columns, SCANNER_SOURCE};
 use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::provider::ProviderId;
@@ -38,8 +38,8 @@ fn main() {
         last_snapshot = Some(snapshot);
         world.step_hours(24);
     }
-    let classes =
-        BehaviorDetector::new().classify_snapshot(&last_snapshot.expect("collection rounds ran"));
+    let last_snapshot = last_snapshot.expect("collection rounds ran");
+    let classes = concat_columns(last_snapshot.derived_columns()).classes;
 
     // Classic vectors against all currently protected sites.
     let mut scanner = VectorScanner::new(world.clock(), Region::Ashburn, SCANNER_SOURCE);

@@ -10,7 +10,7 @@
 use remnant::core::adoption::DpsStatus;
 use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::report::{percent, CdfFigure, Rendered, TextTable};
-use remnant::core::{BehaviorDetector, SnapshotPasses};
+use remnant::core::{concat_columns, BehaviorDetector, SnapshotPasses};
 use remnant::net::Region;
 use remnant::world::{BehaviorKind, World, WorldConfig};
 
@@ -32,7 +32,8 @@ fn main() {
     for day in 0..21 {
         let snapshot = collector.collect(&world, &targets, day);
         passes.observe(day, &snapshot);
-        let classes = detector.classify_snapshot(&snapshot);
+        // Each block carries its classes from collection.
+        let classes = concat_columns(snapshot.derived_columns()).classes;
 
         let on = classes.iter().filter(|c| c.status == DpsStatus::On).count();
         let off = classes

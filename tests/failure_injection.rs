@@ -19,6 +19,7 @@ use remnant::provider::{ProviderId, ReroutingMethod, ServicePlan};
 use remnant::sim::SimClock;
 use remnant::world::{SiteState, World, WorldConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn generate(seed: u64) -> World {
     World::generate(WorldConfig {
@@ -407,7 +408,7 @@ fn a_failed_fleet_lookup_is_retried_while_its_block_replays() {
     let host = rounds[0]
         .block_sources()
         .zip(rounds[1].block_sources())
-        .filter(|((_, r0), (_, r1))| r0.key() == r1.key())
+        .filter(|((_, r0), (_, r1))| Arc::ptr_eq(r0.derived(), r1.derived()))
         .find_map(|((_, r0), _)| r0.derived().fleet_ns.first().cloned())
         .expect("a replayed block names a fleet host");
 

@@ -1,5 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
+mod support;
+
 use proptest::prelude::*;
 
 use remnant::core::adoption::{Adoption, DpsStatus};
@@ -207,9 +209,10 @@ proptest! {
             0..12,
         ),
     ) {
-        // The binary codec inverts encoding exactly, and the canonical
-        // text dump of the decoded value is byte-identical (the stability
-        // the full-vs-delta differential test leans on).
+        // A round file written and read back inverts exactly: the
+        // canonical text dump of the read value is byte-identical (the
+        // stability the full-vs-delta differential test leans on), and
+        // so are its derived columns.
         let mut builder = DnsSnapshot::builder(SimTime::from_secs(taken_at), day, 4);
         let mut other = DnsSnapshot::builder(SimTime::from_secs(taken_at), day + 1, 4);
         for (a, cnames, ns) in sites {
@@ -223,10 +226,12 @@ proptest! {
         }
         let snapshot = builder.finish();
         let text = snapshot.encode();
-        let decoded = DnsSnapshot::decode_binary(&snapshot.encode_binary())
-            .expect("own binary parses");
+        let path = support::temp_dir("properties-round-trip").join("round.rsnb");
+        support::write_round(&path, &snapshot);
+        let decoded = support::read_round(&path).expect("own round file reads back");
         prop_assert_eq!(&decoded, &snapshot);
         prop_assert_eq!(decoded.encode(), text);
+        prop_assert!(decoded.derived_columns().eq(snapshot.derived_columns()));
         // Equal snapshots encode identically; the encoding distinguishes
         // the header fields.
         prop_assert_ne!(other.finish().encode(), snapshot.encode());

@@ -1,12 +1,19 @@
-//! Differential tests over the snapshot encodings: the versioned binary
-//! spill format round-trips every snapshot exactly, and the canonical
-//! text dump of the decoded value is byte-identical to the original's —
-//! the dump the differential tests compare. Plus a malformed-binary
-//! corpus: truncation at every byte boundary (of the document, and of
-//! every column frame on its own), corrupted magic/version, out-of-range
-//! name indices, and duplicated shard frames must all come back as typed
-//! [`SpillError`]s, never a panic.
+//! The round-file corpus. Every case writes through the collector's one
+//! writer (`SpillWriter`) and reads back through the store's one reader
+//! (`SpillFile::open`, its `sources`, then `SpillRef::load` per frame).
+//! An intact file reads back exactly: the read snapshot's canonical text
+//! dump — the dump the differential tests compare — and derived columns
+//! equal the original's, and rewriting it reproduces the file byte for
+//! byte. A file damaged on disk — truncated at every byte boundary (the
+//! file, and every column frame on its own), with corrupted
+//! magic/version, an out-of-range name index, a duplicated shard frame,
+//! or a random bit flip — reads back as a typed [`SpillError`], never a
+//! panic.
 
+mod support;
+
+use std::fs::OpenOptions;
+use std::io::{Seek, SeekFrom, Write};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
@@ -14,6 +21,7 @@ use proptest::prelude::*;
 use remnant::core::snapshot::{DnsSnapshot, SiteRecords};
 use remnant::core::spill::SpillError;
 use remnant::sim::SimTime;
+use std::path::Path;
 
 /// Strategy for syntactically valid domain-name labels.
 fn label() -> impl Strategy<Value = String> {
@@ -35,7 +43,13 @@ fn fingerprinted_name() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Every column frame's `(offset, len)`, read from a document's footer
+/// Writes `bytes` over the round file at `path` and reads it back.
+fn read_bytes(path: &Path, bytes: &[u8]) -> Result<DnsSnapshot, SpillError> {
+    std::fs::write(path, bytes).expect("round file writable");
+    support::read_round(path)
+}
+
+/// Every column frame's `(offset, len)`, read from a round file's footer
 /// index (`u32 shard, u64 frame_offset, u32 frame_len, u64
 /// column_offset, u32 column_len` per entry).
 fn column_extents(binary: &[u8]) -> Vec<(usize, usize)> {
@@ -82,17 +96,19 @@ proptest! {
             0..10,
         ),
     ) {
+        let dir = support::temp_dir("codec-agree");
         let snapshot = build(taken_at, day, &sites);
         let text = snapshot.encode();
-        let binary = snapshot.encode_binary();
+        let binary = support::write_round(&dir.join("written.rsnb"), &snapshot);
 
-        // The binary decode recovers the same value...
-        let from_binary = DnsSnapshot::decode_binary(&binary).expect("own binary parses");
-        prop_assert_eq!(&from_binary, &snapshot);
-        // ...which re-encodes byte-identically in both the binary format
-        // and the text dump, block layout included.
-        prop_assert_eq!(from_binary.encode(), text);
-        prop_assert_eq!(from_binary.encode_binary(), binary);
+        // Reading the file back recovers the same value...
+        let read = support::read_round(&dir.join("written.rsnb")).expect("own file reads back");
+        prop_assert_eq!(&read, &snapshot);
+        // ...whose text dump, block layout included, and derived columns
+        // are identical, and which rewrites to the same bytes.
+        prop_assert_eq!(read.encode(), text);
+        prop_assert!(read.derived_columns().eq(snapshot.derived_columns()));
+        prop_assert_eq!(support::write_round(&dir.join("rewritten.rsnb"), &read), binary);
     }
 
     #[test]
@@ -106,11 +122,14 @@ proptest! {
             1..6,
         ),
     ) {
-        let binary = build(7, 2, &sites).encode_binary();
-        for len in 0..binary.len() {
-            // Every prefix decodes to Err — typed, no panic — because the
-            // trailer can never be intact on a strict prefix.
-            prop_assert!(DnsSnapshot::decode_binary(&binary[..len]).is_err());
+        let path = support::temp_dir("codec-truncated").join("round.rsnb");
+        let binary = support::write_round(&path, &build(7, 2, &sites));
+        let file = OpenOptions::new().write(true).open(&path).expect("round file writable");
+        for len in (0..binary.len()).rev() {
+            // Every prefix reads back as Err — typed, no panic — because
+            // the trailer can never be intact on a strict prefix.
+            file.set_len(len as u64).expect("round file truncated");
+            prop_assert!(support::read_round(&path).is_err());
         }
     }
 
@@ -125,16 +144,22 @@ proptest! {
             1..6,
         ),
     ) {
-        let binary = build(7, 2, &sites).encode_binary();
+        let path = support::temp_dir("codec-column-cut").join("round.rsnb");
+        let binary = support::write_round(&path, &build(7, 2, &sites));
+        let mut file = OpenOptions::new().write(true).open(&path).expect("round file writable");
         for (offset, len) in column_extents(&binary) {
             for cut in 0..len - 4 {
                 // The column frame's length word claims only `cut` body
-                // bytes: the frame ends early while the document around
-                // it stays intact.
-                let mut short = binary.clone();
-                short[offset..offset + 4].copy_from_slice(&(cut as u32).to_le_bytes());
-                prop_assert!(DnsSnapshot::decode_binary(&short).is_err(), "cut at {}", cut);
+                // bytes: the frame ends early while the file around it
+                // stays intact.
+                file.seek(SeekFrom::Start(offset as u64))
+                    .and_then(|_| file.write_all(&(cut as u32).to_le_bytes()))
+                    .expect("length word patched");
+                prop_assert!(support::read_round(&path).is_err(), "cut at {}", cut);
             }
+            file.seek(SeekFrom::Start(offset as u64))
+                .and_then(|_| file.write_all(&binary[offset..offset + 4]))
+                .expect("length word restored");
         }
     }
 
@@ -151,12 +176,13 @@ proptest! {
         offset in any::<u32>(),
         bit in 0u8..8,
     ) {
-        let mut binary = build(3, 9, &sites).encode_binary();
+        let path = support::temp_dir("codec-bitflip").join("round.rsnb");
+        let mut binary = support::write_round(&path, &build(3, 9, &sites));
         let at = offset as usize % binary.len();
         binary[at] ^= 1 << bit;
-        // Either the flip landed somewhere immaterial and the snapshot
-        // still decodes, or it is rejected with a typed error.
-        let _ = DnsSnapshot::decode_binary(&binary);
+        // Either the flip landed somewhere immaterial and the round still
+        // reads back, or it is rejected with a typed error.
+        let _ = read_bytes(&path, &binary);
     }
 }
 
@@ -172,42 +198,40 @@ fn one_cname_snapshot() -> DnsSnapshot {
 
 #[test]
 fn bad_magic_and_version_are_named() {
-    let good = one_cname_snapshot().encode_binary();
+    let path = support::temp_dir("codec-magic").join("round.rsnb");
+    let good = support::write_round(&path, &one_cname_snapshot());
 
     let mut bad = good.clone();
     bad[0] = b'X';
-    assert!(matches!(
-        DnsSnapshot::decode_binary(&bad),
-        Err(SpillError::BadMagic)
-    ));
+    assert!(matches!(read_bytes(&path, &bad), Err(SpillError::BadMagic)));
 
     let mut bad = good.clone();
     bad[4] = 0xFF; // version word
     assert!(matches!(
-        DnsSnapshot::decode_binary(&bad),
+        read_bytes(&path, &bad),
         Err(SpillError::UnsupportedVersion(_))
     ));
 
-    // A v1 document (no column frames) is named as such.
+    // A v1 file (no column frames) is named as such.
     let mut old = good;
     old[4..6].copy_from_slice(&1u16.to_le_bytes());
     assert_eq!(
-        DnsSnapshot::decode_binary(&old).unwrap_err(),
+        read_bytes(&path, &old).unwrap_err(),
         SpillError::UnsupportedVersion(1)
     );
 }
 
 #[test]
 fn out_of_range_name_index_is_named() {
-    let snapshot = one_cname_snapshot();
-    let mut binary = snapshot.encode_binary();
+    let path = support::temp_dir("codec-name-index").join("round.rsnb");
+    let mut binary = support::write_round(&path, &one_cname_snapshot());
     // Frame layout after the 36-byte header: u32 frame_len, u32 shard,
     // u32 n_sites, u32 table_count, (u16 len + name bytes), u32 a_count,
     // u32 cname_count, then the first CNAME's table index.
     let name_len = "edge.example.com".len();
     let index_at = 36 + 4 + 4 + 4 + 4 + 2 + name_len + 4 + 4;
     binary[index_at..index_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    match DnsSnapshot::decode_binary(&binary) {
+    match read_bytes(&path, &binary) {
         Err(SpillError::BadNameIndex { index, table }) => {
             assert_eq!(index, u32::MAX);
             assert_eq!(table, 1);
@@ -219,8 +243,8 @@ fn out_of_range_name_index_is_named() {
 #[test]
 fn duplicated_shard_frame_is_a_typed_error() {
     // Two shards (block size 3, four sites), then the first frame spliced
-    // in twice. The duplicate displaces frame order, so decode rejects it
-    // as a typed error (shard/index mismatch or duplicate frame).
+    // in twice. The duplicate displaces everything after it, footer
+    // included, so the read rejects it as a typed error.
     let snapshot = build(
         5,
         4,
@@ -231,14 +255,15 @@ fn duplicated_shard_frame_is_a_typed_error() {
             (vec![4], vec![], vec![]),
         ],
     );
-    let binary = snapshot.encode_binary();
+    let path = support::temp_dir("codec-duplicate").join("round.rsnb");
+    let binary = support::write_round(&path, &snapshot);
     let frame_len = u32::from_le_bytes(binary[36..40].try_into().unwrap()) as usize;
     let frame_end = 36 + 4 + frame_len;
     let mut doubled = binary[..frame_end].to_vec();
     doubled.extend_from_slice(&binary[36..frame_end]); // first frame again
     doubled.extend_from_slice(&binary[frame_end..]);
-    let err = DnsSnapshot::decode_binary(&doubled)
-        .expect_err("a displaced duplicate frame must not decode");
+    let err =
+        read_bytes(&path, &doubled).expect_err("a displaced duplicate frame must not read back");
     // The error is typed and displayable, never a panic.
     assert!(!err.to_string().is_empty());
 }
