@@ -1,8 +1,8 @@
 //! Domain-name and resolver-cache microbenchmarks — the allocation-
 //! sensitive primitives underneath every sweep: parsing (interning),
-//! cloning (refcount bump), equality/hashing (pointer fast path),
-//! suffix/apex derivation, and the cache-hit loop that dominates repeat
-//! resolution.
+//! cloning (a pointer copy), equality (pointer identity), hashing (one
+//! precomputed word), suffix/apex derivation (parent-link walks), and the
+//! cache-hit loop that dominates repeat resolution.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

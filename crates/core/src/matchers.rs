@@ -23,8 +23,8 @@ use crate::snapshot::SiteRecords;
 /// pointer-identity equality, so the memo key costs O(1) and the table is
 /// bounded by the name universe the interner already holds. Matching is a
 /// pure function of the name and the static catalog, so memoized answers
-/// are byte-identical to recomputed ones, and keeping the handle as the
-/// key pins its payload for the matcher's lifetime.
+/// are byte-identical to recomputed ones. The interner never frees a
+/// payload, so a key's address can never be reused by another name.
 #[derive(Debug)]
 pub struct ProviderMatcher {
     ranges: IpRangeDb<ProviderId>,

@@ -75,7 +75,7 @@ impl SiteView<'_> {
         self.a.is_empty() && self.cnames.is_empty() && self.ns.is_empty()
     }
 
-    /// An owned copy (name clones are interner refcount bumps).
+    /// An owned copy (name clones copy interned-name pointers).
     pub fn to_records(&self) -> SiteRecords {
         SiteRecords {
             a: self.a.to_vec(),

@@ -9,10 +9,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use remnant_net::hash::BuildWordHasher;
 use remnant_sim::SimTime;
 
 use crate::message::Rcode;
-use crate::name::{BuildNameHasher, DomainName};
+use crate::name::DomainName;
 use crate::record::{collect_exact, empty_record_set, RecordSet, RecordType, ResourceRecord};
 
 /// A cached entry: either records or a cached negative answer.
@@ -34,7 +35,7 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 
 /// A (name, type)-keyed DNS cache with TTL expiry and full purge.
 ///
-/// Keys hash through `BuildNameHasher`: the name's precomputed content
+/// Keys hash through `BuildWordHasher`: the name's precomputed content
 /// hash and the type fold into one word each, with no SipHash rounds.
 ///
 /// # Example
@@ -53,7 +54,7 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResolverCache {
-    entries: HashMap<(DomainName, RecordType), CacheEntry, BuildNameHasher>,
+    entries: HashMap<(DomainName, RecordType), CacheEntry, BuildWordHasher>,
     hits: u64,
     misses: u64,
     expired: u64,

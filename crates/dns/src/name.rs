@@ -4,32 +4,35 @@
 //! flows through [`DomainName`]; zone lookups, cache keys, CNAME chases
 //! and snapshot rows all copy names around. To keep that hot path free of
 //! heap churn, parsing interns the normalized form in a process-wide
-//! sharded intern table: `Clone` is a refcount bump, equality fast-paths
-//! on pointer identity (with a content fallback, so handles from
-//! different construction paths still compare correctly), and hashing
-//! uses a precomputed content hash. The interner never evicts — the
-//! simulation's name universe is bounded by the generated world, and a
-//! stable address per name is what makes the pointer fast paths sound.
+//! sharded intern table. The interner never evicts — the simulation's
+//! name universe is bounded by the generated world — so each name's
+//! payload is allocated once, leaked, and lives for the whole process.
+//! A [`DomainName`] is one `&'static` pointer to that payload: `Clone` is
+//! a pointer copy with no refcount and no drop glue, equality is pointer
+//! identity (exact, because every handle comes from the interner), and
+//! hashing writes a precomputed content hash, so hashed maps and ordered
+//! maps never depend on addresses.
 //!
 //! Interning a name interns its parent first and links to it, so every
 //! interned name carries the chain of its ancestors down to the TLD.
 //! [`DomainName::parent`], [`DomainName::suffix`], [`DomainName::apex`]
-//! and [`DomainName::suffixes`] walk those links and clone one `Arc`;
+//! and [`DomainName::suffixes`] walk those links and copy one pointer;
 //! they never touch the intern table. [`DomainName::is_child_of`] tests
 //! "is this `<label>.<parent>`" the same way, so answering code can match
 //! derived hosts without building them. Only [`DomainName::parse`] and
 //! [`DomainName::prepend`] probe the table.
 //!
-//! `NameHasher` is the hasher for hot maps keyed by names (the resolver
-//! cache): it mixes the precomputed content hash with one multiply instead
-//! of running SipHash over it.
+//! Hot maps keyed by names (the resolver cache) hash through
+//! [`WordHasher`](remnant_net::hash::WordHasher), which mixes the
+//! precomputed content hash with one multiply instead of running SipHash
+//! over it.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::{LazyLock, RwLock};
 
 use crate::error::DnsError;
 
@@ -38,7 +41,7 @@ const MAX_NAME_LEN: usize = 253;
 /// Maximum length of a single label.
 const MAX_LABEL_LEN: usize = 63;
 
-/// The shared, immutable payload of an interned name.
+/// The shared, immutable payload of an interned name, leaked on intern.
 struct NameInner {
     /// Normalized presentation form, e.g. "www.example.com".
     name: Box<str>,
@@ -48,7 +51,7 @@ struct NameInner {
     hash: u64,
     /// The name with its leftmost label removed, interned before this
     /// name; `None` at a TLD.
-    parent: Option<Arc<NameInner>>,
+    parent: Option<&'static NameInner>,
 }
 
 /// FNV-1a over the normalized name bytes. Any stable content hash works;
@@ -76,7 +79,7 @@ fn label_starts_of(name: &str) -> Box<[u16]> {
 
 /// Intern-table entry: hashes and borrows as the name string so lookups
 /// never allocate.
-struct InternEntry(Arc<NameInner>);
+struct InternEntry(&'static NameInner);
 
 impl Borrow<str> for InternEntry {
     fn borrow(&self) -> &str {
@@ -114,11 +117,11 @@ static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
 impl Interner {
     /// Returns the unique shared payload for `normalized`, creating it on
     /// first sight. Read-locks on the hit path; write-locks only on miss.
-    fn intern(&self, normalized: &str) -> Arc<NameInner> {
+    fn intern(&self, normalized: &str) -> &'static NameInner {
         let hash = fnv1a(normalized.as_bytes());
         let shard = &self.shards[(hash as usize) & (INTERN_SHARDS - 1)];
         if let Some(entry) = shard.read().expect("interner lock").get(normalized) {
-            return Arc::clone(&entry.0);
+            return entry.0;
         }
         let label_starts = label_starts_of(normalized);
         // Intern the parent first (outside this shard's lock) so the link
@@ -126,22 +129,21 @@ impl Interner {
         let parent = label_starts
             .get(1)
             .map(|&start| self.intern(&normalized[usize::from(start)..]));
-        let inner = Arc::new(NameInner {
+        let mut guard = shard.write().expect("interner lock");
+        // Another thread may have interned the name since the read probe;
+        // its payload wins, so pointer identity stays unique per name and
+        // only the winner is ever leaked.
+        if let Some(existing) = guard.get(normalized) {
+            return existing.0;
+        }
+        let inner: &'static NameInner = Box::leak(Box::new(NameInner {
             name: normalized.into(),
             label_starts,
             hash,
             parent,
-        });
-        let mut guard = shard.write().expect("interner lock");
-        match guard.get(normalized) {
-            // Raced with another thread; keep the winner so pointer
-            // identity stays unique per name.
-            Some(existing) => Arc::clone(&existing.0),
-            None => {
-                guard.insert(InternEntry(Arc::clone(&inner)));
-                inner
-            }
-        }
+        }));
+        guard.insert(InternEntry(inner));
+        inner
     }
 
     fn len(&self) -> usize {
@@ -160,8 +162,10 @@ impl Interner {
 /// `_dmarc`), no leading/trailing hyphen in a label, total length ≤ 253.
 /// Comparison is case-insensitive by construction because parsing lowercases.
 ///
-/// Parsing interns the normalized form process-wide, so `Clone` is a
-/// refcount bump and equality/hashing are O(1) on the fast path.
+/// Parsing interns the normalized form process-wide and the handle is one
+/// pointer to the interned payload, so `Clone` is a pointer copy with no
+/// drop glue, equality is pointer identity, and hashing writes the
+/// payload's precomputed content hash.
 ///
 /// # Example
 ///
@@ -175,7 +179,7 @@ impl Interner {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone)]
-pub struct DomainName(Arc<NameInner>);
+pub struct DomainName(&'static NameInner);
 
 impl DomainName {
     /// Parses and validates a name (see type docs for the accepted syntax).
@@ -243,14 +247,11 @@ impl DomainName {
         if n == 0 {
             return None;
         }
-        let mut inner = &self.0;
+        let mut inner = self.0;
         for _ in 0..self.label_count().checked_sub(n)? {
-            inner = inner
-                .parent
-                .as_ref()
-                .expect("every non-TLD links its parent");
+            inner = inner.parent.expect("every non-TLD links its parent");
         }
-        Some(DomainName(Arc::clone(inner)))
+        Some(DomainName(inner))
     }
 
     /// The top-level domain (rightmost label).
@@ -269,7 +270,7 @@ impl DomainName {
 
     /// The name with its leftmost label removed, or `None` at a TLD.
     pub fn parent(&self) -> Option<DomainName> {
-        self.0.parent.clone().map(DomainName)
+        self.0.parent.map(DomainName)
     }
 
     /// True if `self` is exactly `<label>.<parent>`: the same test as
@@ -287,31 +288,18 @@ impl DomainName {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn is_child_of(&self, parent: &DomainName, label: &str) -> bool {
-        let Some(own_parent) = &self.0.parent else {
+        let Some(own_parent) = self.0.parent else {
             return false;
         };
         let first_end = usize::from(self.0.label_starts[1]) - 1;
-        self.0.name[..first_end].eq_ignore_ascii_case(label)
-            && (Arc::ptr_eq(own_parent, &parent.0) || own_parent.name == parent.0.name)
+        std::ptr::eq(own_parent, parent.0) && self.0.name[..first_end].eq_ignore_ascii_case(label)
     }
 
     /// True if `self` is equal to or underneath `other`
     /// (`www.example.com` is a subdomain of `example.com` and of itself).
     pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return true;
-        }
-        let name = &*self.0.name;
-        let tail = &*other.0.name;
-        if name.len() == tail.len() {
-            return name == tail;
-        }
-        // A proper subdomain ends with ".<other>" — both names are
-        // normalized, so a byte suffix check with a label boundary is
-        // exactly the label-wise suffix relation.
-        name.len() > tail.len()
-            && name.ends_with(tail)
-            && name.as_bytes()[name.len() - tail.len() - 1] == b'.'
+        // `other` can only be the ancestor with its own label count.
+        self.suffix(other.label_count()).as_ref() == Some(other)
     }
 
     /// Prefixes a label, e.g. `"example.com".prepend("www")`.
@@ -360,17 +348,17 @@ impl DomainName {
 
 impl PartialEq for DomainName {
     fn eq(&self, other: &Self) -> bool {
-        // Interning makes pointer identity the common case; the content
-        // fallback keeps equality correct for handles that bypassed the
-        // same intern table (e.g. across future serialization paths).
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.0.hash == other.0.hash && self.0.name == other.0.name)
+        // Every handle comes from the interner, which holds one payload
+        // per name, so pointer identity is exactly name equality.
+        std::ptr::eq(self.0, other.0)
     }
 }
 
 impl Eq for DomainName {}
 
 impl Hash for DomainName {
+    /// Writes the content hash, never the address, so iteration order of
+    /// name-keyed maps is the same in every process.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.0.hash);
     }
@@ -384,7 +372,9 @@ impl PartialOrd for DomainName {
 
 impl Ord for DomainName {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        // Content order, not address order: `BTree` iteration and sorted
+        // output must not depend on where a payload was allocated.
+        if std::ptr::eq(self.0, other.0) {
             return std::cmp::Ordering::Equal;
         }
         self.0.name.cmp(&other.0.name)
@@ -416,44 +406,6 @@ impl AsRef<str> for DomainName {
         self.as_str()
     }
 }
-
-/// Multiplier of the Fx hash (rustc's `FxHasher`).
-const FX_SEED: u64 = 0xf135_7aea_2e62_a9c5;
-
-/// A [`Hasher`] for keys made of [`DomainName`]s and small integers.
-///
-/// A name already carries a content hash, so hashing one is a single
-/// `write_u64`; this hasher folds each word in with an Fx-style
-/// rotate-xor-multiply instead of running SipHash over it. It offers no
-/// protection against adversarial keys — every name in the simulation is
-/// generated, not supplied by an attacker.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct NameHasher(u64);
-
-impl Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's well-mixed high bits become the low bits the hash
-        // table indexes buckets with.
-        self.0.rotate_left(26)
-    }
-}
-
-/// The [`BuildHasher`](std::hash::BuildHasher) of [`NameHasher`]s.
-pub(crate) type BuildNameHasher = std::hash::BuildHasherDefault<NameHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -569,9 +521,9 @@ mod tests {
     fn interning_unifies_handles() {
         let a = name("intern-unify.example.com");
         let b = name("Intern-Unify.EXAMPLE.com.");
-        assert!(Arc::ptr_eq(&a.0, &b.0), "same name interns to one payload");
+        assert!(std::ptr::eq(a.0, b.0), "same name interns to one payload");
         let c = a.clone();
-        assert!(Arc::ptr_eq(&a.0, &c.0), "clone is a refcount bump");
+        assert!(std::ptr::eq(a.0, c.0), "clone copies the handle's pointer");
     }
 
     #[test]
@@ -579,15 +531,15 @@ mod tests {
         let full = name("www.intern-suffix.example.com");
         let apex = full.suffix(3).unwrap();
         let parsed = name("intern-suffix.example.com");
-        assert!(Arc::ptr_eq(&apex.0, &parsed.0));
+        assert!(std::ptr::eq(apex.0, parsed.0));
 
         // Parent links reach the unique payload of every ancestor.
-        assert!(Arc::ptr_eq(&full.apex().0, &name("example.com").0));
-        assert!(Arc::ptr_eq(&full.parent().unwrap().0, &parsed.0));
+        assert!(std::ptr::eq(full.apex().0, name("example.com").0));
+        assert!(std::ptr::eq(full.parent().unwrap().0, parsed.0));
         let chain: Vec<DomainName> = full.suffixes().collect();
         assert_eq!(chain.len(), full.label_count());
         for suffix in &chain {
-            assert!(Arc::ptr_eq(&suffix.0, &name(suffix.as_str()).0), "{suffix}");
+            assert!(std::ptr::eq(suffix.0, name(suffix.as_str()).0), "{suffix}");
         }
         let tld = chain.last().unwrap();
         assert_eq!(tld.as_str(), "com");
@@ -606,6 +558,10 @@ mod tests {
         assert!(!name("com").is_child_of(&name("com"), "com"));
     }
 
+    // A handle is one pointer and dropping it does nothing.
+    const _: () = assert!(std::mem::size_of::<DomainName>() == std::mem::size_of::<usize>());
+    const _: () = assert!(!std::mem::needs_drop::<DomainName>());
+
     #[test]
     fn hash_is_content_based() {
         use std::collections::hash_map::DefaultHasher;
@@ -618,6 +574,13 @@ mod tests {
         let b = name("HASH.example.com");
         assert_eq!(h(&a), h(&b));
         assert_ne!(h(&a), h(&name("other.example.com")));
+        // The hash is FNV-1a of the name, never its address, so name-keyed
+        // maps iterate in the same order in every process.
+        for text in ["com", "hash.example.com", "www.hash.example.com"] {
+            let mut by_content = DefaultHasher::new();
+            by_content.write_u64(fnv1a(text.as_bytes()));
+            assert_eq!(h(&name(text)), by_content.finish(), "{text}");
+        }
     }
 
     #[test]

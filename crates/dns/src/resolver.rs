@@ -130,7 +130,7 @@ impl Resolution {
     }
 
     /// All CNAME targets in chase order (owned handles; cloning a
-    /// [`DomainName`] is a refcount bump).
+    /// [`DomainName`] copies one pointer).
     pub fn cnames(&self) -> Vec<DomainName> {
         self.iter_cnames().cloned().collect()
     }

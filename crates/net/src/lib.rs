@@ -14,6 +14,9 @@
 //! * Edge/nameserver/origin IPs must come from disjoint, recognizable pools —
 //!   that is [`IpAllocator`] over [`Ipv4Cidr`] blocks.
 //!
+//! [`hash::WordHasher`] is the one hasher of the workspace's hot word-keyed
+//! maps: the range database here and the DNS resolver cache.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +35,7 @@ pub mod asn;
 pub mod cidr;
 pub mod error;
 pub mod geo;
+pub mod hash;
 pub mod ranges;
 
 pub use alloc::IpAllocator;

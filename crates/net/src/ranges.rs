@@ -10,11 +10,14 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::cidr::Ipv4Cidr;
+use crate::hash::BuildWordHasher;
 
 /// A longest-prefix-match database mapping CIDR blocks to owner values.
 ///
-/// Lookup cost is at most 33 hash probes (one per prefix length actually
-/// present), independent of database size.
+/// Lookup cost is one hash probe per prefix length actually present (at
+/// most 33), independent of database size. The per-length maps hash their
+/// masked-network keys with [`WordHasher`](crate::hash::WordHasher), one
+/// multiply per probe, so an address no block contains stays cheap.
 ///
 /// # Example
 ///
@@ -29,10 +32,10 @@ use crate::cidr::Ipv4Cidr;
 /// assert_eq!(db.lookup("10.1.1.1".parse()?), Some(&"coarse"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IpRangeDb<T> {
     /// One map per prefix length; `by_len[l]` maps masked network -> value.
-    by_len: Vec<HashMap<u32, T>>,
+    by_len: Vec<HashMap<u32, T, BuildWordHasher>>,
     /// Prefix lengths present, sorted descending (checked first).
     lens_desc: Vec<u8>,
     len_entries: usize,
@@ -42,7 +45,7 @@ impl<T> IpRangeDb<T> {
     /// Creates an empty database.
     pub fn new() -> Self {
         IpRangeDb {
-            by_len: (0..=32).map(|_| HashMap::new()).collect(),
+            by_len: (0..=32).map(|_| HashMap::default()).collect(),
             lens_desc: Vec::new(),
             len_entries: 0,
         }
@@ -77,38 +80,34 @@ impl<T> IpRangeDb<T> {
         removed
     }
 
-    /// The owner of the longest prefix containing `addr`, if any.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&T> {
+    /// The masked network, prefix length and owner of the longest prefix
+    /// containing `addr`, if any.
+    fn longest(&self, addr: Ipv4Addr) -> Option<(u32, u8, &T)> {
         let bits = u32::from(addr);
-        for &len in &self.lens_desc {
+        self.lens_desc.iter().find_map(|&len| {
             let masked = if len == 0 {
                 0
             } else {
                 bits & (u32::MAX << (32 - len))
             };
-            if let Some(value) = self.by_len[usize::from(len)].get(&masked) {
-                return Some(value);
-            }
-        }
-        None
+            self.by_len[usize::from(len)]
+                .get(&masked)
+                .map(|value| (masked, len, value))
+        })
+    }
+
+    /// The owner of the longest prefix containing `addr`, if any.
+    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&T> {
+        self.longest(addr).map(|(_, _, value)| value)
     }
 
     /// The matched block and owner for `addr`, if any.
     pub fn lookup_block(&self, addr: Ipv4Addr) -> Option<(Ipv4Cidr, &T)> {
-        let bits = u32::from(addr);
-        for &len in &self.lens_desc {
-            let masked = if len == 0 {
-                0
-            } else {
-                bits & (u32::MAX << (32 - len))
-            };
-            if let Some(value) = self.by_len[usize::from(len)].get(&masked) {
-                let block = Ipv4Cidr::new(Ipv4Addr::from(masked), len)
-                    .expect("prefix length <= 32 by construction");
-                return Some((block, value));
-            }
-        }
-        None
+        self.longest(addr).map(|(masked, len, value)| {
+            let block = Ipv4Cidr::new(Ipv4Addr::from(masked), len)
+                .expect("prefix length <= 32 by construction");
+            (block, value)
+        })
     }
 
     /// True if some block contains `addr`.
@@ -135,6 +134,12 @@ impl<T> IpRangeDb<T> {
                 (block, value)
             })
         })
+    }
+}
+
+impl<T> Default for IpRangeDb<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -228,6 +233,14 @@ mod tests {
         db.insert(cidr("1.2.3.4/32"), ());
         assert!(db.contains(ip("1.2.3.4")));
         assert!(!db.contains(ip("1.2.3.5")));
+    }
+
+    #[test]
+    fn default_is_new_and_accepts_inserts() {
+        assert_eq!(IpRangeDb::<u8>::default(), IpRangeDb::new());
+        let mut db = IpRangeDb::default();
+        assert_eq!(db.insert(cidr("10.0.0.0/8"), 1u8), None);
+        assert_eq!(db.lookup(ip("10.1.2.3")), Some(&1));
     }
 
     #[test]

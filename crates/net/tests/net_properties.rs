@@ -63,6 +63,44 @@ proptest! {
     }
 
     #[test]
+    fn range_db_lookup_is_brute_force_longest_prefix(
+        base: u32,
+        // Blocks around `base`: the top byte moves among 4 values and the
+        // low 16 bits among all, so short blocks nest longer ones.
+        blocks in prop::collection::vec((0u32..4, any::<u16>(), 0u8..=32), 1..24),
+        strays in prop::collection::vec(any::<u32>(), 0..8),
+    ) {
+        let near = |hi: u32, lo: u16| Ipv4Addr::from(base ^ (hi << 24) ^ u32::from(lo));
+        let mut db = IpRangeDb::new();
+        let mut inserted = std::collections::BTreeMap::new();
+        for (i, &(hi, lo, len)) in blocks.iter().enumerate() {
+            let block = Ipv4Cidr::new(near(hi, lo), len).unwrap();
+            db.insert(block, i);
+            inserted.insert(block, i);
+        }
+        // Probe the drawn addresses and their neighbours, every block's
+        // first, middle and last address, and addresses anywhere.
+        let mut probes: Vec<Ipv4Addr> = strays.iter().map(|&ip| Ipv4Addr::from(ip)).collect();
+        for &(hi, lo, _) in &blocks {
+            probes.push(near(hi, lo));
+            probes.push(near(hi, lo.wrapping_add(1)));
+        }
+        for block in inserted.keys() {
+            let (first, last) = (u32::from(block.network()), u32::from(block.last()));
+            probes.extend([first, first + (last - first) / 2, last].map(Ipv4Addr::from));
+        }
+        for addr in probes {
+            let expected = inserted
+                .iter()
+                .filter(|(block, _)| block.contains(addr))
+                .max_by_key(|(block, _)| block.prefix_len())
+                .map(|(block, value)| (*block, value));
+            prop_assert_eq!(db.lookup_block(addr), expected, "{}", addr);
+            prop_assert_eq!(db.lookup(addr), expected.map(|(_, value)| value), "{}", addr);
+        }
+    }
+
+    #[test]
     fn anycast_catchment_is_total_once_announced(
         ip: u32,
         announce_regions in prop::collection::btree_set(0usize..10, 1..10),
