@@ -97,9 +97,10 @@ fn bench_straggler(c: &mut Criterion) {
                 None,
                 |_| (),
                 |_, _, scope, _, item| TaskResult::Done(task(scope.shard(), *item)),
-                |_, _| {},
+                |_, _, outputs| outputs,
             )
             .outputs
+            .concat()
     };
 
     assert_eq!(

@@ -4,14 +4,13 @@
 //! The paper reduces each daily round to an adoption class per site
 //! (Sec IV) and, for the residual scans, the Cloudflare fleet NS hosts
 //! and the Incapsula CNAME tokens (Sec V-A.1, V-B). All of it is a pure
-//! function of a block's records, so the collector derives it once per
-//! block — `derive_columns`, one engine task per block, merged
-//! positionally so the columns are byte-identical at any worker count —
-//! and the block's [`BlockSource`] carries the resulting
+//! function of a block's records, so it is derived once per block, by
+//! [`DerivedColumn::derive`]: the collector calls it in each shard's
+//! finish step, on the worker that resolved the shard, and snapshots
+//! assembled site by site ([`crate::snapshot::SnapshotBuilder`]) call it
+//! as each block fills. The block's [`BlockSource`] carries the resulting
 //! [`DerivedColumn`] wherever the block goes: replayed by a delta round,
 //! spilled beside the block's record frame, reopened by a snapshot store.
-//! Snapshots assembled site by site ([`crate::snapshot::SnapshotBuilder`])
-//! derive through the same function.
 //!
 //! The snapshot passes, both residual harvests and the query layer's
 //! `ClassifiedStore` therefore read columns only; record frames are
@@ -33,7 +32,7 @@
 use std::sync::Arc;
 
 use remnant_dns::DomainName;
-use remnant_engine::{plan_shards, ScanEngine, TaskResult};
+use remnant_engine::ScanEngine;
 use remnant_obs::{Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS};
 
 use crate::adoption::{Adoption, PackedAdoption};
@@ -97,23 +96,6 @@ impl DerivedColumn {
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
     }
-}
-
-/// Derives every block's column through [`ScanEngine::sweep`] over a unit
-/// plan — one task per block, merged positionally — so the columns are
-/// byte-identical at any worker count.
-pub(crate) fn derive_columns(engine: &ScanEngine, blocks: &[RecordBlock]) -> Vec<DerivedColumn> {
-    engine
-        .sweep(
-            &(),
-            blocks,
-            &plan_shards(blocks.len(), 1),
-            None,
-            |_| (),
-            |(), (), _, _, block| TaskResult::Done(DerivedColumn::derive(block)),
-            |(), _| {},
-        )
-        .outputs
 }
 
 /// A full round's columns, concatenated in rank order — the shape
@@ -287,32 +269,25 @@ mod tests {
     }
 
     #[test]
-    fn derived_columns_match_the_record_walks_at_any_worker_count() {
+    fn builder_derived_columns_match_the_record_walks() {
         let snap = snapshot(0, 100, 16);
-        let blocks: Vec<RecordBlock> = snap
-            .blocks()
-            .map(|loaded| loaded.block.as_ref().clone())
-            .collect();
         let detector = BehaviorDetector::new();
-        for workers in [1usize, 4] {
-            let columns = derive_columns(&engine(workers), &blocks);
-            for ((block, column), (_, source)) in
-                blocks.iter().zip(&columns).zip(snap.block_sources())
-            {
-                let (classes, multi_cdn) = detector.classify_block(block);
-                let unpacked: Vec<Adoption> = column.classes.iter().map(|c| c.unpack()).collect();
-                assert_eq!(unpacked, classes, "workers={workers}");
-                assert_eq!(column.multi_cdn, multi_cdn);
-                let fleet: Vec<(u32, DomainName)> = column
-                    .fleet_sites
-                    .iter()
-                    .copied()
-                    .zip(column.fleet_ns.iter().cloned())
-                    .collect();
-                assert_eq!(fleet, fleet_candidates(block, "Cloudflare"));
-                assert_eq!(column.incap_tokens, token_candidates(block, "INCAPDNS"));
-                assert_eq!(column, source.derived().as_ref(), "builder derives alike");
-            }
+        for (loaded, (_, source)) in snap.blocks().zip(snap.block_sources()) {
+            let block = loaded.block.as_ref();
+            let column = source.derived().as_ref();
+            let (classes, multi_cdn) = detector.classify_block(block);
+            let unpacked: Vec<Adoption> = column.classes.iter().map(|c| c.unpack()).collect();
+            assert_eq!(unpacked, classes);
+            assert_eq!(column.multi_cdn, multi_cdn);
+            let fleet: Vec<(u32, DomainName)> = column
+                .fleet_sites
+                .iter()
+                .copied()
+                .zip(column.fleet_ns.iter().cloned())
+                .collect();
+            assert_eq!(fleet, fleet_candidates(block, "Cloudflare"));
+            assert_eq!(column.incap_tokens, token_candidates(block, "INCAPDNS"));
+            assert_eq!(column, &DerivedColumn::derive(block), "one derivation");
         }
         let fleet: usize = columns_of(&snap).map(|c| c.fleet_ns.len()).sum();
         let tokens: usize = columns_of(&snap).map(|c| c.incap_tokens.len()).sum();

@@ -14,13 +14,14 @@
 //! 2. **Sweep** the selected shards through the engine, each on a fresh
 //!    cache-cold resolver. In memory they run as one batch; spilled, in
 //!    batches of at most `resident_shards`, so a round's resident working
-//!    set is the batch, never the population.
-//! 3. **Derive and sink** each finished shard's block: its
-//!    [`DerivedColumn`] (adoption classes, multi-CDN sites, residual
-//!    harvest candidates) is computed once, one engine task per block,
-//!    and the block is kept resident behind an `Arc` or appended with its
-//!    column to the round's spill file (`full-r<round>.rsnb` /
-//!    `delta-r<round>.rsnb`) and dropped.
+//!    set is the batch, never the population. Each shard's finish step,
+//!    on the worker that resolved it, packs the shard's sites into its
+//!    [`RecordBlock`] and derives the block's [`DerivedColumn`]
+//!    (adoption classes, multi-CDN sites, residual harvest candidates)
+//!    once — one engine pass per batch.
+//! 3. **Sink** each finished block: it is kept resident behind an `Arc`
+//!    or appended with its column to the round's spill file
+//!    (`full-r<round>.rsnb` / `delta-r<round>.rsnb`) and dropped.
 //! 4. **Splice** executed and replayed shards, in plan order, into the
 //!    round's [`DnsSnapshot`]. A replayed shard is the previous round's
 //!    block — an `Arc` clone, or a [`SpillRef`](crate::spill::SpillRef)
@@ -46,7 +47,7 @@ use remnant_engine::{
 use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
-use crate::classify::{derive_columns, DerivedColumn};
+use crate::classify::DerivedColumn;
 use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock, SiteRecords};
 use crate::spill::{SpillConfig, SpillError, SpillMeta, SpillWriter};
 
@@ -474,18 +475,17 @@ impl Collector {
                 Some(batch),
                 |_shard| RecursiveResolver::new(clock.clone(), region),
                 site_task,
-                |resolver, scope| resolver.export_into(scope.metrics()),
+                |resolver, scope, sites| {
+                    export_resolver(&resolver, scope);
+                    // Each fresh block's derived column is computed once,
+                    // here, and travels with the block from now on.
+                    let block = RecordBlock::from_sites(sites);
+                    let column = Arc::new(DerivedColumn::derive(&block));
+                    (block, column)
+                },
             );
-            let mut outputs = sweep.outputs.into_iter();
-            let blocks: Vec<RecordBlock> = batch
-                .iter()
-                .map(|&shard| RecordBlock::from_sites(outputs.by_ref().take(plan[shard].len())))
-                .collect();
-            // Each fresh block's derived column is computed once, here,
-            // and travels with the block from now on.
-            let columns = derive_columns(engine, &blocks);
-            for ((&shard, block), column) in batch.iter().zip(blocks).zip(columns) {
-                sink.put(shard, block, Arc::new(column))?;
+            for (&shard, (block, column)) in batch.iter().zip(sweep.outputs) {
+                sink.put(shard, block, column)?;
             }
             fresh.shards.extend(sweep.stats.shards);
             fresh.timings.extend(sweep.stats.timings);
@@ -591,7 +591,6 @@ fn site_task<T: DnsTransport + ?Sized>(
     (apex, www): &Target,
 ) -> TaskResult<SiteRecords> {
     let counting = CountingTransport::new(transport);
-    let (hits_before, misses_before) = resolver.cache().stats();
     let mut records = SiteRecords::default();
     if let Ok(res) = resolver.resolve(&counting, www, RecordType::A) {
         records.a = res.addresses();
@@ -600,10 +599,18 @@ fn site_task<T: DnsTransport + ?Sized>(
     if let Ok(res) = resolver.resolve(&counting, apex, RecordType::Ns) {
         records.ns = res.ns_hosts();
     }
-    let (hits_after, misses_after) = resolver.cache().stats();
     scope.add_queries(counting.query_stats().sent);
-    scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
     TaskResult::Done(records)
+}
+
+/// Exports a DNS shard's resolver telemetry once, in the sweep's finish
+/// step: its counter surface into the shard's metrics and its cumulative
+/// cache hits and misses into the shard's stats. Each shard starts from a
+/// fresh resolver, so the cumulative counts are the shard's own.
+pub(crate) fn export_resolver(resolver: &RecursiveResolver, scope: &mut ShardScope) {
+    resolver.export_into(scope.metrics());
+    let (hits, misses) = resolver.cache().stats();
+    scope.add_cache_stats(hits, misses);
 }
 
 /// Creates the spill directory (if needed) and the round file `name` in

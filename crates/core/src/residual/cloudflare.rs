@@ -167,12 +167,12 @@ impl CloudflareScanner {
                     });
                 TaskResult::Done(addrs)
             },
-            |(), _| {},
+            |(), _, answers| answers,
         );
         self.queries_sent += targets.len() as u64;
         self.vantage.note_issued(targets.len() as u64);
         let mut results = HashMap::new();
-        for (rank, answer) in sweep.outputs.into_iter().enumerate() {
+        for (rank, answer) in sweep.outputs.into_iter().flatten().enumerate() {
             let Some(addrs) = answer else {
                 continue; // ignored: the server holds no record
             };

@@ -10,6 +10,7 @@ use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
 
+use crate::collector::export_resolver;
 use crate::residual::INCAPSULA_CNAME_FINGERPRINT;
 use crate::snapshot::{DnsSnapshot, RecordBlock};
 
@@ -122,22 +123,23 @@ impl IncapsulaScanner {
             |_shard| RecursiveResolver::new(clock.clone(), Region::Ashburn),
             |transport, resolver, scope, _i, (rank, token)| {
                 let counting = CountingTransport::new(transport);
-                let (hits_before, misses_before) = resolver.cache().stats();
                 let addrs = resolver
                     .resolve(&counting, token, RecordType::A)
                     .map(|res| res.addresses())
                     .unwrap_or_default();
-                let (hits_after, misses_after) = resolver.cache().stats();
                 scope.add_queries(counting.query_stats().sent);
-                scope.add_cache_stats(hits_after - hits_before, misses_after - misses_before);
                 TaskResult::Done((*rank, addrs))
             },
-            |resolver, scope| resolver.export_into(scope.metrics()),
+            |resolver, scope, answers| {
+                export_resolver(&resolver, scope);
+                answers
+            },
         );
         self.queries += tokens.len() as u64;
         let results: HashMap<usize, Vec<Ipv4Addr>> = sweep
             .outputs
             .into_iter()
+            .flatten()
             .filter(|(_, addrs)| !addrs.is_empty())
             .collect();
         self.answered += results.len() as u64;

@@ -52,11 +52,6 @@ impl StudyService {
         }
     }
 
-    /// A service sharing an existing world handle and pool.
-    pub fn with_shared(world: Arc<World>, pool: Arc<WorkerPool>) -> Self {
-        StudyService { world, pool }
-    }
-
     /// The shared base world.
     pub fn world(&self) -> &Arc<World> {
         &self.world

@@ -212,11 +212,6 @@ impl StudySession {
         self.days
     }
 
-    /// Rounds already executed.
-    pub fn days_done(&self) -> u32 {
-        self.day
-    }
-
     /// Whether every round has run.
     pub fn is_done(&self) -> bool {
         self.day >= self.days

@@ -65,11 +65,6 @@ impl ZoneServer {
         }
     }
 
-    /// Adds a zone, replacing any existing zone with the same origin.
-    pub fn add_zone(&mut self, zone: Zone) {
-        self.zones.insert(zone.origin().clone(), zone);
-    }
-
     /// Removes the zone with origin `origin`, returning it.
     pub fn remove_zone(&mut self, origin: &crate::name::DomainName) -> Option<Zone> {
         self.zones.remove(origin)
@@ -83,11 +78,6 @@ impl ZoneServer {
     /// Mutable access to a hosted zone.
     pub fn zone_mut(&mut self, origin: &crate::name::DomainName) -> Option<&mut Zone> {
         self.zones.get_mut(origin)
-    }
-
-    /// Number of zones hosted.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
     }
 
     /// The most specific zone covering `name`.

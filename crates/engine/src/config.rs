@@ -30,8 +30,10 @@ impl RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        // Matches the paper's collector: a failed lookup is re-issued a
-        // couple of times before the site is recorded as unresolvable.
+        // Only tasks that return `TaskResult::Retry` are re-run, and no
+        // collection or scan task does: the collector records a failed
+        // lookup as empty records in one attempt, and its only re-issue is
+        // the resolver's own nameserver fallback.
         RetryPolicy { max_attempts: 3 }
     }
 }

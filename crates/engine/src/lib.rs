@@ -37,9 +37,10 @@
 //!     None, // every shard
 //!     |_shard| (),
 //!     |_ctx, _worker, _scope, _rank, item| TaskResult::Done(item * 2),
-//!     |_worker, _scope| {},
+//!     |_worker, _scope, outputs| outputs, // one product per shard
 //! );
-//! assert_eq!(sweep.outputs[7], 14);
+//! let outputs: Vec<u32> = sweep.outputs.into_iter().flatten().collect();
+//! assert_eq!(outputs[7], 14);
 //! assert_eq!(sweep.stats.items(), 10_000);
 //! # Ok::<(), remnant_engine::ConfigFieldError>(())
 //! ```

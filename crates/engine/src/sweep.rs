@@ -57,9 +57,10 @@ impl ShardScope {
         self.queries += n;
     }
 
-    /// Records resolver-cache hits and misses observed by this shard's
-    /// task (typically the delta of `ResolverCache::stats` across one
-    /// item). Deterministic per shard: each shard owns a fresh resolver.
+    /// Records resolver-cache hits and misses observed by this shard
+    /// (typically its fresh resolver's cumulative `ResolverCache::stats`,
+    /// recorded once in the sweep's `finish`). Deterministic per shard:
+    /// each shard owns a fresh resolver.
     pub fn add_cache_stats(&mut self, hits: u64, misses: u64) {
         self.cache_hits += hits;
         self.cache_misses += misses;
@@ -75,11 +76,12 @@ impl ShardScope {
     }
 }
 
-/// A completed sweep: outputs in target order plus instrumentation.
+/// A completed sweep: one product per run shard plus instrumentation.
 #[derive(Clone, Debug)]
-pub struct Sweep<O> {
-    /// One output per input item, in the input's order.
-    pub outputs: Vec<O>,
+pub struct Sweep<S> {
+    /// One product per run shard (what the sweep's `finish` returned for
+    /// it), in ascending plan order.
+    pub outputs: Vec<S>,
     /// Per-shard and aggregate counters.
     pub stats: SweepStats,
 }
@@ -171,25 +173,29 @@ impl ScanEngine {
     /// * `task` — processes one item; receives the context, the shard's
     ///   worker, the shard scope (RNG + counters), the item's global rank
     ///   and the item itself.
-    /// * `finish` — runs once per shard after its last item, consuming
-    ///   the shard's worker with the shard scope still writable. This is
-    ///   where a worker's accumulated telemetry (e.g. a resolver's
-    ///   counters) is exported into [`ShardScope::metrics`] — once per
-    ///   shard instead of once per item, so instrumentation stays off the
-    ///   per-item hot path while remaining deterministic.
+    /// * `finish` — runs once per shard after its last item, on the
+    ///   thread that ran the shard, consuming the shard's worker and its
+    ///   item outputs (in rank order) with the shard scope still
+    ///   writable, and returns the shard's product. This is where a
+    ///   worker's accumulated telemetry (e.g. a resolver's counters) is
+    ///   exported into [`ShardScope::metrics`] — once per shard instead of
+    ///   once per item, so instrumentation stays off the per-item hot
+    ///   path while remaining deterministic — and where a shard's outputs
+    ///   are packed into whatever the caller keeps (a caller that wants
+    ///   the items returns the `Vec` and flattens).
     ///
     /// Every shard runs with its **plan identity** — the same RNG stream,
     /// the same `ShardStats::shard` index and the same item range whether
     /// it runs alone or with every other shard — so a selected shard's
-    /// outputs and stats are byte-identical to that shard's in a full
-    /// sweep. Outputs are the concatenation of the run shards' outputs in
+    /// product and stats are byte-identical to that shard's in a full
+    /// sweep. [`Sweep::outputs`] holds one product per run shard in
     /// ascending shard order; `stats.shards` likewise holds only the run
     /// shards. Callers that need a full-length result splice the pieces
     /// back using the plan.
     ///
     /// [`RecursiveResolver`]: https://docs.rs/remnant-dns
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep<C, I, O, W, MW, T, F>(
+    pub fn sweep<C, I, O, S, W, MW, T, F>(
         &self,
         ctx: &C,
         items: &[I],
@@ -198,14 +204,14 @@ impl ScanEngine {
         make_worker: MW,
         task: T,
         finish: F,
-    ) -> Sweep<O>
+    ) -> Sweep<S>
     where
         C: Sync + ?Sized,
         I: Sync,
-        O: Send,
+        S: Send,
         MW: Fn(usize) -> W + Sync,
         T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
-        F: Fn(W, &mut ShardScope) + Sync,
+        F: Fn(W, &mut ShardScope, Vec<O>) -> S + Sync,
     {
         let mut selected: Vec<usize> =
             selected.map_or_else(|| (0..plan.len()).collect(), <[usize]>::to_vec);
@@ -233,7 +239,7 @@ impl ScanEngine {
         let seeds = SeedSeq::new(self.config.seed).child("engine");
         let max_attempts = self.config.retry.max_attempts.max(1);
         let queue = ShardQueue::new(&selected);
-        let slots: SlotVec<(Vec<O>, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
+        let slots: SlotVec<(S, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
         let started = Instant::now();
 
         let run_shard = |shard_idx: usize| {
@@ -278,7 +284,7 @@ impl ScanEngine {
                     }
                 }
             }
-            finish(worker, &mut scope);
+            let product = finish(worker, &mut scope, outputs);
             stats.queries = scope.queries;
             stats.cache_hits = scope.cache_hits;
             stats.cache_misses = scope.cache_misses;
@@ -287,7 +293,7 @@ impl ScanEngine {
                 shard: shard_idx,
                 wall: shard_started.elapsed(),
             };
-            (outputs, stats, timing)
+            (product, stats, timing)
         };
 
         // Work-claiming execution: every thread drains the shared injector
@@ -305,16 +311,15 @@ impl ScanEngine {
         });
 
         // Positional merge: plan order, not completion order.
-        let selected_items: usize = selected.iter().map(|&idx| plan[idx].len()).sum();
-        let mut outputs = Vec::with_capacity(selected_items);
+        let mut outputs = Vec::with_capacity(selected.len());
         let mut stats = SweepStats {
             workers,
             shards: Vec::with_capacity(selected.len()),
             timings: Vec::with_capacity(selected.len()),
             wall: std::time::Duration::ZERO,
         };
-        for (shard_outputs, shard_stats, timing) in slots.into_vec() {
-            outputs.extend(shard_outputs);
+        for (product, shard_stats, timing) in slots.into_vec() {
+            outputs.push(product);
             stats.shards.push(shard_stats);
             stats.timings.push(timing);
         }
@@ -353,10 +358,10 @@ mod tests {
                 assert_eq!(rank, *item);
                 TaskResult::Done(item * 2)
             },
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
         let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
-        assert_eq!(sweep.outputs, expected);
+        assert_eq!(sweep.outputs.concat(), expected);
         assert_eq!(sweep.stats.items(), 1000);
         assert_eq!(sweep.stats.attempts(), 1000);
     }
@@ -378,7 +383,7 @@ mod tests {
                     let noise: u64 = scope.rng().gen_range(0..1000);
                     TaskResult::Done(item.wrapping_mul(31) ^ noise ^ *acc)
                 },
-                |_, _| {},
+                |_, _, outputs| outputs,
             )
         };
         let one = run(1);
@@ -413,9 +418,9 @@ mod tests {
                     TaskResult::Retry(false)
                 }
             },
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
-        assert!(sweep.outputs.iter().all(|&done| done));
+        assert!(sweep.outputs.iter().flatten().all(|&done| done));
         assert_eq!(sweep.stats.attempts(), 20);
         assert_eq!(sweep.stats.retries(), 10);
         assert_eq!(sweep.stats.exhausted(), 0);
@@ -438,9 +443,12 @@ mod tests {
             None,
             |_| (),
             |_, _, _, rank, _| TaskResult::<&str>::Retry(if rank == 3 { "boom" } else { "miss" }),
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
-        assert_eq!(sweep.outputs, ["miss", "miss", "miss", "boom", "miss"]);
+        assert_eq!(
+            sweep.outputs.concat(),
+            ["miss", "miss", "miss", "boom", "miss"]
+        );
         assert_eq!(sweep.stats.attempts(), 15);
         assert_eq!(sweep.stats.retries(), 10);
         assert_eq!(sweep.stats.exhausted(), 5);
@@ -458,9 +466,10 @@ mod tests {
                 None,
                 |_| (),
                 |_, _, scope, _, _| TaskResult::Done(scope.rng().gen_range(0u64..u64::MAX)),
-                |_, _| {},
+                |_, _, outputs| outputs,
             )
             .outputs
+            .concat()
         };
         let a = draw(1);
         let b = draw(2);
@@ -484,7 +493,7 @@ mod tests {
                     *acc += item % 3;
                     TaskResult::Done(())
                 },
-                |acc, scope| {
+                |acc, scope, _| {
                     scope.metrics().add("transport.sent", acc);
                     scope.metrics().observe_with("shard.load", &[10, 100], acc);
                 },
@@ -509,36 +518,41 @@ mod tests {
             *acc += 1;
             scope.add_queries(1);
             let noise: u64 = scope.rng().gen_range(0..1000);
-            TaskResult::Done(item.wrapping_mul(7) ^ noise ^ (rank as u64) ^ *acc)
-        };
-        let finish = |acc: u64, scope: &mut ShardScope| {
-            scope.metrics().add("transport.sent", acc);
+            TaskResult::Done((rank, item.wrapping_mul(7) ^ noise ^ *acc))
         };
         let eng = engine(4, 32);
         let plan = eng.shard_plan(items.len());
         assert_eq!(plan.len(), 8);
+        // `finish` gets exactly its shard's outputs, in rank order, and
+        // returns the shard's product.
+        let finish = |acc: u64, scope: &mut ShardScope, outputs: Vec<(usize, u64)>| {
+            let ranks: Vec<usize> = outputs.iter().map(|&(rank, _)| rank).collect();
+            assert!(ranks.iter().copied().eq(plan[scope.shard()].clone()));
+            scope.metrics().add("transport.sent", acc);
+            (scope.shard(), outputs)
+        };
         let full = eng.sweep(&(), &items, &plan, None, |_| 0u64, task, finish);
+        assert_eq!(full.outputs.len(), plan.len());
 
         // Run a subset (unsorted, with a duplicate) and compare each selected
-        // shard's outputs and stats against the full sweep, slot for slot.
-        let partial = eng.sweep(
-            &(),
-            &items,
-            &plan,
-            Some(&[6, 1, 3, 1]),
-            |_| 0u64,
-            task,
-            finish,
-        );
+        // shard's product and stats against the full sweep, slot for slot.
         let chosen = [1usize, 3, 6];
-        let expected: Vec<u64> = chosen
-            .iter()
-            .flat_map(|&idx| full.outputs[plan[idx].clone()].iter().copied())
-            .collect();
-        assert_eq!(partial.outputs, expected);
-        assert_eq!(partial.stats.shards.len(), 3);
-        for (pos, &idx) in chosen.iter().enumerate() {
-            assert_eq!(partial.stats.shards[pos], full.stats.shards[idx]);
+        for workers in [1usize, 8] {
+            let partial = engine(workers, 32).sweep(
+                &(),
+                &items,
+                &plan,
+                Some(&[6, 1, 3, 1]),
+                |_| 0u64,
+                task,
+                finish,
+            );
+            assert_eq!(partial.outputs.len(), 3, "workers={workers}");
+            assert_eq!(partial.stats.shards.len(), 3);
+            for (pos, &idx) in chosen.iter().enumerate() {
+                assert_eq!(partial.outputs[pos], full.outputs[idx]);
+                assert_eq!(partial.stats.shards[pos], full.stats.shards[idx]);
+            }
         }
     }
 
@@ -551,8 +565,9 @@ mod tests {
         let eng = engine(2, 16);
         let plan = eng.shard_plan(items.len());
         let all: Vec<usize> = (0..plan.len()).collect();
-        let full = eng.sweep(&(), &items, &plan, None, |_| (), task, |_, _| {});
-        let sel = eng.sweep(&(), &items, &plan, Some(&all), |_| (), task, |_, _| {});
+        let keep = |(), _: &mut ShardScope, outputs: Vec<u64>| outputs;
+        let full = eng.sweep(&(), &items, &plan, None, |_| (), task, keep);
+        let sel = eng.sweep(&(), &items, &plan, Some(&all), |_| (), task, keep);
         assert_eq!(full.outputs, sel.outputs);
         assert_eq!(full.stats.shards, sel.stats.shards);
     }
@@ -568,7 +583,7 @@ mod tests {
             Some(&[]),
             |_| (),
             |_, _, _, _, _| TaskResult::Done(0u64),
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
@@ -586,7 +601,7 @@ mod tests {
             Some(&[1, 4]),
             |_| (),
             |_, _, _, _, _| TaskResult::Done(0u64),
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
     }
 
@@ -601,7 +616,7 @@ mod tests {
             None,
             |_| (),
             |_, _, _, _, _| TaskResult::Done(0),
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
         assert!(sweep.outputs.is_empty());
         assert!(sweep.stats.shards.is_empty());
@@ -620,9 +635,10 @@ mod tests {
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
             TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 16))
         };
+        let keep = |(), _: &mut ShardScope, outputs: Vec<u64>| outputs;
         let run = |eng: ScanEngine| {
             let plan = eng.shard_plan(items.len());
-            eng.sweep(&(), &items, &plan, None, |_| (), task, |_, _| {})
+            eng.sweep(&(), &items, &plan, None, |_| (), task, keep)
         };
         let plain = run(ScanEngine::new(config.clone()));
         // A pool smaller than the configured workers: the sweep shrinks
@@ -635,8 +651,7 @@ mod tests {
         assert_eq!(pool.available(), 2, "grant returned on sweep end");
     }
 
-    /// A one-task-per-shard sweep over `shard_count` unit shards, as the
-    /// per-block classification sweep runs it.
+    /// A one-task-per-shard sweep over `shard_count` unit shards.
     fn unit_sweep(eng: &ScanEngine, shard_count: usize, selected: &[usize]) -> Vec<(usize, u64)> {
         let shards: Vec<usize> = (0..shard_count).collect();
         eng.sweep(
@@ -649,9 +664,10 @@ mod tests {
                 assert_eq!(scope.shard(), shard);
                 TaskResult::Done((shard, scope.rng().gen_range(0u64..1 << 32)))
             },
-            |(), _| {},
+            |(), _, outputs| outputs,
         )
         .outputs
+        .concat()
     }
 
     #[test]
@@ -692,8 +708,8 @@ mod tests {
                 *seen += 1;
                 TaskResult::Done(*seen)
             },
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
-        assert_eq!(sweep.outputs, [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4]);
+        assert_eq!(sweep.outputs.concat(), [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4]);
     }
 }

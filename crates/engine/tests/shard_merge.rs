@@ -41,11 +41,11 @@ proptest! {
             None,
             |_| (),
             |_, _, _, rank, item| TaskResult::Done((rank, *item)),
-            |_, _| {},
+            |_, _, outputs| outputs,
         );
         let expected: Vec<(usize, u64)> =
             items.iter().copied().enumerate().collect();
-        prop_assert_eq!(sweep.outputs, expected);
+        prop_assert_eq!(sweep.outputs.concat(), expected);
         prop_assert_eq!(sweep.stats.items() as usize, items.len());
     }
 
@@ -81,7 +81,7 @@ proptest! {
                         TaskResult::Done(item.wrapping_mul(roll) ^ *acc)
                     }
                 },
-                |_, _| {},
+                |_, _, outputs| outputs,
             )
         };
         let sequential = run(1);
@@ -119,7 +119,10 @@ proptest! {
                 },
                 // The finish hook runs once per shard, like the resolver
                 // telemetry export on the collection path.
-                |seen, scope| scope.metrics().add("test.shard_items", seen),
+                |seen, scope, outputs| {
+                    scope.metrics().add("test.shard_items", seen);
+                    outputs
+                },
             )
         };
         let sequential = run(1);

@@ -69,10 +69,10 @@ fn claiming_run(items: &[u64], config: &EngineConfig, skews_us: &[u16]) -> (Vec<
             let noise: u64 = scope.rng().gen_range(0..1 << 24);
             TaskResult::Done(mix(*item, noise, *acc))
         },
-        |_, _| {},
+        |_, _, outputs| outputs,
     );
     let queries = sweep.stats.shards.iter().map(|s| s.queries).collect();
-    (sweep.outputs, queries)
+    (sweep.outputs.concat(), queries)
 }
 
 proptest! {

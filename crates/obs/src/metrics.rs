@@ -271,16 +271,6 @@ impl MetricsRegistry {
         self.gauges.insert(MetricKey::named(name), value);
     }
 
-    /// Sets the gauge `name` with `labels` to `value`.
-    pub fn set_gauge_labeled(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        value: i64,
-    ) {
-        self.gauges.insert(MetricKey::labeled(name, labels), value);
-    }
-
     /// The value of the unlabeled gauge `name`, if set.
     pub fn gauge(&self, name: &'static str) -> Option<i64> {
         self.gauges.get(&MetricKey::named(name)).copied()

@@ -80,12 +80,6 @@ impl ResidualPolicy {
         }
     }
 
-    /// Countermeasure Sec VI-B-1 (strict): never respond with origin
-    /// addresses after termination. Equivalent to [`ResidualPolicy::deny`].
-    pub fn countermeasure_no_answer() -> Self {
-        ResidualPolicy::deny()
-    }
-
     /// Countermeasure Sec VI-B-1 (continuity-preserving): keep answering
     /// *only while* the customer's public resolution still matches the
     /// stored record — "if the current IP address of the customer acquired

@@ -243,15 +243,6 @@ impl Calibration {
         }
     }
 
-    /// The share of DPS customers on `provider`.
-    pub fn provider_share(&self, provider: ProviderId) -> f64 {
-        self.provider_shares
-            .iter()
-            .find(|(p, _)| *p == provider)
-            .map(|(_, s)| *s)
-            .expect("all providers calibrated")
-    }
-
     /// Samples the rerouting method and plan for a new signup at
     /// `provider`.
     pub fn sample_rerouting_and_plan<R: Rng>(

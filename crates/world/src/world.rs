@@ -372,11 +372,6 @@ impl World {
         &self.sites[id.0 as usize]
     }
 
-    /// Looks a site up by apex domain.
-    pub fn site_by_apex(&self, apex: &DomainName) -> Option<&Website> {
-        self.by_apex.get(apex).map(|id| self.site(*id))
-    }
-
     /// The provider instance for `id`.
     pub fn provider(&self, id: ProviderId) -> &DpsProvider {
         &self.providers[id.index()]

@@ -161,9 +161,12 @@ fn failing_static_transport_sweeps_like_a_sequential_resolver() {
                 |transport, resolver, _scope, _rank, name| {
                     TaskResult::Done(resolver.resolve_addresses(transport, name))
                 },
-                |_resolver, _scope| {},
+                |_resolver, _scope, answers| answers,
             )
-            .outputs;
+            .outputs
+            .into_iter()
+            .flatten()
+            .collect();
         (answers, transport.query_stats())
     };
     let (answers_1, stats_1) = sweep(1);
