@@ -9,19 +9,20 @@
 //!   for network latency, so the comparison holds on any core count. Both
 //!   executors must merge identical output; the bench asserts that
 //!   before timing, and only the wall clock may differ.
-//! - `multi_tenant`: two rate-limited campaigns hosted by one
+//! - `multi_tenant`: two one-week campaigns hosted by one
 //!   [`StudyService`], run back to back and then concurrently over the
-//!   same world and shared pool. A courtesy rate limit paces every sweep,
-//!   as a real scan of someone else's nameservers would be, so
-//!   concurrency buys overlapping idle time. Both arms issue the same
-//!   queries, so the time ratio is the throughput ratio; the concurrent
-//!   pair should reach at least 1.5× the serialized pair's queries/s.
+//!   same world and a shared two-thread pool. Nothing paces the sweeps:
+//!   every query goes to the in-process world, so both arms are CPU
+//!   bound and the concurrent arm can only overlap CPU work on the pool's
+//!   two threads. Both arms issue the same queries, so the time ratio is
+//!   the throughput ratio; it approaches 2× only on a host with two free
+//!   cores, and nothing here asserts a ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use remnant::core::study::StudyConfig;
 use remnant::core::StudyService;
-use remnant::engine::{plan_shards, EngineConfig, ScanEngine, TaskResult};
+use remnant::engine::{plan_shards, EngineConfig, ScanEngine};
 use remnant::world::{World, WorldConfig};
 
 const SEED: u64 = 3;
@@ -39,7 +40,6 @@ fn bench_straggler(c: &mut Criterion) {
         workers: WORKERS,
         shard_size: SHARD_SIZE,
         seed: SEED,
-        ..EngineConfig::default()
     };
     let task = |shard: usize, item: u64| -> u64 {
         let sleep = if shard < SLOW_SHARDS {
@@ -96,7 +96,7 @@ fn bench_straggler(c: &mut Criterion) {
                 &plan,
                 None,
                 |_| (),
-                |_, _, scope, _, item| TaskResult::Done(task(scope.shard(), *item)),
+                |_, _, scope, _, item| task(scope.shard(), *item),
                 |_, _, outputs| outputs,
             )
             .outputs
@@ -119,7 +119,6 @@ fn bench_straggler(c: &mut Criterion) {
 fn bench_multi_tenant(c: &mut Criterion) {
     const SESSIONS: usize = 2;
     const POPULATION: usize = 400;
-    const RATE: u32 = 2_000;
 
     let world = World::generate(WorldConfig::new(POPULATION, SEED));
     let service = StudyService::new(world, SESSIONS);
@@ -129,7 +128,6 @@ fn bench_multi_tenant(c: &mut Criterion) {
                 .weeks(1)
                 .seed(SEED + i as u64)
                 .workers(1)
-                .rate_per_second(RATE)
                 .build()
                 .expect("valid session config")
         })

@@ -161,11 +161,13 @@ impl ReproConfig {
             ));
         }
         // Weeks/workers share StudyConfig's bounds; validate through it so
-        // the two builders can never drift apart.
-        StudyConfig::builder()
-            .weeks(self.weeks)
-            .workers(self.workers)
-            .build()?;
+        // the two configs can never drift apart.
+        StudyConfig {
+            weeks: self.weeks,
+            workers: self.workers,
+            ..StudyConfig::default()
+        }
+        .validate()?;
         if let Some(dir) = &self.spill_dir {
             validate_spill_dir(dir)?;
         }

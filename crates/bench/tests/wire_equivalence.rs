@@ -16,7 +16,6 @@ fn snapshot_with<T: DnsTransport + Sync>(world: &World, transport: &T, workers: 
         workers,
         shard_size: 128,
         seed: 7,
-        ..EngineConfig::default()
     });
     let targets: Vec<(DomainName, DomainName)> = world
         .sites()

@@ -41,9 +41,7 @@ use remnant_dns::{
     CountingTransport, DnsTransport, DomainName, Instrumented, RecordType, RecursiveResolver,
     ZoneGenerationProbe,
 };
-use remnant_engine::{
-    EngineConfig, ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats, TaskResult,
-};
+use remnant_engine::{EngineConfig, ScanEngine, ShardScope, ShardStats, ShardTiming, SweepStats};
 use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
@@ -589,7 +587,7 @@ fn site_task<T: DnsTransport + ?Sized>(
     scope: &mut ShardScope,
     _rank: usize,
     (apex, www): &Target,
-) -> TaskResult<SiteRecords> {
+) -> SiteRecords {
     let counting = CountingTransport::new(transport);
     let mut records = SiteRecords::default();
     if let Ok(res) = resolver.resolve(&counting, www, RecordType::A) {
@@ -600,7 +598,7 @@ fn site_task<T: DnsTransport + ?Sized>(
         records.ns = res.ns_hosts();
     }
     scope.add_queries(counting.query_stats().sent);
-    TaskResult::Done(records)
+    records
 }
 
 /// Exports a DNS shard's resolver telemetry once, in the sweep's finish
@@ -735,7 +733,6 @@ mod tests {
                 workers,
                 shard_size: 32,
                 seed: 1,
-                ..EngineConfig::default()
             })
         };
         let (snap1, stats1) = collector.collect_with(&engine(1), &world, &targets, 0);
@@ -777,7 +774,6 @@ mod tests {
                 workers,
                 shard_size: 32,
                 seed: 1,
-                ..EngineConfig::default()
             })
         };
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
@@ -809,7 +805,6 @@ mod tests {
                 workers: 2,
                 shard_size: 16,
                 seed: 5,
-                ..EngineConfig::default()
             })
         };
         let mut mem_world = tiny_world();
@@ -851,7 +846,6 @@ mod tests {
                 workers: 2,
                 shard_size: 16,
                 seed: 5,
-                ..EngineConfig::default()
             })
         };
         let mut full_world = tiny_world();
@@ -906,7 +900,6 @@ mod tests {
             workers: 1,
             shard_size: 16,
             seed: 5,
-            ..EngineConfig::default()
         });
         let mut delta = DeltaCollector::new(world.clock(), Region::Ashburn, 5);
         let (_, _, round) = delta.collect_with(&engine, &world, &targets, 0);

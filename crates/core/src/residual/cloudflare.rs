@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use remnant_dns::{DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver};
-use remnant_engine::{ScanEngine, SweepStats, TaskResult};
+use remnant_engine::{ScanEngine, SweepStats};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
@@ -159,13 +159,12 @@ impl CloudflareScanner {
                 let region = vantage.region_for(rank as u64);
                 let query = Query::new(www.clone(), RecordType::A);
                 scope.add_queries(1);
-                let addrs = transport
+                transport
                     .query(now, server, region, &query)
                     .map(|response| match response.rcode {
                         Rcode::NoError => response.answer_addresses(),
                         _ => Vec::new(),
-                    });
-                TaskResult::Done(addrs)
+                    })
             },
             |(), _, answers| answers,
         );
@@ -395,7 +394,6 @@ mod tests {
                 workers,
                 shard_size: 64,
                 seed: 2,
-                ..EngineConfig::default()
             })
         };
         let (r1, s1) = scanner.scan_with(&engine(1), &w, &targets, 0);

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use remnant_dns::{CountingTransport, DnsTransport, DomainName, RecordType, RecursiveResolver};
-use remnant_engine::{ScanEngine, SweepStats, TaskResult};
+use remnant_engine::{ScanEngine, SweepStats};
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
@@ -128,7 +128,7 @@ impl IncapsulaScanner {
                     .map(|res| res.addresses())
                     .unwrap_or_default();
                 scope.add_queries(counting.query_stats().sent);
-                TaskResult::Done((*rank, addrs))
+                (*rank, addrs)
             },
             |resolver, scope, answers| {
                 export_resolver(&resolver, scope);
@@ -302,7 +302,6 @@ mod tests {
                 workers,
                 shard_size: 8,
                 seed: 3,
-                ..EngineConfig::default()
             })
         };
         let (r1, s1) = scanner.scan_with(&engine(1), &w);

@@ -70,7 +70,8 @@ impl StudyService {
     /// Validates a batch of campaign configs for concurrent execution.
     ///
     /// Rejects an empty batch, a batch larger than
-    /// [`MAX_CONCURRENT_SESSIONS`], and — the one genuinely shared
+    /// [`MAX_CONCURRENT_SESSIONS`], any config that fails
+    /// [`StudyConfig::validate`], and — the one genuinely shared
     /// mutable resource — two sessions spilling into the same directory,
     /// which would interleave their round files into garbage.
     pub fn validate_batch(configs: &[StudyConfig]) -> Result<(), ConfigFieldError> {
@@ -90,6 +91,7 @@ impl StudyService {
         }
         let mut spill_dirs = BTreeSet::new();
         for config in configs {
+            config.validate()?;
             if let Some(spill) = &config.spill {
                 if !spill_dirs.insert(spill.dir.clone()) {
                     return Err(ConfigFieldError::new(
@@ -221,5 +223,15 @@ mod tests {
         let err = StudyService::validate_batch(&[spill("/tmp/a"), spill("/tmp/a")]).unwrap_err();
         assert_eq!(err.field, "spill.dir");
         assert!(StudyService::validate_batch(&[spill("/tmp/a"), spill("/tmp/b")]).is_ok());
+        // Literal configs get the builder's field checks too.
+        let literal = |workers, weeks| StudyConfig {
+            workers,
+            weeks,
+            ..StudyConfig::default()
+        };
+        for (config, field) in [(literal(2048, 6), "workers"), (literal(1, 0), "weeks")] {
+            let err = StudyService::validate_batch(&[config]).unwrap_err();
+            assert_eq!(err.field, field);
+        }
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use remnant_engine::{EngineConfig, RateLimit, ScanEngine, SweepStats, WorkerPool};
+use remnant_engine::{EngineConfig, ScanEngine, SweepStats, WorkerPool};
 use remnant_obs::{Obs, ObsReport, ProgressSender, Span};
 use remnant_provider::ProviderId;
 use remnant_world::World;
@@ -122,18 +122,9 @@ impl StudySession {
     }
 
     fn engine_config(config: &StudyConfig) -> EngineConfig {
-        let mut engine = EngineConfig::with_workers(config.workers.max(1), config.seed)
-            .expect("clamped worker count is always valid");
-        // Wall-clock pacing only: the token bucket never touches outputs,
-        // so a rate-limited session still reports bit-identically. The
-        // burst is capped at ~100ms of rate: the engine starts each
-        // sweep's bucket full, and a full second of burst would let a
-        // small daily round finish without ever being paced.
-        engine.rate = config.rate_per_second.map(|rate| RateLimit {
-            per_second: f64::from(rate),
-            burst: rate.div_ceil(10).max(1),
-        });
-        engine
+        let workers = config.workers.clamp(1, EngineConfig::MAX_WORKERS);
+        EngineConfig::with_workers(workers, config.seed)
+            .expect("clamped worker count is always valid")
     }
 
     fn with_engine(config: StudyConfig, world: &World, engine: ScanEngine) -> Self {
@@ -540,5 +531,18 @@ mod tests {
         assert!(resolver_a(&last.obs) > 0, "mid-flight telemetry present");
         assert_eq!(resolver_a(&last.obs), resolver_a(report.obs()));
         assert_eq!(report.collection().rounds, 7);
+    }
+
+    #[test]
+    fn an_oversized_literal_worker_count_is_clamped_not_a_panic() {
+        // `validate` rejects this config; a session opened from it anyway
+        // clamps the workers to the engine's bound instead of panicking.
+        let config = StudyConfig {
+            workers: 2048,
+            ..StudyConfig::default()
+        };
+        let session = StudySession::new(config, &world(5));
+        assert_eq!(session.config().workers, 2048);
+        assert_eq!(session.engine.config().workers, EngineConfig::MAX_WORKERS);
     }
 }

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use remnant_engine::SweepStats;
+use remnant_engine::{EngineConfig, SweepStats};
 use remnant_net::Region;
 use remnant_obs::{Instrumented, MetricKey, ObsReport, TRANSPORT_SENT};
 use remnant_provider::ProviderId;
@@ -67,8 +67,8 @@ pub struct StudyConfig {
     /// Seed for interval jitter.
     pub seed: u64,
     /// Worker threads for the sharded sweeps (collection rounds and weekly
-    /// scans). The report is bit-identical for every value; only wall time
-    /// changes.
+    /// scans), `1..=`[`EngineConfig::MAX_WORKERS`]. The report is
+    /// bit-identical for every value; only wall time changes.
     pub workers: usize,
     /// How daily rounds resolve the target list. The report is
     /// bit-identical for both modes; only wall time changes.
@@ -79,13 +79,6 @@ pub struct StudyConfig {
     /// once. The report is bit-identical with or without spill; only the
     /// peak RSS changes.
     pub spill: Option<SpillConfig>,
-    /// Courtesy rate limit: sustained resolution attempts per second
-    /// across this study's sweep workers (a real measurement campaign
-    /// paces its queries; the paper's scanners did). Runs on wall-clock
-    /// time inside the engine's token bucket, so it changes pacing only —
-    /// the report stays bit-identical with or without it. `None` (the
-    /// default) runs unthrottled.
-    pub rate_per_second: Option<u32>,
 }
 
 impl Default for StudyConfig {
@@ -98,7 +91,6 @@ impl Default for StudyConfig {
             workers: 1,
             collection_mode: CollectionMode::Full,
             spill: None,
-            rate_per_second: None,
         }
     }
 }
@@ -107,8 +99,9 @@ impl StudyConfig {
     /// A builder starting from the defaults, with validated setters.
     ///
     /// The struct-literal path stays open — `StudyConfig { weeks: 2,
-    /// ..StudyConfig::default() }` still compiles — but the builder names
-    /// the offending field, value, and reason when a combination is
+    /// ..StudyConfig::default() }` still compiles, and
+    /// [`validate`](StudyConfig::validate) checks it — but the builder
+    /// names the offending field, value, and reason when a combination is
     /// rejected, like the `repro` CLI's bad-flag errors.
     ///
     /// ```
@@ -124,6 +117,42 @@ impl StudyConfig {
         StudyConfigBuilder {
             config: StudyConfig::default(),
         }
+    }
+
+    /// Validates every field, naming the first rejected one — the check
+    /// [`StudyConfigBuilder::build`] applies, callable on a config
+    /// written as a literal. The worker bounds are the engine's own
+    /// ([`EngineConfig::validate`]).
+    pub fn validate(&self) -> Result<(), ConfigFieldError> {
+        if self.weeks == 0 {
+            return Err(ConfigFieldError::new(
+                "weeks",
+                self.weeks,
+                "a study needs at least one week",
+            ));
+        }
+        if self.weeks > 52 {
+            return Err(ConfigFieldError::new(
+                "weeks",
+                self.weeks,
+                "more than a year of weekly scans is outside the modeled range",
+            ));
+        }
+        EngineConfig {
+            workers: self.workers,
+            ..EngineConfig::default()
+        }
+        .validate()?;
+        if let Some(spill) = &self.spill {
+            if spill.resident_shards == 0 {
+                return Err(ConfigFieldError::new(
+                    "spill.resident_shards",
+                    spill.resident_shards,
+                    "at least one shard must stay resident while spilling",
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -178,63 +207,11 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Courtesy rate limit: sustained resolution attempts per second
-    /// across this study's sweep workers (wall-clock pacing only; the
-    /// report is bit-identical with or without it).
-    pub fn rate_per_second(mut self, rate: u32) -> Self {
-        self.config.rate_per_second = Some(rate);
-        self
-    }
-
     /// Validates and returns the configuration, naming the first rejected
     /// field on failure.
     pub fn build(self) -> Result<StudyConfig, ConfigFieldError> {
-        let config = self.config;
-        if config.weeks == 0 {
-            return Err(ConfigFieldError::new(
-                "weeks",
-                config.weeks,
-                "a study needs at least one week",
-            ));
-        }
-        if config.weeks > 52 {
-            return Err(ConfigFieldError::new(
-                "weeks",
-                config.weeks,
-                "more than a year of weekly scans is outside the modeled range",
-            ));
-        }
-        if config.workers == 0 {
-            return Err(ConfigFieldError::new(
-                "workers",
-                config.workers,
-                "at least one worker thread is required",
-            ));
-        }
-        if config.workers > 1024 {
-            return Err(ConfigFieldError::new(
-                "workers",
-                config.workers,
-                "more than 1024 workers exceeds the engine's sharding model",
-            ));
-        }
-        if let Some(spill) = &config.spill {
-            if spill.resident_shards == 0 {
-                return Err(ConfigFieldError::new(
-                    "spill.resident_shards",
-                    spill.resident_shards,
-                    "at least one shard must stay resident while spilling",
-                ));
-            }
-        }
-        if config.rate_per_second == Some(0) {
-            return Err(ConfigFieldError::new(
-                "rate_per_second",
-                0,
-                "a zero-rate study would never issue a query",
-            ));
-        }
-        Ok(config)
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 
@@ -347,11 +324,13 @@ pub struct EngineReport {
     pub shards: u64,
     /// DNS queries sent by sweep tasks.
     pub queries: u64,
-    /// Task attempts, including retries.
+    /// Task calls: equal to the items swept, since each runs once. This
+    /// and the two fixed-zero fields below go with the benchmark
+    /// harness's session mirror (see ROADMAP.md).
     pub attempts: u64,
-    /// Attempts re-run under the engine's retry policy.
+    /// Always 0: the engine has no retry protocol.
     pub retries: u64,
-    /// Items that exhausted their retry budget (timeouts).
+    /// Always 0: the engine has no retry budget to exhaust.
     pub exhausted: u64,
     /// Resolver-cache hits reported by sweep tasks (deterministic; kept
     /// out of rendered output, like the other engine counters).

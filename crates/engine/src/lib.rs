@@ -14,19 +14,22 @@
 //!
 //! ## Determinism contract
 //!
-//! For a fixed target list, seed, shard size and retry policy, the
+//! For a fixed target list, seed and shard size, the
 //! [`Sweep::outputs`] vector and every [`ShardStats`] counter are
 //! identical for every `workers` value. Only wall-clock timings
 //! ([`SweepStats::timings`], [`SweepStats::wall`]) vary. This holds
 //! because shard layout, per-shard RNG seeds and per-shard worker state
 //! are all functions of the shard index — never of the thread that
 //! happens to execute the shard. See [`ScanEngine`] for the three
-//! invariants; [`ScanEngine::sweep`] is the one entry point.
+//! invariants; [`ScanEngine::sweep`] is the one entry point. A task
+//! runs once per item and returns that item's output: there is no retry
+//! protocol and no pacing, since every query goes to an in-process
+//! transport.
 //!
 //! ## Example
 //!
 //! ```
-//! use remnant_engine::{EngineConfig, ScanEngine, TaskResult};
+//! use remnant_engine::{EngineConfig, ScanEngine};
 //!
 //! let items: Vec<u32> = (0..10_000).collect();
 //! let engine = ScanEngine::new(EngineConfig::with_workers(8, 42)?);
@@ -36,7 +39,7 @@
 //!     &engine.shard_plan(items.len()),
 //!     None, // every shard
 //!     |_shard| (),
-//!     |_ctx, _worker, _scope, _rank, item| TaskResult::Done(item * 2),
+//!     |_ctx, _worker, _scope, _rank, item| item * 2,
 //!     |_worker, _scope, outputs| outputs, // one product per shard
 //! );
 //! let outputs: Vec<u32> = sweep.outputs.into_iter().flatten().collect();
@@ -58,18 +61,16 @@
 pub mod claim;
 pub mod config;
 pub mod error;
-pub mod limiter;
 pub mod pool;
 pub mod shard;
 pub mod stats;
 pub mod sweep;
 
 pub use claim::{ShardClaim, ShardQueue, SlotVec};
-pub use config::{EngineConfig, EngineConfigBuilder, RateLimit, RetryPolicy};
+pub use config::EngineConfig;
 pub use error::ConfigFieldError;
-pub use limiter::TokenBucket;
 pub use pool::{PoolGrant, WorkerPool};
 pub use remnant_obs::{Instrumented, MetricsRegistry};
 pub use shard::plan_shards;
 pub use stats::{ShardStats, ShardTiming, SweepStats};
-pub use sweep::{ScanEngine, ShardScope, Sweep, TaskResult};
+pub use sweep::{ScanEngine, ShardScope, Sweep};

@@ -16,11 +16,14 @@ pub struct ShardStats {
     pub shard: usize,
     /// Items processed (the shard's length).
     pub items: u64,
-    /// Task attempts, including retries.
+    /// Task calls: always equal to `items`, since each item runs once.
+    /// Kept, with `retries` and `exhausted`, because the `sweep.*`
+    /// counters and the benchmark harness still read all three; they go
+    /// when the harness's session mirror is deleted (see ROADMAP.md).
     pub attempts: u64,
-    /// Attempts that asked to be retried and were re-run.
+    /// Always 0: the engine has no retry protocol.
     pub retries: u64,
-    /// Items whose retry budget ran out; their fallback output was kept.
+    /// Always 0: the engine has no retry budget to exhaust.
     pub exhausted: u64,
     /// DNS queries reported by the task via
     /// [`ShardScope::add_queries`](crate::ShardScope::add_queries).
@@ -65,17 +68,17 @@ impl SweepStats {
         self.shards.iter().map(|s| s.items).sum()
     }
 
-    /// Total task attempts, including retries.
+    /// Total task calls (equal to [`items`](Self::items)).
     pub fn attempts(&self) -> u64 {
         self.shards.iter().map(|s| s.attempts).sum()
     }
 
-    /// Total retried attempts.
+    /// Total retried attempts (always 0).
     pub fn retries(&self) -> u64 {
         self.shards.iter().map(|s| s.retries).sum()
     }
 
-    /// Total items that exhausted their retry budget.
+    /// Total items that exhausted a retry budget (always 0).
     pub fn exhausted(&self) -> u64 {
         self.shards.iter().map(|s| s.exhausted).sum()
     }

@@ -10,22 +10,9 @@ use remnant_sim::SeedSeq;
 
 use crate::claim::{ShardQueue, SlotVec};
 use crate::config::EngineConfig;
-use crate::limiter::TokenBucket;
 use crate::pool::WorkerPool;
 use crate::shard::plan_shards;
 use crate::stats::{ShardStats, ShardTiming, SweepStats};
-
-/// Outcome of one task attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TaskResult<O> {
-    /// The item is done; record this output.
-    Done(O),
-    /// The attempt should be retried. The carried output is the fallback
-    /// recorded if the retry budget runs out — for a scanner, "site did
-    /// not resolve" is itself a measurement, so even an exhausted item
-    /// produces a row.
-    Retry(O),
-}
 
 /// Per-shard context handed to every task invocation.
 ///
@@ -170,9 +157,11 @@ impl ScanEngine {
     /// * `make_worker` — builds the per-shard mutable state (for DNS
     ///   sweeps: a fresh [`RecursiveResolver`]); called once per shard
     ///   with the shard index.
-    /// * `task` — processes one item; receives the context, the shard's
-    ///   worker, the shard scope (RNG + counters), the item's global rank
-    ///   and the item itself.
+    /// * `task` — processes one item and returns its output; receives the
+    ///   context, the shard's worker, the shard scope (RNG + counters), the
+    ///   item's global rank and the item itself. It runs exactly once per
+    ///   item: a task that cannot complete an item returns the output that
+    ///   records the failure (for the collector, an empty row).
     /// * `finish` — runs once per shard after its last item, on the
     ///   thread that ran the shard, consuming the shard's worker and its
     ///   item outputs (in rank order) with the shard scope still
@@ -210,7 +199,7 @@ impl ScanEngine {
         I: Sync,
         S: Send,
         MW: Fn(usize) -> W + Sync,
-        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> TaskResult<O> + Sync,
+        T: Fn(&C, &mut W, &mut ShardScope, usize, &I) -> O + Sync,
         F: Fn(W, &mut ShardScope, Vec<O>) -> S + Sync,
     {
         let mut selected: Vec<usize> =
@@ -235,9 +224,7 @@ impl ScanEngine {
             .map(|g| g.granted())
             .unwrap_or_else(|| self.config.workers.max(1));
         let workers = budget.min(selected.len().max(1));
-        let limiter = self.config.rate.map(TokenBucket::new);
         let seeds = SeedSeq::new(self.config.seed).child("engine");
-        let max_attempts = self.config.retry.max_attempts.max(1);
         let queue = ShardQueue::new(&selected);
         let slots: SlotVec<(S, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
         let started = Instant::now();
@@ -258,31 +245,11 @@ impl ScanEngine {
             let mut stats = ShardStats {
                 shard: shard_idx,
                 items: range.len() as u64,
+                attempts: range.len() as u64,
                 ..ShardStats::default()
             };
             for rank in range {
-                let mut attempt = 1u32;
-                loop {
-                    if let Some(bucket) = &limiter {
-                        bucket.acquire();
-                    }
-                    stats.attempts += 1;
-                    match task(ctx, &mut worker, &mut scope, rank, &items[rank]) {
-                        TaskResult::Done(output) => {
-                            outputs.push(output);
-                            break;
-                        }
-                        TaskResult::Retry(fallback) => {
-                            if attempt >= max_attempts {
-                                stats.exhausted += 1;
-                                outputs.push(fallback);
-                                break;
-                            }
-                            stats.retries += 1;
-                            attempt += 1;
-                        }
-                    }
-                }
+                outputs.push(task(ctx, &mut worker, &mut scope, rank, &items[rank]));
             }
             let product = finish(worker, &mut scope, outputs);
             stats.queries = scope.queries;
@@ -332,7 +299,6 @@ impl ScanEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RetryPolicy;
     use rand::Rng;
 
     fn engine(workers: usize, shard_size: usize) -> ScanEngine {
@@ -340,7 +306,6 @@ mod tests {
             workers,
             shard_size,
             seed: 42,
-            ..EngineConfig::default()
         })
     }
 
@@ -356,7 +321,7 @@ mod tests {
             |_| (),
             |_, _, _, rank, item| {
                 assert_eq!(rank, *item);
-                TaskResult::Done(item * 2)
+                item * 2
             },
             |_, _, outputs| outputs,
         );
@@ -364,6 +329,8 @@ mod tests {
         assert_eq!(sweep.outputs.concat(), expected);
         assert_eq!(sweep.stats.items(), 1000);
         assert_eq!(sweep.stats.attempts(), 1000);
+        assert_eq!(sweep.stats.retries(), 0);
+        assert_eq!(sweep.stats.exhausted(), 0);
     }
 
     #[test]
@@ -381,7 +348,7 @@ mod tests {
                     *acc += 1;
                     scope.add_queries(2);
                     let noise: u64 = scope.rng().gen_range(0..1000);
-                    TaskResult::Done(item.wrapping_mul(31) ^ noise ^ *acc)
+                    item.wrapping_mul(31) ^ noise ^ *acc
                 },
                 |_, _, outputs| outputs,
             )
@@ -391,67 +358,6 @@ mod tests {
         assert_eq!(one.outputs, eight.outputs);
         assert_eq!(one.stats.shards, eight.stats.shards);
         assert_eq!(one.stats.queries(), 777 * 2);
-    }
-
-    #[test]
-    fn retry_reruns_until_done() {
-        let items = [0u32; 10];
-        let eng = ScanEngine::new(EngineConfig {
-            workers: 2,
-            shard_size: 4,
-            retry: RetryPolicy::attempts(3),
-            seed: 1,
-            ..EngineConfig::default()
-        });
-        let sweep = eng.sweep(
-            &(),
-            &items,
-            &eng.shard_plan(items.len()),
-            None,
-            |_| 0u32, // attempts seen by this shard's worker
-            |_, seen, _, _, _| {
-                *seen += 1;
-                // Every item succeeds on its second attempt.
-                if *seen % 2 == 0 {
-                    TaskResult::Done(true)
-                } else {
-                    TaskResult::Retry(false)
-                }
-            },
-            |_, _, outputs| outputs,
-        );
-        assert!(sweep.outputs.iter().flatten().all(|&done| done));
-        assert_eq!(sweep.stats.attempts(), 20);
-        assert_eq!(sweep.stats.retries(), 10);
-        assert_eq!(sweep.stats.exhausted(), 0);
-    }
-
-    #[test]
-    fn exhausted_items_keep_their_fallback() {
-        let items = [(); 5];
-        let eng = ScanEngine::new(EngineConfig {
-            workers: 1,
-            shard_size: 2,
-            retry: RetryPolicy::attempts(3),
-            seed: 1,
-            ..EngineConfig::default()
-        });
-        let sweep = eng.sweep(
-            &(),
-            &items,
-            &eng.shard_plan(items.len()),
-            None,
-            |_| (),
-            |_, _, _, rank, _| TaskResult::<&str>::Retry(if rank == 3 { "boom" } else { "miss" }),
-            |_, _, outputs| outputs,
-        );
-        assert_eq!(
-            sweep.outputs.concat(),
-            ["miss", "miss", "miss", "boom", "miss"]
-        );
-        assert_eq!(sweep.stats.attempts(), 15);
-        assert_eq!(sweep.stats.retries(), 10);
-        assert_eq!(sweep.stats.exhausted(), 5);
     }
 
     #[test]
@@ -465,7 +371,7 @@ mod tests {
                 &eng.shard_plan(items.len()),
                 None,
                 |_| (),
-                |_, _, scope, _, _| TaskResult::Done(scope.rng().gen_range(0u64..u64::MAX)),
+                |_, _, scope, _, _| scope.rng().gen_range(0u64..u64::MAX),
                 |_, _, outputs| outputs,
             )
             .outputs
@@ -489,10 +395,7 @@ mod tests {
                 &eng.shard_plan(items.len()),
                 None,
                 |_| 0u64, // worker: per-shard accumulated "queries"
-                |_, acc, _, _, item| {
-                    *acc += item % 3;
-                    TaskResult::Done(())
-                },
+                |_, acc, _, _, item| *acc += item % 3,
                 |acc, scope, _| {
                     scope.metrics().add("transport.sent", acc);
                     scope.metrics().observe_with("shard.load", &[10, 100], acc);
@@ -518,7 +421,7 @@ mod tests {
             *acc += 1;
             scope.add_queries(1);
             let noise: u64 = scope.rng().gen_range(0..1000);
-            TaskResult::Done((rank, item.wrapping_mul(7) ^ noise ^ *acc))
+            (rank, item.wrapping_mul(7) ^ noise ^ *acc)
         };
         let eng = engine(4, 32);
         let plan = eng.shard_plan(items.len());
@@ -560,7 +463,7 @@ mod tests {
     fn selecting_every_shard_matches_a_full_sweep() {
         let items: Vec<u64> = (0..100).collect();
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
-            TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 20))
+            item ^ scope.rng().gen_range(0u64..1 << 20)
         };
         let eng = engine(2, 16);
         let plan = eng.shard_plan(items.len());
@@ -582,7 +485,7 @@ mod tests {
             &eng.shard_plan(items.len()),
             Some(&[]),
             |_| (),
-            |_, _, _, _, _| TaskResult::Done(0u64),
+            |_, _, _, _, _| 0u64,
             |_, _, outputs| outputs,
         );
         assert!(sweep.outputs.is_empty());
@@ -600,7 +503,7 @@ mod tests {
             &eng.shard_plan(items.len()),
             Some(&[1, 4]),
             |_| (),
-            |_, _, _, _, _| TaskResult::Done(0u64),
+            |_, _, _, _, _| 0u64,
             |_, _, outputs| outputs,
         );
     }
@@ -615,7 +518,7 @@ mod tests {
             &eng.shard_plan(items.len()),
             None,
             |_| (),
-            |_, _, _, _, _| TaskResult::Done(0),
+            |_, _, _, _, _| 0,
             |_, _, outputs| outputs,
         );
         assert!(sweep.outputs.is_empty());
@@ -630,10 +533,9 @@ mod tests {
             workers: 4,
             shard_size: 32,
             seed: 5,
-            ..EngineConfig::default()
         };
         let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
-            TaskResult::Done(item ^ scope.rng().gen_range(0u64..1 << 16))
+            item ^ scope.rng().gen_range(0u64..1 << 16)
         };
         let keep = |(), _: &mut ShardScope, outputs: Vec<u64>| outputs;
         let run = |eng: ScanEngine| {
@@ -662,7 +564,7 @@ mod tests {
             |_| (),
             |_, (), scope, _, &shard| {
                 assert_eq!(scope.shard(), shard);
-                TaskResult::Done((shard, scope.rng().gen_range(0u64..1 << 32)))
+                (shard, scope.rng().gen_range(0u64..1 << 32))
             },
             |(), _, outputs| outputs,
         )
@@ -706,7 +608,7 @@ mod tests {
             |_| 0u32,
             |_, seen, _, _, _| {
                 *seen += 1;
-                TaskResult::Done(*seen)
+                *seen
             },
             |_, _, outputs| outputs,
         );

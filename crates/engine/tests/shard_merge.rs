@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use remnant_engine::{plan_shards, EngineConfig, RetryPolicy, ScanEngine, TaskResult};
+use remnant_engine::{plan_shards, EngineConfig, ScanEngine};
 
 const DEPTH_BOUNDS: &[u64] = &[1, 2, 4];
 
@@ -32,7 +32,6 @@ proptest! {
             workers,
             shard_size,
             seed,
-            ..EngineConfig::default()
         });
         let sweep = engine.sweep(
             &(),
@@ -40,7 +39,7 @@ proptest! {
             &engine.shard_plan(items.len()),
             None,
             |_| (),
-            |_, _, _, rank, item| TaskResult::Done((rank, *item)),
+            |_, _, _, rank, item| (rank, *item),
             |_, _, outputs| outputs,
         );
         let expected: Vec<(usize, u64)> =
@@ -60,9 +59,7 @@ proptest! {
             let engine = ScanEngine::new(EngineConfig {
                 workers,
                 shard_size,
-                retry: RetryPolicy::attempts(2),
                 seed,
-                ..EngineConfig::default()
             });
             engine.sweep(
                 &(),
@@ -75,10 +72,10 @@ proptest! {
                     scope.add_queries(1);
                     let roll: u64 = scope.rng().gen_range(0..4);
                     if roll == 0 {
-                        // Retryable miss; fallback still deterministic.
-                        TaskResult::Retry(rank as u64 ^ *acc)
+                        // A miss records its own deterministic row.
+                        rank as u64 ^ *acc
                     } else {
-                        TaskResult::Done(item.wrapping_mul(roll) ^ *acc)
+                        item.wrapping_mul(roll) ^ *acc
                     }
                 },
                 |_, _, outputs| outputs,
@@ -102,7 +99,6 @@ proptest! {
                 workers,
                 shard_size,
                 seed,
-                ..EngineConfig::default()
             });
             engine.sweep(
                 &(),
@@ -115,7 +111,7 @@ proptest! {
                     let parity = if item % 2 == 0 { "even" } else { "odd" };
                     scope.metrics().inc_labeled("test.items", &[("parity", parity)]);
                     scope.metrics().observe_with("test.depth", DEPTH_BOUNDS, item % 6);
-                    TaskResult::Done(*item)
+                    *item
                 },
                 // The finish hook runs once per shard, like the resolver
                 // telemetry export on the collection path.

@@ -16,7 +16,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remnant_engine::{plan_shards, EngineConfig, ScanEngine, TaskResult};
+use remnant_engine::{plan_shards, EngineConfig, ScanEngine};
 use remnant_sim::SeedSeq;
 
 /// What the engine's task computes per item: a mix of the item, the
@@ -67,7 +67,7 @@ fn claiming_run(items: &[u64], config: &EngineConfig, skews_us: &[u16]) -> (Vec<
                 }
             }
             let noise: u64 = scope.rng().gen_range(0..1 << 24);
-            TaskResult::Done(mix(*item, noise, *acc))
+            mix(*item, noise, *acc)
         },
         |_, _, outputs| outputs,
     );
@@ -94,7 +94,6 @@ proptest! {
             workers,
             shard_size,
             seed,
-            ..EngineConfig::default()
         };
         let (expected, expected_queries) = static_plan_reference(&items, &config);
         let (got, got_queries) = claiming_run(&items, &config, &skews_us);
@@ -113,7 +112,6 @@ fn extreme_straggler_does_not_reorder_the_merge() {
         workers: 4,
         shard_size: 16,
         seed: 99,
-        ..EngineConfig::default()
     };
     let (expected, _) = static_plan_reference(&items, &config);
     // Shard 0 is the straggler; everyone else is instant.

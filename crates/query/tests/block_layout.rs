@@ -25,7 +25,6 @@ fn spilled_block_size_follows_the_shard_plan() {
         workers: 2,
         shard_size: 32,
         seed: 23,
-        ..EngineConfig::default()
     });
     let dir = std::env::temp_dir().join(format!("remnant-block-layout-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -13,7 +13,7 @@ use remnant::dns::{
     CountingTransport, DnsError, DnsTransport, DomainName, Query, RecordData, RecordType,
     RecursiveResolver, Registry, ResourceRecord, Response, Ttl, Zone, ZoneServer,
 };
-use remnant::engine::{EngineConfig, ScanEngine, TaskResult};
+use remnant::engine::{EngineConfig, ScanEngine};
 use remnant::net::Region;
 use remnant::provider::{ProviderId, ReroutingMethod, ServicePlan};
 use remnant::sim::SimClock;
@@ -149,7 +149,6 @@ fn failing_static_transport_sweeps_like_a_sequential_resolver() {
             workers,
             shard_size: 5,
             seed: 4,
-            ..EngineConfig::default()
         });
         let answers: Vec<Answer> = engine
             .sweep(
@@ -159,7 +158,7 @@ fn failing_static_transport_sweeps_like_a_sequential_resolver() {
                 None,
                 |_shard| RecursiveResolver::new(clock.clone(), Region::Oregon),
                 |transport, resolver, _scope, _rank, name| {
-                    TaskResult::Done(resolver.resolve_addresses(transport, name))
+                    resolver.resolve_addresses(transport, name)
                 },
                 |_resolver, _scope, answers| answers,
             )
