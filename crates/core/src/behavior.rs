@@ -8,7 +8,7 @@ use remnant_provider::ProviderId;
 use remnant_world::BehaviorKind;
 
 use crate::adoption::{Adoption, DpsStatus};
-use crate::matchers::ProviderMatcher;
+use crate::matchers::{Fingerprint, NameVerdict, ProviderMatcher};
 use crate::snapshot::DnsSnapshot;
 
 /// One behavior inferred from two consecutive observations of a site.
@@ -49,8 +49,7 @@ impl BehaviorDetector {
 
     /// The process-wide detector over the standard catalog, which every
     /// [`DerivedColumn`](crate::classify::DerivedColumn) is derived with.
-    /// Detectors over the standard catalog are interchangeable; sharing
-    /// one shares its matcher memo.
+    /// Detectors over the standard catalog are interchangeable.
     pub(crate) fn standard() -> &'static BehaviorDetector {
         static STANDARD: OnceLock<BehaviorDetector> = OnceLock::new();
         STANDARD.get_or_init(BehaviorDetector::new)
@@ -116,15 +115,20 @@ impl BehaviorDetector {
     }
 }
 
+/// The substring whose presence in a CNAME's labels marks a multi-CDN
+/// front-end (a Cedexis balancer token).
+pub(crate) const MULTI_CDN_CNAME_FINGERPRINT: &str = "cedexis";
+
 /// True if a site's collected records show a multi-CDN front-end
-/// (Cedexis-style). The paper excludes such sites from behavior
+/// (Cedexis-style): a CNAME whose labels contain `cedexis`, read from
+/// each name's verdict word. The paper excludes such sites from behavior
 /// identification because the balancer's dynamic CDN selection makes
 /// usage behaviors unidentifiable (Sec IV-B.3); the shared snapshot fold
 /// applies this filter column-wise.
 pub fn is_multi_cdn_view(site: crate::snapshot::SiteView<'_>) -> bool {
     site.cnames
         .iter()
-        .any(|c| c.contains_label_substring("cedexis"))
+        .any(|c| NameVerdict::of(c).has(Fingerprint::MultiCdn))
 }
 
 /// The Table IV transition rules.

@@ -14,11 +14,12 @@
 //! 2. **Sweep** the selected shards through the engine, each on a fresh
 //!    cache-cold resolver. In memory they run as one batch; spilled, in
 //!    batches of at most `resident_shards`, so a round's resident working
-//!    set is the batch, never the population. Each shard's finish step,
-//!    on the worker that resolved it, packs the shard's sites into its
-//!    [`RecordBlock`] and derives the block's [`DerivedColumn`]
-//!    (adoption classes, multi-CDN sites, residual harvest candidates)
-//!    once — one engine pass per batch.
+//!    set is the batch, never the population. A shard's worker is its
+//!    resolver and its [`RecordBlock`]: each site's lookups append the
+//!    site's row to the block directly. The shard's finish step, on the
+//!    worker that resolved it, takes the block and derives its
+//!    [`DerivedColumn`] (adoption classes, multi-CDN sites, residual
+//!    harvest candidates) once — one engine pass per batch.
 //! 3. **Sink** each finished block: it is kept resident behind an `Arc`
 //!    or appended with its column to the round's spill file
 //!    (`full-r<round>.rsnb` / `delta-r<round>.rsnb`) and dropped.
@@ -46,7 +47,7 @@ use remnant_net::Region;
 use remnant_sim::{SeedSeq, SimClock};
 
 use crate::classify::DerivedColumn;
-use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock, SiteRecords};
+use crate::snapshot::{BlockSource, DnsSnapshot, RecordBlock};
 use crate::spill::{SpillConfig, SpillError, SpillMeta, SpillWriter};
 
 /// A collection target: `(apex, www host)`.
@@ -101,8 +102,8 @@ impl RecordCollector {
     /// as cold as a purged cache, so the round is independent of the
     /// previous one.
     ///
-    /// Per-site failures (timeouts, NXDOMAIN) are recorded as empty
-    /// [`SiteRecords`] — one dead site must not abort a million-site sweep.
+    /// Per-site failures (timeouts, NXDOMAIN) are recorded as empty rows
+    /// — one dead site must not abort a million-site sweep.
     pub fn collect<T: DnsTransport + Sync>(
         &mut self,
         transport: &T,
@@ -471,13 +472,17 @@ impl Collector {
                 targets,
                 &plan,
                 Some(batch),
-                |_shard| RecursiveResolver::new(clock.clone(), region),
+                |shard| {
+                    (
+                        RecursiveResolver::new(clock.clone(), region),
+                        RecordBlock::with_sites(plan[shard].len()),
+                    )
+                },
                 site_task,
-                |resolver, scope, sites| {
+                |(resolver, block), scope, _| {
                     export_resolver(&resolver, scope);
                     // Each fresh block's derived column is computed once,
                     // here, and travels with the block from now on.
-                    let block = RecordBlock::from_sites(sites);
                     let column = Arc::new(DerivedColumn::derive(&block));
                     (block, column)
                 },
@@ -580,25 +585,24 @@ fn in_memory<R>(round: Result<R, SpillError>) -> R {
 }
 
 /// The engine task of every collection round: A + CNAME chain for the
-/// www host, NS for the apex.
+/// www host, NS for the apex, appended as the site's row of the shard's
+/// block. A failed lookup leaves its columns of the row empty.
 fn site_task<T: DnsTransport + ?Sized>(
     transport: &T,
-    resolver: &mut RecursiveResolver,
+    (resolver, block): &mut (RecursiveResolver, RecordBlock),
     scope: &mut ShardScope,
     _rank: usize,
     (apex, www): &Target,
-) -> SiteRecords {
+) {
     let counting = CountingTransport::new(transport);
-    let mut records = SiteRecords::default();
-    if let Ok(res) = resolver.resolve(&counting, www, RecordType::A) {
-        records.a = res.addresses();
-        records.cnames = res.cnames();
-    }
-    if let Ok(res) = resolver.resolve(&counting, apex, RecordType::Ns) {
-        records.ns = res.ns_hosts();
-    }
+    let host = resolver.resolve(&counting, www, RecordType::A).ok();
+    let zone = resolver.resolve(&counting, apex, RecordType::Ns).ok();
+    block.push_site(
+        host.iter().flat_map(|res| res.iter_addresses()),
+        host.iter().flat_map(|res| res.iter_cnames()).cloned(),
+        zone.iter().flat_map(|res| res.iter_ns_hosts()).cloned(),
+    );
     scope.add_queries(counting.query_stats().sent);
-    records
 }
 
 /// Exports a DNS shard's resolver telemetry once, in the sweep's finish
@@ -628,6 +632,7 @@ fn create_round_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SiteRecords;
     use remnant_world::{World, WorldConfig};
 
     fn tiny_world() -> World {
@@ -912,6 +917,166 @@ mod tests {
         assert_eq!(round.reused, 0, "changed target list resolves everything");
         assert_eq!(round.reresolved, 100);
         assert_eq!(snap.len(), 100);
+    }
+
+    /// The collect task before rows were appended in place: each site's
+    /// records as an owned [`SiteRecords`], packed by
+    /// [`RecordBlock::from_sites`] at the shard's end. Kept as the oracle
+    /// for [`site_task`].
+    fn oracle_site_task<T: DnsTransport + ?Sized>(
+        transport: &T,
+        resolver: &mut RecursiveResolver,
+        scope: &mut ShardScope,
+        _rank: usize,
+        (apex, www): &Target,
+    ) -> SiteRecords {
+        let counting = CountingTransport::new(transport);
+        let mut records = SiteRecords::default();
+        if let Ok(res) = resolver.resolve(&counting, www, RecordType::A) {
+            records.a = res.addresses();
+            records.cnames = res.cnames();
+        }
+        if let Ok(res) = resolver.resolve(&counting, apex, RecordType::Ns) {
+            records.ns = res.ns_hosts();
+        }
+        scope.add_queries(counting.query_stats().sent);
+        records
+    }
+
+    /// A world transport on which some nameservers never answer.
+    struct Unreachable<'a> {
+        world: &'a World,
+        dead: Vec<std::net::Ipv4Addr>,
+    }
+
+    impl DnsTransport for Unreachable<'_> {
+        fn query(
+            &self,
+            now: remnant_sim::SimTime,
+            server: std::net::Ipv4Addr,
+            region: Region,
+            query: &remnant_dns::Query,
+        ) -> Option<remnant_dns::Response> {
+            if self.dead.contains(&server) {
+                return None;
+            }
+            self.world.query(now, server, region, query)
+        }
+    }
+
+    #[test]
+    fn appended_blocks_match_the_site_records_oracle() {
+        use remnant_engine::EngineConfig;
+
+        let mut calibration = remnant_world::Calibration::paper();
+        calibration.multi_cdn_fraction = 0.1;
+        let mut world = World::generate(WorldConfig {
+            population: 500,
+            seed: 9,
+            warmup_days: 0,
+            calibration,
+        });
+        // Long enough for churn to take sites dark.
+        world.step_days(120);
+        let mut targets = targets(&world);
+        let ghost: DomainName = "ghost-oracle.org".parse().unwrap();
+        targets.push((ghost.clone(), ghost.prepend("www").unwrap()));
+        assert!(
+            world
+                .sites()
+                .iter()
+                .any(|s| s.state == remnant_world::SiteState::Dark),
+            "the world has dark sites"
+        );
+
+        // Every nameserver of one self-hosted site's zone is unreachable,
+        // so the `www` lookups of every site hosted there fail (their NS
+        // sets still come from the TLD's referral).
+        let hosted = world
+            .sites()
+            .iter()
+            .find(|s| s.state == remnant_world::SiteState::SelfHosted && s.multi_cdn.is_none())
+            .expect("a self-hosted site");
+        let mut resolver = RecursiveResolver::new(world.clock(), Region::Ashburn);
+        let ns = resolver
+            .resolve(&world, &hosted.apex, RecordType::Ns)
+            .expect("the zone resolves")
+            .ns_hosts();
+        let dead = ns
+            .iter()
+            .flat_map(|host| {
+                resolver
+                    .resolve(&world, host, RecordType::A)
+                    .expect("nameserver address")
+                    .addresses()
+            })
+            .collect();
+        let transport = Unreachable {
+            world: &world,
+            dead,
+        };
+        let reachable_failed = RecordCollector::new(world.clock(), Region::Ashburn)
+            .collect(&world, &targets, 0)
+            .to_site_records()
+            .iter()
+            .filter(|r| r.a.is_empty())
+            .count();
+
+        for workers in [1, 4] {
+            let engine = ScanEngine::new(EngineConfig {
+                workers,
+                shard_size: 32,
+                seed: 3,
+            });
+            let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
+            let (snapshot, stats) = collector.collect_with(&engine, &transport, &targets, 0);
+
+            let plan = engine.shard_plan(targets.len());
+            let oracle = engine.sweep(
+                &transport,
+                &targets,
+                &plan,
+                None,
+                |_shard| RecursiveResolver::new(world.clock(), Region::Ashburn),
+                oracle_site_task,
+                |resolver, scope, sites| {
+                    export_resolver(&resolver, scope);
+                    RecordBlock::from_sites(sites)
+                },
+            );
+            let blocks: Vec<Arc<RecordBlock>> = snapshot.blocks().map(|b| b.block).collect();
+            assert_eq!(blocks.len(), oracle.outputs.len());
+            for (i, (block, expected)) in blocks.iter().zip(&oracle.outputs).enumerate() {
+                assert_eq!(**block, *expected, "workers {workers} block {i}");
+            }
+            for (i, (column, expected)) in
+                snapshot.derived_columns().zip(&oracle.outputs).enumerate()
+            {
+                assert_eq!(
+                    *column,
+                    DerivedColumn::derive(expected),
+                    "workers {workers} column {i}"
+                );
+            }
+            assert_eq!(stats.shards, oracle.stats.shards, "workers {workers}");
+
+            // The world exercised what the oracle must agree on.
+            let rows: Vec<SiteRecords> = blocks
+                .iter()
+                .flat_map(|b| b.sites().map(|s| s.to_records()).collect::<Vec<_>>())
+                .collect();
+            assert!(rows.last().is_some_and(SiteRecords::is_empty), "the ghost");
+            let failed = rows.iter().filter(|r| r.a.is_empty()).count();
+            assert!(
+                failed > reachable_failed,
+                "lookups through the unreachable nameservers fail: {failed} vs {reachable_failed}"
+            );
+            assert!(rows.iter().any(|r| !r.cnames.is_empty()), "CNAME chains");
+            assert!(
+                snapshot.derived_columns().any(|c| !c.multi_cdn.is_empty()),
+                "multi-CDN sites"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
 
 use crate::collector::Target;
+use crate::matchers::LabelNeedle;
 use crate::residual::CLOUDFLARE_NS_FINGERPRINT;
 use crate::snapshot::{DnsSnapshot, RecordBlock};
 use crate::vantage::VantagePoints;
@@ -20,13 +21,15 @@ use crate::vantage::VantagePoints;
 /// kept. This is the record walk behind both
 /// [`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns)
 /// and a [`CloudflareScanner`] built with another substring.
+/// A standard fingerprint is read from each name's verdict word.
 pub fn fleet_candidates(block: &RecordBlock, ns_substring: &str) -> Vec<(u32, DomainName)> {
+    let needle = LabelNeedle::new(ns_substring);
     let mut candidates = Vec::new();
     for (i, site) in block.sites().enumerate() {
         candidates.extend(
             site.ns
                 .iter()
-                .filter(|host| host.contains_label_substring(ns_substring))
+                .filter(|host| needle.matches(host))
                 .map(|host| (i as u32, host.clone())),
         );
     }

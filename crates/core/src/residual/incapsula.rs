@@ -11,6 +11,7 @@ use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
 
 use crate::collector::export_resolver;
+use crate::matchers::LabelNeedle;
 use crate::residual::INCAPSULA_CNAME_FINGERPRINT;
 use crate::snapshot::{DnsSnapshot, RecordBlock};
 
@@ -19,14 +20,16 @@ use crate::snapshot::{DnsSnapshot, RecordBlock};
 /// behind both
 /// [`DerivedColumn::incap_tokens`](crate::classify::DerivedColumn::incap_tokens)
 /// and an [`IncapsulaScanner`] built with another substring.
+/// A standard fingerprint is read from each name's verdict word.
 pub fn token_candidates(block: &RecordBlock, cname_substring: &str) -> Vec<(u32, DomainName)> {
+    let needle = LabelNeedle::new(cname_substring);
     block
         .sites()
         .enumerate()
         .filter_map(|(i, site)| {
             site.cnames
                 .iter()
-                .find(|cname| cname.contains_label_substring(cname_substring))
+                .find(|cname| needle.matches(cname))
                 .map(|token| (i as u32, token.clone()))
         })
         .collect()

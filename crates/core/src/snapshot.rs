@@ -103,19 +103,39 @@ pub struct RecordBlock {
 impl RecordBlock {
     /// Packs owned per-site records into one columnar block.
     pub fn from_sites<I: IntoIterator<Item = SiteRecords>>(sites: I) -> Self {
-        let mut block = RecordBlock {
-            ends: Vec::new(),
+        let mut block = RecordBlock::with_sites(0);
+        for site in sites {
+            block.push_site(site.a, site.cnames, site.ns);
+        }
+        block
+    }
+
+    /// An empty block with room for `sites` rows' offsets.
+    pub(crate) fn with_sites(sites: usize) -> Self {
+        RecordBlock {
+            ends: Vec::with_capacity(sites),
             a: Vec::new(),
             cnames: Vec::new(),
             ns: Vec::new(),
-        };
-        for site in sites {
-            block.a.extend_from_slice(&site.a);
-            block.cnames.extend(site.cnames);
-            block.ns.extend(site.ns);
-            block.push_ends();
         }
-        block
+    }
+
+    /// Appends one site's row. The collector appends each resolved site
+    /// straight from its lookups, with no per-site [`SiteRecords`].
+    pub(crate) fn push_site(
+        &mut self,
+        a: impl IntoIterator<Item = Ipv4Addr>,
+        cnames: impl IntoIterator<Item = DomainName>,
+        ns: impl IntoIterator<Item = DomainName>,
+    ) {
+        self.a.extend(a);
+        self.cnames.extend(cnames);
+        self.ns.extend(ns);
+        self.ends.push([
+            self.a.len() as u32,
+            self.cnames.len() as u32,
+            self.ns.len() as u32,
+        ]);
     }
 
     /// Builds a block from pre-assembled columns; `ends` must be
@@ -133,14 +153,6 @@ impl RecordBlock {
             cnames,
             ns,
         }
-    }
-
-    fn push_ends(&mut self) {
-        self.ends.push([
-            self.a.len() as u32,
-            self.cnames.len() as u32,
-            self.ns.len() as u32,
-        ]);
     }
 
     /// Number of sites in the block.

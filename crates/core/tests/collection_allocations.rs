@@ -2,11 +2,13 @@
 //!
 //! Each site-round resolves the `www` host's A records and the apex's NS
 //! records: a root referral, a hosting or provider answer, and the apex NS
-//! answer. The record sets the resolver keeps (answers, referral glue,
-//! the site's `SiteRecords` columns) have to be allocated; building a
-//! `Vec` and then copying it into a shared set, re-grouping glue through
-//! a map, or copying a cached set into a fresh result does not. This test
-//! pins the budget so those copies do not creep back.
+//! answer. The record sets the resolver keeps (answers, referral glue)
+//! have to be allocated, and so does the growth of the shard block's
+//! columns, which each site's row is appended to. Building a `Vec` and
+//! then copying it into a shared set, re-grouping glue through a map,
+//! copying a cached set into a fresh result, or building per-site record
+//! `Vec`s before copying them into the block does not. This test pins the
+//! budget so those copies do not creep back.
 //!
 //! The counting allocator sees the whole process, so this file holds
 //! exactly one test: no other test may allocate concurrently in this
@@ -21,7 +23,7 @@ use remnant_net::Region;
 use remnant_world::{World, WorldConfig};
 
 /// Allocations (fresh or grown) allowed per collected site-round.
-const BUDGET_PER_SITE_ROUND: f64 = 6.0;
+const BUDGET_PER_SITE_ROUND: f64 = 3.5;
 
 /// Counts every allocation and reallocation, then defers to the system.
 struct Counting;

@@ -26,12 +26,18 @@
 //! [`WordHasher`](remnant_net::hash::WordHasher), which mixes the
 //! precomputed content hash with one multiply instead of running SipHash
 //! over it.
+//!
+//! Each payload also carries one verdict word: the answer of a pure
+//! classifier over the name, computed on first use by
+//! [`DomainName::verdict`] and read back with one atomic load after that.
+//! Because the payload lives for the whole process, so does the verdict.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{LazyLock, RwLock};
 
 use crate::error::DnsError;
@@ -52,7 +58,14 @@ struct NameInner {
     /// The name with its leftmost label removed, interned before this
     /// name; `None` at a TLD.
     parent: Option<&'static NameInner>,
+    /// The classifier's verdict with [`VERDICT_COMPUTED`] set, or 0 while
+    /// it has not been computed (see [`DomainName::verdict`]).
+    verdict: AtomicU32,
 }
+
+/// Set in a stored verdict word, so a computed verdict of 0 is told apart
+/// from "not yet computed". Classifiers leave this bit clear.
+const VERDICT_COMPUTED: u32 = 1 << 31;
 
 /// FNV-1a over the normalized name bytes. Any stable content hash works;
 /// FNV keeps shard selection and `Hash` independent of std's per-process
@@ -141,6 +154,7 @@ impl Interner {
             label_starts,
             hash,
             parent,
+            verdict: AtomicU32::new(0),
         }));
         guard.insert(InternEntry(inner));
         inner
@@ -343,6 +357,46 @@ impl DomainName {
             needle
         };
         self.labels().any(|l| l.contains(needle))
+    }
+
+    /// The name's verdict under `classify`, computed on the first call
+    /// and read from the name's payload on every later one.
+    ///
+    /// Each name stores one verdict word, so a process uses one
+    /// classifier: every caller must pass the same pure function of the
+    /// name. Threads that race on a fresh name both compute it and store
+    /// the same word, so a plain relaxed load and store suffice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classify` returns a word with bit 31 set; that bit
+    /// marks a stored verdict as computed.
+    ///
+    /// ```
+    /// use remnant_dns::DomainName;
+    /// fn labels(name: &DomainName) -> u32 {
+    ///     name.label_count() as u32
+    /// }
+    /// let ns: DomainName = "verdict-doc.ns.example.com".parse()?;
+    /// assert_eq!(ns.verdict(labels), 4);
+    /// assert_eq!(ns.verdict(labels), 4);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn verdict(&self, classify: fn(&DomainName) -> u32) -> u32 {
+        let stored = self.0.verdict.load(Ordering::Relaxed);
+        if stored & VERDICT_COMPUTED != 0 {
+            return stored & !VERDICT_COMPUTED;
+        }
+        let verdict = classify(self);
+        assert_eq!(
+            verdict & VERDICT_COMPUTED,
+            0,
+            "a verdict leaves bit 31 clear"
+        );
+        self.0
+            .verdict
+            .store(verdict | VERDICT_COMPUTED, Ordering::Relaxed);
+        verdict
     }
 }
 
@@ -561,6 +615,31 @@ mod tests {
     // A handle is one pointer and dropping it does nothing.
     const _: () = assert!(std::mem::size_of::<DomainName>() == std::mem::size_of::<usize>());
     const _: () = assert!(!std::mem::needs_drop::<DomainName>());
+    // The verdict word grows the payload from 48 to 56 bytes; both sizes
+    // take one 64-byte allocator chunk.
+    #[cfg(target_pointer_width = "64")]
+    const _: () = assert!(std::mem::size_of::<NameInner>() == 56);
+
+    #[test]
+    fn verdict_is_computed_once_and_zero_is_a_verdict() {
+        use std::sync::atomic::AtomicUsize;
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn zero(_: &DomainName) -> u32 {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            0
+        }
+        let n = name("verdict-zero.example.com");
+        assert_eq!(n.verdict(zero), 0);
+        assert_eq!(n.verdict(zero), 0);
+        assert_eq!(name("VERDICT-ZERO.example.com").verdict(zero), 0);
+        assert_eq!(CALLS.load(Ordering::Relaxed), 1, "one computation per name");
+    }
+
+    #[test]
+    #[should_panic(expected = "bit 31")]
+    fn verdict_rejects_the_computed_bit() {
+        name("verdict-high-bit.example.com").verdict(|_| VERDICT_COMPUTED);
+    }
 
     #[test]
     fn hash_is_content_based() {
