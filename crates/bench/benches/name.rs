@@ -1,6 +1,6 @@
 //! Domain-name and resolver-cache microbenchmarks — the allocation-
-//! sensitive primitives underneath every sweep: parsing (interning),
-//! cloning (a pointer copy), equality (pointer identity), hashing (one
+//! sensitive primitives underneath every sweep: parsing (an interned
+//! hit, and the validated miss path of an upper-case spelling), cloning (a pointer copy), equality (pointer identity), hashing (one
 //! precomputed word), suffix/apex derivation (parent-link walks), and the
 //! cache-hit loop that dominates repeat resolution.
 
@@ -31,6 +31,18 @@ fn bench_name_ops(c: &mut Criterion) {
     group.bench_function("parse_interned", |b| {
         b.iter(|| {
             for s in &raw {
+                black_box(DomainName::parse(s).expect("valid"));
+            }
+        });
+    });
+
+    // The validated miss path: upper-case spellings of names interned
+    // above miss the hit-first probe, validate, lowercase and hit, so the
+    // table does not grow.
+    let upper: Vec<String> = raw.iter().map(|s| s.to_ascii_uppercase()).collect();
+    group.bench_function("parse_mixed_case", |b| {
+        b.iter(|| {
+            for s in &upper {
                 black_box(DomainName::parse(s).expect("valid"));
             }
         });

@@ -53,7 +53,7 @@
 //! count the bytes present cannot back. A file of another version is
 //! rejected with [`SpillError::UnsupportedVersion`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -62,6 +62,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use remnant_dns::DomainName;
+use remnant_net::hash::WordMap;
 use remnant_sim::SimTime;
 
 use crate::adoption::PackedAdoption;
@@ -265,7 +266,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 #[derive(Default)]
 struct NameTable<'b> {
     names: Vec<&'b DomainName>,
-    ids: HashMap<&'b DomainName, u32>,
+    ids: WordMap<&'b DomainName, u32>,
 }
 
 impl<'b> NameTable<'b> {

@@ -7,9 +7,8 @@
 //! is what keeps stale NS records alive after a provider switch.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-use remnant_net::hash::BuildWordHasher;
+use remnant_net::hash::WordMap;
 use remnant_sim::SimTime;
 
 use crate::message::Rcode;
@@ -35,7 +34,7 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 
 /// A (name, type)-keyed DNS cache with TTL expiry and full purge.
 ///
-/// Keys hash through `BuildWordHasher`: the name's precomputed content
+/// Keys hash through `WordHasher`: the name's precomputed content
 /// hash and the type fold into one word each, with no SipHash rounds.
 ///
 /// # Example
@@ -54,7 +53,7 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResolverCache {
-    entries: HashMap<(DomainName, RecordType), CacheEntry, BuildWordHasher>,
+    entries: WordMap<(DomainName, RecordType), CacheEntry>,
     hits: u64,
     misses: u64,
     expired: u64,
@@ -132,26 +131,35 @@ impl ResolverCache {
     }
 
     /// Unexpired records for `name`/`rtype`. Negative entries return `None`
-    /// here; use [`ResolverCache::get_entry`] to observe them.
+    /// here; use [`ResolverCache::lookup`] to observe them.
     ///
     /// A hit returns a handle to the shared record set; no records are
     /// copied.
     pub fn get(&mut self, now: SimTime, name: &DomainName, rtype: RecordType) -> Option<RecordSet> {
-        match self.get_entry(now, name, rtype) {
-            Some(entry) if !entry.records.is_empty() => {
-                let records = RecordSet::clone(&entry.records);
-                self.hits += 1;
-                Some(records)
-            }
-            Some(_) => {
-                self.hits += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.lookup(now, name, rtype)
+            .map(|(records, _)| records)
+            .filter(|records| !records.is_empty())
+    }
+
+    /// The unexpired entry for `name`/`rtype` as its records and response
+    /// code: a positive entry's records with [`Rcode::NoError`], or an
+    /// empty set with a negative entry's rcode. Counts like
+    /// [`ResolverCache::get`] (any unexpired entry is a hit), so a
+    /// resolver's terminal check answers both "cached records?" and
+    /// "cached negative?" in one hash probe.
+    pub fn lookup(
+        &mut self,
+        now: SimTime,
+        name: &DomainName,
+        rtype: RecordType,
+    ) -> Option<(RecordSet, Rcode)> {
+        let Some(entry) = self.get_entry(now, name, rtype) else {
+            self.misses += 1;
+            return None;
+        };
+        let found = (RecordSet::clone(&entry.records), entry.rcode);
+        self.hits += 1;
+        Some(found)
     }
 
     /// The unexpired entry (positive or negative) for `name`/`rtype`.

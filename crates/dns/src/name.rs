@@ -22,10 +22,20 @@
 //! derived hosts without building them. Only [`DomainName::parse`] and
 //! [`DomainName::prepend`] probe the table.
 //!
-//! Hot maps keyed by names (the resolver cache) hash through
-//! [`WordHasher`](remnant_net::hash::WordHasher), which mixes the
-//! precomputed content hash with one multiply instead of running SipHash
-//! over it.
+//! The table hashes each name once. Its shards key entries by the FNV-1a
+//! word the payload stores, mixed through
+//! [`WordHasher`](remnant_net::hash::WordHasher); a probe passes that
+//! word with the text, so no SipHash runs over the bytes. Parsing is
+//! hit-first: it hashes the input (less a trailing dot) and looks it up
+//! before validating anything. Every interned spelling was validated and
+//! normalized when it was interned, so an exact hit is returned as is —
+//! the common case once a world exists, and all of reading a spill
+//! file's name tables back. A miss (a new name, an upper-case spelling,
+//! invalid input) validates exactly as it always did.
+//!
+//! Hot maps keyed by names (the resolver cache, the fabric's indexes)
+//! hash through the same `WordHasher`, which mixes the precomputed
+//! content hash with one multiply.
 //!
 //! Each payload also carries one verdict word: the answer of a pure
 //! classifier over the name, computed on first use by
@@ -33,12 +43,13 @@
 //! Because the payload lives for the whole process, so does the verdict.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{LazyLock, RwLock};
+
+use remnant_net::hash::WordSet;
 
 use crate::error::DnsError;
 
@@ -90,25 +101,69 @@ fn label_starts_of(name: &str) -> Box<[u16]> {
     starts.into_boxed_slice()
 }
 
-/// Intern-table entry: hashes and borrows as the name string so lookups
-/// never allocate.
+/// What an intern-table probe matches: a name's FNV-1a word and its
+/// normalized text. Stored entries and `(hash, text)` probes are both
+/// keys, so a probe hashes one precomputed word and builds nothing.
+trait InternKey {
+    fn hash_word(&self) -> u64;
+    fn text(&self) -> &str;
+}
+
+/// Intern-table entry: hashes as its payload's precomputed FNV-1a word
+/// and borrows as an [`InternKey`], so probes never rehash the bytes.
 struct InternEntry(&'static NameInner);
 
-impl Borrow<str> for InternEntry {
-    fn borrow(&self) -> &str {
+impl InternKey for InternEntry {
+    fn hash_word(&self) -> u64 {
+        self.0.hash
+    }
+
+    fn text(&self) -> &str {
         &self.0.name
     }
 }
 
+impl InternKey for (u64, &str) {
+    fn hash_word(&self) -> u64 {
+        self.0
+    }
+
+    fn text(&self) -> &str {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn InternKey + 'a> for InternEntry {
+    fn borrow(&self) -> &(dyn InternKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn InternKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash_word());
+    }
+}
+
+impl PartialEq for dyn InternKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash_word() == other.hash_word() && self.text() == other.text()
+    }
+}
+
+impl Eq for dyn InternKey + '_ {}
+
+// `HashSet` requires an entry to hash and compare exactly like its
+// borrowed key.
 impl Hash for InternEntry {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.name.hash(state);
+        (self as &dyn InternKey).hash(state);
     }
 }
 
 impl PartialEq for InternEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.0.name == other.0.name
+        (self as &dyn InternKey) == (other as &dyn InternKey)
     }
 }
 
@@ -120,33 +175,49 @@ impl Eq for InternEntry {}
 const INTERN_SHARDS: usize = 16;
 
 struct Interner {
-    shards: [RwLock<HashSet<InternEntry>>; INTERN_SHARDS],
+    shards: [RwLock<WordSet<InternEntry>>; INTERN_SHARDS],
 }
 
 static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
-    shards: std::array::from_fn(|_| RwLock::new(HashSet::new())),
+    shards: std::array::from_fn(|_| RwLock::new(WordSet::default())),
 });
 
 impl Interner {
-    /// Returns the unique shared payload for `normalized`, creating it on
-    /// first sight. Read-locks on the hit path; write-locks only on miss.
-    fn intern(&self, normalized: &str) -> &'static NameInner {
-        let hash = fnv1a(normalized.as_bytes());
-        let shard = &self.shards[(hash as usize) & (INTERN_SHARDS - 1)];
-        if let Some(entry) = shard.read().expect("interner lock").get(normalized) {
-            return entry.0;
-        }
+    fn shard(&self, hash: u64) -> &RwLock<WordSet<InternEntry>> {
+        &self.shards[(hash as usize) & (INTERN_SHARDS - 1)]
+    }
+
+    /// The payload interned for `normalized`, whose FNV-1a word is
+    /// `hash`, if there is one. One read lock and one word-hashed probe.
+    fn find(&self, hash: u64, normalized: &str) -> Option<&'static NameInner> {
+        let key: &dyn InternKey = &(hash, normalized);
+        let shard = self.shard(hash).read().expect("interner lock");
+        shard.get(key).map(|entry| entry.0)
+    }
+
+    /// Returns the unique shared payload for `normalized` (FNV-1a word
+    /// `hash`), creating it on first sight.
+    fn intern(&self, hash: u64, normalized: &str) -> &'static NameInner {
+        self.find(hash, normalized)
+            .unwrap_or_else(|| self.insert(hash, normalized))
+    }
+
+    /// Creates the payload for a `normalized` name that a probe just
+    /// missed. Write-locks its shard only to insert.
+    fn insert(&self, hash: u64, normalized: &str) -> &'static NameInner {
         let label_starts = label_starts_of(normalized);
         // Intern the parent first (outside this shard's lock) so the link
         // always points at the parent's unique payload.
-        let parent = label_starts
-            .get(1)
-            .map(|&start| self.intern(&normalized[usize::from(start)..]));
-        let mut guard = shard.write().expect("interner lock");
+        let parent = label_starts.get(1).map(|&start| {
+            let parent = &normalized[usize::from(start)..];
+            self.intern(fnv1a(parent.as_bytes()), parent)
+        });
+        let mut guard = self.shard(hash).write().expect("interner lock");
         // Another thread may have interned the name since the read probe;
         // its payload wins, so pointer identity stays unique per name and
         // only the winner is ever leaked.
-        if let Some(existing) = guard.get(normalized) {
+        let key: &dyn InternKey = &(hash, normalized);
+        if let Some(existing) = guard.get(key) {
             return existing.0;
         }
         let inner: &'static NameInner = Box::leak(Box::new(NameInner {
@@ -207,6 +278,13 @@ impl DomainName {
         if trimmed.is_empty() || trimmed.len() > MAX_NAME_LEN {
             return Err(DnsError::ParseName(s.to_owned()));
         }
+        // Every interned spelling was validated and normalized when it
+        // was interned, so an exact hit (the overwhelmingly common case
+        // once a world exists) is the answer without re-validating.
+        let hash = fnv1a(trimmed.as_bytes());
+        if let Some(inner) = INTERNER.find(hash, trimmed) {
+            return Ok(DomainName(inner));
+        }
         let mut needs_lowering = false;
         for label in trimmed.split('.') {
             if label.is_empty() || label.len() > MAX_LABEL_LEN {
@@ -224,12 +302,12 @@ impl DomainName {
                 }
             }
         }
-        // Already-normalized input (the overwhelmingly common case once a
-        // world exists) interns without allocating a lowercase copy.
         let inner = if needs_lowering {
-            INTERNER.intern(&trimmed.to_ascii_lowercase())
+            let lowered = trimmed.to_ascii_lowercase();
+            INTERNER.intern(fnv1a(lowered.as_bytes()), &lowered)
         } else {
-            INTERNER.intern(trimmed)
+            // Already normalized and just missed: a new name.
+            INTERNER.insert(hash, trimmed)
         };
         Ok(DomainName(inner))
     }

@@ -222,22 +222,12 @@ impl RecursiveResolver {
 
         for _ in 0..=MAX_CNAME_DEPTH {
             let now = self.clock.now();
-            // Terminal records already cached?
-            if let Some(rrs) = self.cache.get(now, &current, rtype) {
+            // Terminal records or a negative answer already cached?
+            if let Some((records, rcode)) = self.cache.lookup(now, &current, rtype) {
                 return Ok(Resolution {
-                    records: chased(chain, rrs),
-                    rcode: Rcode::NoError,
+                    records: chased(chain, records),
+                    rcode,
                 });
-            }
-            // Cached negative?
-            if let Some(entry) = self.cache.get_entry(now, &current, rtype) {
-                if entry.records.is_empty() {
-                    let rcode = entry.rcode;
-                    return Ok(Resolution {
-                        records: chased(chain, empty_record_set()),
-                        rcode,
-                    });
-                }
             }
             // Cached alias?
             if rtype != RecordType::Cname {
@@ -947,6 +937,40 @@ mod tests {
             .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
         assert_eq!(r.stats().fallback_retries(), 1);
+    }
+
+    #[test]
+    fn terminal_check_counts_each_cache_outcome_once() {
+        let (t, mut r, clock) = world();
+        let www = name("www.example.com");
+        let gone = name("gone.example.com");
+        // (hits, misses, expired) a resolve adds to the cache's counters.
+        let counted = |r: &mut RecursiveResolver, name: &DomainName| {
+            let read = |r: &RecursiveResolver| {
+                let (hits, misses) = r.cache().stats();
+                (hits, misses, r.cache().expired_count())
+            };
+            let before = read(r);
+            let rcode = r.resolve(&t, name, RecordType::A).unwrap().rcode;
+            let after = read(r);
+            let delta = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+            (rcode, delta)
+        };
+        // Cold miss: the terminal check and the alias check miss, and so
+        // does the delegation walk's probe at each of three suffixes.
+        assert_eq!(counted(&mut r, &www), (Rcode::NoError, (0, 5, 0)));
+        // Positive hit: one probe answers.
+        assert_eq!(counted(&mut r, &www), (Rcode::NoError, (1, 0, 0)));
+        // A cold NXDOMAIN: the terminal, alias and own-name delegation
+        // probes miss, the cached delegation and its glue hit. Then its
+        // negative entry answers in one probe.
+        assert_eq!(counted(&mut r, &gone), (Rcode::NxDomain, (2, 3, 0)));
+        assert_eq!(counted(&mut r, &gone), (Rcode::NxDomain, (1, 0, 0)));
+        // Expired miss: the A record lapsed (the delegation did not). The
+        // terminal probe evicts it, counting one miss and one expiry; the
+        // rest runs like the cold NXDOMAIN.
+        clock.advance(SimDuration::secs(301));
+        assert_eq!(counted(&mut r, &www), (Rcode::NoError, (2, 3, 1)));
     }
 
     #[test]

@@ -142,6 +142,38 @@ proptest! {
     }
 
     #[test]
+    fn raw_variants_of_an_interned_name_match_reference(
+        input in name_like(),
+        invalid in prop::sample::select(vec![' ', '!', '*', '/', '@', '~', '\u{7f}']),
+    ) {
+        // Intern the normalized spelling first, so the hit-first parse has
+        // a near-identical entry to (wrongly) hit for every variant below.
+        let Some(normalized) = reference::parse(&input).map(|n| n.name) else {
+            return Ok(());
+        };
+        let interned = DomainName::parse(&normalized).expect("oracle accepts it");
+        let variants = [
+            normalized.to_ascii_uppercase(),
+            format!("{normalized}."),
+            format!(".{normalized}"),
+            normalized.replacen('.', "..", 1),
+            format!("{normalized}.."),
+            format!("{normalized}{invalid}"),
+            format!("{}{normalized}", "a.".repeat(127)),
+        ];
+        for raw in &variants {
+            let ours = DomainName::parse(raw);
+            let oracle = reference::parse(raw);
+            prop_assert_eq!(ours.is_ok(), oracle.is_some(), "input {:?}", raw);
+            if let (Ok(ours), Some(oracle)) = (ours, oracle) {
+                prop_assert_eq!(ours.as_str(), oracle.name.as_str());
+                prop_assert_eq!(ours.label_count(), oracle.label_count());
+                prop_assert_eq!(ours == interned, oracle.name == normalized, "input {:?}", raw);
+            }
+        }
+    }
+
+    #[test]
     fn derived_operations_match_reference(input in name_like()) {
         let Ok(ours) = DomainName::parse(&input) else {
             prop_assert!(reference::parse(&input).is_none());

@@ -1,13 +1,22 @@
 //! A word-at-a-time hasher for hot maps with small, generated keys.
 //!
 //! The hottest hash maps of a campaign are keyed by a few machine words:
-//! the resolver cache by an interned name's precomputed content hash and a
-//! record type, [`IpRangeDb`](crate::IpRangeDb) by a masked IPv4 network.
-//! [`WordHasher`] folds each word into its state with an Fx-style
-//! rotate-xor-multiply (rustc's `FxHasher`) instead of running SipHash
-//! rounds over it. It offers no protection against adversarial keys —
-//! every key in the simulation is generated, not supplied by an attacker.
+//! the domain-name intern table and every name-keyed index (the resolver
+//! cache, the world's and the providers' fabric maps, the spill encoder's
+//! name table) by an interned name's precomputed content hash, the
+//! address-keyed fabric maps and [`IpRangeDb`](crate::IpRangeDb) by an
+//! IPv4 address or masked network. [`WordHasher`] folds each word into
+//! its state with an Fx-style rotate-xor-multiply (rustc's `FxHasher`)
+//! instead of running SipHash rounds over it. It offers no protection
+//! against adversarial keys — every key in the simulation is generated,
+//! not supplied by an attacker. [`WordMap`] and [`WordSet`] name the map
+//! and set types built on it.
+//!
+//! Word hashing is deterministic where std's `RandomState` was random per
+//! process, so no output may depend on a hot map's iteration order; with
+//! SipHash's random keys none could already.
 
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier of the Fx hash (rustc's `FxHasher`).
@@ -54,6 +63,22 @@ impl Hasher for WordHasher {
 
 /// The [`BuildHasher`](std::hash::BuildHasher) of [`WordHasher`]s.
 pub type BuildWordHasher = BuildHasherDefault<WordHasher>;
+
+/// A [`HashMap`] hashing its keys with [`WordHasher`]. Build one with
+/// `WordMap::default()` or `WordMap::with_capacity_and_hasher(n,
+/// Default::default())`.
+///
+/// ```
+/// use remnant_net::hash::WordMap;
+///
+/// let mut owners: WordMap<std::net::Ipv4Addr, usize> = WordMap::default();
+/// owners.insert([198, 51, 100, 10].into(), 0);
+/// assert_eq!(owners.get(&[198, 51, 100, 10].into()), Some(&0));
+/// ```
+pub type WordMap<K, V> = HashMap<K, V, BuildWordHasher>;
+
+/// A [`HashSet`] hashing its values with [`WordHasher`].
+pub type WordSet<T> = HashSet<T, BuildWordHasher>;
 
 #[cfg(test)]
 mod tests {

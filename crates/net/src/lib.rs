@@ -15,7 +15,9 @@
 //!   that is [`IpAllocator`] over [`Ipv4Cidr`] blocks.
 //!
 //! [`hash::WordHasher`] is the one hasher of the workspace's hot word-keyed
-//! maps: the range database here and the DNS resolver cache.
+//! maps — the range database here, the domain-name intern table, the DNS
+//! resolver cache and the world's and providers' fabric indexes — and
+//! [`hash::WordMap`] / [`hash::WordSet`] name the types built on it.
 //!
 //! # Example
 //!

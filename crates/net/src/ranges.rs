@@ -6,11 +6,10 @@
 //! CIDR blocks each tagged with an owner value, answering "who owns this
 //! IP?" by longest-prefix match.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::cidr::Ipv4Cidr;
-use crate::hash::BuildWordHasher;
+use crate::hash::WordMap;
 
 /// A longest-prefix-match database mapping CIDR blocks to owner values.
 ///
@@ -35,7 +34,7 @@ use crate::hash::BuildWordHasher;
 #[derive(Clone, Debug, PartialEq)]
 pub struct IpRangeDb<T> {
     /// One map per prefix length; `by_len[l]` maps masked network -> value.
-    by_len: Vec<HashMap<u32, T, BuildWordHasher>>,
+    by_len: Vec<WordMap<u32, T>>,
     /// Prefix lengths present, sorted descending (checked first).
     lens_desc: Vec<u8>,
     len_entries: usize,
@@ -45,7 +44,7 @@ impl<T> IpRangeDb<T> {
     /// Creates an empty database.
     pub fn new() -> Self {
         IpRangeDb {
-            by_len: (0..=32).map(|_| HashMap::default()).collect(),
+            by_len: (0..=32).map(|_| WordMap::default()).collect(),
             lens_desc: Vec::new(),
             len_entries: 0,
         }

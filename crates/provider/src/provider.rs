@@ -14,7 +14,7 @@
 //!   *uninformed* leave the configuration is simply untouched and queries
 //!   keep returning the **edge** address (footnote 9).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,6 +23,7 @@ use remnant_dns::{
     Response, Ttl,
 };
 use remnant_http::{HttpRequest, HttpResponse, HttpTransport, ReverseProxy};
+use remnant_net::hash::{WordMap, WordSet};
 use remnant_net::{AnycastMap, IpAllocator, Ipv4Cidr, Pop, PopId, Region};
 use remnant_sim::{SeedSeq, SimDuration, SimTime};
 
@@ -214,21 +215,21 @@ pub struct DpsProvider {
     pops: Vec<Pop>,
     anycast: AnycastMap,
     edge_ips: Vec<Ipv4Addr>,
-    edges: HashMap<Ipv4Addr, ReverseProxy>,
+    edges: WordMap<Ipv4Addr, ReverseProxy>,
     ns_hosts: Vec<DomainName>,
     ns_ips: Vec<Ipv4Addr>,
-    ns_ip_set: HashSet<Ipv4Addr>,
-    ns_glue: HashMap<DomainName, Ipv4Addr>,
-    scrubbers: HashMap<PopId, ScrubbingCenter>,
+    ns_ip_set: WordSet<Ipv4Addr>,
+    ns_glue: WordMap<DomainName, Ipv4Addr>,
+    scrubbers: WordMap<PopId, ScrubbingCenter>,
     infra_apexes: Vec<DomainName>,
     // Control plane.
-    accounts: HashMap<DomainName, CustomerAccount>,
+    accounts: WordMap<DomainName, CustomerAccount>,
     /// Query-name (www host or CNAME token) -> apex, for enrolled customers.
-    name_index: HashMap<DomainName, DomainName>,
-    residuals: HashMap<DomainName, ResidualRecord>,
+    name_index: WordMap<DomainName, DomainName>,
+    residuals: WordMap<DomainName, ResidualRecord>,
     /// Query-name -> apex, for residual records.
-    residual_index: HashMap<DomainName, DomainName>,
-    generations: HashMap<DomainName, u32>,
+    residual_index: WordMap<DomainName, DomainName>,
+    generations: WordMap<DomainName, u32>,
     // Stats.
     queries_answered: Counter,
     queries_ignored: Counter,
@@ -357,11 +358,11 @@ impl DpsProvider {
             ns_glue,
             scrubbers,
             infra_apexes,
-            accounts: HashMap::new(),
-            name_index: HashMap::new(),
-            residuals: HashMap::new(),
-            residual_index: HashMap::new(),
-            generations: HashMap::new(),
+            accounts: WordMap::default(),
+            name_index: WordMap::default(),
+            residuals: WordMap::default(),
+            residual_index: WordMap::default(),
+            generations: WordMap::default(),
             queries_answered: Counter::default(),
             queries_ignored: Counter::default(),
         }

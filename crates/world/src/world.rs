@@ -1,6 +1,5 @@
 //! The wired-together synthetic Internet.
 
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,6 +14,7 @@ use remnant_dns::{
 use remnant_http::{
     FirewallPolicy, HttpRequest, HttpResponse, HttpTransport, OriginServer, PageTemplate,
 };
+use remnant_net::hash::{WordMap, WordSet};
 use remnant_net::{IpAllocator, Region};
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_provider::{DpsProvider, ProviderId, ReroutingMethod, ServicePlan};
@@ -56,24 +56,24 @@ pub struct World {
     pub(crate) config: WorldConfig,
     pub(crate) rng: StdRng,
     pub(crate) sites: Vec<Website>,
-    pub(crate) by_apex: HashMap<DomainName, SiteId>,
-    pub(crate) origin_owner: HashMap<Ipv4Addr, SiteId>,
-    origins: HashMap<Ipv4Addr, OriginServer>,
+    pub(crate) by_apex: WordMap<DomainName, SiteId>,
+    pub(crate) origin_owner: WordMap<Ipv4Addr, SiteId>,
+    origins: WordMap<Ipv4Addr, OriginServer>,
     pub(crate) providers: Vec<DpsProvider>,
-    ns_owner: HashMap<Ipv4Addr, ProviderId>,
-    edge_owner: HashMap<Ipv4Addr, ProviderId>,
-    all_edges: HashSet<Ipv4Addr>,
+    ns_owner: WordMap<Ipv4Addr, ProviderId>,
+    edge_owner: WordMap<Ipv4Addr, ProviderId>,
+    all_edges: WordSet<Ipv4Addr>,
     hosting_ns: Vec<(DomainName, Ipv4Addr)>,
     /// Apex of each `hosting_ns` host, in the same order.
     hosting_apexes: Vec<DomainName>,
     /// Referral glue for the hosting pair whose primary is each index: the
     /// same for every site on the pair, so built once.
     hosting_glue: Vec<RecordSet>,
-    hosting_owner: HashMap<Ipv4Addr, usize>,
+    hosting_owner: WordMap<Ipv4Addr, usize>,
     /// Delegations for provider infrastructure domains (incapdns.net, …).
-    infra_delegation: HashMap<DomainName, ProviderId>,
+    infra_delegation: WordMap<DomainName, ProviderId>,
     /// Multi-CDN balancer tokens: cedexis hostname -> site.
-    cedexis_index: HashMap<DomainName, SiteId>,
+    cedexis_index: WordMap<DomainName, SiteId>,
     /// The balancer's domain and its nameserver host, parsed once so the
     /// answer path never parses.
     cedexis_apex: DomainName,
@@ -88,10 +88,12 @@ pub struct World {
     zone_generations: Vec<u64>,
     parking_template: PageTemplate,
     parking_nonce: u64,
-    dns_queries: AtomicU64,
-    dns_answered: AtomicU64,
-    /// Answers broken down by server class, indexed by [`ServerClass`].
+    /// Answers broken down by server class, indexed by [`ServerClass`];
+    /// their sum is the answered count.
     dns_answers_by_class: [AtomicU64; ServerClass::ALL.len()],
+    /// Queries no server answered. Sent is answered plus this, so each
+    /// query bumps exactly one shared counter.
+    dns_unanswered: AtomicU64,
     http_requests: u64,
     http_answered: u64,
 }
@@ -140,10 +142,10 @@ impl World {
             .into_iter()
             .map(|id| DpsProvider::build(id, seeds.derive(id.name())))
             .collect();
-        let mut ns_owner = HashMap::new();
-        let mut edge_owner = HashMap::new();
-        let mut all_edges = HashSet::new();
-        let mut infra_delegation = HashMap::new();
+        let mut ns_owner = WordMap::default();
+        let mut edge_owner = WordMap::default();
+        let mut all_edges = WordSet::default();
+        let mut infra_delegation = WordMap::default();
         for provider in &providers {
             for addr in provider.ns_addresses() {
                 ns_owner.insert(*addr, provider.id());
@@ -194,9 +196,9 @@ impl World {
         let mut world = World {
             clock,
             sites: Vec::with_capacity(config.population),
-            by_apex: HashMap::with_capacity(config.population),
-            origin_owner: HashMap::with_capacity(config.population),
-            origins: HashMap::new(),
+            by_apex: WordMap::with_capacity_and_hasher(config.population, Default::default()),
+            origin_owner: WordMap::with_capacity_and_hasher(config.population, Default::default()),
+            origins: WordMap::default(),
             providers,
             ns_owner,
             edge_owner,
@@ -206,7 +208,7 @@ impl World {
             hosting_glue,
             hosting_owner,
             infra_delegation,
-            cedexis_index: HashMap::new(),
+            cedexis_index: WordMap::default(),
             cedexis_apex: DomainName::parse("cedexis.net").expect("static name"),
             cedexis_ns: DomainName::parse("ns1.cedexis.net").expect("static name"),
             origin_alloc,
@@ -215,9 +217,8 @@ impl World {
             zone_generations: vec![0; config.population],
             parking_template: PageTemplate::generate("parked.example", config.seed),
             parking_nonce: 0,
-            dns_queries: AtomicU64::new(0),
-            dns_answered: AtomicU64::new(0),
             dns_answers_by_class: Default::default(),
+            dns_unanswered: AtomicU64::new(0),
             http_requests: 0,
             http_answered: 0,
             config,
@@ -344,9 +345,8 @@ impl World {
             zone_generations: self.zone_generations.clone(),
             parking_template: self.parking_template.clone(),
             parking_nonce: self.parking_nonce,
-            dns_queries: AtomicU64::new(0),
-            dns_answered: AtomicU64::new(0),
             dns_answers_by_class: Default::default(),
+            dns_unanswered: AtomicU64::new(0),
             http_requests: 0,
             http_answered: 0,
         }
@@ -395,7 +395,7 @@ impl World {
 
     /// `(DNS queries, HTTP requests)` served by the fabric so far.
     pub fn traffic_stats(&self) -> (u64, u64) {
-        (self.dns_queries.load(Ordering::Relaxed), self.http_requests)
+        (DnsTransport::query_stats(self).sent, self.http_requests)
     }
 
     /// Advances time by whole days of dynamics.
@@ -819,10 +819,10 @@ impl World {
 
     /// Materializes (or retrieves) the origin server at `addr`.
     fn origin_server<'a>(
-        origins: &'a mut HashMap<Ipv4Addr, OriginServer>,
-        origin_owner: &HashMap<Ipv4Addr, SiteId>,
+        origins: &'a mut WordMap<Ipv4Addr, OriginServer>,
+        origin_owner: &WordMap<Ipv4Addr, SiteId>,
         sites: &[Website],
-        all_edges: &HashSet<Ipv4Addr>,
+        all_edges: &WordSet<Ipv4Addr>,
         seed: u64,
         addr: Ipv4Addr,
     ) -> Option<&'a mut OriginServer> {
@@ -927,7 +927,6 @@ impl DnsTransport for World {
         _region: Region,
         query: &Query,
     ) -> Option<Response> {
-        self.dns_queries.fetch_add(1, Ordering::Relaxed);
         let (class, response) = if server == ROOT_SERVER {
             (ServerClass::Registry, Some(self.registry_answer(query)))
         } else if let Some(provider_id) = self.ns_owner.get(&server).copied() {
@@ -943,19 +942,27 @@ impl DnsTransport for World {
         } else if server == CEDEXIS_NS_IP {
             (ServerClass::Cedexis, Some(self.cedexis_answer(query)))
         } else {
+            self.dns_unanswered.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        if response.is_some() {
-            self.dns_answered.fetch_add(1, Ordering::Relaxed);
-            self.dns_answers_by_class[class as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if response.is_some() {
+            &self.dns_answers_by_class[class as usize]
+        } else {
+            &self.dns_unanswered
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         response
     }
 
     fn query_stats(&self) -> QueryStats {
+        let answered = self
+            .dns_answers_by_class
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .sum();
         QueryStats {
-            sent: self.dns_queries.load(Ordering::Relaxed),
-            answered: self.dns_answered.load(Ordering::Relaxed),
+            sent: answered + self.dns_unanswered.load(Ordering::Relaxed),
+            answered,
         }
     }
 }
@@ -964,10 +971,10 @@ impl DnsTransport for World {
 /// edges so they can fetch cache misses while the provider itself is
 /// mutably borrowed.
 struct OriginBackend<'a> {
-    origins: &'a mut HashMap<Ipv4Addr, OriginServer>,
-    origin_owner: &'a HashMap<Ipv4Addr, SiteId>,
+    origins: &'a mut WordMap<Ipv4Addr, OriginServer>,
+    origin_owner: &'a WordMap<Ipv4Addr, SiteId>,
     sites: &'a [Website],
-    all_edges: &'a HashSet<Ipv4Addr>,
+    all_edges: &'a WordSet<Ipv4Addr>,
     seed: u64,
 }
 
@@ -1057,12 +1064,32 @@ impl ZoneGenerationProbe for World {
         let Some(id) = self.by_apex.get(apex) else {
             return 0;
         };
-        let rank = id.0 as usize;
+        self.site_generation(id.0 as usize, self.clock.now().as_days() & 1)
+    }
+
+    /// A rank walk: the collector probes its targets in rank order, so
+    /// `apexes[i]` is normally site `i`'s apex. That is one pointer
+    /// compare and one index; any other apex falls back to the hashed
+    /// [`ZoneGenerationProbe::generation_of`].
+    fn generations_for(&self, apexes: &[&DomainName]) -> Vec<u64> {
+        let parity = self.clock.now().as_days() & 1;
+        apexes
+            .iter()
+            .enumerate()
+            .map(|(rank, &apex)| match self.sites.get(rank) {
+                Some(site) if site.apex == *apex => self.site_generation(rank, parity),
+                _ => self.generation_of(apex),
+            })
+            .collect()
+    }
+}
+
+impl World {
+    /// Site `rank`'s probed generation on a day of the given parity.
+    fn site_generation(&self, rank: usize, day_parity: u64) -> u64 {
         let generation = self.zone_generations[rank];
         if self.sites[rank].multi_cdn.is_some() {
-            generation
-                .wrapping_mul(2)
-                .wrapping_add(self.clock.now().as_days() & 1)
+            generation.wrapping_mul(2).wrapping_add(day_parity)
         } else {
             generation.wrapping_mul(2)
         }
@@ -1213,6 +1240,41 @@ mod tests {
         let day2 = world.generation_of(&site.apex);
         assert_ne!(day0, day1, "the serving CDN alternates daily");
         assert_eq!(day0, day2, "same parity, same answers, same generation");
+    }
+
+    #[test]
+    fn rank_walk_generations_match_single_probes() {
+        let mut calibration = crate::config::Calibration::paper();
+        calibration.multi_cdn_fraction = 0.5; // so day parity shows
+        let config = |population, seed| WorldConfig {
+            population,
+            seed,
+            warmup_days: 0,
+            calibration: calibration.clone(),
+        };
+        let mut world = World::generate(config(400, 77));
+        let other = World::generate(config(50, 78));
+        world.step_hours(72); // some sites' zones change
+        let mut parities = Vec::new();
+        for _ in 0..2 {
+            parities.push(world.now().as_days() & 1);
+            let in_order: Vec<&DomainName> = world.sites().iter().map(|s| &s.apex).collect();
+            let reversed: Vec<&DomainName> = in_order.iter().rev().copied().collect();
+            let truncated = in_order[..in_order.len() / 3].to_vec();
+            // Another world's apex at a rank this world has, and past
+            // this world's last rank.
+            let mut foreign = in_order.clone();
+            foreign[1] = &other.sites()[1].apex;
+            foreign.push(&other.sites()[0].apex);
+            assert_eq!(world.generation_of(foreign[1]), 0);
+            for apexes in [in_order, reversed, truncated, foreign] {
+                let single: Vec<u64> = apexes.iter().map(|a| world.generation_of(a)).collect();
+                assert!(single.iter().any(|&g| g != 0));
+                assert_eq!(world.generations_for(&apexes), single);
+            }
+            world.step_hours(24);
+        }
+        assert_ne!(parities[0], parities[1], "one odd and one even day");
     }
 
     #[test]
@@ -1532,5 +1594,14 @@ mod tests {
             DnsTransport::query_stats(&w).answered,
             "per-class answers partition the total"
         );
+        // A query to an address no server owns is sent but not answered.
+        let before = DnsTransport::query_stats(&w);
+        let query = Query::new(site.www.clone(), RecordType::A);
+        let nobody = Ipv4Addr::new(192, 0, 2, 1);
+        assert!(w.query(now, nobody, Region::Oregon, &query).is_none());
+        let after = DnsTransport::query_stats(&w);
+        assert_eq!(after.sent, before.sent + 1);
+        assert_eq!(after.answered, before.answered);
+        assert_eq!(w.traffic_stats().0, after.sent);
     }
 }

@@ -6,9 +6,9 @@
 //! equal the original's, and rewriting it reproduces the file byte for
 //! byte. A file damaged on disk — truncated at every byte boundary (the
 //! file, and every column frame on its own), with corrupted
-//! magic/version, an out-of-range name index, a duplicated shard frame,
-//! or a random bit flip — reads back as a typed [`SpillError`], never a
-//! panic.
+//! magic/version, an out-of-range name index, an interned name with
+//! one invalid byte, a duplicated shard frame, or a random bit flip —
+//! reads back as a typed [`SpillError`], never a panic.
 
 mod support;
 
@@ -237,6 +237,24 @@ fn out_of_range_name_index_is_named() {
             assert_eq!(table, 1);
         }
         other => panic!("expected BadNameIndex, got {other:?}"),
+    }
+}
+
+#[test]
+fn interned_name_with_one_invalid_byte_is_a_bad_name() {
+    let path = support::temp_dir("codec-bad-name").join("round.rsnb");
+    // Writing the snapshot interned "edge.example.com"; parsing is
+    // hit-first, so the damaged spelling must miss and be validated.
+    let mut binary = support::write_round(&path, &one_cname_snapshot());
+    let name = "edge.example.com";
+    // The frame's one name-table entry follows the 36-byte header and
+    // u32 frame_len, shard, n_sites, table_count and u16 entry length.
+    let name_at = 36 + 4 + 4 + 4 + 4 + 2;
+    assert_eq!(&binary[name_at..name_at + name.len()], name.as_bytes());
+    binary[name_at + name.len() - 1] = b'!';
+    match read_bytes(&path, &binary) {
+        Err(SpillError::BadName(bad)) => assert_eq!(bad, "edge.example.co!"),
+        other => panic!("expected BadName, got {other:?}"),
     }
 }
 
