@@ -11,7 +11,7 @@
 //!   residual-scan timeline identically through `PlanContext`,
 //!   `PassesPlan` and `ResidualScanPlan`: the plans never decode a
 //!   record.
-//! - A v1 round file is rejected by name.
+//! - A v1 or v2 round file is rejected by version.
 
 use std::path::{Path, PathBuf};
 
@@ -117,15 +117,16 @@ fn carried_columns_equal_the_record_oracle() {
 }
 
 /// The `(offset, len)` of every record frame in a round file, from its
-/// footer index (`u32 shard, u64 frame_offset, u32 frame_len, u64
-/// column_offset, u32 column_len` per entry).
+/// footer index (`u32 shard, u64 frame_offset, u32 frame_len, u32
+/// column_offset, u32 column_len` per entry), which the trailer (`u64
+/// section_offset, u64 footer_offset, "RSNZ"`) locates.
 fn record_frames(file: &[u8]) -> Vec<(usize, usize)> {
-    let trailer = file.len() - 12;
-    let footer = u64::from_le_bytes(file[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let trailer = file.len() - 20;
+    let footer = u64::from_le_bytes(file[trailer + 8..trailer + 16].try_into().unwrap()) as usize;
     let entries = u32::from_le_bytes(file[footer + 4..footer + 8].try_into().unwrap()) as usize;
     (0..entries)
         .map(|i| {
-            let entry = footer + 8 + i * 28;
+            let entry = footer + 8 + i * 24;
             let offset = u64::from_le_bytes(file[entry + 4..entry + 12].try_into().unwrap());
             let len = u32::from_le_bytes(file[entry + 12..entry + 16].try_into().unwrap());
             (offset as usize, len as usize)
@@ -189,17 +190,32 @@ fn plans_never_decode_records() {
     let _ = std::fs::remove_dir_all(&scrubbed);
 }
 
-#[test]
-fn a_v1_round_file_is_rejected_by_version() {
-    let dir = fresh_dir("v1");
+/// Opens a one-week campaign's spill directory with its first round
+/// file's version word set to `version`.
+fn open_as_version(version: u16) -> Result<SnapshotStore, StoreError> {
+    let dir = fresh_dir(&format!("v{version}"));
     campaign(1, 1, CollectionMode::Full, Some(&dir));
     let first = round_files(&dir).into_iter().next().expect("a round file");
     let mut bytes = std::fs::read(&first).expect("round file reads");
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    bytes[4..6].copy_from_slice(&version.to_le_bytes());
     std::fs::write(&first, bytes).expect("rewrite");
-    match SnapshotStore::open(&dir) {
+    let store = SnapshotStore::open(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    store
+}
+
+#[test]
+fn a_v1_round_file_is_rejected_by_version() {
+    match open_as_version(1) {
         Err(StoreError::Spill(SpillError::UnsupportedVersion(1))) => {}
         other => panic!("expected UnsupportedVersion(1), got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v2_round_file_is_rejected_by_version() {
+    match open_as_version(2) {
+        Err(StoreError::Spill(SpillError::UnsupportedVersion(2))) => {}
+        other => panic!("expected UnsupportedVersion(2), got {other:?}"),
+    }
 }

@@ -2,17 +2,19 @@
 //! memory-bounded: one writer ([`SpillWriter`]) and one reader
 //! ([`SpillFile::open`] → [`SpillFile::sources`] → [`SpillRef::load`]).
 //!
-//! # Format (`v2`)
+//! # Format (`v3`)
 //!
-//! One spill file holds one collection round. Each shard is written as
-//! two self-contained frames — its records, then the block's
-//! [`DerivedColumn`] — so a reader can load either without touching the
-//! other or the rest of the file:
+//! One spill file holds one collection round. Each shard's records are
+//! one self-contained frame, streamed out as the shard is appended; its
+//! [`DerivedColumn`] waits for [`SpillWriter::finish`], which writes every
+//! column of the file as one column section just before the footer:
 //!
 //! ```text
 //! header   "RSNP" u16=version u16=0  u64=taken_at_secs u32=day
 //!          u32=block_size u64=sites u32=shard_count
-//! (frame column)*
+//! (frame)*                                             one per shard
+//! section  u32=name_count  (u16=len bytes)*            file name table
+//!          (column)*                                   one per shard
 //! frame    u32=frame_len  (bytes after this field)
 //!          u32=shard  u32=n_sites
 //!          u32=name_count  (u16=len bytes)*            interned-name table
@@ -20,38 +22,47 @@
 //!          u32=cname_count (u32=name_id)*              CNAME column
 //!          u32=ns_count    (u32=name_id)*              NS column
 //!          (u32=a_end u32=cname_end u32=ns_end)*       per-site ends
-//! column   u32=column_len (bytes after this field)
-//!          u32=shard  u32=n_sites
-//!          u32=name_count  (u16=len bytes)*            interned-name table
+//! column   u32=shard  u32=n_sites
 //!          (u8=class)*                                 one per site
 //!          u32=multi_cdn_count (u32=site)*             multi-CDN sites
 //!          u32=fleet_count (u32=site u32=name_id)*     Cloudflare fleet NS
 //!          u32=token_count (u32=site u32=name_id)*     Incapsula tokens
 //! footer   "RSNX" u32=entry_count
 //!          (u32=shard u64=frame_offset u32=frame_len
-//!           u64=column_offset u32=column_len)*
-//!          u64=footer_offset "RSNZ"
+//!           u32=column_offset u32=column_len)*         column: within section
+//! trailer  u64=section_offset u64=footer_offset "RSNZ"
 //! ```
 //!
 //! A class byte is a [`PackedAdoption`]. Site indices are block-local:
 //! multi-CDN sites and tokens ascend strictly, fleet candidates ascend
-//! with repeats.
+//! with repeats. Frames and columns both sit in append order, which is
+//! plan order, so a round's bytes do not depend on the worker count.
 //!
-//! Each frame carries its own name table (names deduplicated within the
-//! frame; process-wide deduplication happens anyway when decoded names
-//! re-enter the interner), so frames are self-contained: streaming writers
-//! append them one at a time, and readers load any frame from its footer
-//! index entry alone. Reopening a round reads only the column frames
-//! ([`SpillFile::sources`]); a block's records are read only when
-//! something loads it ([`SpillRef::load`]). Delta rounds write only their
-//! dirty shards — clean shards stay as [`SpillRef`]s into *previous*
-//! rounds' files: the delta collector's structural sharing, moved onto
-//! disk.
+//! Each record frame carries its own name table (names deduplicated
+//! within the frame; process-wide deduplication happens anyway when
+//! decoded names re-enter the interner), so a frame is self-contained
+//! and loads from its footer index entry alone. The column section has
+//! one name table for the whole file: each distinct fleet host or token
+//! once, in first-occurrence order over the columns. Fleet hosts come
+//! from one provider's small nameserver pool, so one table per file
+//! parses each of them once instead of once per shard.
 //!
-//! Every read, column frames included, returns a typed [`SpillError`]
-//! on malformed input and never panics; nothing is sized from a declared
-//! count the bytes present cannot back. A file of another version is
-//! rejected with [`SpillError::UnsupportedVersion`].
+//! Reopening a round ([`SpillFile::sources`]) reads the header, the
+//! trailer, and everything from the column section to the trailer: three
+//! reads per file. It parses the name table once and decodes each
+//! shard's column from its slice of the section; a block's records are
+//! read only when something loads it ([`SpillRef::load`]). Delta rounds
+//! write only their dirty shards — clean shards stay as [`SpillRef`]s
+//! into *previous* rounds' files: the delta collector's structural
+//! sharing, moved onto disk.
+//!
+//! Every read, the column section included, returns a typed
+//! [`SpillError`] on malformed input and never panics; every offset and
+//! extent is checked against the file, and each column extent against
+//! the section, before anything is sized from it, and nothing is sized
+//! from a declared count the bytes present cannot back. A file of
+//! another version (a v2 file, with a column frame after each record
+//! frame, included) is rejected with [`SpillError::UnsupportedVersion`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -62,7 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use remnant_dns::DomainName;
-use remnant_net::hash::WordMap;
+use remnant_net::hash::{WordMap, WordSet};
 use remnant_sim::SimTime;
 
 use crate::adoption::PackedAdoption;
@@ -72,12 +83,13 @@ use crate::snapshot::{BlockSource, RecordBlock};
 const FILE_MAGIC: &[u8; 4] = b"RSNP";
 const FOOTER_MAGIC: &[u8; 4] = b"RSNX";
 const TRAILER_MAGIC: &[u8; 4] = b"RSNZ";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 4 + 2 + 2 + 8 + 4 + 4 + 8 + 4;
-/// Trailer length in bytes: `u64=footer_offset "RSNZ"`.
-const TRAILER_LEN: u64 = 8 + 4;
-/// Leading words every frame starts with: `frame_len shard n_sites`.
+/// Trailer length in bytes: `u64=section_offset u64=footer_offset "RSNZ"`.
+const TRAILER_LEN: u64 = 8 + 8 + 4;
+/// Leading words every record frame starts with: `frame_len shard
+/// n_sites`.
 const PREAMBLE_LEN: u32 = 12;
 
 /// Where spilled rounds go and how much stays resident while collecting.
@@ -140,7 +152,8 @@ pub enum SpillError {
         /// Which section the input ended in.
         section: &'static str,
     },
-    /// A name id pointed past the frame's name table.
+    /// A name id pointed past its name table (a record frame's, or the
+    /// file's column-section table).
     BadNameIndex {
         /// The offending id.
         index: u32,
@@ -261,8 +274,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-/// A per-frame interned-name table: each distinct name once, in first
-/// occurrence order (deterministic — no hashing in the layout).
+/// An interned-name table — one per record frame, and one for a file's
+/// column section: each distinct name once, in first occurrence order
+/// (deterministic — no hashing in the layout).
 #[derive(Default)]
 struct NameTable<'b> {
     names: Vec<&'b DomainName>,
@@ -287,10 +301,11 @@ impl<'b> NameTable<'b> {
     }
 }
 
-/// Reads a frame's name table.
+/// Reads a name table.
 fn decode_name_table(r: &mut Reader<'_>) -> Result<Vec<DomainName>, SpillError> {
-    let name_count = r.u32("name table count")?;
-    let mut table: Vec<DomainName> = Vec::new();
+    let name_count = r.u32("name table count")? as usize;
+    // Every entry takes at least its 2-byte length word.
+    let mut table = Vec::with_capacity(name_count.min((r.bytes.len() - r.pos) / 2));
     for _ in 0..name_count {
         let len = r.u16("name table entry length")? as usize;
         let raw = r.take(len, "name table entry")?;
@@ -302,7 +317,7 @@ fn decode_name_table(r: &mut Reader<'_>) -> Result<Vec<DomainName>, SpillError> 
     Ok(table)
 }
 
-/// Resolves a name id against its frame's table.
+/// Resolves a name id against its table.
 fn lookup_name(table: &[DomainName], id: u32) -> Result<DomainName, SpillError> {
     table
         .get(id as usize)
@@ -430,39 +445,56 @@ fn decode_frame(bytes: &[u8]) -> Result<(u32, RecordBlock), SpillError> {
     Ok((shard, RecordBlock::from_columns(ends, a, cnames, ns)))
 }
 
-/// Encodes one shard's derived column as a self-contained frame
-/// (including the leading `column_len` word).
-fn encode_column(shard: u32, column: &DerivedColumn) -> Vec<u8> {
-    let mut table = NameTable::default();
-    let fleet: Vec<(u32, u32)> = column
-        .fleet_sites
-        .iter()
-        .zip(&column.fleet_ns)
-        .map(|(site, host)| (*site, table.id(host)))
-        .collect();
-    let tokens: Vec<(u32, u32)> = column
-        .incap_tokens
-        .iter()
-        .map(|(site, token)| (*site, table.id(token)))
-        .collect();
-
-    let mut body = Vec::new();
-    put_u32(&mut body, shard);
-    put_u32(&mut body, column.len() as u32);
-    table.encode(&mut body);
-    body.extend(column.classes.iter().map(|class| class.byte()));
-    put_u32(&mut body, column.multi_cdn.len() as u32);
+/// Appends one shard's derived column to `out`, interning its fleet
+/// hosts and tokens into the file's column-section `table`.
+fn encode_column<'b>(
+    out: &mut Vec<u8>,
+    table: &mut NameTable<'b>,
+    shard: u32,
+    column: &'b DerivedColumn,
+) {
+    put_u32(out, shard);
+    put_u32(out, column.len() as u32);
+    out.extend(column.classes.iter().map(|class| class.byte()));
+    put_u32(out, column.multi_cdn.len() as u32);
     for site in &column.multi_cdn {
-        put_u32(&mut body, *site);
+        put_u32(out, *site);
     }
-    for pairs in [&fleet, &tokens] {
-        put_u32(&mut body, pairs.len() as u32);
-        for (site, id) in pairs {
-            put_u32(&mut body, *site);
-            put_u32(&mut body, *id);
-        }
+    put_u32(out, column.fleet_sites.len() as u32);
+    for (site, host) in column.fleet_sites.iter().zip(&column.fleet_ns) {
+        put_u32(out, *site);
+        put_u32(out, table.id(host));
     }
-    seal(body)
+    put_u32(out, column.incap_tokens.len() as u32);
+    for (site, token) in &column.incap_tokens {
+        put_u32(out, *site);
+        put_u32(out, table.id(token));
+    }
+}
+
+/// Encodes a file's column section: the name table, then each
+/// `(shard, column)` in the order given. Returns the section and each
+/// column's `(offset, len)` within it.
+fn encode_section<'b>(
+    columns: impl IntoIterator<Item = (u32, &'b DerivedColumn)>,
+) -> (Vec<u8>, Vec<(u32, u32)>) {
+    let mut table = NameTable::default();
+    let mut body = Vec::new();
+    let mut extents = Vec::new();
+    for (shard, column) in columns {
+        let start = body.len();
+        encode_column(&mut body, &mut table, shard, column);
+        extents.push((start, body.len() - start));
+    }
+    let mut section = Vec::new();
+    table.encode(&mut section);
+    let base = section.len();
+    section.extend_from_slice(&body);
+    let extents = extents
+        .into_iter()
+        .map(|(start, len)| ((base + start) as u32, len as u32))
+        .collect();
+    (section, extents)
 }
 
 /// Reads a count-prefixed list of block-local site indices, each below
@@ -498,11 +530,12 @@ fn decode_sites<T>(
     Ok(out)
 }
 
-/// Decodes one column frame (including its leading `column_len` word)
-/// back into `(shard, column)`.
-fn decode_column(bytes: &[u8]) -> Result<(u32, DerivedColumn), SpillError> {
-    let (mut r, shard, n_sites) = open_frame(bytes, "column preamble")?;
-    let table = decode_name_table(&mut r)?;
+/// Decodes one column (exactly its slice of the column section) back
+/// into `(shard, column)`, resolving names against the section's `table`.
+fn decode_column(bytes: &[u8], table: &[DomainName]) -> Result<(u32, DerivedColumn), SpillError> {
+    let mut r = Reader::new(bytes);
+    let shard = r.u32("column preamble")?;
+    let n_sites = r.u32("column preamble")? as usize;
     // Sized by the bytes present, never by the declared count alone.
     let classes = r
         .take(n_sites, "class column")?
@@ -519,14 +552,14 @@ fn decode_column(bytes: &[u8]) -> Result<(u32, DerivedColumn), SpillError> {
         .collect();
     let mut named = |repeats: bool, section: &'static str| {
         decode_sites(&mut r, n_sites, repeats, section, |r| {
-            lookup_name(&table, r.u32(section)?)
+            lookup_name(table, r.u32(section)?)
         })
     };
     let (fleet_sites, fleet_ns) = named(true, "fleet column")?.into_iter().unzip();
     let incap_tokens = named(false, "token column")?;
     if r.pos != r.bytes.len() {
         return Err(SpillError::CorruptFrame {
-            reason: "column frame has trailing bytes",
+            reason: "column has trailing bytes",
         });
     }
     Ok((
@@ -580,44 +613,53 @@ fn decode_header(bytes: &[u8]) -> Result<SpillMeta, SpillError> {
     })
 }
 
-/// Where one shard's two frames sit in a file: `(offset, len)` each.
+/// Where one shard sits in a file: its record frame's `(offset, len)` in
+/// the file, and its column's `(offset, len)` within the column section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ShardExtents {
     frame: (u64, u32),
-    column: (u64, u32),
+    column: (u32, u32),
 }
 
-/// Appends the footer index and trailer; `base` is the file offset `out`
-/// starts at.
-fn encode_footer(out: &mut Vec<u8>, base: u64, index: &[(u32, ShardExtents)]) {
-    let footer_offset = base + out.len() as u64;
+/// Appends the footer index and trailer to `out`, which holds the column
+/// section that starts at file offset `section_offset`.
+fn encode_footer(out: &mut Vec<u8>, section_offset: u64, index: &[(u32, ShardExtents)]) {
+    let footer_offset = section_offset + out.len() as u64;
     out.extend_from_slice(FOOTER_MAGIC);
     put_u32(out, index.len() as u32);
     for (shard, extents) in index {
         put_u32(out, *shard);
         put_u64(out, extents.frame.0);
         put_u32(out, extents.frame.1);
-        put_u64(out, extents.column.0);
+        put_u32(out, extents.column.0);
         put_u32(out, extents.column.1);
     }
+    put_u64(out, section_offset);
     put_u64(out, footer_offset);
     out.extend_from_slice(TRAILER_MAGIC);
 }
 
-/// Validates the trailer of a `len`-byte document; returns the footer
-/// offset.
-fn decode_trailer(trailer: &[u8], len: u64) -> Result<u64, SpillError> {
+/// Validates the trailer of a `len`-byte document; returns the column
+/// section's and the footer's offsets, in that order and both inside the
+/// file body.
+fn decode_trailer(trailer: &[u8], len: u64) -> Result<(u64, u64), SpillError> {
     if len < HEADER_LEN + TRAILER_LEN || trailer.len() as u64 != TRAILER_LEN {
         return Err(SpillError::Truncated { section: "trailer" });
     }
-    if &trailer[8..] != TRAILER_MAGIC {
+    if &trailer[16..] != TRAILER_MAGIC {
         return Err(SpillError::BadMagic);
     }
-    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+    let section_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+    let footer_offset = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
     if footer_offset > len - TRAILER_LEN {
         return Err(SpillError::Truncated { section: "footer" });
     }
-    Ok(footer_offset)
+    if section_offset < HEADER_LEN || section_offset > footer_offset {
+        return Err(SpillError::CorruptFrame {
+            reason: "column section offset outside the file body",
+        });
+    }
+    Ok((section_offset, footer_offset))
 }
 
 /// Parses a footer (magic through the last index entry); returns
@@ -633,7 +675,7 @@ fn decode_footer(bytes: &[u8]) -> Result<BTreeMap<u32, ShardExtents>, SpillError
         let shard = r.u32("footer entry")?;
         let extents = ShardExtents {
             frame: (r.u64("footer entry")?, r.u32("footer entry")?),
-            column: (r.u64("footer entry")?, r.u32("footer entry")?),
+            column: (r.u32("footer entry")?, r.u32("footer entry")?),
         };
         if index.insert(shard, extents).is_some() {
             return Err(SpillError::DuplicateShardFrame { shard });
@@ -696,18 +738,19 @@ impl SpillFile {
         &self.path
     }
 
-    /// The shards present in the file, from its footer index. Reads the
-    /// trailer and the footer only.
-    fn index(&self) -> Result<BTreeMap<u32, ShardExtents>, SpillError> {
+    /// The column section and the footer, in two reads: the trailer,
+    /// then everything from the section's start to the trailer. Returns
+    /// those bytes and the footer's offset within them.
+    fn tail(&self) -> Result<(Vec<u8>, usize), SpillError> {
         let trailer_at = self.len.saturating_sub(TRAILER_LEN);
         let trailer = self.read_at(trailer_at, (self.len - trailer_at) as usize, "trailer")?;
-        let footer_offset = decode_trailer(&trailer, self.len)?;
-        let footer = self.read_at(
-            footer_offset,
-            (trailer_at - footer_offset) as usize,
-            "footer",
+        let (section_offset, footer_offset) = decode_trailer(&trailer, self.len)?;
+        let tail = self.read_at(
+            section_offset,
+            (trailer_at - section_offset) as usize,
+            "column section",
         )?;
-        decode_footer(&footer)
+        Ok((tail, (footer_offset - section_offset) as usize))
     }
 
     /// Reads `len` bytes at `offset`. A range past the end of the file is
@@ -735,13 +778,21 @@ impl SpillFile {
     /// One [`BlockSource`] per shard in the file, with its shard index, in
     /// ascending shard order.
     ///
-    /// Only the footer and each shard's column frame are read: the
-    /// sources carry their derived columns, and the record frames stay
-    /// on disk until [`SpillRef::load`]. This is how a reader (e.g. a
-    /// snapshot store) re-chains a directory of rounds without pulling
-    /// whole files into memory.
+    /// Only the trailer, the footer and the column section are read, the
+    /// last two in one read: the sources carry their derived columns,
+    /// decoded against the section's one name table, and the record
+    /// frames stay on disk until [`SpillRef::load`]. This is how a reader
+    /// (e.g. a snapshot store) re-chains a directory of rounds without
+    /// pulling whole files into memory.
     pub fn sources(self: &Arc<Self>) -> Result<Vec<(u32, BlockSource)>, SpillError> {
-        let index = self.index()?;
+        let (tail, footer_at) = self.tail()?;
+        let (section, footer) = tail.split_at(footer_at);
+        let index = decode_footer(footer)?;
+        let mut r = Reader::new(section);
+        let table = decode_name_table(&mut r)?;
+        // Columns follow the table; an extent reaching outside that range
+        // is rejected before its slice is taken.
+        let columns_at = r.pos;
         let mut sources = Vec::with_capacity(index.len());
         for (shard, extents) in index {
             if shard >= self.meta.shard_count {
@@ -755,12 +806,18 @@ impl SpillFile {
                     section: "frame preamble",
                 });
             }
-            let bytes =
-                self.read_at(extents.column.0, extents.column.1 as usize, "column frame")?;
-            let (column_shard, column) = decode_column(&bytes)?;
+            let (offset, len) = (extents.column.0 as usize, extents.column.1 as usize);
+            let bytes = offset
+                .checked_add(len)
+                .filter(|&end| offset >= columns_at && end <= section.len())
+                .map(|end| &section[offset..end])
+                .ok_or(SpillError::CorruptFrame {
+                    reason: "column extent outside the section",
+                })?;
+            let (column_shard, column) = decode_column(bytes, &table)?;
             if column_shard != shard {
                 return Err(SpillError::CorruptFrame {
-                    reason: "frame shard disagrees with index",
+                    reason: "column shard disagrees with index",
                 });
             }
             let spill = SpillRef {
@@ -840,18 +897,22 @@ impl SpillRef {
 #[derive(Debug)]
 struct Pending {
     shard: u32,
-    extents: ShardExtents,
+    /// The record frame's `(offset, len)`.
+    frame: (u64, u32),
     derived: Arc<DerivedColumn>,
 }
 
-/// Streams one round's frames to disk, then finalizes the footer and
-/// reopens the file for reads.
+/// Streams one round's record frames to disk, then finalizes the column
+/// section and the footer and reopens the file for reads.
 #[derive(Debug)]
 pub struct SpillWriter {
     path: PathBuf,
     file: File,
     offset: u64,
     pending: Vec<Pending>,
+    /// The shards in `pending`, for the duplicate check. Grown by
+    /// appends, never sized from the header's shard count.
+    appended: WordSet<u32>,
     meta: SpillMeta,
 }
 
@@ -869,13 +930,14 @@ impl SpillWriter {
             file,
             offset: header.len() as u64,
             pending: Vec::new(),
+            appended: WordSet::default(),
             meta,
         })
     }
 
-    /// Appends one shard's record frame followed by its column frame.
-    /// Returns nothing; the matching [`BlockSource`]s come out of
-    /// [`SpillWriter::finish`].
+    /// Appends one shard's record frame and keeps its column for the
+    /// column section [`SpillWriter::finish`] writes. Returns nothing;
+    /// the matching [`BlockSource`]s come out of `finish`.
     ///
     /// # Errors
     ///
@@ -895,7 +957,7 @@ impl SpillWriter {
                 count: self.meta.shard_count,
             });
         }
-        if self.pending.iter().any(|p| p.shard == shard) {
+        if self.appended.contains(&shard) {
             return Err(SpillError::DuplicateShardFrame { shard });
         }
         if derived.len() != block.len() {
@@ -903,37 +965,42 @@ impl SpillWriter {
                 reason: "column site count disagrees with frame",
             });
         }
-        let mut frames = encode_frame(shard, block);
-        let frame = (self.offset, frames.len() as u32);
-        let column = encode_column(shard, &derived);
-        let column_extent = (self.offset + frames.len() as u64, column.len() as u32);
-        frames.extend_from_slice(&column);
+        let frame = encode_frame(shard, block);
         self.file
-            .write_all(&frames)
+            .write_all(&frame)
             .map_err(io_err("writing spill frame"))?;
-        self.offset += frames.len() as u64;
+        self.appended.insert(shard);
         self.pending.push(Pending {
             shard,
-            extents: ShardExtents {
-                frame,
-                column: column_extent,
-            },
+            frame: (self.offset, frame.len() as u32),
             derived,
         });
+        self.offset += frame.len() as u64;
         Ok(())
     }
 
-    /// Writes the footer, flushes, and reopens the file read-only.
-    /// Returns the shared read handle plus one [`BlockSource`] per
-    /// appended shard, in append order.
+    /// Writes the column section and the footer, flushes, and reopens the
+    /// file read-only. Returns the shared read handle plus one
+    /// [`BlockSource`] per appended shard, in append order.
     pub fn finish(mut self) -> Result<(Arc<SpillFile>, Vec<BlockSource>), SpillError> {
-        let index: Vec<(u32, ShardExtents)> =
-            self.pending.iter().map(|p| (p.shard, p.extents)).collect();
-        let mut footer = Vec::new();
-        encode_footer(&mut footer, self.offset, &index);
+        let (mut tail, columns) =
+            encode_section(self.pending.iter().map(|p| (p.shard, p.derived.as_ref())));
+        let index: Vec<(u32, ShardExtents)> = self
+            .pending
+            .iter()
+            .zip(columns)
+            .map(|(p, column)| {
+                let extents = ShardExtents {
+                    frame: p.frame,
+                    column,
+                };
+                (p.shard, extents)
+            })
+            .collect();
+        encode_footer(&mut tail, self.offset, &index);
         self.file
-            .write_all(&footer)
-            .map_err(io_err("writing spill footer"))?;
+            .write_all(&tail)
+            .map_err(io_err("writing spill column section and footer"))?;
         self.file.flush().map_err(io_err("flushing spill file"))?;
         drop(self.file);
         let file = SpillFile::open(&self.path)?;
@@ -944,8 +1011,8 @@ impl SpillWriter {
                 let spill = SpillRef {
                     file: Arc::clone(&file),
                     shard: p.shard,
-                    offset: p.extents.frame.0,
-                    len: p.extents.frame.1,
+                    offset: p.frame.0,
+                    len: p.frame.1,
                     sites: p.derived.len() as u32,
                 };
                 BlockSource::spilled(spill, p.derived)
@@ -1046,21 +1113,45 @@ mod tests {
         read_round(path)
     }
 
-    /// The footer index of a round file's bytes, with the byte offset of
-    /// each entry (entries are 28 bytes, after the 8-byte footer head).
-    fn footer_entries(bytes: &[u8]) -> Vec<(usize, ShardExtents)> {
+    /// A round file's `(section_offset, footer_offset)`, from its trailer.
+    fn offsets(bytes: &[u8]) -> (usize, usize) {
         let trailer_at = bytes.len() - TRAILER_LEN as usize;
-        let footer_offset = decode_trailer(&bytes[trailer_at..], bytes.len() as u64).unwrap();
-        let index = decode_footer(&bytes[footer_offset as usize..trailer_at]).unwrap();
+        let (section, footer) = decode_trailer(&bytes[trailer_at..], bytes.len() as u64).unwrap();
+        (section as usize, footer as usize)
+    }
+
+    /// The footer index of a round file's bytes, with the byte offset of
+    /// each entry (entries are 24 bytes, after the 8-byte footer head).
+    fn footer_entries(bytes: &[u8]) -> Vec<(usize, ShardExtents)> {
+        let footer_offset = offsets(bytes).1;
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        let index = decode_footer(&bytes[footer_offset..trailer_at]).unwrap();
         index
             .into_values()
             .enumerate()
-            .map(|(i, extents)| (footer_offset as usize + 8 + i * 28, extents))
+            .map(|(i, extents)| (footer_offset + 8 + i * 24, extents))
             .collect()
     }
 
     fn put_u32_at(bytes: &mut [u8], at: usize, v: u32) {
         bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_at(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The file with its column section cut at byte `cut` (a file
+    /// offset): the section's bytes from there on are gone, and the
+    /// footer and trailer follow intact, the trailer's footer offset
+    /// moved to match.
+    fn cut_section(bytes: &[u8], cut: usize) -> Vec<u8> {
+        let footer_offset = offsets(bytes).1;
+        let mut short = bytes[..cut].to_vec();
+        short.extend_from_slice(&bytes[footer_offset..]);
+        let trailer_at = short.len() - TRAILER_LEN as usize;
+        put_u64_at(&mut short, trailer_at + 8, cut as u64);
+        short
     }
 
     #[test]
@@ -1091,33 +1182,56 @@ mod tests {
             let err = read_bytes(&path, &bytes[..cut]).unwrap_err();
             let _ = err.to_string();
         }
-        // Every column frame cut short at every byte: the footer's extent
-        // claiming the cut, and the frame's length word claiming it.
+        // Every column cut short at every byte by its footer extent, and
+        // the column section cut at every byte with the footer and
+        // trailer intact after it.
         for (entry, extents) in footer_entries(&bytes) {
-            let (offset, len) = (extents.column.0 as usize, extents.column.1);
-            for cut in 0..len {
+            for cut in 0..extents.column.1 {
                 let mut short = bytes.clone();
-                put_u32_at(&mut short, entry + 24, cut);
+                put_u32_at(&mut short, entry + 20, cut);
                 assert!(read_bytes(&path, &short).is_err(), "extent cut at {cut}");
-                if cut >= 4 {
-                    let mut short = bytes.clone();
-                    put_u32_at(&mut short, offset, cut - 4);
-                    assert!(
-                        read_bytes(&path, &short).is_err(),
-                        "relabelled cut at {cut}"
-                    );
-                }
             }
         }
-        // An extent past the end of the file is a truncation, caught
-        // before a buffer of its length is allocated.
+        let (section_offset, footer_offset) = offsets(&bytes);
+        for cut in section_offset..footer_offset {
+            let short = cut_section(&bytes, cut);
+            assert!(read_bytes(&path, &short).is_err(), "section cut at {cut}");
+        }
+        // A record frame's extent past the end of the file is a
+        // truncation, and a column's extent past the section, or into its
+        // name table, is named; both are caught before a buffer of the
+        // extent's length is allocated or sliced.
         let (entry, _) = footer_entries(&bytes)[0];
-        for (at, section) in [(entry + 12, "frame"), (entry + 24, "column frame")] {
-            let mut long = bytes.clone();
-            put_u32_at(&mut long, at, u32::MAX);
+        let mut long = bytes.clone();
+        put_u32_at(&mut long, entry + 12, u32::MAX);
+        assert_eq!(
+            read_bytes(&path, &long).unwrap_err(),
+            SpillError::Truncated { section: "frame" }
+        );
+        for (at, value) in [
+            (entry + 20, u32::MAX),
+            (entry + 16, u32::MAX),
+            (entry + 16, 0),
+        ] {
+            let mut bad = bytes.clone();
+            put_u32_at(&mut bad, at, value);
             assert_eq!(
-                read_bytes(&path, &long).unwrap_err(),
-                SpillError::Truncated { section }
+                read_bytes(&path, &bad).unwrap_err(),
+                SpillError::CorruptFrame {
+                    reason: "column extent outside the section"
+                }
+            );
+        }
+        // A section offset past the footer, or inside the header.
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        for offset in [footer_offset as u64 + 1, u64::MAX, HEADER_LEN - 1] {
+            let mut bad = bytes.clone();
+            put_u64_at(&mut bad, trailer_at, offset);
+            assert_eq!(
+                read_bytes(&path, &bad).unwrap_err(),
+                SpillError::CorruptFrame {
+                    reason: "column section offset outside the file body"
+                }
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1175,16 +1289,18 @@ mod tests {
             SpillFile::open(&path).unwrap().sources().map(|_| ())
         };
 
-        // The first class byte sits after the preamble and the name
-        // table (count word plus three length-prefixed names).
+        // The section opens with the file's name table (count word plus
+        // three length-prefixed names); the one column follows it, and its
+        // first class byte follows the column's shard and site count.
         let (entry, extents) = footer_entries(&bytes)[0];
-        let column_at = extents.column.0 as usize;
         let names: usize = ["kate.ns.cloudflare.com", "rob.ns.cloudflare.com"]
             .iter()
             .chain(&["x7f3.incapdns.net"])
             .map(|n| 2 + n.len())
             .sum();
-        let class_at = column_at + 12 + 4 + names;
+        assert_eq!(extents.column.0 as usize, 4 + names);
+        let column_at = offsets(&bytes).0 + extents.column.0 as usize;
+        let class_at = column_at + 8;
         let mut bad = bytes.clone();
         bad[class_at] = 0x0F; // provider code 15: no such provider
         assert_eq!(
@@ -1200,21 +1316,29 @@ mod tests {
             read_columns(&bad).unwrap_err(),
             SpillError::CorruptFrame { .. }
         ));
-        // A trailing byte the length word and the extent both cover is
-        // rejected: insert it after the frame and shift the footer.
+        // The fleet pairs follow the multi-CDN list (count word, two
+        // sites) and their own count word: a first host id one past the
+        // three-name table is named.
+        let fleet_id_at = class_at + 3 + 4 + 2 * 4 + 4 + 4;
+        let mut bad = bytes.clone();
+        put_u32_at(&mut bad, fleet_id_at, 3);
+        assert_eq!(
+            read_columns(&bad).unwrap_err(),
+            SpillError::BadNameIndex { index: 3, table: 3 }
+        );
+        // A trailing byte the extent covers is rejected: insert it after
+        // the column and shift the footer.
         let column_end = column_at + extents.column.1 as usize;
         let mut long = bytes.clone();
         long.insert(column_end, 0);
-        put_u32_at(&mut long, column_at, extents.column.1 - 4 + 1);
-        put_u32_at(&mut long, entry + 1 + 24, extents.column.1 + 1);
+        put_u32_at(&mut long, entry + 1 + 20, extents.column.1 + 1);
         let trailer_at = long.len() - TRAILER_LEN as usize;
-        let footer_offset =
-            u64::from_le_bytes(long[trailer_at..trailer_at + 8].try_into().unwrap());
-        long[trailer_at..trailer_at + 8].copy_from_slice(&(footer_offset + 1).to_le_bytes());
+        let footer_offset = offsets(&bytes).1 as u64;
+        put_u64_at(&mut long, trailer_at + 8, footer_offset + 1);
         assert_eq!(
             read_columns(&long).unwrap_err(),
             SpillError::CorruptFrame {
-                reason: "column frame has trailing bytes"
+                reason: "column has trailing bytes"
             }
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1234,12 +1358,14 @@ mod tests {
             read_bytes(&path, &bytes).unwrap_err(),
             SpillError::UnsupportedVersion(_)
         ));
-        let mut bytes = good;
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            read_bytes(&path, &bytes).unwrap_err(),
-            SpillError::UnsupportedVersion(1)
-        );
+        for old in [1u16, 2] {
+            let mut bytes = good.clone();
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                read_bytes(&path, &bytes).unwrap_err(),
+                SpillError::UnsupportedVersion(old)
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,12 +2,12 @@
 //! columns, plus per-provider posting lists.
 //!
 //! Every block carries its [`DerivedColumn`] from collection — a spilled
-//! block's is read from its column frame when the store opens — so
-//! [`ClassifiedStore`] classifies nothing and decodes no record frame: it
-//! assembles each round from the carried columns (`Arc` clones shared
-//! with every other round that chains the same block) and counts,
-//! through the [`ShardClassCache`], which blocks a round chained
-//! unchanged from the previous one.
+//! block's is read from its file's column section when the store opens —
+//! so [`ClassifiedStore`] classifies nothing and decodes no record frame:
+//! it assembles each round from the carried columns (`Arc` clones shared
+//! with every other round that chains the same block) and counts, through
+//! the [`ShardClassCache`], which blocks a round chained unchanged from
+//! the previous one.
 //!
 //! While assembling, the store builds per-provider posting lists — one
 //! bitset per provider marking every site the campaign *ever* classified

@@ -1,9 +1,10 @@
 //! Time-indexed snapshot store and columnar query layer over persisted
 //! collection rounds.
 //!
-//! A spill-mode campaign leaves its full history on disk: one RSNP v2
+//! A spill-mode campaign leaves its full history on disk: one RSNP v3
 //! file per round, full or delta, each shard stored as a record frame
-//! plus the block's derived column. This crate reopens that directory as a
+//! plus the block's derived column in the file's column section. This
+//! crate reopens that directory as a
 //! [`SnapshotStore`] — a generation-aware, lazily-loaded sequence of
 //! rounds — and layers a small query API on top:
 //!
@@ -16,8 +17,8 @@
 //! - **Diff generations**: [`RoundsQuery::generation_diff`] reads each
 //!   round's dirty/clean shard split from metadata alone.
 //! - **Classified view**: [`PlanContext`] / [`ClassifiedStore`] assemble
-//!   each round from the derived columns its blocks carry (read from the
-//!   column frames; no record frame is decoded) and build per-provider
+//!   each round from the derived columns its blocks carry (read from
+//!   each file's column section; no record frame is decoded) and build per-provider
 //!   posting lists — see [`classified`].
 //! - **Plan**: [`PassesPlan`], [`UnchangedCandidatesPlan`] and
 //!   [`ResidualScanPlan`] replay the paper's analyses (adoption,

@@ -1,16 +1,16 @@
 //! The time-indexed snapshot store: a spill directory reopened as a
 //! queryable sequence of collection rounds.
 //!
-//! A campaign that runs with `--spill-dir` leaves one RSNP v2 file per
+//! A campaign that runs with `--spill-dir` leaves one RSNP v3 file per
 //! round behind: `full-r*.rsnb` files carry every shard, `delta-r*.rsnb`
 //! files carry only the shards whose zone generations changed.
 //! [`SnapshotStore::open`] re-chains that directory without loading any
 //! record data: each file contributes one [`BlockSource`] per shard it
 //! wrote — a [`SpillRef`](remnant_core::SpillRef) to the record frame
-//! plus the block's derived column, read from its column frame — and a
-//! round's snapshot is the latest source per shard at that point in the
-//! sequence: the same `Arc`-shared structural sharing the delta collector
-//! used when writing. Record frames are only read from disk when a query
+//! plus the block's derived column, read from the file's column section
+//! in one read with the footer — and a round's snapshot is the latest
+//! source per shard at that point in the sequence: the same `Arc`-shared
+//! structural sharing the delta collector used when writing. Record frames are only read from disk when a query
 //! actually touches a block's records, and are dropped again after the
 //! block goes out of scope.
 
@@ -204,9 +204,9 @@ impl SnapshotStore {
     /// `delta-r*` files — is a typed [`StoreError::MissingRound`]), and
     /// that every round agrees on one self-consistent collection plan and
     /// chains exactly its shards ([`StoreError::PlanMismatch`]). Only
-    /// headers, footer indexes and column frames are read; record frames
-    /// stay on disk, and nothing is sized from a header before the
-    /// frames present confirm it.
+    /// headers, trailers, footer indexes and column sections are read,
+    /// three reads per file; record frames stay on disk, and nothing is
+    /// sized from a header before the frames present confirm it.
     pub fn open(dir: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
         let dir = dir.as_ref();
         let io = |context: &'static str| {

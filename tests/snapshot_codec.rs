@@ -5,10 +5,12 @@
 //! dump — the dump the differential tests compare — and derived columns
 //! equal the original's, and rewriting it reproduces the file byte for
 //! byte. A file damaged on disk — truncated at every byte boundary (the
-//! file, and every column frame on its own), with corrupted
-//! magic/version, an out-of-range name index, an interned name with
-//! one invalid byte, a duplicated shard frame, or a random bit flip —
-//! reads back as a typed [`SpillError`], never a panic.
+//! file, the column section on its own, and every column's extent), with
+//! corrupted magic/version, an out-of-range name index (in a record
+//! frame or the column section), a column extent outside the section, a
+//! section offset past the footer, an interned name with one invalid
+//! byte, a duplicated shard frame, or a random bit flip — reads back as a
+//! typed [`SpillError`], never a panic.
 
 mod support;
 
@@ -34,7 +36,7 @@ fn domain_name() -> impl Strategy<Value = String> {
 }
 
 /// Domain names that sometimes carry a residual-scan fingerprint, so
-/// column frames hold fleet hosts and tokens.
+/// column sections hold fleet hosts and tokens.
 fn fingerprinted_name() -> impl Strategy<Value = String> {
     prop_oneof![
         domain_name(),
@@ -49,19 +51,25 @@ fn read_bytes(path: &Path, bytes: &[u8]) -> Result<DnsSnapshot, SpillError> {
     support::read_round(path)
 }
 
-/// Every column frame's `(offset, len)`, read from a round file's footer
-/// index (`u32 shard, u64 frame_offset, u32 frame_len, u64
-/// column_offset, u32 column_len` per entry).
-fn column_extents(binary: &[u8]) -> Vec<(usize, usize)> {
-    let trailer = binary.len() - 12;
-    let footer = u64::from_le_bytes(binary[trailer..trailer + 8].try_into().unwrap()) as usize;
-    let entries = u32::from_le_bytes(binary[footer + 4..footer + 8].try_into().unwrap()) as usize;
-    (0..entries)
+/// A round file's `(section_offset, footer_offset)`, from its trailer
+/// (`u64 section_offset, u64 footer_offset, "RSNZ"`).
+fn trailer_offsets(binary: &[u8]) -> (usize, usize) {
+    let trailer = binary.len() - 20;
+    let word = |at: usize| u64::from_le_bytes(binary[at..at + 8].try_into().unwrap()) as usize;
+    (word(trailer), word(trailer + 8))
+}
+
+/// Every column's `(entry, offset, len)`: the file offset of its footer
+/// index entry (`u32 shard, u64 frame_offset, u32 frame_len, u32
+/// column_offset, u32 column_len`), and the column's file offset and
+/// length (the entry's column offset counts from the section's start).
+fn column_extents(binary: &[u8]) -> Vec<(usize, usize, usize)> {
+    let (section, footer) = trailer_offsets(binary);
+    let word = |at: usize| u32::from_le_bytes(binary[at..at + 4].try_into().unwrap()) as usize;
+    (0..word(footer + 4))
         .map(|i| {
-            let entry = footer + 8 + i * 28;
-            let offset = u64::from_le_bytes(binary[entry + 16..entry + 24].try_into().unwrap());
-            let len = u32::from_le_bytes(binary[entry + 24..entry + 28].try_into().unwrap());
-            (offset as usize, len as usize)
+            let entry = footer + 8 + i * 24;
+            (entry, section + word(entry + 16), word(entry + 20))
         })
         .collect()
 }
@@ -147,19 +155,29 @@ proptest! {
         let path = support::temp_dir("codec-column-cut").join("round.rsnb");
         let binary = support::write_round(&path, &build(7, 2, &sites));
         let mut file = OpenOptions::new().write(true).open(&path).expect("round file writable");
-        for (offset, len) in column_extents(&binary) {
-            for cut in 0..len - 4 {
-                // The column frame's length word claims only `cut` body
-                // bytes: the frame ends early while the file around it
-                // stays intact.
-                file.seek(SeekFrom::Start(offset as u64))
+        for (entry, _, len) in column_extents(&binary) {
+            for cut in 0..len {
+                // The column's footer extent claims only `cut` bytes: the
+                // column ends early while the file around it stays intact.
+                file.seek(SeekFrom::Start(entry as u64 + 20))
                     .and_then(|_| file.write_all(&(cut as u32).to_le_bytes()))
-                    .expect("length word patched");
-                prop_assert!(support::read_round(&path).is_err(), "cut at {}", cut);
+                    .expect("extent patched");
+                prop_assert!(support::read_round(&path).is_err(), "extent cut at {}", cut);
             }
-            file.seek(SeekFrom::Start(offset as u64))
-                .and_then(|_| file.write_all(&binary[offset..offset + 4]))
-                .expect("length word restored");
+            file.seek(SeekFrom::Start(entry as u64 + 20))
+                .and_then(|_| file.write_all(&binary[entry + 20..entry + 24]))
+                .expect("extent restored");
+        }
+        // The column section cut at every byte: the section's bytes from
+        // the cut on are gone, and the footer and trailer follow intact,
+        // the trailer's footer offset moved to the cut.
+        let (section, footer) = trailer_offsets(&binary);
+        for cut in section..footer {
+            let mut short = binary[..cut].to_vec();
+            short.extend_from_slice(&binary[footer..]);
+            let trailer = short.len() - 20;
+            short[trailer + 8..trailer + 16].copy_from_slice(&(cut as u64).to_le_bytes());
+            prop_assert!(read_bytes(&path, &short).is_err(), "section cut at {}", cut);
         }
     }
 
@@ -212,13 +230,16 @@ fn bad_magic_and_version_are_named() {
         Err(SpillError::UnsupportedVersion(_))
     ));
 
-    // A v1 file (no column frames) is named as such.
-    let mut old = good;
-    old[4..6].copy_from_slice(&1u16.to_le_bytes());
-    assert_eq!(
-        read_bytes(&path, &old).unwrap_err(),
-        SpillError::UnsupportedVersion(1)
-    );
+    // A v1 file (no derived columns) and a v2 file (a column frame after
+    // each record frame) are named as such.
+    for version in [1u16, 2] {
+        let mut old = good.clone();
+        old[4..6].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            read_bytes(&path, &old).unwrap_err(),
+            SpillError::UnsupportedVersion(version)
+        );
+    }
 }
 
 #[test]
@@ -238,6 +259,56 @@ fn out_of_range_name_index_is_named() {
         }
         other => panic!("expected BadNameIndex, got {other:?}"),
     }
+}
+
+#[test]
+fn column_section_faults_are_named() {
+    // One site whose NS host is a Cloudflare fleet candidate: the column
+    // section's table holds that one name, and the site's column refers
+    // to it.
+    let snapshot = build(
+        1,
+        1,
+        &[(vec![], vec![], vec!["kate.ns.cloudflare.com".to_owned()])],
+    );
+    let path = support::temp_dir("codec-column-section").join("round.rsnb");
+    let good = support::write_round(&path, &snapshot);
+    let (section, footer) = trailer_offsets(&good);
+    assert_eq!(&good[section..section + 4], &1u32.to_le_bytes());
+    let (entry, column, _) = column_extents(&good)[0];
+
+    // A column extent reaching past the section.
+    let mut bad = good.clone();
+    bad[entry + 20..entry + 24].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        read_bytes(&path, &bad).unwrap_err(),
+        SpillError::CorruptFrame {
+            reason: "column extent outside the section"
+        }
+    );
+
+    // A name id past the file table. The column holds u32 shard, u32
+    // n_sites, one class byte, u32 multi-CDN count (0), u32 fleet count
+    // (1), then the fleet pair's u32 site and u32 name id.
+    let id_at = column + 4 + 4 + 1 + 4 + 4 + 4;
+    assert_eq!(&good[id_at..id_at + 4], &0u32.to_le_bytes());
+    let mut bad = good.clone();
+    bad[id_at..id_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        read_bytes(&path, &bad).unwrap_err(),
+        SpillError::BadNameIndex { index: 1, table: 1 }
+    );
+
+    // A section offset past the footer.
+    let mut bad = good;
+    let trailer = bad.len() - 20;
+    bad[trailer..trailer + 8].copy_from_slice(&(footer as u64 + 1).to_le_bytes());
+    assert_eq!(
+        read_bytes(&path, &bad).unwrap_err(),
+        SpillError::CorruptFrame {
+            reason: "column section offset outside the file body"
+        }
+    );
 }
 
 #[test]
