@@ -65,6 +65,15 @@ impl ResolverCache {
         ResolverCache::default()
     }
 
+    /// Creates an empty cache that holds `entries` entries before its
+    /// table first grows. Capacity changes no counter and no answer.
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        ResolverCache {
+            entries: WordMap::with_capacity_and_hasher(entries, Default::default()),
+            ..ResolverCache::default()
+        }
+    }
+
     /// Inserts records, grouping them by (owner, type). Each group's expiry
     /// comes from the minimum TTL within the group. Empty input is a no-op.
     ///

@@ -6,21 +6,21 @@
 //! heap churn, parsing interns the normalized form in a process-wide
 //! sharded intern table. The interner never evicts — the simulation's
 //! name universe is bounded by the generated world — so each name's
-//! payload is allocated once, leaked, and lives for the whole process.
-//! A [`DomainName`] is one `&'static` pointer to that payload: `Clone` is
-//! a pointer copy with no refcount and no drop glue, equality is pointer
-//! identity (exact, because every handle comes from the interner), and
-//! hashing writes a precomputed content hash, so hashed maps and ordered
-//! maps never depend on addresses.
+//! payload is written once into a leaked, append-only arena and lives
+//! for the whole process. A [`DomainName`] is one `&'static` pointer to
+//! that payload: `Clone` is a pointer copy with no refcount and no drop
+//! glue, equality is pointer identity (exact, because every handle comes
+//! from the interner), and hashing writes a precomputed content hash, so
+//! hashed maps and ordered maps never depend on addresses.
 //!
 //! Interning a name interns its parent first and links to it, so every
 //! interned name carries the chain of its ancestors down to the TLD.
-//! [`DomainName::parent`], [`DomainName::suffix`], [`DomainName::apex`]
-//! and [`DomainName::suffixes`] walk those links and copy one pointer;
-//! they never touch the intern table. [`DomainName::is_child_of`] tests
-//! "is this `<label>.<parent>`" the same way, so answering code can match
-//! derived hosts without building them. Only [`DomainName::parse`] and
-//! [`DomainName::prepend`] probe the table.
+//! [`DomainName::parent`], [`DomainName::suffix`], [`DomainName::apex`],
+//! [`DomainName::tld`] and [`DomainName::suffixes`] walk those links and
+//! copy one pointer; they never touch the intern table.
+//! [`DomainName::is_child_of`] tests "is this `<label>.<parent>`" the same
+//! way, so answering code can match derived hosts without building them.
+//! Only [`DomainName::parse`] and [`DomainName::prepend`] probe the table.
 //!
 //! The table hashes each name once. Its shards key entries by the FNV-1a
 //! word the payload stores, mixed through
@@ -41,13 +41,20 @@
 //! classifier over the name, computed on first use by
 //! [`DomainName::verdict`] and read back with one atomic load after that.
 //! Because the payload lives for the whole process, so does the verdict.
+//!
+//! Payloads and their text live in one arena: leaked chunks of payload
+//! slots and of text bytes, carved front to back in the order names are
+//! created. A name costs its 40-byte payload, its text and its
+//! intern-table slot, with no allocator header and no allocation of its
+//! own; a chunk is allocated once per 1,024 names or 32 KiB of text.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::mem::MaybeUninit;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{LazyLock, RwLock};
+use std::sync::{LazyLock, Mutex, RwLock};
 
 use remnant_net::hash::WordSet;
 
@@ -58,12 +65,12 @@ const MAX_NAME_LEN: usize = 253;
 /// Maximum length of a single label.
 const MAX_LABEL_LEN: usize = 63;
 
-/// The shared, immutable payload of an interned name, leaked on intern.
+/// The shared, immutable payload of an interned name, written once into
+/// the [`Arena`].
 struct NameInner {
-    /// Normalized presentation form, e.g. "www.example.com".
-    name: Box<str>,
-    /// Byte offsets of label starts within `name`.
-    label_starts: Box<[u16]>,
+    /// Normalized presentation form, e.g. "www.example.com", in an arena
+    /// text chunk.
+    name: &'static str,
     /// FNV-1a hash of `name`, precomputed so `Hash` is O(1).
     hash: u64,
     /// The name with its leftmost label removed, interned before this
@@ -72,6 +79,8 @@ struct NameInner {
     /// The classifier's verdict with [`VERDICT_COMPUTED`] set, or 0 while
     /// it has not been computed (see [`DomainName::verdict`]).
     verdict: AtomicU32,
+    /// Number of labels; a 253-byte name has at most 127.
+    labels: u8,
 }
 
 /// Set in a stored verdict word, so a computed verdict of 0 is told apart
@@ -90,15 +99,55 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Label-start offsets of an already validated, normalized name.
-fn label_starts_of(name: &str) -> Box<[u16]> {
-    let mut starts = Vec::with_capacity(4);
-    let mut start = 0usize;
-    for label in name.split('.') {
-        starts.push(start as u16);
-        start += label.len() + 1;
+/// Payload slots per arena chunk: 40 KiB of payloads.
+const PAYLOAD_CHUNK: usize = 1024;
+/// Bytes per arena text chunk. A name is at most [`MAX_NAME_LEN`] bytes,
+/// so a chunk abandons at most that much of its tail.
+const TEXT_CHUNK: usize = 32 * 1024;
+
+/// Append-only storage for every payload and its text. Chunks are leaked
+/// when they are allocated and carved front to back, so a carved slot is
+/// `&'static`: nothing is ever freed or moved.
+#[derive(Default)]
+struct Arena {
+    /// The unused tail of the current payload chunk.
+    slots: &'static mut [MaybeUninit<NameInner>],
+    /// The unused tail of the current text chunk.
+    text: &'static mut [MaybeUninit<u8>],
+}
+
+impl Arena {
+    /// Copies `name` into the text chunk and writes its payload into the
+    /// next slot.
+    fn alloc(
+        &mut self,
+        name: &str,
+        hash: u64,
+        parent: Option<&'static NameInner>,
+        labels: u8,
+    ) -> &'static NameInner {
+        if self.text.len() < name.len() {
+            self.text = Box::leak(Box::new_uninit_slice(TEXT_CHUNK));
+        }
+        let (bytes, rest) = std::mem::take(&mut self.text).split_at_mut(name.len());
+        self.text = rest;
+        let name = std::str::from_utf8(bytes.write_copy_of_slice(name.as_bytes()))
+            .expect("a copy of a str is UTF-8");
+        if self.slots.is_empty() {
+            self.slots = Box::leak(Box::new_uninit_slice(PAYLOAD_CHUNK));
+        }
+        let (slot, rest) = std::mem::take(&mut self.slots)
+            .split_first_mut()
+            .expect("the chunk was just refilled");
+        self.slots = rest;
+        slot.write(NameInner {
+            name,
+            hash,
+            parent,
+            verdict: AtomicU32::new(0),
+            labels,
+        })
     }
-    starts.into_boxed_slice()
 }
 
 /// What an intern-table probe matches: a name's FNV-1a word and its
@@ -119,7 +168,7 @@ impl InternKey for InternEntry {
     }
 
     fn text(&self) -> &str {
-        &self.0.name
+        self.0.name
     }
 }
 
@@ -176,10 +225,16 @@ const INTERN_SHARDS: usize = 16;
 
 struct Interner {
     shards: [RwLock<WordSet<InternEntry>>; INTERN_SHARDS],
+    /// One arena for every shard, filled in creation order, so the names
+    /// a site's generation interns sit together. Its lock is only taken
+    /// to create a name, inside that name's shard write lock, and no
+    /// other lock is ever taken while it is held.
+    arena: Mutex<Arena>,
 }
 
 static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
     shards: std::array::from_fn(|_| RwLock::new(WordSet::default())),
+    arena: Mutex::default(),
 });
 
 impl Interner {
@@ -205,28 +260,25 @@ impl Interner {
     /// Creates the payload for a `normalized` name that a probe just
     /// missed. Write-locks its shard only to insert.
     fn insert(&self, hash: u64, normalized: &str) -> &'static NameInner {
-        let label_starts = label_starts_of(normalized);
         // Intern the parent first (outside this shard's lock) so the link
         // always points at the parent's unique payload.
-        let parent = label_starts.get(1).map(|&start| {
-            let parent = &normalized[usize::from(start)..];
-            self.intern(fnv1a(parent.as_bytes()), parent)
-        });
+        let parent = normalized
+            .split_once('.')
+            .map(|(_, parent)| self.intern(fnv1a(parent.as_bytes()), parent));
+        let labels = parent.map_or(1, |parent| parent.labels + 1);
         let mut guard = self.shard(hash).write().expect("interner lock");
         // Another thread may have interned the name since the read probe;
         // its payload wins, so pointer identity stays unique per name and
-        // only the winner is ever leaked.
+        // only the winner ever takes arena space.
         let key: &dyn InternKey = &(hash, normalized);
         if let Some(existing) = guard.get(key) {
             return existing.0;
         }
-        let inner: &'static NameInner = Box::leak(Box::new(NameInner {
-            name: normalized.into(),
-            label_starts,
-            hash,
-            parent,
-            verdict: AtomicU32::new(0),
-        }));
+        let inner = self
+            .arena
+            .lock()
+            .expect("arena lock")
+            .alloc(normalized, hash, parent, labels);
         guard.insert(InternEntry(inner));
         inner
     }
@@ -320,12 +372,12 @@ impl DomainName {
 
     /// The normalized presentation form.
     pub fn as_str(&self) -> &str {
-        &self.0.name
+        self.0.name
     }
 
     /// Number of labels, e.g. 3 for `www.example.com`.
     pub fn label_count(&self) -> usize {
-        self.0.label_starts.len()
+        usize::from(self.0.labels)
     }
 
     /// Iterates labels left to right.
@@ -348,8 +400,11 @@ impl DomainName {
 
     /// The top-level domain (rightmost label).
     pub fn tld(&self) -> &str {
-        let start = usize::from(*self.0.label_starts.last().expect("names have >= 1 label"));
-        &self.0.name[start..]
+        let mut inner = self.0;
+        while let Some(parent) = inner.parent {
+            inner = parent;
+        }
+        inner.name
     }
 
     /// The registrable apex: the two rightmost labels (this simulation uses
@@ -365,10 +420,13 @@ impl DomainName {
         self.0.parent.map(DomainName)
     }
 
-    /// True if `self` is exactly `<label>.<parent>`: the same test as
-    /// `parent.prepend(label).ok() == Some(self)`, without building (or
-    /// interning) the prepended name. `label` compares ASCII
-    /// case-insensitively, as parsing would lowercase it.
+    /// True if `self` is exactly `<label>.<parent>` for a single `label`:
+    /// the same test as `parent.prepend(label).ok() == Some(self)`,
+    /// without building (or interning) the prepended name. `label`
+    /// compares ASCII case-insensitively, as parsing would lowercase it.
+    /// A dotted `label` is never one label, so it returns `false` even
+    /// where `prepend` would build `self` (`a.b` and `example.com` for
+    /// `a.b.example.com`, whose parent is `b.example.com`).
     ///
     /// ```
     /// use remnant_dns::DomainName;
@@ -380,11 +438,16 @@ impl DomainName {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn is_child_of(&self, parent: &DomainName, label: &str) -> bool {
-        let Some(own_parent) = self.0.parent else {
+        // The pointer test comes first, so a mismatched parent's payload
+        // is never read.
+        if !self.0.parent.is_some_and(|own| std::ptr::eq(own, parent.0)) {
             return false;
-        };
-        let first_end = usize::from(self.0.label_starts[1]) - 1;
-        std::ptr::eq(own_parent, parent.0) && self.0.name[..first_end].eq_ignore_ascii_case(label)
+        }
+        // `self` is `<first label>.<parent>`, so a label of the first
+        // label's length is compared against exactly that label.
+        let name = self.0.name;
+        name.len() == parent.0.name.len() + 1 + label.len()
+            && name.as_bytes()[..label.len()].eq_ignore_ascii_case(label.as_bytes())
     }
 
     /// True if `self` is equal to or underneath `other`
@@ -509,7 +572,7 @@ impl Ord for DomainName {
         if std::ptr::eq(self.0, other.0) {
             return std::cmp::Ordering::Equal;
         }
-        self.0.name.cmp(&other.0.name)
+        self.0.name.cmp(other.0.name)
     }
 }
 
@@ -688,15 +751,23 @@ mod tests {
         assert!(!dev.is_child_of(&name("example.com"), "dev"));
         assert!(!name("x.dev.child-of.example.com").is_child_of(&apex, "dev"));
         assert!(!name("com").is_child_of(&name("com"), "com"));
+        // `prepend("a.b")` builds `a.b.example.com`, but its parent is
+        // `b.example.com`: a dotted label is never one label.
+        let dotted = name("a.b.example.com");
+        assert_eq!(name("example.com").prepend("a.b").unwrap(), dotted);
+        assert!(!dotted.is_child_of(&name("example.com"), "a.b"));
+        assert!(dotted.is_child_of(&name("b.example.com"), "A"));
+        assert!(!dotted.is_child_of(&name("b.example.com"), "a."));
     }
 
     // A handle is one pointer and dropping it does nothing.
     const _: () = assert!(std::mem::size_of::<DomainName>() == std::mem::size_of::<usize>());
     const _: () = assert!(!std::mem::needs_drop::<DomainName>());
-    // The verdict word grows the payload from 48 to 56 bytes; both sizes
-    // take one 64-byte allocator chunk.
+    // The payload is a text pointer and length, the hash, the parent link,
+    // the verdict word and the label count, packed back to back in an
+    // arena chunk with no allocator header.
     #[cfg(target_pointer_width = "64")]
-    const _: () = assert!(std::mem::size_of::<NameInner>() == 56);
+    const _: () = assert!(std::mem::size_of::<NameInner>() == 40);
 
     #[test]
     fn verdict_is_computed_once_and_zero_is_a_verdict() {

@@ -174,6 +174,16 @@ impl RecursiveResolver {
         }
     }
 
+    /// Creates a resolver like [`RecursiveResolver::new`] whose cache
+    /// holds `entries` entries before its table first grows, for a sweep
+    /// that knows how much it will cache.
+    pub fn with_cache_capacity(clock: SimClock, region: Region, entries: usize) -> Self {
+        RecursiveResolver {
+            cache: ResolverCache::with_capacity(entries),
+            ..RecursiveResolver::new(clock, region)
+        }
+    }
+
     /// The region this resolver queries from (anycast catchment).
     pub fn region(&self) -> Region {
         self.region

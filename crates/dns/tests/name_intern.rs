@@ -215,6 +215,78 @@ proptest! {
     }
 
     #[test]
+    fn tld_matches_reference(input in prop_oneof![name_like(), "[A-Za-z0-9_]{1,12}\\.?"]) {
+        let Ok(ours) = DomainName::parse(&input) else {
+            prop_assert!(reference::parse(&input).is_none());
+            return Ok(());
+        };
+        let oracle = reference::parse(&input).expect("oracle accepts what we accept");
+        prop_assert_eq!(ours.tld(), oracle.tld());
+        // `tld` walks the parent links to the TLD's own payload.
+        let tld = ours.suffix(1).expect("names have >= 1 label");
+        prop_assert!(std::ptr::eq(ours.tld(), tld.as_str()), "{}", ours);
+        if ours.label_count() == 1 {
+            prop_assert_eq!(ours.tld(), ours.as_str());
+            prop_assert_eq!(ours.parent(), None);
+        }
+    }
+
+    #[test]
+    fn is_child_of_matches_prepend(
+        input in name_like(),
+        other in name_like(),
+        label in "[A-Za-z0-9_-]{1,12}",
+    ) {
+        let Ok(child) = DomainName::parse(&input) else { return Ok(()); };
+        let own = child.labels().next().expect("names have >= 1 label");
+        let mixed: String = own
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i % 2 == 0 { c.to_ascii_uppercase() } else { c })
+            .collect();
+        // The true parent, the child itself, its TLD, its apex and an
+        // unrelated name; for a TLD the true parent does not exist.
+        let parents: Vec<DomainName> = [
+            child.parent(),
+            Some(child.clone()),
+            child.suffix(1),
+            Some(child.apex()),
+            DomainName::parse(&other).ok(),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        // Labels a byte short of and a byte past the child's own label
+        // share its prefix, so only the length test tells them apart.
+        let (short, long) = (&own[..own.len() - 1], format!("{own}x"));
+        for parent in &parents {
+            for label in [own, mixed.as_str(), label.as_str(), short, long.as_str()] {
+                let built = parent.prepend(label).ok();
+                let oracle = reference::parse(&format!("{label}.{parent}"))
+                    .is_some_and(|name| name.name == child.as_str());
+                prop_assert_eq!(built.as_ref() == Some(&child), oracle);
+                prop_assert_eq!(
+                    child.is_child_of(parent, label),
+                    oracle,
+                    "{} child of {} by {:?}",
+                    child,
+                    parent,
+                    label
+                );
+            }
+        }
+        // A dotted label is never one label: `prepend` builds the child
+        // from any ancestor, but `is_child_of` only accepts the parent.
+        let walk: Vec<DomainName> = child.suffixes().collect();
+        for (depth, ancestor) in walk.iter().enumerate().skip(2) {
+            let labels: Vec<&str> = child.labels().take(depth).collect();
+            let dotted = labels.join(".");
+            prop_assert_eq!(ancestor.prepend(&dotted).ok().as_ref(), Some(&child));
+            prop_assert!(!child.is_child_of(ancestor, &dotted), "{} by {:?}", child, dotted);
+        }
+    }
+
+    #[test]
     fn subdomain_relation_matches_reference(a in name_like(), b in name_like()) {
         let (Ok(da), Ok(db)) = (DomainName::parse(&a), DomainName::parse(&b)) else {
             return Ok(());
