@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use remnant::dns::{empty_record_set, DomainName, Query, RecordType, RecursiveResolver, Response};
+use remnant::dns::{DomainName, Query, RecordSet, RecordType, RecursiveResolver, Response};
 use remnant::net::Region;
 use remnant::wire::{query_id, Message, ServerCore};
 use remnant::world::{Calibration, World, WorldConfig};
@@ -46,8 +46,8 @@ fn bench_wire(c: &mut Criterion) {
                 rcode: resolution.rcode,
                 authoritative: false,
                 answers: resolution.records,
-                authority: empty_record_set(),
-                additional: empty_record_set(),
+                authority: RecordSet::new(),
+                additional: RecordSet::new(),
             };
             (query, response)
         })

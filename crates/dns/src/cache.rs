@@ -13,12 +13,12 @@ use remnant_sim::SimTime;
 
 use crate::message::Rcode;
 use crate::name::DomainName;
-use crate::record::{collect_exact, empty_record_set, RecordSet, RecordType, ResourceRecord};
+use crate::record::{RecordSet, RecordType, ResourceRecord};
 
 /// A cached entry: either records or a cached negative answer.
 ///
-/// Records are a shared [`RecordSet`], so handing a hit back to the
-/// resolver clones a refcount, not the records.
+/// Records are a [`RecordSet`] value: a set of up to two records sits in
+/// the entry itself, so a hit copies it out without touching the heap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheEntry {
     /// Cached records (empty for negative entries).
@@ -78,11 +78,9 @@ impl ResolverCache {
     /// comes from the minimum TTL within the group. Empty input is a no-op.
     ///
     /// A homogeneous input (one owner/type — the common shape of an answer
-    /// section) is stored as-is, sharing the caller's allocation. A mixed
-    /// section (referral glue for several hosts) is grouped in order of
-    /// first occurrence, one allocation per group. A group whose stored
-    /// entry already holds the same records with the same expiry is left
-    /// in place, since replacing it would change nothing.
+    /// section) is stored as-is. A mixed section (referral glue for several
+    /// hosts) is grouped in order of first occurrence. Each group replaces
+    /// whatever its key held.
     pub fn insert(&mut self, now: SimTime, records: impl Into<RecordSet>) {
         let records: RecordSet = records.into();
         // Sections hold a handful of records, so scanning back for a
@@ -100,24 +98,19 @@ impl ResolverCache {
                 .min()
                 .expect("a group holds its first record")
                 .expires_at(now);
-            let slot = self.entries.entry((head.name.clone(), head.record_type()));
-            if let Entry::Occupied(stored) = &slot {
-                let stored = stored.get();
-                if stored.expires == expires && stored.records.iter().eq(group()) {
-                    continue;
-                }
-            }
-            let len = group().count();
-            let set = if len == records.len() {
+            let set = if group().count() == records.len() {
                 RecordSet::clone(&records)
             } else {
-                collect_exact(len, group().cloned())
+                group().cloned().collect()
             };
-            slot.insert_entry(CacheEntry {
-                records: set,
-                rcode: Rcode::NoError,
-                expires,
-            });
+            self.entries.insert(
+                (head.name.clone(), head.record_type()),
+                CacheEntry {
+                    records: set,
+                    rcode: Rcode::NoError,
+                    expires,
+                },
+            );
         }
     }
 
@@ -132,7 +125,7 @@ impl ResolverCache {
         self.entries.insert(
             (name, rtype),
             CacheEntry {
-                records: empty_record_set(),
+                records: RecordSet::new(),
                 rcode,
                 expires: now + remnant_sim::SimDuration::secs(NEGATIVE_TTL_SECS),
             },
@@ -141,9 +134,6 @@ impl ResolverCache {
 
     /// Unexpired records for `name`/`rtype`. Negative entries return `None`
     /// here; use [`ResolverCache::lookup`] to observe them.
-    ///
-    /// A hit returns a handle to the shared record set; no records are
-    /// copied.
     pub fn get(&mut self, now: SimTime, name: &DomainName, rtype: RecordType) -> Option<RecordSet> {
         self.lookup(now, name, rtype)
             .map(|(records, _)| records)
@@ -258,7 +248,6 @@ mod tests {
     use super::*;
     use crate::record::{RecordData, Ttl};
     use remnant_sim::SimDuration;
-    use std::sync::Arc;
 
     fn name(s: &str) -> DomainName {
         s.parse().expect("test name")
@@ -426,47 +415,53 @@ mod tests {
         };
         let ns1 = name("ns1.host.net");
         let ns2 = name("ns2.host.net");
-        let stored = |cache: &mut ResolverCache, host: &DomainName| {
+        let stored = |cache: &mut ResolverCache, now: SimTime, host: &DomainName| {
             let entry = cache
-                .get_entry(SimTime::EPOCH, host, RecordType::A)
+                .get_entry(now, host, RecordType::A)
                 .expect("glue is cached");
-            (RecordSet::clone(&entry.records), entry.expires)
+            (entry.records.to_vec(), entry.expires)
         };
+        let ns1_group = vec![
+            a("ns1.host.net", 3600, [10, 0, 0, 1]),
+            a("ns1.host.net", 600, [10, 0, 0, 3]),
+        ];
         let mut cache = ResolverCache::new();
         cache.insert(SimTime::EPOCH, glue([10, 0, 0, 2]));
-        let (first_ns1, ns1_expires) = stored(&mut cache, &ns1);
-        let (first_ns2, _) = stored(&mut cache, &ns2);
         // Groups follow first occurrence and take their minimum TTL.
-        assert_eq!(
-            &first_ns1[..],
-            &[
-                a("ns1.host.net", 3600, [10, 0, 0, 1]),
-                a("ns1.host.net", 600, [10, 0, 0, 3])
-            ]
+        let first_ns1 = (ns1_group.clone(), SimTime::from_secs(600));
+        let first_ns2 = (
+            vec![a("ns2.host.net", 3600, [10, 0, 0, 2])],
+            SimTime::from_secs(3600),
         );
-        assert_eq!(ns1_expires, SimTime::from_secs(600));
+        assert_eq!(stored(&mut cache, SimTime::EPOCH, &ns1), first_ns1);
+        assert_eq!(stored(&mut cache, SimTime::EPOCH, &ns2), first_ns2);
 
-        // The same glue at the same instant leaves both entries in place.
+        // The same glue at the same instant leaves both entries as they were.
         cache.insert(SimTime::EPOCH, glue([10, 0, 0, 2]));
-        let (again_ns1, again_expires) = stored(&mut cache, &ns1);
-        assert!(Arc::ptr_eq(&first_ns1, &again_ns1));
-        assert_eq!(again_expires, ns1_expires);
-        assert!(Arc::ptr_eq(&first_ns2, &stored(&mut cache, &ns2).0));
+        assert_eq!(stored(&mut cache, SimTime::EPOCH, &ns1), first_ns1);
+        assert_eq!(stored(&mut cache, SimTime::EPOCH, &ns2), first_ns2);
+        assert_eq!(cache.len(), 2);
 
         // A changed address replaces only the changed group.
         cache.insert(SimTime::EPOCH, glue([10, 0, 0, 9]));
-        assert!(Arc::ptr_eq(&first_ns1, &stored(&mut cache, &ns1).0));
-        let (changed_ns2, _) = stored(&mut cache, &ns2);
-        assert_eq!(&changed_ns2[..], &[a("ns2.host.net", 3600, [10, 0, 0, 9])]);
+        assert_eq!(stored(&mut cache, SimTime::EPOCH, &ns1), first_ns1);
+        let changed_ns2 = vec![a("ns2.host.net", 3600, [10, 0, 0, 9])];
+        assert_eq!(
+            stored(&mut cache, SimTime::EPOCH, &ns2),
+            (changed_ns2.clone(), SimTime::from_secs(3600))
+        );
 
         // A later instant moves the expiry, so every group is replaced.
         let later = SimTime::from_secs(10);
         cache.insert(later, glue([10, 0, 0, 9]));
-        let entry = cache.get_entry(later, &ns1, RecordType::A).unwrap();
-        assert!(!Arc::ptr_eq(&first_ns1, &entry.records));
-        assert_eq!(entry.expires, SimTime::from_secs(610));
-        let entry = cache.get_entry(later, &ns2, RecordType::A).unwrap();
-        assert!(!Arc::ptr_eq(&changed_ns2, &entry.records));
+        assert_eq!(
+            stored(&mut cache, later, &ns1),
+            (ns1_group, SimTime::from_secs(610))
+        );
+        assert_eq!(
+            stored(&mut cache, later, &ns2),
+            (changed_ns2, SimTime::from_secs(3610))
+        );
 
         // Inserts never touch the counters.
         assert_eq!(cache.stats(), (0, 0));

@@ -77,7 +77,7 @@ pub use cache::ResolverCache;
 pub use error::DnsError;
 pub use message::{Query, Rcode, Response};
 pub use name::DomainName;
-pub use record::{empty_record_set, RecordData, RecordSet, RecordType, ResourceRecord, Ttl};
+pub use record::{RecordData, RecordSet, RecordType, ResourceRecord, Ttl};
 pub use registry::{Registry, ZoneGenerationProbe};
 pub use remnant_obs::Instrumented;
 pub use resolver::{RecursiveResolver, Resolution, ResolverStats};

@@ -4,7 +4,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::name::DomainName;
-use crate::record::{empty_record_set, RecordSet, RecordType, ResourceRecord};
+use crate::record::{RecordSet, RecordType, ResourceRecord};
 
 /// A single-question DNS query.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -57,10 +57,10 @@ impl fmt::Display for Rcode {
 
 /// A DNS response with the three standard record sections.
 ///
-/// Sections are shared [`RecordSet`]s: a zone answer, a cache insert and a
-/// `Resolution` can all reference one allocation. Constructors accept
-/// anything `Into<RecordSet>`; pass a set or an array so the section is
-/// allocated once (a `Vec` is copied into a new set).
+/// Sections are [`RecordSet`] values: a section of up to two records (nearly
+/// every answer and referral the simulated fabric sends) needs no allocation.
+/// Constructors accept anything `Into<RecordSet>`, such as a set, an array
+/// or a `Vec`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// The query being answered.
@@ -80,17 +80,15 @@ pub struct Response {
 impl Response {
     /// A successful authoritative answer.
     ///
-    /// `answers` becomes the answer section as-is: a [`RecordSet`] moves in
-    /// without a copy and an array (`[rr]`) is allocated once, so a
-    /// resolver that caches and returns this section shares its records.
+    /// `answers` becomes the answer section as-is.
     pub fn answer(query: Query, answers: impl Into<RecordSet>) -> Self {
         Response {
             query,
             rcode: Rcode::NoError,
             authoritative: true,
             answers: answers.into(),
-            authority: empty_record_set(),
-            additional: empty_record_set(),
+            authority: RecordSet::new(),
+            additional: RecordSet::new(),
         }
     }
 
@@ -101,9 +99,9 @@ impl Response {
             query,
             rcode,
             authoritative: true,
-            answers: empty_record_set(),
-            authority: empty_record_set(),
-            additional: empty_record_set(),
+            answers: RecordSet::new(),
+            authority: RecordSet::new(),
+            additional: RecordSet::new(),
         }
     }
 
@@ -118,7 +116,7 @@ impl Response {
             query,
             rcode: Rcode::NoError,
             authoritative: false,
-            answers: empty_record_set(),
+            answers: RecordSet::new(),
             authority: authority.into(),
             additional: additional.into(),
         }

@@ -2,48 +2,101 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use remnant_sim::{SimDuration, SimTime};
 
 use crate::name::DomainName;
 
-/// A shared, immutable set of resource records.
+/// An immutable set of resource records, held by value.
 ///
-/// Cache entries, zone answers, response sections and resolutions all hand
-/// out the same underlying allocation; a cache hit or answer copy is a
-/// refcount bump instead of a deep `Vec<ResourceRecord>` clone.
+/// Nearly every answer and referral section the simulated fabric sends
+/// holds at most two records: a host's address, or a customer's or hosting
+/// pair's two nameservers and their glue. Sets of up to two records are stored
+/// inline, so building, cloning, caching and dropping one touches neither
+/// the heap nor a reference count that other threads also write. Larger
+/// sets (a provider's whole nameserver fleet) share one allocation, so a
+/// clone of one is a reference-count bump.
 ///
-/// Build a set in one allocation from an array (`RecordSet::from([rr])`)
-/// or by collecting an exact-length iterator such as a slice `map`. A
-/// `Vec<ResourceRecord>` still converts via `.into()`, but that copies the
-/// records into a second allocation.
-pub type RecordSet = Arc<[ResourceRecord]>;
+/// A set dereferences to its records as a slice, compares by content and
+/// prints as a slice. Build one by collecting records or from an array or
+/// a `Vec`; the empty set is [`RecordSet::new`] (or `Default`).
+#[derive(Clone, Default)]
+pub struct RecordSet(Records);
 
-/// The shared empty [`RecordSet`] — one allocation per process, so empty
-/// answer/authority/additional sections and negative cache entries don't
-/// each pay for a fresh `Arc`.
-pub fn empty_record_set() -> RecordSet {
-    static EMPTY: std::sync::LazyLock<RecordSet> = std::sync::LazyLock::new(|| Arc::from([]));
-    RecordSet::clone(&EMPTY)
+/// The storage behind a [`RecordSet`]: inline up to two records.
+#[derive(Clone, Default)]
+enum Records {
+    #[default]
+    Empty,
+    One(ResourceRecord),
+    Two([ResourceRecord; 2]),
+    Shared(Arc<[ResourceRecord]>),
 }
 
-/// Collects the `len` records `records` yields into one allocation.
-///
-/// Collecting a filtered iterator into a [`RecordSet`] goes through a
-/// temporary `Vec`, because its length is unknown up front. A counted
-/// range has an exact length, so the set is allocated once.
-///
-/// # Panics
-///
-/// Panics if `records` yields fewer than `len` records.
-pub(crate) fn collect_exact(
-    len: usize,
-    mut records: impl Iterator<Item = ResourceRecord>,
-) -> RecordSet {
-    (0..len)
-        .map(|_| records.next().expect("caller counted the records"))
-        .collect()
+impl RecordSet {
+    /// The empty set.
+    pub const fn new() -> Self {
+        RecordSet(Records::Empty)
+    }
+}
+
+impl Deref for RecordSet {
+    type Target = [ResourceRecord];
+
+    fn deref(&self) -> &[ResourceRecord] {
+        match &self.0 {
+            Records::Empty => &[],
+            Records::One(record) => std::slice::from_ref(record),
+            Records::Two(pair) => pair,
+            Records::Shared(records) => records,
+        }
+    }
+}
+
+impl FromIterator<ResourceRecord> for RecordSet {
+    fn from_iter<I: IntoIterator<Item = ResourceRecord>>(records: I) -> Self {
+        let mut records = records.into_iter();
+        let Some(first) = records.next() else {
+            return RecordSet::new();
+        };
+        let Some(second) = records.next() else {
+            return RecordSet(Records::One(first));
+        };
+        let Some(third) = records.next() else {
+            return RecordSet(Records::Two([first, second]));
+        };
+        RecordSet(Records::Shared(
+            [first, second, third].into_iter().chain(records).collect(),
+        ))
+    }
+}
+
+impl<const N: usize> From<[ResourceRecord; N]> for RecordSet {
+    fn from(records: [ResourceRecord; N]) -> Self {
+        records.into_iter().collect()
+    }
+}
+
+impl From<Vec<ResourceRecord>> for RecordSet {
+    fn from(records: Vec<ResourceRecord>) -> Self {
+        records.into_iter().collect()
+    }
+}
+
+impl PartialEq for RecordSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RecordSet {}
+
+impl fmt::Debug for RecordSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// Record types used in the study.
@@ -320,6 +373,33 @@ mod tests {
             RecordData::A(Ipv4Addr::new(203, 0, 113, 9)),
         );
         assert_eq!(rr.to_string(), "www.example.com 300s A 203.0.113.9");
+    }
+
+    #[test]
+    fn record_sets_compare_by_content_whatever_their_size() {
+        let rr = |last: u8| {
+            ResourceRecord::new(
+                name("ns.example.com"),
+                Ttl::secs(60),
+                RecordData::A(Ipv4Addr::new(192, 0, 2, last)),
+            )
+        };
+        for len in 0..5u8 {
+            let records: Vec<ResourceRecord> = (0..len).map(rr).collect();
+            let set = RecordSet::from(records.clone());
+            assert_eq!(&set[..], &records[..]);
+            assert_eq!(set, records.iter().cloned().collect::<RecordSet>());
+            assert_eq!(set.clone(), set);
+            assert_eq!(format!("{set:?}"), format!("{records:?}"));
+            let other: RecordSet = (1..=len).map(rr).collect();
+            assert_eq!(set == other, len == 0);
+        }
+        assert_eq!(
+            RecordSet::from([rr(1), rr(2)]),
+            RecordSet::from(vec![rr(1), rr(2)])
+        );
+        assert_eq!(RecordSet::default(), RecordSet::new());
+        assert!(RecordSet::new().is_empty());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::cache::ResolverCache;
 use crate::error::DnsError;
 use crate::message::{Query, Rcode, Response};
 use crate::name::DomainName;
-use crate::record::{collect_exact, empty_record_set, RecordSet, RecordType, ResourceRecord};
+use crate::record::{RecordSet, RecordType, ResourceRecord};
 use crate::transport::DnsTransport;
 
 /// Maximum CNAME chain length before declaring a loop.
@@ -98,8 +98,7 @@ impl ResolverStats {
 /// `records` holds the full observed chain (CNAMEs plus terminal records),
 /// which is exactly what the paper's record collector stores per domain.
 /// With no alias in the chain it is the cached set or the response's
-/// answer section itself, shared rather than copied; only a CNAME chain
-/// builds a new set.
+/// answer section itself; only a CNAME chain builds a new set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// All records observed along the resolution, in chase order.
@@ -275,10 +274,7 @@ impl RecursiveResolver {
                             let terminal = if direct == response.answers.len() {
                                 RecordSet::clone(&response.answers)
                             } else {
-                                collect_exact(
-                                    direct,
-                                    response.answers.iter().filter(is_direct).cloned(),
-                                )
+                                response.answers.iter().filter(is_direct).cloned().collect()
                             };
                             return Ok(Resolution {
                                 records: chased(chain, terminal),
@@ -313,7 +309,7 @@ impl RecursiveResolver {
                         // Records came back, but none for our name/type:
                         // effectively NODATA.
                         return Ok(Resolution {
-                            records: chased(chain, empty_record_set()),
+                            records: chased(chain, RecordSet::new()),
                             rcode: Rcode::NoError,
                         });
                     }
@@ -324,7 +320,7 @@ impl RecursiveResolver {
                     self.cache
                         .insert_negative(now, current.clone(), rtype, Rcode::NoError);
                     return Ok(Resolution {
-                        records: chased(chain, empty_record_set()),
+                        records: chased(chain, RecordSet::new()),
                         rcode: Rcode::NoError,
                     });
                 }
@@ -334,7 +330,7 @@ impl RecursiveResolver {
                             .insert_negative(now, current.clone(), rtype, rcode);
                     }
                     return Ok(Resolution {
-                        records: chased(chain, empty_record_set()),
+                        records: chased(chain, RecordSet::new()),
                         rcode,
                     });
                 }
@@ -461,12 +457,12 @@ impl RecursiveResolver {
             })?;
             if response.is_referral() {
                 let now = self.clock.now();
-                // Cache the delegation and its glue.
-                self.cache.insert(now, response.authority.clone());
-                self.cache.insert(now, response.additional.clone());
                 self.servers.clear();
                 self.servers
                     .extend(response.additional.iter().filter_map(|rr| rr.data.as_a()));
+                // Cache the delegation and its glue.
+                self.cache.insert(now, response.authority);
+                self.cache.insert(now, response.additional);
                 if self.servers.is_empty() {
                     // Glueless delegation: resolve NS hostnames from cache
                     // only (registry and providers always send glue, so this
@@ -487,8 +483,7 @@ impl RecursiveResolver {
 }
 
 /// The records of a resolution: the CNAMEs followed, then the terminal
-/// records. With no alias the terminal set is returned as-is; a chain is
-/// copied into one new set.
+/// records. With no alias the terminal set is returned as-is.
 fn chased(chain: Vec<ResourceRecord>, terminal: RecordSet) -> RecordSet {
     if chain.is_empty() {
         return terminal;
@@ -727,19 +722,22 @@ mod tests {
     }
 
     #[test]
-    fn repeated_resolution_shares_the_cached_records() {
+    fn repeated_resolution_is_served_from_the_cache() {
         let (t, mut r, _clock) = world();
         let first = r
             .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
+        let sent_before = t.query_stats().sent;
         let second = r
             .resolve(&t, &name("www.example.com"), RecordType::A)
             .unwrap();
-        assert_eq!(second.addresses(), vec![WWW_IP]);
-        assert!(
-            std::sync::Arc::ptr_eq(&first.records, &second.records),
-            "a no-alias resolution hands out the cached set itself"
+        assert_eq!(
+            t.query_stats().sent,
+            sent_before,
+            "a cache hit sends no query"
         );
+        assert_eq!(second.addresses(), vec![WWW_IP]);
+        assert_eq!(first, second);
     }
 
     #[test]

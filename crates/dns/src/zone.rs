@@ -9,8 +9,7 @@ use crate::record::{RecordSet, RecordType, ResourceRecord};
 
 /// The outcome of looking a name/type up in a [`Zone`].
 ///
-/// Record-carrying variants hold shared [`RecordSet`] handles to the zone's
-/// own storage, so answering a query never copies records.
+/// Record-carrying variants hold a copy of the zone's [`RecordSet`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ZoneAnswer {
     /// Records of exactly the queried type exist at the name.
@@ -58,8 +57,8 @@ pub enum ZoneAnswer {
 pub struct Zone {
     origin: DomainName,
     /// (owner, type) -> records. BTreeMap keeps iteration deterministic.
-    /// Sets are shared: lookups hand out refcounted handles, and the rare
-    /// mutations (provider switches between sweeps) rebuild the set.
+    /// Lookups hand out copies of a set; the rare mutations (provider
+    /// switches between sweeps) rebuild it.
     records: BTreeMap<(DomainName, RecordType), RecordSet>,
     /// SOA-serial-style generation counter, bumped on every record mutation.
     /// Two equal generations guarantee the record contents are unchanged;
@@ -115,14 +114,14 @@ impl Zone {
         let key = (record.name.clone(), record.record_type());
         match self.records.get_mut(&key) {
             // Mutation is cold (provider switches between sweeps); rebuild
-            // the shared set rather than complicating the hot lookup path.
+            // the set rather than complicating the hot lookup path.
             Some(set) => {
                 let mut rrs = set.to_vec();
                 rrs.push(record);
                 *set = rrs.into();
             }
             None => {
-                self.records.insert(key, RecordSet::from(vec![record]));
+                self.records.insert(key, RecordSet::from([record]));
             }
         }
         self.generation += 1;
@@ -177,7 +176,7 @@ impl Zone {
         self.get_set(name, rtype).map_or(&[], |set| &set[..])
     }
 
-    /// The shared record set of `rtype` at `name`, if present.
+    /// The record set of `rtype` at `name`, if present.
     fn get_set(&self, name: &DomainName, rtype: RecordType) -> Option<&RecordSet> {
         self.records.get(&(name.clone(), rtype))
     }

@@ -16,7 +16,8 @@ use crate::hash::WordMap;
 /// Lookup cost is one hash probe per prefix length actually present (at
 /// most 33), independent of database size. The per-length maps hash their
 /// masked-network keys with [`WordHasher`](crate::hash::WordHasher), one
-/// multiply per probe, so an address no block contains stays cheap.
+/// multiply per probe. An address whose first octet no block covers
+/// returns after one bit test, with no probe at all.
 ///
 /// # Example
 ///
@@ -31,13 +32,16 @@ use crate::hash::WordMap;
 /// assert_eq!(db.lookup("10.1.1.1".parse()?), Some(&"coarse"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct IpRangeDb<T> {
     /// One map per prefix length; `by_len[l]` maps masked network -> value.
     by_len: Vec<WordMap<u32, T>>,
     /// Prefix lengths present, sorted descending (checked first).
     lens_desc: Vec<u8>,
     len_entries: usize,
+    /// Bit `o` is set if some block inserted since creation covers an
+    /// address with first octet `o`. A superset: `remove` leaves bits set.
+    first_octets: [u64; 4],
 }
 
 impl<T> IpRangeDb<T> {
@@ -47,6 +51,7 @@ impl<T> IpRangeDb<T> {
             by_len: (0..=32).map(|_| WordMap::default()).collect(),
             lens_desc: Vec::new(),
             len_entries: 0,
+            first_octets: [0; 4],
         }
     }
 
@@ -55,6 +60,11 @@ impl<T> IpRangeDb<T> {
     pub fn insert(&mut self, block: Ipv4Cidr, value: T) -> Option<T> {
         let len = block.prefix_len();
         let net = u32::from(block.network());
+        let first = net >> 24;
+        let last = u32::from(block.last()) >> 24;
+        for octet in first..=last {
+            self.first_octets[octet as usize / 64] |= 1 << (octet % 64);
+        }
         let prev = self.by_len[usize::from(len)].insert(net, value);
         if prev.is_none() {
             self.len_entries += 1;
@@ -83,6 +93,10 @@ impl<T> IpRangeDb<T> {
     /// containing `addr`, if any.
     fn longest(&self, addr: Ipv4Addr) -> Option<(u32, u8, &T)> {
         let bits = u32::from(addr);
+        let octet = bits >> 24;
+        if self.first_octets[octet as usize / 64] & (1 << (octet % 64)) == 0 {
+            return None;
+        }
         self.lens_desc.iter().find_map(|&len| {
             let masked = if len == 0 {
                 0
@@ -133,6 +147,14 @@ impl<T> IpRangeDb<T> {
                 (block, value)
             })
         })
+    }
+}
+
+/// Equal when both hold the same blocks with the same values; the
+/// first-octet filter, which removals may leave wider, does not count.
+impl<T: PartialEq> PartialEq for IpRangeDb<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.by_len == other.by_len
     }
 }
 

@@ -101,6 +101,42 @@ proptest! {
     }
 
     #[test]
+    fn range_db_lookup_matches_a_probe_of_every_length_after_removals(
+        // Blocks of every length, /0 to /7 included; a short block spans
+        // several first octets.
+        blocks in prop::collection::vec((any::<u32>(), 0u8..=32), 1..16),
+        removed in prop::collection::vec(any::<usize>(), 0..8),
+        probes in prop::collection::vec(any::<u32>(), 1..32),
+    ) {
+        let mut db = IpRangeDb::new();
+        let mut reference = std::collections::BTreeMap::new();
+        for (i, &(ip, len)) in blocks.iter().enumerate() {
+            let block = Ipv4Cidr::new(Ipv4Addr::from(ip), len).unwrap();
+            db.insert(block, i);
+            reference.insert(block, i);
+        }
+        // Removing a block may leave its first octets in the pre-filter;
+        // lookups must still miss what is gone.
+        for &pick in &removed {
+            let block = blocks[pick % blocks.len()];
+            let block = Ipv4Cidr::new(Ipv4Addr::from(block.0), block.1).unwrap();
+            prop_assert_eq!(db.remove(&block), reference.remove(&block));
+        }
+        let mut addrs: Vec<Ipv4Addr> = probes.iter().map(|&ip| Ipv4Addr::from(ip)).collect();
+        for &(ip, _) in &blocks {
+            addrs.push(Ipv4Addr::from(ip));
+        }
+        for addr in addrs {
+            let expected = (0..=32u8).rev().find_map(|len| {
+                let block = Ipv4Cidr::new(addr, len).unwrap();
+                reference.get(&block).map(|value| (block, value))
+            });
+            prop_assert_eq!(db.lookup_block(addr), expected, "{}", addr);
+            prop_assert_eq!(db.lookup(addr), expected.map(|(_, value)| value), "{}", addr);
+        }
+    }
+
+    #[test]
     fn anycast_catchment_is_total_once_announced(
         ip: u32,
         announce_regions in prop::collection::btree_set(0usize..10, 1..10),

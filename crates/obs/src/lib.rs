@@ -42,6 +42,7 @@ mod metrics;
 pub mod progress;
 mod report;
 mod span;
+mod thread_counters;
 
 pub use instrument::{
     transport_counters, Instrumented, COLLECT_REFRESH_STRATUM, COLLECT_RERESOLVED, COLLECT_REUSED,
@@ -55,6 +56,7 @@ pub use progress::{
 };
 pub use report::ObsReport;
 pub use span::{Span, SPAN_ENTERED, SPAN_SECONDS};
+pub use thread_counters::ThreadCounters;
 
 use remnant_sim::{SimClock, SimTime};
 

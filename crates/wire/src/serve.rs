@@ -34,8 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use remnant_dns::{
-    empty_record_set, DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver,
-    Response,
+    DnsTransport, DomainName, Query, Rcode, RecordSet, RecordType, RecursiveResolver, Response,
 };
 use remnant_obs::{Instrumented, MetricKey};
 
@@ -100,8 +99,8 @@ impl<T: DnsTransport + Send + Sync> DnsService for ResolverService<T> {
                 rcode: resolution.rcode,
                 authoritative: false,
                 answers: resolution.records,
-                authority: empty_record_set(),
-                additional: empty_record_set(),
+                authority: RecordSet::new(),
+                additional: RecordSet::new(),
             }),
             // Resolution errors (every nameserver ignored us, CNAME
             // loops, …) are what a recursive server reports as SERVFAIL.
@@ -109,9 +108,9 @@ impl<T: DnsTransport + Send + Sync> DnsService for ResolverService<T> {
                 query: query.clone(),
                 rcode: Rcode::ServFail,
                 authoritative: false,
-                answers: empty_record_set(),
-                authority: empty_record_set(),
-                additional: empty_record_set(),
+                answers: RecordSet::new(),
+                authority: RecordSet::new(),
+                additional: RecordSet::new(),
             }),
         }
     }

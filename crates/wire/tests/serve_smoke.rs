@@ -65,8 +65,8 @@ fn in_process_answer(world: &Arc<World>, query: &Query) -> Response {
             rcode: resolution.rcode,
             authoritative: false,
             answers: resolution.records,
-            authority: remnant_dns::empty_record_set(),
-            additional: remnant_dns::empty_record_set(),
+            authority: remnant_dns::RecordSet::new(),
+            additional: remnant_dns::RecordSet::new(),
         },
         Err(_) => Response::empty(query.clone(), Rcode::ServFail),
     }

@@ -1,7 +1,6 @@
 //! The wired-together synthetic Internet.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +15,7 @@ use remnant_http::{
 };
 use remnant_net::hash::{WordMap, WordSet};
 use remnant_net::{IpAllocator, Region};
-use remnant_obs::{transport_counters, Instrumented, MetricKey};
+use remnant_obs::{transport_counters, Instrumented, MetricKey, ThreadCounters};
 use remnant_provider::{DpsProvider, ProviderId, ReroutingMethod, ServicePlan};
 use remnant_sim::{SeedSeq, SimClock, SimDuration, SimTime};
 
@@ -88,12 +87,10 @@ pub struct World {
     zone_generations: Vec<u64>,
     parking_template: PageTemplate,
     parking_nonce: u64,
-    /// Answers broken down by server class, indexed by [`ServerClass`];
-    /// their sum is the answered count.
-    dns_answers_by_class: [AtomicU64; ServerClass::ALL.len()],
-    /// Queries no server answered. Sent is answered plus this, so each
-    /// query bumps exactly one shared counter.
-    dns_unanswered: AtomicU64,
+    /// Answers by server class, indexed by [`ServerClass`] (their sum is
+    /// the answered count), then [`UNANSWERED`]. Sent is the sum of all,
+    /// so each query bumps exactly one counter, in its thread's own slot.
+    dns_counts: ThreadCounters<DNS_COUNTERS>,
     http_requests: u64,
     http_answered: u64,
 }
@@ -110,6 +107,12 @@ enum ServerClass {
     /// The multi-CDN balancer.
     Cedexis,
 }
+
+/// The [`World::dns_counts`] index of queries no server answered.
+const UNANSWERED: usize = ServerClass::ALL.len();
+/// Counters in [`World::dns_counts`]: one per server class, then
+/// [`UNANSWERED`].
+const DNS_COUNTERS: usize = UNANSWERED + 1;
 
 impl ServerClass {
     const ALL: [ServerClass; 4] = [
@@ -217,8 +220,7 @@ impl World {
             zone_generations: vec![0; config.population],
             parking_template: PageTemplate::generate("parked.example", config.seed),
             parking_nonce: 0,
-            dns_answers_by_class: Default::default(),
-            dns_unanswered: AtomicU64::new(0),
+            dns_counts: ThreadCounters::default(),
             http_requests: 0,
             http_answered: 0,
             config,
@@ -345,8 +347,7 @@ impl World {
             zone_generations: self.zone_generations.clone(),
             parking_template: self.parking_template.clone(),
             parking_nonce: self.parking_nonce,
-            dns_answers_by_class: Default::default(),
-            dns_unanswered: AtomicU64::new(0),
+            dns_counts: ThreadCounters::default(),
             http_requests: 0,
             http_answered: 0,
         }
@@ -942,26 +943,22 @@ impl DnsTransport for World {
         } else if server == CEDEXIS_NS_IP {
             (ServerClass::Cedexis, Some(self.cedexis_answer(query)))
         } else {
-            self.dns_unanswered.fetch_add(1, Ordering::Relaxed);
+            self.dns_counts.bump(UNANSWERED);
             return None;
         };
-        let counter = if response.is_some() {
-            &self.dns_answers_by_class[class as usize]
+        self.dns_counts.bump(if response.is_some() {
+            class as usize
         } else {
-            &self.dns_unanswered
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            UNANSWERED
+        });
         response
     }
 
     fn query_stats(&self) -> QueryStats {
-        let answered = self
-            .dns_answers_by_class
-            .iter()
-            .map(|count| count.load(Ordering::Relaxed))
-            .sum();
+        let counts = self.dns_counts.totals();
+        let answered = counts[..UNANSWERED].iter().sum();
         QueryStats {
-            sent: answered + self.dns_unanswered.load(Ordering::Relaxed),
+            sent: answered + counts[UNANSWERED],
             answered,
         }
     }
@@ -1118,7 +1115,7 @@ impl Instrumented for World {
         for class in ServerClass::ALL {
             counters.push((
                 MetricKey::labeled("dns.answers", &[("class", class.label())]),
-                self.dns_answers_by_class[class as usize].load(Ordering::Relaxed),
+                self.dns_counts.get(class as usize),
             ));
         }
         counters
