@@ -1,13 +1,28 @@
 //! Measurement-toolkit benchmarks: snapshot collection, fingerprint
-//! matching, adoption classification, and behavior diffing.
+//! matching, adoption classification, and the snapshot passes' shard
+//! fold.
+
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use remnant::core::adoption::Adoption;
 use remnant::core::collector::{RecordCollector, Target};
-use remnant::core::{BehaviorDetector, ProviderMatcher};
+use remnant::core::{BehaviorDetector, DerivedColumn, ProviderMatcher, SnapshotPasses};
 use remnant::net::Region;
+use remnant::sim::SimTime;
 use remnant::world::{World, WorldConfig};
+
+use reference::ReferencePasses;
+
+/// One round as the fold takes it: when it was taken and its shards.
+type Round = (SimTime, Vec<Arc<DerivedColumn>>);
+
+/// Rounds of the shard fold benches.
+const FOLD_ROUNDS: u32 = 14;
 
 fn bench_scanner(c: &mut Criterion) {
     let world = World::generate(WorldConfig {
@@ -24,8 +39,8 @@ fn bench_scanner(c: &mut Criterion) {
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
     let snapshot = collector.collect(&world, &targets, 0);
     let detector = BehaviorDetector::new();
-    let classes = detector.classify_snapshot(&snapshot);
     let matcher = ProviderMatcher::new();
+    let (full, delta) = fold_rounds(world.fork(), &targets);
 
     let mut group = c.benchmark_group("scanner");
     group.throughput(Throughput::Elements(targets.len() as u64));
@@ -56,10 +71,6 @@ fn bench_scanner(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("diff_snapshots_2k_sites", |b| {
-        b.iter(|| detector.diff(&classes, &classes));
-    });
-
     group.bench_function("classify_one", |b| {
         let records = (0..snapshot.len())
             .filter_map(|rank| snapshot.site(rank))
@@ -67,8 +78,83 @@ fn bench_scanner(c: &mut Criterion) {
             .expect("resolved site");
         b.iter(|| Adoption::classify(&matcher, &records));
     });
-
     group.finish();
+
+    // The shard fold over a campaign: every shard new each round (full
+    // collection), or every other shard chained from the previous round
+    // (delta). Both are first checked against the per-site reference.
+    let mut group = c.benchmark_group("passes");
+    group.throughput(Throughput::Elements(
+        u64::from(FOLD_ROUNDS) * targets.len() as u64,
+    ));
+    for (name, rounds) in [
+        ("fold_full_14x2k_sites", &full),
+        ("fold_delta_14x2k_sites", &delta),
+    ] {
+        assert_eq!(
+            format!("{:?}", fold(targets.len(), rounds)),
+            format!("{:?}", reference_fold(targets.len(), rounds)),
+            "{name}: the shard fold matches the per-site reference"
+        );
+        group.bench_function(name, |b| b.iter(|| fold(targets.len(), rounds)));
+    }
+    group.finish();
+}
+
+/// `FOLD_ROUNDS` daily rounds of `world`, as full-collection rounds
+/// (every shard a fresh column) and as delta rounds, where shard `i` of
+/// round `r > 0` is round `r - 1`'s own column whenever `i + r` is even.
+fn fold_rounds(mut world: World, targets: &[Target]) -> (Vec<Round>, Vec<Round>) {
+    let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
+    let mut full: Vec<Round> = Vec::new();
+    let mut delta: Vec<Round> = Vec::new();
+    for day in 0..FOLD_ROUNDS {
+        let snapshot = collector.collect(&world, targets, day);
+        let shards: Vec<Arc<DerivedColumn>> = snapshot
+            .block_sources()
+            .map(|(_, source)| Arc::clone(source.derived()))
+            .collect();
+        let chained = match delta.last() {
+            Some((_, prev)) => shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    if (i + day as usize).is_multiple_of(2) {
+                        Arc::clone(&prev[i])
+                    } else {
+                        Arc::clone(shard)
+                    }
+                })
+                .collect(),
+            None => shards.clone(),
+        };
+        full.push((snapshot.taken_at, shards));
+        delta.push((snapshot.taken_at, chained));
+        world.step_hours(24);
+    }
+    (full, delta)
+}
+
+fn fold(sites: usize, rounds: &[Round]) -> remnant::core::SnapshotAggregates {
+    let mut passes = SnapshotPasses::new(sites);
+    for (day, (taken_at, shards)) in (0..).zip(rounds) {
+        passes.observe_shards(day, *taken_at, shards);
+    }
+    passes.finish()
+}
+
+fn reference_fold(sites: usize, rounds: &[Round]) -> remnant::core::SnapshotAggregates {
+    let mut passes = ReferencePasses::new(sites);
+    for (day, (taken_at, shards)) in (0..).zip(rounds) {
+        let mut classes: Vec<Adoption> = Vec::with_capacity(sites);
+        let mut multi_cdn = Vec::new();
+        for shard in shards {
+            multi_cdn.extend(shard.multi_cdn.iter().map(|&i| classes.len() + i as usize));
+            classes.extend(shard.classes.iter().map(|c| c.unpack()));
+        }
+        passes.observe(day, *taken_at, classes, &multi_cdn);
+    }
+    passes.finish()
 }
 
 criterion_group!(benches, bench_scanner);

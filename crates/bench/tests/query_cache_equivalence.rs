@@ -6,13 +6,16 @@
 //! cache counters account for exactly the chained (clean) vs rewritten
 //! (dirty) shard-rounds the store metadata reports.
 //!
-//! The references are private to this test: they reclassify every round
-//! with `BehaviorDetector::classify_snapshot` and run the raw-snapshot
-//! `SnapshotPasses` fold, sharing nothing with the classification cache
-//! or the provider index.
+//! The references share nothing with the classification cache, the
+//! provider index or the shard fold: they reclassify every round from
+//! its records with `BehaviorDetector::classify_snapshot` and run the
+//! snapshot passes' per-site reference (`crates/core/tests/reference`).
 //!
 //! Reports that don't implement `PartialEq` are compared through their
 //! `Debug` rendering, which covers every field.
+
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
 
 use std::path::PathBuf;
 
@@ -21,8 +24,8 @@ use remnant::core::collector::Target;
 use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
 use remnant::core::unchanged::{self, UnchangedCandidate};
 use remnant::core::{
-    Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SnapshotPasses,
-    SpillConfig, StudySession,
+    Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SpillConfig,
+    StudySession,
 };
 use remnant::provider::ProviderId;
 use remnant::query::{
@@ -33,6 +36,8 @@ use remnant::query::{
 use remnant::sim::stats::Series;
 use remnant::world::{World, WorldConfig};
 use remnant_bench::ReproConfig;
+
+use reference::ReferencePasses;
 
 const POPULATION: usize = 2_000;
 const WEEKS: u32 = 2;
@@ -82,23 +87,24 @@ fn campaign_targets(config: &ReproConfig) -> Vec<Target> {
         .collect()
 }
 
-/// Reference for `PassesPlan`: the raw-snapshot fold over every round.
+/// Reference for `PassesPlan`: the per-site reference over every round's
+/// records.
 fn reference_passes(store: &SnapshotStore) -> SnapshotAggregates {
-    let mut passes = SnapshotPasses::new(store.sites());
+    let mut passes = ReferencePasses::new(store.sites());
     for round in store.query().snapshots() {
-        passes.observe(round.meta.day, &round.snapshot);
+        passes.observe_records(round.meta.day, &round.snapshot);
     }
     passes.finish()
 }
 
-/// Reference for `UnchangedCandidatesPlan`: behaviors diffed from the
-/// raw-snapshot fold, candidates extracted from consecutive snapshots.
+/// Reference for `UnchangedCandidatesPlan`: behaviors diffed by the
+/// per-site reference, candidates extracted from consecutive snapshots.
 fn reference_unchanged(store: &SnapshotStore, targets: &[Target]) -> Vec<UnchangedCandidate> {
-    let mut passes = SnapshotPasses::new(store.sites());
+    let mut passes = ReferencePasses::new(store.sites());
     let mut prev: Option<DnsSnapshot> = None;
     let mut out = Vec::new();
     for round in store.query().snapshots() {
-        let behaviors = passes.observe(round.meta.day, &round.snapshot);
+        let behaviors = passes.observe_records(round.meta.day, &round.snapshot);
         if let Some(prev_snap) = &prev {
             out.extend(unchanged::candidates(
                 targets,

@@ -30,10 +30,11 @@ impl fmt::Display for ObservedBehavior {
     }
 }
 
-/// Diffs snapshot pairs into Table IV behaviors.
+/// Classifies snapshots into the per-site adoption classes that Table IV
+/// behaviors are diffed from (see [`transition`]).
 ///
-/// The detector holds the matcher so repeated daily diffs share the
-/// fingerprint tables.
+/// The detector holds the matcher so repeated daily classifications
+/// share the fingerprint tables.
 #[derive(Clone, Debug, Default)]
 pub struct BehaviorDetector {
     matcher: ProviderMatcher,
@@ -91,28 +92,6 @@ impl BehaviorDetector {
         }
         (classes, multi_cdn)
     }
-
-    /// Diffs two days of classifications into observed behaviors
-    /// (Table IV). `prev` and `curr` must be over the same target list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the classification vectors have different lengths.
-    pub fn diff(&self, prev: &[Adoption], curr: &[Adoption]) -> Vec<ObservedBehavior> {
-        assert_eq!(prev.len(), curr.len(), "snapshots cover the same targets");
-        let mut behaviors = Vec::new();
-        for (rank, (before, after)) in prev.iter().zip(curr.iter()).enumerate() {
-            if let Some(kind) = transition(before, after) {
-                behaviors.push(ObservedBehavior {
-                    rank,
-                    kind,
-                    from: before.provider,
-                    to: after.provider,
-                });
-            }
-        }
-        behaviors
-    }
 }
 
 /// The substring whose presence in a CNAME's labels marks a multi-CDN
@@ -131,8 +110,10 @@ pub fn is_multi_cdn_view(site: crate::snapshot::SiteView<'_>) -> bool {
         .any(|c| NameVerdict::of(c).has(Fingerprint::MultiCdn))
 }
 
-/// The Table IV transition rules.
-fn transition(before: &Adoption, after: &Adoption) -> Option<BehaviorKind> {
+/// The Table IV transition rules: the behavior a site showed between two
+/// consecutive observations, if any. [`crate::SnapshotPasses`] applies
+/// them to every site whose class changed.
+pub fn transition(before: &Adoption, after: &Adoption) -> Option<BehaviorKind> {
     use DpsStatus::{None as SNone, Off, On};
     match (before.status, after.status) {
         // Provider change at either status: SWITCH.
@@ -173,8 +154,7 @@ mod tests {
     }
 
     fn detect(before: Adoption, after: Adoption) -> Option<BehaviorKind> {
-        let detector = BehaviorDetector::new();
-        detector.diff(&[before], &[after]).first().map(|b| b.kind)
+        transition(&before, &after)
     }
 
     #[test]
@@ -206,24 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_site_ranks_and_providers() {
-        let cf = ProviderId::Cloudflare;
-        let inc = ProviderId::Incapsula;
-        let detector = BehaviorDetector::new();
-        let prev = vec![on(cf), Adoption::NONE, on(cf)];
-        let curr = vec![on(cf), on(inc), on(inc)];
-        let behaviors = detector.diff(&prev, &curr);
-        assert_eq!(behaviors.len(), 2);
-        assert_eq!(behaviors[0].rank, 1);
-        assert_eq!(behaviors[0].kind, BehaviorKind::Join);
-        assert_eq!(behaviors[0].to, Some(inc));
-        assert_eq!(behaviors[1].rank, 2);
-        assert_eq!(behaviors[1].kind, BehaviorKind::Switch);
-        assert_eq!(behaviors[1].from, Some(cf));
-        assert_eq!(behaviors[1].to, Some(inc));
-    }
-
-    #[test]
     fn multi_cdn_fingerprint_detection() {
         use crate::snapshot::SiteRecords;
         let balanced = SiteRecords {
@@ -242,12 +204,5 @@ mod tests {
         };
         assert!(!is_multi_cdn_view(plain.view()));
         assert!(!is_multi_cdn_view(SiteRecords::default().view()));
-    }
-
-    #[test]
-    #[should_panic(expected = "same targets")]
-    fn mismatched_lengths_panic() {
-        let detector = BehaviorDetector::new();
-        let _ = detector.diff(&[Adoption::NONE], &[]);
     }
 }

@@ -181,9 +181,11 @@ impl ShardClassCache {
         shards
     }
 
-    /// One round's carried columns, concatenated — the live session's
-    /// path in both collection modes. Columns are derived at collection,
-    /// so `engine` and `detector` are not consulted.
+    /// One round's carried columns, counted as
+    /// [`shard_columns`](Self::shard_columns) counts them, then
+    /// concatenated: the shape [`crate::SnapshotPasses::observe_columns`]
+    /// takes. Columns are derived at collection, so `engine` and
+    /// `detector` are not consulted.
     pub fn classify_snapshot(
         &mut self,
         _engine: &ScanEngine,

@@ -10,19 +10,42 @@
 //! byte-identical by construction — the query-equivalence differential
 //! test pins this down.
 //!
+//! The fold reads a round as its shard columns ([`DerivedColumn`]s in
+//! rank order) and works only where a site's class changed:
+//!
+//! - A shard whose column is the previous round's at the same position
+//!   (`Arc::ptr_eq`, the test [`crate::ShardClassCache`] counts as a hit)
+//!   is skipped: it adds no behavior, no pause transition and no
+//!   multi-CDN mark.
+//! - Any other shard is compared with the previous round byte by byte on
+//!   its [`PackedAdoption`]s. Packing is injective, so equal bytes are
+//!   equal classes: only the sites that differ are unpacked and run
+//!   through the Table IV rules, the pause tracker and the FSM.
+//! - The adoption sums come from a per-byte tally of the round's classes
+//!   that the same changes keep current. Each round adds integer counts
+//!   to the `f64` sums, which equals adding `1.0` per site because every
+//!   partial sum is an integer below 2^53.
+//!
+//! [`observe_shards`](SnapshotPasses::observe_shards) is the fold;
+//! [`observe`](SnapshotPasses::observe) and
+//! [`observe_columns`](SnapshotPasses::observe_columns) adapt a snapshot
+//! or a concatenated column onto it.
+//!
 //! Analyses that need a live transport (the Table V unchanged study, the
 //! weekly residual scans) are *not* part of this fold: the fold hands the
 //! per-round filtered behaviors back to the caller, which decides whether
 //! to verify them against a world or merely to extract candidates.
+
+use std::sync::Arc;
 
 use remnant_provider::{ProviderId, ReroutingMethod};
 use remnant_sim::stats::Series;
 use remnant_sim::SimTime;
 use remnant_world::BehaviorKind;
 
-use crate::adoption::{Adoption, DpsStatus};
-use crate::behavior::{BehaviorDetector, ObservedBehavior};
-use crate::classify::concat_columns;
+use crate::adoption::{Adoption, DpsStatus, PackedAdoption};
+use crate::behavior::{transition, BehaviorDetector, ObservedBehavior};
+use crate::classify::DerivedColumn;
 use crate::fsm::{self, DpsState};
 use crate::pause::PauseTracker;
 use crate::snapshot::DnsSnapshot;
@@ -41,8 +64,9 @@ pub struct SnapshotAggregates {
 
 /// Streaming fold over a campaign's daily snapshots (see module docs).
 ///
-/// Feed rounds in day order via [`observe`](SnapshotPasses::observe), then
-/// take the reports with [`finish`](SnapshotPasses::finish).
+/// Feed rounds in day order via
+/// [`observe_shards`](SnapshotPasses::observe_shards) (or an adapter),
+/// then take the reports with [`finish`](SnapshotPasses::finish).
 #[derive(Clone, Debug)]
 pub struct SnapshotPasses {
     pause_tracker: PauseTracker,
@@ -61,7 +85,15 @@ pub struct SnapshotPasses {
     multi_cdn: Vec<bool>,
     interval_hours: Vec<u64>,
     prev_taken_at: Option<SimTime>,
-    prev_classes: Option<Vec<Adoption>>,
+    /// The latest round's shards, each with its first rank. Held so a
+    /// new column cannot reuse a compared column's address.
+    shards: Vec<(usize, Arc<DerivedColumn>)>,
+    /// The latest round's class per site.
+    classes: Vec<PackedAdoption>,
+    /// The latest round's site count per class byte.
+    tally: [usize; 256],
+    /// The latest round's adopted sites in the top band.
+    top_adopted: usize,
     rounds: u32,
 }
 
@@ -88,7 +120,10 @@ impl SnapshotPasses {
             multi_cdn: vec![false; total_sites],
             interval_hours: Vec::new(),
             prev_taken_at: None,
-            prev_classes: None,
+            shards: Vec::new(),
+            classes: Vec::with_capacity(total_sites),
+            tally: [0; 256],
+            top_adopted: 0,
             rounds: 0,
         }
     }
@@ -104,36 +139,26 @@ impl SnapshotPasses {
         BehaviorDetector::standard()
     }
 
-    /// Folds in one daily snapshot and returns the day's observed
-    /// behaviors, already filtered of multi-CDN front-ends (empty on the
-    /// first round — there is nothing to diff against).
+    /// Folds in one daily snapshot through its blocks' carried columns
+    /// (see [`observe_shards`](SnapshotPasses::observe_shards)); no
+    /// record is read.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot does not cover the configured site count.
     pub fn observe(&mut self, day: u32, snapshot: &DnsSnapshot) -> Vec<ObservedBehavior> {
-        assert_eq!(
-            snapshot.len(),
-            self.total_sites,
-            "snapshot covers the configured targets"
-        );
-        // Every block carries its classes and multi-CDN sites from
-        // collection; no record is read.
-        let columns = concat_columns(snapshot.derived_columns());
-        self.observe_columns(
-            day,
-            snapshot.taken_at,
-            columns.classes,
-            &columns.multi_cdn_ranks,
-        )
+        let shards: Vec<Arc<DerivedColumn>> = snapshot
+            .block_sources()
+            .map(|(_, source)| Arc::clone(source.derived()))
+            .collect();
+        self.observe_shards(day, snapshot.taken_at, &shards)
     }
 
-    /// [`observe`](SnapshotPasses::observe) over concatenated columns:
-    /// the per-site adoption column for the round plus the global ranks
-    /// flagged as multi-CDN front-ends (Sec IV-B.3). The live session and
-    /// the query layer's `ClassifiedStore` feed carried columns through
-    /// here, so the fold's arithmetic (and therefore every derived
-    /// report) is shared, not re-implemented.
+    /// [`observe_shards`](SnapshotPasses::observe_shards) over one
+    /// concatenated round: the per-site adoption column plus the global
+    /// ranks flagged as multi-CDN front-ends (Sec IV-B.3). The round is
+    /// packed into a single fresh shard, so nothing is skipped as
+    /// chained.
     ///
     /// # Panics
     ///
@@ -145,48 +170,38 @@ impl SnapshotPasses {
         classes: Vec<Adoption>,
         multi_cdn_ranks: &[usize],
     ) -> Vec<ObservedBehavior> {
+        let column = DerivedColumn {
+            classes: classes.iter().map(PackedAdoption::pack).collect(),
+            multi_cdn: multi_cdn_ranks
+                .iter()
+                .map(|&rank| u32::try_from(rank).expect("a rank fits a site index"))
+                .collect(),
+            ..DerivedColumn::default()
+        };
+        self.observe_shards(day, taken_at, &[Arc::new(column)])
+    }
+
+    /// Folds in one daily round, given as its shard columns in rank
+    /// order, observed at `taken_at`, and returns the day's observed
+    /// behaviors, already filtered of multi-CDN front-ends (empty on the
+    /// first round — there is nothing to diff against).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shards do not cover the configured site count.
+    pub fn observe_shards(
+        &mut self,
+        day: u32,
+        taken_at: SimTime,
+        shards: &[Arc<DerivedColumn>],
+    ) -> Vec<ObservedBehavior> {
         assert_eq!(
-            classes.len(),
+            shards.iter().map(|shard| shard.len()).sum::<usize>(),
             self.total_sites,
             "columns cover the configured targets"
         );
-        // Multi-CDN front-ends are identified by their balancer CNAMEs
-        // and excluded from behavior analysis (Sec IV-B.3).
-        for &rank in multi_cdn_ranks {
-            self.multi_cdn[rank] = true;
-        }
-
-        // Adoption accumulation (Fig 2 / Fig 6).
-        let adopted = classes.iter().filter(|c| c.is_adopted()).count();
-        let rate = adopted as f64 / self.total_sites as f64;
-        self.overall_rate_sum += rate;
-        if self.rounds == 0 {
-            self.first_day_rate = rate;
-            self.fsm_states = classes.iter().map(adoption_to_state).collect();
-        }
-        self.last_day_rate = rate;
-        let top_adopted = classes[..self.top_band]
-            .iter()
-            .filter(|c| c.is_adopted())
-            .count();
-        self.top_band_rate_sum += top_adopted as f64 / self.top_band as f64;
-        for class in &classes {
-            if let Some(provider) = class.provider {
-                let slot = &mut self.adoption_sum_by_provider[provider.index()];
-                debug_assert_eq!(slot.0, provider);
-                slot.1 += 1.0;
-                if provider == ProviderId::Cloudflare && class.status == DpsStatus::On {
-                    match class.rerouting {
-                        Some(ReroutingMethod::Ns) => self.cf_ns_sum += 1,
-                        Some(ReroutingMethod::Cname) => self.cf_cname_sum += 1,
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        // Pause windows (Fig 5).
-        self.pause_tracker.observe(taken_at, &classes);
+        let first = self.rounds == 0;
+        self.pause_tracker.tick(taken_at);
 
         // The time between consecutive experiments is recoverable from
         // the snapshots themselves: only the between-round step advances
@@ -197,37 +212,144 @@ impl SnapshotPasses {
         }
         self.prev_taken_at = Some(taken_at);
 
-        // Behaviors (Fig 3) + FSM validation (Fig 4).
         let mut behaviors = Vec::new();
-        if let Some(prev) = &self.prev_classes {
-            behaviors = BehaviorDetector::standard().diff(prev, &classes);
-            behaviors.retain(|b| !self.multi_cdn[b.rank]);
+        let mut held = Vec::with_capacity(shards.len());
+        let mut base = 0;
+        for (i, shard) in shards.iter().enumerate() {
+            let chained = self
+                .shards
+                .get(i)
+                .is_some_and(|(prev_base, prev)| *prev_base == base && Arc::ptr_eq(prev, shard));
+            if !chained {
+                // Multi-CDN front-ends are identified by their balancer
+                // CNAMEs and excluded from behavior analysis (Sec
+                // IV-B.3). The marks stick, so a chained shard's are set.
+                for &site in &shard.multi_cdn {
+                    self.multi_cdn[base + site as usize] = true;
+                }
+                if first {
+                    self.classes.extend_from_slice(&shard.classes);
+                } else {
+                    for (offset, &after) in shard.classes.iter().enumerate() {
+                        let before = self.classes[base + offset];
+                        if before != after {
+                            self.change(base + offset, before, after, &mut behaviors);
+                        }
+                    }
+                }
+            }
+            held.push((base, Arc::clone(shard)));
+            base += shard.len();
+        }
+        self.shards = held;
+
+        if first {
+            for class in &self.classes {
+                self.tally[usize::from(class.byte())] += 1;
+            }
+            self.top_adopted = self.classes[..self.top_band]
+                .iter()
+                .filter(|c| c.unpack().is_adopted())
+                .count();
+            self.fsm_states = self
+                .classes
+                .iter()
+                .map(|c| adoption_to_state(&c.unpack()))
+                .collect();
+        } else {
             for (kind, series) in &mut self.series {
                 let count = behaviors.iter().filter(|b| b.kind == *kind).count();
                 series.push(f64::from(day), count as f64);
             }
-            for behavior in &behaviors {
-                match fsm::apply(self.fsm_states[behavior.rank], behavior.kind, behavior.to) {
-                    Ok(next) => self.fsm_states[behavior.rank] = next,
-                    Err(_) => {
-                        self.fsm_violations += 1;
-                        self.fsm_states[behavior.rank] = adoption_to_state(&classes[behavior.rank]);
+        }
+        self.add_adoption(first);
+        self.rounds += 1;
+        behaviors
+    }
+
+    /// One site whose class byte differs from the previous round's:
+    /// updates the tally and the pause tracker, and, for a Table IV
+    /// behavior outside the multi-CDN exclusion, records it and steps the
+    /// site's FSM (Fig 4).
+    fn change(
+        &mut self,
+        rank: usize,
+        before: PackedAdoption,
+        after: PackedAdoption,
+        behaviors: &mut Vec<ObservedBehavior>,
+    ) {
+        self.classes[rank] = after;
+        self.tally[usize::from(before.byte())] -= 1;
+        self.tally[usize::from(after.byte())] += 1;
+        let (before, after) = (before.unpack(), after.unpack());
+        if rank < self.top_band {
+            self.top_adopted += usize::from(after.is_adopted());
+            self.top_adopted -= usize::from(before.is_adopted());
+        }
+        self.pause_tracker.change(rank, &before, &after);
+
+        let Some(kind) = transition(&before, &after) else {
+            return;
+        };
+        if self.multi_cdn[rank] {
+            return;
+        }
+        behaviors.push(ObservedBehavior {
+            rank,
+            kind,
+            from: before.provider,
+            to: after.provider,
+        });
+        let observed = adoption_to_state(&after);
+        match fsm::apply(self.fsm_states[rank], kind, after.provider) {
+            Ok(next) => self.fsm_states[rank] = next,
+            Err(_) => {
+                self.fsm_violations += 1;
+                self.fsm_states[rank] = observed;
+            }
+        }
+        // Re-anchor paused observations the FSM optimistically set to ON
+        // (the paper's "joins start ON" assumption).
+        if self.fsm_states[rank].provider() == observed.provider() {
+            self.fsm_states[rank] = observed;
+        }
+    }
+
+    /// Adds the latest round's tally to the adoption sums (Fig 2 / Fig 6).
+    fn add_adoption(&mut self, first: bool) {
+        let mut adopted = 0;
+        let mut by_provider = [0usize; ProviderId::ALL.len()];
+        for (byte, &count) in (0..=u8::MAX).zip(&self.tally) {
+            if count == 0 {
+                continue;
+            }
+            let class = PackedAdoption::from_byte(byte)
+                .expect("tallied bytes are packed classes")
+                .unpack();
+            if class.is_adopted() {
+                adopted += count;
+            }
+            if let Some(provider) = class.provider {
+                by_provider[provider.index()] += count;
+                if provider == ProviderId::Cloudflare && class.status == DpsStatus::On {
+                    match class.rerouting {
+                        Some(ReroutingMethod::Ns) => self.cf_ns_sum += count as u64,
+                        Some(ReroutingMethod::Cname) => self.cf_cname_sum += count as u64,
+                        _ => {}
                     }
                 }
             }
-            // Re-anchor paused observations the FSM optimistically set
-            // to ON (the paper's "joins start ON" assumption).
-            for behavior in &behaviors {
-                let observed = adoption_to_state(&classes[behavior.rank]);
-                if self.fsm_states[behavior.rank].provider() == observed.provider() {
-                    self.fsm_states[behavior.rank] = observed;
-                }
-            }
         }
-
-        self.prev_classes = Some(classes);
-        self.rounds += 1;
-        behaviors
+        for (slot, count) in self.adoption_sum_by_provider.iter_mut().zip(by_provider) {
+            slot.1 += count as f64;
+        }
+        let rate = adopted as f64 / self.total_sites as f64;
+        self.overall_rate_sum += rate;
+        if first {
+            self.first_day_rate = rate;
+        }
+        self.last_day_rate = rate;
+        self.top_band_rate_sum += self.top_adopted as f64 / self.top_band as f64;
     }
 
     /// Finalizes the fold into the adoption, behavior and pause reports.

@@ -51,13 +51,18 @@ impl PauseWindow {
 }
 
 /// Streaming pause tracker over the daily classification series.
+///
+/// Each observation is a [`tick`](PauseTracker::tick) followed by one
+/// [`change`](PauseTracker::change) per site whose class differs from
+/// the previous observation; a site whose class did not change opens or
+/// closes no window.
 #[derive(Clone, Debug, Default)]
 pub struct PauseTracker {
     /// Open pause start per site: (start time, observation index, provider).
     open: std::collections::HashMap<usize, (SimTime, u32, Option<ProviderId>)>,
     windows: Vec<PauseWindow>,
-    prev: Option<Vec<Adoption>>,
-    observations: u32,
+    /// The observation in progress: (index, when it was taken).
+    current: Option<(u32, SimTime)>,
 }
 
 impl PauseTracker {
@@ -66,55 +71,44 @@ impl PauseTracker {
         PauseTracker::default()
     }
 
-    /// Feeds one day of classifications, observed at `when`.
-    pub fn observe(&mut self, when: SimTime, classifications: &[Adoption]) {
-        let observation = self.observations;
-        self.observations += 1;
-        if let Some(prev) = &self.prev {
-            assert_eq!(
-                prev.len(),
-                classifications.len(),
-                "classification series must cover the same targets"
-            );
-            for (rank, (before, after)) in prev.iter().zip(classifications).enumerate() {
-                match (before.status, after.status) {
-                    (DpsStatus::On, DpsStatus::Off) => {
-                        self.open.insert(rank, (when, observation, after.provider));
-                    }
-                    (DpsStatus::Off, DpsStatus::On) => {
-                        if let Some((start, start_observation, provider)) = self.open.remove(&rank)
-                        {
-                            self.windows.push(PauseWindow {
-                                rank,
-                                paused_at_provider: provider,
-                                resumed_at_provider: after.provider,
-                                start,
-                                start_observation,
-                                end: Some(when),
-                                end_observation: Some(observation),
-                            });
-                        }
-                    }
-                    (DpsStatus::Off, DpsStatus::None) => {
-                        // Left while paused: window closes unresolved.
-                        if let Some((start, start_observation, provider)) = self.open.remove(&rank)
-                        {
-                            self.windows.push(PauseWindow {
-                                rank,
-                                paused_at_provider: provider,
-                                resumed_at_provider: None,
-                                start,
-                                start_observation,
-                                end: None,
-                                end_observation: None,
-                            });
-                        }
-                    }
-                    _ => {}
-                }
+    /// Starts the next daily observation, taken at `when`.
+    pub fn tick(&mut self, when: SimTime) {
+        let index = self.current.map_or(0, |(index, _)| index + 1);
+        self.current = Some((index, when));
+    }
+
+    /// Feeds site `rank`'s class in the previous observation (`before`)
+    /// and in the current one (`after`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no observation has been started with
+    /// [`tick`](PauseTracker::tick).
+    pub fn change(&mut self, rank: usize, before: &Adoption, after: &Adoption) {
+        let (observation, when) = self
+            .current
+            .expect("a change belongs to a ticked observation");
+        let resumed = match (before.status, after.status) {
+            (DpsStatus::On, DpsStatus::Off) => {
+                self.open.insert(rank, (when, observation, after.provider));
+                return;
             }
+            (DpsStatus::Off, DpsStatus::On) => true,
+            // Left while paused: the window closes unresolved.
+            (DpsStatus::Off, DpsStatus::None) => false,
+            _ => return,
+        };
+        if let Some((start, start_observation, provider)) = self.open.remove(&rank) {
+            self.windows.push(PauseWindow {
+                rank,
+                paused_at_provider: provider,
+                resumed_at_provider: after.provider.filter(|_| resumed),
+                start,
+                start_observation,
+                end: resumed.then_some(when),
+                end_observation: resumed.then_some(observation),
+            });
         }
-        self.prev = Some(classifications.to_vec());
     }
 
     /// All windows closed so far.
@@ -175,15 +169,30 @@ mod tests {
         SimTime::from_days(n)
     }
 
+    /// Feeds a one-site series, one observation per `(when, class)`.
+    fn track(series: &[(SimTime, Adoption)]) -> PauseTracker {
+        let mut tracker = PauseTracker::new();
+        let mut prev = None;
+        for (when, class) in series {
+            tracker.tick(*when);
+            if let Some(before) = prev {
+                tracker.change(0, &before, class);
+            }
+            prev = Some(*class);
+        }
+        tracker
+    }
+
     #[test]
     fn closed_window_measures_duration() {
         // Daily observations: ON, OFF, OFF, OFF, ON — a three-day pause.
-        let mut tracker = PauseTracker::new();
-        tracker.observe(day(0), &[on(CF)]);
-        tracker.observe(day(1), &[off(CF)]);
-        tracker.observe(day(2), &[off(CF)]);
-        tracker.observe(day(3), &[off(CF)]);
-        tracker.observe(day(4), &[on(CF)]);
+        let tracker = track(&[
+            (day(0), on(CF)),
+            (day(1), off(CF)),
+            (day(2), off(CF)),
+            (day(3), off(CF)),
+            (day(4), on(CF)),
+        ]);
         assert_eq!(tracker.windows().len(), 1);
         let w = &tracker.windows()[0];
         assert_eq!(w.duration_days(), Some(3.0));
@@ -197,10 +206,11 @@ mod tests {
         // The paper's uneven 20–30h intervals: a site OFF in exactly one
         // daily experiment paused for one day, even if the wall-clock gap
         // was 30 hours.
-        let mut tracker = PauseTracker::new();
-        tracker.observe(SimTime::from_secs(0), &[on(CF)]);
-        tracker.observe(SimTime::from_secs(30 * 3600), &[off(CF)]);
-        tracker.observe(SimTime::from_secs(60 * 3600), &[on(CF)]);
+        let tracker = track(&[
+            (SimTime::from_secs(0), on(CF)),
+            (SimTime::from_secs(30 * 3600), off(CF)),
+            (SimTime::from_secs(60 * 3600), on(CF)),
+        ]);
         let w = &tracker.windows()[0];
         assert_eq!(w.duration_days(), Some(1.0));
         assert_eq!(w.duration_days_exact(), Some(1.25));
@@ -208,10 +218,7 @@ mod tests {
 
     #[test]
     fn open_window_is_not_counted_in_cdf() {
-        let mut tracker = PauseTracker::new();
-        tracker.observe(day(0), &[on(CF)]);
-        tracker.observe(day(1), &[off(CF)]);
-        tracker.observe(day(2), &[off(CF)]);
+        let tracker = track(&[(day(0), on(CF)), (day(1), off(CF)), (day(2), off(CF))]);
         assert_eq!(tracker.open_count(), 1);
         assert!(tracker.cdf_overall().is_empty());
     }
@@ -219,10 +226,7 @@ mod tests {
     #[test]
     fn pause_at_one_provider_resume_at_another_counts_overall_only() {
         // The paper's "Overall" includes cross-provider pause/resume pairs.
-        let mut tracker = PauseTracker::new();
-        tracker.observe(day(0), &[on(CF)]);
-        tracker.observe(day(1), &[off(CF)]);
-        tracker.observe(day(3), &[on(INC)]);
+        let tracker = track(&[(day(0), on(CF)), (day(1), off(CF)), (day(3), on(INC))]);
         assert_eq!(tracker.windows().len(), 1);
         assert!(!tracker.windows()[0].same_provider());
         assert_eq!(tracker.cdf_overall().len(), 1);
@@ -232,10 +236,11 @@ mod tests {
 
     #[test]
     fn leave_while_paused_closes_without_duration() {
-        let mut tracker = PauseTracker::new();
-        tracker.observe(day(0), &[on(INC)]);
-        tracker.observe(day(1), &[off(INC)]);
-        tracker.observe(day(2), &[Adoption::NONE]);
+        let tracker = track(&[
+            (day(0), on(INC)),
+            (day(1), off(INC)),
+            (day(2), Adoption::NONE),
+        ]);
         assert_eq!(tracker.windows().len(), 1);
         assert_eq!(tracker.windows()[0].duration_days(), None);
         assert!(tracker.cdf_overall().is_empty());
@@ -243,14 +248,10 @@ mod tests {
 
     #[test]
     fn multiple_pauses_accumulate() {
-        let mut tracker = PauseTracker::new();
-        tracker.observe(day(0), &[on(CF)]);
-        tracker.observe(day(1), &[off(CF)]);
-        tracker.observe(day(2), &[on(CF)]);
-        for d in 3..9 {
-            tracker.observe(day(d), &[off(CF)]);
-        }
-        tracker.observe(day(9), &[on(CF)]);
+        let mut series = vec![(day(0), on(CF)), (day(1), off(CF)), (day(2), on(CF))];
+        series.extend((3..9).map(|d| (day(d), off(CF))));
+        series.push((day(9), on(CF)));
+        let tracker = track(&series);
         assert_eq!(tracker.windows().len(), 2);
         let mut cdf = tracker.cdf_for(CF);
         assert_eq!(cdf.len(), 2);

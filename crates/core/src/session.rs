@@ -11,7 +11,7 @@
 //!
 //! Every round takes one path whatever the configuration: the collector
 //! (full or delta, chosen once at construction) collects into memory or
-//! the spill directory, and the classification cache feeds the snapshot
+//! the spill directory, and the blocks' carried columns feed the snapshot
 //! passes. Reports, snapshots and obs JSON are byte-identical across
 //! collection modes, spill settings and worker counts — the differential
 //! tests pin that down.
@@ -29,7 +29,6 @@ use remnant_obs::{Obs, ObsReport, ProgressSender, Span};
 use remnant_provider::ProviderId;
 use remnant_world::World;
 
-use crate::classify::ShardClassCache;
 use crate::collector::{Collector, Target};
 use crate::passes::SnapshotPasses;
 use crate::residual::{
@@ -92,7 +91,6 @@ pub struct StudySession {
     jitter: StdRng,
     collector: Collector,
     passes: SnapshotPasses,
-    class_cache: ShardClassCache,
     unchanged: UnchangedStudy,
     cf_scanner: CloudflareScanner,
     inc_scanner: IncapsulaScanner,
@@ -167,7 +165,6 @@ impl StudySession {
             jitter,
             collector,
             passes,
-            class_cache: ShardClassCache::new(),
             unchanged,
             cf_scanner,
             inc_scanner,
@@ -261,19 +258,10 @@ impl StudySession {
         // The snapshot-derived passes — adoption (Fig 2 / Fig 6),
         // behaviors (Fig 3), FSM validation (Fig 4), pause windows
         // (Fig 5) — run as one shared fold, the same fold the
-        // remnant-query crate replays over persisted rounds. Its columns
-        // were derived when each block was collected and ride along with
-        // the block; the class cache only counts which blocks a delta
-        // round replayed (under full collection every block is new).
-        let columns =
-            self.class_cache
-                .classify_snapshot(&self.engine, self.passes.detector(), &snapshot);
-        let behaviors = self.passes.observe_columns(
-            day,
-            snapshot.taken_at,
-            columns.classes,
-            &columns.multi_cdn_ranks,
-        );
+        // remnant-query crate replays over persisted rounds. It reads the
+        // columns derived when each block was collected, which ride along
+        // with the block, and skips the shards a delta round replayed.
+        let behaviors = self.passes.observe(day, &snapshot);
 
         // The unchanged study (Table V) is the one behavior consumer
         // that needs a live transport: candidate extraction is pure,

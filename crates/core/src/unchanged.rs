@@ -166,8 +166,7 @@ impl UnchangedStudy {
 mod tests {
     use super::*;
     use crate::collector::RecordCollector;
-    use crate::BehaviorDetector;
-    use crate::SCANNER_SOURCE;
+    use crate::{DnsSnapshot, SnapshotPasses, SCANNER_SOURCE};
     use remnant_net::Region;
     use remnant_provider::{ReroutingMethod, ServicePlan};
     use remnant_world::{SiteState, World, WorldConfig};
@@ -179,6 +178,13 @@ mod tests {
             warmup_days: 0,
             calibration: remnant_world::Calibration::paper(),
         })
+    }
+
+    /// The snapshot fold's behaviors between two consecutive rounds.
+    fn behaviors(snap0: &DnsSnapshot, snap1: &DnsSnapshot) -> Vec<ObservedBehavior> {
+        let mut passes = SnapshotPasses::new(snap0.len());
+        passes.observe(0, snap0);
+        passes.observe(1, snap1)
     }
 
     fn targets(world: &World) -> Vec<Target> {
@@ -200,7 +206,6 @@ mod tests {
             .unwrap()
             .clone();
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let detector = BehaviorDetector::new();
 
         let snap0 = collector.collect(&w, &targets, 0);
         // The site joins Cloudflare keeping its origin.
@@ -213,9 +218,7 @@ mod tests {
         w.step_hours(24);
         let snap1 = collector.collect(&w, &targets, 1);
 
-        let prev = detector.classify_snapshot(&snap0);
-        let curr = detector.classify_snapshot(&snap1);
-        let behaviors = detector.diff(&prev, &curr);
+        let behaviors = behaviors(&snap0, &snap1);
         assert!(behaviors
             .iter()
             .any(|b| b.rank == site.id.0 as usize && b.kind == BehaviorKind::Join));
@@ -243,7 +246,6 @@ mod tests {
             .unwrap()
             .clone();
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let detector = BehaviorDetector::new();
 
         let snap0 = collector.collect(&w, &targets, 0);
         w.force_join(
@@ -255,9 +257,7 @@ mod tests {
         w.step_hours(24);
         let snap1 = collector.collect(&w, &targets, 1);
 
-        let prev = detector.classify_snapshot(&snap0);
-        let curr = detector.classify_snapshot(&snap1);
-        let behaviors = detector.diff(&prev, &curr);
+        let behaviors = behaviors(&snap0, &snap1);
         let now = w.now();
         let mut study = UnchangedStudy::new(SCANNER_SOURCE);
         let found = candidates(&targets, &behaviors, &snap0, &snap1);
@@ -289,7 +289,6 @@ mod tests {
             .unwrap()
             .clone();
         let mut collector = RecordCollector::new(w.clock(), Region::Ashburn);
-        let detector = BehaviorDetector::new();
         let snap0 = collector.collect(&w, &targets, 0);
         w.force_switch(
             site.id,
@@ -300,10 +299,7 @@ mod tests {
         );
         w.step_hours(24);
         let snap1 = collector.collect(&w, &targets, 1);
-        let behaviors = detector.diff(
-            &detector.classify_snapshot(&snap0),
-            &detector.classify_snapshot(&snap1),
-        );
+        let behaviors = behaviors(&snap0, &snap1);
         assert!(behaviors
             .iter()
             .any(|b| b.rank == site.id.0 as usize && b.kind == BehaviorKind::Switch));

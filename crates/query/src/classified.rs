@@ -22,7 +22,7 @@
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use remnant_core::classify::{concat_columns, DerivedColumn, ShardClassCache, SnapshotColumns};
+use remnant_core::classify::{DerivedColumn, ShardClassCache};
 use remnant_core::{Adoption, DpsStatus, SnapshotAggregates, SnapshotPasses};
 use remnant_obs::{
     Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES,
@@ -52,12 +52,6 @@ impl ClassifiedRound {
     /// The per-shard columns, in shard order.
     pub fn shards(&self) -> &[Arc<DerivedColumn>] {
         &self.shards
-    }
-
-    /// Concatenates the shard columns into the round's full-length
-    /// columns (the shape [`SnapshotPasses::observe_columns`] takes).
-    pub fn columns(&self) -> SnapshotColumns {
-        concat_columns(self.shards.iter().map(Arc::as_ref))
     }
 
     /// The classification of site `rank` in this round.
@@ -223,20 +217,15 @@ impl<'a> ClassifiedStore<'a> {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Runs the shared snapshot fold over the cached columns, producing
-    /// the same [`SnapshotAggregates`] as the live study's passes over
-    /// the raw snapshots — byte-identical, because both feed the
-    /// identical fold.
+    /// Runs the shared snapshot fold over the rounds' shard columns,
+    /// producing the same [`SnapshotAggregates`] as the live study's
+    /// passes — byte-identical, because both feed the identical fold.
+    /// Chained shards are the same `Arc`s round to round, so the fold
+    /// skips them.
     pub fn aggregates(&self) -> SnapshotAggregates {
         let mut passes = SnapshotPasses::new(self.store.sites());
         for round in &self.rounds {
-            let columns = round.columns();
-            passes.observe_columns(
-                round.meta.day,
-                round.meta.taken_at,
-                columns.classes,
-                &columns.multi_cdn_ranks,
-            );
+            passes.observe_shards(round.meta.day, round.meta.taken_at, &round.shards);
         }
         passes.finish()
     }

@@ -64,13 +64,8 @@ impl UnchangedCandidatesPlan {
         let mut prev: Option<remnant_core::DnsSnapshot> = None;
         let mut out = Vec::new();
         for (i, round) in ctx.classified().rounds().iter().enumerate() {
-            let columns = round.columns();
-            let behaviors = passes.observe_columns(
-                round.meta().day,
-                round.meta().taken_at,
-                columns.classes,
-                &columns.multi_cdn_ranks,
-            );
+            let behaviors =
+                passes.observe_shards(round.meta().day, round.meta().taken_at, round.shards());
             let snapshot = store.snapshot(i);
             if let Some(prev_snap) = &prev {
                 out.extend(unchanged::candidates(

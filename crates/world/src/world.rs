@@ -455,12 +455,16 @@ impl World {
             } => {
                 let dps = &self.providers[provider.index()];
                 if let Some(account) = dps.account(&site.apex) {
-                    let nameservers: Vec<(DomainName, Ipv4Addr)> = account
+                    // The glue holds one record per nameserver with an
+                    // address, and the authority names the same hosts.
+                    let glue: RecordSet = account
                         .nameservers
                         .iter()
-                        .filter_map(|h| Some((h.clone(), dps.ns_address(h)?)))
+                        .filter_map(|h| Some(glue_record(h, dps.ns_address(h)?)))
                         .collect();
-                    return referral(query, &apex, &nameservers);
+                    let authority: RecordSet =
+                        glue.iter().map(|rr| delegation(&apex, &rr.name)).collect();
+                    return Response::referral(query.clone(), authority, glue);
                 }
                 // Inconsistent state; fall through to hosting.
                 self.hosting_referral(query, &apex, site.hosting)
@@ -505,8 +509,15 @@ impl World {
 
         let is_www = query.name == site.www;
         let is_apex = query.name == site.apex;
-        let is_dev = site.leaky_subdomain && query.name.is_child_of(&site.apex, DEV_LABEL);
-        let is_mail = site.has_mx && query.name.is_child_of(&site.apex, MAIL_LABEL);
+        // `www` and the apex are neither `dev` nor `mail` children.
+        let (is_dev, is_mail) = if is_www || is_apex {
+            (false, false)
+        } else {
+            (
+                site.leaky_subdomain && query.name.is_child_of(&site.apex, DEV_LABEL),
+                site.has_mx && query.name.is_child_of(&site.apex, MAIL_LABEL),
+            )
+        };
         if !is_www && !is_apex && !is_dev && !is_mail {
             return Response::empty(query.clone(), Rcode::NxDomain);
         }
@@ -868,14 +879,17 @@ fn delegation(apex: &DomainName, host: &DomainName) -> ResourceRecord {
 fn glue(nameservers: &[(DomainName, Ipv4Addr)]) -> RecordSet {
     nameservers
         .iter()
-        .map(|(host, addr)| {
-            ResourceRecord::new(
-                host.clone(),
-                remnant_dns::registry::DELEGATION_TTL,
-                RecordData::A(*addr),
-            )
-        })
+        .map(|(host, addr)| glue_record(host, *addr))
         .collect()
+}
+
+/// The registry's glue A record for `host` at `addr`.
+fn glue_record(host: &DomainName, addr: Ipv4Addr) -> ResourceRecord {
+    ResourceRecord::new(
+        host.clone(),
+        remnant_dns::registry::DELEGATION_TTL,
+        RecordData::A(addr),
+    )
 }
 
 /// The balancer hostname for a multi-CDN customer, carrying the

@@ -10,7 +10,7 @@
 use remnant::core::adoption::DpsStatus;
 use remnant::core::collector::{RecordCollector, Target};
 use remnant::core::report::{percent, CdfFigure, Rendered, TextTable};
-use remnant::core::{concat_columns, BehaviorDetector, SnapshotPasses};
+use remnant::core::{concat_columns, SnapshotPasses};
 use remnant::net::Region;
 use remnant::world::{BehaviorKind, World, WorldConfig};
 
@@ -23,15 +23,14 @@ fn main() {
         .collect();
 
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-    let detector = BehaviorDetector::new();
     let mut passes = SnapshotPasses::new(targets.len());
-    let mut prev: Option<Vec<remnant::core::Adoption>> = None;
     let mut totals = std::collections::BTreeMap::new();
 
     println!("day  ON      OFF   NONE    J    L    P    R    S");
     for day in 0..21 {
         let snapshot = collector.collect(&world, &targets, day);
-        passes.observe(day, &snapshot);
+        // The day's behaviors, multi-CDN front-ends excluded.
+        let behaviors = passes.observe(day, &snapshot);
         // Each block carries its classes from collection.
         let classes = concat_columns(snapshot.derived_columns()).classes;
 
@@ -43,21 +42,18 @@ fn main() {
         let none = classes.len() - on - off;
 
         let mut counts = [0usize; 5];
-        if let Some(prev_classes) = &prev {
-            for behavior in detector.diff(prev_classes, &classes) {
-                let idx = BehaviorKind::ALL
-                    .iter()
-                    .position(|k| *k == behavior.kind)
-                    .expect("known kind");
-                counts[idx] += 1;
-                *totals.entry(behavior.kind.to_string()).or_insert(0usize) += 1;
-            }
+        for behavior in behaviors {
+            let idx = BehaviorKind::ALL
+                .iter()
+                .position(|k| *k == behavior.kind)
+                .expect("known kind");
+            counts[idx] += 1;
+            *totals.entry(behavior.kind.to_string()).or_insert(0usize) += 1;
         }
         println!(
             "{day:>3}  {on:>6} {off:>6} {none:>6} {:>4} {:>4} {:>4} {:>4} {:>4}",
             counts[0], counts[1], counts[2], counts[3], counts[4]
         );
-        prev = Some(classes);
         world.step_hours(24);
     }
 
