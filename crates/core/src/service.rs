@@ -10,7 +10,9 @@
 //! * **one engine [`WorkerPool`]** — every session's sweeps draw threads
 //!   from the same budget, so N campaigns never oversubscribe the machine
 //!   N-fold, and by the engine's determinism contract the grant size a
-//!   sweep happens to get changes wall clock only, never output.
+//!   sweep happens to get changes wall clock only, never output. A
+//!   session's own thread is worker 0 of its sweeps, so a grant of one
+//!   spawns no helper.
 //!
 //! [`run_campaigns`](StudyService::run_campaigns) spawns one
 //! [`StudySession`] per submitted [`StudyConfig`], streams every

@@ -113,7 +113,8 @@ impl StudySession {
 
     /// Like [`new`](StudySession::new), but the session's sweeps draw
     /// their threads from `pool` — the shared budget of a multi-tenant
-    /// service — instead of unconditionally spawning `config.workers`.
+    /// service — instead of always running `config.workers`. A grant
+    /// counts the session's own thread, which sweeps as worker 0.
     pub fn with_worker_pool(config: StudyConfig, world: &World, pool: Arc<WorkerPool>) -> Self {
         let engine = ScanEngine::with_pool(Self::engine_config(&config), pool);
         Self::with_engine(config, world, engine)

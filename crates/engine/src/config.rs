@@ -5,8 +5,11 @@ use crate::error::ConfigFieldError;
 /// Configuration for a [`ScanEngine`](crate::ScanEngine).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of worker threads. Any value `>= 1`; the engine never spawns
-    /// more workers than shards. Output is identical for every value.
+    /// Number of worker threads, counting the thread that calls
+    /// [`ScanEngine::sweep`](crate::ScanEngine::sweep): it is worker 0, so
+    /// a sweep spawns `workers - 1` helpers and one worker spawns none.
+    /// Any value `>= 1`; the engine never runs more workers than shards.
+    /// Output is identical for every value.
     pub workers: usize,
     /// Items per claimable shard. This alone fixes the shard layout: the
     /// layout is a function of the item count and `shard_size` only —

@@ -8,8 +8,9 @@
 //! embarrassingly parallel, *if* parallelism can be added without
 //! perturbing the study's outputs. This crate provides that: a
 //! [`ScanEngine`] that splits a target list into deterministic shards,
-//! drives `N` worker threads (each with its own per-shard state and RNG
-//! stream), and merges shard outputs back into target order so results
+//! drives `N` workers — the calling thread plus `N - 1` spawned helpers,
+//! each shard with its own per-shard state and RNG stream — and merges
+//! shard outputs back into target order so results
 //! are **bit-identical regardless of worker count**.
 //!
 //! ## Determinism contract

@@ -6,7 +6,9 @@
 //! budget: each sweep acquires a grant for the threads it wants, gets at
 //! most what is currently free — but always at least one, so a sweep can
 //! never deadlock waiting on a sibling — and returns the budget when the
-//! sweep finishes (the grant's `Drop`).
+//! sweep finishes (the grant's `Drop`). A grant counts the thread that
+//! calls the sweep: a grant of `k` runs the caller plus `k - 1` spawned
+//! helpers, so a grant of one spawns no thread at all.
 //!
 //! The pool only shapes *parallelism*, never *results*: by the engine's
 //! determinism contract the merged sweep output is byte-identical for any
