@@ -1,13 +1,18 @@
-//! DNS substrate benchmarks: recursive resolution, cached resolution, and
+//! DNS substrate benchmarks: recursive resolution, cached resolution,
 //! direct nameserver queries — the primitives every measurement sweep is
-//! built from.
+//! built from — and one collection shard resolved from a cold cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use remnant::dns::{DnsTransport, Query, RecordType, RecursiveResolver};
+use remnant::dns::{CountingTransport, DnsTransport, Query, RecordType, RecursiveResolver};
 use remnant::net::Region;
 use remnant::provider::ProviderId;
 use remnant::world::{World, WorldConfig};
+
+/// DNS queries the 512-site cold shard sends.
+const PINNED_QUERIES: u64 = 1_058;
+/// The 512-site cold shard's cache (hits, misses).
+const PINNED_HITS_MISSES: (u64, u64) = (592, 2_661);
 
 fn bench_resolution(c: &mut Criterion) {
     let world = World::generate(WorldConfig {
@@ -44,6 +49,32 @@ fn bench_resolution(c: &mut Criterion) {
                 .expect("cached")
         });
     });
+
+    // One collection shard from cold: a fresh resolver, sized the way the
+    // collector sizes a shard's, resolves 512 sites' `www` A and apex NS.
+    // The query count and cache counters are pinned, so the timed work is
+    // the work a collection shard does.
+    let shard: Vec<_> = world.sites()[..512]
+        .iter()
+        .map(|site| (site.apex.clone(), site.www.clone()))
+        .collect();
+    let cold_shard = |transport: &dyn DnsTransport| {
+        let mut resolver =
+            RecursiveResolver::with_cache_capacity(clock.clone(), Region::Ashburn, 512 * 5 / 2);
+        for (apex, www) in &shard {
+            let _ = resolver.resolve(transport, www, RecordType::A);
+            let _ = resolver.resolve(transport, apex, RecordType::Ns);
+        }
+        resolver
+    };
+    let counting = CountingTransport::new(&world);
+    let resolver = cold_shard(&counting);
+    assert_eq!(
+        (counting.query_stats().sent, resolver.cache().stats()),
+        (PINNED_QUERIES, PINNED_HITS_MISSES),
+        "the cold shard's queries and cache (hits, misses)"
+    );
+    group.bench_function("cold_shard_512", |b| b.iter(|| cold_shard(&world)));
 
     group.bench_function("direct_ns_query", |b| {
         let server = world.provider(ProviderId::Cloudflare).ns_addresses()[0];

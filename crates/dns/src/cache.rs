@@ -6,8 +6,6 @@
 //! Between purges the cache obeys TTLs against the simulation clock, which
 //! is what keeps stale NS records alive after a provider switch.
 
-use std::collections::hash_map::Entry;
-
 use remnant_net::hash::WordMap;
 use remnant_sim::SimTime;
 
@@ -15,24 +13,46 @@ use crate::message::Rcode;
 use crate::name::DomainName;
 use crate::record::{RecordSet, RecordType, ResourceRecord};
 
-/// A cached entry: either records or a cached negative answer.
+/// Where a cached entry's records sit in the store, and what they answer.
 ///
-/// Records are a [`RecordSet`] value: a set of up to two records sits in
-/// the entry itself, so a hit copies it out without touching the heap.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheEntry {
-    /// Cached records (empty for negative entries).
-    pub records: RecordSet,
-    /// The response code that produced this entry.
-    pub rcode: Rcode,
+/// A negative entry (NXDOMAIN / NODATA) holds no records and carries the
+/// rcode that produced it; a positive one carries [`Rcode::NoError`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    /// Index of the entry's first record in the store.
+    start: u32,
+    /// Number of records (0 for a negative entry).
+    len: u32,
     /// Absolute expiry instant.
-    pub expires: SimTime,
+    expires: SimTime,
+    /// The response code that produced this entry.
+    pub(crate) rcode: Rcode,
+}
+
+impl Slot {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// True for a negative entry.
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
 }
 
 /// TTL for cached negative answers (NXDOMAIN / NODATA).
 const NEGATIVE_TTL_SECS: u64 = 900;
 
 /// A (name, type)-keyed DNS cache with TTL expiry and full purge.
+///
+/// Every cached record sits in one store; the table maps each key to a
+/// `Copy` slot — the range of its records in the store, its expiry
+/// and its rcode — so a bucket is 40 bytes with no drop glue, and a hit
+/// copies out only the records its caller keeps. A replaced entry
+/// reuses its range when the new group fits and otherwise appends; the
+/// records a replacement or an eviction leaves behind are dead, and the
+/// store is compacted once they outnumber the live ones, so a cache that
+/// is never purged stays within twice its live records.
 ///
 /// Keys hash through `WordHasher`: the name's precomputed content
 /// hash and the type fold into one word each, with no SipHash rounds.
@@ -51,9 +71,14 @@ const NEGATIVE_TTL_SECS: u64 = 900;
 /// assert!(cache.get(SimTime::EPOCH + SimDuration::secs(301), &www, RecordType::A).is_none());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct ResolverCache {
-    entries: WordMap<(DomainName, RecordType), CacheEntry>,
+    slots: WordMap<(DomainName, RecordType), Slot>,
+    /// Every slot's records, each slot's in one run; runs no slot owns
+    /// are dead.
+    store: Vec<ResourceRecord>,
+    /// Records the slots own: `store.len() - live` are dead.
+    live: usize,
     hits: u64,
     misses: u64,
     expired: u64,
@@ -66,10 +91,13 @@ impl ResolverCache {
     }
 
     /// Creates an empty cache that holds `entries` entries before its
-    /// table first grows. Capacity changes no counter and no answer.
+    /// table first grows, with room for one and a half records per entry
+    /// in its store (a collection sweep's entries hold ≈ 1.46). Capacity
+    /// changes no counter and no answer.
     pub(crate) fn with_capacity(entries: usize) -> Self {
         ResolverCache {
-            entries: WordMap::with_capacity_and_hasher(entries, Default::default()),
+            slots: WordMap::with_capacity_and_hasher(entries, Default::default()),
+            store: Vec::with_capacity(entries + entries / 2),
             ..ResolverCache::default()
         }
     }
@@ -77,10 +105,8 @@ impl ResolverCache {
     /// Inserts records, grouping them by (owner, type). Each group's expiry
     /// comes from the minimum TTL within the group. Empty input is a no-op.
     ///
-    /// A homogeneous input (one owner/type — the common shape of an answer
-    /// section) is stored as-is. A mixed section (referral glue for several
-    /// hosts) is grouped in order of first occurrence. Each group replaces
-    /// whatever its key held.
+    /// Groups are stored in order of first occurrence, each keeping its
+    /// records in section order, and each replaces whatever its key held.
     pub fn insert(&mut self, now: SimTime, records: impl Into<RecordSet>) {
         let records: RecordSet = records.into();
         // Sections hold a handful of records, so scanning back for a
@@ -92,26 +118,16 @@ impl ResolverCache {
             if records[..i].iter().any(same_key) {
                 continue;
             }
-            let group = || records[i..].iter().filter(move |rr| same_key(rr));
-            let expires = group()
-                .map(|rr| rr.ttl)
-                .min()
-                .expect("a group holds its first record")
-                .expires_at(now);
-            let set = if group().count() == records.len() {
-                RecordSet::clone(&records)
-            } else {
-                group().cloned().collect()
-            };
-            self.entries.insert(
+            let group = records[i..].iter().filter(move |rr| same_key(rr));
+            let ttl = group.clone().fold(head.ttl, |min, rr| min.min(rr.ttl));
+            self.put(
                 (head.name.clone(), head.record_type()),
-                CacheEntry {
-                    records: set,
-                    rcode: Rcode::NoError,
-                    expires,
-                },
+                ttl.expires_at(now),
+                Rcode::NoError,
+                group,
             );
         }
+        self.compact_if_sparse();
     }
 
     /// Caches a negative answer (NXDOMAIN or NODATA) for `name`/`rtype`.
@@ -122,95 +138,170 @@ impl ResolverCache {
         rtype: RecordType,
         rcode: Rcode,
     ) {
-        self.entries.insert(
-            (name, rtype),
-            CacheEntry {
-                records: RecordSet::new(),
-                rcode,
-                expires: now + remnant_sim::SimDuration::secs(NEGATIVE_TTL_SECS),
-            },
-        );
+        let expires = now + remnant_sim::SimDuration::secs(NEGATIVE_TTL_SECS);
+        self.put((name, rtype), expires, rcode, std::iter::empty());
+        self.compact_if_sparse();
+    }
+
+    /// Points `key` at `group`'s records: in its old range when they fit,
+    /// else appended to the store.
+    fn put<'a>(
+        &mut self,
+        key: (DomainName, RecordType),
+        expires: SimTime,
+        rcode: Rcode,
+        group: impl Iterator<Item = &'a ResourceRecord> + Clone,
+    ) {
+        let len = group.clone().count();
+        let slot = self.slots.entry(key).or_insert(Slot {
+            start: 0,
+            len: 0,
+            expires,
+            rcode,
+        });
+        self.live -= slot.len as usize;
+        if len <= slot.len as usize {
+            for (stored, rr) in self.store[slot.start as usize..].iter_mut().zip(group) {
+                stored.clone_from(rr);
+            }
+        } else {
+            slot.start = self.store.len() as u32;
+            self.store.extend(group.cloned());
+            // Every write checks this, so each slot's start and length,
+            // both at most the store's length, fit their `u32` fields.
+            assert!(
+                u32::try_from(self.store.len()).is_ok(),
+                "a resolver cache holds fewer than 2^32 records"
+            );
+        }
+        slot.len = len as u32;
+        slot.expires = expires;
+        slot.rcode = rcode;
+        self.live += len;
+    }
+
+    /// Rebuilds the store from the live runs once dead records outnumber
+    /// live ones, so it never holds more than twice its live records.
+    fn compact_if_sparse(&mut self) {
+        if self.store.len() - self.live <= self.live {
+            return;
+        }
+        let mut store = Vec::with_capacity(self.live);
+        for slot in self.slots.values_mut() {
+            let range = slot.range();
+            slot.start = store.len() as u32;
+            store.extend_from_slice(&self.store[range]);
+        }
+        self.store = store;
     }
 
     /// Unexpired records for `name`/`rtype`. Negative entries return `None`
     /// here; use [`ResolverCache::lookup`] to observe them.
     pub fn get(&mut self, now: SimTime, name: &DomainName, rtype: RecordType) -> Option<RecordSet> {
-        self.lookup(now, name, rtype)
-            .map(|(records, _)| records)
-            .filter(|records| !records.is_empty())
+        self.probe(now, name, rtype)
+            .filter(|slot| !slot.is_empty())
+            .map(|slot| self.records(slot).iter().cloned().collect())
     }
 
     /// The unexpired entry for `name`/`rtype` as its records and response
     /// code: a positive entry's records with [`Rcode::NoError`], or an
     /// empty set with a negative entry's rcode. Counts like
-    /// [`ResolverCache::get`] (any unexpired entry is a hit), so a
-    /// resolver's terminal check answers both "cached records?" and
-    /// "cached negative?" in one hash probe.
+    /// [`ResolverCache::get`] (any unexpired entry is a hit).
     pub fn lookup(
         &mut self,
         now: SimTime,
         name: &DomainName,
         rtype: RecordType,
     ) -> Option<(RecordSet, Rcode)> {
-        let Some(entry) = self.get_entry(now, name, rtype) else {
-            self.misses += 1;
-            return None;
-        };
-        let found = (RecordSet::clone(&entry.records), entry.rcode);
-        self.hits += 1;
-        Some(found)
+        let slot = self.probe(now, name, rtype)?;
+        Some((self.records(slot).iter().cloned().collect(), slot.rcode))
     }
 
-    /// The unexpired entry (positive or negative) for `name`/`rtype`.
-    /// Expired entries are evicted on access (and counted as expired).
-    /// Does not update hit counters.
+    /// The unexpired entry for `name`/`rtype`, counted as a hit, or `None`,
+    /// counted as a miss. Read its records with [`ResolverCache::records`]:
+    /// nothing moves them before the next insert, so a resolver can walk
+    /// one entry's records while it probes for others.
     ///
-    /// One hash probe serves the hit, the miss and the eviction alike.
-    pub fn get_entry(
+    /// This is the one probe behind [`ResolverCache::get`] and
+    /// [`ResolverCache::lookup`]; the resolver calls it directly, so a
+    /// terminal check answers both "cached records?" and "cached
+    /// negative?" at once and copies only what the resolution keeps.
+    #[inline]
+    pub(crate) fn probe(
         &mut self,
         now: SimTime,
         name: &DomainName,
         rtype: RecordType,
-    ) -> Option<&CacheEntry> {
-        match self.entries.entry((name.clone(), rtype)) {
-            Entry::Occupied(entry) if entry.get().expires <= now => {
-                entry.remove();
-                self.expired += 1;
-                None
-            }
-            Entry::Occupied(entry) => Some(entry.into_mut()),
-            Entry::Vacant(_) => None,
+    ) -> Option<Slot> {
+        let Some(slot) = self.live_slot(now, name, rtype) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        Some(slot)
+    }
+
+    /// The records of a slot [`ResolverCache::probe`] returned.
+    #[inline]
+    pub(crate) fn records(&self, slot: Slot) -> &[ResourceRecord] {
+        &self.store[slot.range()]
+    }
+
+    /// The unexpired slot (positive or negative) for `name`/`rtype`.
+    /// An expired entry is evicted on access and counted as expired; its
+    /// records stay in the store, dead, until the next compaction. Does
+    /// not update hit counters.
+    #[inline]
+    fn live_slot(&mut self, now: SimTime, name: &DomainName, rtype: RecordType) -> Option<Slot> {
+        let key = (name.clone(), rtype);
+        let slot = *self.slots.get(&key)?;
+        if slot.expires > now {
+            return Some(slot);
         }
+        self.slots.remove(&key);
+        self.live -= slot.len as usize;
+        self.expired += 1;
+        None
     }
 
     /// True if a *negative* unexpired entry exists for `name`/`rtype`.
     pub fn has_negative(&mut self, now: SimTime, name: &DomainName, rtype: RecordType) -> bool {
-        self.get_entry(now, name, rtype)
-            .is_some_and(|e| e.records.is_empty())
+        self.live_slot(now, name, rtype).is_some_and(Slot::is_empty)
     }
 
     /// Drops every entry — the pre-experiment purge from Sec IV-B.1.
     pub fn purge(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.store.clear();
+        self.live = 0;
     }
 
     /// Drops only expired entries — positive and negative alike — and counts
     /// each eviction toward [`ResolverCache::expired_count`], matching the
-    /// evict-on-access accounting in [`ResolverCache::get_entry`].
+    /// evict-on-access accounting of the lookups.
     pub fn evict_expired(&mut self, now: SimTime) {
-        let before = self.entries.len();
-        self.entries.retain(|_, entry| entry.expires > now);
-        self.expired += (before - self.entries.len()) as u64;
+        let before = self.slots.len();
+        let mut evicted = 0;
+        self.slots.retain(|_, slot| {
+            let keep = slot.expires > now;
+            if !keep {
+                evicted += slot.len as usize;
+            }
+            keep
+        });
+        self.live -= evicted;
+        self.expired += (before - self.slots.len()) as u64;
+        self.compact_if_sparse();
     }
 
     /// Number of entries currently stored (including expired-but-unevicted).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// (hits, misses) since construction. Purging does not reset them.
@@ -225,6 +316,12 @@ impl ResolverCache {
     /// of the miss count in [`ResolverCache::stats`].
     pub fn expired_count(&self) -> u64 {
         self.expired
+    }
+
+    /// (records in the store, records the entries own).
+    #[cfg(test)]
+    pub(crate) fn store_usage(&self) -> (usize, usize) {
+        (self.store.len(), self.live)
     }
 }
 
@@ -325,10 +422,10 @@ mod tests {
             .get(SimTime::EPOCH, &name("y.com"), RecordType::A)
             .is_none());
         assert!(cache.has_negative(SimTime::EPOCH, &name("y.com"), RecordType::A));
-        let entry = cache
-            .get_entry(SimTime::EPOCH, &name("y.com"), RecordType::A)
+        let slot = cache
+            .live_slot(SimTime::EPOCH, &name("y.com"), RecordType::A)
             .unwrap();
-        assert_eq!(entry.rcode, Rcode::NxDomain);
+        assert_eq!(slot.rcode, Rcode::NxDomain);
         // Negative entries expire too.
         let later = SimTime::EPOCH + SimDuration::secs(NEGATIVE_TTL_SECS + 1);
         assert!(!cache.has_negative(later, &name("y.com"), RecordType::A));
@@ -405,6 +502,78 @@ mod tests {
     }
 
     #[test]
+    fn a_bucket_is_forty_bytes_with_no_drop_glue() {
+        type Bucket = ((DomainName, RecordType), Slot);
+        assert_eq!(std::mem::size_of::<Bucket>(), 40);
+        assert!(!std::mem::needs_drop::<Bucket>());
+    }
+
+    #[test]
+    fn a_replacement_reuses_its_range_when_it_fits() {
+        let x = |ips: &[u8]| -> Vec<ResourceRecord> {
+            ips.iter()
+                .map(|&ip| a("x.com", 100, [10, 0, 0, ip]))
+                .collect()
+        };
+        let mut cache = ResolverCache::new();
+        cache.insert(SimTime::EPOCH, x(&[1, 2]));
+        assert_eq!(cache.store_usage(), (2, 2));
+        cache.insert(SimTime::EPOCH, x(&[3, 4]));
+        assert_eq!(cache.store_usage(), (2, 2));
+        // A smaller group overwrites the front of the range; its tail is dead.
+        cache.insert(SimTime::EPOCH, x(&[5]));
+        assert_eq!(cache.store_usage(), (2, 1));
+        assert_eq!(
+            cache.get(SimTime::EPOCH, &name("x.com"), RecordType::A),
+            Some(RecordSet::from(x(&[5])))
+        );
+        // A larger group is appended, leaving its old range dead.
+        cache.insert(SimTime::EPOCH, x(&[6, 7, 8]));
+        assert_eq!(cache.store_usage(), (5, 3));
+        assert_eq!(
+            cache.get(SimTime::EPOCH, &name("x.com"), RecordType::A),
+            Some(RecordSet::from(x(&[6, 7, 8])))
+        );
+    }
+
+    #[test]
+    fn the_store_compacts_once_dead_records_outnumber_live_ones() {
+        let mut cache = ResolverCache::new();
+        cache.insert(SimTime::EPOCH, vec![a("keep.com", 1000, [1, 1, 1, 1])]);
+        cache.insert(
+            SimTime::EPOCH,
+            vec![a("x.com", 10, [2, 2, 2, 2]), a("x.com", 10, [3, 3, 3, 3])],
+        );
+        assert_eq!(cache.store_usage(), (3, 3));
+        // Evicting x.com on access leaves two dead records beside one live
+        // one; the store holds them until the next write.
+        assert!(cache
+            .get(SimTime::from_secs(20), &name("x.com"), RecordType::A)
+            .is_none());
+        assert_eq!(cache.store_usage(), (3, 1));
+        cache.insert_negative(
+            SimTime::from_secs(20),
+            name("y.com"),
+            RecordType::A,
+            Rcode::NxDomain,
+        );
+        assert_eq!(cache.store_usage(), (1, 1));
+        assert_eq!(
+            cache.get(SimTime::from_secs(20), &name("keep.com"), RecordType::A),
+            Some(RecordSet::from([a("keep.com", 1000, [1, 1, 1, 1])]))
+        );
+        // A negative entry replacing a positive one frees its records too.
+        cache.insert_negative(
+            SimTime::from_secs(20),
+            name("keep.com"),
+            RecordType::A,
+            Rcode::NoError,
+        );
+        assert_eq!(cache.store_usage(), (0, 0));
+        assert!(cache.has_negative(SimTime::from_secs(20), &name("keep.com"), RecordType::A));
+    }
+
+    #[test]
     fn mixed_section_keeps_identical_entries_and_replaces_changed_ones() {
         let glue = |ip: [u8; 4]| {
             RecordSet::from([
@@ -416,10 +585,10 @@ mod tests {
         let ns1 = name("ns1.host.net");
         let ns2 = name("ns2.host.net");
         let stored = |cache: &mut ResolverCache, now: SimTime, host: &DomainName| {
-            let entry = cache
-                .get_entry(now, host, RecordType::A)
+            let slot = cache
+                .live_slot(now, host, RecordType::A)
                 .expect("glue is cached");
-            (entry.records.to_vec(), entry.expires)
+            (cache.records(slot).to_vec(), slot.expires)
         };
         let ns1_group = vec![
             a("ns1.host.net", 3600, [10, 0, 0, 1]),

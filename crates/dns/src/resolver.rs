@@ -48,10 +48,14 @@ fn qtype_label(rtype: RecordType) -> &'static str {
 
 /// Position of `rtype` in [`RecordType::ALL`].
 fn qtype_index(rtype: RecordType) -> usize {
-    RecordType::ALL
-        .iter()
-        .position(|&t| t == rtype)
-        .expect("RecordType::ALL is exhaustive")
+    match rtype {
+        RecordType::A => 0,
+        RecordType::Cname => 1,
+        RecordType::Ns => 2,
+        RecordType::Mx => 3,
+        RecordType::Txt => 4,
+        RecordType::Soa => 5,
+    }
 }
 
 /// Plain counters the resolver accumulates on its hot path.
@@ -97,8 +101,10 @@ impl ResolverStats {
 ///
 /// `records` holds the full observed chain (CNAMEs plus terminal records),
 /// which is exactly what the paper's record collector stores per domain.
-/// With no alias in the chain it is the cached set or the response's
-/// answer section itself; only a CNAME chain builds a new set.
+/// With no alias in the chain it is a copy of the cached records or the
+/// response's answer section itself, moved; only a CNAME chain, or an
+/// answer section that holds more than the terminal records, builds a
+/// new set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// All records observed along the resolution, in chase order.
@@ -232,15 +238,21 @@ impl RecursiveResolver {
         for _ in 0..=MAX_CNAME_DEPTH {
             let now = self.clock.now();
             // Terminal records or a negative answer already cached?
-            if let Some((records, rcode)) = self.cache.lookup(now, &current, rtype) {
+            if let Some(slot) = self.cache.probe(now, &current, rtype) {
+                let cached = self.cache.records(slot).iter().cloned().collect();
                 return Ok(Resolution {
-                    records: chased(chain, records),
-                    rcode,
+                    records: chased(chain, cached),
+                    rcode: slot.rcode,
                 });
             }
             // Cached alias?
             if rtype != RecordType::Cname {
-                if let Some(cnames) = self.cache.get(now, &current, RecordType::Cname) {
+                if let Some(slot) = self
+                    .cache
+                    .probe(now, &current, RecordType::Cname)
+                    .filter(|slot| !slot.is_empty())
+                {
+                    let cnames = self.cache.records(slot);
                     let target = cnames[0]
                         .data
                         .as_cname()
@@ -251,30 +263,30 @@ impl RecursiveResolver {
                             name: name.to_string(),
                         });
                     }
-                    chain.extend(cnames.iter().cloned());
+                    chain.extend_from_slice(cnames);
                     current = target;
                     continue;
                 }
             }
             // Go ask the authoritative hierarchy.
-            let response = self.query_authoritative(transport, &current, rtype)?;
+            let (rcode, answers) = self.query_authoritative(transport, &current, rtype)?;
             let now = self.clock.now();
-            match response.rcode {
-                Rcode::NoError if !response.answers.is_empty() => {
-                    self.cache.insert(now, response.answers.clone());
-                    // Serve from the response itself rather than re-reading
-                    // the cache — a TTL-0 record is valid for this answer
-                    // but expires the instant it is cached.
+            match rcode {
+                Rcode::NoError if !answers.is_empty() => {
+                    self.cache.insert(now, answers.clone());
+                    // Serve from the answers themselves rather than
+                    // re-reading the cache — a TTL-0 record is valid for
+                    // this answer but expires the instant it is cached.
                     let mut advanced = false;
                     loop {
                         let is_direct =
                             |rr: &&ResourceRecord| rr.name == current && rr.record_type() == rtype;
-                        let direct = response.answers.iter().filter(is_direct).count();
+                        let direct = answers.iter().filter(is_direct).count();
                         if direct > 0 {
-                            let terminal = if direct == response.answers.len() {
-                                RecordSet::clone(&response.answers)
+                            let terminal = if direct == answers.len() {
+                                answers
                             } else {
-                                response.answers.iter().filter(is_direct).cloned().collect()
+                                answers.iter().filter(is_direct).cloned().collect()
                             };
                             return Ok(Resolution {
                                 records: chased(chain, terminal),
@@ -284,8 +296,7 @@ impl RecursiveResolver {
                         if rtype == RecordType::Cname {
                             break;
                         }
-                        let Some(alias) = response
-                            .answers
+                        let Some(alias) = answers
                             .iter()
                             .find(|rr| rr.name == current && rr.record_type() == RecordType::Cname)
                         else {
@@ -369,22 +380,24 @@ impl RecursiveResolver {
     }
 
     /// Queries the authoritative hierarchy for `qname`/`rtype`, following
-    /// referrals from the deepest cached delegation (or the root).
+    /// referrals from the deepest cached delegation (or the root), and
+    /// returns the terminal response's rcode and answer section.
     fn query_authoritative<T: DnsTransport + ?Sized>(
         &mut self,
         transport: &T,
         qname: &DomainName,
         rtype: RecordType,
-    ) -> Result<Response, DnsError> {
+    ) -> Result<(Rcode, RecordSet), DnsError> {
         match self.try_from_cached_delegation(transport, qname, rtype) {
-            Ok(response) => Ok(response),
+            Ok(answer) => Ok(answer),
             Err(_) => {
                 // All cached nameservers are dead — drop the stale NS cache
                 // for this name's suffixes and retry once from the root.
                 self.stats.fallback_retries += 1;
                 let now = self.clock.now();
                 for suffix in qname.suffixes() {
-                    if self.cache.get(now, &suffix, RecordType::Ns).is_some() {
+                    let cached = self.cache.probe(now, &suffix, RecordType::Ns);
+                    if cached.is_some_and(|slot| !slot.is_empty()) {
                         // Shadow the stale NS set with a negative NS entry,
                         // so the retry from the root learns the delegation
                         // again instead of reusing the dead servers.
@@ -410,22 +423,31 @@ impl RecursiveResolver {
         transport: &T,
         qname: &DomainName,
         rtype: RecordType,
-    ) -> Result<Response, DnsError> {
+    ) -> Result<(Rcode, RecordSet), DnsError> {
         let now = self.clock.now();
         self.servers.clear();
         for suffix in qname.suffixes() {
-            if let Some(ns_records) = self.cache.get(now, &suffix, RecordType::Ns) {
-                for rr in ns_records.iter() {
-                    if let Some(host) = rr.data.as_ns() {
-                        if let Some(a_records) = self.cache.get(now, host, RecordType::A) {
-                            self.servers
-                                .extend(a_records.iter().filter_map(|r| r.data.as_a()));
-                        }
-                    }
+            let Some(ns) = self.cache.probe(now, &suffix, RecordType::Ns) else {
+                continue;
+            };
+            // Probes move no records, so the NS entry's records stay put
+            // while their hosts' glue is looked up.
+            for i in 0..self.cache.records(ns).len() {
+                let Some(host) = self.cache.records(ns)[i].data.as_ns().cloned() else {
+                    continue;
+                };
+                if let Some(glue) = self
+                    .cache
+                    .probe(now, &host, RecordType::A)
+                    .filter(|slot| !slot.is_empty())
+                {
+                    let glue = self.cache.records(glue);
+                    self.servers
+                        .extend(glue.iter().filter_map(|r| r.data.as_a()));
                 }
-                if !self.servers.is_empty() {
-                    break;
-                }
+            }
+            if !self.servers.is_empty() {
+                break;
             }
         }
         if self.servers.is_empty() {
@@ -435,27 +457,30 @@ impl RecursiveResolver {
     }
 
     /// Iterates from the servers in `self.servers`, following referrals
-    /// until an authoritative answer (or terminal negative) arrives.
+    /// until an authoritative answer (or terminal negative) arrives, and
+    /// returns that response's rcode and answer section.
+    ///
+    /// Each response is taken apart where it arrives: a referral's
+    /// sections go into the cache and a terminal one's answer set moves
+    /// out, so no `Response` is passed between frames.
     fn iterate<T: DnsTransport + ?Sized>(
         &mut self,
         transport: &T,
         qname: &DomainName,
         rtype: RecordType,
-    ) -> Result<Response, DnsError> {
+    ) -> Result<(Rcode, RecordSet), DnsError> {
         let query = Query::new(qname.clone(), rtype);
-        for depth in 0..=MAX_REFERRALS {
-            let mut answered = None;
-            for server in &self.servers {
+        'referral: for depth in 0..=MAX_REFERRALS {
+            for i in 0..self.servers.len() {
                 let now = self.clock.now();
-                if let Some(response) = transport.query(now, *server, self.region, &query) {
-                    answered = Some(response);
-                    break;
+                let server = self.servers[i];
+                let Some(response) = transport.query(now, server, self.region, &query) else {
+                    continue;
+                };
+                if !response.is_referral() {
+                    self.stats.delegation_depth[depth] += 1;
+                    return Ok((response.rcode, response.answers));
                 }
-            }
-            let response = answered.ok_or_else(|| DnsError::Timeout {
-                name: qname.to_string(),
-            })?;
-            if response.is_referral() {
                 let now = self.clock.now();
                 self.servers.clear();
                 self.servers
@@ -471,10 +496,11 @@ impl RecursiveResolver {
                         name: qname.to_string(),
                     });
                 }
-                continue;
+                continue 'referral;
             }
-            self.stats.delegation_depth[depth] += 1;
-            return Ok(response);
+            return Err(DnsError::Timeout {
+                name: qname.to_string(),
+            });
         }
         Err(DnsError::NoNameservers {
             name: qname.to_string(),
@@ -979,6 +1005,70 @@ mod tests {
         // rest runs like the cold NXDOMAIN.
         clock.advance(SimDuration::secs(301));
         assert_eq!(counted(&mut r, &www), (Rcode::NoError, (2, 3, 1)));
+    }
+
+    #[test]
+    fn a_resolver_that_is_never_purged_keeps_its_store_bounded() {
+        // Two sites on one four-server fleet: every referral carries the
+        // fleet's four NS records and four glue addresses. TTLs lapse
+        // between instants, so entries are evicted on access and cached
+        // again, and each eviction leaves its records dead in the store.
+        let clock = SimClock::new();
+        let fleet: Vec<(DomainName, Ipv4Addr)> = (1..=4u8)
+            .map(|i| {
+                (
+                    name(&format!("ns{i}.fleet.net")),
+                    Ipv4Addr::new(10, 9, 0, i),
+                )
+            })
+            .collect();
+        let mut registry = Registry::new();
+        let mut zones = Vec::new();
+        for (site, ttl) in [("example.com", 60), ("example.org", 3600)] {
+            registry.delegate_with_ttl(name(site), fleet.clone(), Ttl::secs(ttl));
+            let mut zone = Zone::new(name(site));
+            zone.add(ResourceRecord::new(
+                name(&format!("www.{site}")),
+                Ttl::secs(300),
+                RecordData::A(WWW_IP),
+            ));
+            for (host, _) in &fleet {
+                zone.add(ResourceRecord::new(
+                    name(site),
+                    Ttl::secs(ttl * 2),
+                    RecordData::Ns(host.clone()),
+                ));
+            }
+            zones.push(zone);
+        }
+        let mut t = StaticTransport::new(registry);
+        for &(_, ip) in &fleet {
+            t.add_server(ip, ZoneServer::new(zones.clone()));
+        }
+        let mut r = RecursiveResolver::new(clock.clone(), Region::Oregon);
+
+        let mut most = 0;
+        for step in 0..400u64 {
+            for site in ["example.com", "example.org"] {
+                let www = r
+                    .resolve(&t, &name(&format!("www.{site}")), RecordType::A)
+                    .unwrap();
+                assert_eq!(www.addresses(), vec![WWW_IP]);
+                let apex = r.resolve(&t, &name(site), RecordType::Ns).unwrap();
+                assert_eq!(apex.ns_hosts().len(), 4);
+                let (stored, live) = r.cache().store_usage();
+                assert!(
+                    stored <= 2 * live + 8,
+                    "step {step}: {stored} records stored for {live} live"
+                );
+                most = most.max(stored);
+            }
+            clock.advance(SimDuration::secs(100 + step % 7 * 50));
+        }
+        // Without compaction, 400 instants of evictions would have
+        // appended thousands of records.
+        assert!(most < 64, "the store peaked at {most} records");
+        assert!(r.cache().expired_count() > 400);
     }
 
     #[test]
