@@ -1,29 +1,16 @@
-//! Scheduler benchmarks, two pairs:
-//!
-//! - `straggler`: one latency-skewed sweep run by a static-contiguous
-//!   executor (worker `w` owns the `w`-th contiguous chunk of the shard
-//!   plan, the engine's assignment before work claiming) and by the
-//!   work-claiming engine. The first shards are slow, which is the case
-//!   static chunking handles worst: one worker inherits every straggler
-//!   while its peers finish their fast chunks and idle. Sleeps stand in
-//!   for network latency, so the comparison holds on any core count. Both
-//!   executors must merge identical output; the bench asserts that
-//!   before timing, and only the wall clock may differ.
-//! - `multi_tenant`: two one-week campaigns hosted by one
-//!   [`StudyService`], run back to back and then concurrently over the
-//!   same world and a shared two-thread pool. Nothing paces the sweeps:
-//!   every query goes to the in-process world, so both arms are CPU
-//!   bound and the concurrent arm can only overlap CPU work on the pool's
-//!   two threads. Both arms issue the same queries, so the time ratio is
-//!   the throughput ratio; it approaches 2× only on a host with two free
-//!   cores, and nothing here asserts a ratio.
+//! Scheduler benchmark, `straggler`: one latency-skewed sweep run by a
+//! static-contiguous executor (worker `w` owns the `w`-th contiguous chunk
+//! of the shard plan, the engine's assignment before work claiming) and by
+//! the work-claiming engine. The first shards are slow, which is the case
+//! static chunking handles worst: one worker inherits every straggler
+//! while its peers finish their fast chunks and idle. Sleeps stand in for
+//! network latency, so the comparison holds on any core count. Both
+//! executors must merge identical output; the bench asserts that before
+//! timing, and only the wall clock may differ.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use remnant::core::study::StudyConfig;
-use remnant::core::StudyService;
 use remnant::engine::{plan_shards, EngineConfig, ScanEngine};
-use remnant::world::{World, WorldConfig};
 
 const SEED: u64 = 3;
 
@@ -116,37 +103,5 @@ fn bench_straggler(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_multi_tenant(c: &mut Criterion) {
-    const SESSIONS: usize = 2;
-    const POPULATION: usize = 400;
-
-    let world = World::generate(WorldConfig::new(POPULATION, SEED));
-    let service = StudyService::new(world, SESSIONS);
-    let configs: Vec<StudyConfig> = (0..SESSIONS)
-        .map(|i| {
-            StudyConfig::builder()
-                .weeks(1)
-                .seed(SEED + i as u64)
-                .workers(1)
-                .build()
-                .expect("valid session config")
-        })
-        .collect();
-    let run =
-        |configs: &[StudyConfig]| service.run_campaigns(configs, |_| {}).expect("valid batch");
-
-    let mut group = c.benchmark_group("multi_tenant");
-    group.sample_size(1);
-    group.bench_function("serialized", |b| {
-        b.iter(|| {
-            for config in &configs {
-                run(std::slice::from_ref(config));
-            }
-        })
-    });
-    group.bench_function("concurrent", |b| b.iter(|| run(&configs)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_straggler, bench_multi_tenant);
+criterion_group!(benches, bench_straggler);
 criterion_main!(benches);

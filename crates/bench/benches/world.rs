@@ -47,7 +47,7 @@ fn bench_world(c: &mut Criterion) {
                     },
                     &world,
                 )
-                .run(&mut world, &mut |_| {}, None)
+                .run(&mut world, &mut |_| {})
             },
             BatchSize::SmallInput,
         );

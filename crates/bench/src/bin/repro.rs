@@ -3,13 +3,15 @@
 //! ```text
 //! repro [EXPERIMENT] [--sites N | --population N] [--weeks W] [--seed S]
 //!       [--workers N] [--jobs N] [--even-intervals] [--collection full|delta]
-//!       [--spill-dir DIR] [--metrics OUT.json] [--bind ADDR]
-//!       [--duration SECS]
+//!       [--spill-dir DIR] [--metrics OUT.json]
 //!
-//! EXPERIMENT: all (default) | table2 | table5 | table6 |
+//! EXPERIMENT: all (default) | table1 | table2 | table5 | table6 |
 //!             fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 |
-//!             purge | funnel | serve | query | study
+//!             purge | ablation | funnel | query | study
 //! ```
+//!
+//! An unknown experiment name exits 1 with usage before any world is
+//! generated.
 //!
 //! The default population is 100,000 (a 1:10 scale model of the paper's
 //! Alexa top 1M); pass `--population 1000000` for full scale. Absolute
@@ -57,21 +59,11 @@
 //! stderr. A directory with a hole in its round sequence (an interrupted
 //! campaign) is rejected with the missing round named.
 //!
-//! `study --jobs N` hosts N concurrent campaigns in one process through
-//! the multi-tenant `StudyService`: one generated world, forked into an
-//! independent timeline per job (job `i` runs with seed `--seed`+i), all
-//! sweeps drawing threads from one shared `--workers`-sized pool. Every
-//! round of every job streams an interleaved progress line to stderr;
-//! the final summary table prints one row per job. Each job's report is
-//! byte-identical to a solo run of the same config.
-//!
-//! `serve` generates a world and runs a real DNS daemon over it: UDP and
-//! TCP listeners on `--bind` (default `127.0.0.1:8053`), RFC 1035 frames
-//! in and out, answers resolved through the recursive resolver and cached
-//! as encoded frames. Answers over 512 bytes are truncated on UDP (TC
-//! bit) and served in full over TCP. `--duration SECS` stops the daemon
-//! after that many seconds (it otherwise runs until killed) and prints
-//! the `wire.*` counters on exit. Try `dig -p 8053 @127.0.0.1 <www.name>`.
+//! `study --jobs N` runs N campaigns one after another over one generated
+//! world, each on its own fork of it (job `i` runs with seed `--seed`+i)
+//! with all `--workers`. Every round of every job prints a progress line
+//! to stderr; the final summary table prints one row per job. Each job's
+//! report is byte-identical to a solo run of the same config.
 
 use std::process::ExitCode;
 
@@ -85,18 +77,24 @@ use remnant_bench::{
     render_table5, render_table6, run_study, run_study_batch, ReproConfig,
 };
 
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: [&str; 19] = [
+    "all", "table1", "table2", "table5", "table6", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+    "fig7", "fig8", "fig9", "purge", "ablation", "funnel", "query", "study",
+];
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro [all|table1|table2|table5|table6|fig1..fig9|purge|ablation|funnel|serve|query|study] \
+        "usage: repro [all|table1|table2|table5|table6|fig1..fig9|purge|ablation|funnel|query|study] \
          [--sites N | --population N] [--weeks W] [--seed S] [--workers N] [--jobs N] \
          [--even-intervals] [--collection full|delta] [--spill-dir DIR] \
-         [--metrics OUT.json] [--bind ADDR] [--duration SECS]\n\
+         [--metrics OUT.json]\n\
          \n\
          --workers N shards the sweeps over N threads (output is identical\n\
          for every N; only wall time changes)\n\
-         'study --jobs N' hosts N concurrent campaigns (seeds S..S+N-1) in\n\
-         one process over one shared world and worker pool; each report is\n\
-         byte-identical to a solo run of the same config\n\
+         'study --jobs N' runs N campaigns (seeds S..S+N-1) one after\n\
+         another over forks of one world; each report is byte-identical\n\
+         to a solo run of the same config\n\
          --collection delta reuses unchanged shards between daily rounds\n\
          (output is identical to full; only wall time changes)\n\
          --spill-dir DIR streams each round to binary snapshot files under\n\
@@ -106,9 +104,7 @@ fn usage() -> ExitCode {
          'funnel' renders Fig 8 from those counters alone\n\
          'query' re-renders Fig 2-6 plus the residual-scan timeline from\n\
          an existing --spill-dir via the snapshot store, without\n\
-         re-collecting; plans share one classified scan\n\
-         'serve' runs a UDP+TCP DNS daemon over the generated world\n\
-         (--bind ADDR, default 127.0.0.1:8053; --duration SECS to stop)"
+         re-collecting; plans share one classified scan"
     );
     ExitCode::FAILURE
 }
@@ -126,13 +122,13 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result
     })
 }
 
-/// Runs the `study` experiment: `jobs` concurrent campaigns hosted by one
-/// multi-tenant `StudyService` — one shared world forked per job, one
-/// shared engine worker pool, per-round progress interleaved on stderr.
+/// Runs the `study` experiment: `jobs` campaigns one after another, each
+/// on its own fork of one generated world, with a progress line per round
+/// on stderr.
 fn study_experiment(config: &ReproConfig, jobs: usize) -> ExitCode {
     eprintln!(
-        "hosting {jobs} concurrent {}-week campaign{} over {} sites \
-         (seeds {}..={}, {} shared worker{})...",
+        "running {jobs} {}-week campaign{} in sequence over {} sites \
+         (seeds {}..={}, {} worker{})...",
         config.weeks,
         if jobs == 1 { "" } else { "s" },
         config.population,
@@ -142,15 +138,14 @@ fn study_experiment(config: &ReproConfig, jobs: usize) -> ExitCode {
         if config.workers.max(1) == 1 { "" } else { "s" },
     );
     let started = std::time::Instant::now();
-    let result = run_study_batch(config, jobs, |p| {
+    let result = run_study_batch(config, jobs, |job, session, round| {
         eprintln!(
-            "[job {}] day {}/{}: {} sites, {} queries{}",
-            p.session,
-            p.day + 1,
-            p.days_total,
-            p.sites,
-            p.round_queries,
-            match p.scanned_week {
+            "[job {job}] day {}/{}: {} sites, {} queries{}",
+            round.day + 1,
+            session.days_total(),
+            config.population,
+            round.round_queries,
+            match round.scanned_week {
                 Some(week) => format!(", week {week} scans"),
                 None => String::new(),
             },
@@ -168,75 +163,6 @@ fn study_experiment(config: &ReproConfig, jobs: usize) -> ExitCode {
             usage()
         }
     }
-}
-
-/// Runs the `serve` experiment: a real UDP+TCP DNS daemon over a freshly
-/// generated world, answering through the recursive resolver with cached
-/// encoded frames.
-fn serve(seed: u64, population: usize, bind: &str, duration: Option<u64>) -> ExitCode {
-    use std::sync::Arc;
-
-    use remnant::dns::RecursiveResolver;
-    use remnant::net::Region;
-    use remnant::obs::{Instrumented, MetricsRegistry};
-    use remnant::wire::{ResolverService, ServerCore, WireServer};
-    use remnant::world::{Calibration, World, WorldConfig};
-
-    eprintln!("serve: generating world ({population} sites, seed {seed})...");
-    let world = Arc::new(World::generate(WorldConfig {
-        population,
-        seed,
-        warmup_days: 7,
-        calibration: Calibration::paper(),
-    }));
-    let example = world
-        .sites()
-        .first()
-        .map(|s| s.www.to_string())
-        .unwrap_or_default();
-    let resolver = RecursiveResolver::new(world.clock(), Region::Oregon);
-    let service = ResolverService::new(resolver, Arc::clone(&world));
-    let core = Arc::new(ServerCore::new(service));
-    let server = match WireServer::start(Arc::clone(&core), bind) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("repro: cannot bind '{bind}': {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("serving DNS for {population} simulated sites");
-    println!("  udp: {}", server.udp_addr());
-    println!("  tcp: {}", server.tcp_addr());
-    println!(
-        "  try: dig -p {} @{} {example}",
-        server.udp_addr().port(),
-        server.udp_addr().ip()
-    );
-    match duration {
-        Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs)),
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-    }
-    server.shutdown();
-
-    let mut registry = MetricsRegistry::new();
-    core.export_into(&mut registry);
-    let label = [("component", "wire.server")];
-    let count = |name: &'static str| registry.counter_labeled(name, &label);
-    eprintln!(
-        "serve: {} UDP + {} TCP queries; {} cache hits, {} misses, \
-         {} truncated, {} refused, {} malformed, {} ignored",
-        count("wire.udp_queries"),
-        count("wire.tcp_queries"),
-        count("wire.cache_hits"),
-        count("wire.cache_misses"),
-        count("wire.truncated"),
-        count("wire.refused"),
-        count("wire.malformed"),
-        count("wire.ignored"),
-    );
-    ExitCode::SUCCESS
 }
 
 /// Runs the `query` experiment: reopens a spill directory as a snapshot
@@ -336,19 +262,13 @@ fn main() -> ExitCode {
     let mut experiment = "all".to_owned();
     let mut config = ReproConfig::default();
     let mut metrics_path: Option<String> = None;
-    let mut population_set = false;
-    let mut bind = "127.0.0.1:8053".to_owned();
-    let mut duration: Option<u64> = None;
     let mut jobs: usize = 2;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--population" | "--sites" => match parse_flag(&arg, args.next()) {
-                Ok(v) => {
-                    config.population = v;
-                    population_set = true;
-                }
+                Ok(v) => config.population = v,
                 Err(code) => return code,
             },
             "--spill-dir" => match parse_flag::<std::path::PathBuf>("--spill-dir", args.next()) {
@@ -382,14 +302,6 @@ fn main() -> ExitCode {
                 },
                 Err(code) => return code,
             },
-            "--bind" => match parse_flag("--bind", args.next()) {
-                Ok(v) => bind = v,
-                Err(code) => return code,
-            },
-            "--duration" => match parse_flag("--duration", args.next()) {
-                Ok(v) => duration = Some(v),
-                Err(code) => return code,
-            },
             "--jobs" => match parse_flag("--jobs", args.next()) {
                 Ok(v) => jobs = v,
                 Err(code) => return code,
@@ -407,6 +319,11 @@ fn main() -> ExitCode {
         }
     }
 
+    if !EXPERIMENTS.contains(&experiment.as_str()) {
+        eprintln!("repro: unknown experiment '{experiment}'");
+        return usage();
+    }
+
     // The query experiment reads an existing spill directory instead of
     // running a study; it owns its own flag validation.
     if experiment == "query" {
@@ -419,7 +336,7 @@ fn main() -> ExitCode {
     // Experiments that do not need the full study.
     let study_free = matches!(
         experiment.as_str(),
-        "table1" | "table2" | "ablation" | "fig1" | "purge" | "serve"
+        "table1" | "table2" | "ablation" | "fig1" | "purge"
     );
     if (study_free || experiment == "study") && metrics_path.is_some() {
         eprintln!("repro: --metrics ignored for '{experiment}' (no single-study snapshot)");
@@ -437,16 +354,6 @@ fn main() -> ExitCode {
         }
     }
     match experiment.as_str() {
-        "serve" => {
-            // A daemon doesn't need study scale; default to a world that
-            // generates in seconds unless the user sized it explicitly.
-            let population = if population_set {
-                config.population
-            } else {
-                10_000
-            };
-            return serve(config.seed, population, &bind, duration);
-        }
         "table2" => {
             println!("{}", render_table2());
             return ExitCode::SUCCESS;
@@ -551,10 +458,9 @@ fn main() -> ExitCode {
         println!("{}", render_purge(config.seed));
         println!("{}", render_table1(&config));
         ExitCode::SUCCESS
-    } else if let Some(rendered) = render(&experiment) {
+    } else {
+        let rendered = render(&experiment).expect("experiment checked against EXPERIMENTS");
         println!("{rendered}");
         ExitCode::SUCCESS
-    } else {
-        usage()
     }
 }

@@ -24,7 +24,7 @@ use remnant::core::study::{
     vantage_catchment, AdoptionReport, BehaviorReport, CollectionMode, PauseReport, ResidualReport,
     StudyConfig, StudyReport, UnchangedReport,
 };
-use remnant::core::{ObsReport, RoundProgress, SpillConfig, StudyService, StudySession};
+use remnant::core::{ObsReport, RoundSummary, SpillConfig, StudySession};
 use remnant::provider::{ProviderId, ReroutingMethod};
 use remnant::query::funnel_rows;
 use remnant::world::{BehaviorKind, World, WorldConfig};
@@ -204,7 +204,7 @@ fn validate_spill_dir(dir: &std::path::Path) -> Result<(), ConfigFieldError> {
 pub fn run_study(config: &ReproConfig) -> (World, StudyReport) {
     let mut world = World::generate(WorldConfig::new(config.population, config.seed));
     let study = study_config(config, config.seed, config.spill_dir.clone());
-    let report = StudySession::new(study, &world).run(&mut world, &mut |_| {}, None);
+    let report = StudySession::new(study, &world).run(&mut world, &mut |_| {});
     (world, report)
 }
 
@@ -222,18 +222,25 @@ fn study_config(config: &ReproConfig, seed: u64, spill_dir: Option<PathBuf>) -> 
     }
 }
 
-/// Generates one shared world and runs `jobs` concurrent campaigns over
-/// it through a [`StudyService`], streaming every session's per-round
-/// [`RoundProgress`] (interleaved in completion order) into
-/// `on_progress`. Job `i` runs with seed `config.seed + i` and — when a
-/// spill directory is set — its own `job-<i>` subdirectory, since two
-/// sessions must never spill into one directory. Reports come back in
-/// job order.
+/// Generates one world and runs `jobs` campaigns over it, one after
+/// another, each a [`StudySession`] on its own [`World::fork`] of that
+/// world. After every round `on_round` gets the job index, the job's
+/// session and the round's [`RoundSummary`]. Job `i` runs with seed
+/// `config.seed + i` and — when a spill directory is set — its own
+/// `job-<i>` subdirectory. Every job's config is validated before the
+/// world is generated; reports come back in job order.
 pub fn run_study_batch(
     config: &ReproConfig,
     jobs: usize,
-    on_progress: impl FnMut(RoundProgress),
+    mut on_round: impl FnMut(usize, &StudySession, RoundSummary),
 ) -> Result<Vec<StudyReport>, ConfigFieldError> {
+    if jobs == 0 {
+        return Err(ConfigFieldError::new(
+            "jobs",
+            jobs,
+            "a batch needs at least one campaign",
+        ));
+    }
     let configs: Vec<StudyConfig> = (0..jobs)
         .map(|job| {
             study_config(
@@ -246,19 +253,30 @@ pub fn run_study_batch(
             )
         })
         .collect();
-    StudyService::validate_batch(&configs)?;
     for study in &configs {
+        study.validate()?;
         if let Some(spill) = &study.spill {
             validate_spill_dir(&spill.dir)?;
         }
     }
-    let world = World::generate(WorldConfig::new(config.population, config.seed));
-    let service = StudyService::new(world, config.workers.max(1));
-    service.run_campaigns(&configs, on_progress)
+    let base = World::generate(WorldConfig::new(config.population, config.seed));
+    let reports = configs
+        .into_iter()
+        .enumerate()
+        .map(|(job, study)| {
+            let mut world = base.fork();
+            let mut session = StudySession::new(study, &world);
+            while let Some(summary) = session.round(&mut world, &mut |_| {}) {
+                on_round(job, &session, summary);
+            }
+            session.finish()
+        })
+        .collect();
+    Ok(reports)
 }
 
 /// One summary row per batch campaign: the at-a-glance numbers that
-/// differ (or provably must not) across concurrently hosted sessions.
+/// differ (or provably must not) across the batch's campaigns.
 pub fn render_study_batch(config: &ReproConfig, reports: &[StudyReport]) -> String {
     let mut table = TextTable::new([
         "Job",
@@ -291,7 +309,7 @@ pub fn render_study_batch(config: &ReproConfig, reports: &[StudyReport]) -> Stri
     }
     FigureBuilder::new()
         .line(format!(
-            "Multi-tenant batch: {} campaigns, one world, one worker pool",
+            "Study batch: {} campaigns, one world",
             reports.len()
         ))
         .table(&table)

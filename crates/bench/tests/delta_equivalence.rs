@@ -32,11 +32,9 @@ fn run(mode: CollectionMode, workers: usize) -> (String, StudyReport) {
         .build()
         .expect("valid study config");
     let mut snapshots = String::new();
-    let report = StudySession::new(config, &world).run(
-        &mut world,
-        &mut |snapshot| snapshots.push_str(&snapshot.encode()),
-        None,
-    );
+    let report = StudySession::new(config, &world).run(&mut world, &mut |snapshot| {
+        snapshots.push_str(&snapshot.encode())
+    });
     (snapshots, report)
 }
 

@@ -58,11 +58,8 @@ fn campaign(
         builder = builder.spill(SpillConfig::new(dir));
     }
     let mut snapshots = Vec::new();
-    StudySession::new(builder.build().expect("valid config"), &world).run(
-        &mut world,
-        &mut |snapshot| snapshots.push(snapshot.clone()),
-        None,
-    );
+    StudySession::new(builder.build().expect("valid config"), &world)
+        .run(&mut world, &mut |snapshot| snapshots.push(snapshot.clone()));
     snapshots
 }
 

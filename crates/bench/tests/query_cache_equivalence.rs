@@ -61,13 +61,9 @@ fn study_config(config: &ReproConfig) -> StudyConfig {
 fn run_captured(config: &ReproConfig) -> (Vec<DnsSnapshot>, StudyReport) {
     let mut world = World::generate(WorldConfig::new(config.population, config.seed));
     let mut snapshots = Vec::new();
-    let report = StudySession::new(study_config(config), &world).run(
-        &mut world,
-        &mut |snapshot| {
-            snapshots.push(snapshot.clone());
-        },
-        None,
-    );
+    let report = StudySession::new(study_config(config), &world).run(&mut world, &mut |snapshot| {
+        snapshots.push(snapshot.clone());
+    });
     (snapshots, report)
 }
 

@@ -2,8 +2,11 @@
 //! campaign (`repro fig2 --spill-dir D`), then `repro query --spill-dir D`
 //! must print exactly Figs 2–6 plus the residual-scan timeline as rendered
 //! in-process from a `PlanContext` over the same directory. The removed
-//! `--uncached` flag must be rejected like any other unknown flag. A study
-//! run reports its peak RSS on stderr, never in the rendered figures.
+//! `--uncached`, `--bind` and `--duration` flags must be rejected like any
+//! other unknown flag, and an unknown experiment (the removed `serve`
+//! among them) before any study runs. A study run reports its peak RSS on
+//! stderr, never in the rendered figures; a `study` batch prints the same
+//! summary at every worker count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -97,6 +100,54 @@ fn uncached_flag_is_gone() {
     assert!(stderr.contains("unknown flag"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no figures on a rejected flag");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rejected_inputs_print_nothing_and_run_no_study() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["serve", "--sites", "300"], "unknown experiment 'serve'"),
+        (&["fig10", "--sites", "300"], "unknown experiment 'fig10'"),
+        (&["fig2", "--bind", "127.0.0.1:0"], "unknown flag '--bind'"),
+        (&["fig2", "--duration", "1"], "unknown flag '--duration'"),
+        (&["study", "--jobs", "0", "--sites", "300"], "jobs"),
+    ];
+    for (args, expected) in cases {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("study done"), "{args:?}: stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+    }
+}
+
+#[test]
+fn study_batch_stdout_is_worker_count_invariant() {
+    let batch = |workers: &str| {
+        let out = repro(&[
+            "study",
+            "--jobs",
+            "2",
+            "--sites",
+            "300",
+            "--weeks",
+            "1",
+            "--workers",
+            workers,
+        ]);
+        assert!(
+            out.status.success(),
+            "batch failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let one = batch("1");
+    assert!(
+        one.starts_with("Study batch: 2 campaigns, one world\n"),
+        "stdout: {one}"
+    );
+    assert_eq!(one, batch("2"));
 }
 
 #[test]

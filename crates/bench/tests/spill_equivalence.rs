@@ -57,14 +57,10 @@ fn run(
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let mut text = String::new();
     let mut columns = Vec::new();
-    let report = StudySession::new(config, &world).run(
-        &mut world,
-        &mut |snapshot| {
-            text.push_str(&snapshot.encode());
-            columns.extend(snapshot.derived_columns().cloned());
-        },
-        None,
-    );
+    let report = StudySession::new(config, &world).run(&mut world, &mut |snapshot| {
+        text.push_str(&snapshot.encode());
+        columns.extend(snapshot.derived_columns().cloned());
+    });
     (text, columns, report)
 }
 

@@ -45,7 +45,7 @@
 //!
 //! let mut world = World::generate(WorldConfig::small(7));
 //! let config = StudyConfig { weeks: 1, ..StudyConfig::default() };
-//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
+//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {});
 //! assert!(report.adoption().total_sites > 0);
 //! ```
 
@@ -60,7 +60,6 @@ pub mod passes;
 pub mod pause;
 pub mod report;
 pub mod residual;
-pub mod service;
 pub mod session;
 pub mod snapshot;
 pub mod spill;
@@ -78,7 +77,6 @@ pub use error::{ConfigFieldError, CoreError};
 pub use matchers::ProviderMatcher;
 pub use passes::{SnapshotAggregates, SnapshotPasses};
 pub use remnant_obs::{Instrumented, MetricsRegistry, Obs, ObsReport};
-pub use service::StudyService;
 pub use session::{RoundProgress, RoundSummary, StudySession};
 pub use snapshot::{BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView};
 pub use spill::{SpillConfig, SpillError, SpillFile, SpillMeta, SpillRef};

@@ -5,9 +5,11 @@
 //! registry and (optional) spill directory — and exposes the campaign as
 //! a sequence of [`round`](StudySession::round) calls plus a final
 //! [`finish`](StudySession::finish), or all at once through
-//! [`run`](StudySession::run). The multi-tenant [`StudyService`] runs
-//! many of them concurrently, each streaming a [`RoundProgress`] per
-//! round over a bounded channel.
+//! [`run`](StudySession::run). A process runs one campaign at a time: a
+//! batch of campaigns (`repro study --jobs N`) runs its sessions one
+//! after another, each on its own [`World::fork`] of one generated world.
+//! Between rounds a caller may build a [`RoundProgress`] from the round's
+//! [`RoundSummary`].
 //!
 //! Every round takes one path whatever the configuration: the collector
 //! (full or delta, chosen once at construction) collects into memory or
@@ -15,17 +17,14 @@
 //! passes. Reports, snapshots and obs JSON are byte-identical across
 //! collection modes, spill settings and worker counts — the differential
 //! tests pin that down.
-//!
-//! [`StudyService`]: crate::service::StudyService
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use remnant_engine::{EngineConfig, ScanEngine, SweepStats, WorkerPool};
-use remnant_obs::{Obs, ObsReport, ProgressSender, Span};
+use remnant_engine::{EngineConfig, ScanEngine, SweepStats};
+use remnant_obs::{Obs, ObsReport, Span};
 use remnant_provider::ProviderId;
 use remnant_world::World;
 
@@ -39,18 +38,16 @@ use crate::study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
 use crate::unchanged::{self, UnchangedStudy};
 use crate::SCANNER_SOURCE;
 
-/// One round's progress event, streamed while a session runs.
+/// One round's progress, built by [`StudySession::progress`] after the
+/// round.
 ///
 /// Carries the session's cumulative [`CollectionReport`] and a full
 /// [`ObsReport`] snapshot — the same payloads the final [`StudyReport`]
-/// exposes, taken mid-flight — so a consumer can render live counters
-/// without touching the session. Every field is deterministic: the
-/// payload is built purely from session state on virtual time.
+/// exposes, taken mid-flight — so a caller can render live counters
+/// between rounds. Every field is deterministic: the payload is built
+/// purely from session state on virtual time.
 #[derive(Clone, Debug)]
 pub struct RoundProgress {
-    /// The emitting session's id (its index in a service batch; 0 for a
-    /// solo run).
-    pub session: usize,
     /// 0-based day index of the finished round.
     pub day: u32,
     /// Total rounds this session will run.
@@ -82,7 +79,6 @@ pub struct RoundSummary {
 /// One campaign's full mutable state (see module docs).
 #[derive(Debug)]
 pub struct StudySession {
-    id: usize,
     config: StudyConfig,
     engine: ScanEngine,
     targets: Vec<Target>,
@@ -107,26 +103,11 @@ impl StudySession {
     /// Opens a session for `config` against `world`, reading the target
     /// list and clock from the world's current state.
     pub fn new(config: StudyConfig, world: &World) -> Self {
-        let engine = ScanEngine::new(Self::engine_config(&config));
-        Self::with_engine(config, world, engine)
-    }
-
-    /// Like [`new`](StudySession::new), but the session's sweeps draw
-    /// their threads from `pool` — the shared budget of a multi-tenant
-    /// service — instead of always running `config.workers`. A grant
-    /// counts the session's own thread, which sweeps as worker 0.
-    pub fn with_worker_pool(config: StudyConfig, world: &World, pool: Arc<WorkerPool>) -> Self {
-        let engine = ScanEngine::with_pool(Self::engine_config(&config), pool);
-        Self::with_engine(config, world, engine)
-    }
-
-    fn engine_config(config: &StudyConfig) -> EngineConfig {
         let workers = config.workers.clamp(1, EngineConfig::MAX_WORKERS);
-        EngineConfig::with_workers(workers, config.seed)
-            .expect("clamped worker count is always valid")
-    }
-
-    fn with_engine(config: StudyConfig, world: &World, engine: ScanEngine) -> Self {
+        let engine = ScanEngine::new(
+            EngineConfig::with_workers(workers, config.seed)
+                .expect("clamped worker count is always valid"),
+        );
         let targets: Vec<Target> = world
             .sites()
             .iter()
@@ -157,7 +138,6 @@ impl StudySession {
         report.collection.mode = config.collection_mode;
 
         StudySession {
-            id: 0,
             config,
             engine,
             targets,
@@ -177,18 +157,6 @@ impl StudySession {
             report,
             prev_snapshot: None,
         }
-    }
-
-    /// Tags this session with an id (its index in a service batch); the
-    /// id rides along in every [`RoundProgress`].
-    pub fn with_id(mut self, id: usize) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// The session's id.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// The session's configuration.
@@ -335,11 +303,10 @@ impl StudySession {
         );
     }
 
-    /// Builds the streaming payload for a finished round: the summary
+    /// Builds the progress payload for a finished round: the summary
     /// plus cumulative collection accounting and a full obs snapshot.
     pub fn progress(&self, summary: RoundSummary) -> RoundProgress {
         RoundProgress {
-            session: self.id,
             day: summary.day,
             days_total: self.days,
             sites: self.targets.len(),
@@ -386,20 +353,13 @@ impl StudySession {
     }
 
     /// Drives the whole campaign: every round, then
-    /// [`finish`](StudySession::finish). When `progress` is set, a
-    /// [`RoundProgress`] is streamed per round over the bounded channel
-    /// (blocking on a slow consumer, surviving a dropped one).
+    /// [`finish`](StudySession::finish).
     pub fn run(
         mut self,
         world: &mut World,
         on_snapshot: &mut dyn FnMut(&crate::DnsSnapshot),
-        progress: Option<&ProgressSender<RoundProgress>>,
     ) -> StudyReport {
-        while let Some(summary) = self.round(world, on_snapshot) {
-            if let Some(sender) = progress {
-                sender.send(self.progress(summary));
-            }
-        }
+        while self.round(world, on_snapshot).is_some() {}
         self.finish()
     }
 }
@@ -468,11 +428,8 @@ mod tests {
         let mut w2 = world(17);
 
         let mut mono_snaps = String::new();
-        let mono = StudySession::new(config(), &w1).run(
-            &mut w1,
-            &mut |s| mono_snaps.push_str(&s.encode()),
-            None,
-        );
+        let mono = StudySession::new(config(), &w1)
+            .run(&mut w1, &mut |s| mono_snaps.push_str(&s.encode()));
 
         let mut session = StudySession::new(config(), &w2);
         let mut inc_snaps = String::new();
@@ -494,14 +451,14 @@ mod tests {
     #[test]
     fn progress_stream_carries_cumulative_state() {
         let mut w = world(9);
-        let session = StudySession::new(config(), &w).with_id(3);
-        let (tx, rx) = remnant_obs::progress_channel(16);
-        let report = session.run(&mut w, &mut |_| {}, Some(&tx));
-        drop(tx);
-        let events: Vec<RoundProgress> = rx.iter().collect();
+        let mut session = StudySession::new(config(), &w);
+        let mut events: Vec<RoundProgress> = Vec::new();
+        while let Some(summary) = session.round(&mut w, &mut |_| {}) {
+            events.push(session.progress(summary));
+        }
+        let report = session.finish();
         assert_eq!(events.len(), 7);
         for (day, event) in events.iter().enumerate() {
-            assert_eq!(event.session, 3);
             assert_eq!(event.day, day as u32);
             assert_eq!(event.days_total, 7);
             assert_eq!(event.sites, 800);

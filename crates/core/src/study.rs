@@ -562,7 +562,7 @@ mod tests {
             weeks,
             ..StudyConfig::default()
         };
-        StudySession::new(config, &world).run(&mut world, &mut |_| {}, None)
+        StudySession::new(config, &world).run(&mut world, &mut |_| {})
     }
 
     #[test]
@@ -656,11 +656,9 @@ mod tests {
                 .build()
                 .unwrap();
             let mut snapshots = String::new();
-            let report = StudySession::new(config, &world).run(
-                &mut world,
-                &mut |snapshot| snapshots.push_str(&snapshot.encode()),
-                None,
-            );
+            let report = StudySession::new(config, &world).run(&mut world, &mut |snapshot| {
+                snapshots.push_str(&snapshot.encode())
+            });
             (report, snapshots)
         };
         let (full, full_snaps) = study(CollectionMode::Full);
@@ -756,7 +754,7 @@ mod tests {
             uneven_intervals: false,
             ..StudyConfig::default()
         };
-        let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
+        let report = StudySession::new(config, &world).run(&mut world, &mut |_| {});
         assert!(report.behaviors.interval_hours.iter().all(|h| *h == 24));
     }
 

@@ -88,29 +88,6 @@ pub trait DnsTransport {
     }
 }
 
-/// A borrowed transport is a transport, so adapters generic over
-/// `T: DnsTransport` (e.g. the wire codec's transport wrapper) can borrow
-/// a transport instead of owning it.
-impl<T: DnsTransport + ?Sized> DnsTransport for &T {
-    fn root(&self) -> Ipv4Addr {
-        (**self).root()
-    }
-
-    fn query(
-        &self,
-        now: SimTime,
-        server: Ipv4Addr,
-        region: Region,
-        query: &Query,
-    ) -> Option<Response> {
-        (**self).query(now, server, region, query)
-    }
-
-    fn query_stats(&self) -> QueryStats {
-        (**self).query_stats()
-    }
-}
-
 /// A [`DnsTransport`] view over a shared transport that counts the
 /// queries passing through it.
 ///
@@ -413,17 +390,6 @@ mod tests {
         ) -> Option<Response> {
             (server == ROOT_SERVER).then(|| Response::empty(query.clone(), Rcode::NoError))
         }
-    }
-
-    #[test]
-    fn shared_reference_is_a_transport() {
-        let shared = EchoTransport;
-        let view = &shared;
-        let q = Query::new(name("www.example.com"), RecordType::A);
-        assert!(view
-            .query(SimTime::EPOCH, ROOT_SERVER, Region::Oregon, &q)
-            .is_some());
-        assert_eq!(DnsTransport::root(&view), ROOT_SERVER);
     }
 
     #[test]

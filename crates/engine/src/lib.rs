@@ -56,13 +56,11 @@
 //! first-come-first-served, and results land in plan-positional slots
 //! ([`SlotVec`]). A straggling shard therefore delays only itself — the
 //! other threads keep claiming past it — without any effect on output
-//! bytes. Multi-tenant hosts hand every engine the same [`WorkerPool`] so
-//! concurrent sweeps share one thread budget.
+//! bytes.
 
 pub mod claim;
 pub mod config;
 pub mod error;
-pub mod pool;
 pub mod shard;
 pub mod stats;
 pub mod sweep;
@@ -70,7 +68,6 @@ pub mod sweep;
 pub use claim::{ShardClaim, ShardQueue, SlotVec};
 pub use config::EngineConfig;
 pub use error::ConfigFieldError;
-pub use pool::{PoolGrant, WorkerPool};
 pub use remnant_obs::{Instrumented, MetricsRegistry};
 pub use shard::plan_shards;
 pub use stats::{ShardStats, ShardTiming, SweepStats};

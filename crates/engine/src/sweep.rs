@@ -1,6 +1,5 @@
 //! The sharded sweep executor.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -10,7 +9,6 @@ use remnant_sim::SeedSeq;
 
 use crate::claim::{ShardQueue, SlotVec};
 use crate::config::EngineConfig;
-use crate::pool::WorkerPool;
 use crate::shard::plan_shards;
 use crate::stats::{ShardStats, ShardTiming, SweepStats};
 
@@ -101,38 +99,17 @@ pub struct Sweep<S> {
 #[derive(Clone, Debug)]
 pub struct ScanEngine {
     config: EngineConfig,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl ScanEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        ScanEngine { config, pool: None }
-    }
-
-    /// Creates an engine whose sweeps draw their threads from a shared
-    /// [`WorkerPool`] instead of always running `config.workers`.
-    ///
-    /// Each sweep acquires a grant for `config.workers` threads and runs
-    /// on what the pool hands back (at least one): a grant of `k` is the
-    /// calling thread plus `k - 1` spawned helpers. By the determinism
-    /// contract the grant size only affects wall clock, never output —
-    /// which is what lets concurrent sessions share a budget safely.
-    pub fn with_pool(config: EngineConfig, pool: Arc<WorkerPool>) -> Self {
-        ScanEngine {
-            config,
-            pool: Some(pool),
-        }
+        ScanEngine { config }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The shared worker pool, if this engine was built with one.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
     }
 
     /// The shard layout this engine would use for `items` inputs — the
@@ -153,7 +130,7 @@ impl ScanEngine {
     /// one-worker sweep runs entirely on the caller and spawns nothing.
     /// The helpers are joined before the sweep returns; a panic in any
     /// worker's `make_worker`, `task` or `finish` reaches the caller after
-    /// that join, and a pooled grant is returned on the way out.
+    /// that join.
     ///
     /// * `ctx` — shared read-only context (the world, a scanner, …).
     /// * `items` — the inputs; `plan` cuts them into contiguous shards,
@@ -221,17 +198,7 @@ impl ScanEngine {
                 plan.len()
             );
         }
-        // A pooled engine runs on its grant (≥ 1, ≤ requested); the grant
-        // returns the threads to the service budget when the sweep ends.
-        let grant = self
-            .pool
-            .as_ref()
-            .map(|pool| pool.acquire(self.config.workers.max(1)));
-        let budget = grant
-            .as_ref()
-            .map(|g| g.granted())
-            .unwrap_or_else(|| self.config.workers.max(1));
-        let workers = budget.min(selected.len().max(1));
+        let workers = self.config.workers.max(1).min(selected.len().max(1));
         let seeds = SeedSeq::new(self.config.seed).child("engine");
         let queue = ShardQueue::new(&selected);
         let slots: SlotVec<(S, ShardStats, ShardTiming)> = SlotVec::new(selected.len());
@@ -298,7 +265,6 @@ impl ScanEngine {
             stats.timings.push(timing);
         }
         stats.wall = started.elapsed();
-        drop(grant);
         Sweep { outputs, stats }
     }
 }
@@ -544,33 +510,6 @@ mod tests {
         assert_eq!(sweep.stats.items(), 0);
     }
 
-    #[test]
-    fn pooled_engine_matches_unpooled_output() {
-        let items: Vec<u64> = (0..333).collect();
-        let config = EngineConfig {
-            workers: 4,
-            shard_size: 32,
-            seed: 5,
-        };
-        let task = |_: &(), _: &mut (), scope: &mut ShardScope, _: usize, item: &u64| {
-            item ^ scope.rng().gen_range(0u64..1 << 16)
-        };
-        let keep = |(), _: &mut ShardScope, outputs: Vec<u64>| outputs;
-        let run = |eng: ScanEngine| {
-            let plan = eng.shard_plan(items.len());
-            eng.sweep(&(), &items, &plan, None, |_| (), task, keep)
-        };
-        let plain = run(ScanEngine::new(config.clone()));
-        // A pool smaller than the configured workers: the sweep shrinks
-        // to its grant, output doesn't move.
-        let pool = crate::pool::WorkerPool::new(2);
-        let pooled = run(ScanEngine::with_pool(config, pool.clone()));
-        assert_eq!(plain.outputs, pooled.outputs);
-        assert_eq!(plain.stats.shards, pooled.stats.shards);
-        assert!(pooled.stats.workers <= 2, "sweep ran on the grant");
-        assert_eq!(pool.available(), 2, "grant returned on sweep end");
-    }
-
     /// A one-task-per-shard sweep over `shard_count` unit shards.
     fn unit_sweep(eng: &ScanEngine, shard_count: usize, selected: &[usize]) -> Vec<(usize, u64)> {
         let shards: Vec<usize> = (0..shard_count).collect();
@@ -667,20 +606,16 @@ mod tests {
     }
 
     #[test]
-    fn panicking_task_propagates_and_returns_the_grant() {
+    fn panicking_task_propagates() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let items: Vec<u64> = (0..64).collect();
         for workers in [1usize, 3] {
-            let pool = crate::pool::WorkerPool::new(4);
-            let eng = ScanEngine::with_pool(
-                EngineConfig {
-                    workers,
-                    shard_size: 8,
-                    seed: 1,
-                },
-                pool.clone(),
-            );
+            let eng = ScanEngine::new(EngineConfig {
+                workers,
+                shard_size: 8,
+                seed: 1,
+            });
             let result = catch_unwind(AssertUnwindSafe(|| {
                 eng.sweep(
                     &(),
@@ -699,7 +634,6 @@ mod tests {
                 result.is_err(),
                 "workers={workers}: the panic reached the caller"
             );
-            assert_eq!(pool.available(), pool.capacity(), "workers={workers}");
         }
     }
 

@@ -16,6 +16,10 @@
 //! Components across the workspace expose their counters through one
 //! trait, [`Instrumented`], instead of per-type ad-hoc accessors.
 //!
+//! Nothing here streams or crosses threads between campaigns: a process
+//! runs one campaign at a time, and a caller that wants per-round
+//! progress reads an [`ObsReport`] between rounds.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +43,6 @@
 mod instrument;
 mod journal;
 mod metrics;
-pub mod progress;
 mod report;
 mod span;
 mod thread_counters;
@@ -51,9 +54,6 @@ pub use instrument::{
 };
 pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, DEFAULT_BOUNDS};
-pub use progress::{
-    progress_channel, ProgressPoll, ProgressReceiver, ProgressSender, DEFAULT_PROGRESS_CAPACITY,
-};
 pub use report::ObsReport;
 pub use span::{Span, SPAN_ENTERED, SPAN_SECONDS};
 pub use thread_counters::ThreadCounters;

@@ -50,13 +50,9 @@ fn run_campaign(
     let config = config.build().expect("valid study config");
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let mut snapshots = Vec::new();
-    let report = StudySession::new(config, &world).run(
-        &mut world,
-        &mut |snapshot| {
-            snapshots.push(snapshot.clone());
-        },
-        None,
-    );
+    let report = StudySession::new(config, &world).run(&mut world, &mut |snapshot| {
+        snapshots.push(snapshot.clone());
+    });
     (snapshots, report, dir)
 }
 

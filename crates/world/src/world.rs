@@ -312,8 +312,8 @@ impl World {
     /// **fresh clock** and fresh traffic counters, so advancing one
     /// timeline never moves the other. `self` is untouched; forking the
     /// same base repeatedly yields byte-identical starting states, which
-    /// is what lets a multi-tenant service hand every session its own
-    /// world from one generated substrate.
+    /// is what lets a batch of campaigns each run on its own world from
+    /// one generated substrate.
     ///
     /// Cheap relative to [`World::generate`]: the heavyweight payloads —
     /// interned [`DomainName`]s, `Arc`-backed record sets inside the

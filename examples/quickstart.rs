@@ -26,7 +26,7 @@ fn main() {
         weeks: 2,
         ..StudyConfig::default()
     };
-    let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
+    let report = StudySession::new(config, &world).run(&mut world, &mut |_| {});
 
     println!("\n== DPS adoption (Sec IV-B, Fig 2) ==");
     println!(

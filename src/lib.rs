@@ -22,7 +22,6 @@
 //! | [`core`] | `remnant-core` | **the paper's toolkit**: collector, matchers, behavior/pause/unchanged studies, residual scanner, study driver |
 //! | [`query`] | `remnant-query` | time-indexed snapshot store over persisted rounds, columnar query API, analysis plans |
 //! | [`attack`] | `remnant-attack` | botnets, scrubbing outcomes, the bypass kill chain |
-//! | [`wire`] | `remnant-wire` | RFC 1035 wire codec, wire-path transport adapter, servable UDP/TCP resolver daemon |
 //!
 //! # Quickstart
 //!
@@ -34,7 +33,7 @@
 //! // A small Internet, one-week study.
 //! let mut world = World::generate(WorldConfig::small(42));
 //! let config = StudyConfig { weeks: 1, ..StudyConfig::default() };
-//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {}, None);
+//! let report = StudySession::new(config, &world).run(&mut world, &mut |_| {});
 //! println!(
 //!     "adoption {:.2}%, hidden records {}, verified origins {}",
 //!     report.adoption().overall_rate * 100.0,
@@ -53,5 +52,4 @@ pub use remnant_obs as obs;
 pub use remnant_provider as provider;
 pub use remnant_query as query;
 pub use remnant_sim as sim;
-pub use remnant_wire as wire;
 pub use remnant_world as world;

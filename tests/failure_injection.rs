@@ -327,7 +327,7 @@ fn study_survives_a_world_with_zero_adoption() {
         },
         &world,
     )
-    .run(&mut world, &mut |_| {}, None);
+    .run(&mut world, &mut |_| {});
     assert_eq!(report.adoption().overall_rate, 0.0);
     assert_eq!(report.residual().fleet_size, 0, "nothing to harvest");
     assert_eq!(report.residual().cloudflare.exposure.total_hidden(), 0);

@@ -23,7 +23,7 @@ fn study(world: &mut World, weeks: u32) -> StudyReport {
         uneven_intervals: false,
         ..StudyConfig::default()
     };
-    StudySession::new(config, world).run(world, &mut |_| {}, None)
+    StudySession::new(config, world).run(world, &mut |_| {})
 }
 
 #[test]
