@@ -13,6 +13,13 @@
 //! An unknown experiment name exits 1 with usage before any world is
 //! generated.
 //!
+//! The flags fill one [`ReproConfig`]: `--population` sets the world's
+//! size and the campaign flags set its
+//! [`StudyConfig`](remnant::core::study::StudyConfig) directly — `--weeks`, `--seed`
+//! (which also seeds the world and the study-free experiments),
+//! `--workers`, `--collection`, `--even-intervals` (clears
+//! `uneven_intervals`) and `--spill-dir` (a default `SpillConfig`).
+//!
 //! The default population is 100,000 (a 1:10 scale model of the paper's
 //! Alexa top 1M); pass `--population 1000000` for full scale. Absolute
 //! counts are printed both raw and rescaled to 1M.
@@ -68,13 +75,14 @@
 use std::process::ExitCode;
 
 use remnant::core::study::CollectionMode;
+use remnant::core::SpillConfig;
 use remnant_bench::perf::peak_rss_bytes;
 use remnant_bench::{
-    render_ablation, render_fig1, render_fig2, render_fig2_adoption, render_fig3,
-    render_fig3_behaviors, render_fig4, render_fig4_behaviors, render_fig5, render_fig5_pauses,
-    render_fig6, render_fig6_adoption, render_fig7, render_fig8, render_fig8_from_obs, render_fig9,
-    render_purge, render_residual_scan, render_study_batch, render_table1, render_table2,
-    render_table5, render_table6, run_study, run_study_batch, ReproConfig,
+    render_ablation, render_fig1, render_fig2_adoption, render_fig3_behaviors,
+    render_fig4_behaviors, render_fig5_pauses, render_fig6_adoption, render_fig7,
+    render_fig8_from_obs, render_fig8_residual, render_fig9_exposure, render_purge,
+    render_residual_scan, render_study_batch, render_table1, render_table2,
+    render_table5_unchanged, render_table6_residual, run_study, run_study_batch, ReproConfig,
 };
 
 /// Every experiment name `repro` accepts.
@@ -126,16 +134,17 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result
 /// on its own fork of one generated world, with a progress line per round
 /// on stderr.
 fn study_experiment(config: &ReproConfig, jobs: usize) -> ExitCode {
+    let study = &config.study;
     eprintln!(
         "running {jobs} {}-week campaign{} in sequence over {} sites \
          (seeds {}..={}, {} worker{})...",
-        config.weeks,
+        study.weeks,
         if jobs == 1 { "" } else { "s" },
         config.population,
-        config.seed,
-        config.seed + jobs.saturating_sub(1) as u64,
-        config.workers.max(1),
-        if config.workers.max(1) == 1 { "" } else { "s" },
+        study.seed,
+        study.seed + jobs.saturating_sub(1) as u64,
+        study.workers.max(1),
+        if study.workers.max(1) == 1 { "" } else { "s" },
     );
     let started = std::time::Instant::now();
     let result = run_study_batch(config, jobs, |job, session, round| {
@@ -177,7 +186,7 @@ fn query_experiment(config: &ReproConfig) -> ExitCode {
         PassesPlan, PlanContext, ResidualScanPlan, RoundKind, SnapshotStore, StoreError,
     };
 
-    let Some(dir) = &config.spill_dir else {
+    let Some(SpillConfig { dir, .. }) = &config.study.spill else {
         eprintln!("repro: 'query' needs --spill-dir DIR (a directory left by a --spill-dir run)");
         return usage();
     };
@@ -222,7 +231,7 @@ fn query_experiment(config: &ReproConfig) -> ExitCode {
         ..config.clone()
     };
     let started = std::time::Instant::now();
-    let ctx = PlanContext::new(&store, config.workers.max(1));
+    let ctx = PlanContext::new(&store, config.study.workers.max(1));
     let classified = ctx.classified();
     let (hits, misses) = classified.cache_stats();
     let index = classified.index();
@@ -272,19 +281,19 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             },
             "--spill-dir" => match parse_flag::<std::path::PathBuf>("--spill-dir", args.next()) {
-                Ok(v) => config.spill_dir = Some(v),
+                Ok(v) => config.study.spill = Some(SpillConfig::new(v)),
                 Err(code) => return code,
             },
             "--weeks" => match parse_flag("--weeks", args.next()) {
-                Ok(v) => config.weeks = v,
+                Ok(v) => config.study.weeks = v,
                 Err(code) => return code,
             },
             "--seed" => match parse_flag("--seed", args.next()) {
-                Ok(v) => config.seed = v,
+                Ok(v) => config.study.seed = v,
                 Err(code) => return code,
             },
             "--workers" => match parse_flag("--workers", args.next()) {
-                Ok(v) => config.workers = v,
+                Ok(v) => config.study.workers = v,
                 Err(code) => return code,
             },
             "--metrics" => match parse_flag("--metrics", args.next()) {
@@ -293,8 +302,8 @@ fn main() -> ExitCode {
             },
             "--collection" => match parse_flag::<String>("--collection", args.next()) {
                 Ok(v) => match v.as_str() {
-                    "full" => config.collection_mode = CollectionMode::Full,
-                    "delta" => config.collection_mode = CollectionMode::Delta,
+                    "full" => config.study.collection_mode = CollectionMode::Full,
+                    "delta" => config.study.collection_mode = CollectionMode::Delta,
                     other => {
                         eprintln!("repro: invalid value for --collection: '{other}'");
                         return usage();
@@ -306,7 +315,7 @@ fn main() -> ExitCode {
                 Ok(v) => jobs = v,
                 Err(code) => return code,
             },
-            "--even-intervals" => config.even_intervals = true,
+            "--even-intervals" => config.study.uneven_intervals = false,
             "--help" | "-h" => {
                 let _ = usage();
                 return ExitCode::SUCCESS;
@@ -341,7 +350,7 @@ fn main() -> ExitCode {
     if (study_free || experiment == "study") && metrics_path.is_some() {
         eprintln!("repro: --metrics ignored for '{experiment}' (no single-study snapshot)");
     }
-    if study_free && config.spill_dir.is_some() {
+    if study_free && config.study.spill.is_some() {
         eprintln!("repro: --spill-dir ignored for '{experiment}' (no study runs)");
     }
     // Validate the flag combination up front: a bad --sites/--weeks/
@@ -367,32 +376,33 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         "fig1" => {
-            println!("{}", render_fig1(config.seed));
+            println!("{}", render_fig1(config.study.seed));
             return ExitCode::SUCCESS;
         }
         "purge" => {
-            println!("{}", render_purge(config.seed));
+            println!("{}", render_purge(config.study.seed));
             return ExitCode::SUCCESS;
         }
         "study" => return study_experiment(&config, jobs),
         _ => {}
     }
 
+    let study = &config.study;
     eprintln!(
         "running {}-week study over {} sites (seed {}, {} intervals, {} worker{}, {} collection{})...",
-        config.weeks,
+        study.weeks,
         config.population,
-        config.seed,
-        if config.even_intervals {
-            "24h"
-        } else {
+        study.seed,
+        if study.uneven_intervals {
             "20-30h"
+        } else {
+            "24h"
         },
-        config.workers.max(1),
-        if config.workers.max(1) == 1 { "" } else { "s" },
-        config.collection_mode.name(),
-        match &config.spill_dir {
-            Some(dir) => format!(", spilling to {}", dir.display()),
+        study.workers.max(1),
+        if study.workers.max(1) == 1 { "" } else { "s" },
+        study.collection_mode.name(),
+        match &study.spill {
+            Some(spill) => format!(", spilling to {}", spill.dir.display()),
             None => String::new(),
         }
     );
@@ -408,7 +418,7 @@ fn main() -> ExitCode {
             None => String::new(),
         }
     );
-    if config.collection_mode == CollectionMode::Delta {
+    if study.collection_mode == CollectionMode::Delta {
         let collection = report.collection();
         eprintln!(
             "delta collection: {} rounds, {} site-rounds reused ({:.1}%), \
@@ -430,19 +440,20 @@ fn main() -> ExitCode {
         eprintln!("metrics written to {path}\n");
     }
 
+    let residual = report.residual();
     let render = |name: &str| -> Option<String> {
         match name {
-            "fig2" => Some(render_fig2(&config, &report)),
-            "fig3" => Some(render_fig3(&config, &report)),
-            "fig4" => Some(render_fig4(&report)),
-            "fig5" => Some(render_fig5(&report)),
-            "fig6" => Some(render_fig6(&report)),
+            "fig2" => Some(render_fig2_adoption(&config, report.adoption())),
+            "fig3" => Some(render_fig3_behaviors(&config, report.behaviors())),
+            "fig4" => Some(render_fig4_behaviors(report.behaviors())),
+            "fig5" => Some(render_fig5_pauses(report.pauses())),
+            "fig6" => Some(render_fig6_adoption(report.adoption())),
             "fig7" => Some(render_fig7(&world)),
-            "fig8" => Some(render_fig8(&report)),
+            "fig8" => Some(render_fig8_residual(residual)),
             "funnel" => Some(render_fig8_from_obs(report.obs())),
-            "fig9" => Some(render_fig9(&config, &report)),
-            "table5" => Some(render_table5(&config, &report)),
-            "table6" => Some(render_table6(&config, &report)),
+            "fig9" => Some(render_fig9_exposure(&config, &residual.cloudflare.exposure)),
+            "table5" => Some(render_table5_unchanged(&config, report.unchanged())),
+            "table6" => Some(render_table6_residual(&config, residual)),
             _ => None,
         }
     };
@@ -454,8 +465,8 @@ fn main() -> ExitCode {
         ] {
             println!("{}", render(name).expect("known experiment"));
         }
-        println!("{}", render_fig1(config.seed));
-        println!("{}", render_purge(config.seed));
+        println!("{}", render_fig1(study.seed));
+        println!("{}", render_purge(study.seed));
         println!("{}", render_table1(&config));
         ExitCode::SUCCESS
     } else {

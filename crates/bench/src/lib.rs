@@ -2,12 +2,11 @@
 //! evaluation from a [`StudyReport`], side by side with the published
 //! values.
 //!
-//! Every figure derivable from a sub-report has a `render_*_<subreport>`
-//! variant taking just that sub-report, so the live study's output and a
-//! query plan's output (the [`AdoptionReport`] in
-//! `remnant::query::PassesPlan`'s aggregates, say) render through the
+//! Every figure derivable from a sub-report renders through a
+//! `render_*_<subreport>` function taking just that sub-report, so the
+//! live study's output and a query plan's output (the [`AdoptionReport`]
+//! in `remnant::query::PassesPlan`'s aggregates, say) render through the
 //! identical code path — the byte-identity the live-vs-query differential tests pin.
-//! The `StudyReport`-taking functions delegate to them.
 //!
 //! Counts depend on population size; each rendered count is accompanied by
 //! a value linearly rescaled to the paper's 1M-site universe so shapes can
@@ -15,53 +14,36 @@
 
 pub mod perf;
 
-use std::path::PathBuf;
-
 use remnant::core::error::ConfigFieldError;
 use remnant::core::report::{percent, FigureBuilder, TextTable};
 use remnant::core::residual::ExposureTracker;
 use remnant::core::study::{
-    vantage_catchment, AdoptionReport, BehaviorReport, CollectionMode, PauseReport, ResidualReport,
-    StudyConfig, StudyReport, UnchangedReport,
+    vantage_catchment, AdoptionReport, BehaviorReport, PauseReport, ResidualReport, StudyConfig,
+    StudyReport, UnchangedReport,
 };
-use remnant::core::{ObsReport, RoundSummary, SpillConfig, StudySession};
+use remnant::core::{ObsReport, RoundSummary, StudySession};
 use remnant::provider::{ProviderId, ReroutingMethod};
 use remnant::query::funnel_rows;
 use remnant::world::{BehaviorKind, World, WorldConfig};
 
-/// Parameters of one reproduction run.
+/// Parameters of one reproduction run: the population the world is
+/// generated with, and the campaign run over it.
 #[derive(Clone, Debug)]
 pub struct ReproConfig {
     /// Website population (paper: 1,000,000).
     pub population: usize,
-    /// Study length in weeks (paper: 6).
-    pub weeks: u32,
-    /// Root seed.
-    pub seed: u64,
-    /// Exact 24h intervals instead of the paper's uneven 20–30h ones.
-    pub even_intervals: bool,
-    /// Worker threads for the sharded sweeps. Output is bit-identical for
-    /// every value; only wall time changes.
-    pub workers: usize,
-    /// How daily rounds resolve the target list. Output is bit-identical
-    /// for both modes; `Delta` reuses unchanged shards across rounds.
-    pub collection_mode: CollectionMode,
-    /// Spill each round's records to binary snapshot files under this
-    /// directory instead of holding every block resident. Output is
-    /// bit-identical with or without spilling; only peak memory changes.
-    pub spill_dir: Option<PathBuf>,
+    /// The campaign: weeks, seed (also the world's), interval cadence,
+    /// workers, collection mode and spill directory. Output is
+    /// bit-identical for every worker count, collection mode and spill
+    /// setting; only wall time and peak memory change.
+    pub study: StudyConfig,
 }
 
 impl Default for ReproConfig {
     fn default() -> Self {
         ReproConfig {
             population: 100_000,
-            weeks: 6,
-            seed: 42,
-            even_intervals: false,
-            workers: 1,
-            collection_mode: CollectionMode::Full,
-            spill_dir: None,
+            study: StudyConfig::default(),
         }
     }
 }
@@ -72,79 +54,9 @@ impl ReproConfig {
         1_000_000.0 / self.population as f64
     }
 
-    /// A builder starting from the defaults, with validated setters.
-    ///
-    /// Like [`StudyConfig::builder`], rejected values name the field, the
-    /// value, and the reason.
-    pub fn builder() -> ReproConfigBuilder {
-        ReproConfigBuilder {
-            config: ReproConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ReproConfig`] — see [`ReproConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct ReproConfigBuilder {
-    config: ReproConfig,
-}
-
-impl ReproConfigBuilder {
-    /// Website population.
-    pub fn population(mut self, population: usize) -> Self {
-        self.config.population = population;
-        self
-    }
-
-    /// Study length in weeks.
-    pub fn weeks(mut self, weeks: u32) -> Self {
-        self.config.weeks = weeks;
-        self
-    }
-
-    /// Root seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Exact 24h intervals instead of the paper's uneven 20–30h ones.
-    pub fn even_intervals(mut self, even: bool) -> Self {
-        self.config.even_intervals = even;
-        self
-    }
-
-    /// Worker threads for the sharded sweeps.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// How daily rounds resolve the target list.
-    pub fn collection_mode(mut self, mode: CollectionMode) -> Self {
-        self.config.collection_mode = mode;
-        self
-    }
-
-    /// Spill rounds to binary snapshot files under this directory.
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Validates and returns the configuration, naming the first rejected
-    /// field on failure.
-    pub fn build(self) -> Result<ReproConfig, ConfigFieldError> {
-        let config = self.config;
-        config.validate()?;
-        Ok(config)
-    }
-}
-
-impl ReproConfig {
-    /// Validates every field, naming the first rejected one — the same
-    /// check [`ReproConfigBuilder::build`] applies, callable on a config
-    /// assembled by hand (the `repro` CLI's flag loop).
+    /// Validates every field, naming the first rejected one: the
+    /// population bounds, then [`StudyConfig::validate`], then a
+    /// writability probe of the spill directory.
     pub fn validate(&self) -> Result<(), ConfigFieldError> {
         if self.population == 0 {
             return Err(ConfigFieldError::new(
@@ -160,25 +72,20 @@ impl ReproConfig {
                 "the paper's universe tops out at 1,000,000 sites",
             ));
         }
-        // Weeks/workers share StudyConfig's bounds; validate through it so
-        // the two configs can never drift apart.
-        StudyConfig {
-            weeks: self.weeks,
-            workers: self.workers,
-            ..StudyConfig::default()
-        }
-        .validate()?;
-        if let Some(dir) = &self.spill_dir {
-            validate_spill_dir(dir)?;
-        }
-        Ok(())
+        validate_study(&self.study)
     }
 }
 
-/// Probes that `dir` exists (creating it if needed) and accepts writes,
-/// so a bad `--spill-dir` fails up front with a named error instead of
-/// panicking mid-campaign.
-fn validate_spill_dir(dir: &std::path::Path) -> Result<(), ConfigFieldError> {
+/// [`StudyConfig::validate`], then a probe that the spill directory
+/// exists (creating it if needed) and accepts writes, so a bad
+/// `--spill-dir` fails up front with a named error instead of panicking
+/// mid-campaign.
+fn validate_study(study: &StudyConfig) -> Result<(), ConfigFieldError> {
+    study.validate()?;
+    let Some(spill) = &study.spill else {
+        return Ok(());
+    };
+    let dir = &spill.dir;
     if std::fs::create_dir_all(dir).is_err() {
         return Err(ConfigFieldError::new(
             "spill_dir",
@@ -202,33 +109,19 @@ fn validate_spill_dir(dir: &std::path::Path) -> Result<(), ConfigFieldError> {
 
 /// Builds the world and runs the full study.
 pub fn run_study(config: &ReproConfig) -> (World, StudyReport) {
-    let mut world = World::generate(WorldConfig::new(config.population, config.seed));
-    let study = study_config(config, config.seed, config.spill_dir.clone());
-    let report = StudySession::new(study, &world).run(&mut world, &mut |_| {});
+    let mut world = World::generate(WorldConfig::new(config.population, config.study.seed));
+    let report = StudySession::new(config.study.clone(), &world).run(&mut world, &mut |_| {});
     (world, report)
-}
-
-/// The [`StudyConfig`] a [`ReproConfig`] maps to, with an explicit seed
-/// and spill directory so batch jobs can diverge per campaign.
-fn study_config(config: &ReproConfig, seed: u64, spill_dir: Option<PathBuf>) -> StudyConfig {
-    StudyConfig {
-        weeks: config.weeks,
-        seed,
-        uneven_intervals: !config.even_intervals,
-        workers: config.workers,
-        collection_mode: config.collection_mode,
-        spill: spill_dir.map(SpillConfig::new),
-        ..StudyConfig::default()
-    }
 }
 
 /// Generates one world and runs `jobs` campaigns over it, one after
 /// another, each a [`StudySession`] on its own [`World::fork`] of that
 /// world. After every round `on_round` gets the job index, the job's
-/// session and the round's [`RoundSummary`]. Job `i` runs with seed
-/// `config.seed + i` and — when a spill directory is set — its own
-/// `job-<i>` subdirectory. Every job's config is validated before the
-/// world is generated; reports come back in job order.
+/// session and the round's [`RoundSummary`]. Job `i` runs
+/// `config.study` with seed `config.study.seed + i` and — when a spill
+/// directory is set — its own `job-<i>` subdirectory. Every job's config
+/// is validated before the world is generated; reports come back in job
+/// order.
 pub fn run_study_batch(
     config: &ReproConfig,
     jobs: usize,
@@ -243,23 +136,18 @@ pub fn run_study_batch(
     }
     let configs: Vec<StudyConfig> = (0..jobs)
         .map(|job| {
-            study_config(
-                config,
-                config.seed + job as u64,
-                config
-                    .spill_dir
-                    .as_ref()
-                    .map(|dir| dir.join(format!("job-{job}"))),
-            )
+            let mut study = config.study.clone();
+            study.seed += job as u64;
+            if let Some(spill) = &mut study.spill {
+                spill.dir = spill.dir.join(format!("job-{job}"));
+            }
+            study
         })
         .collect();
     for study in &configs {
-        study.validate()?;
-        if let Some(spill) = &study.spill {
-            validate_spill_dir(&spill.dir)?;
-        }
+        validate_study(study)?;
     }
-    let base = World::generate(WorldConfig::new(config.population, config.seed));
+    let base = World::generate(WorldConfig::new(config.population, config.study.seed));
     let reports = configs
         .into_iter()
         .enumerate()
@@ -295,7 +183,7 @@ pub fn render_study_batch(config: &ReproConfig, reports: &[StudyReport]) -> Stri
         };
         table.row([
             job.to_string(),
-            (config.seed + job as u64).to_string(),
+            (config.study.seed + job as u64).to_string(),
             report.adoption().days_observed.to_string(),
             percent(report.adoption().overall_rate),
             format!("{mean_interval:.1}h"),
@@ -378,11 +266,6 @@ pub fn render_fig2_adoption(config: &ReproConfig, adoption: &AdoptionReport) -> 
         .finish()
 }
 
-/// Fig 2: adoption breakdown per provider.
-pub fn render_fig2(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig2_adoption(config, report.adoption())
-}
-
 /// Fig 3 from the behavior sub-report alone (live study or `PassesPlan`).
 pub fn render_fig3_behaviors(config: &ReproConfig, behaviors: &BehaviorReport) -> String {
     let paper = [
@@ -412,11 +295,6 @@ pub fn render_fig3_behaviors(config: &ReproConfig, behaviors: &BehaviorReport) -
     figure.finish()
 }
 
-/// Fig 3: daily behavior counts.
-pub fn render_fig3(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig3_behaviors(config, report.behaviors())
-}
-
 /// Fig 4 from the behavior sub-report alone (live study or `PassesPlan`).
 pub fn render_fig4_behaviors(behaviors: &BehaviorReport) -> String {
     let mut table = TextTable::new(["From", "Behavior", "To"]);
@@ -434,11 +312,6 @@ pub fn render_fig4_behaviors(behaviors: &BehaviorReport) -> String {
         .finish()
 }
 
-/// Fig 4: the FSM transition table plus the study's violation count.
-pub fn render_fig4(report: &StudyReport) -> String {
-    render_fig4_behaviors(report.behaviors())
-}
-
 /// Fig 5 from the pause sub-report alone (live study or `PassesPlan`).
 pub fn render_fig5_pauses(pauses: &PauseReport) -> String {
     FigureBuilder::new()
@@ -452,11 +325,6 @@ pub fn render_fig5_pauses(pauses: &PauseReport) -> String {
             percent(pauses.overall.fraction_gt(5.0)),
         ))
         .finish()
-}
-
-/// Fig 5: pause-period CDFs.
-pub fn render_fig5(report: &StudyReport) -> String {
-    render_fig5_pauses(report.pauses())
 }
 
 /// Fig 6 from the adoption sub-report alone (live study or `PassesPlan`).
@@ -476,11 +344,6 @@ pub fn render_fig6_adoption(adoption: &AdoptionReport) -> String {
         .line("FIG 6: Cloudflare adoption breakdown by rerouting")
         .table(&table)
         .finish()
-}
-
-/// Fig 6: Cloudflare rerouting split.
-pub fn render_fig6(report: &StudyReport) -> String {
-    render_fig6_adoption(report.adoption())
 }
 
 /// Fig 7: vantage-point catchment over the provider's anycast fleet.
@@ -529,18 +392,13 @@ pub fn render_fig8_residual(residual: &ResidualReport) -> String {
         .finish()
 }
 
-/// Fig 8: the filtering funnel of the final week.
-pub fn render_fig8(report: &StudyReport) -> String {
-    render_fig8_residual(report.residual())
-}
-
 /// Fig 8 rebuilt from the recorded metrics alone.
 ///
 /// The funnel is the query layer's [`funnel_rows`] fold over the
 /// `filter.*` counters in an [`ObsReport`] — no `WeeklyScanReport` is
 /// consulted — so the attrition table is reproducible from a
 /// `repro --metrics out.json` snapshot long after the run. The table body
-/// is identical to [`render_fig8`]'s.
+/// is identical to [`render_fig8_residual`]'s.
 pub fn render_fig8_from_obs(obs: &ObsReport) -> String {
     let mut table = TextTable::new([
         "Provider",
@@ -642,11 +500,6 @@ pub fn render_fig9_exposure(config: &ReproConfig, cf: &ExposureTracker) -> Strin
     )
 }
 
-/// Fig 9: exposure observations across weeks.
-pub fn render_fig9(config: &ReproConfig, report: &StudyReport) -> String {
-    render_fig9_exposure(config, &report.residual().cloudflare.exposure)
-}
-
 /// Table V from the unchanged sub-report alone.
 pub fn render_table5_unchanged(config: &ReproConfig, unchanged: &UnchangedReport) -> String {
     let paper: &[(ProviderId, f64)] = &[
@@ -698,11 +551,6 @@ pub fn render_table5_unchanged(config: &ReproConfig, unchanged: &UnchangedReport
     format!("TABLE V: origin IP unchanged rate after JOIN/RESUME\n{table}")
 }
 
-/// Table V: origin-IP unchanged rates.
-pub fn render_table5(config: &ReproConfig, report: &StudyReport) -> String {
-    render_table5_unchanged(config, report.unchanged())
-}
-
 /// Table VI from the residual sub-report alone.
 pub fn render_table6_residual(config: &ReproConfig, residual: &ResidualReport) -> String {
     let mut table = TextTable::new([
@@ -746,11 +594,6 @@ pub fn render_table6_residual(config: &ReproConfig, residual: &ResidualReport) -
          (fleet harvested: {} nameservers; paper: 391. tokens harvested: {})\n{table}",
         residual.fleet_size, residual.harvested_tokens
     )
-}
-
-/// Table VI: residual resolution in the wild.
-pub fn render_table6(config: &ReproConfig, report: &StudyReport) -> String {
-    render_table6_residual(config, report.residual())
 }
 
 /// Fig 1: the end-to-end threat model demo (delegates to the attack crate).
@@ -826,7 +669,10 @@ pub fn render_table1(config: &ReproConfig) -> String {
     use remnant::core::{concat_columns, SCANNER_SOURCE};
     use remnant::net::Region;
 
-    let mut world = World::generate(WorldConfig::new(config.population.min(20_000), config.seed));
+    let mut world = World::generate(WorldConfig::new(
+        config.population.min(20_000),
+        config.study.seed,
+    ));
     let targets: Vec<Target> = world
         .sites()
         .iter()
@@ -920,7 +766,7 @@ pub fn render_ablation(config: &ReproConfig) -> String {
         ("12 weeks", Some(SimDuration::weeks(12))),
         ("never", None),
     ] {
-        let mut world = World::generate(WorldConfig::new(population, config.seed));
+        let mut world = World::generate(WorldConfig::new(population, config.study.seed));
         let mut policy = ResidualPolicy::cloudflare_observed();
         for plan in ServicePlan::ALL {
             policy.set_purge_after(plan, window);
@@ -949,7 +795,7 @@ pub fn render_ablation(config: &ReproConfig) -> String {
             ResidualPolicy::countermeasure_revalidate(ResidualPolicy::cloudflare_observed()),
         ),
     ] {
-        let mut world = World::generate(WorldConfig::new(population, config.seed));
+        let mut world = World::generate(WorldConfig::new(population, config.study.seed));
         world
             .provider_mut(ProviderId::Cloudflare)
             .set_policy(policy);
@@ -976,7 +822,7 @@ pub fn render_ablation(config: &ReproConfig) -> String {
         "Verified origins",
     ]);
     for informed in [0.2, 0.6, 1.0] {
-        let mut world_config = WorldConfig::new(population, config.seed);
+        let mut world_config = WorldConfig::new(population, config.study.seed);
         world_config.calibration.informed_leave_probability = informed;
         let mut world = World::generate(world_config);
         world.step_days(7 * 2);
@@ -1050,15 +896,18 @@ pub fn render_purge(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remnant::core::SpillConfig;
 
     fn tiny() -> (ReproConfig, World, StudyReport) {
         let config = ReproConfig {
             population: 2_000,
-            weeks: 1,
-            seed: 9,
-            even_intervals: true,
-            workers: 2,
-            ..ReproConfig::default()
+            study: StudyConfig {
+                weeks: 1,
+                seed: 9,
+                uneven_intervals: false,
+                workers: 2,
+                ..StudyConfig::default()
+            },
         };
         let (world, report) = run_study(&config);
         (config, world, report)
@@ -1067,18 +916,19 @@ mod tests {
     #[test]
     fn all_renderers_produce_output() {
         let (config, world, report) = tiny();
+        let residual = report.residual();
         for rendered in [
             render_table2(),
-            render_fig2(&config, &report),
-            render_fig3(&config, &report),
-            render_fig4(&report),
-            render_fig5(&report),
-            render_fig6(&report),
+            render_fig2_adoption(&config, report.adoption()),
+            render_fig3_behaviors(&config, report.behaviors()),
+            render_fig4_behaviors(report.behaviors()),
+            render_fig5_pauses(report.pauses()),
+            render_fig6_adoption(report.adoption()),
             render_fig7(&world),
-            render_fig8(&report),
-            render_fig9(&config, &report),
-            render_table5(&config, &report),
-            render_table6(&config, &report),
+            render_fig8_residual(residual),
+            render_fig9_exposure(&config, &residual.cloudflare.exposure),
+            render_table5_unchanged(&config, report.unchanged()),
+            render_table6_residual(&config, residual),
         ] {
             assert!(rendered.len() > 40, "renderer produced: {rendered}");
         }
@@ -1095,7 +945,7 @@ mod tests {
     #[test]
     fn fig8_is_reproducible_from_metrics_alone() {
         let (_, _, report) = tiny();
-        let from_report = render_fig8(&report);
+        let from_report = render_fig8_residual(report.residual());
         let from_obs = render_fig8_from_obs(report.obs());
         // Same table body: only the title line differs.
         let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap();
@@ -1105,54 +955,57 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_out_of_range_fields_by_name() {
-        let config = ReproConfig::builder()
-            .population(500)
+    fn validate_rejects_out_of_range_fields_by_name() {
+        let with = |population: usize, study: StudyConfig| ReproConfig { population, study };
+        let study = StudyConfig::builder()
             .weeks(2)
             .seed(7)
-            .even_intervals(true)
+            .uneven_intervals(false)
             .workers(3)
             .build()
             .expect("in-range values build");
-        assert_eq!(config.population, 500);
-        assert_eq!(config.weeks, 2);
-        assert_eq!(config.seed, 7);
-        assert!(config.even_intervals);
-        assert_eq!(config.workers, 3);
+        with(500, study.clone())
+            .validate()
+            .expect("in-range values validate");
 
-        let err = ReproConfig::builder().population(0).build().unwrap_err();
+        let err = with(0, study.clone()).validate().unwrap_err();
         assert_eq!(err.field, "population");
-        let err = ReproConfig::builder()
-            .population(2_000_000)
-            .build()
-            .unwrap_err();
+        let err = with(2_000_000, study).validate().unwrap_err();
         assert_eq!(err.field, "population");
         assert!(err.to_string().contains("2000000"));
-        // Weeks/workers bounds come from StudyConfig's builder.
-        let err = ReproConfig::builder().weeks(0).build().unwrap_err();
-        assert_eq!(err.field, "weeks");
-        let err = ReproConfig::builder().workers(4096).build().unwrap_err();
-        assert_eq!(err.field, "workers");
+        // Weeks/workers bounds are StudyConfig's own.
+        let weeks = StudyConfig {
+            weeks: 0,
+            ..StudyConfig::default()
+        };
+        assert_eq!(with(500, weeks).validate().unwrap_err().field, "weeks");
+        let workers = StudyConfig {
+            workers: 4096,
+            ..StudyConfig::default()
+        };
+        assert_eq!(with(500, workers).validate().unwrap_err().field, "workers");
     }
 
     #[test]
-    fn builder_validates_spill_dir_by_name() {
+    fn validate_probes_spill_dir_by_name() {
+        let spilling = |dir: std::path::PathBuf| ReproConfig {
+            study: StudyConfig {
+                spill: Some(SpillConfig::new(dir)),
+                ..StudyConfig::default()
+            },
+            ..ReproConfig::default()
+        };
         let dir = std::env::temp_dir().join("remnant-spill-dir-validate");
-        let config = ReproConfig::builder()
-            .spill_dir(&dir)
-            .build()
-            .expect("writable spill dir builds");
-        assert_eq!(config.spill_dir.as_deref(), Some(dir.as_path()));
+        spilling(dir.clone())
+            .validate()
+            .expect("writable spill dir validates");
         assert!(dir.is_dir(), "validation creates the directory");
         let _ = std::fs::remove_dir_all(&dir);
 
         // A spill path under a regular file cannot be created.
         let file = std::env::temp_dir().join("remnant-spill-dir-file");
         std::fs::write(&file, b"x").expect("temp file writes");
-        let err = ReproConfig::builder()
-            .spill_dir(file.join("sub"))
-            .build()
-            .unwrap_err();
+        let err = spilling(file.join("sub")).validate().unwrap_err();
         assert_eq!(err.field, "spill_dir");
         assert!(err.to_string().contains("cannot be created"), "{err}");
         let _ = std::fs::remove_file(&file);

@@ -1,19 +1,22 @@
 //! The engine's determinism contract, end to end: a full study run with
 //! `--workers 8` must produce output byte-identical to `--workers 1`.
 
+use remnant::core::study::StudyConfig;
 use remnant_bench::{
-    render_fig2, render_fig3, render_fig4, render_fig5, render_fig6, render_fig7, render_fig8,
-    render_fig8_from_obs, render_fig9, render_table5, render_table6, run_study, ReproConfig,
+    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
+    render_fig6_adoption, render_fig7, render_fig8_from_obs, render_fig8_residual,
+    render_fig9_exposure, render_table5_unchanged, render_table6_residual, run_study, ReproConfig,
 };
 
 fn config(workers: usize) -> ReproConfig {
     ReproConfig {
         population: 3_000,
-        weeks: 2,
-        seed: 11,
-        even_intervals: false,
-        workers,
-        ..ReproConfig::default()
+        study: StudyConfig {
+            weeks: 2,
+            seed: 11,
+            workers,
+            ..StudyConfig::default()
+        },
     }
 }
 
@@ -23,17 +26,18 @@ fn rendered_output(
     world: &remnant::world::World,
     report: &remnant::core::study::StudyReport,
 ) -> String {
+    let residual = report.residual();
     [
-        render_fig2(config, report),
-        render_fig3(config, report),
-        render_fig4(report),
-        render_fig5(report),
-        render_fig6(report),
+        render_fig2_adoption(config, report.adoption()),
+        render_fig3_behaviors(config, report.behaviors()),
+        render_fig4_behaviors(report.behaviors()),
+        render_fig5_pauses(report.pauses()),
+        render_fig6_adoption(report.adoption()),
         render_fig7(world),
-        render_fig8(report),
-        render_fig9(config, report),
-        render_table5(config, report),
-        render_table6(config, report),
+        render_fig8_residual(residual),
+        render_fig9_exposure(config, &residual.cloudflare.exposure),
+        render_table5_unchanged(config, report.unchanged()),
+        render_table6_residual(config, residual),
     ]
     .join("\n")
 }
@@ -104,6 +108,6 @@ fn study_is_worker_count_invariant() {
     let body = |s: &str| s.split_once('\n').map(|(_, t)| t.to_owned()).unwrap();
     assert_eq!(
         body(&render_fig8_from_obs(report1.obs())),
-        body(&render_fig8(&report1))
+        body(&render_fig8_residual(report1.residual()))
     );
 }

@@ -13,7 +13,7 @@ fn generate() -> World {
     World::generate(WorldConfig::new(1_500, 5))
 }
 
-fn study_config(seed: u64, workers: usize) -> StudyConfig {
+fn campaign(seed: u64, workers: usize) -> StudyConfig {
     StudyConfig::builder()
         .weeks(1)
         .seed(seed)
@@ -60,24 +60,24 @@ fn assert_matches_fresh(label: &str, forked: &StudyReport, fresh: &StudyReport) 
 #[test]
 fn a_campaign_on_a_used_world_fork_matches_a_fresh_world() {
     for workers in [1, 8] {
-        let fresh = run(study_config(9, workers), generate());
+        let fresh = run(campaign(9, workers), generate());
 
         let base = generate();
         // Earlier campaigns step their own forks: one with another seed
         // (another interval timeline), one with the same config.
-        let other = run(study_config(10, workers), base.fork());
+        let other = run(campaign(10, workers), base.fork());
         assert_ne!(
             other.behaviors().interval_hours,
             fresh.behaviors().interval_hours,
             "workers {workers}: the earlier campaign ran another timeline"
         );
-        let first = run(study_config(9, workers), base.fork());
+        let first = run(campaign(9, workers), base.fork());
         assert_matches_fresh(
             &format!("workers {workers}, after another seed's campaign"),
             &first,
             &fresh,
         );
-        let second = run(study_config(9, workers), base.fork());
+        let second = run(campaign(9, workers), base.fork());
         assert_matches_fresh(
             &format!("workers {workers}, after the same campaign"),
             &second,

@@ -43,25 +43,12 @@ const POPULATION: usize = 2_000;
 const WEEKS: u32 = 2;
 const SEED: u64 = 41;
 
-/// Mirrors `run_study`'s `ReproConfig -> StudyConfig` mapping, so the
-/// differential exercises exactly the configuration the CLI runs.
-fn study_config(config: &ReproConfig) -> StudyConfig {
-    StudyConfig {
-        weeks: config.weeks,
-        uneven_intervals: !config.even_intervals,
-        workers: config.workers,
-        collection_mode: config.collection_mode,
-        spill: config.spill_dir.clone().map(SpillConfig::new),
-        ..StudyConfig::default()
-    }
-}
-
 /// Runs one campaign, capturing every daily snapshot for the in-memory
 /// store variant.
 fn run_captured(config: &ReproConfig) -> (Vec<DnsSnapshot>, StudyReport) {
-    let mut world = World::generate(WorldConfig::new(config.population, config.seed));
+    let mut world = World::generate(WorldConfig::new(config.population, config.study.seed));
     let mut snapshots = Vec::new();
-    let report = StudySession::new(study_config(config), &world).run(&mut world, &mut |snapshot| {
+    let report = StudySession::new(config.study.clone(), &world).run(&mut world, &mut |snapshot| {
         snapshots.push(snapshot.clone());
     });
     (snapshots, report)
@@ -75,7 +62,7 @@ fn fresh_spill_dir(tag: &str) -> PathBuf {
 }
 
 fn campaign_targets(config: &ReproConfig) -> Vec<Target> {
-    let world = World::generate(WorldConfig::new(config.population, config.seed));
+    let world = World::generate(WorldConfig::new(config.population, config.study.seed));
     world
         .sites()
         .iter()
@@ -237,13 +224,15 @@ fn assert_cached_matches_uncached(
 #[test]
 fn in_memory_cached_plans_match_uncached() {
     for workers in [1usize, 8] {
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .build()
+                .expect("valid config"),
+        };
         let (snapshots, _) = run_captured(&config);
         let store = SnapshotStore::in_memory(snapshots).expect("in-memory store");
         assert_cached_matches_uncached(&config, &store, workers, &format!("in-memory w{workers}"));
@@ -254,15 +243,17 @@ fn in_memory_cached_plans_match_uncached() {
 fn spill_full_cached_plans_match_uncached() {
     for workers in [1usize, 8] {
         let dir = fresh_spill_dir(&format!("full-w{workers}"));
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .collection_mode(CollectionMode::Full)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .collection_mode(CollectionMode::Full)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_cached_matches_uncached(&config, &store, workers, &format!("spill-full w{workers}"));
@@ -274,15 +265,17 @@ fn spill_full_cached_plans_match_uncached() {
 fn spill_delta_cached_plans_match_uncached() {
     for workers in [1usize, 8] {
         let dir = fresh_spill_dir(&format!("delta-w{workers}"));
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .collection_mode(CollectionMode::Delta)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .collection_mode(CollectionMode::Delta)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_cached_matches_uncached(
@@ -305,15 +298,17 @@ fn spill_delta_cached_plans_match_uncached() {
 #[test]
 fn delta_cache_counters_account_for_chained_shards() {
     let dir = fresh_spill_dir("counters");
-    let config = ReproConfig::builder()
-        .population(POPULATION)
-        .weeks(WEEKS)
-        .seed(SEED)
-        .workers(1)
-        .collection_mode(CollectionMode::Delta)
-        .spill_dir(dir.clone())
-        .build()
-        .expect("valid config");
+    let config = ReproConfig {
+        population: POPULATION,
+        study: StudyConfig::builder()
+            .weeks(WEEKS)
+            .seed(SEED)
+            .workers(1)
+            .collection_mode(CollectionMode::Delta)
+            .spill(SpillConfig::new(&dir))
+            .build()
+            .expect("valid config"),
+    };
     run_captured(&config);
     let store = SnapshotStore::open(&dir).expect("store opens");
 
@@ -346,15 +341,17 @@ proptest! {
     ) {
         let mode = if delta { CollectionMode::Delta } else { CollectionMode::Full };
         let dir = fresh_spill_dir(&format!("prop-{seed}-{population}-{workers}-{delta}"));
-        let config = ReproConfig::builder()
-            .population(population)
-            .weeks(1)
-            .seed(seed)
-            .workers(workers)
-            .collection_mode(mode)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population,
+            study: StudyConfig::builder()
+                .weeks(1)
+                .seed(seed)
+                .workers(workers)
+                .collection_mode(mode)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_cached_matches_uncached(

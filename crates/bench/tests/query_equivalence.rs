@@ -19,35 +19,21 @@ use remnant::core::{DnsSnapshot, SpillConfig, StudySession};
 use remnant::query::{PassesPlan, PlanContext, SnapshotStore, UnchangedCandidatesPlan};
 use remnant::world::{World, WorldConfig};
 use remnant_bench::{
-    render_fig2, render_fig2_adoption, render_fig3, render_fig3_behaviors, render_fig4,
-    render_fig4_behaviors, render_fig5, render_fig5_pauses, render_fig6, render_fig6_adoption,
-    render_fig8, render_fig8_from_obs, render_fig9, render_fig9_exposure, render_table5,
-    ReproConfig,
+    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
+    render_fig6_adoption, render_fig8_from_obs, render_fig8_residual, render_fig9_exposure,
+    render_table5_unchanged, ReproConfig,
 };
 
 const POPULATION: usize = 2_000;
 const WEEKS: u32 = 2;
 const SEED: u64 = 41;
 
-/// Mirrors `run_study`'s `ReproConfig -> StudyConfig` mapping, so the
-/// differential exercises exactly the configuration the CLI runs.
-fn study_config(config: &ReproConfig) -> StudyConfig {
-    StudyConfig {
-        weeks: config.weeks,
-        uneven_intervals: !config.even_intervals,
-        workers: config.workers,
-        collection_mode: config.collection_mode,
-        spill: config.spill_dir.clone().map(SpillConfig::new),
-        ..StudyConfig::default()
-    }
-}
-
 /// Runs one campaign, capturing every daily snapshot for the in-memory
 /// store variant.
 fn run_captured(config: &ReproConfig) -> (Vec<DnsSnapshot>, StudyReport) {
-    let mut world = World::generate(WorldConfig::new(config.population, config.seed));
+    let mut world = World::generate(WorldConfig::new(config.population, config.study.seed));
     let mut snapshots = Vec::new();
-    let report = StudySession::new(study_config(config), &world).run(&mut world, &mut |snapshot| {
+    let report = StudySession::new(config.study.clone(), &world).run(&mut world, &mut |snapshot| {
         snapshots.push(snapshot.clone());
     });
     (snapshots, report)
@@ -61,7 +47,7 @@ fn fresh_spill_dir(tag: &str) -> PathBuf {
 }
 
 fn campaign_targets(config: &ReproConfig) -> Vec<Target> {
-    let world = World::generate(WorldConfig::new(config.population, config.seed));
+    let world = World::generate(WorldConfig::new(config.population, config.study.seed));
     world
         .sites()
         .iter()
@@ -77,31 +63,31 @@ fn assert_query_matches_legacy(
     report: &StudyReport,
     context: &str,
 ) {
-    let ctx = PlanContext::new(store, config.workers);
+    let ctx = PlanContext::new(store, config.study.workers);
     let aggregates = PassesPlan.execute_with(&ctx);
     assert_eq!(
         render_fig2_adoption(config, &aggregates.adoption),
-        render_fig2(config, report),
+        render_fig2_adoption(config, report.adoption()),
         "{context}: fig 2"
     );
     assert_eq!(
         render_fig3_behaviors(config, &aggregates.behaviors),
-        render_fig3(config, report),
+        render_fig3_behaviors(config, report.behaviors()),
         "{context}: fig 3"
     );
     assert_eq!(
         render_fig4_behaviors(&aggregates.behaviors),
-        render_fig4(report),
+        render_fig4_behaviors(report.behaviors()),
         "{context}: fig 4"
     );
     assert_eq!(
         render_fig5_pauses(&aggregates.pauses),
-        render_fig5(report),
+        render_fig5_pauses(report.pauses()),
         "{context}: fig 5"
     );
     assert_eq!(
         render_fig6_adoption(&aggregates.adoption),
-        render_fig6(report),
+        render_fig6_adoption(report.adoption()),
         "{context}: fig 6"
     );
 
@@ -110,7 +96,7 @@ fn assert_query_matches_legacy(
     let folded = ExposureTracker::fold(&report.residual().cloudflare.weekly);
     assert_eq!(
         render_fig9_exposure(config, &folded),
-        render_fig9(config, report),
+        render_fig9_exposure(config, &report.residual().cloudflare.exposure),
         "{context}: fig 9"
     );
 
@@ -119,7 +105,7 @@ fn assert_query_matches_legacy(
     let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap();
     assert_eq!(
         body(&render_fig8_from_obs(report.obs())),
-        body(&render_fig8(report)),
+        body(&render_fig8_residual(report.residual())),
         "{context}: fig 8 funnel body"
     );
 
@@ -134,20 +120,22 @@ fn assert_query_matches_legacy(
         candidates.len() as u64,
         live_events,
         "{context}: table 5 events\n{}",
-        render_table5(config, report)
+        render_table5_unchanged(config, report.unchanged())
     );
 }
 
 #[test]
 fn in_memory_campaigns_match_legacy_figures() {
     for workers in [1usize, 8] {
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .build()
+                .expect("valid config"),
+        };
         let (snapshots, report) = run_captured(&config);
         let store = SnapshotStore::in_memory(snapshots).expect("in-memory store");
         assert_query_matches_legacy(&config, &store, &report, &format!("in-memory w{workers}"));
@@ -158,15 +146,17 @@ fn in_memory_campaigns_match_legacy_figures() {
 fn spill_full_campaigns_match_legacy_figures() {
     for workers in [1usize, 8] {
         let dir = fresh_spill_dir(&format!("full-w{workers}"));
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .collection_mode(CollectionMode::Full)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .collection_mode(CollectionMode::Full)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         let (_, report) = run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_query_matches_legacy(&config, &store, &report, &format!("spill-full w{workers}"));
@@ -177,15 +167,17 @@ fn spill_full_campaigns_match_legacy_figures() {
 fn spill_delta_campaigns_match_legacy_figures() {
     for workers in [1usize, 8] {
         let dir = fresh_spill_dir(&format!("delta-w{workers}"));
-        let config = ReproConfig::builder()
-            .population(POPULATION)
-            .weeks(WEEKS)
-            .seed(SEED)
-            .workers(workers)
-            .collection_mode(CollectionMode::Delta)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population: POPULATION,
+            study: StudyConfig::builder()
+                .weeks(WEEKS)
+                .seed(SEED)
+                .workers(workers)
+                .collection_mode(CollectionMode::Delta)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         let (_, report) = run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_query_matches_legacy(&config, &store, &report, &format!("spill-delta w{workers}"));
@@ -210,15 +202,17 @@ proptest! {
     ) {
         let mode = if delta { CollectionMode::Delta } else { CollectionMode::Full };
         let dir = fresh_spill_dir(&format!("prop-{seed}-{population}-{workers}-{delta}"));
-        let config = ReproConfig::builder()
-            .population(population)
-            .weeks(1)
-            .seed(seed)
-            .workers(workers)
-            .collection_mode(mode)
-            .spill_dir(dir.clone())
-            .build()
-            .expect("valid config");
+        let config = ReproConfig {
+            population,
+            study: StudyConfig::builder()
+                .weeks(1)
+                .seed(seed)
+                .workers(workers)
+                .collection_mode(mode)
+                .spill(SpillConfig::new(&dir))
+                .build()
+                .expect("valid config"),
+        };
         let (_, report) = run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_query_matches_legacy(

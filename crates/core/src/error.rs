@@ -18,8 +18,9 @@ pub enum CoreError {
 /// The workspace's named configuration-validation failure.
 ///
 /// Defined in `remnant-engine` (the bottom of the dependency graph) and
-/// re-exported here so `StudyConfig`, `ReproConfig`, and `EngineConfig`
-/// builders all reject fields with one type and one rendering.
+/// re-exported here so `EngineConfig`, `StudyConfig` and the `repro`
+/// harness's `ReproConfig` all reject fields with one type and one
+/// rendering.
 pub use remnant_engine::ConfigFieldError;
 
 impl From<ConfigFieldError> for CoreError {

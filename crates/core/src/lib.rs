@@ -77,7 +77,7 @@ pub use error::{ConfigFieldError, CoreError};
 pub use matchers::ProviderMatcher;
 pub use passes::{SnapshotAggregates, SnapshotPasses};
 pub use remnant_obs::{Instrumented, MetricsRegistry, Obs, ObsReport};
-pub use session::{RoundProgress, RoundSummary, StudySession};
+pub use session::{RoundSummary, StudySession};
 pub use snapshot::{BlockSource, DnsSnapshot, LoadedBlock, RecordBlock, SiteRecords, SiteView};
 pub use spill::{SpillConfig, SpillError, SpillFile, SpillMeta, SpillRef};
 pub use study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};

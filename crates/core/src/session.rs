@@ -8,8 +8,6 @@
 //! [`run`](StudySession::run). A process runs one campaign at a time: a
 //! batch of campaigns (`repro study --jobs N`) runs its sessions one
 //! after another, each on its own [`World::fork`] of one generated world.
-//! Between rounds a caller may build a [`RoundProgress`] from the round's
-//! [`RoundSummary`].
 //!
 //! Every round takes one path whatever the configuration: the collector
 //! (full or delta, chosen once at construction) collects into memory or
@@ -24,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use remnant_engine::{EngineConfig, ScanEngine, SweepStats};
-use remnant_obs::{Obs, ObsReport, Span};
+use remnant_obs::{Obs, Span};
 use remnant_provider::ProviderId;
 use remnant_world::World;
 
@@ -34,38 +32,11 @@ use crate::residual::{
     CloudflareScanner, ExposureTracker, FilterPipeline, IncapsulaScanner, WeeklyScanReport,
     CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT,
 };
-use crate::study::{CollectionMode, CollectionReport, StudyConfig, StudyReport};
+use crate::study::{CollectionMode, StudyConfig, StudyReport};
 use crate::unchanged::{self, UnchangedStudy};
 use crate::SCANNER_SOURCE;
 
-/// One round's progress, built by [`StudySession::progress`] after the
-/// round.
-///
-/// Carries the session's cumulative [`CollectionReport`] and a full
-/// [`ObsReport`] snapshot — the same payloads the final [`StudyReport`]
-/// exposes, taken mid-flight — so a caller can render live counters
-/// between rounds. Every field is deterministic: the payload is built
-/// purely from session state on virtual time.
-#[derive(Clone, Debug)]
-pub struct RoundProgress {
-    /// 0-based day index of the finished round.
-    pub day: u32,
-    /// Total rounds this session will run.
-    pub days_total: u32,
-    /// Sites in the session's target list.
-    pub sites: usize,
-    /// DNS queries the round's collection sweep issued.
-    pub round_queries: u64,
-    /// The week number, when this round also ran the weekly residual
-    /// scans.
-    pub scanned_week: Option<u32>,
-    /// Cumulative collection/reuse accounting after this round.
-    pub collection: CollectionReport,
-    /// The session's observability snapshot after this round.
-    pub obs: ObsReport,
-}
-
-/// A summary of one executed round, before any progress payload is built.
+/// A summary of one executed round.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundSummary {
     /// 0-based day index of the finished round.
@@ -303,20 +274,6 @@ impl StudySession {
         );
     }
 
-    /// Builds the progress payload for a finished round: the summary
-    /// plus cumulative collection accounting and a full obs snapshot.
-    pub fn progress(&self, summary: RoundSummary) -> RoundProgress {
-        RoundProgress {
-            day: summary.day,
-            days_total: self.days,
-            sites: self.targets.len(),
-            round_queries: summary.round_queries,
-            scanned_week: summary.scanned_week,
-            collection: self.report.collection.clone(),
-            obs: self.obs.report(),
-        }
-    }
-
     /// Finalizes the campaign and returns its [`StudyReport`]. Call after
     /// [`round`](StudySession::round) returns `None`; calling earlier
     /// reports whatever the executed rounds accumulated.
@@ -446,37 +403,6 @@ mod tests {
         assert_eq!(summaries.len(), 7);
         assert_eq!(summaries[0].scanned_week, Some(0));
         assert!(summaries[1..].iter().all(|s| s.scanned_week.is_none()));
-    }
-
-    #[test]
-    fn progress_stream_carries_cumulative_state() {
-        let mut w = world(9);
-        let mut session = StudySession::new(config(), &w);
-        let mut events: Vec<RoundProgress> = Vec::new();
-        while let Some(summary) = session.round(&mut w, &mut |_| {}) {
-            events.push(session.progress(summary));
-        }
-        let report = session.finish();
-        assert_eq!(events.len(), 7);
-        for (day, event) in events.iter().enumerate() {
-            assert_eq!(event.day, day as u32);
-            assert_eq!(event.days_total, 7);
-            assert_eq!(event.sites, 800);
-            assert!(event.round_queries > 0);
-            assert_eq!(event.collection.rounds, day as u64 + 1);
-        }
-        // The final round's obs snapshot carries the merged per-shard
-        // telemetry (the report then adds finalization counters on top).
-        let last = events.last().unwrap();
-        let resolver_a = |obs: &ObsReport| {
-            obs.counter(
-                "resolver.queries",
-                &[("component", "dns.resolver"), ("qtype", "A")],
-            )
-        };
-        assert!(resolver_a(&last.obs) > 0, "mid-flight telemetry present");
-        assert_eq!(resolver_a(&last.obs), resolver_a(report.obs()));
-        assert_eq!(report.collection().rounds, 7);
     }
 
     #[test]

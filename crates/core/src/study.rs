@@ -742,7 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn even_intervals_are_exactly_daily() {
+    fn uniform_intervals_are_exactly_daily() {
         let mut world = World::generate(WorldConfig {
             population: 1_000,
             seed: 4,

@@ -15,8 +15,8 @@
 //!   virtual time;
 //! * [`seed`] — label-based derivation of independent deterministic RNG
 //!   streams from a single root seed;
-//! * [`stats`] — counters, histograms, empirical CDFs and series used to
-//!   regenerate the paper's figures.
+//! * [`stats`] — empirical CDFs and series used to regenerate the paper's
+//!   figures.
 //!
 //! # Example
 //!

@@ -1,66 +1,9 @@
 //! Statistics containers used to regenerate the paper's figures.
 //!
 //! The paper reports daily behavior counts (Fig 3), CDFs of pause periods
-//! (Fig 5), adoption breakdowns (Fig 2/6), and weekly exposure series
-//! (Fig 9). These containers collect raw samples during a simulation run and
-//! expose the derived shapes the figures plot.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A labelled monotone counter.
-///
-/// # Example
-///
-/// ```
-/// use remnant_sim::stats::Counter;
-///
-/// let mut joins = Counter::new("JOIN");
-/// joins.add(3);
-/// joins.incr();
-/// assert_eq!(joins.value(), 4);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Counter {
-    label: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new(label: impl Into<String>) -> Self {
-        Counter {
-            label: label.into(),
-            value: 0,
-        }
-    }
-
-    /// The counter's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.label, self.value)
-    }
-}
+//! (Fig 5) and weekly exposure series (Fig 9). These containers collect raw
+//! samples during a simulation run and expose the derived shapes the
+//! figures plot.
 
 /// An empirical distribution built from `f64` samples.
 ///
@@ -252,109 +195,9 @@ impl Series {
     }
 }
 
-/// A categorical breakdown (label -> count), e.g. per-provider adoption for
-/// Fig 2. Iteration order is the labels' sort order, which keeps rendered
-/// tables stable.
-///
-/// # Example
-///
-/// ```
-/// use remnant_sim::stats::Breakdown;
-///
-/// let mut b = Breakdown::new();
-/// b.add("Cloudflare", 790);
-/// b.add("Incapsula", 37);
-/// assert_eq!(b.total(), 827);
-/// assert!((b.share("Cloudflare").unwrap() - 0.9553).abs() < 1e-3);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Breakdown {
-    counts: BTreeMap<String, u64>,
-}
-
-impl Breakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> Self {
-        Breakdown::default()
-    }
-
-    /// Adds `n` to `label`'s bucket, creating it if absent.
-    pub fn add(&mut self, label: impl Into<String>, n: u64) {
-        *self.counts.entry(label.into()).or_insert(0) += n;
-    }
-
-    /// Adds one to `label`'s bucket.
-    pub fn incr(&mut self, label: impl Into<String>) {
-        self.add(label, 1);
-    }
-
-    /// The count for `label`, if present.
-    pub fn get(&self, label: &str) -> Option<u64> {
-        self.counts.get(label).copied()
-    }
-
-    /// Sum of all buckets.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// `label`'s share of the total, or `None` if the label is absent or the
-    /// total is zero.
-    pub fn share(&self, label: &str) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        self.counts.get(label).map(|n| *n as f64 / total as f64)
-    }
-
-    /// Iterates `(label, count)` in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Number of distinct labels.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True if no labels were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-}
-
-impl<'a> IntoIterator for &'a Breakdown {
-    type Item = (&'a str, u64);
-    type IntoIter = std::vec::IntoIter<(&'a str, u64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
-    }
-}
-
-impl FromIterator<(String, u64)> for Breakdown {
-    fn from_iter<T: IntoIterator<Item = (String, u64)>>(iter: T) -> Self {
-        let mut b = Breakdown::new();
-        for (label, n) in iter {
-            b.add(label, n);
-        }
-        b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.to_string(), "x=5");
-    }
 
     #[test]
     fn ecdf_fractions() {
@@ -410,26 +253,5 @@ mod tests {
         assert_eq!(s.mean_y(), Some(145.0));
         assert_eq!(s.max_y(), Some(150.0));
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn breakdown_shares() {
-        let mut b = Breakdown::new();
-        b.add("a", 3);
-        b.incr("b");
-        b.incr("a");
-        assert_eq!(b.get("a"), Some(4));
-        assert_eq!(b.total(), 5);
-        assert_eq!(b.share("b"), Some(0.2));
-        assert_eq!(b.share("missing"), None);
-        let labels: Vec<&str> = b.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn breakdown_empty_share_is_none() {
-        let b = Breakdown::new();
-        assert_eq!(b.share("a"), None);
-        assert!(b.is_empty());
     }
 }
