@@ -79,10 +79,9 @@ use remnant::core::SpillConfig;
 use remnant_bench::perf::peak_rss_bytes;
 use remnant_bench::{
     render_ablation, render_fig1, render_fig2_adoption, render_fig3_behaviors,
-    render_fig4_behaviors, render_fig5_pauses, render_fig6_adoption, render_fig7,
-    render_fig8_from_obs, render_fig8_residual, render_fig9_exposure, render_purge,
-    render_residual_scan, render_study_batch, render_table1, render_table2,
-    render_table5_unchanged, render_table6_residual, run_study, run_study_batch, ReproConfig,
+    render_fig4_behaviors, render_fig5_pauses, render_fig6_adoption, render_fig8_from_obs,
+    render_purge, render_residual_scan, render_study_batch, render_study_figures, render_table1,
+    render_table2, run_study, run_study_batch, ReproConfig,
 };
 
 /// Every experiment name `repro` accepts.
@@ -210,12 +209,7 @@ fn query_experiment(config: &ReproConfig) -> ExitCode {
         .rounds()
         .filter(|m| m.kind == RoundKind::Delta)
         .count();
-    let reused: usize = store
-        .query()
-        .generation_diff()
-        .iter()
-        .map(|d| d.clean)
-        .sum();
+    let reused: usize = store.generation_diff().iter().map(|d| d.clean).sum();
     eprintln!(
         "store: {} rounds ({} delta) over {} sites, {} shards, {} shard-rounds chained",
         store.len(),
@@ -254,10 +248,6 @@ fn query_experiment(config: &ReproConfig) -> ExitCode {
     );
     let aggregates = PassesPlan.execute_with(&ctx);
     let residual = ResidualScanPlan::default().execute_with(&ctx);
-    eprintln!(
-        "query: residual funnel columns need recorded metrics (none loaded); \
-         scan populations are derived from the rounds"
-    );
     println!("{}", render_fig2_adoption(&config, &aggregates.adoption));
     println!("{}", render_fig3_behaviors(&config, &aggregates.behaviors));
     println!("{}", render_fig4_behaviors(&aggregates.behaviors));
@@ -353,14 +343,18 @@ fn main() -> ExitCode {
     if study_free && config.study.spill.is_some() {
         eprintln!("repro: --spill-dir ignored for '{experiment}' (no study runs)");
     }
-    // Validate the flag combination up front: a bad --sites/--weeks/
-    // --workers value or an unusable --spill-dir fails here with a named
-    // error instead of panicking mid-study.
-    if !study_free {
-        if let Err(e) = config.validate() {
-            eprintln!("repro: {e}");
-            return usage();
-        }
+    // Validate the flag combination up front: a bad --sites value fails
+    // every experiment here with a named error, and so, for experiments
+    // that run a study, does a bad --weeks/--workers value or an unusable
+    // --spill-dir, instead of panicking mid-study.
+    let checked = if study_free {
+        config.validate_population()
+    } else {
+        config.validate()
+    };
+    if let Err(e) = checked {
+        eprintln!("repro: {e}");
+        return usage();
     }
     match experiment.as_str() {
         "table2" => {
@@ -440,38 +434,26 @@ fn main() -> ExitCode {
         eprintln!("metrics written to {path}\n");
     }
 
-    let residual = report.residual();
-    let render = |name: &str| -> Option<String> {
-        match name {
-            "fig2" => Some(render_fig2_adoption(&config, report.adoption())),
-            "fig3" => Some(render_fig3_behaviors(&config, report.behaviors())),
-            "fig4" => Some(render_fig4_behaviors(report.behaviors())),
-            "fig5" => Some(render_fig5_pauses(report.pauses())),
-            "fig6" => Some(render_fig6_adoption(report.adoption())),
-            "fig7" => Some(render_fig7(&world)),
-            "fig8" => Some(render_fig8_residual(residual)),
-            "funnel" => Some(render_fig8_from_obs(report.obs())),
-            "fig9" => Some(render_fig9_exposure(&config, &residual.cloudflare.exposure)),
-            "table5" => Some(render_table5_unchanged(&config, report.unchanged())),
-            "table6" => Some(render_table6_residual(&config, residual)),
-            _ => None,
-        }
-    };
-
+    if experiment == "funnel" {
+        println!("{}", render_fig8_from_obs(report.obs()));
+        return ExitCode::SUCCESS;
+    }
+    let figures = render_study_figures(&config, &world, &report);
     if experiment == "all" {
         println!("{}", render_table2());
-        for name in [
-            "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table5", "table6",
-        ] {
-            println!("{}", render(name).expect("known experiment"));
+        for (_, figure) in &figures {
+            println!("{figure}");
         }
         println!("{}", render_fig1(study.seed));
         println!("{}", render_purge(study.seed));
         println!("{}", render_table1(&config));
         ExitCode::SUCCESS
     } else {
-        let rendered = render(&experiment).expect("experiment checked against EXPERIMENTS");
-        println!("{rendered}");
+        let (_, figure) = figures
+            .iter()
+            .find(|(name, _)| *name == experiment)
+            .expect("experiment checked against EXPERIMENTS");
+        println!("{figure}");
         ExitCode::SUCCESS
     }
 }

@@ -58,6 +58,13 @@ impl ReproConfig {
     /// population bounds, then [`StudyConfig::validate`], then a
     /// writability probe of the spill directory.
     pub fn validate(&self) -> Result<(), ConfigFieldError> {
+        self.validate_population()?;
+        validate_study(&self.study)
+    }
+
+    /// The population bounds alone: what every experiment that generates
+    /// a world needs, whether or not it runs a study.
+    pub fn validate_population(&self) -> Result<(), ConfigFieldError> {
         if self.population == 0 {
             return Err(ConfigFieldError::new(
                 "population",
@@ -72,7 +79,7 @@ impl ReproConfig {
                 "the paper's universe tops out at 1,000,000 sites",
             ));
         }
-        validate_study(&self.study)
+        Ok(())
     }
 }
 
@@ -424,26 +431,13 @@ pub fn render_fig8_from_obs(obs: &ObsReport) -> String {
 
 /// The residual-scan timeline re-derived from campaign artifacts alone —
 /// the query layer's `ResidualScanPlan` output (Table VI / Fig 8 shape,
-/// one row per scan week per provider).
-///
-/// The scan populations come from the persisted rounds; the funnel
-/// columns come from recorded `filter.*` metrics and render as zero when
-/// the plan ran without an [`ObsReport`].
+/// one row per scan week per provider): each week's scan population,
+/// counted from the persisted rounds.
 pub fn render_residual_scan(
     config: &ReproConfig,
     scan: &remnant::query::ResidualScanReport,
 ) -> String {
-    let mut table = TextTable::new([
-        "Provider",
-        "Week",
-        "Day",
-        "Scan population",
-        "Scaled to 1M",
-        "Retrieved",
-        "After IP-matching",
-        "Hidden",
-        "Verified",
-    ]);
+    let mut table = TextTable::new(["Provider", "Week", "Day", "Scan population", "Scaled to 1M"]);
     for provider in &scan.providers {
         for week in &provider.weekly {
             table.row([
@@ -452,18 +446,11 @@ pub fn render_residual_scan(
                 week.day.to_string(),
                 week.adopted.to_string(),
                 format!("{:.0}", week.adopted as f64 * config.to_paper_scale()),
-                week.retrieved.to_string(),
-                week.after_ip_matching.to_string(),
-                week.hidden.to_string(),
-                week.verified.to_string(),
             ]);
         }
     }
     FigureBuilder::new()
-        .line(
-            "TABLE VI / FIG 8 timeline: weekly residual scans re-derived from \
-             persisted rounds plus recorded metrics",
-        )
+        .line("TABLE VI / FIG 8 timeline: weekly residual scans re-derived from persisted rounds")
         .table(&table)
         .finish()
 }
@@ -594,6 +581,35 @@ pub fn render_table6_residual(config: &ReproConfig, residual: &ResidualReport) -
          (fleet harvested: {} nameservers; paper: 391. tokens harvested: {})\n{table}",
         residual.fleet_size, residual.harvested_tokens
     )
+}
+
+/// Every study-derived figure `repro all` prints, in print order, each
+/// under the experiment name that prints it alone (`repro fig5`): Figs
+/// 2–9, then Tables V and VI. `world` is the world after the study.
+pub fn render_study_figures(
+    config: &ReproConfig,
+    world: &World,
+    report: &StudyReport,
+) -> Vec<(&'static str, String)> {
+    let residual = report.residual();
+    vec![
+        ("fig2", render_fig2_adoption(config, report.adoption())),
+        ("fig3", render_fig3_behaviors(config, report.behaviors())),
+        ("fig4", render_fig4_behaviors(report.behaviors())),
+        ("fig5", render_fig5_pauses(report.pauses())),
+        ("fig6", render_fig6_adoption(report.adoption())),
+        ("fig7", render_fig7(world)),
+        ("fig8", render_fig8_residual(residual)),
+        (
+            "fig9",
+            render_fig9_exposure(config, &residual.cloudflare.exposure),
+        ),
+        (
+            "table5",
+            render_table5_unchanged(config, report.unchanged()),
+        ),
+        ("table6", render_table6_residual(config, residual)),
+    ]
 }
 
 /// Fig 1: the end-to-end threat model demo (delegates to the attack crate).

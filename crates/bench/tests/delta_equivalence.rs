@@ -11,19 +11,15 @@
 use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
 use remnant::core::StudySession;
 use remnant::world::{World, WorldConfig};
-use remnant_bench::{
-    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
-    render_fig6_adoption, render_fig8_residual, render_fig9_exposure, render_table5_unchanged,
-    render_table6_residual, ReproConfig,
-};
+use remnant_bench::{render_study_figures, ReproConfig};
 
 const POPULATION: usize = 2_500;
 const WEEKS: u32 = 4;
 const SEED: u64 = 17;
 
 /// One full study in `mode`: the concatenated encodings of all 28 daily
-/// snapshots, plus the report.
-fn run(mode: CollectionMode, workers: usize) -> (String, StudyReport) {
+/// snapshots, the world after the study, and the report.
+fn run(mode: CollectionMode, workers: usize) -> (String, World, StudyReport) {
     let mut world = World::generate(WorldConfig::new(POPULATION, SEED));
     let config = StudyConfig::builder()
         .weeks(WEEKS)
@@ -36,33 +32,25 @@ fn run(mode: CollectionMode, workers: usize) -> (String, StudyReport) {
     let report = StudySession::new(config, &world).run(&mut world, &mut |snapshot| {
         snapshots.push_str(&snapshot.encode())
     });
-    (snapshots, report)
+    (snapshots, world, report)
 }
 
-/// Everything `repro` prints from the study report, in `repro all` order.
-fn rendered_output(report: &StudyReport) -> String {
+/// Everything `repro all` prints from the study, in print order.
+fn rendered_output(world: &World, report: &StudyReport) -> String {
     let config = ReproConfig {
         population: POPULATION,
         ..ReproConfig::default()
     };
-    let residual = report.residual();
-    [
-        render_fig2_adoption(&config, report.adoption()),
-        render_fig3_behaviors(&config, report.behaviors()),
-        render_fig4_behaviors(report.behaviors()),
-        render_fig5_pauses(report.pauses()),
-        render_fig6_adoption(report.adoption()),
-        render_fig8_residual(residual),
-        render_fig9_exposure(&config, &residual.cloudflare.exposure),
-        render_table5_unchanged(&config, report.unchanged()),
-        render_table6_residual(&config, residual),
-    ]
-    .join("\n")
+    render_study_figures(&config, world, report)
+        .into_iter()
+        .map(|(_, figure)| figure)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn assert_equivalent(workers: usize) {
-    let (full_snaps, full) = run(CollectionMode::Full, workers);
-    let (delta_snaps, delta) = run(CollectionMode::Delta, workers);
+    let (full_snaps, full_world, full) = run(CollectionMode::Full, workers);
+    let (delta_snaps, delta_world, delta) = run(CollectionMode::Delta, workers);
 
     // Every daily snapshot, byte for byte.
     assert_eq!(
@@ -71,8 +59,8 @@ fn assert_equivalent(workers: usize) {
     );
     // The rendered evaluation, byte for byte.
     assert_eq!(
-        rendered_output(&full),
-        rendered_output(&delta),
+        rendered_output(&full_world, &full),
+        rendered_output(&delta_world, &delta),
         "rendered study output must be byte-identical"
     );
     // The observability snapshot, byte for byte: counters, histograms, and

@@ -3,9 +3,7 @@
 
 use remnant::core::study::StudyConfig;
 use remnant_bench::{
-    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
-    render_fig6_adoption, render_fig7, render_fig8_from_obs, render_fig8_residual,
-    render_fig9_exposure, render_table5_unchanged, render_table6_residual, run_study, ReproConfig,
+    render_fig8_from_obs, render_fig8_residual, render_study_figures, run_study, ReproConfig,
 };
 
 fn config(workers: usize) -> ReproConfig {
@@ -20,26 +18,17 @@ fn config(workers: usize) -> ReproConfig {
     }
 }
 
-/// Everything `repro` prints from the study report, in `repro all` order.
+/// Everything `repro all` prints from the study, in print order.
 fn rendered_output(
     config: &ReproConfig,
     world: &remnant::world::World,
     report: &remnant::core::study::StudyReport,
 ) -> String {
-    let residual = report.residual();
-    [
-        render_fig2_adoption(config, report.adoption()),
-        render_fig3_behaviors(config, report.behaviors()),
-        render_fig4_behaviors(report.behaviors()),
-        render_fig5_pauses(report.pauses()),
-        render_fig6_adoption(report.adoption()),
-        render_fig7(world),
-        render_fig8_residual(residual),
-        render_fig9_exposure(config, &residual.cloudflare.exposure),
-        render_table5_unchanged(config, report.unchanged()),
-        render_table6_residual(config, residual),
-    ]
-    .join("\n")
+    render_study_figures(config, world, report)
+        .into_iter()
+        .map(|(_, figure)| figure)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[test]

@@ -20,20 +20,15 @@ mod reference;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use remnant::core::collector::Target;
 use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
-use remnant::core::unchanged::{self, UnchangedCandidate};
 use remnant::core::{
     Adoption, BehaviorDetector, DnsSnapshot, DpsStatus, SnapshotAggregates, SpillConfig,
     StudySession,
 };
-use remnant::provider::ProviderId;
 use remnant::query::{
-    ClassifiedQuery, PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan,
-    ResidualScanReport, ResidualScanWeek, SnapshotStore, UnchangedCandidatesPlan,
-    RESIDUAL_PROVIDERS,
+    PassesPlan, PlanContext, ProviderResidualScan, ResidualScanPlan, ResidualScanReport,
+    ResidualScanWeek, SnapshotStore, RESIDUAL_PROVIDERS,
 };
-use remnant::sim::stats::Series;
 use remnant::world::{World, WorldConfig};
 use remnant_bench::ReproConfig;
 
@@ -61,56 +56,28 @@ fn fresh_spill_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn campaign_targets(config: &ReproConfig) -> Vec<Target> {
-    let world = World::generate(WorldConfig::new(config.population, config.study.seed));
-    world
-        .sites()
-        .iter()
-        .map(|s| (s.apex.clone(), s.www.clone()))
-        .collect()
-}
-
 /// Reference for `PassesPlan`: the per-site reference over every round's
 /// records.
 fn reference_passes(store: &SnapshotStore) -> SnapshotAggregates {
     let mut passes = ReferencePasses::new(store.sites());
-    for round in store.query().snapshots() {
-        passes.observe_records(round.meta.day, &round.snapshot);
+    for i in 0..store.len() {
+        passes.observe_records(store.meta(i).day, &store.snapshot(i));
     }
     passes.finish()
 }
 
-/// Reference for `UnchangedCandidatesPlan`: behaviors diffed by the
-/// per-site reference, candidates extracted from consecutive snapshots.
-fn reference_unchanged(store: &SnapshotStore, targets: &[Target]) -> Vec<UnchangedCandidate> {
-    let mut passes = ReferencePasses::new(store.sites());
-    let mut prev: Option<DnsSnapshot> = None;
-    let mut out = Vec::new();
-    for round in store.query().snapshots() {
-        let behaviors = passes.observe_records(round.meta.day, &round.snapshot);
-        if let Some(prev_snap) = &prev {
-            out.extend(unchanged::candidates(
-                targets,
-                &behaviors,
-                prev_snap,
-                &round.snapshot,
-            ));
-        }
-        prev = Some(round.snapshot);
-    }
-    out
-}
-
-/// Reference for `ResidualScanPlan::default()` (no recorded metrics, so
-/// every funnel column is zero): each scan round reclassified in full,
-/// every site counted.
+/// Reference for `ResidualScanPlan`: each scan round reclassified in
+/// full, every site counted.
 fn reference_residual(store: &SnapshotStore) -> ResidualScanReport {
     let detector = BehaviorDetector::new();
-    let scan_rounds: Vec<(u32, Vec<Adoption>)> = store
-        .query()
-        .snapshots()
-        .filter(|round| round.meta.day % 7 == 0)
-        .map(|round| (round.meta.day, detector.classify_snapshot(&round.snapshot)))
+    let scan_rounds: Vec<(u32, Vec<Adoption>)> = (0..store.len())
+        .filter(|&i| store.meta(i).day.is_multiple_of(7))
+        .map(|i| {
+            (
+                store.meta(i).day,
+                detector.classify_snapshot(&store.snapshot(i)),
+            )
+        })
         .collect();
     ResidualScanReport {
         providers: RESIDUAL_PROVIDERS
@@ -126,10 +93,6 @@ fn reference_residual(store: &SnapshotStore) -> ResidualScanReport {
                             .iter()
                             .filter(|c| c.provider == Some(provider) && c.status == DpsStatus::On)
                             .count(),
-                        retrieved: 0,
-                        after_ip_matching: 0,
-                        hidden: 0,
-                        verified: 0,
                     })
                     .collect(),
             })
@@ -137,39 +100,9 @@ fn reference_residual(store: &SnapshotStore) -> ResidualScanReport {
     }
 }
 
-/// Reference for `ClassifiedStore::{classified, provider}`: every round
-/// reclassified in full, every site counted.
-fn reference_classified(store: &SnapshotStore, provider: Option<ProviderId>) -> ClassifiedQuery {
-    let detector = BehaviorDetector::new();
-    let label = match provider {
-        Some(p) => format!("adopted.{p}"),
-        None => "adopted".to_owned(),
-    };
-    let mut adopted_series = Series::new(label);
-    let mut adopted_final = 0;
-    for round in store.query().snapshots() {
-        adopted_final = detector
-            .classify_snapshot(&round.snapshot)
-            .iter()
-            .filter(|c| c.status == DpsStatus::On && provider.is_none_or(|p| c.provider == Some(p)))
-            .count();
-        adopted_series.push(f64::from(round.meta.day), adopted_final as f64);
-    }
-    ClassifiedQuery {
-        provider,
-        adopted_final,
-        adopted_series,
-    }
-}
-
-/// The differential itself: every plan plus the index-accelerated
-/// classified folds, cached vs the uncached references, byte for byte.
-fn assert_cached_matches_uncached(
-    config: &ReproConfig,
-    store: &SnapshotStore,
-    workers: usize,
-    context: &str,
-) {
+/// The differential itself: every plan, cached vs the uncached
+/// references, byte for byte.
+fn assert_cached_matches_uncached(store: &SnapshotStore, workers: usize, context: &str) {
     let ctx = PlanContext::new(store, workers);
 
     let reference = reference_passes(store);
@@ -190,35 +123,11 @@ fn assert_cached_matches_uncached(
         "{context}: pause"
     );
 
-    let targets = campaign_targets(config);
-    let unchanged = UnchangedCandidatesPlan {
-        targets: targets.clone(),
-    };
-    assert_eq!(
-        reference_unchanged(store, &targets),
-        unchanged.execute_with(&ctx),
-        "{context}: unchanged candidates"
-    );
-
     assert_eq!(
         reference_residual(store),
         ResidualScanPlan::default().execute_with(&ctx),
         "{context}: residual scan"
     );
-
-    // The index-accelerated classified folds vs the full-scan reference.
-    assert_eq!(
-        format!("{:?}", reference_classified(store, None)),
-        format!("{:?}", ctx.classified().classified()),
-        "{context}: classified fold"
-    );
-    for provider in RESIDUAL_PROVIDERS {
-        assert_eq!(
-            format!("{:?}", reference_classified(store, Some(provider))),
-            format!("{:?}", ctx.classified().provider(provider)),
-            "{context}: provider fold {provider:?}"
-        );
-    }
 }
 
 #[test]
@@ -235,7 +144,7 @@ fn in_memory_cached_plans_match_uncached() {
         };
         let (snapshots, _) = run_captured(&config);
         let store = SnapshotStore::in_memory(snapshots).expect("in-memory store");
-        assert_cached_matches_uncached(&config, &store, workers, &format!("in-memory w{workers}"));
+        assert_cached_matches_uncached(&store, workers, &format!("in-memory w{workers}"));
     }
 }
 
@@ -256,7 +165,7 @@ fn spill_full_cached_plans_match_uncached() {
         };
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
-        assert_cached_matches_uncached(&config, &store, workers, &format!("spill-full w{workers}"));
+        assert_cached_matches_uncached(&store, workers, &format!("spill-full w{workers}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -278,12 +187,7 @@ fn spill_delta_cached_plans_match_uncached() {
         };
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
-        assert_cached_matches_uncached(
-            &config,
-            &store,
-            workers,
-            &format!("spill-delta w{workers}"),
-        );
+        assert_cached_matches_uncached(&store, workers, &format!("spill-delta w{workers}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -314,7 +218,7 @@ fn delta_cache_counters_account_for_chained_shards() {
 
     let ctx = PlanContext::new(&store, 1);
     let (hits, misses) = ctx.classified().cache_stats();
-    let diffs = store.query().generation_diff();
+    let diffs = store.generation_diff();
     let clean: u64 = diffs.iter().map(|d| d.clean as u64).sum();
     let dirty: u64 = diffs.iter().map(|d| d.dirty as u64).sum();
     assert_eq!(hits, clean, "clean shard-rounds reuse cached columns");
@@ -355,7 +259,6 @@ proptest! {
         run_captured(&config);
         let store = SnapshotStore::open(&dir).expect("store opens");
         assert_cached_matches_uncached(
-            &config,
             &store,
             workers,
             &format!("prop seed={seed} pop={population} w{workers} {mode:?}"),

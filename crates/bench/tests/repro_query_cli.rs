@@ -4,7 +4,8 @@
 //! in-process from a `PlanContext` over the same directory. The removed
 //! `--uncached`, `--bind` and `--duration` flags must be rejected like any
 //! other unknown flag, and an unknown experiment (the removed `serve`
-//! among them) before any study runs. A study run reports its peak RSS on
+//! among them) or an out-of-range `--population` (for a study-free
+//! experiment too) before any study runs. A study run reports its peak RSS on
 //! stderr, never in the rendered figures; a `study` batch prints the same
 //! summary at every worker count.
 
@@ -104,8 +105,9 @@ fn uncached_flag_is_gone() {
 
 #[test]
 fn rejected_inputs_print_nothing_and_run_no_study() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["serve", "--sites", "300"], "unknown experiment 'serve'"),
+        (&["table1", "--population", "0"], "population"),
         (&["fig10", "--sites", "300"], "unknown experiment 'fig10'"),
         (&["fig2", "--bind", "127.0.0.1:0"], "unknown flag '--bind'"),
         (&["fig2", "--duration", "1"], "unknown flag '--duration'"),

@@ -17,11 +17,7 @@ use remnant::core::spill::SpillFile;
 use remnant::core::study::{CollectionMode, StudyConfig, StudyReport};
 use remnant::core::{DerivedColumn, SpillConfig, StudySession};
 use remnant::world::{World, WorldConfig};
-use remnant_bench::{
-    render_fig2_adoption, render_fig3_behaviors, render_fig4_behaviors, render_fig5_pauses,
-    render_fig6_adoption, render_fig8_residual, render_fig9_exposure, render_table5_unchanged,
-    render_table6_residual, ReproConfig,
-};
+use remnant_bench::{render_study_figures, ReproConfig};
 
 const POPULATION: usize = 2_500;
 const WEEKS: u32 = 3;
@@ -33,13 +29,13 @@ fn spill_dir(tag: &str) -> PathBuf {
 }
 
 /// One full study: the concatenated text dumps and derived columns of all
-/// daily snapshots, plus the report. `spill` gets a distinct temp dir per
+/// daily snapshots, the world after the study, and the report. `spill` gets a distinct temp dir per
 /// invocation so runs never share files.
 fn run(
     mode: CollectionMode,
     workers: usize,
     spill: Option<&str>,
-) -> (String, Vec<DerivedColumn>, StudyReport) {
+) -> (String, Vec<DerivedColumn>, World, StudyReport) {
     let mut config = StudyConfig::builder()
         .weeks(WEEKS)
         .seed(SEED)
@@ -62,33 +58,25 @@ fn run(
         text.push_str(&snapshot.encode());
         columns.extend(snapshot.derived_columns().cloned());
     });
-    (text, columns, report)
+    (text, columns, world, report)
 }
 
-/// Everything `repro` prints from the study report, in `repro all` order.
-fn rendered_output(report: &StudyReport) -> String {
+/// Everything `repro all` prints from the study, in print order.
+fn rendered_output(world: &World, report: &StudyReport) -> String {
     let config = ReproConfig {
         population: POPULATION,
         ..ReproConfig::default()
     };
-    let residual = report.residual();
-    [
-        render_fig2_adoption(&config, report.adoption()),
-        render_fig3_behaviors(&config, report.behaviors()),
-        render_fig4_behaviors(report.behaviors()),
-        render_fig5_pauses(report.pauses()),
-        render_fig6_adoption(report.adoption()),
-        render_fig8_residual(residual),
-        render_fig9_exposure(&config, &residual.cloudflare.exposure),
-        render_table5_unchanged(&config, report.unchanged()),
-        render_table6_residual(&config, residual),
-    ]
-    .join("\n")
+    render_study_figures(&config, world, report)
+        .into_iter()
+        .map(|(_, figure)| figure)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn assert_equivalent(mode: CollectionMode, workers: usize, tag: &str) {
-    let (mem_text, mem_columns, mem) = run(mode, workers, None);
-    let (spill_text, spill_columns, spilled) = run(mode, workers, Some(tag));
+    let (mem_text, mem_columns, mem_world, mem) = run(mode, workers, None);
+    let (spill_text, spill_columns, spill_world, spilled) = run(mode, workers, Some(tag));
 
     // Every daily snapshot, byte for byte, and its derived columns.
     assert_eq!(
@@ -101,8 +89,8 @@ fn assert_equivalent(mode: CollectionMode, workers: usize, tag: &str) {
     );
     // The rendered evaluation, byte for byte.
     assert_eq!(
-        rendered_output(&mem),
-        rendered_output(&spilled),
+        rendered_output(&mem_world, &mem),
+        rendered_output(&spill_world, &spilled),
         "rendered study output must be byte-identical"
     );
     // The observability snapshot, byte for byte: spilling is a memory-

@@ -23,9 +23,8 @@
 //! chained unchanged — and every other block a miss. Its counts are
 //! deliberately kept out of the byte-compared study reports (the
 //! `CollectionReport` discipline): they depend on the collection mode,
-//! and full-vs-delta equivalence tests compare reports byte-for-byte. Read them via [`ShardClassCache::hits`]/
-//! [`ShardClassCache::misses`] or export them explicitly with
-//! [`Instrumented::export_into`].
+//! and full-vs-delta equivalence tests compare reports byte-for-byte.
+//! Read them via [`ShardClassCache::hits`]/[`ShardClassCache::misses`].
 //!
 //! [`BlockSource`]: crate::snapshot::BlockSource
 
@@ -33,7 +32,6 @@ use std::sync::Arc;
 
 use remnant_dns::DomainName;
 use remnant_engine::ScanEngine;
-use remnant_obs::{Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS};
 
 use crate::adoption::{Adoption, PackedAdoption};
 use crate::behavior::BehaviorDetector;
@@ -194,19 +192,6 @@ impl ShardClassCache {
     ) -> SnapshotColumns {
         let shards = self.shard_columns(snapshot);
         concat_columns(shards.iter().map(|(column, _)| column.as_ref()))
-    }
-}
-
-impl Instrumented for ShardClassCache {
-    fn component(&self) -> &'static str {
-        "core.class_cache"
-    }
-
-    fn counters(&self) -> Vec<(MetricKey, u64)> {
-        vec![
-            (MetricKey::named(QUERY_CACHE_HIT), self.hits),
-            (MetricKey::named(QUERY_CACHE_MISS), self.misses),
-        ]
     }
 }
 

@@ -387,8 +387,7 @@ impl Instrumented for EngineReport {
 /// numbers necessarily differ between the two modes, so — unlike
 /// [`EngineReport`] — they are **never** absorbed into the study's
 /// [`ObsReport`]: the report must stay byte-identical across modes. Read
-/// them here, or export them into a private registry via the
-/// [`Instrumented`] impl.
+/// them here.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CollectionReport {
     /// The mode the rounds ran in.
@@ -423,30 +422,6 @@ impl CollectionReport {
         } else {
             self.reused as f64 / total as f64
         }
-    }
-}
-
-impl Instrumented for CollectionReport {
-    fn component(&self) -> &'static str {
-        "collect.report"
-    }
-
-    /// The delta-reuse counters. Deliberately **not** absorbed into the
-    /// study's own obs registry: they differ between modes, and the study's
-    /// [`ObsReport`] must not.
-    fn counters(&self) -> Vec<(MetricKey, u64)> {
-        vec![
-            (MetricKey::named("collect.rounds"), self.rounds),
-            (MetricKey::named(remnant_obs::COLLECT_REUSED), self.reused),
-            (
-                MetricKey::named(remnant_obs::COLLECT_RERESOLVED),
-                self.reresolved,
-            ),
-            (
-                MetricKey::named(remnant_obs::COLLECT_REFRESH_STRATUM),
-                self.refresh_stratum,
-            ),
-        ]
     }
 }
 
@@ -548,7 +523,6 @@ pub fn vantage_catchment(world: &World, provider: ProviderId) -> Vec<(Region, St
 mod tests {
     use super::*;
     use crate::StudySession;
-    use remnant_obs::MetricsRegistry;
     use remnant_world::WorldConfig;
 
     fn run_study(population: usize, weeks: u32, seed: u64) -> StudyReport {
@@ -687,25 +661,6 @@ mod tests {
         assert_eq!(
             delta.collection.reused + delta.collection.reresolved,
             14 * 1_200
-        );
-
-        // The reuse counters stay out of the shared obs report but export
-        // through Instrumented for anyone who wants them.
-        assert_eq!(
-            delta.obs.counter(
-                remnant_obs::COLLECT_REUSED,
-                &[("component", "collect.report")]
-            ),
-            0
-        );
-        let mut registry = MetricsRegistry::new();
-        delta.collection.export_into(&mut registry);
-        assert_eq!(
-            registry.counter_labeled(
-                remnant_obs::COLLECT_REUSED,
-                &[("component", "collect.report")]
-            ),
-            delta.collection.reused
         );
     }
 

@@ -24,29 +24,6 @@ pub const TRANSPORT_ANSWERED: &str = "transport.answered";
 /// Canonical counter name for requests that went unanswered.
 pub const TRANSPORT_IGNORED: &str = "transport.ignored";
 
-/// Canonical counter name for sites whose previous-round records were
-/// reused by a delta-mode collector (structural sharing, no resolution).
-pub const COLLECT_REUSED: &str = "collect.reused";
-/// Canonical counter name for sites re-resolved by a delta-mode collector
-/// because their shard's zone generations changed (or its cache was cold).
-pub const COLLECT_RERESOLVED: &str = "collect.reresolved";
-/// Canonical counter name for sites re-resolved only because their shard
-/// fell into the round's deterministic refresh stratum.
-pub const COLLECT_REFRESH_STRATUM: &str = "collect.refresh_stratum";
-
-/// Canonical counter name for blocks a round chained unchanged from the
-/// previous round, reusing their carried column.
-pub const QUERY_CACHE_HIT: &str = "query.cache.hit";
-/// Canonical counter name for blocks a round did not chain from the
-/// previous round (first sight, or the block was rewritten).
-pub const QUERY_CACHE_MISS: &str = "query.cache.miss";
-/// Canonical counter name for sites a provider posting-list index marks
-/// as ever-adopting (labeled per provider).
-pub const QUERY_INDEX_SITES: &str = "query.index.sites";
-/// Canonical counter name for the in-memory size of a provider
-/// posting-list index, in bytes.
-pub const QUERY_INDEX_BYTES: &str = "query.index.bytes";
-
 /// A component that exposes deterministic counters.
 ///
 /// # Example

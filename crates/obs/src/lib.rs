@@ -48,9 +48,7 @@ mod span;
 mod thread_counters;
 
 pub use instrument::{
-    transport_counters, Instrumented, COLLECT_REFRESH_STRATUM, COLLECT_RERESOLVED, COLLECT_REUSED,
-    QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES, QUERY_INDEX_SITES, TRANSPORT_ANSWERED,
-    TRANSPORT_IGNORED, TRANSPORT_SENT,
+    transport_counters, Instrumented, TRANSPORT_ANSWERED, TRANSPORT_IGNORED, TRANSPORT_SENT,
 };
 pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, DEFAULT_BOUNDS};
@@ -80,15 +78,6 @@ impl Obs {
             clock,
             metrics: MetricsRegistry::new(),
             journal: EventJournal::default(),
-        }
-    }
-
-    /// A context with an explicit journal capacity.
-    pub fn with_journal_capacity(clock: SimClock, capacity: usize) -> Self {
-        Obs {
-            clock,
-            metrics: MetricsRegistry::new(),
-            journal: EventJournal::with_capacity(capacity),
         }
     }
 
@@ -154,7 +143,8 @@ mod tests {
 
     #[test]
     fn journal_capacity_is_configurable() {
-        let mut obs = Obs::with_journal_capacity(SimClock::new(), 2);
+        let mut obs = Obs::new(SimClock::new());
+        obs.journal = EventJournal::with_capacity(2);
         obs.event("a", "");
         obs.event("b", "");
         obs.event("c", "");

@@ -11,9 +11,9 @@
 //!
 //! While assembling, the store builds per-provider posting lists — one
 //! bitset per provider marking every site the campaign *ever* classified
-//! under that provider. Provider-filtered folds and the residual-scan
-//! plan then iterate only those sites: for realistic adoption rates this
-//! skips the overwhelming non-adopting majority.
+//! under that provider. The residual-scan plan then iterates only those
+//! sites: for realistic adoption rates this skips the overwhelming
+//! non-adopting majority.
 //!
 //! [`PlanContext`] wraps the classified store with a memoized
 //! [`SnapshotAggregates`] fold so every plan of a `repro query` run
@@ -23,13 +23,8 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 use remnant_core::classify::{DerivedColumn, ShardClassCache};
-use remnant_core::{Adoption, DpsStatus, SnapshotAggregates, SnapshotPasses};
-use remnant_obs::{
-    Instrumented, MetricKey, QUERY_CACHE_HIT, QUERY_CACHE_MISS, QUERY_INDEX_BYTES,
-    QUERY_INDEX_SITES,
-};
+use remnant_core::{Adoption, SnapshotAggregates, SnapshotPasses};
 use remnant_provider::ProviderId;
-use remnant_sim::stats::Series;
 
 use crate::store::{RoundMeta, SnapshotStore};
 
@@ -47,11 +42,6 @@ impl ClassifiedRound {
     /// The round's position on the campaign timeline.
     pub fn meta(&self) -> &RoundMeta {
         &self.meta
-    }
-
-    /// The per-shard columns, in shard order.
-    pub fn shards(&self) -> &[Arc<DerivedColumn>] {
-        &self.shards
     }
 
     /// The classification of site `rank` in this round.
@@ -99,27 +89,9 @@ impl ProviderIndex {
         self.any[rank / 64] |= 1 << (rank % 64);
     }
 
-    /// Site count the index covers.
-    pub fn sites(&self) -> usize {
-        self.sites
-    }
-
     /// Ranks ever classified under `provider`, ascending.
     pub fn postings(&self, provider: ProviderId) -> impl Iterator<Item = usize> + '_ {
         bitset_iter(&self.bits[provider.index()], self.sites)
-    }
-
-    /// Ranks ever classified under any provider, ascending.
-    pub fn postings_any(&self) -> impl Iterator<Item = usize> + '_ {
-        bitset_iter(&self.any, self.sites)
-    }
-
-    /// Number of ranks in `provider`'s posting list.
-    pub fn count(&self, provider: ProviderId) -> usize {
-        self.bits[provider.index()]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
     }
 
     /// Number of ranks in the any-provider union.
@@ -131,18 +103,6 @@ impl ProviderIndex {
     pub fn bytes(&self) -> usize {
         (self.bits.iter().map(Vec::len).sum::<usize>() + self.any.len()) * 8
     }
-}
-
-/// Per-provider adoption counts folded over every round of a
-/// [`ClassifiedStore`].
-#[derive(Clone, Debug)]
-pub struct ClassifiedQuery {
-    /// Which provider the fold was restricted to (None = any provider).
-    pub provider: Option<ProviderId>,
-    /// Sites with DPS status ON in the *last* round.
-    pub adopted_final: usize,
-    /// ON-site count per round, keyed by day.
-    pub adopted_series: Series,
 }
 
 /// A [`SnapshotStore`] with every round's columns assembled once — see
@@ -195,11 +155,6 @@ impl<'a> ClassifiedStore<'a> {
         }
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &'a SnapshotStore {
-        self.store
-    }
-
     /// The classified rounds, in round order.
     pub fn rounds(&self) -> &[ClassifiedRound] {
         &self.rounds
@@ -229,73 +184,6 @@ impl<'a> ClassifiedStore<'a> {
         }
         passes.finish()
     }
-
-    /// Adoption fold across all providers: the ON-site count per round
-    /// (Table III rules). Only sites in the any-provider posting list are
-    /// consulted.
-    pub fn classified(&self) -> ClassifiedQuery {
-        self.classified_inner(None)
-    }
-
-    /// Adoption fold restricted to one provider; only that provider's
-    /// posting list is consulted.
-    pub fn provider(&self, provider: ProviderId) -> ClassifiedQuery {
-        self.classified_inner(Some(provider))
-    }
-
-    fn classified_inner(&self, provider: Option<ProviderId>) -> ClassifiedQuery {
-        let label = match provider {
-            Some(p) => format!("adopted.{p}"),
-            None => "adopted".to_owned(),
-        };
-        let postings: Vec<usize> = match provider {
-            Some(p) => self.index.postings(p).collect(),
-            None => self.index.postings_any().collect(),
-        };
-        let mut adopted_series = Series::new(label);
-        let mut adopted_final = 0usize;
-        for round in &self.rounds {
-            let adopted = postings
-                .iter()
-                .filter(|&&rank| {
-                    let class = round.class_at(rank);
-                    class.status == DpsStatus::On
-                        && provider.is_none_or(|p| class.provider == Some(p))
-                })
-                .count();
-            adopted_series.push(f64::from(round.meta.day), adopted as f64);
-            adopted_final = adopted;
-        }
-        ClassifiedQuery {
-            provider,
-            adopted_final,
-            adopted_series,
-        }
-    }
-}
-
-impl Instrumented for ClassifiedStore<'_> {
-    fn component(&self) -> &'static str {
-        "query.classified_store"
-    }
-
-    fn counters(&self) -> Vec<(MetricKey, u64)> {
-        let mut counters = vec![
-            (MetricKey::named(QUERY_CACHE_HIT), self.cache_hits),
-            (MetricKey::named(QUERY_CACHE_MISS), self.cache_misses),
-            (
-                MetricKey::named(QUERY_INDEX_BYTES),
-                self.index.bytes() as u64,
-            ),
-        ];
-        for provider in ProviderId::ALL {
-            counters.push((
-                MetricKey::named(QUERY_INDEX_SITES).with_label("provider", provider.name()),
-                self.index.count(provider) as u64,
-            ));
-        }
-        counters
-    }
 }
 
 /// One classified pass shared by every plan of a query run.
@@ -319,11 +207,6 @@ impl<'a> PlanContext<'a> {
             classified: ClassifiedStore::build(store),
             aggregates: OnceCell::new(),
         }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &'a SnapshotStore {
-        self.classified.store()
     }
 
     /// The classified rounds and provider index.

@@ -2,26 +2,24 @@
 //!
 //! A plan is a deterministic computation from a classified store
 //! to a report: the same per-day folds the live study driver runs
-//! ([`SnapshotPasses`]), replayed over persisted rounds. Because the store
+//! ([`SnapshotPasses`](remnant_core::SnapshotPasses)), replayed over persisted rounds. Because the store
 //! reconstructs every round byte-identically to what the collector
 //! produced, a plan's output is byte-identical to the corresponding
 //! section of the live [`StudyReport`](remnant_core::StudyReport) — Fig 3
-//! (behavior series), Fig 5 (pause CDFs), Table III (adoption), and the
-//! Table V candidate list all become queries that need nothing but the
-//! spill directory.
+//! (behavior series), Fig 5 (pause CDFs), Table III (adoption) and the
+//! weekly residual-scan populations all become queries that need nothing
+//! but the spill directory.
 //!
 //! Every plan runs through a [`PlanContext`], so all plans of one query
 //! run share one classified scan of the store.
 //!
-//! Plans do not return `Result`: [`SnapshotStore::open`](crate::SnapshotStore::open)
-//! has already validated the round sequence, so an I/O failure mid-plan
-//! (a spill file deleted underneath the store) panics, the same contract
-//! the live study has for a snapshot block vanishing mid-pass.
+//! Plans do not return `Result` because they do no I/O: [`PassesPlan`]
+//! and [`ResidualScanPlan`] read only the derived columns that
+//! [`SnapshotStore::open`](crate::SnapshotStore::open) already loaded and
+//! validated, and decode no record frame.
 
-use remnant_core::collector::Target;
 use remnant_core::residual::FUNNEL_STAGES;
-use remnant_core::unchanged::{self, UnchangedCandidate};
-use remnant_core::{DpsStatus, SnapshotAggregates, SnapshotPasses};
+use remnant_core::{DpsStatus, SnapshotAggregates};
 use remnant_obs::ObsReport;
 use remnant_provider::ProviderId;
 
@@ -41,51 +39,11 @@ impl PassesPlan {
     }
 }
 
-/// Table V stage 1: extracts every origin-IP-unchanged verification
-/// candidate from the persisted rounds, in the exact order the live study
-/// would have probed them (day by day, behavior order within a day).
-///
-/// The HTML verification itself needs a transport, so it stays outside
-/// the store — feed the candidates to
-/// [`UnchangedStudy::observe_candidates`](remnant_core::unchanged::UnchangedStudy::observe_candidates).
-#[derive(Clone, Debug)]
-pub struct UnchangedCandidatesPlan {
-    /// The campaign's target list, in rank order.
-    pub targets: Vec<Target>,
-}
-
-impl UnchangedCandidatesPlan {
-    /// Behaviors come from the context's carried columns; only the
-    /// record comparison reads record frames, each block holding an
-    /// event at most once per round.
-    pub fn execute_with(&self, ctx: &PlanContext<'_>) -> Vec<UnchangedCandidate> {
-        let store = ctx.store();
-        let mut passes = SnapshotPasses::new(store.sites());
-        let mut prev: Option<remnant_core::DnsSnapshot> = None;
-        let mut out = Vec::new();
-        for (i, round) in ctx.classified().rounds().iter().enumerate() {
-            let behaviors =
-                passes.observe_shards(round.meta().day, round.meta().taken_at, round.shards());
-            let snapshot = store.snapshot(i);
-            if let Some(prev_snap) = &prev {
-                out.extend(unchanged::candidates(
-                    &self.targets,
-                    &behaviors,
-                    prev_snap,
-                    &snapshot,
-                ));
-            }
-            prev = Some(snapshot);
-        }
-        out
-    }
-}
-
 /// Providers the paper's weekly residual scans cover.
 pub const RESIDUAL_PROVIDERS: [ProviderId; 2] = [ProviderId::Cloudflare, ProviderId::Incapsula];
 
 /// One scan week of [`ResidualScanReport`]: the scan population derived
-/// from the persisted round, and the recorded filter-funnel counts.
+/// from the persisted round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResidualScanWeek {
     /// 0-based scan week.
@@ -95,14 +53,6 @@ pub struct ResidualScanWeek {
     /// Sites classified ON under the provider in the scan round — the
     /// population the weekly scan would have swept.
     pub adopted: usize,
-    /// `filter.retrieved` for the week (0 without recorded metrics).
-    pub retrieved: u64,
-    /// `filter.after_ip_matching` for the week.
-    pub after_ip_matching: u64,
-    /// `filter.hidden` for the week.
-    pub hidden: u64,
-    /// `filter.verified` for the week.
-    pub verified: u64,
 }
 
 /// One provider's residual-scan timeline.
@@ -114,8 +64,8 @@ pub struct ProviderResidualScan {
     pub weekly: Vec<ResidualScanWeek>,
 }
 
-/// The [`ResidualScanPlan`]'s output: Table VI / Fig 8 re-derived from
-/// persisted rounds plus recorded metrics.
+/// The [`ResidualScanPlan`]'s output: the Table VI / Fig 8 scan
+/// populations re-derived from persisted rounds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResidualScanReport {
     /// One timeline per residual-scanned provider, in
@@ -123,32 +73,24 @@ pub struct ResidualScanReport {
     pub providers: Vec<ProviderResidualScan>,
 }
 
-/// Table VI / Fig 8 from campaign artifacts alone: the weekly scan
-/// populations come from the persisted rounds (sites classified ON under
-/// each scanned provider on week boundaries — the rounds the live study
-/// scanned on), the funnel attrition from the recorded `filter.*`
-/// counters. No live `WeeklyScanReport` is needed.
+/// The Table VI / Fig 8 scan populations from campaign artifacts alone:
+/// the sites classified ON under each scanned provider on week
+/// boundaries — the rounds the live study scanned on. No live
+/// `WeeklyScanReport` is needed.
 ///
 /// Populations are counted over the context's provider posting lists,
 /// skipping every site the campaign never classified under the provider:
 /// a posting list is a superset of the provider's ON sites in every
 /// round, so the count equals a full reclassification's.
+///
+/// The plan takes no options; callers build it with
+/// `ResidualScanPlan::default()` (`#[non_exhaustive]` keeps that the one
+/// spelling outside this crate).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ResidualScanPlan<'o> {
-    /// Recorded campaign metrics (e.g. from `repro --metrics`); without
-    /// them the funnel columns are zero and only the scan populations
-    /// are derived.
-    pub obs: Option<&'o ObsReport>,
-}
+#[non_exhaustive]
+pub struct ResidualScanPlan;
 
-impl ResidualScanPlan<'_> {
-    fn funnel(&self, provider: ProviderId, week: u32) -> [u64; 4] {
-        let Some(obs) = self.obs else { return [0; 4] };
-        let week = week.to_string();
-        let labels = [("provider", provider.name()), ("week", week.as_str())];
-        FUNNEL_STAGES.map(|stage| obs.counter(stage, &labels))
-    }
-
+impl ResidualScanPlan {
     /// Scan populations counted over the provider posting lists and
     /// cached columns only.
     pub fn execute_with(&self, ctx: &PlanContext<'_>) -> ResidualScanReport {
@@ -167,9 +109,6 @@ impl ResidualScanPlan<'_> {
                         .iter()
                         .map(|round| {
                             let day = round.meta().day;
-                            let week = day / 7;
-                            let [retrieved, after_ip_matching, hidden, verified] =
-                                self.funnel(provider, week);
                             let adopted = ranks
                                 .iter()
                                 .filter(|&&rank| {
@@ -179,13 +118,9 @@ impl ResidualScanPlan<'_> {
                                 })
                                 .count();
                             ResidualScanWeek {
-                                week,
+                                week: day / 7,
                                 day,
                                 adopted,
-                                retrieved,
-                                after_ip_matching,
-                                hidden,
-                                verified,
                             }
                         })
                         .collect();

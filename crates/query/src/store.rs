@@ -10,9 +10,10 @@
 //! plus the block's derived column, read from the file's column section
 //! in one read with the footer — and a round's snapshot is the latest
 //! source per shard at that point in the sequence: the same `Arc`-shared
-//! structural sharing the delta collector used when writing. Record frames are only read from disk when a query
-//! actually touches a block's records, and are dropped again after the
-//! block goes out of scope.
+//! structural sharing the delta collector used when writing. Record
+//! frames are only read from disk when a caller touches a block's
+//! records, and are dropped again after the block goes out of scope; the
+//! query plans never do (see [`crate::plans`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -22,8 +23,6 @@ use std::path::{Path, PathBuf};
 use remnant_core::spill::{SpillError, SpillFile};
 use remnant_core::{BlockSource, DnsSnapshot};
 use remnant_sim::SimTime;
-
-use crate::query::RoundsQuery;
 
 /// Why a directory (or snapshot sequence) could not be opened as a store.
 #[derive(Debug)]
@@ -112,6 +111,21 @@ pub enum RoundKind {
     Delta,
     /// An in-memory round (no backing file).
     Resident,
+}
+
+/// One round's generation delta, read from the store's metadata alone.
+#[derive(Clone, Debug)]
+pub struct GenerationDiff {
+    /// The round number.
+    pub round: u64,
+    /// The round's study day.
+    pub day: u32,
+    /// How the round was persisted.
+    pub kind: RoundKind,
+    /// Shards the round re-resolved and wrote itself.
+    pub dirty: usize,
+    /// Shards chained unchanged from earlier rounds.
+    pub clean: usize,
 }
 
 /// One round's position on the campaign timeline.
@@ -440,9 +454,18 @@ impl SnapshotStore {
             .len()
     }
 
-    /// Starts a query over every round.
-    pub fn query(&self) -> RoundsQuery<'_> {
-        RoundsQuery::all(self)
+    /// Each round's generation delta — dirty vs chained-clean shards —
+    /// read from store metadata alone (no record I/O), in round order.
+    pub fn generation_diff(&self) -> Vec<GenerationDiff> {
+        self.rounds()
+            .map(|meta| GenerationDiff {
+                round: meta.round,
+                day: meta.day,
+                kind: meta.kind,
+                dirty: meta.dirty_shards.len(),
+                clean: self.plan.shard_count - meta.dirty_shards.len(),
+            })
+            .collect()
     }
 }
 

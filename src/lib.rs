@@ -20,7 +20,7 @@
 //! | [`world`] | `remnant-world` | the calibrated synthetic Internet |
 //! | [`engine`] | `remnant-engine` | sharded, deterministic parallel sweep executor |
 //! | [`core`] | `remnant-core` | **the paper's toolkit**: collector, matchers, behavior/pause/unchanged studies, residual scanner, study driver |
-//! | [`query`] | `remnant-query` | time-indexed snapshot store over persisted rounds, columnar query API, analysis plans |
+//! | [`query`] | `remnant-query` | time-indexed snapshot store over persisted rounds, analysis plans |
 //! | [`attack`] | `remnant-attack` | botnets, scrubbing outcomes, the bypass kill chain |
 //!
 //! # Quickstart
