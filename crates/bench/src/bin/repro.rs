@@ -50,10 +50,14 @@
 //! directory is validated (created, probed for writability) before the
 //! study starts; `--sites` is an alias of `--population`.
 //!
-//! The `study done in …` stderr line ends with `peak_rss_bytes=<n>`, the
-//! kernel's `VmHWM` high-water mark for this process (omitted where
-//! procfs is missing). Like the elapsed time it is wall-clock-side and
-//! never enters `--metrics`.
+//! The `study done in …` stderr line counts the DNS queries the study's
+//! collection and residual-scan sweeps sent (`EngineReport::queries`; the
+//! fabric keeps no DNS counter) and the HTTP requests the world served.
+//! Delta collection's replayed shards count as when they were resolved,
+//! so the DNS count equals full mode's; the `delta collection:` line
+//! says how many site-rounds were re-resolved. It ends with `peak_rss_bytes=<n>`, the kernel's `VmHWM` high-water
+//! mark for this process (omitted where procfs is missing). Like the
+//! elapsed time it is wall-clock-side and never enters `--metrics`.
 //!
 //! `query` re-runs the snapshot-derivable analyses (Fig 2–6 plus the
 //! residual-scan timeline) from a spill directory left behind by a
@@ -403,10 +407,10 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let (world, report) = run_study(&config);
     eprintln!(
-        "study done in {:.1}s ({} DNS queries, {} HTTP requests served){}",
+        "study done in {:.1}s ({} DNS queries swept, {} HTTP requests served){}",
         started.elapsed().as_secs_f64(),
-        world.traffic_stats().0,
-        world.traffic_stats().1,
+        report.engine().queries,
+        world.http_requests(),
         match peak_rss_bytes() {
             Some(bytes) => format!(" peak_rss_bytes={bytes}"),
             None => String::new(),

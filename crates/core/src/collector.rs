@@ -1093,16 +1093,18 @@ mod tests {
         let world = tiny_world();
         let targets = targets(&world);
         let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
-        let s1 = collector.collect(&world, &targets, 0);
-        let (q_after_first, _) = world.traffic_stats();
-        let s2 = collector.collect(&world, &targets, 1);
-        let (q_after_second, _) = world.traffic_stats();
+        let engine = ScanEngine::new(EngineConfig::default());
+        let (s1, sweep1) = collector.collect_with(&engine, &world, &targets, 0);
+        let (s2, sweep2) = collector.collect_with(&engine, &world, &targets, 1);
         assert_eq!(
             s1.to_site_records(),
             s2.to_site_records(),
             "static world yields identical rounds"
         );
-        // The purge forces real re-resolution (roughly as many queries).
-        assert!(q_after_second - q_after_first > targets.len() as u64);
+        // The purge forces real re-resolution: each shard's
+        // `CountingTransport` counts as many queries in the second round
+        // as in the first.
+        assert!(sweep2.queries() > targets.len() as u64);
+        assert_eq!(sweep1.queries(), sweep2.queries());
     }
 }

@@ -322,7 +322,9 @@ pub struct EngineReport {
     pub sweeps: u64,
     /// Shards executed across all sweeps.
     pub shards: u64,
-    /// DNS queries sent by sweep tasks.
+    /// DNS queries sent by sweep tasks. A delta round's replayed shards
+    /// count the queries recorded when they were last resolved, so this
+    /// equals the full-mode count.
     pub queries: u64,
     /// Task calls: equal to the items swept, since each runs once. This
     /// and the two fixed-zero fields below go with the benchmark

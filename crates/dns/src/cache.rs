@@ -107,19 +107,45 @@ impl ResolverCache {
     ///
     /// Groups are stored in order of first occurrence, each keeping its
     /// records in section order, and each replaces whatever its key held.
+    ///
+    /// A section is walked run by run, a run being consecutive records of
+    /// one key. Every section the fabric sends is runs of distinct keys (a
+    /// referral's NS run, then one glue run per host), and each such run
+    /// is stored as it stands: one table entry and one slice copy. A key
+    /// whose records are split across the section is gathered at its
+    /// first run and skipped at the later ones.
     pub fn insert(&mut self, now: SimTime, records: impl Into<RecordSet>) {
         let records: RecordSet = records.into();
-        // Sections hold a handful of records, so scanning back for a
-        // group's first occurrence is cheaper than building a map.
-        for (i, head) in records.iter().enumerate() {
+        // Sections hold a handful of records, so scanning for a key's
+        // other runs is cheaper than building a map; only a section with a
+        // split key has earlier runs worth scanning.
+        let mut split = false;
+        let mut start = 0;
+        while let Some(head) = records.get(start) {
             let same_key = |rr: &ResourceRecord| {
                 rr.record_type() == head.record_type() && rr.name == head.name
             };
-            if records[..i].iter().any(same_key) {
-                continue;
-            }
-            let group = records[i..].iter().filter(move |rr| same_key(rr));
-            let ttl = group.clone().fold(head.ttl, |min, rr| min.min(rr.ttl));
+            let len = records[start..]
+                .iter()
+                .take_while(|rr| same_key(rr))
+                .count();
+            let run = start..start + len;
+            start = run.end;
+            let gathered: Vec<ResourceRecord>;
+            let group = if split && records[..run.start].iter().any(same_key) {
+                continue; // gathered at the key's first run
+            } else if records[run.end..].iter().any(same_key) {
+                split = true;
+                gathered = records[run.start..]
+                    .iter()
+                    .filter(|rr| same_key(rr))
+                    .cloned()
+                    .collect();
+                &gathered[..]
+            } else {
+                &records[run]
+            };
+            let ttl = group.iter().fold(head.ttl, |min, rr| min.min(rr.ttl));
             self.put(
                 (head.name.clone(), head.record_type()),
                 ttl.expires_at(now),
@@ -139,20 +165,20 @@ impl ResolverCache {
         rcode: Rcode,
     ) {
         let expires = now + remnant_sim::SimDuration::secs(NEGATIVE_TTL_SECS);
-        self.put((name, rtype), expires, rcode, std::iter::empty());
+        self.put((name, rtype), expires, rcode, &[]);
         self.compact_if_sparse();
     }
 
-    /// Points `key` at `group`'s records: in its old range when they fit,
+    /// Points `key` at a copy of `group`: in its old range when it fits,
     /// else appended to the store.
-    fn put<'a>(
+    fn put(
         &mut self,
         key: (DomainName, RecordType),
         expires: SimTime,
         rcode: Rcode,
-        group: impl Iterator<Item = &'a ResourceRecord> + Clone,
+        group: &[ResourceRecord],
     ) {
-        let len = group.clone().count();
+        let len = group.len();
         let slot = self.slots.entry(key).or_insert(Slot {
             start: 0,
             len: 0,
@@ -161,12 +187,11 @@ impl ResolverCache {
         });
         self.live -= slot.len as usize;
         if len <= slot.len as usize {
-            for (stored, rr) in self.store[slot.start as usize..].iter_mut().zip(group) {
-                stored.clone_from(rr);
-            }
+            let start = slot.start as usize;
+            self.store[start..start + len].clone_from_slice(group);
         } else {
             slot.start = self.store.len() as u32;
-            self.store.extend(group.cloned());
+            self.store.extend_from_slice(group);
             // Every write checks this, so each slot's start and length,
             // both at most the store's length, fit their `u32` fields.
             assert!(

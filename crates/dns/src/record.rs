@@ -111,7 +111,8 @@ pub enum RecordType {
     Ns,
     /// Mail exchange (origin-exposure vector "DNS Records" in Table I).
     Mx,
-    /// Free-form text.
+    /// Free-form text: queried (the resolver counts it as a query type)
+    /// but never served, so no [`RecordData`] variant carries it.
     Txt,
     /// Start of authority.
     Soa,
@@ -144,6 +145,10 @@ impl fmt::Display for RecordType {
 }
 
 /// Typed record payload.
+///
+/// Every variant is plain data (an address, interned names, integers), so
+/// a record owns nothing on the heap and copying or dropping one never
+/// frees memory.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RecordData {
@@ -160,8 +165,6 @@ pub enum RecordData {
         /// The mail host.
         exchange: DomainName,
     },
-    /// Text payload.
-    Txt(String),
     /// Start-of-authority summary (serial only; enough for the study).
     Soa {
         /// Primary nameserver.
@@ -179,7 +182,6 @@ impl RecordData {
             RecordData::Cname(_) => RecordType::Cname,
             RecordData::Ns(_) => RecordType::Ns,
             RecordData::Mx { .. } => RecordType::Mx,
-            RecordData::Txt(_) => RecordType::Txt,
             RecordData::Soa { .. } => RecordType::Soa,
         }
     }
@@ -219,7 +221,6 @@ impl fmt::Display for RecordData {
                 preference,
                 exchange,
             } => write!(f, "{preference} {exchange}"),
-            RecordData::Txt(text) => write!(f, "{text:?}"),
             RecordData::Soa { mname, serial } => write!(f, "{mname} {serial}"),
         }
     }
@@ -332,14 +333,28 @@ mod tests {
                 preference: 10,
                 exchange: name("mx.example.com"),
             },
-            RecordData::Txt("v=spf1".into()),
             RecordData::Soa {
                 mname: name("ns.example.com"),
                 serial: 1,
             },
         ];
         let types: Vec<RecordType> = samples.iter().map(|d| d.record_type()).collect();
-        assert_eq!(types, RecordType::ALL.to_vec());
+        // TXT is a query type that nothing serves: every other type has
+        // its payload, in `ALL`'s order.
+        let served: Vec<RecordType> = RecordType::ALL
+            .into_iter()
+            .filter(|t| *t != RecordType::Txt)
+            .collect();
+        assert_eq!(types, served);
+        assert_eq!(RecordType::ALL.len(), served.len() + 1);
+        assert_eq!(RecordType::Txt.to_string(), "TXT");
+    }
+
+    #[test]
+    fn a_record_is_plain_data() {
+        assert_eq!(std::mem::size_of::<ResourceRecord>(), 32);
+        assert_eq!(std::mem::size_of::<RecordSet>(), 64);
+        assert!(!std::mem::needs_drop::<ResourceRecord>());
     }
 
     #[test]

@@ -415,7 +415,10 @@ mod tests {
         z.add(ResourceRecord::new(
             name("x.example.com"),
             Ttl::secs(60),
-            RecordData::Txt("hello".into()),
+            RecordData::Mx {
+                preference: 10,
+                exchange: name("mail.example.com"),
+            },
         ));
         assert_eq!(z.remove_name(&name("x.example.com")), 2);
         assert!(z.is_empty());

@@ -9,6 +9,10 @@
 //!
 //! - sections with repeated owners and types and differing TTLs, so groups
 //!   take their minimum TTL and replacements grow, shrink and keep size;
+//! - fabric-shaped sections: one to three runs of distinct keys, as in a
+//!   referral's NS run followed by one glue run per host. `insert` stores
+//!   such a run as it stands and gathers a key split across a section;
+//!   the test checks that its cases reach both branches;
 //! - negative entries, replacing and replaced by positive ones;
 //! - reads before, exactly at and after expiry (TTLs and clock steps come
 //!   from small sets, and the steps reach the negative TTL exactly);
@@ -17,6 +21,7 @@
 mod reference;
 
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 use remnant_dns::{
@@ -33,6 +38,15 @@ const TTLS: [u32; 8] = [0, 1, 2, 5, 10, 100, 900, 3600];
 /// the 900-second negative TTL exactly.
 const STEPS: [u64; 9] = [0, 0, 0, 1, 2, 5, 10, 890, 900];
 const RCODES: [Rcode; 2] = [Rcode::NxDomain, Rcode::NoError];
+/// Cases the property runs.
+const CASES: u32 = 512;
+
+/// Inserted sections, over all cases, that `insert` stores run by run
+/// (every key in one run) and that it gathers (a key split across runs).
+static RUN_SECTIONS: AtomicU32 = AtomicU32::new(0);
+static SPLIT_SECTIONS: AtomicU32 = AtomicU32::new(0);
+/// Cases finished so far.
+static CASES_DONE: AtomicU32 = AtomicU32::new(0);
 
 fn owner(i: usize) -> DomainName {
     OWNERS[i].parse().expect("test owner")
@@ -78,6 +92,38 @@ fn group() -> impl Strategy<Value = Vec<ResourceRecord>> {
     })
 }
 
+/// One to three runs of distinct keys, each one or two records long.
+fn fabric_section() -> impl Strategy<Value = Vec<ResourceRecord>> {
+    let keys = OWNERS.len() * TYPES.len();
+    let run = prop::collection::vec((0..OWNERS.len(), 0..TTLS.len()), 1..3);
+    (0..keys, prop::collection::vec(run, 1..4)).prop_map(move |(first, runs)| {
+        runs.into_iter()
+            .enumerate()
+            .flat_map(|(i, run)| {
+                let key = (first + i) % keys;
+                let (name, rtype) = (key / TYPES.len(), TYPES[key % TYPES.len()]);
+                run.into_iter()
+                    .map(move |(value, ttl)| rr(name, rtype, value, ttl))
+            })
+            .collect()
+    })
+}
+
+/// True if some key's records sit in more than one run of `records`.
+fn has_split_key(records: &[ResourceRecord]) -> bool {
+    let key = |rr: &ResourceRecord| (rr.name.clone(), rr.record_type());
+    let mut run_keys: Vec<_> = records
+        .iter()
+        .enumerate()
+        .filter(|&(i, rr)| i == 0 || key(&records[i - 1]) != key(rr))
+        .map(|(_, rr)| key(rr))
+        .collect();
+    let runs = run_keys.len();
+    run_keys.sort();
+    run_keys.dedup();
+    run_keys.len() < runs
+}
+
 fn key() -> impl Strategy<Value = (usize, RecordType)> {
     (0..OWNERS.len(), 0..TYPES.len()).prop_map(|(name, rtype)| (name, TYPES[rtype]))
 }
@@ -86,6 +132,7 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         prop::collection::vec(record(), 0..6).prop_map(Op::Insert),
         group().prop_map(Op::Insert),
+        fabric_section().prop_map(Op::Insert),
         (key(), 0..RCODES.len()).prop_map(|((name, rtype), rcode)| Op::InsertNegative(
             name,
             rtype,
@@ -109,7 +156,7 @@ enum Answer {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn flat_cache_matches_the_reference(
@@ -122,6 +169,14 @@ proptest! {
             now += SimDuration::secs(STEPS[*step]);
             let (got, want) = match op {
                 Op::Insert(records) => {
+                    if !records.is_empty() {
+                        let shape = if has_split_key(records) {
+                            &SPLIT_SECTIONS
+                        } else {
+                            &RUN_SECTIONS
+                        };
+                        shape.fetch_add(1, Ordering::Relaxed);
+                    }
                     flat.insert(now, records.clone());
                     oracle.insert(now, records.clone());
                     (None, None)
@@ -159,6 +214,18 @@ proptest! {
                 (flat.stats(), flat.expired_count(), flat.len()),
                 (oracle.stats(), oracle.expired_count(), oracle.len()),
                 "counters after step {} ({:?})", i, op
+            );
+        }
+        if CASES_DONE.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            let (runs, splits) = (
+                RUN_SECTIONS.load(Ordering::Relaxed),
+                SPLIT_SECTIONS.load(Ordering::Relaxed),
+            );
+            prop_assert!(
+                runs > 0 && splits > 0,
+                "both insert branches reached: {} run-only and {} split sections",
+                runs,
+                splits
             );
         }
     }

@@ -45,7 +45,6 @@ mod journal;
 mod metrics;
 mod report;
 mod span;
-mod thread_counters;
 
 pub use instrument::{
     transport_counters, Instrumented, TRANSPORT_ANSWERED, TRANSPORT_IGNORED, TRANSPORT_SENT,
@@ -54,7 +53,6 @@ pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, DEFAULT_BOUNDS};
 pub use report::ObsReport;
 pub use span::{Span, SPAN_ENTERED, SPAN_SECONDS};
-pub use thread_counters::ThreadCounters;
 
 use remnant_sim::{SimClock, SimTime};
 

@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use remnant_dns::{
     Authoritative, DomainName, Query, Rcode, RecordData, RecordSet, RecordType, ResourceRecord,
@@ -177,34 +176,6 @@ impl InfraConfig {
     }
 }
 
-/// A monotonically increasing event counter, bumpable through `&self` so
-/// the shared-read answer path (scan workers querying in parallel) can
-/// keep stats. Cloning snapshots the current value.
-#[derive(Default)]
-struct Counter(AtomicU64);
-
-impl Counter {
-    fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        Counter(AtomicU64::new(self.get()))
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
 /// One simulated DPS/CDN provider (see module docs).
 #[derive(Clone, Debug)]
 pub struct DpsProvider {
@@ -230,9 +201,6 @@ pub struct DpsProvider {
     /// Query-name -> apex, for residual records.
     residual_index: WordMap<DomainName, DomainName>,
     generations: WordMap<DomainName, u32>,
-    // Stats.
-    queries_answered: Counter,
-    queries_ignored: Counter,
 }
 
 impl DpsProvider {
@@ -363,8 +331,6 @@ impl DpsProvider {
             residuals: WordMap::default(),
             residual_index: WordMap::default(),
             generations: WordMap::default(),
-            queries_answered: Counter::default(),
-            queries_ignored: Counter::default(),
         }
     }
 
@@ -454,11 +420,6 @@ impl DpsProvider {
     /// Aggregate scrubbing capacity across PoPs (Gbps).
     pub fn total_capacity_gbps(&self) -> f64 {
         self.scrubbers.values().map(|s| s.capacity_gbps()).sum()
-    }
-
-    /// (answered, ignored) query counts.
-    pub fn query_stats(&self) -> (u64, u64) {
-        (self.queries_answered.get(), self.queries_ignored.get())
     }
 
     // ------------------------------------------------------------------
@@ -1000,13 +961,13 @@ impl Authoritative for DpsProvider {
     /// Answering is read-only, so concurrent scan workers can all query
     /// one provider: an expired residual is treated as absent
     /// ([`ResidualRecord::is_live`]) but stays in the maps until the
-    /// domain re-enrolls. Stats move through atomic counters.
+    /// domain re-enrolls. Nothing is counted here: senders count their
+    /// own queries.
     fn answer(&self, now: SimTime, query: &Query) -> Option<Response> {
         // Names outside the indexes (apex queries for NS-based customers)
         // index via the `www.<apex>` host, which the apex-keyed account or
         // residual already holds interned.
-        let response = self
-            .name_index
+        self.name_index
             .get(&query.name)
             .or_else(|| {
                 let host = &self.accounts.get(&query.name.apex())?.host;
@@ -1024,18 +985,7 @@ impl Authoritative for DpsProvider {
                     .and_then(|apex| self.residuals.get(apex))
                     .and_then(|record| self.answer_for_residual(record, now, query))
             })
-            .or_else(|| self.answer_infra(query));
-
-        match response {
-            Some(r) => {
-                self.queries_answered.bump();
-                Some(r)
-            }
-            None => {
-                self.queries_ignored.bump();
-                None
-            }
-        }
+            .or_else(|| self.answer_infra(query))
     }
 }
 
@@ -1512,8 +1462,6 @@ mod tests {
     fn unknown_names_are_ignored_silently() {
         let cf = cloudflare();
         assert!(ask(&cf, SimTime::EPOCH, "www.stranger.org", RecordType::A).is_none());
-        let (_, ignored) = cf.query_stats();
-        assert_eq!(ignored, 1);
     }
 
     #[test]

@@ -7,15 +7,15 @@ use rand::{Rng, SeedableRng};
 
 use remnant_dns::transport::ROOT_SERVER;
 use remnant_dns::{
-    Authoritative, DnsTransport, DomainName, Query, QueryStats, Rcode, RecordData, RecordSet,
-    RecordType, ResourceRecord, Response, Ttl, ZoneGenerationProbe,
+    Authoritative, DnsTransport, DomainName, Query, Rcode, RecordData, RecordSet, RecordType,
+    ResourceRecord, Response, Ttl, ZoneGenerationProbe,
 };
 use remnant_http::{
     FirewallPolicy, HttpRequest, HttpResponse, HttpTransport, OriginServer, PageTemplate,
 };
 use remnant_net::hash::{WordMap, WordSet};
 use remnant_net::{IpAllocator, Region};
-use remnant_obs::{transport_counters, Instrumented, MetricKey, ThreadCounters};
+use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_provider::{DpsProvider, ProviderId, ReroutingMethod, ServicePlan};
 use remnant_sim::{SeedSeq, SimClock, SimDuration, SimTime};
 
@@ -26,7 +26,8 @@ use crate::site::{SiteId, SiteState, Website};
 
 /// Number of shared hosting-DNS servers serving self-hosted zones.
 const HOSTING_SERVERS: usize = 8;
-/// Base address of the hosting-DNS servers (TEST-NET-2).
+/// Base address of the hosting-DNS servers (TEST-NET-2): server `i`
+/// listens on `HOSTING_NS_BASE + i`.
 const HOSTING_NS_BASE: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 10);
 /// Address of the shared parking service dark sites point at (TEST-NET-1).
 pub const PARKING_IP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 80);
@@ -68,7 +69,6 @@ pub struct World {
     /// Referral glue for the hosting pair whose primary is each index: the
     /// same for every site on the pair, so built once.
     hosting_glue: Vec<RecordSet>,
-    hosting_owner: WordMap<Ipv4Addr, usize>,
     /// Delegations for provider infrastructure domains (incapdns.net, …).
     infra_delegation: WordMap<DomainName, ProviderId>,
     /// Multi-CDN balancer tokens: cedexis hostname -> site.
@@ -87,49 +87,8 @@ pub struct World {
     zone_generations: Vec<u64>,
     parking_template: PageTemplate,
     parking_nonce: u64,
-    /// Answers by server class, indexed by [`ServerClass`] (their sum is
-    /// the answered count), then [`UNANSWERED`]. Sent is the sum of all,
-    /// so each query bumps exactly one counter, in its thread's own slot.
-    dns_counts: ThreadCounters<DNS_COUNTERS>,
     http_requests: u64,
     http_answered: u64,
-}
-
-/// The class of authoritative server that answered a fabric query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ServerClass {
-    /// The root/TLD registry.
-    Registry,
-    /// A DPS provider's name server.
-    Provider,
-    /// A hosting-DNS server.
-    Hosting,
-    /// The multi-CDN balancer.
-    Cedexis,
-}
-
-/// The [`World::dns_counts`] index of queries no server answered.
-const UNANSWERED: usize = ServerClass::ALL.len();
-/// Counters in [`World::dns_counts`]: one per server class, then
-/// [`UNANSWERED`].
-const DNS_COUNTERS: usize = UNANSWERED + 1;
-
-impl ServerClass {
-    const ALL: [ServerClass; 4] = [
-        ServerClass::Registry,
-        ServerClass::Provider,
-        ServerClass::Hosting,
-        ServerClass::Cedexis,
-    ];
-
-    const fn label(self) -> &'static str {
-        match self {
-            ServerClass::Registry => "registry",
-            ServerClass::Provider => "provider",
-            ServerClass::Hosting => "hosting",
-            ServerClass::Cedexis => "cedexis",
-        }
-    }
 }
 
 impl World {
@@ -182,12 +141,6 @@ impl World {
                 glue(&[hosting_ns[primary].clone(), hosting_ns[secondary].clone()])
             })
             .collect();
-        let hosting_owner = hosting_ns
-            .iter()
-            .enumerate()
-            .map(|(i, (_, addr))| (*addr, i))
-            .collect();
-
         let origin_alloc = IpAllocator::new(
             "origin-hosting",
             vec![
@@ -209,7 +162,6 @@ impl World {
             hosting_ns,
             hosting_apexes,
             hosting_glue,
-            hosting_owner,
             infra_delegation,
             cedexis_index: WordMap::default(),
             cedexis_apex: DomainName::parse("cedexis.net").expect("static name"),
@@ -220,7 +172,6 @@ impl World {
             zone_generations: vec![0; config.population],
             parking_template: PageTemplate::generate("parked.example", config.seed),
             parking_nonce: 0,
-            dns_counts: ThreadCounters::default(),
             http_requests: 0,
             http_answered: 0,
             config,
@@ -309,7 +260,7 @@ impl World {
     /// The fork observes the same instant, population, provider fabric,
     /// dynamics-RNG state and zone generations as `self` — stepping both
     /// worlds identically produces identical histories — but owns a
-    /// **fresh clock** and fresh traffic counters, so advancing one
+    /// **fresh clock** and fresh HTTP counters, so advancing one
     /// timeline never moves the other. `self` is untouched; forking the
     /// same base repeatedly yields byte-identical starting states, which
     /// is what lets a batch of campaigns each run on its own world from
@@ -336,7 +287,6 @@ impl World {
             hosting_ns: self.hosting_ns.clone(),
             hosting_apexes: self.hosting_apexes.clone(),
             hosting_glue: self.hosting_glue.clone(),
-            hosting_owner: self.hosting_owner.clone(),
             infra_delegation: self.infra_delegation.clone(),
             cedexis_index: self.cedexis_index.clone(),
             cedexis_apex: self.cedexis_apex.clone(),
@@ -347,7 +297,6 @@ impl World {
             zone_generations: self.zone_generations.clone(),
             parking_template: self.parking_template.clone(),
             parking_nonce: self.parking_nonce,
-            dns_counts: ThreadCounters::default(),
             http_requests: 0,
             http_answered: 0,
         }
@@ -394,9 +343,10 @@ impl World {
         self.events.clear();
     }
 
-    /// `(DNS queries, HTTP requests)` served by the fabric so far.
-    pub fn traffic_stats(&self) -> (u64, u64) {
-        (DnsTransport::query_stats(self).sent, self.http_requests)
+    /// HTTP requests sent into the fabric so far. DNS queries are counted
+    /// by their senders (`CountingTransport`), not here.
+    pub fn http_requests(&self) -> u64 {
+        self.http_requests
     }
 
     /// Advances time by whole days of dynamics.
@@ -420,8 +370,16 @@ impl World {
 
     /// Answers like the root/TLD layer: a referral for any registered apex,
     /// derived live from the site's current delegation state.
+    ///
+    /// Websites are looked up first. A generated apex ends in its rank's
+    /// digits, so it is never one of the infrastructure apexes checked
+    /// after it (`registry_zones_and_server_addresses_never_overlap` pins
+    /// this).
     fn registry_answer(&self, query: &Query) -> Response {
         let apex = query.name.apex();
+        if let Some(site_id) = self.by_apex.get(&apex) {
+            return self.site_referral(query, &apex, &self.sites[site_id.0 as usize]);
+        }
         // Provider infrastructure domains.
         if let Some(provider_id) = self.infra_delegation.get(&apex) {
             let provider = &self.providers[provider_id.index()];
@@ -442,11 +400,11 @@ impl World {
                 return referral(query, &apex, &[(host.clone(), *addr)]);
             }
         }
-        // Websites.
-        let Some(site_id) = self.by_apex.get(&apex) else {
-            return Response::empty(query.clone(), Rcode::NxDomain);
-        };
-        let site = &self.sites[site_id.0 as usize];
+        Response::empty(query.clone(), Rcode::NxDomain)
+    }
+
+    /// The registry's referral for a website's apex.
+    fn site_referral(&self, query: &Query, apex: &DomainName, site: &Website) -> Response {
         match &site.state {
             SiteState::Dps {
                 provider,
@@ -463,13 +421,13 @@ impl World {
                         .filter_map(|h| Some(glue_record(h, dps.ns_address(h)?)))
                         .collect();
                     let authority: RecordSet =
-                        glue.iter().map(|rr| delegation(&apex, &rr.name)).collect();
+                        glue.iter().map(|rr| delegation(apex, &rr.name)).collect();
                     return Response::referral(query.clone(), authority, glue);
                 }
                 // Inconsistent state; fall through to hosting.
-                self.hosting_referral(query, &apex, site.hosting)
+                self.hosting_referral(query, apex, site.hosting)
             }
-            _ => self.hosting_referral(query, &apex, site.hosting),
+            _ => self.hosting_referral(query, apex, site.hosting),
         }
     }
 
@@ -924,6 +882,13 @@ fn auxiliary_address(site: &Website, is_dev: bool) -> Ipv4Addr {
     }
 }
 
+/// The hosting server listening on `addr`: its offset in the
+/// `HOSTING_NS_BASE` block.
+fn hosting_server(addr: Ipv4Addr) -> Option<usize> {
+    let offset = u32::from(addr).wrapping_sub(u32::from(HOSTING_NS_BASE)) as usize;
+    (offset < HOSTING_SERVERS).then_some(offset)
+}
+
 /// The two hosting servers serving a site's zone.
 fn hosting_pair(hosting: u8) -> (usize, usize) {
     let primary = hosting as usize % HOSTING_SERVERS;
@@ -932,9 +897,14 @@ fn hosting_pair(hosting: u8) -> (usize, usize) {
 
 impl DnsTransport for World {
     /// The shared-read DNS fabric. Answering is a pure function of world
-    /// state (counters aside), so any number of scan workers may query
+    /// state and writes nothing, so any number of scan workers may query
     /// concurrently; providers treat expired residuals as absent without
-    /// compacting them.
+    /// compacting them. Senders count their own queries
+    /// (`CountingTransport`).
+    ///
+    /// Each server is found with at most one table probe: the server
+    /// addresses are pairwise disjoint, so the order of the checks
+    /// changes no answer.
     fn query(
         &self,
         now: SimTime,
@@ -942,38 +912,15 @@ impl DnsTransport for World {
         _region: Region,
         query: &Query,
     ) -> Option<Response> {
-        let (class, response) = if server == ROOT_SERVER {
-            (ServerClass::Registry, Some(self.registry_answer(query)))
-        } else if let Some(provider_id) = self.ns_owner.get(&server).copied() {
-            (
-                ServerClass::Provider,
-                self.providers[provider_id.index()].answer(now, query),
-            )
-        } else if let Some(hosting) = self.hosting_owner.get(&server).copied() {
-            (
-                ServerClass::Hosting,
-                Some(self.hosting_answer(hosting, query)),
-            )
+        if server == ROOT_SERVER {
+            Some(self.registry_answer(query))
+        } else if let Some(hosting) = hosting_server(server) {
+            Some(self.hosting_answer(hosting, query))
         } else if server == CEDEXIS_NS_IP {
-            (ServerClass::Cedexis, Some(self.cedexis_answer(query)))
+            Some(self.cedexis_answer(query))
         } else {
-            self.dns_counts.bump(UNANSWERED);
-            return None;
-        };
-        self.dns_counts.bump(if response.is_some() {
-            class as usize
-        } else {
-            UNANSWERED
-        });
-        response
-    }
-
-    fn query_stats(&self) -> QueryStats {
-        let counts = self.dns_counts.totals();
-        let answered = counts[..UNANSWERED].iter().sum();
-        QueryStats {
-            sent: answered + counts[UNANSWERED],
-            answered,
+            let provider_id = self.ns_owner.get(&server)?;
+            self.providers[provider_id.index()].answer(now, query)
         }
     }
 }
@@ -1112,27 +1059,14 @@ impl Instrumented for World {
         "world.fabric"
     }
 
-    /// Both transport surfaces on the unified `transport.*` names,
-    /// distinguished by a `proto` label, plus per-server-class DNS answer
-    /// counts.
+    /// The HTTP transport surface on the unified `transport.*` names,
+    /// labeled `proto=http`. The fabric keeps no DNS counters: DNS
+    /// senders count their own queries.
     fn counters(&self) -> Vec<(MetricKey, u64)> {
-        let dns = DnsTransport::query_stats(self);
-        let mut counters: Vec<(MetricKey, u64)> = transport_counters(dns.sent, dns.answered)
+        transport_counters(self.http_requests, self.http_answered)
             .into_iter()
-            .map(|(key, value)| (key.with_label("proto", "dns"), value))
-            .collect();
-        counters.extend(
-            transport_counters(self.http_requests, self.http_answered)
-                .into_iter()
-                .map(|(key, value)| (key.with_label("proto", "http"), value)),
-        );
-        for class in ServerClass::ALL {
-            counters.push((
-                MetricKey::labeled("dns.answers", &[("class", class.label())]),
-                self.dns_counts.get(class as usize),
-            ));
-        }
-        counters
+            .map(|(key, value)| (key.with_label("proto", "http"), value))
+            .collect()
     }
 }
 
@@ -1552,67 +1486,101 @@ mod tests {
     }
 
     #[test]
-    fn fabric_counters_split_by_proto_and_server_class() {
+    fn fabric_counts_http_requests_on_the_transport_names() {
         let mut w = small_world();
         let site = w.sites()[0].clone();
         let mut r = resolver(&w);
         let addr = r.resolve(&w, &site.www, RecordType::A).unwrap().addresses()[0];
         let now = w.now();
-        let _ = HttpTransport::get(
-            &mut w,
-            now,
-            addr,
-            &HttpRequest::landing(Ipv4Addr::new(1, 2, 3, 4), site.www.as_str()),
-        );
+        let client = Ipv4Addr::new(1, 2, 3, 4);
+        for dst in [addr, Ipv4Addr::new(203, 0, 113, 99)] {
+            let _ = HttpTransport::get(
+                &mut w,
+                now,
+                dst,
+                &HttpRequest::landing(client, site.www.as_str()),
+            );
+        }
 
         let mut registry = remnant_obs::MetricsRegistry::new();
         w.export_into(&mut registry);
-        let count =
-            |key: MetricKey| registry.counter_key(&key.with_label("component", "world.fabric"));
+        let count = |name: &'static str| {
+            registry.counter_labeled(name, &[("component", "world.fabric"), ("proto", "http")])
+        };
+        assert_eq!(w.http_requests(), 2);
+        assert_eq!(count(remnant_obs::TRANSPORT_SENT), 2);
+        assert_eq!(
+            count(remnant_obs::TRANSPORT_ANSWERED),
+            1,
+            "the serving address answers"
+        );
+        assert_eq!(
+            count(remnant_obs::TRANSPORT_IGNORED),
+            1,
+            "nobody listens on the other"
+        );
+        assert_eq!(w.counters().len(), 3, "no DNS counters");
+    }
 
-        let (dns_total, http_total) = w.traffic_stats();
+    /// `registry_answer` probes the site index before the infrastructure
+    /// apexes, and `query` checks the hosting block, the balancer and the
+    /// provider nameservers in an order of its own; both change no answer
+    /// only while these sets never overlap.
+    #[test]
+    fn registry_zones_and_server_addresses_never_overlap() {
+        let base = u32::from(HOSTING_NS_BASE);
+        assert_eq!(hosting_server(Ipv4Addr::from(base - 1)), None);
         assert_eq!(
-            count(MetricKey::labeled(
-                remnant_obs::TRANSPORT_SENT,
-                &[("proto", "dns")]
-            )),
-            dns_total
+            hosting_server(Ipv4Addr::from(base + HOSTING_SERVERS as u32)),
+            None
         );
-        assert_eq!(
-            count(MetricKey::labeled(
-                remnant_obs::TRANSPORT_SENT,
-                &[("proto", "http")]
-            )),
-            http_total
-        );
-        assert_eq!(
-            count(MetricKey::labeled(
-                remnant_obs::TRANSPORT_IGNORED,
-                &[("proto", "http")]
-            )),
-            0,
-            "a resolved serving address answers"
-        );
-        // Delegation walked the registry; the answer came from a provider
-        // or hosting server.
-        assert!(count(MetricKey::labeled("dns.answers", &[("class", "registry")])) > 0);
-        let answered: u64 = ["registry", "provider", "hosting", "cedexis"]
-            .iter()
-            .map(|class| count(MetricKey::labeled("dns.answers", &[("class", class)])))
-            .sum();
-        assert_eq!(
-            answered,
-            DnsTransport::query_stats(&w).answered,
-            "per-class answers partition the total"
-        );
-        // A query to an address no server owns is sent but not answered.
-        let before = DnsTransport::query_stats(&w);
-        let query = Query::new(site.www.clone(), RecordType::A);
-        let nobody = Ipv4Addr::new(192, 0, 2, 1);
-        assert!(w.query(now, nobody, Region::Oregon, &query).is_none());
-        let after = DnsTransport::query_stats(&w);
-        assert_eq!(after.sent, before.sent + 1);
-        assert_eq!(after.answered, before.answered);
-        assert_eq!(w.traffic_stats().0, after.sent);
+        for seed in [1, 7, 11, 42] {
+            let world = World::generate(WorldConfig {
+                population: 2_000,
+                seed,
+                warmup_days: 0,
+                calibration: crate::config::Calibration::paper(),
+            });
+            let mut infra_apexes: Vec<DomainName> =
+                world.infra_delegation.keys().cloned().collect();
+            infra_apexes.push(world.cedexis_apex.clone());
+            infra_apexes.extend(world.hosting_apexes.iter().cloned());
+            assert!(infra_apexes.len() > ProviderId::ALL.len());
+            for apex in &infra_apexes {
+                assert!(
+                    !world.by_apex.contains_key(apex),
+                    "seed {seed}: a site owns {apex}"
+                );
+                // Only a rank spelled by the digits that end the apex's
+                // first label could generate it, at any population.
+                let label = apex.as_str().split('.').next().unwrap();
+                let stem = label.trim_end_matches(|c: char| c.is_ascii_digit());
+                for start in stem.len()..label.len() {
+                    let rank: usize = label[start..].parse().expect("a digit run");
+                    assert_ne!(apex_for_rank(seed, rank), *apex, "seed {seed}");
+                }
+            }
+
+            let mut servers: Vec<Ipv4Addr> = (0..HOSTING_SERVERS)
+                .map(|i| Ipv4Addr::from(base + i as u32))
+                .collect();
+            servers.extend([ROOT_SERVER, CEDEXIS_NS_IP]);
+            for provider in &world.providers {
+                servers.extend(provider.ns_addresses());
+            }
+            let distinct: std::collections::BTreeSet<Ipv4Addr> = servers.iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                servers.len(),
+                "seed {seed}: a server address repeats"
+            );
+            for addr in servers {
+                assert_eq!(
+                    hosting_server(addr),
+                    world.hosting_ns.iter().position(|(_, a)| *a == addr),
+                    "{addr}"
+                );
+            }
+        }
     }
 }

@@ -15,11 +15,7 @@ fn main() {
     // 20k websites, calibrated to the paper's published statistics, with
     // enough warmup that residual pools reach steady state.
     let mut world = World::generate(WorldConfig::new(20_000, 42));
-    println!(
-        "world: {} sites, {} DNS queries served during generation",
-        world.population(),
-        world.traffic_stats().0
-    );
+    println!("world: {} sites", world.population());
 
     // Two weeks of daily collection + weekly residual scans.
     let config = StudyConfig {
@@ -27,6 +23,10 @@ fn main() {
         ..StudyConfig::default()
     };
     let report = StudySession::new(config, &world).run(&mut world, &mut |_| {});
+    println!(
+        "study: {} DNS queries sent by its sweeps",
+        report.engine().queries
+    );
 
     println!("\n== DPS adoption (Sec IV-B, Fig 2) ==");
     println!(
