@@ -1,6 +1,6 @@
 //! Measurement-toolkit benchmarks: snapshot collection, fingerprint
-//! matching, adoption classification, and the snapshot passes' shard
-//! fold.
+//! matching, adoption classification, a fresh block's derivation, the
+//! fleet harvest, and the snapshot passes' shard fold.
 
 #[path = "../../core/tests/reference/mod.rs"]
 mod reference;
@@ -9,9 +9,16 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use remnant::core::adoption::Adoption;
+use remnant::core::adoption::{Adoption, PackedAdoption};
 use remnant::core::collector::{RecordCollector, Target};
-use remnant::core::{BehaviorDetector, DerivedColumn, ProviderMatcher, SnapshotPasses};
+use remnant::core::residual::cloudflare::fleet_candidates;
+use remnant::core::residual::incapsula::token_candidates;
+use remnant::core::residual::{
+    CloudflareScanner, CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT,
+};
+use remnant::core::{
+    BehaviorDetector, DerivedColumn, DnsSnapshot, ProviderMatcher, SnapshotPasses,
+};
 use remnant::net::Region;
 use remnant::sim::SimTime;
 use remnant::world::{World, WorldConfig};
@@ -21,8 +28,11 @@ use reference::ReferencePasses;
 /// One round as the fold takes it: when it was taken and its shards.
 type Round = (SimTime, Vec<Arc<DerivedColumn>>);
 
-/// Rounds of the shard fold benches.
+/// Rounds of the shard fold and fleet harvest benches.
 const FOLD_ROUNDS: u32 = 14;
+
+/// Fleet hosts the 14 rounds' harvest finds.
+const PINNED_FLEET: usize = 267;
 
 fn bench_scanner(c: &mut Criterion) {
     let world = World::generate(WorldConfig {
@@ -40,7 +50,7 @@ fn bench_scanner(c: &mut Criterion) {
     let snapshot = collector.collect(&world, &targets, 0);
     let detector = BehaviorDetector::new();
     let matcher = ProviderMatcher::new();
-    let (full, delta) = fold_rounds(world.fork(), &targets);
+    let (snapshots, full, delta) = fold_rounds(world.fork(), &targets);
 
     let mut group = c.benchmark_group("scanner");
     group.throughput(Throughput::Elements(targets.len() as u64));
@@ -78,6 +88,50 @@ fn bench_scanner(c: &mut Criterion) {
             .expect("resolved site");
         b.iter(|| Adoption::classify(&matcher, &records));
     });
+
+    // One fresh collection block, derived in one walk; first checked
+    // against the detector and the two residual record walks.
+    let block = &snapshot.blocks().next().expect("a block").block;
+    assert_eq!(block.len(), 512);
+    let (classes, multi_cdn) = detector.classify_block(block);
+    let (fleet_sites, fleet_ns) = fleet_candidates(block, CLOUDFLARE_NS_FINGERPRINT)
+        .into_iter()
+        .unzip();
+    let walked = DerivedColumn {
+        classes: classes.iter().map(PackedAdoption::pack).collect(),
+        multi_cdn,
+        fleet_sites,
+        fleet_ns,
+        incap_tokens: token_candidates(block, INCAPSULA_CNAME_FINGERPRINT),
+    };
+    assert_eq!(
+        DerivedColumn::derive(block),
+        walked,
+        "one walk equals the three"
+    );
+    group.throughput(Throughput::Elements(block.len() as u64));
+    group.bench_function("derive_block_512", |b| {
+        b.iter(|| DerivedColumn::derive(block));
+    });
+
+    // A campaign's steady state: every candidate of 14 rounds is already
+    // in the fleet, which is pinned before timing, so each round is the
+    // membership probes alone and resolves nothing.
+    let mut scanner = CloudflareScanner::new(world.clock(), CLOUDFLARE_NS_FINGERPRINT);
+    let harvest = |scanner: &mut CloudflareScanner| {
+        for snapshot in &snapshots {
+            scanner.harvest_fleet(&world, snapshot);
+        }
+        scanner.fleet_size()
+    };
+    assert_eq!(harvest(&mut scanner), PINNED_FLEET, "the harvested fleet");
+    group.throughput(Throughput::Elements(
+        u64::from(FOLD_ROUNDS) * targets.len() as u64,
+    ));
+    group.bench_function("harvest_fleet_14_rounds", |b| {
+        b.iter(|| harvest(&mut scanner));
+    });
+    assert_eq!(scanner.fleet_size(), PINNED_FLEET, "no host joined");
     group.finish();
 
     // The shard fold over a campaign: every shard new each round (full
@@ -101,11 +155,13 @@ fn bench_scanner(c: &mut Criterion) {
     group.finish();
 }
 
-/// `FOLD_ROUNDS` daily rounds of `world`, as full-collection rounds
-/// (every shard a fresh column) and as delta rounds, where shard `i` of
-/// round `r > 0` is round `r - 1`'s own column whenever `i + r` is even.
-fn fold_rounds(mut world: World, targets: &[Target]) -> (Vec<Round>, Vec<Round>) {
+/// `FOLD_ROUNDS` daily rounds of `world`: their snapshots, as
+/// full-collection rounds (every shard a fresh column) and as delta
+/// rounds, where shard `i` of round `r > 0` is round `r - 1`'s own column
+/// whenever `i + r` is even.
+fn fold_rounds(mut world: World, targets: &[Target]) -> (Vec<DnsSnapshot>, Vec<Round>, Vec<Round>) {
     let mut collector = RecordCollector::new(world.clock(), Region::Ashburn);
+    let mut snapshots = Vec::new();
     let mut full: Vec<Round> = Vec::new();
     let mut delta: Vec<Round> = Vec::new();
     for day in 0..FOLD_ROUNDS {
@@ -130,9 +186,10 @@ fn fold_rounds(mut world: World, targets: &[Target]) -> (Vec<Round>, Vec<Round>)
         };
         full.push((snapshot.taken_at, shards));
         delta.push((snapshot.taken_at, chained));
+        snapshots.push(snapshot);
         world.step_hours(24);
     }
-    (full, delta)
+    (snapshots, full, delta)
 }
 
 fn fold(sites: usize, rounds: &[Round]) -> remnant::core::SnapshotAggregates {

@@ -5,12 +5,15 @@
 //! (Sec IV) and, for the residual scans, the Cloudflare fleet NS hosts
 //! and the Incapsula CNAME tokens (Sec V-A.1, V-B). All of it is a pure
 //! function of a block's records, so it is derived once per block, by
-//! [`DerivedColumn::derive`]: the collector calls it in each shard's
-//! finish step, on the worker that resolved the shard, and snapshots
-//! assembled site by site ([`crate::snapshot::SnapshotBuilder`]) call it
-//! as each block fills. The block's [`BlockSource`] carries the resulting
-//! [`DerivedColumn`] wherever the block goes: replayed by a delta round,
-//! spilled beside the block's record frame, reopened by a snapshot store.
+//! [`DerivedColumn::derive`], in one walk over the block's sites that
+//! reads each name's verdict word once (see [`crate::matchers`]) and
+//! packs each class as it is decided. The collector calls it in each
+//! shard's finish step, on the worker that resolved the shard, and
+//! snapshots assembled site by site
+//! ([`crate::snapshot::SnapshotBuilder`]) call it as each block fills.
+//! The block's [`BlockSource`] carries the resulting [`DerivedColumn`]
+//! wherever the block goes: replayed by a delta round, spilled beside
+//! the block's record frame, reopened by a snapshot store.
 //!
 //! The snapshot passes, both residual harvests and the query layer's
 //! `ClassifiedStore` therefore read columns only; record frames are
@@ -35,9 +38,7 @@ use remnant_engine::ScanEngine;
 
 use crate::adoption::{Adoption, PackedAdoption};
 use crate::behavior::BehaviorDetector;
-use crate::residual::cloudflare::fleet_candidates;
-use crate::residual::incapsula::token_candidates;
-use crate::residual::{CLOUDFLARE_NS_FINGERPRINT, INCAPSULA_CNAME_FINGERPRINT};
+use crate::matchers::{Fingerprint, NameVerdict, RecordMatches};
 use crate::snapshot::{DnsSnapshot, RecordBlock};
 
 /// One block's derived column (see the module docs). Shared by `Arc`, so
@@ -55,34 +56,75 @@ pub struct DerivedColumn {
     /// Cloudflare fleet candidates: every NS host whose labels contain
     /// [`CLOUDFLARE_NS_FINGERPRINT`], in site order with repeats kept.
     /// (Two parallel columns rather than pairs: a third less memory.)
+    ///
+    /// [`CLOUDFLARE_NS_FINGERPRINT`]: crate::residual::CLOUDFLARE_NS_FINGERPRINT
     pub fleet_ns: Vec<DomainName>,
     /// Incapsula tokens: `(block-local site, first CNAME whose labels
     /// contain [`INCAPSULA_CNAME_FINGERPRINT`])`, in site order.
+    ///
+    /// [`INCAPSULA_CNAME_FINGERPRINT`]: crate::residual::INCAPSULA_CNAME_FINGERPRINT
     pub incap_tokens: Vec<(u32, DomainName)>,
 }
 
 impl DerivedColumn {
-    /// Derives a block's column: the standard detector's
+    /// Derives a block's column in one walk over its sites: each name's
+    /// verdict word (`NameVerdict`) is read once and yields the site's
+    /// CNAME or NS match, its multi-CDN mark and its fleet or token
+    /// candidacy, and the class is packed as it is decided. The one
+    /// derivation every path uses; it equals the standard detector's
     /// [`BehaviorDetector::classify_block`] plus the two residual
-    /// fingerprints' candidates. The one derivation every path uses.
+    /// fingerprints' record walks ([`fleet_candidates`],
+    /// [`token_candidates`]).
+    ///
+    /// [`fleet_candidates`]: crate::residual::cloudflare::fleet_candidates
+    /// [`token_candidates`]: crate::residual::incapsula::token_candidates
     pub fn derive(block: &RecordBlock) -> Self {
-        let (classes, mut multi_cdn) = BehaviorDetector::standard().classify_block(block);
-        let classes = classes.iter().map(PackedAdoption::pack).collect();
-        let (fleet_sites, fleet_ns) = fleet_candidates(block, CLOUDFLARE_NS_FINGERPRINT)
-            .into_iter()
-            .unzip();
-        let mut incap_tokens = token_candidates(block, INCAPSULA_CNAME_FINGERPRINT);
+        let matcher = BehaviorDetector::standard().matcher();
+        let mut column = DerivedColumn {
+            classes: Vec::with_capacity(block.len()),
+            ..DerivedColumn::default()
+        };
+        for (i, site) in (0u32..).zip(block.sites()) {
+            let (mut cname, mut multi_cdn, mut token) = (None, false, None);
+            for name in site.cnames {
+                let verdict = NameVerdict::of(name);
+                cname = cname.or(verdict.cname_match());
+                multi_cdn |= verdict.has(Fingerprint::MultiCdn);
+                if token.is_none() && verdict.has(Fingerprint::IncapsulaCname) {
+                    token = Some(name);
+                }
+            }
+            let mut ns = None;
+            for host in site.ns {
+                let verdict = NameVerdict::of(host);
+                ns = ns.or(verdict.ns_match());
+                if verdict.has(Fingerprint::CloudflareNs) {
+                    column.fleet_sites.push(i);
+                    column.fleet_ns.push(host.clone());
+                }
+            }
+            let matches = RecordMatches {
+                a: matcher.a_match_any(site.a),
+                cname,
+                ns,
+            };
+            column
+                .classes
+                .push(PackedAdoption::pack(&Adoption::from_matches(matches)));
+            if multi_cdn {
+                column.multi_cdn.push(i);
+            }
+            if let Some(token) = token {
+                column.incap_tokens.push((i, token.clone()));
+            }
+        }
         // Columns outlive their round (the spill chain, a store), so
         // they keep no growth slack.
-        multi_cdn.shrink_to_fit();
-        incap_tokens.shrink_to_fit();
-        DerivedColumn {
-            classes,
-            multi_cdn,
-            fleet_sites,
-            fleet_ns,
-            incap_tokens,
-        }
+        column.multi_cdn.shrink_to_fit();
+        column.fleet_sites.shrink_to_fit();
+        column.fleet_ns.shrink_to_fit();
+        column.incap_tokens.shrink_to_fit();
+        column
     }
 
     /// Number of sites the column covers.
@@ -198,6 +240,8 @@ impl ShardClassCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::residual::cloudflare::fleet_candidates;
+    use crate::residual::incapsula::token_candidates;
     use crate::snapshot::SiteRecords;
     use remnant_engine::EngineConfig;
     use remnant_sim::SimTime;

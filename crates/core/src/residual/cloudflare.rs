@@ -1,11 +1,19 @@
 //! Direct-query scanning of an NS-hosting provider's nameserver fleet
 //! (Sec V-A: the Cloudflare case study).
+//!
+//! Every round's harvest tests every fleet candidate a block carries for
+//! membership in the fleet found so far, so the fleet is a [`WordMap`]:
+//! a probe hashes the name's precomputed content hash and compares
+//! interned pointers, with no string comparison. Where order matters —
+//! [`CloudflareScanner::fleet`] and the weekly scan's server rotation —
+//! the fleet (the paper's 391 hosts) is sorted by name.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use remnant_dns::{DnsTransport, DomainName, Query, Rcode, RecordType, RecursiveResolver};
 use remnant_engine::{ScanEngine, SweepStats};
+use remnant_net::hash::WordMap;
 use remnant_net::Region;
 use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_sim::SimClock;
@@ -18,10 +26,13 @@ use crate::vantage::VantagePoints;
 
 /// A block's fleet candidates: `(block-local site, NS host)` for every NS
 /// host whose labels contain `ns_substring`, in site order with repeats
-/// kept. This is the record walk behind both
-/// [`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns)
-/// and a [`CloudflareScanner`] built with another substring.
-/// A standard fingerprint is read from each name's verdict word.
+/// kept. This is the record walk of a [`CloudflareScanner`] built with
+/// another substring; for the standard fingerprint
+/// [`DerivedColumn::derive`](crate::classify::DerivedColumn::derive)
+/// yields the same candidates
+/// ([`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns))
+/// in its one walk. A standard fingerprint is read from each name's
+/// verdict word.
 pub fn fleet_candidates(block: &RecordBlock, ns_substring: &str) -> Vec<(u32, DomainName)> {
     let needle = LabelNeedle::new(ns_substring);
     let mut candidates = Vec::new();
@@ -47,8 +58,9 @@ pub struct CloudflareScanner {
     clock: SimClock,
     /// Fingerprint substring identifying fleet hostnames.
     ns_substring: String,
-    /// Discovered fleet: hostname -> address.
-    fleet: BTreeMap<DomainName, Ipv4Addr>,
+    /// Discovered fleet: hostname -> address (hashed: see the module
+    /// docs).
+    fleet: WordMap<DomainName, Ipv4Addr>,
     /// Resolver used to resolve fleet hostnames' glue addresses.
     resolver: RecursiveResolver,
     vantage: VantagePoints,
@@ -64,7 +76,7 @@ impl CloudflareScanner {
             resolver: RecursiveResolver::new(clock.clone(), Region::Ashburn),
             clock,
             ns_substring: ns_substring.into(),
-            fleet: BTreeMap::new(),
+            fleet: WordMap::default(),
             vantage: VantagePoints::paper(),
             queries_sent: 0,
             responses: 0,
@@ -76,9 +88,12 @@ impl CloudflareScanner {
         self.fleet.len()
     }
 
-    /// The discovered fleet.
+    /// The discovered fleet, in ascending name order.
     pub fn fleet(&self) -> impl Iterator<Item = (&DomainName, Ipv4Addr)> {
-        self.fleet.iter().map(|(h, a)| (h, *a))
+        let mut fleet: Vec<(&DomainName, Ipv4Addr)> =
+            self.fleet.iter().map(|(h, a)| (h, *a)).collect();
+        fleet.sort_unstable_by_key(|&(host, _)| host);
+        fleet.into_iter()
     }
 
     /// Harvests fleet hostnames from one usage-study snapshot, resolving
@@ -91,16 +106,19 @@ impl CloudflareScanner {
     /// ([`CLOUDFLARE_NS_FINGERPRINT`]) the candidates are the ones each
     /// block carries from collection
     /// ([`DerivedColumn::fleet_ns`](crate::classify::DerivedColumn::fleet_ns))
-    /// and no record is read; any other substring walks the records.
+    /// and no record is read; any other substring walks the records. Each
+    /// candidate's membership test is one hashed probe (see the module
+    /// docs).
     pub fn harvest_fleet<T: DnsTransport + ?Sized>(
         &mut self,
         transport: &T,
         snapshot: &DnsSnapshot,
     ) {
+        let carried = self.ns_substring == CLOUDFLARE_NS_FINGERPRINT;
         let mut new_hosts: Vec<DomainName> = Vec::new();
         for (_, source) in snapshot.block_sources() {
             let walked: Vec<DomainName>;
-            let hosts = if self.ns_substring == CLOUDFLARE_NS_FINGERPRINT {
+            let hosts = if carried {
                 &source.derived().fleet_ns
             } else {
                 walked = fleet_candidates(&source.load(), &self.ns_substring)
@@ -131,9 +149,10 @@ impl CloudflareScanner {
     /// query was *answered with records* — the fleet ignores everything
     /// else (Sec V-A.2).
     ///
-    /// Server rotation and vantage assignment are pure functions of the
-    /// target's rank, so the result map and every deterministic counter are
-    /// identical for any worker count.
+    /// Server rotation (over [`fleet`](Self::fleet)'s name order) and
+    /// vantage assignment are pure functions of the target's rank, so the
+    /// result map and every deterministic counter are identical for any
+    /// worker count.
     pub fn scan_with<T: DnsTransport + Sync + ?Sized>(
         &mut self,
         engine: &ScanEngine,
@@ -141,7 +160,7 @@ impl CloudflareScanner {
         targets: &[Target],
         week: u32,
     ) -> (HashMap<usize, Vec<Ipv4Addr>>, SweepStats) {
-        let servers: Vec<Ipv4Addr> = self.fleet.values().copied().collect();
+        let servers: Vec<Ipv4Addr> = self.fleet().map(|(_, addr)| addr).collect();
         if servers.is_empty() {
             return (HashMap::new(), SweepStats::default());
         }
@@ -244,7 +263,7 @@ mod tests {
         targets: &[Target],
         week: u32,
     ) -> HashMap<usize, Vec<Ipv4Addr>> {
-        let servers: Vec<Ipv4Addr> = scanner.fleet.values().copied().collect();
+        let servers: Vec<Ipv4Addr> = scanner.fleet().map(|(_, addr)| addr).collect();
         let mut results = HashMap::new();
         for (rank, (_apex, www)) in targets.iter().enumerate() {
             let server = servers[(rank + week as usize) % servers.len()];

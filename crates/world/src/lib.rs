@@ -45,6 +45,5 @@ pub mod world;
 
 pub use config::{Calibration, WorldConfig};
 pub use dynamics::{BehaviorEvent, BehaviorKind, LeaveFate};
-pub use remnant_obs::Instrumented;
 pub use site::{SiteId, SiteState, Website};
 pub use world::World;

@@ -15,7 +15,6 @@ use remnant_http::{
 };
 use remnant_net::hash::{WordMap, WordSet};
 use remnant_net::{IpAllocator, Region};
-use remnant_obs::{transport_counters, Instrumented, MetricKey};
 use remnant_provider::{DpsProvider, ProviderId, ReroutingMethod, ServicePlan};
 use remnant_sim::{SeedSeq, SimClock, SimDuration, SimTime};
 
@@ -88,7 +87,6 @@ pub struct World {
     parking_template: PageTemplate,
     parking_nonce: u64,
     http_requests: u64,
-    http_answered: u64,
 }
 
 impl World {
@@ -173,7 +171,6 @@ impl World {
             parking_template: PageTemplate::generate("parked.example", config.seed),
             parking_nonce: 0,
             http_requests: 0,
-            http_answered: 0,
             config,
             rng: StdRng::seed_from_u64(0), // replaced below
         };
@@ -298,7 +295,6 @@ impl World {
             parking_template: self.parking_template.clone(),
             parking_nonce: self.parking_nonce,
             http_requests: 0,
-            http_answered: 0,
         }
     }
 
@@ -953,11 +949,7 @@ impl HttpTransport for OriginBackend<'_> {
 impl HttpTransport for World {
     fn get(&mut self, now: SimTime, dst: Ipv4Addr, request: &HttpRequest) -> Option<HttpResponse> {
         self.http_requests += 1;
-        let response = self.serve_fabric_http(now, dst, request);
-        if response.is_some() {
-            self.http_answered += 1;
-        }
-        response
+        self.serve_fabric_http(now, dst, request)
     }
 }
 
@@ -1051,22 +1043,6 @@ impl World {
         } else {
             generation.wrapping_mul(2)
         }
-    }
-}
-
-impl Instrumented for World {
-    fn component(&self) -> &'static str {
-        "world.fabric"
-    }
-
-    /// The HTTP transport surface on the unified `transport.*` names,
-    /// labeled `proto=http`. The fabric keeps no DNS counters: DNS
-    /// senders count their own queries.
-    fn counters(&self) -> Vec<(MetricKey, u64)> {
-        transport_counters(self.http_requests, self.http_answered)
-            .into_iter()
-            .map(|(key, value)| (key.with_label("proto", "http"), value))
-            .collect()
     }
 }
 
@@ -1486,40 +1462,31 @@ mod tests {
     }
 
     #[test]
-    fn fabric_counts_http_requests_on_the_transport_names() {
+    fn fabric_counts_http_requests() {
         let mut w = small_world();
         let site = w.sites()[0].clone();
         let mut r = resolver(&w);
         let addr = r.resolve(&w, &site.www, RecordType::A).unwrap().addresses()[0];
         let now = w.now();
         let client = Ipv4Addr::new(1, 2, 3, 4);
-        for dst in [addr, Ipv4Addr::new(203, 0, 113, 99)] {
-            let _ = HttpTransport::get(
-                &mut w,
-                now,
-                dst,
-                &HttpRequest::landing(client, site.www.as_str()),
-            );
-        }
-
-        let mut registry = remnant_obs::MetricsRegistry::new();
-        w.export_into(&mut registry);
-        let count = |name: &'static str| {
-            registry.counter_labeled(name, &[("component", "world.fabric"), ("proto", "http")])
-        };
-        assert_eq!(w.http_requests(), 2);
-        assert_eq!(count(remnant_obs::TRANSPORT_SENT), 2);
+        let answered: Vec<bool> = [addr, Ipv4Addr::new(203, 0, 113, 99)]
+            .into_iter()
+            .map(|dst| {
+                HttpTransport::get(
+                    &mut w,
+                    now,
+                    dst,
+                    &HttpRequest::landing(client, site.www.as_str()),
+                )
+                .is_some()
+            })
+            .collect();
         assert_eq!(
-            count(remnant_obs::TRANSPORT_ANSWERED),
-            1,
-            "the serving address answers"
+            answered,
+            [true, false],
+            "the serving address answers, nobody listens on the other"
         );
-        assert_eq!(
-            count(remnant_obs::TRANSPORT_IGNORED),
-            1,
-            "nobody listens on the other"
-        );
-        assert_eq!(w.counters().len(), 3, "no DNS counters");
+        assert_eq!(w.http_requests(), 2, "answered or not, every GET counts");
     }
 
     /// `registry_answer` probes the site index before the infrastructure

@@ -428,6 +428,14 @@ fn a_failed_fleet_lookup_is_retried_while_its_block_replays() {
             stats.push(counting.query_stats());
             let found = scanner.fleet().any(|(h, _)| *h == host);
             assert_eq!(found, day > 0, "{substring} day {day}: host in fleet");
+            // The weekly scan rotates its servers over the fleet in this
+            // order, so every scan result depends on it.
+            let names: Vec<&str> = scanner.fleet().map(|(h, _)| h.as_str()).collect();
+            assert!(
+                names.windows(2).all(|w| w[0] < w[1]),
+                "{substring} day {day}: fleet in strictly ascending name order"
+            );
+            assert_eq!(names.len(), scanner.fleet_size());
         }
         let fleet: Vec<(DomainName, Ipv4Addr)> =
             scanner.fleet().map(|(h, a)| (h.clone(), a)).collect();
