@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-/// A botnet generating flood traffic, optionally through reflectors
-/// ("directly or indirectly by leveraging the reflectors", Sec I).
+/// A botnet generating flood traffic (Sec I).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Botnet {
     bots: u64,
     per_bot_mbps: f64,
-    amplification: f64,
 }
 
 impl Botnet {
@@ -19,11 +17,7 @@ impl Botnet {
     /// Panics if `per_bot_mbps` is negative.
     pub fn new(bots: u64, per_bot_mbps: f64) -> Self {
         assert!(per_bot_mbps >= 0.0, "rate must be non-negative");
-        Botnet {
-            bots,
-            per_bot_mbps,
-            amplification: 1.0,
-        }
+        Botnet { bots, per_bot_mbps }
     }
 
     /// An IoT botnet in the class of Mirai at the Dyn attack
@@ -37,19 +31,6 @@ impl Botnet {
         Botnet::new(2_000, 5.0)
     }
 
-    /// Routes the flood through reflectors with the given amplification
-    /// factor (e.g. NTP monlist ~550x in the amplification literature the
-    /// paper cites).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 1.0`.
-    pub fn with_amplification(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "amplification cannot shrink traffic");
-        self.amplification = factor;
-        self
-    }
-
     /// Number of bots.
     pub const fn bots(&self) -> u64 {
         self.bots
@@ -57,7 +38,7 @@ impl Botnet {
 
     /// Aggregate attack volume in Gbps.
     pub fn total_gbps(&self) -> f64 {
-        self.bots as f64 * self.per_bot_mbps * self.amplification / 1_000.0
+        self.bots as f64 * self.per_bot_mbps / 1_000.0
     }
 }
 
@@ -65,14 +46,9 @@ impl fmt::Display for Botnet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "botnet of {} bots ({:.1} Gbps{})",
+            "botnet of {} bots ({:.1} Gbps)",
             self.bots,
-            self.total_gbps(),
-            if self.amplification > 1.0 {
-                format!(", {}x amplified", self.amplification)
-            } else {
-                String::new()
-            }
+            self.total_gbps()
         )
     }
 }
@@ -88,22 +64,14 @@ mod tests {
     }
 
     #[test]
-    fn amplification_multiplies() {
+    fn volume_is_bots_times_rate() {
         let base = Botnet::new(100, 1.0);
         assert!((base.total_gbps() - 0.1).abs() < 1e-9);
-        let amped = base.with_amplification(500.0);
-        assert!((amped.total_gbps() - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn booter_is_small() {
         assert!(Botnet::booter().total_gbps() < 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "amplification cannot shrink")]
-    fn rejects_sub_unit_amplification() {
-        let _ = Botnet::new(1, 1.0).with_amplification(0.5);
     }
 
     #[test]

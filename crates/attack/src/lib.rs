@@ -3,9 +3,8 @@
 //!
 //! Three pieces:
 //!
-//! * [`Botnet`] — volumetric attack sources (direct floods and
-//!   reflection/amplification), sized after the attacks the paper cites
-//!   (Mirai/Dyn at ~1.2 Tbps);
+//! * [`Botnet`] — volumetric attack sources, sized after the attacks the
+//!   paper cites (Mirai/Dyn at ~1.2 Tbps);
 //! * [`DdosAttack`] — delivers traffic at a target address: hitting a DPS
 //!   edge spreads the flood over the provider's anycast PoPs where
 //!   scrubbing centers absorb it (Fig 1a); hitting an origin directly

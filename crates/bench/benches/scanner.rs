@@ -81,6 +81,8 @@ fn bench_scanner(c: &mut Criterion) {
         });
     });
 
+    // One site per iteration.
+    group.throughput(Throughput::Elements(1));
     group.bench_function("classify_one", |b| {
         let records = (0..snapshot.len())
             .filter_map(|rank| snapshot.site(rank))

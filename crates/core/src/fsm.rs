@@ -95,23 +95,6 @@ pub fn apply(
     }
 }
 
-/// Validates a whole behavior sequence from `start`, returning the final
-/// state.
-///
-/// # Errors
-///
-/// Returns the first [`InvalidTransition`] encountered.
-pub fn validate_sequence(
-    start: DpsState,
-    behaviors: impl IntoIterator<Item = (BehaviorKind, Option<ProviderId>)>,
-) -> Result<DpsState, InvalidTransition> {
-    let mut state = start;
-    for (behavior, to) in behaviors {
-        state = apply(state, behavior, to)?;
-    }
-    Ok(state)
-}
-
 /// The full legal transition table as `(from, behavior, to)` descriptions,
 /// for rendering Fig 4.
 pub fn transition_table() -> Vec<(String, BehaviorKind, String)> {
@@ -184,30 +167,22 @@ mod tests {
     fn sequences_validate_end_to_end() {
         // The paper's composite example: join then pause the same day is
         // J followed by P.
-        let end = validate_sequence(
-            DpsState::None,
-            [
-                (BehaviorKind::Join, Some(CF)),
-                (BehaviorKind::Pause, None),
-                (BehaviorKind::Resume, None),
-                (BehaviorKind::Switch, Some(INC)),
-                (BehaviorKind::Leave, None),
-            ],
-        )
+        let end = [
+            (BehaviorKind::Join, Some(CF)),
+            (BehaviorKind::Pause, None),
+            (BehaviorKind::Resume, None),
+            (BehaviorKind::Switch, Some(INC)),
+            (BehaviorKind::Leave, None),
+        ]
+        .into_iter()
+        .try_fold(DpsState::None, |state, (kind, to)| apply(state, kind, to))
         .unwrap();
         assert_eq!(end, DpsState::None);
     }
 
     #[test]
-    fn sequence_stops_at_first_error() {
-        let err = validate_sequence(
-            DpsState::None,
-            [
-                (BehaviorKind::Join, Some(CF)),
-                (BehaviorKind::Join, Some(CF)),
-            ],
-        )
-        .unwrap_err();
+    fn illegal_transition_names_state_and_behavior() {
+        let err = apply(DpsState::On(CF), BehaviorKind::Join, Some(CF)).unwrap_err();
         assert_eq!(err.state, DpsState::On(CF));
         assert_eq!(err.behavior, BehaviorKind::Join);
         assert!(err.to_string().contains("illegal"));

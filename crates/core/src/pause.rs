@@ -39,11 +39,6 @@ impl PauseWindow {
             .map(|end| f64::from(end - self.start_observation))
     }
 
-    /// The window length in fractional virtual days, if closed.
-    pub fn duration_days_exact(&self) -> Option<f64> {
-        self.end.map(|end| (end - self.start).as_days_f64())
-    }
-
     /// True if pause and resume happened at the same provider.
     pub fn same_provider(&self) -> bool {
         self.paused_at_provider.is_some() && self.paused_at_provider == self.resumed_at_provider
@@ -114,11 +109,6 @@ impl PauseTracker {
     /// All windows closed so far.
     pub fn windows(&self) -> &[PauseWindow] {
         &self.windows
-    }
-
-    /// Number of still-open pauses.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
     }
 
     /// The Fig 5 "Overall" CDF: every completed pause period in days.
@@ -196,9 +186,8 @@ mod tests {
         assert_eq!(tracker.windows().len(), 1);
         let w = &tracker.windows()[0];
         assert_eq!(w.duration_days(), Some(3.0));
-        assert_eq!(w.duration_days_exact(), Some(3.0));
+        assert_eq!(w.end, Some(day(4)));
         assert!(w.same_provider());
-        assert_eq!(tracker.open_count(), 0);
     }
 
     #[test]
@@ -213,13 +202,13 @@ mod tests {
         ]);
         let w = &tracker.windows()[0];
         assert_eq!(w.duration_days(), Some(1.0));
-        assert_eq!(w.duration_days_exact(), Some(1.25));
+        assert_eq!((w.end.unwrap() - w.start).as_days_f64(), 1.25);
     }
 
     #[test]
     fn open_window_is_not_counted_in_cdf() {
         let tracker = track(&[(day(0), on(CF)), (day(1), off(CF)), (day(2), off(CF))]);
-        assert_eq!(tracker.open_count(), 1);
+        assert!(tracker.windows().is_empty(), "the pause is still open");
         assert!(tracker.cdf_overall().is_empty());
     }
 

@@ -310,8 +310,11 @@ mod tests {
             scanner.fleet_size()
         );
         // Every harvested address really is a Cloudflare nameserver.
-        for (_, addr) in scanner.fleet() {
-            assert!(w.provider(ProviderId::Cloudflare).is_ns_address(addr));
+        for (host, addr) in scanner.fleet() {
+            assert_eq!(
+                w.provider(ProviderId::Cloudflare).ns_address(host),
+                Some(addr)
+            );
         }
     }
 

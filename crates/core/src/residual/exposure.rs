@@ -37,11 +37,6 @@ impl ExposureTracker {
         self.weeks.push((hidden, verified));
     }
 
-    /// Number of weeks observed.
-    pub fn week_count(&self) -> usize {
-        self.weeks.len()
-    }
-
     /// Per-week (hidden count, verified count, verified %) — the weekly
     /// rows of Table VI.
     pub fn weekly_rows(&self) -> Vec<(usize, usize, f64)> {
@@ -176,7 +171,7 @@ mod tests {
         assert_eq!(t.total_hidden(), 5);
         assert_eq!(t.total_verified(), 4);
         assert!((t.total_verified_rate().unwrap() - 0.8).abs() < 1e-9);
-        assert_eq!(t.week_count(), 3);
+        assert_eq!(t.weekly_rows().len(), 3);
     }
 
     #[test]

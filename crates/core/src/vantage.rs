@@ -10,7 +10,6 @@ use remnant_net::Region;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VantagePoints {
     regions: Vec<Region>,
-    cursor: usize,
     issued: u64,
 }
 
@@ -25,7 +24,6 @@ impl VantagePoints {
     pub fn paper() -> Self {
         VantagePoints {
             regions: Region::VANTAGE_POINTS.to_vec(),
-            cursor: 0,
             issued: 0,
         }
     }
@@ -37,11 +35,7 @@ impl VantagePoints {
     /// Panics if `regions` is empty.
     pub fn new(regions: Vec<Region>) -> Self {
         assert!(!regions.is_empty(), "at least one vantage point required");
-        VantagePoints {
-            regions,
-            cursor: 0,
-            issued: 0,
-        }
+        VantagePoints { regions, issued: 0 }
     }
 
     /// The configured regions.
@@ -49,27 +43,18 @@ impl VantagePoints {
         &self.regions
     }
 
-    /// The next vantage point, round-robin — each consecutive query leaves
-    /// from a different region, spreading load over distinct PoPs.
-    pub fn next_region(&mut self) -> Region {
-        let region = self.regions[self.cursor];
-        self.cursor = (self.cursor + 1) % self.regions.len();
-        self.issued += 1;
-        region
-    }
-
-    /// The vantage point for the `rank`-th query of a sweep — the same
-    /// round-robin rotation as [`next_region`](Self::next_region), but as a
-    /// pure function of the query's rank. Sharded scans use this so the
-    /// region assignment is independent of the order shards execute in.
+    /// The vantage point for the `rank`-th query of a sweep, round-robin:
+    /// each consecutive query leaves from a different region, spreading
+    /// load over distinct PoPs. A pure function of the query's rank, so
+    /// the region assignment is independent of the order shards execute
+    /// in.
     pub fn region_for(&self, rank: u64) -> Region {
         self.regions[(rank % self.regions.len() as u64) as usize]
     }
 
     /// Records `n` queries issued through [`region_for`](Self::region_for)
     /// (which cannot bump the counter itself), keeping
-    /// [`issued`](Self::issued) and [`load_split`](Self::load_split)
-    /// accurate for sharded scans.
+    /// [`issued`](Self::issued) accurate for sharded scans.
     pub fn note_issued(&mut self, n: u64) {
         self.issued += n;
     }
@@ -77,19 +62,6 @@ impl VantagePoints {
     /// Queries issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
-    }
-
-    /// Per-region share of issued queries so far (approximately equal by
-    /// construction).
-    pub fn load_split(&self) -> Vec<(Region, u64)> {
-        let n = self.regions.len() as u64;
-        let base = self.issued / n;
-        let extra = (self.issued % n) as usize;
-        self.regions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (*r, base + u64::from(i < extra)))
-            .collect()
     }
 }
 
@@ -107,27 +79,13 @@ mod tests {
 
     #[test]
     fn rotation_is_fair() {
-        let mut vp = VantagePoints::paper();
+        let vp = VantagePoints::paper();
         let mut counts = std::collections::HashMap::new();
-        for _ in 0..5 * 7 {
-            *counts.entry(vp.next_region()).or_insert(0u64) += 1;
+        for rank in 0..5 * 7 {
+            *counts.entry(vp.region_for(rank)).or_insert(0u64) += 1;
         }
         assert_eq!(counts.len(), 5);
         assert!(counts.values().all(|c| *c == 7));
-        assert_eq!(vp.issued(), 35);
-    }
-
-    #[test]
-    fn load_split_accounts_for_remainders() {
-        let mut vp = VantagePoints::paper();
-        for _ in 0..7 {
-            vp.next_region();
-        }
-        let split = vp.load_split();
-        let total: u64 = split.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 7);
-        assert_eq!(split[0].1, 2);
-        assert_eq!(split[4].1, 1);
     }
 
     #[test]
@@ -137,19 +95,18 @@ mod tests {
     }
 
     #[test]
-    fn region_for_matches_rotation() {
-        let mut vp = VantagePoints::paper();
+    fn region_for_rotates_in_configured_order() {
+        let vp = VantagePoints::paper();
         let pure: Vec<Region> = (0..12).map(|rank| vp.region_for(rank)).collect();
-        let rotated: Vec<Region> = (0..12).map(|_| vp.next_region()).collect();
+        let rotated: Vec<Region> = vp.regions().iter().copied().cycle().take(12).collect();
         assert_eq!(pure, rotated);
     }
 
     #[test]
-    fn note_issued_feeds_load_split() {
+    fn note_issued_accumulates() {
         let mut vp = VantagePoints::paper();
         vp.note_issued(10);
-        assert_eq!(vp.issued(), 10);
-        let total: u64 = vp.load_split().iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 10);
+        vp.note_issued(3);
+        assert_eq!(vp.issued(), 13);
     }
 }

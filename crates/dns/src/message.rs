@@ -4,7 +4,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::name::DomainName;
-use crate::record::{RecordSet, RecordType, ResourceRecord};
+use crate::record::{RecordSet, RecordType};
 
 /// A single-question DNS query.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -139,18 +139,6 @@ impl Response {
             .filter_map(|rr| rr.data.as_a())
             .collect()
     }
-
-    /// The first CNAME target in the answer section, if any.
-    pub fn answer_cname(&self) -> Option<&DomainName> {
-        self.answers.iter().find_map(|rr| rr.data.as_cname())
-    }
-
-    /// Records of `rtype` in the answer section.
-    pub fn answers_of(&self, rtype: RecordType) -> impl Iterator<Item = &ResourceRecord> {
-        self.answers
-            .iter()
-            .filter(move |rr| rr.record_type() == rtype)
-    }
 }
 
 impl fmt::Display for Response {
@@ -170,7 +158,7 @@ impl fmt::Display for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RecordData, Ttl};
+    use crate::record::{RecordData, ResourceRecord, Ttl};
 
     fn name(s: &str) -> DomainName {
         s.parse().expect("test name")
@@ -192,8 +180,6 @@ mod tests {
         );
         assert!(resp.authoritative);
         assert_eq!(resp.answer_addresses().len(), 2);
-        assert_eq!(resp.answer_cname(), None);
-        assert_eq!(resp.answers_of(RecordType::A).count(), 2);
         assert!(!resp.is_referral());
     }
 
@@ -206,7 +192,10 @@ mod tests {
             RecordData::Cname(name("x.incapdns.net")),
         );
         let resp = Response::answer(q, vec![rr]);
-        assert_eq!(resp.answer_cname(), Some(&name("x.incapdns.net")));
+        assert_eq!(
+            resp.answers[0].data.as_cname(),
+            Some(&name("x.incapdns.net"))
+        );
         assert!(resp.answer_addresses().is_empty());
     }
 

@@ -80,11 +80,6 @@ impl ResolverStats {
         self.queries[qtype_index(rtype)]
     }
 
-    /// Total `resolve()` calls across all query types.
-    pub fn total_queries(&self) -> u64 {
-        self.queries.iter().sum()
-    }
-
     /// Dead-delegation retries that restarted from the root.
     pub fn fallback_retries(&self) -> u64 {
         self.fallback_retries
@@ -922,7 +917,6 @@ mod tests {
 
         assert_eq!(r.stats().queries_for(RecordType::A), 2);
         assert_eq!(r.stats().queries_for(RecordType::Ns), 1);
-        assert_eq!(r.stats().total_queries(), 3);
         assert_eq!(r.stats().fallback_retries(), 0);
         // First resolve: root referral then answer (depth 1). Later
         // resolves run from the cached delegation (depth 0).

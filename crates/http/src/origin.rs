@@ -92,11 +92,6 @@ impl OriginServer {
         self.sites.get(host)
     }
 
-    /// Mutable access to the template for `host`.
-    pub fn site_mut(&mut self, host: &str) -> Option<&mut PageTemplate> {
-        self.sites.get_mut(host)
-    }
-
     /// Replaces the firewall policy.
     pub fn set_firewall(&mut self, policy: FirewallPolicy) {
         self.firewall = policy;
@@ -200,9 +195,9 @@ mod tests {
     #[test]
     fn dynamic_meta_differs_across_requests() {
         let mut o = origin();
-        o.site_mut("www.example.com")
-            .unwrap()
-            .add_dynamic_meta("visitor-id");
+        let mut template = o.unhost_site("www.example.com").unwrap();
+        template.add_dynamic_meta("visitor-id");
+        o.host_site("www.example.com", template);
         let a = o.handle(&req("www.example.com")).unwrap();
         let b = o.handle(&req("www.example.com")).unwrap();
         assert_ne!(

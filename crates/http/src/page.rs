@@ -109,11 +109,6 @@ impl PageTemplate {
         self.dynamic_meta.push(key.into());
     }
 
-    /// True if the template has any dynamic meta tags.
-    pub fn has_dynamic_meta(&self) -> bool {
-        !self.dynamic_meta.is_empty()
-    }
-
     /// Renders a concrete document. `nonce` feeds the dynamic meta values
     /// (real servers use timestamps, visitor IDs, CSRF tokens, …).
     pub fn render(&self, nonce: u64) -> HtmlDocument {
@@ -193,14 +188,12 @@ mod tests {
     fn static_renders_are_nonce_independent() {
         let t = PageTemplate::generate("example.com", 1);
         assert_eq!(t.render(1), t.render(99));
-        assert!(!t.has_dynamic_meta());
     }
 
     #[test]
     fn dynamic_meta_varies_per_render() {
         let mut t = PageTemplate::generate("example.com", 1);
         t.add_dynamic_meta("visitor-id");
-        assert!(t.has_dynamic_meta());
         let a = t.render(1);
         let b = t.render(2);
         assert_eq!(a.title, b.title);

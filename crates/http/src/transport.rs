@@ -243,11 +243,6 @@ impl<'a, T: HttpTransport> CountingHttpTransport<'a, T> {
             stats: FetchStats::default(),
         }
     }
-
-    /// The counters accumulated so far.
-    pub fn fetch_stats(&self) -> FetchStats {
-        self.stats
-    }
 }
 
 impl<T: HttpTransport> HttpTransport for CountingHttpTransport<'_, T> {
@@ -350,30 +345,18 @@ mod tests {
         for _ in 0..4 {
             let _ = transport.get(SimTime::EPOCH, served_by, &req);
         }
-        let stats = transport.fetch_stats();
-        assert_eq!(stats.sent, 4);
-        assert_eq!(stats.answered, 3);
-        assert_eq!(stats.ignored(), 1);
-        assert_eq!(
-            (stats.success, stats.client_error, stats.server_error),
-            (1, 1, 1)
-        );
-
         let mut registry = remnant_obs::MetricsRegistry::new();
-        stats.export_into(&mut registry);
-        assert_eq!(
-            registry.counter_key(&MetricKey::labeled(
-                remnant_obs::TRANSPORT_IGNORED,
-                &[("component", "http.transport")],
-            )),
-            1
-        );
-        assert_eq!(
-            registry.counter_key(&MetricKey::labeled(
-                "http.responses",
-                &[("class", "client_error"), ("component", "http.transport")],
-            )),
-            1
-        );
+        transport.export_into(&mut registry);
+        let count = |name, class: Option<&str>| {
+            let mut labels = vec![("component", "http.counting_transport")];
+            labels.extend(class.map(|class| ("class", class)));
+            registry.counter_key(&MetricKey::labeled(name, &labels))
+        };
+        assert_eq!(count(remnant_obs::TRANSPORT_SENT, None), 4);
+        assert_eq!(count(remnant_obs::TRANSPORT_ANSWERED, None), 3);
+        assert_eq!(count(remnant_obs::TRANSPORT_IGNORED, None), 1);
+        for class in ["success", "client_error", "server_error"] {
+            assert_eq!(count("http.responses", Some(class)), 1, "{class}");
+        }
     }
 }

@@ -48,21 +48,6 @@ impl AnycastMap {
         self.routes.entry(addr).or_default().insert(region, pop);
     }
 
-    /// Withdraws the announcement of `addr` at `region`.
-    pub fn withdraw(&mut self, addr: Ipv4Addr, region: Region) {
-        if let Some(regions) = self.routes.get_mut(&addr) {
-            regions.remove(&region);
-            if regions.is_empty() {
-                self.routes.remove(&addr);
-            }
-        }
-    }
-
-    /// True if `addr` is announced anywhere.
-    pub fn is_announced(&self, addr: Ipv4Addr) -> bool {
-        self.routes.contains_key(&addr)
-    }
-
     /// The PoP that receives a query for `addr` entering at `region`.
     ///
     /// Falls back along [`Region::proximity_order`] when the provider has no
@@ -90,14 +75,6 @@ impl AnycastMap {
         Err(NetError::NoCatchment {
             region: region.name().to_owned(),
         })
-    }
-
-    /// All PoPs serving `addr`, in unspecified order.
-    pub fn pops_for(&self, addr: Ipv4Addr) -> Vec<PopId> {
-        self.routes
-            .get(&addr)
-            .map(|m| m.values().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Number of distinct anycast IPs announced.
@@ -158,15 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn withdraw_removes_catchment() {
-        let mut map = AnycastMap::new();
-        map.announce(ip("3.3.3.3"), Region::London, PopId(1));
-        map.withdraw(ip("3.3.3.3"), Region::London);
-        assert!(!map.is_announced(ip("3.3.3.3")));
-        assert!(map.catchment(ip("3.3.3.3"), Region::London).is_err());
-    }
-
-    #[test]
     fn reannounce_replaces_pop() {
         let mut map = AnycastMap::new();
         map.announce(ip("4.4.4.4"), Region::Mumbai, PopId(1));
@@ -175,7 +143,7 @@ mod tests {
             map.catchment(ip("4.4.4.4"), Region::Mumbai).unwrap(),
             PopId(2)
         );
-        assert_eq!(map.pops_for(ip("4.4.4.4")), vec![PopId(2)]);
+        assert_eq!(map.len(), 1);
     }
 
     #[test]

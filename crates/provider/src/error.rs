@@ -31,6 +31,13 @@ pub enum ProviderError {
         /// The apex domain.
         domain: String,
     },
+    /// A zone record was asked for a name outside the customer's domain.
+    OutsideZone {
+        /// The customer's apex domain.
+        domain: String,
+        /// The rejected record name.
+        name: String,
+    },
     /// Provisioning failed (e.g. address pools exhausted).
     Provisioning {
         /// The apex domain.
@@ -57,6 +64,9 @@ impl fmt::Display for ProviderError {
                 write!(f, "{domain} is already enrolled")
             }
             ProviderError::NotEnrolled { domain } => write!(f, "{domain} is not enrolled"),
+            ProviderError::OutsideZone { domain, name } => {
+                write!(f, "{name} lies outside the zone of {domain}")
+            }
             ProviderError::Provisioning { domain, reason } => {
                 write!(f, "provisioning {domain} failed: {reason}")
             }

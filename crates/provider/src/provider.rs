@@ -22,7 +22,7 @@ use remnant_dns::{
     Response, Ttl,
 };
 use remnant_http::{HttpRequest, HttpResponse, HttpTransport, ReverseProxy};
-use remnant_net::hash::{WordMap, WordSet};
+use remnant_net::hash::WordMap;
 use remnant_net::{AnycastMap, IpAllocator, Ipv4Cidr, Pop, PopId, Region};
 use remnant_sim::{SeedSeq, SimDuration, SimTime};
 
@@ -78,14 +78,6 @@ impl Enrollment {
     pub fn cname_token(&self) -> Option<&DomainName> {
         match self {
             Enrollment::CnameBased { token } => Some(token),
-            _ => None,
-        }
-    }
-
-    /// The assigned edge address (None unless A-based).
-    pub fn edge_address(&self) -> Option<Ipv4Addr> {
-        match self {
-            Enrollment::ABased { edge } => Some(*edge),
             _ => None,
         }
     }
@@ -189,17 +181,15 @@ pub struct DpsProvider {
     edges: WordMap<Ipv4Addr, ReverseProxy>,
     ns_hosts: Vec<DomainName>,
     ns_ips: Vec<Ipv4Addr>,
-    ns_ip_set: WordSet<Ipv4Addr>,
     ns_glue: WordMap<DomainName, Ipv4Addr>,
     scrubbers: WordMap<PopId, ScrubbingCenter>,
     infra_apexes: Vec<DomainName>,
-    // Control plane.
+    // Control plane. An apex holds an account or a residual, never both.
     accounts: WordMap<DomainName, CustomerAccount>,
-    /// Query-name (www host or CNAME token) -> apex, for enrolled customers.
-    name_index: WordMap<DomainName, DomainName>,
     residuals: WordMap<DomainName, ResidualRecord>,
-    /// Query-name -> apex, for residual records.
-    residual_index: WordMap<DomainName, DomainName>,
+    /// CNAME token -> apex, for accounts and residuals alike. Every other
+    /// name a customer answers for lies under its apex.
+    tokens: WordMap<DomainName, DomainName>,
     generations: WordMap<DomainName, u32>,
 }
 
@@ -321,15 +311,13 @@ impl DpsProvider {
             edge_ips,
             edges,
             ns_hosts,
-            ns_ip_set: ns_ips.iter().copied().collect(),
             ns_ips,
             ns_glue,
             scrubbers,
             infra_apexes,
             accounts: WordMap::default(),
-            name_index: WordMap::default(),
             residuals: WordMap::default(),
-            residual_index: WordMap::default(),
+            tokens: WordMap::default(),
             generations: WordMap::default(),
         }
     }
@@ -374,11 +362,6 @@ impl DpsProvider {
         &self.edge_ips
     }
 
-    /// True if `addr` is one of this provider's nameservers.
-    pub fn is_ns_address(&self, addr: Ipv4Addr) -> bool {
-        self.ns_ip_set.contains(&addr)
-    }
-
     /// True if `addr` is one of this provider's edges.
     pub fn is_edge_address(&self, addr: Ipv4Addr) -> bool {
         self.edges.contains_key(&addr)
@@ -415,11 +398,6 @@ impl DpsProvider {
         self.scrubbers
             .get(&pop)
             .map(|s| s.scrub(malicious_gbps, legit_gbps))
-    }
-
-    /// Aggregate scrubbing capacity across PoPs (Gbps).
-    pub fn total_capacity_gbps(&self) -> f64 {
-        self.scrubbers.values().map(|s| s.capacity_gbps()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -505,7 +483,6 @@ impl DpsProvider {
                 let with_glue: Vec<(DomainName, Ipv4Addr)> =
                     pair.iter().map(|h| (h.clone(), self.ns_glue[h])).collect();
                 account.nameservers = pair;
-                self.name_index.insert(host.clone(), domain.clone());
                 Enrollment::NsBased {
                     nameservers: with_glue,
                 }
@@ -514,7 +491,7 @@ impl DpsProvider {
                 let token =
                     mint_cname_token(self.seed, self.info.cname_domain, domain, generation)?;
                 account.cname_token = Some(token.clone());
-                self.name_index.insert(token.clone(), domain.clone());
+                self.tokens.insert(token.clone(), domain.clone());
                 Enrollment::CnameBased { token }
             }
             ReroutingMethod::A => Enrollment::ABased { edge },
@@ -559,7 +536,9 @@ impl DpsProvider {
     ///
     /// * [`ProviderError::NotEnrolled`] for unknown domains;
     /// * [`ProviderError::ReroutingUnavailable`] for non-NS-based accounts
-    ///   (their zones live in the customer's own DNS).
+    ///   (their zones live in the customer's own DNS);
+    /// * [`ProviderError::OutsideZone`] for a `name` whose apex is not
+    ///   `domain`: the zone could never answer for it.
     pub fn add_dns_only_record(
         &mut self,
         domain: &DomainName,
@@ -574,8 +553,13 @@ impl DpsProvider {
                 reason: "provider only hosts zones for NS-based customers".to_owned(),
             });
         }
-        account.dns_only_a.push((name.clone(), addr));
-        self.name_index.insert(name, domain.clone());
+        if name.apex() != *domain {
+            return Err(ProviderError::OutsideZone {
+                domain: domain.to_string(),
+                name: name.to_string(),
+            });
+        }
+        account.dns_only_a.push((name, addr));
         Ok(())
     }
 
@@ -652,15 +636,6 @@ impl DpsProvider {
             .ok_or_else(|| ProviderError::NotEnrolled {
                 domain: domain.to_string(),
             })?;
-        // Remove live indexes.
-        self.name_index.remove(&account.host);
-        if let Some(token) = &account.cname_token {
-            self.name_index.remove(token);
-        }
-        for (name, _) in &account.dns_only_a {
-            self.name_index.remove(name);
-        }
-
         let keeps_answering = if informed {
             self.policy.answer_after_termination
         } else {
@@ -681,12 +656,10 @@ impl DpsProvider {
                 disabled: false,
                 account: account.clone(),
             };
-            self.residual_index
-                .insert(account.host.clone(), domain.clone());
-            if let Some(token) = &account.cname_token {
-                self.residual_index.insert(token.clone(), domain.clone());
-            }
             self.residuals.insert(domain.clone(), record);
+        } else if let Some(token) = &account.cname_token {
+            // Nothing answers for the token any more.
+            self.tokens.remove(token);
         }
         if informed {
             // Service stops: the edge no longer proxies for this host.
@@ -716,11 +689,6 @@ impl DpsProvider {
     /// The residual record for `domain`, if any.
     pub fn residual(&self, domain: &DomainName) -> Option<&ResidualRecord> {
         self.residuals.get(domain)
-    }
-
-    /// Number of residual records (live or not).
-    pub fn residual_count(&self) -> usize {
-        self.residuals.len()
     }
 
     /// Runs the revalidation countermeasure (Sec VI-B-1): for every residual
@@ -769,11 +737,12 @@ impl DpsProvider {
     }
 
     fn drop_residual(&mut self, domain: &DomainName) {
-        if let Some(record) = self.residuals.remove(domain) {
-            self.residual_index.remove(&record.account.host);
-            if let Some(token) = &record.account.cname_token {
-                self.residual_index.remove(token);
-            }
+        if let Some(token) = self
+            .residuals
+            .remove(domain)
+            .and_then(|record| record.account.cname_token)
+        {
+            self.tokens.remove(&token);
         }
     }
 
@@ -964,25 +933,20 @@ impl Authoritative for DpsProvider {
     /// domain re-enrolls. Nothing is counted here: senders count their
     /// own queries.
     fn answer(&self, now: SimTime, query: &Query) -> Option<Response> {
-        // Names outside the indexes (apex queries for NS-based customers)
-        // index via the `www.<apex>` host, which the apex-keyed account or
-        // residual already holds interned.
-        self.name_index
+        // A token names its customer's apex; any other customer name lies
+        // under it. The apex holds an account or a residual, and each
+        // answers only for its own names.
+        let apex = self
+            .tokens
             .get(&query.name)
-            .or_else(|| {
-                let host = &self.accounts.get(&query.name.apex())?.host;
-                self.name_index.get(host)
-            })
-            .and_then(|apex| self.accounts.get(apex))
+            .cloned()
+            .unwrap_or_else(|| query.name.apex());
+        self.accounts
+            .get(&apex)
             .and_then(|account| self.answer_for_account(account, query))
             .or_else(|| {
-                self.residual_index
-                    .get(&query.name)
-                    .or_else(|| {
-                        let host = &self.residuals.get(&query.name.apex())?.account.host;
-                        self.residual_index.get(host)
-                    })
-                    .and_then(|apex| self.residuals.get(apex))
+                self.residuals
+                    .get(&apex)
                     .and_then(|record| self.answer_for_residual(record, now, query))
             })
             .or_else(|| self.answer_infra(query))
@@ -1017,7 +981,6 @@ mod tests {
         assert_eq!(cf.ns_addresses().len(), 391);
         assert_eq!(cf.edge_addresses().len(), 32);
         assert_eq!(cf.pops().len(), 120);
-        assert!(cf.total_capacity_gbps() > 1000.0, "Tbps-scale network");
     }
 
     #[test]
@@ -1057,7 +1020,7 @@ mod tests {
         cf.terminate(SimTime::EPOCH, &name("example.com"), false)
             .unwrap();
         assert!(cf.account(&name("example.com")).is_none());
-        // The apex is in no index; the residual's host leads to it.
+        // The apex query finds the residual under its own name.
         let ns = ask(&cf, SimTime::from_days(7), "example.com", RecordType::Ns).unwrap();
         let served: Vec<(DomainName, DomainName)> = ns
             .answers
@@ -1093,6 +1056,10 @@ mod tests {
         assert!(token.contains_label_substring("incapdns"));
         let resp = ask(&inc, SimTime::EPOCH, token.as_str(), RecordType::A).unwrap();
         assert!(inc.is_edge_address(resp.answer_addresses()[0]));
+        // The customer's own names live in its own DNS, not here.
+        for qname in ["www.example.com", "example.com"] {
+            assert!(ask(&inc, SimTime::EPOCH, qname, RecordType::A).is_none());
+        }
     }
 
     #[test]
@@ -1150,7 +1117,12 @@ mod tests {
                 ReroutingMethod::A,
             )
             .unwrap();
-        assert!(e.edge_address().is_some());
+        assert!(matches!(e, Enrollment::ABased { edge } if dos.is_edge_address(edge)));
+        // An A-based customer points its own records at the edge; the
+        // provider's nameservers answer none of its names.
+        for qname in ["www.x.com", "x.com"] {
+            assert!(ask(&dos, SimTime::EPOCH, qname, RecordType::A).is_none());
+        }
     }
 
     #[test]
@@ -1213,7 +1185,7 @@ mod tests {
         cf.terminate(SimTime::from_days(10), &name("example.com"), true)
             .unwrap();
         assert_eq!(cf.customer_count(), 0);
-        assert_eq!(cf.residual_count(), 1);
+        assert!(cf.residual(&name("example.com")).is_some());
         let resp = ask(
             &cf,
             SimTime::from_days(11),
@@ -1337,7 +1309,7 @@ mod tests {
         // Fastly's own infra apex covers the token, so it answers NXDOMAIN
         // rather than leaking anything.
         assert!(matches!(resp, Some(r) if r.rcode == Rcode::NxDomain && r.answers.is_empty()));
-        assert_eq!(fastly.residual_count(), 0);
+        assert!(fastly.residual(&name("example.com")).is_none());
     }
 
     #[test]
@@ -1355,8 +1327,11 @@ mod tests {
         let token = e.cname_token().unwrap().clone();
         inc.terminate(SimTime::from_days(5), &name("example.com"), true)
             .unwrap();
-        let resp = ask(&inc, SimTime::from_days(20), token.as_str(), RecordType::A).unwrap();
-        assert_eq!(resp.answer_addresses(), vec![ORIGIN]);
+        // The remnant answers for its token, its host and its apex.
+        for qname in [token.as_str(), "www.example.com", "example.com"] {
+            let resp = ask(&inc, SimTime::from_days(20), qname, RecordType::A).unwrap();
+            assert_eq!(resp.answer_addresses(), vec![ORIGIN], "{qname}");
+        }
     }
 
     #[test]
@@ -1385,10 +1360,14 @@ mod tests {
             .unwrap();
         let t2 = e2.cname_token().unwrap().clone();
         assert_ne!(t1, t2);
-        assert_eq!(inc.residual_count(), 0);
-        // The old token is dead (NXDOMAIN within infra apex).
+        assert!(inc.residual(&name("example.com")).is_none());
+        // The old token is dead (NXDOMAIN within infra apex)...
         let resp = ask(&inc, SimTime::from_days(3), t1.as_str(), RecordType::A).unwrap();
         assert_eq!(resp.rcode, Rcode::NxDomain);
+        assert!(resp.answers.is_empty());
+        // ...and the new one answers with an edge.
+        let resp = ask(&inc, SimTime::from_days(3), t2.as_str(), RecordType::A).unwrap();
+        assert!(inc.is_edge_address(resp.answer_addresses()[0]));
     }
 
     #[test]
@@ -1515,6 +1494,34 @@ mod tests {
         // ...but the gray record answers with the origin itself.
         let dev = ask(&cf, SimTime::EPOCH, "dev.example.com", RecordType::A).unwrap();
         assert_eq!(dev.answer_addresses(), vec![ORIGIN]);
+    }
+
+    #[test]
+    fn dns_only_records_outside_the_zone_are_rejected() {
+        let mut cf = cloudflare();
+        cf.enroll(
+            SimTime::EPOCH,
+            &name("example.com"),
+            ORIGIN,
+            ServicePlan::Free,
+            ReroutingMethod::Ns,
+        )
+        .unwrap();
+        for outside in ["dev.other.com", "other.com", "com", "dev.example.org"] {
+            assert_eq!(
+                cf.add_dns_only_record(&name("example.com"), name(outside), ORIGIN),
+                Err(ProviderError::OutsideZone {
+                    domain: "example.com".to_owned(),
+                    name: outside.to_owned(),
+                })
+            );
+            assert!(ask(&cf, SimTime::EPOCH, outside, RecordType::A).is_none());
+        }
+        // Any depth under the apex is in the zone and answers.
+        cf.add_dns_only_record(&name("example.com"), name("a.dev.example.com"), ORIGIN)
+            .unwrap();
+        let deep = ask(&cf, SimTime::EPOCH, "a.dev.example.com", RecordType::A).unwrap();
+        assert_eq!(deep.answer_addresses(), vec![ORIGIN]);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl ScrubbingCenter {
         }
     }
 
-    /// The center's capacity in Gbps.
-    pub const fn capacity_gbps(&self) -> f64 {
-        self.capacity_gbps
-    }
-
     /// Processes offered traffic and reports what reaches the origin.
     pub fn scrub(&self, malicious_gbps: f64, legit_gbps: f64) -> ScrubOutcome {
         let offered = malicious_gbps + legit_gbps;

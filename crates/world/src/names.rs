@@ -3,6 +3,8 @@
 use remnant_dns::DomainName;
 use remnant_sim::SeedSeq;
 
+use crate::site::Website;
+
 /// TLD mix for generated apex domains (rough shape of the Alexa list).
 const TLDS: [&str; 8] = ["com", "net", "org", "io", "co", "info", "biz", "site"];
 
@@ -35,6 +37,33 @@ pub fn apex_for_rank(seed: u64, rank: usize) -> DomainName {
     let tld = TLDS[((h >> 10) % 8) as usize];
     let name = format!("{stem_a}{stem_b}{rank}.{tld}");
     DomainName::parse(&name).expect("generated names are valid")
+}
+
+/// The rank of the site whose apex is `apex`, read back from the name:
+/// [`apex_for_rank`] ends the apex's first label with the rank's
+/// digits, so parsing them and comparing `sites[rank].apex` (one pointer
+/// compare) finds the site without an index.
+///
+/// A name whose label before the TLD has no trailing digit run, a run
+/// that overflows `usize`, a rank past the population, or a rank whose
+/// site has another apex (a leading zero, another seed's name, a host
+/// under the apex, an infrastructure domain) is `None`.
+pub fn rank_of(apex: &DomainName, sites: &[Website]) -> Option<usize> {
+    // An apex's first label ends at its last dot, a few bytes from the
+    // end, so the scan starts there.
+    let name = apex.as_str().as_bytes();
+    let end = name.iter().rposition(|&b| b == b'.')?;
+    let start = name[..end]
+        .iter()
+        .rposition(|b| !b.is_ascii_digit())
+        .map_or(0, |stem_end| stem_end + 1);
+    if start == end {
+        return None;
+    }
+    let rank = name[start..end].iter().try_fold(0usize, |rank, &digit| {
+        rank.checked_mul(10)?.checked_add(usize::from(digit - b'0'))
+    })?;
+    (sites.get(rank)?.apex == *apex).then_some(rank)
 }
 
 /// The `www` host for an apex.

@@ -95,20 +95,6 @@ pub struct Website {
     pub scheduled_resume: Option<SimTime>,
 }
 
-impl Website {
-    /// True if the site currently resolves through a delegating DPS
-    /// mechanism (the precondition for later residual exposure).
-    pub fn delegates_to_dps(&self) -> bool {
-        matches!(
-            self.state,
-            SiteState::Dps {
-                rerouting: ReroutingMethod::Ns | ReroutingMethod::Cname,
-                ..
-            }
-        )
-    }
-}
-
 impl fmt::Display for Website {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({})", self.apex, self.id)
@@ -158,25 +144,6 @@ mod tests {
         };
         assert!(!off.is_protected());
         assert!(off.is_enrolled());
-    }
-
-    #[test]
-    fn delegation_depends_on_rerouting() {
-        let a_based = site(SiteState::Dps {
-            provider: ProviderId::DosArrest,
-            rerouting: ReroutingMethod::A,
-            plan: ServicePlan::Pro,
-            paused: false,
-        });
-        assert!(!a_based.delegates_to_dps());
-        let ns_based = site(SiteState::Dps {
-            provider: ProviderId::Cloudflare,
-            rerouting: ReroutingMethod::Ns,
-            plan: ServicePlan::Free,
-            paused: false,
-        });
-        assert!(ns_based.delegates_to_dps());
-        assert!(!site(SiteState::SelfHosted).delegates_to_dps());
     }
 
     #[test]

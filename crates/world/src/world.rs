@@ -13,14 +13,14 @@ use remnant_dns::{
 use remnant_http::{
     FirewallPolicy, HttpRequest, HttpResponse, HttpTransport, OriginServer, PageTemplate,
 };
-use remnant_net::hash::{WordMap, WordSet};
+use remnant_net::hash::WordMap;
 use remnant_net::{IpAllocator, Region};
 use remnant_provider::{DpsProvider, ProviderId, ReroutingMethod, ServicePlan};
 use remnant_sim::{SeedSeq, SimClock, SimDuration, SimTime};
 
 use crate::config::WorldConfig;
 use crate::dynamics::BehaviorEvent;
-use crate::names::{apex_for_rank, hosting_ns_name, www_host};
+use crate::names::{apex_for_rank, hosting_ns_name, rank_of, www_host};
 use crate::site::{SiteId, SiteState, Website};
 
 /// Number of shared hosting-DNS servers serving self-hosted zones.
@@ -55,13 +55,11 @@ pub struct World {
     pub(crate) config: WorldConfig,
     pub(crate) rng: StdRng,
     pub(crate) sites: Vec<Website>,
-    pub(crate) by_apex: WordMap<DomainName, SiteId>,
     pub(crate) origin_owner: WordMap<Ipv4Addr, SiteId>,
     origins: WordMap<Ipv4Addr, OriginServer>,
     pub(crate) providers: Vec<DpsProvider>,
     ns_owner: WordMap<Ipv4Addr, ProviderId>,
     edge_owner: WordMap<Ipv4Addr, ProviderId>,
-    all_edges: WordSet<Ipv4Addr>,
     hosting_ns: Vec<(DomainName, Ipv4Addr)>,
     /// Apex of each `hosting_ns` host, in the same order.
     hosting_apexes: Vec<DomainName>,
@@ -104,7 +102,6 @@ impl World {
             .collect();
         let mut ns_owner = WordMap::default();
         let mut edge_owner = WordMap::default();
-        let mut all_edges = WordSet::default();
         let mut infra_delegation = WordMap::default();
         for provider in &providers {
             for addr in provider.ns_addresses() {
@@ -112,7 +109,6 @@ impl World {
             }
             for addr in provider.edge_addresses() {
                 edge_owner.insert(*addr, provider.id());
-                all_edges.insert(*addr);
             }
             let info = provider.info();
             for domain in [info.cname_domain, info.ns_domain] {
@@ -150,13 +146,11 @@ impl World {
         let mut world = World {
             clock,
             sites: Vec::with_capacity(config.population),
-            by_apex: WordMap::with_capacity_and_hasher(config.population, Default::default()),
             origin_owner: WordMap::with_capacity_and_hasher(config.population, Default::default()),
             origins: WordMap::default(),
             providers,
             ns_owner,
             edge_owner,
-            all_edges,
             hosting_ns,
             hosting_apexes,
             hosting_glue,
@@ -194,7 +188,7 @@ impl World {
             let leaky_subdomain = rng.gen_bool(cal.leaky_subdomain_fraction);
             let site = Website {
                 id,
-                apex: apex.clone(),
+                apex,
                 www,
                 origin,
                 hosting: (rank % HOSTING_SERVERS) as u8,
@@ -207,7 +201,6 @@ impl World {
                 state: SiteState::SelfHosted,
                 scheduled_resume: None,
             };
-            world.by_apex.insert(apex, id);
             world.origin_owner.insert(origin, id);
             world.sites.push(site);
         }
@@ -274,13 +267,11 @@ impl World {
             config: self.config.clone(),
             rng: self.rng.clone(),
             sites: self.sites.clone(),
-            by_apex: self.by_apex.clone(),
             origin_owner: self.origin_owner.clone(),
             origins: self.origins.clone(),
             providers: self.providers.clone(),
             ns_owner: self.ns_owner.clone(),
             edge_owner: self.edge_owner.clone(),
-            all_edges: self.all_edges.clone(),
             hosting_ns: self.hosting_ns.clone(),
             hosting_apexes: self.hosting_apexes.clone(),
             hosting_glue: self.hosting_glue.clone(),
@@ -367,14 +358,14 @@ impl World {
     /// Answers like the root/TLD layer: a referral for any registered apex,
     /// derived live from the site's current delegation state.
     ///
-    /// Websites are looked up first. A generated apex ends in its rank's
-    /// digits, so it is never one of the infrastructure apexes checked
-    /// after it (`registry_zones_and_server_addresses_never_overlap` pins
+    /// Websites are looked up first, by the rank their apex spells
+    /// ([`rank_of`]). No infrastructure apex checked after them reads as a
+    /// site's (`registry_zones_and_server_addresses_never_overlap` pins
     /// this).
     fn registry_answer(&self, query: &Query) -> Response {
         let apex = query.name.apex();
-        if let Some(site_id) = self.by_apex.get(&apex) {
-            return self.site_referral(query, &apex, &self.sites[site_id.0 as usize]);
+        if let Some(rank) = rank_of(&apex, &self.sites) {
+            return self.site_referral(query, &apex, &self.sites[rank]);
         }
         // Provider infrastructure domains.
         if let Some(provider_id) = self.infra_delegation.get(&apex) {
@@ -439,11 +430,10 @@ impl World {
 
     /// Answers as the `hosting`-th shared hosting-DNS server.
     fn hosting_answer(&self, hosting: usize, query: &Query) -> Response {
-        let apex = query.name.apex();
-        let Some(site_id) = self.by_apex.get(&apex).copied() else {
+        let Some(rank) = rank_of(&query.name.apex(), &self.sites) else {
             return Response::empty(query.clone(), Rcode::Refused);
         };
-        let site = &self.sites[site_id.0 as usize];
+        let site = &self.sites[rank];
         let (primary, secondary) = hosting_pair(site.hosting);
         if hosting != primary && hosting != secondary {
             return Response::empty(query.clone(), Rcode::Refused);
@@ -788,7 +778,7 @@ impl World {
         origins: &'a mut WordMap<Ipv4Addr, OriginServer>,
         origin_owner: &WordMap<Ipv4Addr, SiteId>,
         sites: &[Website],
-        all_edges: &WordSet<Ipv4Addr>,
+        edge_owner: &WordMap<Ipv4Addr, ProviderId>,
         seed: u64,
         addr: Ipv4Addr,
     ) -> Option<&'a mut OriginServer> {
@@ -803,7 +793,7 @@ impl World {
             server.host_site(site.www.as_str(), template);
             if site.firewalled {
                 server.set_firewall(FirewallPolicy::DpsOnly {
-                    allowed: all_edges.iter().copied().collect(),
+                    allowed: edge_owner.keys().copied().collect(),
                 });
             }
             server
@@ -928,7 +918,7 @@ struct OriginBackend<'a> {
     origins: &'a mut WordMap<Ipv4Addr, OriginServer>,
     origin_owner: &'a WordMap<Ipv4Addr, SiteId>,
     sites: &'a [Website],
-    all_edges: &'a WordSet<Ipv4Addr>,
+    edge_owner: &'a WordMap<Ipv4Addr, ProviderId>,
     seed: u64,
 }
 
@@ -938,7 +928,7 @@ impl HttpTransport for OriginBackend<'_> {
             self.origins,
             self.origin_owner,
             self.sites,
-            self.all_edges,
+            self.edge_owner,
             self.seed,
             dst,
         )?
@@ -968,7 +958,7 @@ impl World {
                 origins,
                 origin_owner,
                 sites,
-                all_edges,
+                edge_owner,
                 config,
                 ..
             } = self;
@@ -976,7 +966,7 @@ impl World {
                 origins,
                 origin_owner,
                 sites,
-                all_edges,
+                edge_owner,
                 seed: config.seed,
             };
             return providers[provider_id.index()].serve_http(now, &mut backend, dst, request);
@@ -992,7 +982,7 @@ impl World {
             &mut self.origins,
             &self.origin_owner,
             &self.sites,
-            &self.all_edges,
+            &self.edge_owner,
             self.config.seed,
             dst,
         )?
@@ -1011,34 +1001,12 @@ impl World {
 /// has to differ between consecutive parities — it does not need ordering.
 impl ZoneGenerationProbe for World {
     fn generation_of(&self, apex: &DomainName) -> u64 {
-        let Some(id) = self.by_apex.get(apex) else {
+        let Some(rank) = rank_of(apex, &self.sites) else {
             return 0;
         };
-        self.site_generation(id.0 as usize, self.clock.now().as_days() & 1)
-    }
-
-    /// A rank walk: the collector probes its targets in rank order, so
-    /// `apexes[i]` is normally site `i`'s apex. That is one pointer
-    /// compare and one index; any other apex falls back to the hashed
-    /// [`ZoneGenerationProbe::generation_of`].
-    fn generations_for(&self, apexes: &[&DomainName]) -> Vec<u64> {
-        let parity = self.clock.now().as_days() & 1;
-        apexes
-            .iter()
-            .enumerate()
-            .map(|(rank, &apex)| match self.sites.get(rank) {
-                Some(site) if site.apex == *apex => self.site_generation(rank, parity),
-                _ => self.generation_of(apex),
-            })
-            .collect()
-    }
-}
-
-impl World {
-    /// Site `rank`'s probed generation on a day of the given parity.
-    fn site_generation(&self, rank: usize, day_parity: u64) -> u64 {
         let generation = self.zone_generations[rank];
         if self.sites[rank].multi_cdn.is_some() {
+            let day_parity = self.clock.now().as_days() & 1;
             generation.wrapping_mul(2).wrapping_add(day_parity)
         } else {
             generation.wrapping_mul(2)
@@ -1161,41 +1129,6 @@ mod tests {
         let day2 = world.generation_of(&site.apex);
         assert_ne!(day0, day1, "the serving CDN alternates daily");
         assert_eq!(day0, day2, "same parity, same answers, same generation");
-    }
-
-    #[test]
-    fn rank_walk_generations_match_single_probes() {
-        let mut calibration = crate::config::Calibration::paper();
-        calibration.multi_cdn_fraction = 0.5; // so day parity shows
-        let config = |population, seed| WorldConfig {
-            population,
-            seed,
-            warmup_days: 0,
-            calibration: calibration.clone(),
-        };
-        let mut world = World::generate(config(400, 77));
-        let other = World::generate(config(50, 78));
-        world.step_hours(72); // some sites' zones change
-        let mut parities = Vec::new();
-        for _ in 0..2 {
-            parities.push(world.now().as_days() & 1);
-            let in_order: Vec<&DomainName> = world.sites().iter().map(|s| &s.apex).collect();
-            let reversed: Vec<&DomainName> = in_order.iter().rev().copied().collect();
-            let truncated = in_order[..in_order.len() / 3].to_vec();
-            // Another world's apex at a rank this world has, and past
-            // this world's last rank.
-            let mut foreign = in_order.clone();
-            foreign[1] = &other.sites()[1].apex;
-            foreign.push(&other.sites()[0].apex);
-            assert_eq!(world.generation_of(foreign[1]), 0);
-            for apexes in [in_order, reversed, truncated, foreign] {
-                let single: Vec<u64> = apexes.iter().map(|a| world.generation_of(a)).collect();
-                assert!(single.iter().any(|&g| g != 0));
-                assert_eq!(world.generations_for(&apexes), single);
-            }
-            world.step_hours(24);
-        }
-        assert_ne!(parities[0], parities[1], "one odd and one even day");
     }
 
     #[test]
@@ -1489,10 +1422,10 @@ mod tests {
         assert_eq!(w.http_requests(), 2, "answered or not, every GET counts");
     }
 
-    /// `registry_answer` probes the site index before the infrastructure
-    /// apexes, and `query` checks the hosting block, the balancer and the
-    /// provider nameservers in an order of its own; both change no answer
-    /// only while these sets never overlap.
+    /// `registry_answer` reads a site's rank from its apex before it
+    /// checks the infrastructure apexes, and `query` checks the hosting
+    /// block, the balancer and the provider nameservers in an order of its
+    /// own; both change no answer only while these sets never overlap.
     #[test]
     fn registry_zones_and_server_addresses_never_overlap() {
         let base = u32::from(HOSTING_NS_BASE);
@@ -1513,9 +1446,30 @@ mod tests {
             infra_apexes.push(world.cedexis_apex.clone());
             infra_apexes.extend(world.hosting_apexes.iter().cloned());
             assert!(infra_apexes.len() > ProviderId::ALL.len());
+            for (rank, site) in world.sites().iter().enumerate() {
+                assert_eq!(rank_of(&site.apex, world.sites()), Some(rank));
+                assert_eq!(rank_of(&site.www, world.sites()), None, "not an apex");
+            }
+            let site = &world.sites()[42];
+            let (label, tld) = site.apex.as_str().split_once('.').unwrap();
+            let stem = label.trim_end_matches(|c: char| c.is_ascii_digit());
+            let other_seed = apex_for_rank(seed + 1, 42);
+            assert_ne!(other_seed, site.apex);
+            for spelling in [
+                other_seed.to_string(),
+                apex_for_rank(seed, world.population()).to_string(),
+                format!("{stem}042.{tld}"),
+                format!("{stem}{}.{tld}", "9".repeat(40)),
+                format!("{stem}.{tld}"),
+                format!("{label}.{}", if tld == "com" { "net" } else { "com" }),
+            ] {
+                let name: DomainName = spelling.parse().unwrap();
+                assert_eq!(rank_of(&name, world.sites()), None, "{name}");
+            }
             for apex in &infra_apexes {
-                assert!(
-                    !world.by_apex.contains_key(apex),
+                assert_eq!(
+                    rank_of(apex, world.sites()),
+                    None,
                     "seed {seed}: a site owns {apex}"
                 );
                 // Only a rank spelled by the digits that end the apex's
